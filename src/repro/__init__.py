@@ -38,7 +38,6 @@ from repro.config import (
     NUATConfig,
     single_core_config,
     eight_core_config,
-    MECHANISMS,
 )
 from repro.core.registry import (
     canonical_spec,
@@ -67,7 +66,6 @@ __all__ = [
     "NUATConfig",
     "single_core_config",
     "eight_core_config",
-    "MECHANISMS",
     "canonical_spec",
     "mechanism_names",
     "parse_mechanism_spec",

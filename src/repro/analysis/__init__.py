@@ -2,8 +2,9 @@
 
 Four rules guard what unit tests cannot check globally: cache-key
 determinism of every fingerprinted module, the mechanism registry's
-fork/replay contract, RunSpec key-material exhaustiveness, and the
-service layer's locking discipline.  See DESIGN.md section 10.
+fork/replay contract, RunSpec key-material exhaustiveness, and durable
+(fsync-before-rename) publication in the persistence modules.  See
+DESIGN.md section 9.
 """
 
 from repro.analysis.base import Checker, Finding, Module, Project

@@ -1,9 +1,9 @@
 """Checker framework core: findings, pragmas and parsed modules.
 
-``repro lint`` (DESIGN.md section 10) guards invariants that no unit
+``repro lint`` (DESIGN.md section 9) guards invariants that no unit
 test can enforce globally — cache-key determinism, the registry's
-fork/replay contract, RunSpec key-material exhaustiveness and the
-service layer's locking discipline.  This module holds the shared
+fork/replay contract, RunSpec key-material exhaustiveness and durable
+publication in the persistence modules.  This module holds the shared
 machinery: a :class:`Finding` (one ``file:line:rule: message``
 diagnostic), the per-line allowlist pragma grammar, and the
 :class:`Module`/:class:`Project` views of the parsed sources that

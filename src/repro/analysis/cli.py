@@ -29,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description="AST-based invariant linter: cache-key "
                     "determinism, registry fork/replay contract, "
-                    "RunSpec key-material exhaustiveness, service "
-                    "locking discipline.")
+                    "RunSpec key-material exhaustiveness, "
+                    "fsync-before-rename in persistence modules.")
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: the installed "

@@ -37,7 +37,7 @@ from repro.analysis.service_concurrency import ServiceConcurrencyChecker
 from repro.analysis.spec_keys import SpecKeysChecker
 
 #: Rule name -> checker, in reporting order.  Adding a checker here is
-#: the single registration point (see DESIGN.md section 10).
+#: the single registration point (see DESIGN.md section 9).
 RULES: Tuple[Checker, ...] = (
     DeterminismChecker(),
     RegistryContractChecker(),

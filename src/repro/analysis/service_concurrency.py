@@ -1,124 +1,46 @@
-"""Rule ``service-concurrency``: the service layer's locking discipline.
+"""Rule ``service-concurrency``: durable publication of shared files.
 
-The results service (DESIGN.md section 9) keeps many processes honest
-with exactly three conventions, all invisible to unit tests that run
-one process at a time:
+Store directories are read and written by many processes at once (pool
+workers, distributed sweep peers on other hosts), which unit tests that
+run one process at a time never exercise.  One convention keeps those
+readers safe:
 
-* **SQLite writes happen under the FileLock.**  Every mutation either
-  sits lexically inside ``with self.lock:`` or lives in a nested
-  transaction function handed to ``_write(...)``, which takes the
-  lock.  A write outside both patterns races the claim/record
-  compound invariants.
 * **Renames are durable.**  ``os.rename``/``os.replace``/
   ``Path.rename`` publishes a file atomically only if the bytes were
   fsynced first; a rename with no earlier fsync in the same function
   can publish an empty file after a crash.
-* **Connections are not shared across threads.**  Stashing a
-  ``sqlite3.connect(...)`` handle on ``self`` (or passing
-  ``check_same_thread=False``) invites cross-thread use of a
-  connection that SQLite only guarantees within one thread; the
-  sanctioned idiom is a fresh connection per operation.
 
-The rule applies to modules under ``service/`` (path-scoped, so test
-fixtures placed under a ``service/`` directory exercise it too), plus
-the harness modules that share the same multi-process publication
-discipline regardless of directory: the pluggable store backends and
-the sweep journal (:data:`SCOPED_BASENAMES`) write files that other
-processes read concurrently, so their renames and writes are held to
-the service rules.
+The rule applies to modules under a ``service/`` directory
+(path-scoped, so test fixtures placed there exercise it) and, by
+basename wherever they live, to the harness modules that publish files
+other processes read concurrently (:data:`SCOPED_BASENAMES`): the run
+store's envelope writer, its claim leases and the sweep journal.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from repro.analysis.base import (
     Checker,
     Finding,
     Module,
     Project,
-    ancestors,
     dotted_name,
     enclosing_function,
     import_map,
     resolve,
 )
 
-EXECUTE_METHODS = ("execute", "executemany", "executescript")
-
-#: Modules outside ``service/`` that still publish files across
-#: process boundaries and therefore carry the same discipline.
-SCOPED_BASENAMES = ("store.py", "journal.py")
-WRITE_VERBS = ("INSERT", "UPDATE", "DELETE", "REPLACE", "CREATE",
-               "DROP", "ALTER", "VACUUM")
-
-
-def _sql_candidates(arg: ast.AST, func: Optional[ast.AST],
-                    module: Module) -> Optional[List[str]]:
-    """Possible SQL texts for an execute() argument, or None."""
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return [arg.value]
-    if isinstance(arg, ast.JoinedStr):
-        # The verb is always in the leading literal piece of an
-        # f-string (interpolations carry values, not verbs).
-        for piece in arg.values:
-            if isinstance(piece, ast.Constant) \
-                    and isinstance(piece.value, str):
-                return [piece.value]
-        return None
-    if isinstance(arg, ast.Name):
-        return _resolve_name(arg.id, func, module)
-    return None
-
-
-def _resolve_name(name: str, func: Optional[ast.AST],
-                  module: Module) -> Optional[List[str]]:
-    scopes: List[ast.AST] = []
-    if func is not None:
-        scopes.append(func)
-    scopes.append(module.tree)
-    for scope in scopes:
-        body = scope.body if hasattr(scope, "body") else []
-        for stmt in body:
-            if isinstance(stmt, ast.Assign) \
-                    and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name) \
-                    and stmt.targets[0].id == name \
-                    and isinstance(stmt.value, ast.Constant) \
-                    and isinstance(stmt.value.value, str):
-                return [stmt.value.value]
-        # `for sql in _INDEX_SQL:` over a module-level string tuple.
-        for stmt in ast.walk(scope):
-            if isinstance(stmt, ast.For) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and stmt.target.id == name \
-                    and isinstance(stmt.iter, ast.Name):
-                return _resolve_name(stmt.iter.id, None, module)
-            if isinstance(stmt, ast.Assign) \
-                    and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name) \
-                    and stmt.targets[0].id == name \
-                    and isinstance(stmt.value, (ast.Tuple, ast.List)):
-                texts = [elt.value for elt in stmt.value.elts
-                         if isinstance(elt, ast.Constant)
-                         and isinstance(elt.value, str)]
-                if texts:
-                    return texts
-    return None
-
-
-def _is_write_sql(sql: str) -> bool:
-    head = sql.lstrip().upper()
-    if head.startswith("PRAGMA"):
-        return "=" in head  # PRAGMA x = y assigns; bare PRAGMA reads
-    return any(head.startswith(verb) for verb in WRITE_VERBS)
+#: Modules outside ``service/`` that publish files across process
+#: boundaries and therefore carry the same discipline.
+SCOPED_BASENAMES = ("cache.py", "store.py", "journal.py")
 
 
 class ServiceConcurrencyChecker(Checker):
     rule = "service-concurrency"
-    description = ("SQLite writes under FileLock, fsync before "
-                   "rename, no cross-thread connections")
+    description = "fsync before rename in file-publishing modules"
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.modules:
@@ -131,106 +53,21 @@ class ServiceConcurrencyChecker(Checker):
     def _check_module(self, module: Module) -> Iterable[Finding]:
         imports = import_map(module.tree)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(module, node, imports)
-            elif isinstance(node, ast.Assign):
-                yield from self._check_assign(module, node, imports)
-
-    # -- SQLite writes under the lock ----------------------------------
-
-    def _check_call(self, module: Module, call: ast.Call,
-                    imports) -> Iterable[Finding]:
-        func_name = dotted_name(call.func)
-        if isinstance(call.func, ast.Attribute) \
-                and call.func.attr in EXECUTE_METHODS:
-            yield from self._check_execute(module, call)
-        resolved = resolve(call.func, imports)
-        # `.replace` alone is too ambiguous (str.replace); only the
-        # resolved os functions and Path-style `.rename` count.
-        if resolved in ("os.rename", "os.replace") \
-                or (isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "rename"):
-            yield from self._check_rename(module, call, resolved
-                                          or func_name)
-        if resolved == "sqlite3.connect":
-            for kw in call.keywords:
-                if kw.arg == "check_same_thread" \
-                        and isinstance(kw.value, ast.Constant) \
-                        and kw.value.value is False:
-                    yield self.finding(
-                        module, call,
-                        "sqlite3.connect(check_same_thread=False) "
-                        "invites sharing one connection across "
-                        "threads; open a fresh connection per "
-                        "operation instead")
-
-    def _check_execute(self, module: Module, call: ast.Call
-                       ) -> Iterable[Finding]:
-        func = enclosing_function(call)
-        if call.func.attr == "executescript":
-            is_write = True  # scripts exist to run DDL/DML batches
-        else:
-            candidates = None
-            if call.args:
-                candidates = _sql_candidates(call.args[0], func,
-                                             module)
-            if candidates is None:
-                is_write = True  # unresolvable SQL: assume the worst
-            else:
-                is_write = any(_is_write_sql(sql)
-                               for sql in candidates)
-        if not is_write:
-            return
-        if self._under_lock(call) or self._in_write_txn(func, module):
-            return
-        yield self.finding(
-            module, call,
-            "SQLite write outside a FileLock; wrap it in 'with "
-            "self.lock:' or move it into a transaction function "
-            "passed to _write(...)")
-
-    @staticmethod
-    def _under_lock(node: ast.AST) -> bool:
-        for anc in ancestors(node):
-            if isinstance(anc, (ast.With, ast.AsyncWith)):
-                for item in anc.items:
-                    dotted = dotted_name(item.context_expr)
-                    if dotted is None \
-                            and isinstance(item.context_expr,
-                                           ast.Call):
-                        dotted = dotted_name(
-                            item.context_expr.func)
-                    if dotted and "lock" in dotted.lower():
-                        return True
-        return False
-
-    @staticmethod
-    def _in_write_txn(func: Optional[ast.AST],
-                      module: Module) -> bool:
-        """True when ``func`` is a nested txn handed to _write()."""
-        if func is None or enclosing_function(func) is None:
-            return False
-        for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = dotted_name(node.func)
-            if dotted is None or not dotted.endswith("_write"):
-                continue
-            for arg in node.args:
-                if isinstance(arg, ast.Name) \
-                        and arg.id == func.name:
-                    return True
-        return False
-
-    # -- fsync before rename -------------------------------------------
+            resolved = resolve(node.func, imports)
+            # `.replace` alone is too ambiguous (str.replace); only the
+            # resolved os functions and Path-style `.rename` count.
+            if resolved in ("os.rename", "os.replace") \
+                    or (isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "rename"):
+                yield from self._check_rename(
+                    module, node, resolved or dotted_name(node.func))
 
     def _check_rename(self, module: Module, call: ast.Call,
                       name: Optional[str]) -> Iterable[Finding]:
         func = enclosing_function(call)
-        if func is None:
-            scope: ast.AST = module.tree
-        else:
-            scope = func
+        scope: ast.AST = module.tree if func is None else func
         for node in ast.walk(scope):
             if isinstance(node, ast.Call) \
                     and getattr(node, "lineno", 0) < call.lineno:
@@ -242,20 +79,3 @@ class ServiceConcurrencyChecker(Checker):
             f"{name or 'rename'}() without a preceding fsync in the "
             f"same function; an unsynced rename can publish an empty "
             f"file after a crash")
-
-    # -- connection sharing --------------------------------------------
-
-    def _check_assign(self, module: Module, node: ast.Assign,
-                      imports) -> Iterable[Finding]:
-        if not (isinstance(node.value, ast.Call)
-                and resolve(node.value.func, imports)
-                == "sqlite3.connect"):
-            return
-        for target in node.targets:
-            if isinstance(target, ast.Attribute):
-                yield self.finding(
-                    module, node,
-                    f"sqlite3 connection stored on "
-                    f"'{dotted_name(target)}' outlives the operation "
-                    f"and may cross threads; open a fresh connection "
-                    f"per operation instead")

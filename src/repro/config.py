@@ -24,15 +24,6 @@ DEFAULT_CPU_FREQ_GHZ = 4.0
 #: DDR3-1600 bus frequency in MHz (Table 1).
 DEFAULT_BUS_FREQ_MHZ = 800.0
 
-#: The pre-registry fixed mechanism menu, kept as a deprecation shim:
-#: every name here must keep resolving through
-#: :mod:`repro.core.registry` (guarded in CI and
-#: tests/core/test_registry.py).  The validated surface is now any
-#: spec :func:`repro.core.registry.parse_mechanism_spec` accepts, e.g.
-#: ``"chargecache(entries=256,duration_ms=0.5)+nuat"``.
-MECHANISMS = ("none", "chargecache", "nuat", "chargecache+nuat",
-              "lldram", "aldram", "chargecache+aldram")
-
 #: Known row-buffer management policies (Section 3 of the paper).
 ROW_POLICIES = ("open", "closed")
 
@@ -233,11 +224,8 @@ class ExecutionConfig:
     ``jobs`` is the process-pool width for sweep fan-out: ``None``
     defers to the ``REPRO_JOBS`` environment variable (default serial),
     ``0`` means one worker per CPU, ``1`` forces serial in-process
-    execution.  ``cache_dir`` selects the persistent result store: a
-    plain directory or ``file://DIR`` (the content-addressed envelope
-    directory), ``http(s)://HOST:PORT`` (a serving daemon, see
-    :mod:`repro.harness.store`), or ``layered:LOCAL,REMOTE``
-    (read-through local with remote write-back); ``None`` defers to
+    execution.  ``cache_dir`` is the persistent result store, the
+    content-addressed envelope directory; ``None`` defers to
     ``REPRO_CACHE_DIR`` or ``~/.cache/chargecache-repro``.
     ``use_run_cache=False`` bypasses the persistent layer entirely
     (the in-memory memo still applies).

@@ -22,7 +22,6 @@ from repro.core.timing_policy import (
     LatencyMechanism,
     DefaultTiming,
     CombinedMechanism,
-    build_mechanism,
 )
 from repro.core.hcrac import HCRAC, UnboundedHCRAC
 from repro.core.invalidation import PeriodicInvalidator, TimestampInvalidator
@@ -42,7 +41,6 @@ __all__ = [
     "LatencyMechanism",
     "DefaultTiming",
     "CombinedMechanism",
-    "build_mechanism",
     "HCRAC",
     "UnboundedHCRAC",
     "PeriodicInvalidator",

@@ -32,10 +32,11 @@ family the public API:
   two-way behaviour is bit-identical to the historical hardcoded
   pairs.
 
-``repro.core.timing_policy.build_mechanism`` and the plain names in
-``repro.config.MECHANISMS`` remain as thin deprecation shims on top of
-this module, so every pre-registry entry point keeps working
-bit-identically (see DESIGN.md section 6).
+The plain names of the pre-registry fixed menu (``none``,
+``chargecache``, ``nuat``, ``chargecache+nuat``, ``lldram``,
+``aldram``, ``chargecache+aldram``) are ordinary specs here and
+normalize to themselves, so cache keys computed before the registry
+existed stay valid (see DESIGN.md section 6).
 """
 
 from __future__ import annotations

@@ -169,24 +169,3 @@ class CombinedMechanism(LatencyMechanism):
 def _build_none(ctx, overrides):
     del overrides
     return DefaultTiming(ctx.timing)
-
-
-def build_mechanism(config, timing: TimingParameters, num_cores: int,
-                    refresh_scheduler) -> LatencyMechanism:
-    """Deprecated factory shim; delegates to :mod:`repro.core.registry`.
-
-    Kept so pre-registry callers (and the plain names in
-    ``repro.config.MECHANISMS``) keep working bit-identically.  New
-    code should call :func:`repro.core.registry.build` with a
-    :class:`~repro.core.registry.MechanismContext`.
-
-    Args:
-        config: a :class:`repro.config.SimulationConfig`.
-        timing: the channel's timing parameters.
-        num_cores: number of cores (for per-core HCRAC replication).
-        refresh_scheduler: the channel's refresh scheduler (NUAT input).
-    """
-    from repro.core import registry
-    return registry.build(config.mechanism, registry.MechanismContext(
-        timing=timing, num_cores=num_cores,
-        refresh_scheduler=refresh_scheduler, config=config))

@@ -23,22 +23,20 @@ Three constructors cover the sources:
   :class:`~repro.harness.pool.Sweep` (unique points, spec order);
 * :func:`specs_frame` — rows by running specs through the runner's
   read-through stack (memo/store hits, never a duplicate simulation);
-* :func:`store_frame` — rows straight from a result store or the
-  service database, *without* executing anything: cross-sweep
-  analytics over everything a fleet has ever computed.
+* :func:`store_frame` — rows straight from a store directory,
+  *without* executing anything: cross-sweep analytics over everything
+  a fleet has ever computed.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.cpu.system import RunResult
 from repro.harness import cache as run_cache
 from repro.harness.spec import RunSpec, spec_from_payload
 
-#: Scalar result metrics surfaced as frame columns — a superset of the
-#: service database's denormalized METRIC_FIELDS.
+#: Scalar result metrics surfaced as frame columns.
 METRIC_COLUMNS = ("total_ipc", "row_hit_rate", "mechanism_hit_rate",
                   "mem_cycles", "cpu_cycles", "activations",
                   "act_reduced", "reads", "writes", "refreshes",
@@ -213,33 +211,29 @@ def specs_frame(specs: Sequence[RunSpec],
     return Frame(rows)
 
 
+def spec_standard(spec: RunSpec) -> str:
+    """The DRAM standard ``spec`` resolves to (a queryable axis).
+
+    Scenario runs carry it in the scenario registry; the paper's fixed
+    single/eight/alone platforms are all DDR3-1600.
+    """
+    if spec.kind == "scenario":
+        from repro.harness import scenarios
+        return scenarios.scenario(spec.scenario).standard
+    return "DDR3-1600"
+
+
 def store_frame(source, **filters) -> Frame:
     """Frame straight from stored results — no execution.
 
-    ``source`` may be a :class:`~repro.service.database.ResultsDatabase`
-    (or a path to its SQLite file), or any
-    :class:`~repro.harness.store.ResultStore` / cache directory path.
-    Database rows come back through the indexed query path; store
-    envelopes are decoded into full axis+metric rows.  ``filters`` are
-    exact-match column filters in both cases.
+    ``source`` is a :class:`~repro.harness.cache.RunCache` or its
+    directory path.  Every readable envelope becomes one row: the
+    spec's axes, its DRAM ``standard``, its ``key`` and the result
+    metrics; corrupt envelopes are skipped.  ``filters`` are
+    exact-match column filters.
     """
     if isinstance(source, str):
-        if source.endswith((".sqlite", ".db")):
-            from repro.service.database import ResultsDatabase
-            source = ResultsDatabase(source)
-        else:
-            from repro.harness.store import open_store
-            source = open_store(source)
-    if hasattr(source, "query"):  # a ResultsDatabase
-        rows = source.query(**filters)
-        for row in rows:
-            spec_json = row.pop("spec_json", None)
-            if spec_json:
-                payload = json.loads(spec_json)
-                for axis, value in payload.items():
-                    if axis != "scale":
-                        row.setdefault(axis, value)
-        return Frame(rows)
+        source = run_cache.RunCache(source)
     frame_rows = []
     for key in source.keys():
         envelope = source.get_envelope(key)
@@ -251,6 +245,7 @@ def store_frame(source, **filters) -> Frame:
         except (ValueError, KeyError, TypeError):
             continue  # corrupt entries are misses here too
         row = point_row(spec, result)
+        row["standard"] = spec_standard(spec)
         row["key"] = key
         frame_rows.append(row)
     frame = Frame(frame_rows)

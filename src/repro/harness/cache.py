@@ -27,6 +27,8 @@ Layout (DESIGN.md section 4)::
 
     <cache-dir>/
         <64-hex-digit key>.json     one RunResult envelope per run
+        claims.lock                 lock serializing sweep claims
+        claims/<key>.lease          a distributed sweep's claim on a key
 
 Envelopes carry ``schema``, ``fingerprint``, the originating ``spec``
 payload (for inspection; the key already commits to it) and the
@@ -74,10 +76,16 @@ SCHEMA_VERSION = 1
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Minimum age (seconds) before :meth:`RunCache.gc` treats a ``.tmp``
-#: file as a crashed writer's orphan rather than an in-flight
-#: :meth:`RunCache.put` in another process.  Envelope writes take
-#: milliseconds, so an hour is conservatively safe.
+#: file or a claim lease as a crashed process's orphan rather than an
+#: in-flight :meth:`RunCache.put` or sweep claim in another process.
+#: Envelope writes take milliseconds and a claim lasts one chunk's
+#: simulation, so an hour is conservatively safe.
 TMP_SWEEP_AGE_S = 3600.0
+
+#: Subdirectory of the store holding distributed-sweep claim leases
+#: (``<key>.lease``, see :class:`repro.harness.store.FileClaimer`).
+CLAIMS_DIR = "claims"
+LEASE_SUFFIX = ".lease"
 
 
 def default_cache_dir() -> str:
@@ -342,27 +350,24 @@ class RunCache:
 
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or None (any failure = miss)."""
-        try:
-            with open(self.path_for(key), "r", encoding="ascii") as fh:
-                envelope = json.load(fh)
-            if not isinstance(envelope, dict) \
-                    or envelope.get("schema") != SCHEMA_VERSION:
-                raise ValueError("schema mismatch")
-            result = result_from_json(envelope["result"])
-        except (OSError, ValueError, KeyError, TypeError,
-                AttributeError):
+        envelope = self.get_envelope(key)
+        result = None
+        if envelope is not None:
+            try:
+                result = result_from_json(envelope["result"])
+            except (ValueError, KeyError, TypeError, AttributeError):
+                pass
+        if result is None:
             self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
 
     def get_envelope(self, key: str) -> Optional[Dict]:
         """The raw envelope dict for ``key``, or None (failure = miss).
 
-        The envelope is the store's wire format: ``schema`` / ``key`` /
-        ``fingerprint`` / ``spec`` (key payload) / ``result``.  Layered
-        stores replicate envelopes verbatim through this pair of
-        methods so a copied entry is byte-identical to the original.
+        The envelope is the store's file format: ``schema`` / ``key`` /
+        ``fingerprint`` / ``spec`` (key payload) / ``result``.
         """
         try:
             with open(self.path_for(key), "r", encoding="ascii") as fh:
@@ -376,7 +381,7 @@ class RunCache:
         return envelope
 
     def put(self, key: str, spec: RunSpec, result: RunResult) -> str:
-        """Persist ``result`` under ``key``; returns the file path."""
+        """Atomically persist ``result`` under ``key``; returns the path."""
         envelope = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -384,25 +389,6 @@ class RunCache:
             "spec": spec.key_payload(),
             "result": result_to_json(result),
         }
-        return self.put_envelope(key, envelope)
-
-    def put_envelope(self, key: str, envelope: Dict) -> str:
-        """Atomically write a ready-made envelope; returns the path.
-
-        ``json.dump`` of a ``json.load``-ed dict reproduces the source
-        bytes (insertion order and float repr round-trip), so
-        replicating an envelope between directories through this
-        method preserves content-hash identity of the files.
-        """
-        if envelope.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"refusing to store envelope with schema "
-                f"{envelope.get('schema')!r} (this store is schema "
-                f"{SCHEMA_VERSION})")
-        if envelope.get("key") != key:
-            raise ValueError(
-                f"envelope key {envelope.get('key')!r} does not match "
-                f"storage key {key!r}")
         os.makedirs(self.root, exist_ok=True)
         path = self.path_for(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
@@ -436,9 +422,11 @@ class RunCache:
     def _directory_now(self) -> float:
         """"Now" according to the cache directory's own clock.
 
-        The ``.tmp`` orphan sweep ages files by mtime, but mtimes are
-        stamped by the *filesystem serving the directory* — on an
-        NFS-mounted cache dir (exactly the shared-backend setup) the
+        The ``.tmp`` and lease sweeps (and
+        :class:`~repro.harness.store.FileClaimer`'s steal rule) age
+        files by mtime, but mtimes are stamped by the *filesystem
+        serving the directory* — on an NFS-mounted cache dir (exactly
+        the shared-store setup of distributed sweeps) the
         server's clock can be arbitrarily skewed from this host's
         ``time.time()``, making fresh in-flight temps look hours old
         (or orphans look forever young).  Touching a probe file and
@@ -475,12 +463,13 @@ class RunCache:
         stale from here — use ``dry_run`` first in that setup (the
         entries are only a recompute away, never wrong, so the cost
         of an over-eager gc is time, not correctness).  Stray
-        ``.tmp`` files from crashed writers are
-        swept once they are older than :data:`TMP_SWEEP_AGE_S` (young
-        temps may belong to an in-flight :meth:`put` in another
-        process and are left alone).  ``dry_run=True`` reports
-        everything that would be removed — envelopes and temps —
-        without deleting anything.
+        ``.tmp`` files from crashed writers and ``claims/*.lease``
+        files from crashed sweep workers are swept once they are older
+        than :data:`TMP_SWEEP_AGE_S` (young ones may belong to an
+        in-flight :meth:`put` or claim in another process and are left
+        alone).  ``dry_run=True`` reports everything that would be
+        removed — envelopes, temps and leases — without deleting
+        anything.
         """
         fingerprint = fingerprint or code_fingerprint()
         stale, kept, removed = [], 0, 0
@@ -517,16 +506,22 @@ class RunCache:
         # _directory_now (NFS-grade clock skew must not sweep a live
         # writer's temp or immortalize a crashed one).
         cutoff = self._directory_now() - TMP_SWEEP_AGE_S
-        for name in sorted(names):
-            if not name.endswith(".tmp"):
-                continue
+        try:
+            leases = os.listdir(os.path.join(self.root, CLAIMS_DIR))
+        except OSError:
+            leases = []
+        candidates = [(name, "stray writer temp") for name in names
+                      if name.endswith(".tmp")]
+        candidates += [(f"{CLAIMS_DIR}/{name}", "abandoned claim lease")
+                       for name in leases if name.endswith(LEASE_SUFFIX)]
+        for name, reason in sorted(candidates):
             path = os.path.join(self.root, name)
             try:
                 if os.stat(path).st_mtime > cutoff:
-                    continue   # possibly an in-flight writer's temp
+                    continue   # possibly an in-flight writer or claim
             except OSError:
                 continue
-            stale.append((name, "stray writer temp"))
+            stale.append((name, reason))
             if not dry_run:
                 try:
                     os.unlink(path)

@@ -20,25 +20,13 @@ Examples::
     chargecache-harness cache gc --dry-run
     chargecache-harness cache gc --cache-dir /tmp/cc
 
-    # Simulation as a service (DESIGN.md section 9): a daemon sharing
-    # one results store across every client; resubmitted specs are
-    # answered from SQLite/cache without simulating.
-    chargecache-harness serve --port 8023 --import-cache
-    chargecache-harness submit --url http://127.0.0.1:8023 \\
-        --workloads libquantum mcf --mechanisms none chargecache
-    chargecache-harness query --url http://127.0.0.1:8023 \\
-        --mechanism chargecache --standard DDR3-1600
-    chargecache-harness query --db ~/.cache/chargecache-repro/results.sqlite
-
-    # Pluggable store backends: --store / --cache-dir accept a plain
-    # directory, file://DIR, http://HOST:PORT (a serving daemon), or
-    # layered:LOCAL,REMOTE (read-through with write-back).
-    chargecache-harness fig9 --store http://127.0.0.1:8023
-    chargecache-harness fig9 --store layered:/tmp/cc,http://127.0.0.1:8023
+    # Query stored results without running anything:
+    chargecache-harness query --mechanism chargecache --standard DDR3-1600
+    chargecache-harness query --cache-dir /tmp/cc --kind single --csv
 
     # Distributed, resumable sweeps: N hosts pointing at one shared
-    # store partition the sweep by exactly-one-winner claims; a killed
-    # worker's journal + the store make restarts free.
+    # store directory partition the sweep by exactly-one-winner claim
+    # leases; a killed worker's journal + the store make restarts free.
     chargecache-harness sweep --kind single --workloads hmmer mcf \\
         --mechanisms none chargecache --store /shared/cc \\
         --journal /tmp/worker-a.journal --owner worker-a
@@ -186,14 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "--no-batch forces one simulation per "
                              "point)")
     parser.add_argument("--cache-dir", "--store", dest="cache_dir",
-                        metavar="DIR_OR_URL", default=None,
-                        help="persistent run store: a directory "
-                             "(default: $REPRO_CACHE_DIR or "
-                             "~/.cache/chargecache-repro), file://DIR, "
-                             "http(s)://HOST:PORT for a serving "
-                             "daemon, or layered:LOCAL,REMOTE for "
-                             "read-through local with remote "
-                             "write-back")
+                        metavar="DIR", default=None,
+                        help="persistent run-store directory (default: "
+                             "$REPRO_CACHE_DIR or "
+                             "~/.cache/chargecache-repro)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent run cache (recompute "
                              "every sweep point; nothing is read or "
@@ -228,151 +212,44 @@ def build_cache_parser() -> argparse.ArgumentParser:
              "embeds the fingerprint); staleness is judged against "
              "THIS checkout — with a cache dir shared across branches "
              "or worktrees, other checkouts' entries look stale from "
-             "here, so --dry-run first.  The sweep is store-WIDE: "
-             "database rows in the sidecar results.sqlite (or --db) "
-             "are pruned in the same pass, so gc never strands "
-             "orphaned rows behind deleted envelopes")
+             "here, so --dry-run first.  Crashed writers' temp files "
+             "and crashed sweep workers' claim leases older than an "
+             "hour are swept in the same pass")
     gc.add_argument("--cache-dir", "--store", dest="cache_dir",
-                    metavar="DIR_OR_URL", default=None,
-                    help="store to sweep: a cache directory (default: "
+                    metavar="DIR", default=None,
+                    help="store directory to sweep (default: "
                          "$REPRO_CACHE_DIR or "
-                         "~/.cache/chargecache-repro), file://DIR, or "
-                         "http(s)://HOST:PORT (the daemon sweeps its "
-                         "own envelopes and rows)")
-    gc.add_argument("--db", metavar="PATH", default=None,
-                    help="also sweep this results database (default: "
-                         "results.sqlite inside the cache directory, "
-                         "when present)")
+                         "~/.cache/chargecache-repro)")
     gc.add_argument("--dry-run", action="store_true",
                     help="list stale entries without deleting anything")
     return parser
 
 
 def _cache_main(argv: List[str]) -> int:
-    import os
-
     args = build_cache_parser().parse_args(argv)
     if args.action != "gc":
         build_cache_parser().print_help()
         return 2
-    from repro.harness import store as run_store
-    store = run_store.open_store(args.cache_dir)
+    from repro.harness.cache import RunCache
+    store = RunCache(args.cache_dir)
     report = store.gc(dry_run=args.dry_run)
     for key, reason in report.stale:
         print(f"stale {key}  ({reason})")
-    # Remote stores gc their rows daemon-side (the report above is
-    # already merged); local stores sweep the sidecar database here so
-    # envelope pruning never strands orphaned rows.
-    rows = None
-    root = getattr(store, "root", None)
-    db_path = args.db or (os.path.join(root, "results.sqlite")
-                          if root else None)
-    if db_path and os.path.exists(db_path):
-        from repro.service.database import ResultsDatabase
-        rows = ResultsDatabase(db_path).gc(dry_run=args.dry_run)
-        for key, reason in rows.stale:
-            print(f"stale row {key}  ({reason})")
-    where = run_store.store_url(store) or getattr(store, "root", "?")
     if args.dry_run:
         print(f"cache gc: would remove {len(report.stale)} stale, "
               f"kept {report.kept} current "
-              f"(dir {where})")
-        if rows is not None:
-            print(f"cache gc: would remove {len(rows.stale)} stale "
-                  f"row(s), kept {rows.kept} (db {db_path})")
+              f"(dir {store.root})")
     else:
         failed = len(report.stale) - report.removed
         note = f" ({failed} could not be deleted)" if failed else ""
         print(f"cache gc: removed {report.removed} stale{note}, "
               f"kept {report.kept} current "
-              f"(dir {where})")
-        if rows is not None:
-            print(f"cache gc: removed {rows.removed} stale row(s), "
-                  f"kept {rows.kept} (db {db_path})")
+              f"(dir {store.root})")
     return 0
 
 
-def _default_db_path() -> str:
-    from repro.harness.cache import default_cache_dir
-    import os
-    return os.path.join(default_cache_dir(), "results.sqlite")
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chargecache-harness serve",
-        description="Run the simulation service daemon: an HTTP run "
-                    "queue over the shared sweep pool, recording "
-                    "results to the content-addressed cache AND a "
-                    "locked SQLite results database (DESIGN.md "
-                    "section 9).")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8023)
-    parser.add_argument("--db", metavar="PATH", default=None,
-                        help="SQLite results database (default: "
-                             "results.sqlite in the cache directory)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="persistent run-cache directory bound "
-                             "for the whole daemon process")
-    parser.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
-                        metavar="N",
-                        help="default pool width for submitted jobs")
-    parser.add_argument("--import-cache", action="store_true",
-                        help="backfill the database from every "
-                             "readable envelope already in the cache "
-                             "directory before serving")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log one line per HTTP request")
-    return parser
-
-
-def _serve_main(argv: List[str]) -> int:
-    args = build_serve_parser().parse_args(argv)
-    from repro.service.api import serve
-    serve(database=args.db or _default_db_path(),
-          cache_dir=args.cache_dir, host=args.host, port=args.port,
-          jobs=args.jobs, import_cache=args.import_cache,
-          quiet=not args.verbose)
-    return 0
-
-
-def build_submit_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chargecache-harness submit",
-        description="Submit runs to a serving daemon; prints the "
-                    "final job snapshot (specs already in the "
-                    "service's database or cache are answered without "
-                    "simulating).")
-    parser.add_argument("--url", default="http://127.0.0.1:8023",
-                        help="service endpoint (default %(default)s)")
-    parser.add_argument("--kind", choices=("single", "eight", "alone",
-                                           "scenario"),
-                        default="single")
-    parser.add_argument("--scenario", default=None,
-                        help="scenario name (kind=scenario only)")
-    parser.add_argument("--workloads", nargs="+", required=True,
-                        metavar="NAME",
-                        help="workload/mix names; crossed with "
-                             "--mechanisms into one sweep")
-    parser.add_argument("--mechanisms", nargs="+", default=["none"],
-                        metavar="SPEC",
-                        help="mechanism specs (registry grammar)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--scale", type=float, default=None,
-                        help="instruction-budget multiplier")
-    parser.add_argument("--engine", choices=list(ENGINES), default=None)
-    parser.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
-                        metavar="N", help="pool width for this job")
-    parser.add_argument("--no-wait", action="store_true",
-                        help="return the job id immediately instead "
-                             "of blocking until it finishes")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        metavar="S", help="wait budget in seconds")
-    return parser
-
-
-def _submit_specs(args) -> List:
-    """Build the spec cross-product a ``submit`` invocation names."""
+def _sweep_specs(args) -> List:
+    """Build the spec cross-product a ``sweep`` invocation names."""
     from repro.harness import runner as run
     scale = current_scale()
     if args.scale:
@@ -401,43 +278,17 @@ def _submit_specs(args) -> List:
     return specs
 
 
-def _submit_main(argv: List[str]) -> int:
-    parser = build_submit_parser()
-    args = parser.parse_args(argv)
-    try:
-        specs = _submit_specs(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    from repro.service.client import ServiceClient, ServiceError
-    client = ServiceClient(args.url)
-    try:
-        snapshot = client.submit(specs, jobs=args.jobs,
-                                 wait=not args.no_wait,
-                                 timeout_s=args.timeout)
-    except ServiceError as exc:
-        print(f"submit failed: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(snapshot, indent=2))
-    counts = snapshot.get("counts", {})
-    if counts:
-        print(f"{snapshot['job']}: {snapshot['state']} — "
-              f"{counts.get('points', len(specs))} point(s), "
-              f"{counts.get('computed', '?')} simulated, "
-              f"{counts.get('served', '?')} served from store",
-              file=sys.stderr)
-    return 0 if snapshot.get("state") != "failed" else 1
-
-
 def build_sweep_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chargecache-harness sweep",
         description="Execute one sweep as a resumable, distributable "
-                    "worker: specs are claimed in chunks against a "
-                    "shared store (exactly one worker simulates each "
-                    "key), completions are checkpointed to a journal, "
-                    "and peers' keys are served from the store — N "
-                    "processes pointing at one store partition the "
-                    "sweep with no other coordination.")
+                    "worker: specs are claimed in chunks with lease "
+                    "files in a shared store directory (exactly one "
+                    "worker simulates each key), completions are "
+                    "checkpointed to a journal, and peers' keys are "
+                    "served from the store — N processes pointing at "
+                    "one directory partition the sweep with no other "
+                    "coordination.")
     parser.add_argument("--kind", choices=("single", "eight", "alone",
                                            "scenario"),
                         default="single")
@@ -455,24 +306,18 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         help="instruction-budget multiplier")
     parser.add_argument("--engine", choices=list(ENGINES), default=None)
     parser.add_argument("--store", "--cache-dir", dest="store",
-                        metavar="DIR_OR_URL", default=None,
-                        help="shared result store every worker points "
-                             "at: a directory, file://DIR, "
-                             "http(s)://HOST:PORT, or "
-                             "layered:LOCAL,REMOTE")
-    parser.add_argument("--db", metavar="PATH", default=None,
-                        help="claim-coordination SQLite database "
-                             "(default: results.sqlite inside the "
-                             "store directory; ignored for http "
-                             "stores, which claim via the daemon)")
+                        metavar="DIR", default=None,
+                        help="shared store directory every worker "
+                             "points at (default: $REPRO_CACHE_DIR or "
+                             "~/.cache/chargecache-repro)")
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="append-only completion journal; rerun "
                              "with the same journal and store to "
                              "resume a killed sweep without "
                              "re-simulating checkpointed specs")
     parser.add_argument("--owner", default=None,
-                        help="claim-owner name recorded in the "
-                             "database (default: host:pid)")
+                        help="claim-owner name written into each "
+                             "lease (default: host:pid)")
     parser.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
                         metavar="N", help="local pool width")
     parser.add_argument("--chunk", type=int,
@@ -481,9 +326,9 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                              "groups, default %(default)s)")
     parser.add_argument("--steal-stale", type=float, default=None,
                         metavar="S",
-                        help="steal a peer's pending claim after S "
-                             "seconds without progress (default: "
-                             "never steal)")
+                        help="steal a peer's claim lease once it is "
+                             "S seconds old on the store directory's "
+                             "clock (default: never steal)")
     parser.add_argument("--wait", type=float, default=600.0,
                         metavar="S",
                         help="budget for peers' claimed keys to land "
@@ -507,28 +352,20 @@ def _sweep_main(argv: List[str]) -> int:
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
     try:
-        specs = _submit_specs(args)
+        specs = _sweep_specs(args)
     except ValueError as exc:
         parser.error(str(exc))
 
     from repro.harness import runner
-    from repro.harness import store as run_store
+    from repro.harness.store import FileClaimer
     runner.configure_disk_cache(args.store)
     store = runner.active_disk_cache()
+    if store is None:
+        parser.error("distributed sweeps need the persistent store; "
+                     "unset REPRO_NO_CACHE")
     owner = args.owner or f"{socket.gethostname()}:{os.getpid()}"
-    if getattr(store, "client", None) is not None \
-            or getattr(getattr(store, "remote", None),
-                       "client", None) is not None:
-        claimer = run_store.ServiceClaimer(
-            store, owner=owner, steal_stale_s=args.steal_stale)
-    else:
-        root = getattr(store, "root", None)
-        if root is None:
-            parser.error(f"--store {args.store!r} supports neither "
-                         "HTTP claims nor a sidecar database")
-        db_path = args.db or os.path.join(root, "results.sqlite")
-        claimer = run_store.DatabaseClaimer(
-            db_path, owner=owner, steal_stale_s=args.steal_stale)
+    claimer = FileClaimer(store, owner=owner,
+                          steal_stale_s=args.steal_stale)
 
     try:
         sweep = pool.execute_sweep(
@@ -540,7 +377,7 @@ def _sweep_main(argv: List[str]) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
     summary = {"owner": owner,
-               "store": run_store.store_url(store),
+               "store": store.root,
                "journal": args.journal,
                "counts": sweep.counts()}
     if args.json:
@@ -554,25 +391,26 @@ def _sweep_main(argv: List[str]) -> int:
     return 0
 
 
+#: Columns of the ``query`` table: the queryable spec axes, then the
+#: headline metrics.
+_QUERY_COLUMNS = ("kind", "name", "scenario", "mechanism", "standard",
+                  "engine", "seed", "total_ipc", "row_hit_rate",
+                  "mechanism_hit_rate", "mem_cycles", "activations")
+
+
 def build_query_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chargecache-harness query",
-        description="Query stored results — over HTTP from a daemon "
-                    "(--url) or straight from a local SQLite store "
-                    "(--db); prints a run table.")
-    parser.add_argument("--url", default=None,
-                        help="service endpoint (mutually exclusive "
-                             "with --db)")
-    parser.add_argument("--db", metavar="PATH", default=None,
-                        help="local results database (default: "
-                             "results.sqlite in the cache directory "
-                             "when --url is not given)")
+        description="Query the results stored in a run-store directory "
+                    "(nothing is simulated); prints a run table.")
+    parser.add_argument("--cache-dir", "--store", dest="cache_dir",
+                        metavar="DIR", default=None,
+                        help="store directory to read (default: "
+                             "$REPRO_CACHE_DIR or "
+                             "~/.cache/chargecache-repro)")
     for axis in ("scenario", "mechanism", "standard", "kind", "name",
                  "engine"):
         parser.add_argument(f"--{axis}", default=None)
-    parser.add_argument("--status", default="done",
-                        help="row status filter: done (default), "
-                             "pending, or any")
     parser.add_argument("--limit", type=int, default=None)
     parser.add_argument("--json", action="store_true",
                         help="emit the raw table as JSON instead of "
@@ -586,49 +424,36 @@ def build_query_parser() -> argparse.ArgumentParser:
 def _query_main(argv: List[str]) -> int:
     parser = build_query_parser()
     args = parser.parse_args(argv)
-    if args.url and args.db:
-        parser.error("--url and --db are mutually exclusive")
     if args.json and args.csv:
         parser.error("--json and --csv are mutually exclusive")
+    from repro.harness.aggregate import store_frame
+    from repro.harness.cache import RunCache
     filters = {axis: getattr(args, axis)
                for axis in ("scenario", "mechanism", "standard", "kind",
-                            "name", "engine")}
-    filters["limit"] = args.limit
-    if args.url:
-        from repro.service.client import ServiceClient, ServiceError
-        try:
-            table = ServiceClient(args.url).query(
-                status=args.status, **filters)
-        except ServiceError as exc:
-            print(f"query failed: {exc}", file=sys.stderr)
-            return 1
-    else:
-        from repro.service.database import (
-            ResultsDatabase,
-            build_run_table,
-        )
-        status = None if args.status == "any" else args.status
-        rows = ResultsDatabase(args.db or _default_db_path()).query(
-            status=status,
-            **{k: v for k, v in filters.items() if v is not None})
-        columns, data = build_run_table(rows)
-        table = {"columns": columns, "rows": data, "count": len(data)}
+                            "name", "engine")
+               if getattr(args, axis) is not None}
+    frame = store_frame(RunCache(args.cache_dir), **filters)
+    rows = sorted(frame.rows, key=lambda row: (
+        row["scenario"] is None, row["scenario"] or "", row["kind"],
+        row["name"], row["mechanism"], row["seed"]))[:args.limit]
+    headers = list(_QUERY_COLUMNS)
     if args.json:
+        table = {"columns": headers,
+                 "rows": [{h: row[h] for h in headers} for row in rows],
+                 "count": len(rows)}
         print(json.dumps(table, indent=2))
         return 0
     if args.csv:
         from repro.harness.export import rows_to_csv
-        headers = [c["id"] for c in table["columns"]]
-        print(rows_to_csv(table["rows"], columns=headers), end="")
+        print(rows_to_csv(rows, columns=headers), end="")
         return 0
     from repro.harness.report import format_table
-    headers = [c["id"] for c in table["columns"]]
-    body = [["" if row.get(h) is None
+    body = [["" if row[h] is None
              else (f"{row[h]:.4f}" if isinstance(row[h], float)
                    else row[h])
-             for h in headers] for row in table["rows"]]
+             for h in headers] for row in rows]
     print(format_table(headers, body))
-    print(f"{table['count']} row(s)")
+    print(f"{len(rows)} row(s)")
     return 0
 
 
@@ -637,12 +462,10 @@ def _lint_main(argv: List[str]) -> int:
     return lint_main(argv)
 
 
-#: Service/maintenance subcommands dispatched before the experiment
+#: Maintenance/sweep subcommands dispatched before the experiment
 #: parser (they have their own argument grammars).
 _SUBCOMMANDS = {
     "cache": _cache_main,
-    "serve": _serve_main,
-    "submit": _submit_main,
     "sweep": _sweep_main,
     "query": _query_main,
     "lint": _lint_main,

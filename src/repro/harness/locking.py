@@ -1,20 +1,17 @@
-"""Cross-process file locks for the results-service writer path.
+"""Cross-process advisory file locks.
 
-SQLite serializes writers internally, but the service layers one more
-invariant on top: a result row and its content-addressed JSON envelope
-(:mod:`repro.harness.cache`) must land as one unit, and only one
-process may claim a pending run.  :class:`FileLock` provides the
-advisory cross-process mutex those compound operations take — a
-``flock``-held sidecar file next to the database (lock ordering is
-documented in DESIGN.md section 9: envelope write first, then the
-locked database transaction).
+Distributed sweeps (:class:`repro.harness.store.FileClaimer`) must admit
+exactly one winner per cache key across every process sharing a store
+directory, which needs a mutex spanning processes and hosts.
+:class:`FileLock` is that mutex: a ``flock``-held sidecar file
+(``<store>/claims.lock``) taken around each claim batch.
 
 ``fcntl.flock`` is used where available (every POSIX platform); the
 fallback is an exclusive-create lockfile spun with a timeout, which is
 correct — if slower — on any filesystem with atomic ``O_EXCL``.
 Locks are *advisory*: every cooperating writer must go through this
-class, and readers never lock at all (SQLite snapshots and the cache's
-atomic renames keep reads consistent).
+class, and readers never lock at all (the cache's atomic renames keep
+reads consistent).
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cpu.system import RunResult
 from repro.harness import cache as run_cache
 from repro.harness import runner
-from repro.harness import store as run_store
 from repro.harness.spec import RunSpec, batch_signature, dedupe_specs
 
 #: Environment variable supplying the default pool width.
@@ -46,7 +45,7 @@ JOBS_ENV = "REPRO_JOBS"
 #: Claim-chunk size for distributed sweeps: how many specs one
 #: ``claim_many`` grabs at a time.  Small enough that racing hosts
 #: interleave chunks (work stealing), large enough to amortize the
-#: lock/HTTP round-trip and keep batch groups intact.
+#: claim lock and keep batch groups intact.
 DEFAULT_CHUNK_SPECS = 16
 
 #: Process-wide default for batched sweep execution; the CLI's
@@ -269,7 +268,7 @@ def execute_sweep(specs: Sequence[RunSpec],
     re-simulates none of them.
 
     **Distributable**: ``claimer`` (a
-    :class:`~repro.harness.store.WorkClaimer`) turns the sweep into a
+    :class:`~repro.harness.store.FileClaimer`) turns the sweep into a
     work-stealing participant: pending specs are claimed in chunks of
     ``chunk_specs``, each key is computed by exactly the host that won
     its claim, and keys claimed by peers are polled from the shared
@@ -402,9 +401,7 @@ def _run_parallel(pending: Sequence[RunSpec], jobs: int,
         return
 
     disk = runner.active_disk_cache()
-    # Workers re-bind the persistent store by address, so URL-backed
-    # stores (http://, layered:) distribute exactly like directories.
-    cache_dir = run_store.store_url(disk)
+    cache_dir = disk.root if disk is not None else None
     with executor:
         futures = {
             executor.submit(_pool_worker,
@@ -465,7 +462,7 @@ def _run_distributed(pending: Sequence[RunSpec], jobs: int,
     """Work-stealing partition of ``pending`` across claimer peers.
 
     The sweep walks its chunks in spec order, claiming each atomically
-    (:meth:`~repro.harness.store.WorkClaimer.claim_many`); racing
+    (:meth:`~repro.harness.store.FileClaimer.claim_many`); racing
     hosts walking the same order therefore interleave — whoever
     reaches a chunk first wins it, everyone else skips ahead.  Won
     specs run locally (batched, and through the process pool when
@@ -483,7 +480,7 @@ def _run_distributed(pending: Sequence[RunSpec], jobs: int,
     for chunk in _chunk_units(units, chunk_specs):
         flat = [spec for unit in chunk for spec in unit]
         keys = [run_cache.cache_key(spec) for spec in flat]
-        wins = claimer.claim_many(flat, keys)
+        wins = claimer.claim_many(keys)
         won = {spec for spec, win in zip(flat, wins) if win}
         theirs += [(spec, key) for spec, win, key
                    in zip(flat, wins, keys) if not win]
@@ -503,23 +500,18 @@ def _run_claimed(units: Sequence[List[RunSpec]], jobs: int,
     """Run units this host won; mark each key done (or release it).
 
     ``done`` fires only after the point is recorded — by then the
-    runner has persisted the envelope, preserving the envelope-
-    before-row lock ordering of DESIGN.md §9.  On failure every
+    runner has persisted the envelope, so a peer that finds the lease
+    gone always finds the envelope (DESIGN.md §10).  On failure every
     not-yet-finished claim is released so peers (or a retry) can
     claim it instead of deadlocking on a dead owner.
     """
     flat = [spec for unit in units for spec in unit]
-    disk = runner.active_disk_cache()
     finished = set()
 
     def capture(point: SweepPoint) -> None:
-        key = run_cache.cache_key(point.spec)
         record(point)
         finished.add(point.spec)
-        path_for = getattr(disk, "path_for", None)
-        envelope = path_for(key) if callable(path_for) else None
-        claimer.done(point.spec, point.result, key,
-                     envelope_path=envelope)
+        claimer.done(run_cache.cache_key(point.spec))
 
     try:
         if jobs > 1 and len(flat) > 1:
@@ -544,10 +536,11 @@ def _drain_remote(theirs: Sequence[Tuple[RunSpec, str]], jobs: int,
                   claimer, wait_s: float, poll_s: float) -> None:
     """Wait for peer-claimed keys to appear in the shared store.
 
-    Peers publish envelope-then-row, so a store hit is always a
-    complete result.  If the deadline passes, one reclaim attempt is
-    made — a claimer configured with ``steal_stale_s`` takes over
-    work whose owner died — and only then does the sweep fail.
+    Peers publish the envelope before dropping their lease, so a store
+    hit is always a complete result.  If the deadline passes, one
+    reclaim attempt is made — a claimer configured with
+    ``steal_stale_s`` takes over work whose owner died — and only then
+    does the sweep fail.
     """
     disk = runner.active_disk_cache()
     waiting = list(theirs)
@@ -567,7 +560,7 @@ def _drain_remote(theirs: Sequence[Tuple[RunSpec, str]], jobs: int,
         if time.monotonic() >= deadline:
             specs = [spec for spec, _ in waiting]
             keys = [key for _, key in waiting]
-            wins = claimer.claim_many(specs, keys)
+            wins = claimer.claim_many(keys)
             stolen = [spec for spec, win in zip(specs, wins) if win]
             if stolen:
                 _run_claimed(_batch_groups(stolen) if batch

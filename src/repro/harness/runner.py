@@ -36,7 +36,6 @@ from repro.config import (
 from repro.cpu.system import RunResult, System
 from repro.dram.organization import Organization
 from repro.harness import cache as run_cache
-from repro.harness import store as run_store
 from repro.harness.spec import (  # noqa: F401  (re-exported API)
     DEFAULT_CC_TIME_SCALE,
     DEFAULT_TIME_SCALE,
@@ -261,7 +260,7 @@ _run_cache: Dict[RunSpec, RunResult] = {}
 #: at first use" (env var or ~/.cache); tests point it at tmp dirs.
 _disk_enabled: bool = True
 _disk_dir: Optional[str] = None
-_disk: Optional["run_store.ResultStore"] = None
+_disk: Optional[run_cache.RunCache] = None
 
 #: Default pool width for sweeps whose caller passed jobs=None;
 #: consulted by :func:`repro.harness.pool.resolve_jobs` before the
@@ -273,13 +272,11 @@ def configure_disk_cache(path: Optional[str] = None,
                          enabled: bool = True) -> None:
     """(Re)bind the persistent store layer.
 
-    ``path`` may be a plain directory or a store URL (``file://``,
-    ``http://``, ``layered:`` — see
-    :func:`repro.harness.store.open_store`); ``None`` restores
+    ``path`` is the store directory; ``None`` restores
     default-directory resolution; ``enabled=False`` bypasses the
     persistent layer entirely (the in-memory memo still applies).
     Rebinding always drops the current store instance, so the next
-    run re-resolves the address.
+    run re-resolves the directory.
     """
     global _disk_enabled, _disk_dir, _disk
     _disk_enabled = enabled
@@ -302,21 +299,13 @@ def apply_execution_config(execution: ExecutionConfig) -> None:
     default_jobs = execution.jobs
 
 
-def active_disk_cache() -> Optional["run_store.ResultStore"]:
-    """The bound persistent store, or None when disabled.
-
-    Plain directories (and None) bind the historical
-    :class:`~repro.harness.cache.RunCache`; URL-shaped addresses bind
-    the matching :mod:`repro.harness.store` backend.
-    """
+def active_disk_cache() -> Optional[run_cache.RunCache]:
+    """The bound persistent store, or None when disabled."""
     global _disk
     if not _disk_enabled or os.environ.get("REPRO_NO_CACHE", "") == "1":
         return None
     if _disk is None:
-        if run_store.is_store_url(_disk_dir):
-            _disk = run_store.open_store(_disk_dir)
-        else:
-            _disk = run_cache.RunCache(_disk_dir)
+        _disk = run_cache.RunCache(_disk_dir)
     return _disk
 
 
@@ -344,12 +333,8 @@ def clear_caches() -> None:
     _run_cache.clear()
     if _disk_dir is not None:
         disk = active_disk_cache()
-        # Remote backends expose no clear() on purpose: one host's
-        # test isolation must never wipe a fleet's shared store
-        # (LayeredStore.clear drops only its local layer).
-        clear = getattr(disk, "clear", None)
-        if callable(clear):
-            clear()
+        if disk is not None:
+            disk.clear()
     _disk = None
 
 
@@ -459,8 +444,8 @@ def _load_trace_records(spec: RunSpec, org: Organization):
     ``trace_sha256`` - the digest is the cache key's workload
     identity, so replaying different bytes under it would poison the
     content-addressed store.  A spec without a local path (e.g.
-    rebuilt from a service payload) can be answered from the cache but
-    not simulated.
+    rebuilt from a stored envelope's payload) can be answered from the
+    cache but not simulated.
     """
     from repro.cpu.trace import looped
     from repro.workloads.ingest import ingest_trace_file

@@ -285,14 +285,15 @@ _check_key_classification()
 
 def spec_from_payload(payload: Dict) -> RunSpec:
     """Rebuild a :class:`RunSpec` from a :meth:`RunSpec.key_payload`
-    dict (the wire format of the results service).
+    dict (the ``spec`` field of every stored envelope).
 
     The payload is plain JSON data — field-name keys, the scale
-    inlined as a dict — so clients can submit specs over HTTP and the
-    results database can re-materialize the spec it indexed.  Missing
-    fields take the dataclass defaults (``kind`` and ``name`` are
-    required); unknown fields are rejected eagerly so a typo'd client
-    payload fails at the API boundary, not inside a pool worker.
+    inlined as a dict — so a store reader (``query``,
+    :func:`repro.harness.aggregate.store_frame`) can re-materialize
+    the spec an envelope was computed for.  Missing fields take the
+    dataclass defaults (``kind`` and ``name`` are required); unknown
+    fields are rejected eagerly so a malformed payload fails loudly,
+    not inside a pool worker.
     Round-trip is exact: ``spec_from_payload(s.key_payload())`` equals
     the canonicalized ``s`` and hashes to the same cache key.
     """

@@ -5,54 +5,9 @@ tests/analysis/test_service_concurrency.py.
 """
 
 import os
-import sqlite3
-
-from repro.service.locking import FileLock
 
 
 class BadStore:
-    def __init__(self, path: str):
-        self.path = path
-        self.lock = FileLock(path + ".lock")
-        self.conn = sqlite3.connect(path)  # shared handle
-
-    def open_threaded(self):
-        return sqlite3.connect(  # cross-thread opt-in
-            self.path, check_same_thread=False)
-
-    def unlocked_write(self, key: str) -> None:
-        conn = sqlite3.connect(self.path)
-        conn.execute("INSERT INTO runs VALUES (?)", (key,))  # no lock
-        conn.commit()
-
-    def locked_write(self, key: str) -> None:
-        with self.lock:
-            conn = sqlite3.connect(self.path)
-            conn.execute("INSERT INTO runs VALUES (?)", (key,))
-            conn.commit()
-
-    def txn_write(self, key: str) -> None:
-        def txn(conn):
-            conn.execute("DELETE FROM runs WHERE k = ?", (key,))
-        self._write(txn)
-
-    def _write(self, fn):
-        with self.lock:
-            conn = sqlite3.connect(self.path)
-            try:
-                fn(conn)
-                conn.commit()
-            finally:
-                conn.close()
-
-    def unlocked_read(self, key: str):
-        conn = sqlite3.connect(self.path)
-        try:
-            return conn.execute(
-                "SELECT * FROM runs WHERE k = ?", (key,)).fetchone()
-        finally:
-            conn.close()
-
     def publish_unsynced(self, tmp: str, final: str) -> None:
         with open(final + ".tmp", "w") as fh:
             fh.write("x")
@@ -63,3 +18,6 @@ class BadStore:
         os.fsync(fd)
         os.close(fd)
         os.rename(tmp, final)  # fine: fsync earlier in function
+
+    def label(self, text: str) -> str:
+        return text.replace("-", "_")  # str.replace is not a rename

@@ -60,16 +60,12 @@ class TestBreakingAnInvariantIsCaught:
         report = run_lint([str(dst)])
         assert any(f.rule == "determinism" for f in report.findings)
 
-    def test_unlocked_write_added_to_service(self, tmp_path):
-        service = tmp_path / "service"
-        service.mkdir()
-        dst = service / "mod.py"
-        dst.write_text(
-            "import sqlite3\n"
-            "def put(path, k):\n"
-            "    conn = sqlite3.connect(path)\n"
-            "    conn.execute('INSERT INTO t VALUES (?)', (k,))\n")
-        report = run_lint([str(service)])
+    def test_unsynced_rename_added_to_cache(self, tmp_path):
+        dst = tmp_path / "cache.py"
+        source = open(os.path.join(SRC, "harness", "cache.py")).read()
+        assert "os.fsync(fh.fileno())\n" in source
+        dst.write_text(source.replace("os.fsync(fh.fileno())\n", "\n"))
+        report = run_lint([str(dst)])
         assert any(f.rule == "service-concurrency"
                    for f in report.findings)
 

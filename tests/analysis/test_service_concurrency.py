@@ -1,9 +1,18 @@
 """Exact-message coverage for the ``service-concurrency`` rule."""
 
+import os
+import shutil
+
+import repro
 from tests.analysis.helpers import lint_fixture, rule_findings
 
-SHARED = ("outlives the operation and may cross threads; open a "
-          "fresh connection per operation instead")
+SRC = os.path.dirname(os.path.abspath(repro.__file__))
+
+
+def _rule_findings(path):
+    from repro.analysis.engine import run_lint
+    report = run_lint([str(path)])
+    return [f for f in report.findings if f.rule == "service-concurrency"]
 
 
 class TestServiceConcurrencyFixture:
@@ -12,53 +21,37 @@ class TestServiceConcurrencyFixture:
             lint_fixture("service", "conc_bad.py"),
             "service-concurrency")
 
-    def test_connection_stored_on_self(self):
-        assert (17, f"sqlite3 connection stored on 'self.conn' "
-                    f"{SHARED}") in self.findings
-
-    def test_check_same_thread_false(self):
-        assert (20, "sqlite3.connect(check_same_thread=False) "
-                    "invites sharing one connection across threads; "
-                    "open a fresh connection per operation instead") \
-            in self.findings
-
-    def test_write_outside_lock(self):
-        assert (25, "SQLite write outside a FileLock; wrap it in "
-                    "'with self.lock:' or move it into a transaction "
-                    "function passed to _write(...)") in self.findings
-
     def test_rename_without_fsync(self):
-        assert (59, "os.rename() without a preceding fsync in the "
+        assert (14, "os.rename() without a preceding fsync in the "
                     "same function; an unsynced rename can publish "
                     "an empty file after a crash") in self.findings
 
     def test_sanctioned_patterns_are_clean(self):
-        # locked write, _write-txn write, lock-free read and
-        # fsync-then-rename add nothing beyond the four intended.
-        assert len(self.findings) == 4
+        # fsync-then-rename and str.replace add nothing beyond the one
+        # intended finding.
+        assert len(self.findings) == 1
 
     def test_rule_is_path_scoped(self, tmp_path):
         """The same code outside a service/ directory is not checked."""
         from tests.analysis.helpers import fixture
-        source = open(fixture("service", "conc_bad.py")).read()
         elsewhere = tmp_path / "conc_bad.py"
-        elsewhere.write_text(source)
-        from repro.analysis.engine import run_lint
-        report = run_lint([str(elsewhere)])
-        assert not [f for f in report.findings
-                    if f.rule == "service-concurrency"]
+        shutil.copy(fixture("service", "conc_bad.py"), elsewhere)
+        assert not _rule_findings(elsewhere)
 
     def test_store_and_journal_modules_are_scoped(self, tmp_path):
-        """harness/store.py and harness/journal.py are persistence
-        code: the rule applies to them by basename wherever they
-        live (the PR-10 backend refactor moved store logic out of
-        service/)."""
+        """harness/cache.py, store.py and journal.py publish files
+        other processes read: the rule applies to them by basename
+        wherever they live."""
         from tests.analysis.helpers import fixture
-        source = open(fixture("service", "conc_bad.py")).read()
-        for basename in ("store.py", "journal.py"):
+        for basename in ("cache.py", "store.py", "journal.py"):
             target = tmp_path / basename
-            target.write_text(source)
-            from repro.analysis.engine import run_lint
-            report = run_lint([str(target)])
-            assert [f for f in report.findings
-                    if f.rule == "service-concurrency"], basename
+            shutil.copy(fixture("service", "conc_bad.py"), target)
+            assert _rule_findings(target), basename
+
+    def test_shipped_persistence_modules_are_clean(self, tmp_path):
+        """The envelope writer, claim leases and journal, linted as
+        scratch copies under the scoped rule, have no findings."""
+        for basename in ("cache.py", "store.py", "journal.py"):
+            target = tmp_path / basename
+            shutil.copy(os.path.join(SRC, "harness", basename), target)
+            assert not _rule_findings(target), basename

@@ -2,7 +2,7 @@
 
 from repro.config import SimulationConfig
 from repro.core.aldram import ALDRAM, aldram_timings_at
-from repro.core.timing_policy import build_mechanism
+from repro.core import registry
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import DDR3_1600
 
@@ -63,7 +63,9 @@ class TestFactory:
         cfg = replace(SimulationConfig(), mechanism=mechanism,
                       temperature_c=temperature)
         refresh = RefreshScheduler(DDR3_1600, 1, 64 * 1024)
-        return build_mechanism(cfg, DDR3_1600, 1, refresh)
+        return registry.build(mechanism, registry.MechanismContext(
+            timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh,
+            config=cfg))
 
     def test_aldram_from_config(self):
         mech = self._build("aldram", 55.0)

@@ -10,11 +10,8 @@ from repro.config import (
 from repro.core.chargecache import ChargeCache
 from repro.core.lldram import LowLatencyDRAM
 from repro.core.nuat import NUAT
-from repro.core.timing_policy import (
-    CombinedMechanism,
-    DefaultTiming,
-    build_mechanism,
-)
+from repro.core import registry
+from repro.core.timing_policy import CombinedMechanism, DefaultTiming
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import DDR3_1600
 
@@ -22,6 +19,12 @@ from repro.dram.timing import DDR3_1600
 @pytest.fixture
 def refresh():
     return RefreshScheduler(DDR3_1600, 1, 64 * 1024)
+
+
+def _context(cfg, refresh):
+    return registry.MechanismContext(timing=DDR3_1600, num_cores=1,
+                                     refresh_scheduler=refresh,
+                                     config=cfg)
 
 
 class TestDefaultTiming:
@@ -101,12 +104,9 @@ class TestFactory:
     ])
     def test_build_each_mechanism(self, refresh, name, expected):
         cfg = SimulationConfig(mechanism=name)
-        mech = build_mechanism(cfg, DDR3_1600, num_cores=1,
-                               refresh_scheduler=refresh)
+        mech = registry.build(name, _context(cfg, refresh))
         assert isinstance(mech, expected)
 
     def test_unknown_mechanism(self, refresh):
-        cfg = SimulationConfig()
-        object.__setattr__(cfg, "mechanism", "bogus")
         with pytest.raises(ValueError):
-            build_mechanism(cfg, DDR3_1600, 1, refresh)
+            registry.build("bogus", _context(SimulationConfig(), refresh))

@@ -132,18 +132,17 @@ class TestStoreFrame:
                         mechanism="chargecache", scale=TINY,
                         engine="event"))
 
-    def test_from_database(self, tmp_path):
-        from repro.service.database import ResultsDatabase
-        sweep = pool.execute_sweep(SWEEP)
-        db = ResultsDatabase(str(tmp_path / "r.sqlite"))
-        for point in sweep.points:
-            db.record(point.spec, point.result)
-        frame = aggregate.store_frame(str(tmp_path / "r.sqlite"),
-                                      mechanism="chargecache")
+    def test_filters_and_standard_column(self, tmp_path):
+        pool.execute_sweep(SWEEP)
+        frame = aggregate.store_frame(
+            run_cache.RunCache(str(tmp_path / "cache")),
+            mechanism="chargecache", standard="DDR3-1600")
         assert len(frame) == 2
         assert set(frame.column("mechanism")) == {"chargecache"}
-        # spec_json is unpacked into axis columns.
+        # Spec axes come from each envelope's spec payload.
         assert set(frame.column("kind")) == {"single"}
+        assert len(aggregate.store_frame(str(tmp_path / "cache"),
+                                         standard="DDR4-2400")) == 0
 
     def test_corrupt_envelopes_skipped(self, tmp_path):
         pool.execute_sweep(SWEEP[:1])

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from repro.service import locking
-from repro.service.locking import FileLock, LockTimeout
+from repro.harness import locking
+from repro.harness.locking import FileLock, LockTimeout
 
 
 class TestFileLock:
@@ -62,7 +62,7 @@ class TestFileLock:
         release_flag = str(tmp_path / "release-me")
         script = (
             "import os, sys, time\n"
-            "from repro.service.locking import FileLock\n"
+            "from repro.harness.locking import FileLock\n"
             "lock = FileLock(sys.argv[1])\n"
             "with lock:\n"
             "    print('locked', flush=True)\n"
@@ -201,7 +201,7 @@ class TestExclusiveCreateFallback:
         release_flag = str(tmp_path / "release-me")
         script = (
             "import os, sys, time\n"
-            "from repro.service import locking\n"
+            "from repro.harness import locking\n"
             "locking.fcntl = None\n"
             "lock = locking.FileLock(sys.argv[1])\n"
             "with lock:\n"

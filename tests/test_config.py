@@ -7,7 +7,6 @@ from repro.config import (
     ChargeCacheConfig,
     ControllerConfig,
     DRAMConfig,
-    MECHANISMS,
     ProcessorConfig,
     SimulationConfig,
     eight_core_config,
@@ -60,7 +59,8 @@ class TestPaperDefaults:
 
 class TestValidation:
     def test_all_mechanisms_accepted(self):
-        for mech in MECHANISMS:
+        for mech in ("none", "chargecache", "nuat", "chargecache+nuat",
+                     "lldram", "aldram", "chargecache+aldram"):
             single_core_config(mech).validate()
 
     def test_unknown_mechanism_rejected(self):
