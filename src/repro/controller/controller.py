@@ -17,8 +17,6 @@ import heapq
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Request
 from repro.controller.row_policy import make_row_policy
@@ -115,6 +113,9 @@ class MemoryController:
         self._forward_count = 0
         self._wake_cache: Optional[Tuple[Tuple[int, int, int, int], int]] \
             = None
+        # (state key, cycle, ready bound) of the last idle scheduler scan.
+        self._ready_memo: Optional[
+            Tuple[Tuple[int, int, int, int], int, int]] = None
 
     # ------------------------------------------------------------------
     # Request entry points (called by the cache hierarchy / system)
@@ -195,6 +196,11 @@ class MemoryController:
                 self._execute(decision, queue, cycle)
                 self._note_issue(cycle)
                 return
+            # The scan that found nothing ready also bounded when
+            # something will be; the wake bid reuses it (see
+            # :meth:`next_event_cycle`) instead of scanning again.
+            self._ready_memo = (self._state_key(), cycle,
+                                self.scheduler.ready_cycle)
 
         if self._pending_pre and self._issue_pending_pre(cycle, blocked):
             self._note_issue(cycle)
@@ -236,8 +242,7 @@ class MemoryController:
         # command issues, queue pushes/removals, or write-forwards, so
         # a bid computed earlier stays valid until one of those version
         # counters moves (or the bid cycle itself is reached).
-        key = (self._issue_count, self._forward_count,
-               self.read_q.version, self.write_q.version)
+        key = self._state_key()
         if self._wake_cache is not None:
             cached_key, bid = self._wake_cache
             if cached_key == key and bid > cycle:
@@ -270,8 +275,14 @@ class MemoryController:
         # - so the selection provably cannot flip during a skip.
         queue = self._select_queue()
         if queue:
-            t = self.scheduler.next_ready_cycle(queue, self.channel,
-                                                cycle, blocked)
+            # If :meth:`tick` already scanned this cycle and nothing
+            # changed since, its ready bound is this scan's result.
+            memo = self._ready_memo
+            if memo is not None and memo[0] == key and memo[1] == cycle:
+                t = memo[2]
+            else:
+                t = self.scheduler.next_ready_cycle(queue, self.channel,
+                                                    cycle, blocked)
             if t < nxt:
                 nxt = t
             if nxt <= cycle + 1:
@@ -292,6 +303,11 @@ class MemoryController:
         nxt = nxt if nxt > cycle else cycle + 1
         self._wake_cache = (key, nxt)
         return nxt
+
+    def _state_key(self) -> Tuple[int, int, int, int]:
+        """Changes whenever bank timing or queue contents may have."""
+        return (self._issue_count, self._forward_count,
+                self.read_q.version, self.write_q.version)
 
     def _post_issue_bid(self, cycle: int) -> int:
         """Cheap bank-state-only bid for the cycle a command issued on.
@@ -333,20 +349,18 @@ class MemoryController:
         if t < nxt:
             nxt = t
         channel = self.channel
-        queue = self._select_queue()
-        candidates = set(queue.banks())
-        candidates.update(self._pending_pre)
-        if candidates:
-            arrays = channel.bank_arrays
-            flat = arrays.flat_index
-            idx = np.fromiter((flat(r, b) for r, b in candidates),
-                              dtype=np.int64, count=len(candidates))
-            col = np.minimum(np.minimum(arrays.next_rd[idx],
-                                        arrays.next_wr[idx]),
-                             arrays.next_pre[idx])
-            gates = np.where(arrays.open_row[idx] >= 0, col,
-                             arrays.next_act[idx])
-            t = max(int(gates.min()), channel.next_cmd)
+        gate = NEVER
+        for pairs in (self._select_queue().banks(), self._pending_pre):
+            for rank, bank in pairs:
+                bk = channel.bank(rank, bank)
+                if bk.open_row is None:
+                    t = bk.next_act
+                else:
+                    t = min(bk.next_rd, bk.next_wr, bk.next_pre)
+                if t < gate:
+                    gate = t
+        if gate != NEVER:
+            t = max(gate, channel.next_cmd)
             if t < nxt:
                 nxt = t
         return nxt if nxt > cycle else cycle + 1

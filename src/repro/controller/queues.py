@@ -16,10 +16,16 @@ from repro.controller.request import Request
 class RequestQueue:
     """FIFO-ordered bounded queue indexed by line address.
 
-    Besides the arrival-order list, the queue maintains per-(rank,
-    bank) and per-(rank, bank, row) request counts incrementally, so
-    row-policy checks and the event engine's earliest-ready queries run
-    in O(distinct banks) instead of rescanning every entry.
+    Besides the arrival-order list, the queue maintains incrementally
+
+    * per-(rank, bank) lists of ``(seq, request)`` in arrival order,
+      where ``seq`` is a queue-local arrival counter (``Request.id`` is
+      not usable: a retried request arrives out of id order), and
+    * per-(rank, bank, row) request counts,
+
+    so the FR-FCFS scan and row-policy checks run in O(distinct banks)
+    instead of rescanning every entry.  Merging the per-bank lists by
+    ``seq`` gives back exactly the arrival-order list.
     """
 
     def __init__(self, capacity: int):
@@ -28,8 +34,9 @@ class RequestQueue:
         self.capacity = capacity
         self._items: List[Request] = []
         self._by_line: Dict[int, Request] = {}
-        self._bank_count: Dict[Tuple[int, int], int] = {}
+        self._by_bank: Dict[Tuple[int, int], List[Tuple[int, Request]]] = {}
         self._row_count: Dict[Tuple[int, int, int], int] = {}
+        self._seq = 0
         #: Bumped on every push/remove; lets the event engine cache
         #: earliest-ready computations between content changes.
         self.version = 0
@@ -68,7 +75,12 @@ class RequestQueue:
         self._items.append(request)
         self._by_line[request.line_address] = request
         bank_key = (request.rank, request.bank)
-        self._bank_count[bank_key] = self._bank_count.get(bank_key, 0) + 1
+        entries = self._by_bank.get(bank_key)
+        if entries is None:
+            self._by_bank[bank_key] = [(self._seq, request)]
+        else:
+            entries.append((self._seq, request))
+        self._seq += 1
         row_key = (request.rank, request.bank, request.row)
         self._row_count[row_key] = self._row_count.get(row_key, 0) + 1
         self.version += 1
@@ -91,11 +103,14 @@ class RequestQueue:
         if self._by_line.get(request.line_address) is request:
             del self._by_line[request.line_address]
         bank_key = (request.rank, request.bank)
-        left = self._bank_count[bank_key] - 1
-        if left:
-            self._bank_count[bank_key] = left
+        entries = self._by_bank[bank_key]
+        if len(entries) == 1:
+            del self._by_bank[bank_key]
         else:
-            del self._bank_count[bank_key]
+            for i, (_, queued) in enumerate(entries):
+                if queued is request:
+                    del entries[i]
+                    break
         row_key = (request.rank, request.bank, request.row)
         left = self._row_count[row_key] - 1
         if left:
@@ -104,18 +119,9 @@ class RequestQueue:
             del self._row_count[row_key]
         self.version += 1
 
-    def has_row_hit(self, channel_state) -> bool:
-        """Any queued request targeting a currently open row?"""
-        for (rank, bank), _count in self._bank_count.items():
-            open_row = channel_state.bank(rank, bank).open_row
-            if open_row is not None and \
-                    (rank, bank, open_row) in self._row_count:
-                return True
-        return False
-
     def requests_for_bank(self, rank: int, bank: int) -> int:
         """Count queued requests to a specific (rank, bank)."""
-        return self._bank_count.get((rank, bank), 0)
+        return len(self._by_bank.get((rank, bank), ()))
 
     def requests_for_row(self, rank: int, bank: int, row: int) -> int:
         """Count queued requests to a specific (rank, bank, row)."""
@@ -123,7 +129,15 @@ class RequestQueue:
 
     def banks(self) -> Iterator[Tuple[int, int]]:
         """The distinct (rank, bank) pairs with queued requests."""
-        return iter(self._bank_count)
+        return iter(self._by_bank)
+
+    def by_bank(self):
+        """``((rank, bank), [(seq, request), ...])`` per queued bank.
+
+        Each list is in arrival order (ascending ``seq``).  Callers must
+        not mutate the lists.
+        """
+        return self._by_bank.items()
 
     def sample_occupancy(self) -> None:
         self.occupancy_accum += len(self._items)

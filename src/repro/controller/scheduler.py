@@ -8,15 +8,18 @@ to already-open rows (row hits) win; ties break by age.
 **FCFS** serves strictly in arrival order and is provided as a
 reference point for tests and ablations.
 
-A scheduler returns a :class:`SchedulerDecision` naming the request and
-the command to issue on its behalf this cycle, or ``None`` when nothing
-can issue.
+A scheduler's ``scan`` computes, in one pass, the
+:class:`SchedulerDecision` naming the request and the command to issue
+on its behalf this cycle (``None`` when nothing can issue) and the
+earliest cycle at which anything could.  ``choose`` and
+``next_ready_cycle`` are views of that one computation, so the
+controller's decision and its wake-up bid cannot disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.controller.request import Request
 from repro.dram.channel import Channel
@@ -47,77 +50,89 @@ class FRFCFSScheduler:
 
     name = "frfcfs"
 
-    def choose(self, queue, channel: Channel, cycle: int,
-               blocked_ranks=()) -> Optional[SchedulerDecision]:
-        """Pick the command to issue at ``cycle``, or None.
+    def __init__(self):
+        #: Ready bound of the last :meth:`choose` (see :meth:`scan`).
+        self.ready_cycle = NEVER
 
-        ``blocked_ranks`` lists ranks currently reserved for refresh;
-        no new command is scheduled to them.
+    def scan(self, queue, channel: Channel, cycle: int, blocked_ranks=()
+             ) -> Tuple[Optional[SchedulerDecision], int]:
+        """One walk over the queued banks: ``(decision, earliest_ready)``.
+
+        ``blocked_ranks`` lists ranks currently reserved for refresh; no
+        new command is scheduled to them.  Each other bank with queued
+        requests offers its candidates: ACT for its oldest request when
+        closed; when open, the column command for its oldest row hit and
+        PRE for its oldest conflict.  Commands to one bank share timing
+        state, so the oldest candidate of each kind speaks for the rest.
+
+        ``decision`` is the ready row hit that arrived first, else the
+        ready ACT or PRE that arrived first, else None: exactly the
+        classic two-pass "oldest ready hit, then oldest ready request"
+        rule.  ``earliest_ready`` is the minimum earliest-issue cycle
+        over all candidates, so no cycle before it can produce a
+        decision.  It is a lower bound valid until the next command
+        issue or enqueue (the event engine recomputes after both):
+        waking early and finding nothing to do is exactly what the
+        dense engine does on every idle cycle.
+
+        The queue must be homogeneous (all reads or all writes), as the
+        controller's per-direction queues are.
         """
-        # Pass 1: oldest ready row-hit column command.
-        for req in queue:
-            if req.rank in blocked_ranks:
-                continue
-            bank = channel.bank(req.rank, req.bank)
-            if bank.open_row != req.row:
-                continue
-            cmd = Command.RD if req.is_read else Command.WR
-            if channel.can_issue(cmd, req.rank, req.bank, cycle):
-                return SchedulerDecision(req, cmd)
-        # Pass 2: oldest request whose required row command is ready.
-        for req in queue:
-            if req.rank in blocked_ranks:
-                continue
-            cmd = required_command(req, channel)
-            if cmd.is_column:
-                continue  # handled (or timing-blocked) in pass 1
-            if channel.can_issue(cmd, req.rank, req.bank, cycle):
-                return SchedulerDecision(req, cmd)
-        return None
-
-    def next_ready_cycle(self, queue, channel: Channel, cycle: int,
-                         blocked_ranks=()) -> int:
-        """Earliest cycle at which :meth:`choose` could return non-None.
-
-        FR-FCFS considers every queued request each cycle, so the bound
-        is the minimum earliest-issue cycle over each request's
-        currently required command.  Requests sharing a bank share
-        timing state, so the scan runs over the queue's per-bank
-        aggregates (O(distinct banks), not O(requests)): a bank's
-        candidates are the column command when some request hits the
-        open row, PRE when some request conflicts with it, and ACT when
-        the bank is closed.  The result is a *lower* bound, valid until
-        the next command issue or enqueue (the event engine recomputes
-        after both): waking early and finding nothing to do is exactly
-        what the dense engine does on every idle cycle.
-        """
-        best = NEVER
-        col_cmd = None
-        for rank, bank in queue.banks():
+        hit = row_cmd = None     # best ready (seq, request, command)
+        ready = NEVER
+        for (rank, bank), entries in queue.by_bank():
             if rank in blocked_ranks:
                 continue  # reserved for refresh; refresh wake-ups cover it
             open_row = channel.bank(rank, bank).open_row
             if open_row is None:
                 t = channel.earliest(Command.ACT, rank, bank)
-            else:
-                hits = queue.requests_for_row(rank, bank, open_row)
-                if hits:
-                    if col_cmd is None:
-                        # Queues are homogeneous (one per direction).
-                        first = next(iter(queue))
-                        col_cmd = Command.WR if first.is_write else Command.RD
-                    t = channel.earliest(col_cmd, rank, bank)
-                else:
-                    t = NEVER
-                if hits < queue.requests_for_bank(rank, bank):
-                    t_pre = channel.earliest(Command.PRE, rank, bank)
-                    if t_pre < t:
-                        t = t_pre
-            if t < best:
-                best = t
-                if best <= cycle + 1:
-                    break  # cannot get any earlier than "next cycle"
-        return best
+                if t < ready:
+                    ready = t
+                if t <= cycle and (row_cmd is None
+                                   or entries[0][0] < row_cmd[0]):
+                    seq, req = entries[0]
+                    row_cmd = (seq, req, Command.ACT)
+                continue
+            hits = queue.requests_for_row(rank, bank, open_row)
+            if hits:
+                for seq, req in entries:
+                    if req.row == open_row:
+                        break
+                cmd = Command.RD if req.is_read else Command.WR
+                t = channel.earliest(cmd, rank, bank)
+                if t < ready:
+                    ready = t
+                if t <= cycle and (hit is None or seq < hit[0]):
+                    hit = (seq, req, cmd)
+            if hits < len(entries):
+                for seq, req in entries:
+                    if req.row != open_row:
+                        break
+                t = channel.earliest(Command.PRE, rank, bank)
+                if t < ready:
+                    ready = t
+                if t <= cycle and (row_cmd is None or seq < row_cmd[0]):
+                    row_cmd = (seq, req, Command.PRE)
+        best = hit or row_cmd
+        if best is None:
+            return None, ready
+        return SchedulerDecision(best[1], best[2]), ready
+
+    def choose(self, queue, channel: Channel, cycle: int,
+               blocked_ranks=()) -> Optional[SchedulerDecision]:
+        """The command to issue at ``cycle``, or None (:meth:`scan`).
+
+        The scan's ready bound is kept in :attr:`ready_cycle`, so a
+        caller that found nothing ready can reuse it as its wake bid.
+        """
+        decision, self.ready_cycle = self.scan(queue, channel, cycle,
+                                               blocked_ranks)
+        return decision
+
+    def next_ready_cycle(self, queue, channel: Channel, cycle: int,
+                         blocked_ranks=()) -> int:
+        """Earliest cycle at which :meth:`choose` could return non-None."""
+        return self.scan(queue, channel, cycle, blocked_ranks)[1]
 
 
 class FCFSScheduler:
@@ -125,27 +140,30 @@ class FCFSScheduler:
 
     name = "fcfs"
 
-    def choose(self, queue, channel: Channel, cycle: int,
-               blocked_ranks=()) -> Optional[SchedulerDecision]:
+    def __init__(self):
+        self.ready_cycle = NEVER
+
+    def scan(self, queue, channel: Channel, cycle: int, blocked_ranks=()
+             ) -> Tuple[Optional[SchedulerDecision], int]:
+        """Only the oldest unblocked request counts (head-of-line
+        blocking): its command if ready, and when it will be."""
         for req in queue:
             if req.rank in blocked_ranks:
                 continue
             cmd = required_command(req, channel)
-            if channel.can_issue(cmd, req.rank, req.bank, cycle):
-                return SchedulerDecision(req, cmd)
-            return None  # head-of-line blocking: only the oldest counts
-        return None
+            t = channel.earliest(cmd, req.rank, req.bank)
+            return (SchedulerDecision(req, cmd) if t <= cycle else None), t
+        return None, NEVER
+
+    def choose(self, queue, channel: Channel, cycle: int,
+               blocked_ranks=()) -> Optional[SchedulerDecision]:
+        decision, self.ready_cycle = self.scan(queue, channel, cycle,
+                                               blocked_ranks)
+        return decision
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
                          blocked_ranks=()) -> int:
-        """Earliest possible pick: only the (unblocked) head counts."""
-        del cycle
-        for req in queue:
-            if req.rank in blocked_ranks:
-                continue  # choose() skips refresh-reserved ranks too
-            cmd = required_command(req, channel)
-            return channel.earliest(cmd, req.rank, req.bank)
-        return NEVER
+        return self.scan(queue, channel, cycle, blocked_ranks)[1]
 
 
 def make_scheduler(name: str):

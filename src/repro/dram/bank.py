@@ -18,8 +18,6 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-import numpy as np
-
 from repro.dram.timing import TimingParameters, ReducedTimings
 
 
@@ -30,62 +28,28 @@ class BankState(enum.Enum):
     OPEN = "open"
 
 
-class BankTimingArrays:
-    """Struct-of-arrays storage for per-bank timing registers.
-
-    One instance spans all banks of a channel (ranks x banks_per_rank,
-    rank-major), so bank scans — "earliest PRE over the open banks of
-    rank r", the controller's cheap wake-bid gate, "are all banks
-    closed" — are single vectorized reductions instead of Python loops
-    over :class:`Bank` objects.
-
-    ``open_row`` uses -1 as the "closed" sentinel (rows are
-    non-negative).  All arrays are int64; scalar reads through the
-    :class:`Bank` view cast back to Python ints so numpy scalars never
-    leak into results or JSON.
-    """
-
-    __slots__ = ("size", "banks_per_rank", "next_act", "next_pre",
-                 "next_rd", "next_wr", "open_row")
-
-    def __init__(self, size: int, banks_per_rank: Optional[int] = None):
-        self.size = size
-        self.banks_per_rank = banks_per_rank if banks_per_rank else size
-        self.next_act = np.zeros(size, dtype=np.int64)
-        self.next_pre = np.zeros(size, dtype=np.int64)
-        self.next_rd = np.zeros(size, dtype=np.int64)
-        self.next_wr = np.zeros(size, dtype=np.int64)
-        self.open_row = np.full(size, -1, dtype=np.int64)
-
-    def flat_index(self, rank: int, bank: int) -> int:
-        return rank * self.banks_per_rank + bank
-
-
 class Bank:
     """Timing and row-buffer state for one DRAM bank.
 
-    The timing registers (``open_row``, ``next_act``, ``next_pre``,
-    ``next_rd``, ``next_wr``) live in a shared
-    :class:`BankTimingArrays`; this object is a view at one index,
-    exposing them as plain scalar attributes for the command-application
-    and single-bank query paths.  Constructing ``Bank(timing)`` without
-    arrays keeps the historical standalone behaviour (private
-    single-slot arrays), so unit tests and external callers are
-    unaffected.
+    ``open_row`` is ``None`` for a precharged bank, else the open row.
+    ``next_act``/``next_pre``/``next_rd``/``next_wr`` are the earliest
+    bus cycles at which each command class may issue to this bank.  All
+    are plain ints: the scheduler reads them millions of times per run,
+    and a channel has at most a few dozen banks, so scalar attributes
+    beat any vector layout.
     """
 
-    __slots__ = ("timing", "arrays", "index", "act_cycle", "act_reduced",
-                 "open_cycles", "num_acts", "num_reduced_acts",
-                 "last_open_at")
+    __slots__ = ("timing", "open_row", "next_act", "next_pre", "next_rd",
+                 "next_wr", "act_cycle", "act_reduced", "open_cycles",
+                 "num_acts", "num_reduced_acts", "last_open_at")
 
-    def __init__(self, timing: TimingParameters,
-                 arrays: Optional[BankTimingArrays] = None, index: int = 0):
+    def __init__(self, timing: TimingParameters):
         self.timing = timing
-        if arrays is None:
-            arrays = BankTimingArrays(1)
-            index = 0
-        self.arrays = arrays
-        self.index = index
+        self.open_row: Optional[int] = None
+        self.next_act = 0
+        self.next_pre = 0
+        self.next_rd = 0
+        self.next_wr = 0
         # Bookkeeping for the last activation.
         self.act_cycle = -1
         self.act_reduced = False
@@ -94,51 +58,6 @@ class Bank:
         self.open_cycles = 0
         self.num_acts = 0
         self.num_reduced_acts = 0
-
-    # ------------------------------------------------------------------
-    # Scalar views over the shared arrays
-    # ------------------------------------------------------------------
-
-    @property
-    def open_row(self) -> Optional[int]:
-        row = self.arrays.open_row[self.index]
-        return None if row < 0 else int(row)
-
-    @open_row.setter
-    def open_row(self, value: Optional[int]) -> None:
-        self.arrays.open_row[self.index] = -1 if value is None else value
-
-    @property
-    def next_act(self) -> int:
-        return int(self.arrays.next_act[self.index])
-
-    @next_act.setter
-    def next_act(self, value: int) -> None:
-        self.arrays.next_act[self.index] = value
-
-    @property
-    def next_pre(self) -> int:
-        return int(self.arrays.next_pre[self.index])
-
-    @next_pre.setter
-    def next_pre(self, value: int) -> None:
-        self.arrays.next_pre[self.index] = value
-
-    @property
-    def next_rd(self) -> int:
-        return int(self.arrays.next_rd[self.index])
-
-    @next_rd.setter
-    def next_rd(self, value: int) -> None:
-        self.arrays.next_rd[self.index] = value
-
-    @property
-    def next_wr(self) -> int:
-        return int(self.arrays.next_wr[self.index])
-
-    @next_wr.setter
-    def next_wr(self, value: int) -> None:
-        self.arrays.next_wr[self.index] = value
 
     # ------------------------------------------------------------------
 
@@ -228,14 +147,6 @@ class Bank:
         if self.open_row is not None:
             raise RuntimeError("REF issued while a bank row is open")
         self.next_act = max(self.next_act, until_cycle)
-
-    def column_gate(self, cycle: int, gate: int) -> None:
-        """Raise the earliest RD/WR cycle (bus-level tCCD/turnaround)."""
-        if gate > self.next_rd:
-            self.next_rd = gate
-        if gate > self.next_wr:
-            self.next_wr = gate
-        del cycle  # kept for interface symmetry
 
     # ------------------------------------------------------------------
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.dram.bank import BankTimingArrays
 from repro.dram.commands import Command, IssuedCommand
 from repro.dram.rank import Rank
 from repro.dram.timing import TimingParameters, ReducedTimings
@@ -26,7 +25,7 @@ class Channel:
     timing constraint is enforced in one place.
     """
 
-    __slots__ = ("timing", "index", "ranks", "bank_arrays", "next_cmd",
+    __slots__ = ("timing", "index", "ranks", "next_cmd",
                  "next_rd", "next_wr", "_last_col_rank", "num_acts",
                  "num_pres", "num_rds", "num_wrs", "num_refs",
                  "num_reduced_acts", "command_log", "log_commands",
@@ -37,13 +36,8 @@ class Channel:
                  log_commands: bool = False):
         self.timing = timing
         self.index = index
-        # One struct-of-arrays block spans every bank of the channel
-        # (rank-major), so rank/channel-wide scans are vector reductions.
-        self.bank_arrays = BankTimingArrays(num_ranks * num_banks,
-                                            banks_per_rank=num_banks)
-        self.ranks: List[Rank] = [
-            Rank(timing, num_banks, self.bank_arrays, r * num_banks)
-            for r in range(num_ranks)]
+        self.ranks: List[Rank] = [Rank(timing, num_banks)
+                                  for _ in range(num_ranks)]
         self.next_cmd = 0       # command bus free cycle
         self.next_rd = 0        # earliest RD anywhere on the channel
         self.next_wr = 0        # earliest WR anywhere on the channel
@@ -66,23 +60,16 @@ class Channel:
     def earliest(self, command: Command, rank: int, bank: int) -> int:
         """Earliest bus cycle at which ``command`` may be issued."""
         rk = self.ranks[rank]
-        arrays = self.bank_arrays
-        flat = rk.base + bank
-        # Read the struct-of-arrays registers directly (equivalent to
-        # the Bank view's earliest_* queries): this is the scheduler's
-        # innermost loop.
+        bk = rk.banks[bank]
         if command is Command.ACT:
-            if arrays.open_row[flat] >= 0:
-                raise RuntimeError(
-                    "ACT issued to an open bank; PRE required first")
-            gate = max(int(arrays.next_act[flat]), rk.earliest_act())
+            gate = max(bk.earliest_act(), rk.earliest_act())
         elif command is Command.PRE:
-            gate = int(arrays.next_pre[flat])
+            gate = bk.next_pre
         elif command is Command.RD:
-            gate = max(int(arrays.next_rd[flat]), self.next_rd,
+            gate = max(bk.next_rd, self.next_rd,
                        self._rank_switch_gate(rank))
         elif command is Command.WR:
-            gate = max(int(arrays.next_wr[flat]), self.next_wr,
+            gate = max(bk.next_wr, self.next_wr,
                        self._rank_switch_gate(rank))
         elif command is Command.REF:
             gate = rk.earliest_refresh()
@@ -103,15 +90,14 @@ class Channel:
         event engine to wake exactly when a due refresh can advance,
         instead of polling :meth:`can_issue` every cycle.
         """
-        rk = self.ranks[rank]
-        arrays = self.bank_arrays
-        sl = rk._slice()
-        open_mask = arrays.open_row[sl] >= 0
-        if not open_mask.any():
+        gate = None
+        for bk in self.ranks[rank].banks:
+            if bk.open_row is not None and (gate is None
+                                            or bk.next_pre < gate):
+                gate = bk.next_pre
+        if gate is None:
             return self.earliest(Command.REF, rank, 0)
-        # PRE is gated only by the bank's next_pre and the command bus,
-        # so the min over open banks is a single masked reduction.
-        gate = int(arrays.next_pre[sl][open_mask].min())
+        # PRE is gated only by the bank's next_pre and the command bus.
         return max(gate, self.next_cmd)
 
     def _rank_switch_gate(self, rank: int) -> int:
@@ -207,9 +193,6 @@ class Channel:
 
     def bank(self, rank: int, bank: int):
         return self.ranks[rank].banks[bank]
-
-    def open_bank_count(self) -> int:
-        return sum(rank.open_bank_count() for rank in self.ranks)
 
     def active_cycles_until(self, cycle: int) -> int:
         return sum(rank.active_cycles_until(cycle) for rank in self.ranks)

@@ -10,36 +10,26 @@ Rank-scope constraints:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.dram.bank import Bank, BankTimingArrays
+from repro.dram.bank import Bank
 from repro.dram.timing import TimingParameters
 
 
 class Rank:
     """Timing state for one rank (a group of banks).
 
-    Per-bank timing registers live in a :class:`BankTimingArrays`
-    shared across the channel (``arrays``/``base`` locate this rank's
-    slice); rank-wide scans below reduce over that slice in one
-    vector op.  ``Rank(timing, num_banks)`` without arrays stays
-    self-contained for unit tests.
+    Rank-wide scans below are plain loops over at most a few dozen
+    :class:`Bank` objects.
     """
 
-    __slots__ = ("timing", "banks", "arrays", "base", "next_act",
-                 "_act_history", "num_refreshes", "refresh_busy_until",
-                 "open_banks", "any_open_since", "any_open_cycles")
+    __slots__ = ("timing", "banks", "next_act", "_act_history",
+                 "num_refreshes", "refresh_busy_until", "open_banks",
+                 "any_open_since", "any_open_cycles")
 
-    def __init__(self, timing: TimingParameters, num_banks: int,
-                 arrays: Optional[BankTimingArrays] = None, base: int = 0):
+    def __init__(self, timing: TimingParameters, num_banks: int):
         self.timing = timing
-        if arrays is None:
-            arrays = BankTimingArrays(num_banks)
-            base = 0
-        self.arrays = arrays
-        self.base = base
-        self.banks: List[Bank] = [Bank(timing, arrays, base + i)
-                                  for i in range(num_banks)]
+        self.banks: List[Bank] = [Bank(timing) for _ in range(num_banks)]
         self.next_act = 0
         # Cycles of the last four ACTs (ring buffer for tFAW).
         self._act_history: List[int] = []
@@ -74,11 +64,11 @@ class Rank:
     # Refresh support
     # ------------------------------------------------------------------
 
-    def _slice(self):
-        return slice(self.base, self.base + len(self.banks))
-
     def all_banks_closed(self) -> bool:
-        return not (self.arrays.open_row[self._slice()] >= 0).any()
+        for bank in self.banks:
+            if bank.open_row is not None:
+                return False
+        return True
 
     def earliest_refresh(self) -> int:
         """Earliest cycle a REF may be issued (all banks precharged).
@@ -88,8 +78,11 @@ class Rank:
         """
         if not self.all_banks_closed():
             raise RuntimeError("REF requires all banks precharged")
-        earliest = int(self.arrays.next_act[self._slice()].max())
-        return max(earliest, self.refresh_busy_until)
+        earliest = self.refresh_busy_until
+        for bank in self.banks:
+            if bank.next_act > earliest:
+                earliest = bank.next_act
+        return earliest
 
     def do_refresh(self, cycle: int) -> None:
         """Apply a REF command: the rank is busy for tRFC cycles."""
@@ -125,9 +118,6 @@ class Rank:
         return total
 
     # ------------------------------------------------------------------
-
-    def open_bank_count(self) -> int:
-        return int((self.arrays.open_row[self._slice()] >= 0).sum())
 
     def active_cycles_until(self, cycle: int) -> int:
         """Aggregate bank-open cycles across the rank, up to ``cycle``."""

@@ -20,9 +20,8 @@ observation without simulating 64 ms of wall-clock DRAM time.
 
 from __future__ import annotations
 
+from array import array
 from typing import List
-
-import numpy as np
 
 from repro.dram.timing import NEVER, TimingParameters
 
@@ -43,10 +42,12 @@ class RefreshScheduler:
 
         window = self.num_groups * timing.tREFI
         # Steady-state pre-seed: group g last refreshed g*tREFI - window.
-        base = np.arange(self.num_groups, dtype=np.int64) * timing.tREFI \
-            - window
-        self._group_time: List[np.ndarray] = [
-            base.copy() for _ in range(num_ranks)]
+        # ``array('q')``: 8 bytes a group (8192 groups per rank), where
+        # a list would hold a separate int object per group.
+        base = array("q", (g * timing.tREFI - window
+                           for g in range(self.num_groups)))
+        self._group_time: List[array] = [array("q", base)
+                                         for _ in range(num_ranks)]
         # Next group each rank will refresh (continues the rotation).
         self._next_group = [0] * num_ranks
         self._next_due = [timing.tREFI] * num_ranks
@@ -95,7 +96,7 @@ class RefreshScheduler:
 
     def row_refresh_age_cycles(self, rank: int, row: int, cycle: int) -> int:
         """Bus cycles since ``row`` was last refreshed."""
-        stamp = int(self._group_time[rank][self.row_group(row)])
+        stamp = self._group_time[rank][self.row_group(row)]
         return max(0, cycle - stamp)
 
     def row_refresh_age_ms(self, rank: int, row: int, cycle: int) -> float:

@@ -1,6 +1,7 @@
 """Unit tests for request queues."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import read_request, write_request
@@ -81,3 +82,37 @@ class TestStats:
         q.sample_occupancy()
         assert q.average_occupancy == pytest.approx(1.5)
         assert q.occupancy_fraction() == pytest.approx(0.5)
+
+
+class TestBankIndex:
+    @given(st.lists(st.tuples(st.sampled_from(("push", "remove", "coalesce")),
+                              st.integers(0, 2), st.integers(0, 3),
+                              st.integers(0, 15), st.booleans()),
+                    max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_per_bank_lists_mirror_the_queue(self, steps):
+        """After any push/remove/coalesce sequence, the per-bank lists
+        merged by ``seq`` are exactly the arrival-order queue."""
+        q = RequestQueue(16)
+        for kind, rank, bank, pick, is_write in steps:
+            items = list(q)
+            if kind == "remove" and items:
+                q.remove(items[pick % len(items)])
+            elif kind == "coalesce" and items:
+                q.coalesce_write(items[pick % len(items)].line_address)
+            elif kind == "push":
+                req = write_request(pick) if is_write else read_request(pick)
+                req.rank, req.bank, req.row = rank, bank, pick % 3
+                if q.coalesce_write(req.line_address):
+                    continue
+                q.push(req, 0)
+            merged = sorted(entry for _, entries in q.by_bank()
+                            for entry in entries)
+            assert [req for _, req in merged] == list(q)
+            for (rank_, bank_), entries in q.by_bank():
+                assert len(entries) == q.requests_for_bank(rank_, bank_)
+                seqs = [seq for seq, _ in entries]
+                assert seqs == sorted(seqs)
+                assert all(req.rank == rank_ and req.bank == bank_
+                           for _, req in entries)
+            assert sum(len(e) for _, e in q.by_bank()) == len(q)

@@ -1,0 +1,149 @@
+"""Differential test: the one-walk FR-FCFS scan against the two-pass rule.
+
+The reference below is the classic formulation of FR-FCFS kept verbatim
+as an oracle: pass 1 picks the oldest request whose row hit can issue
+its column command now, pass 2 the oldest request whose ACT or PRE can
+issue now; the ready bound is the minimum earliest-issue cycle over
+each bank's required commands.  Hypothesis drives both over random
+1-2-rank channels (legal ACT/RD/WR/PRE/REF histories), random read or
+write queues with removals from the middle, random refresh-blocked
+ranks and random query cycles.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from repro.controller.queues import RequestQueue
+from repro.controller.request import read_request, write_request
+from repro.controller.scheduler import (
+    FRFCFSScheduler,
+    SchedulerDecision,
+    required_command,
+)
+from repro.dram.channel import Channel
+from repro.dram.commands import Command
+from repro.dram.timing import DDR3_1600, NEVER
+
+NUM_BANKS = 4
+NUM_ROWS = 2     # few rows, so queued requests often hit
+
+
+def reference_choose(queue, channel, cycle, blocked_ranks=()):
+    for req in queue:
+        if req.rank in blocked_ranks:
+            continue
+        if channel.bank(req.rank, req.bank).open_row != req.row:
+            continue
+        cmd = Command.RD if req.is_read else Command.WR
+        if channel.can_issue(cmd, req.rank, req.bank, cycle):
+            return SchedulerDecision(req, cmd)
+    for req in queue:
+        if req.rank in blocked_ranks:
+            continue
+        cmd = required_command(req, channel)
+        if not cmd.is_column and \
+                channel.can_issue(cmd, req.rank, req.bank, cycle):
+            return SchedulerDecision(req, cmd)
+    return None
+
+
+def reference_next_ready_cycle(queue, channel, cycle, blocked_ranks=()):
+    best = NEVER
+    col_cmd = Command.WR if next(iter(queue)).is_write else Command.RD
+    for rank, bank in queue.banks():
+        if rank in blocked_ranks:
+            continue
+        open_row = channel.bank(rank, bank).open_row
+        if open_row is None:
+            t = channel.earliest(Command.ACT, rank, bank)
+        else:
+            hits = queue.requests_for_row(rank, bank, open_row)
+            t = channel.earliest(col_cmd, rank, bank) if hits else NEVER
+            if hits < queue.requests_for_bank(rank, bank):
+                t = min(t, channel.earliest(Command.PRE, rank, bank))
+        best = min(best, t)
+        if best <= cycle + 1:
+            break
+    return best
+
+
+def _apply(channel, ops):
+    """Issue each op at its earliest legal cycle; returns the last."""
+    now = 0
+    for kind, rank, bank, row in ops:
+        rank %= len(channel.ranks)
+        open_row = channel.bank(rank, bank).open_row
+        if kind == "REF":
+            if not channel.ranks[rank].all_banks_closed():
+                continue
+            now = max(now, channel.earliest(Command.REF, rank, 0))
+            channel.issue_refresh(rank, now)
+            continue
+        cmd = {"ACT": Command.ACT, "PRE": Command.PRE,
+               "RD": Command.RD, "WR": Command.WR}[kind]
+        if (cmd is Command.ACT) != (open_row is None):
+            continue  # not legal in the bank's current state
+        now = max(now, channel.earliest(cmd, rank, bank))
+        if cmd is Command.ACT:
+            channel.issue_activate(rank, bank, row, now)
+        elif cmd is Command.PRE:
+            channel.issue_precharge(rank, bank, now)
+        elif cmd is Command.RD:
+            channel.issue_read(rank, bank, now)
+        else:
+            channel.issue_write(rank, bank, now)
+    return now
+
+
+coords = st.tuples(st.integers(0, 1), st.integers(0, NUM_BANKS - 1),
+                   st.integers(0, NUM_ROWS - 1))
+# ACT-heavy, so that most histories leave several banks open.
+ops = st.lists(st.tuples(st.sampled_from(("ACT", "ACT", "ACT", "RD", "WR",
+                                          "PRE", "REF")),
+                         st.integers(0, 1), st.integers(0, NUM_BANKS - 1),
+                         st.integers(0, NUM_ROWS - 1)),
+               min_size=4, max_size=40)
+
+
+@given(num_ranks=st.integers(1, 2), history=ops,
+       writes=st.booleans(),
+       queued=st.lists(coords, min_size=1, max_size=24),
+       removals=st.lists(st.integers(0, 23), max_size=12),
+       blocked=st.sampled_from((set(), set(), {0}, {1}, {0, 1})),
+       offset=st.integers(-2, 80))
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_two_pass_reference(num_ranks, history, writes,
+                                         queued, removals, blocked,
+                                         offset):
+    channel = Channel(DDR3_1600, num_ranks=num_ranks, num_banks=NUM_BANKS)
+    cycle = max(0, _apply(channel, history) + offset)
+    queue = RequestQueue(32)
+    make = write_request if writes else read_request
+    for line, (rank, bank, row) in enumerate(queued):
+        req = make(line)
+        req.channel, req.rank, req.bank, req.row = \
+            0, rank % num_ranks, bank, row
+        queue.push(req, 0)
+    for index in removals:
+        items = list(queue)
+        if len(items) > 1:
+            queue.remove(items[index % len(items)])
+
+    scheduler = FRFCFSScheduler()
+    decision, ready = scheduler.scan(queue, channel, cycle, blocked)
+    expected = reference_choose(queue, channel, cycle, blocked)
+    if expected is None:
+        assert decision is None
+    else:
+        assert decision is not None
+        assert decision.request is expected.request
+        assert decision.command is expected.command
+
+    bid = reference_next_ready_cycle(queue, channel, cycle, blocked)
+    if bid > cycle + 1:
+        assert ready == bid
+    assert scheduler.next_ready_cycle(queue, channel, cycle, blocked) \
+        == ready
+    for later in range(cycle + 1, min(ready, cycle + 400)):
+        assert scheduler.choose(queue, channel, later, blocked) is None

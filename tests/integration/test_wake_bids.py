@@ -2,9 +2,9 @@
 
 After a command issues, the event engine no longer bids a blanket
 ``cycle + 1``: :meth:`Controller._post_issue_bid` derives a cheap
-lower bound from bank-state arrays alone (read-event heads, refresh
-deadlines, mechanism wake, per-candidate-bank gates).  These tests pin
-the two properties that bid must keep:
+lower bound from per-bank timing registers alone (read-event heads,
+refresh deadlines, mechanism wake, per-candidate-bank gates).  These
+tests pin the properties that bid must keep:
 
 * **Soundness** — every counter of an event-engine run stays
   bit-identical to the dense tick-per-cycle reference, on workloads
@@ -13,6 +13,9 @@ the two properties that bid must keep:
 * **Effectiveness** — the engine visits meaningfully fewer cycles
   than dense on mixed phases, and its visits-per-command stays under a
   budget; regressing the bid back to ``cycle + 1`` busts the budget.
+* **Cost per command** — the scheduler and the bid together make a
+  bounded number of :meth:`Channel.earliest` queries per issued
+  command; a return to per-request scans busts that budget.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 
 from repro.cpu.system import System
 from repro.cpu.trace import TraceRecord
+from repro.dram.channel import Channel
 from repro.dram.organization import Organization
 from repro.workloads.synthetic import random_trace, zipf_trace
 
@@ -99,3 +103,38 @@ def test_mixed_phase_visit_budget():
     assert visits_per_command <= 6.0, (
         f"{visits_per_command:.2f} visits/command — post-issue bid "
         "regressed toward cycle stepping")
+
+
+def test_mixed_phase_earliest_call_budget(monkeypatch):
+    """The scheduler must stay O(banks) per scan, not O(queue).
+
+    Counts :meth:`Channel.earliest` calls (``can_issue`` goes through
+    it too) per issued command on the same fixed mixed-phase run.  The
+    count is exact, so unlike a timing bound it cannot flake.  One walk
+    over the queued banks, whose ready bound the wake bid reuses,
+    measures 8.5 calls per command here; the older two-pass FR-FCFS
+    over every queued request, with a separate bid scan, measured 12.5.
+    """
+    cfg = tiny_config("chargecache", instruction_limit=20_000,
+                      warmup=1_000)
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    calls = 0
+    earliest = Channel.earliest
+
+    def counted(self, command, rank, bank):
+        nonlocal calls
+        calls += 1
+        return earliest(self, command, rank, bank)
+
+    monkeypatch.setattr(Channel, "earliest", counted)
+    system = System(replace(cfg, engine="event"),
+                    [iter(_mixed_phase_trace(org))])
+    system.run(max_mem_cycles=600_000)
+    channels = [controller.channel for controller in system.controllers]
+    commands = sum(ch.num_acts + ch.num_pres + ch.num_rds + ch.num_wrs
+                   + ch.num_refs for ch in channels)
+    assert commands > 0
+    per_command = calls / commands
+    assert per_command <= 10.0, (
+        f"{per_command:.2f} Channel.earliest calls per command — "
+        "scheduling regressed toward per-request scans")
