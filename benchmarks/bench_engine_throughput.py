@@ -18,8 +18,14 @@ exactly.
 
 Runs standalone (``python benchmarks/bench_engine_throughput.py
 [--repeat N] [--json [PATH]]``; ``--repeat`` selects median-of-N
-timing, ``--json`` writes the measurements to BENCH_engine.json) or
-under pytest-benchmark like the figure benchmarks.
+timing) or under pytest-benchmark like the figure benchmarks.
+
+``--json`` appends the measurements as one row to a ledger (default
+``BENCH_engine.json``): a JSON list of rows keyed by ``commit`` (``git
+rev-parse --short HEAD``, suffixed ``-dirty`` when ``src/`` has
+uncommitted changes) and ``repeat``.  A rerun with the same key
+replaces that row; every other row is kept, so the committed ledger is
+the trajectory of the engines across commits.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ import argparse
 import dataclasses
 import json
 import statistics
+import subprocess
 import time
+from pathlib import Path
 from typing import Optional
 
 from repro.config import (
@@ -238,6 +246,40 @@ def test_batch_speedup(benchmark=None):
         f"(acceptance bar: 3x)")
 
 
+def current_commit() -> str:
+    """``git rev-parse --short HEAD`` of this checkout, suffixed
+    ``-dirty`` when ``src/`` differs from it; ``unknown`` outside git."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=root, check=True,
+            capture_output=True, text=True).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", "src"], cwd=root,
+            capture_output=True).returncode != 0
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return f"{head}-dirty" if dirty else head
+
+
+def append_row(path: str, row: dict) -> None:
+    """Add ``row`` to the ledger at ``path``, replacing the row with
+    the same ``(commit, repeat)`` key if there is one."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            rows = json.load(fh)
+    except FileNotFoundError:
+        rows = []
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: expected a JSON list of ledger rows")
+    key = (row["commit"], row["repeat"])
+    rows = [r for r in rows if (r["commit"], r["repeat"]) != key]
+    rows.append(row)
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(rows, fh, indent=2)
+        fh.write("\n")
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Engine and batch-evaluator throughput benchmark.")
@@ -245,12 +287,13 @@ def main(argv: Optional[list] = None) -> int:
                         help="median-of-N timing (default 3)")
     parser.add_argument("--json", nargs="?", const="BENCH_engine.json",
                         default=None, metavar="PATH",
-                        help="write measurements as JSON "
-                             "(default path: BENCH_engine.json)")
+                        help="append the measurements as one row to a "
+                             "JSON ledger (default path: "
+                             "BENCH_engine.json)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    results = {"repeat": args.repeat}
+    results = {"commit": current_commit(), "repeat": args.repeat}
     for workload in WORKLOADS:
         rows = measure(workload, repeats=args.repeat)
         _report(workload, rows)
@@ -259,9 +302,9 @@ def main(argv: Optional[list] = None) -> int:
     _report_batch(rows)
     results["batch"] = rows
     if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(results, fh, indent=2)
-        print(f"\nmeasurements written to {args.json}")
+        append_row(args.json, results)
+        print(f"\nrow {results['commit']} (repeat {args.repeat}) "
+              f"written to {args.json}")
     return 0
 
 

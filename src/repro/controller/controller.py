@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Request
@@ -111,11 +111,6 @@ class MemoryController:
         self._last_issue_cycle = -1
         self._issue_count = 0
         self._forward_count = 0
-        self._wake_cache: Optional[Tuple[Tuple[int, int, int, int], int]] \
-            = None
-        # (state key, cycle, ready bound) of the last idle scheduler scan.
-        self._ready_memo: Optional[
-            Tuple[Tuple[int, int, int, int], int, int]] = None
 
     # ------------------------------------------------------------------
     # Request entry points (called by the cache hierarchy / system)
@@ -189,18 +184,13 @@ class MemoryController:
             return  # a refresh-related command was issued this cycle
 
         queue = self._select_queue()
-        if queue:
+        if queue is not None:
             decision = self.scheduler.choose(queue, self.channel, cycle,
                                              blocked)
             if decision is not None:
                 self._execute(decision, queue, cycle)
                 self._note_issue(cycle)
                 return
-            # The scan that found nothing ready also bounded when
-            # something will be; the wake bid reuses it (see
-            # :meth:`next_event_cycle`) instead of scanning again.
-            self._ready_memo = (self._state_key(), cycle,
-                                self.scheduler.ready_cycle)
 
         if self._pending_pre and self._issue_pending_pre(cycle, blocked):
             self._note_issue(cycle)
@@ -228,7 +218,11 @@ class MemoryController:
         precharge, or run a mechanism sweep.  The bound is valid until
         the next visited cycle, because every state change (enqueue,
         issue, completion) happens at visited cycles and the engine
-        recomputes after each one.
+        recomputes after each one.  Each term is computed exactly from
+        the current state, also on a cycle that just issued: the
+        scheduler term comes from the readiness snapshot, which costs
+        one rebuild per state change and which the next :meth:`tick`
+        reuses.
 
         Multi-rank channels: the refresh loop, the scheduler bound and
         the pending-PRE scan below each iterate every rank, so the bid
@@ -236,17 +230,6 @@ class MemoryController:
         tests/integration/test_scenario_matrix.py::TestMultiRankWakeBid
         and the scenario parity grid).
         """
-        if self._last_issue_cycle == cycle:
-            return self._post_issue_bid(cycle)
-        # All the timing state this bid derives from changes only on
-        # command issues, queue pushes/removals, or write-forwards, so
-        # a bid computed earlier stays valid until one of those version
-        # counters moves (or the bid cycle itself is reached).
-        key = self._state_key()
-        if self._wake_cache is not None:
-            cached_key, bid = self._wake_cache
-            if cached_key == key and bid > cycle:
-                return bid
         nxt = NEVER
         if self._read_events:
             nxt = self._read_events[0][0]
@@ -254,17 +237,24 @@ class MemoryController:
         # Refresh: ranks whose REF is already due block normal
         # scheduling; wake when their refresh can make progress.
         # Ranks due later wake the controller at the due cycle.
-        blocked: List[int] = []
-        for rank_idx in range(self._num_ranks):
-            due = self.refresh.next_due(rank_idx)
-            if due > cycle:
-                if due < nxt:
-                    nxt = due
-            else:
-                blocked.append(rank_idx)
-                t = self.channel.earliest_refresh_action(rank_idx)
-                if t < nxt:
-                    nxt = t
+        blocked: Sequence[int] = ()
+        due = self.refresh.first_due
+        if cycle < due:
+            if due < nxt:
+                nxt = due
+        else:
+            due_ranks: List[int] = []
+            for rank_idx in range(self._num_ranks):
+                due = self.refresh.next_due(rank_idx)
+                if due > cycle:
+                    if due < nxt:
+                        nxt = due
+                else:
+                    due_ranks.append(rank_idx)
+                    t = self.channel.earliest_refresh_action(rank_idx)
+                    if t < nxt:
+                        nxt = t
+            blocked = due_ranks
         if nxt <= cycle + 1:
             return cycle + 1
 
@@ -274,115 +264,50 @@ class MemoryController:
         # change only at visited cycles - where this bid is recomputed
         # - so the selection provably cannot flip during a skip.
         queue = self._select_queue()
-        if queue:
-            # If :meth:`tick` already scanned this cycle and nothing
-            # changed since, its ready bound is this scan's result.
-            memo = self._ready_memo
-            if memo is not None and memo[0] == key and memo[1] == cycle:
-                t = memo[2]
-            else:
-                t = self.scheduler.next_ready_cycle(queue, self.channel,
-                                                    cycle, blocked)
+        if queue is not None:
+            t = self.scheduler.next_ready_cycle(queue, self.channel, cycle,
+                                                blocked)
             if t < nxt:
                 nxt = t
             if nxt <= cycle + 1:
                 return cycle + 1
 
-        for rank, bank in self._pending_pre:
-            if rank in blocked:
-                continue  # refresh handling owns this rank for now
-            if self.channel.bank(rank, bank).open_row is None:
-                continue
-            t = self.channel.earliest(Command.PRE, rank, bank)
-            if t < nxt:
-                nxt = t
+        if self._pending_pre:
+            # A PRE is gated only by its bank's next_pre and the bus.
+            gate = NEVER
+            banks = self.channel.ranks
+            for rank, bank in self._pending_pre:
+                if rank in blocked:
+                    continue  # refresh handling owns this rank for now
+                bk = banks[rank].banks[bank]
+                if bk.open_row is not None and bk.next_pre < gate:
+                    gate = bk.next_pre
+            if gate < nxt:
+                t = max(gate, self.channel.next_cmd)
+                if t < nxt:
+                    nxt = t
 
         t = self.mechanism.next_wake(cycle)
         if t < nxt:
             nxt = t
-        nxt = nxt if nxt > cycle else cycle + 1
-        self._wake_cache = (key, nxt)
-        return nxt
-
-    def _state_key(self) -> Tuple[int, int, int, int]:
-        """Changes whenever bank timing or queue contents may have."""
-        return (self._issue_count, self._forward_count,
-                self.read_q.version, self.write_q.version)
-
-    def _post_issue_bid(self, cycle: int) -> int:
-        """Cheap bank-state-only bid for the cycle a command issued on.
-
-        The full scan above runs the scheduler's exact ready-time
-        computation; right after an issue that cost is wasted because
-        the freshly-claimed command bus and bank timings gate everything
-        anyway.  This bid instead takes per-bank timing registers only
-        (ignoring tFAW, data-bus and rank-switch constraints, which can
-        only push commands *later*), so every component is still a
-        valid lower bound on the controller's next observable action:
-
-        * read completions are exact (`_read_events` head);
-        * a rank whose refresh is already due may need a PRE/REF as
-          soon as next cycle, so bid ``cycle + 1`` (rare, and the full
-          scan takes over at the visited cycle);
-        * for every bank the selected queue or the pending-PRE set
-          could touch, the earliest command is gated by ``next_act``
-          (closed bank) or ``min(next_rd, next_wr, next_pre)`` (open
-          bank: column command on a row hit, PRE on a miss), maxed
-          with the command-bus gate `next_cmd`;
-        * the mechanism sweep bid is the mechanism's own contract.
-
-        Underestimates cost one extra visited cycle (the engine
-        recomputes the exact bid there); overestimates would break
-        dense/event parity, which the dense-stepping regression test
-        (tests/integration/test_wake_bids.py) pins.
-        """
-        nxt = NEVER
-        if self._read_events:
-            nxt = self._read_events[0][0]
-        for rank_idx in range(self._num_ranks):
-            due = self.refresh.next_due(rank_idx)
-            if due <= cycle:
-                return cycle + 1
-            if due < nxt:
-                nxt = due
-        t = self.mechanism.next_wake(cycle)
-        if t < nxt:
-            nxt = t
-        channel = self.channel
-        gate = NEVER
-        for pairs in (self._select_queue().banks(), self._pending_pre):
-            for rank, bank in pairs:
-                bk = channel.bank(rank, bank)
-                if bk.open_row is None:
-                    t = bk.next_act
-                else:
-                    t = min(bk.next_rd, bk.next_wr, bk.next_pre)
-                if t < gate:
-                    gate = t
-        if gate != NEVER:
-            t = max(gate, channel.next_cmd)
-            if t < nxt:
-                nxt = t
         return nxt if nxt > cycle else cycle + 1
 
     # ------------------------------------------------------------------
     # Refresh handling
     # ------------------------------------------------------------------
 
-    def _refresh_step(self, cycle: int) -> Optional[Set[int]]:
+    def _refresh_step(self, cycle: int) -> Optional[Sequence[int]]:
         """Handle due refreshes.
 
-        Returns the set of refresh-blocked ranks, or None when a
-        command was issued (the channel's one-command budget is spent).
+        Returns the refresh-blocked ranks in ascending order, or None
+        when a command was issued (the channel's one-command budget is
+        spent).
         """
-        blocked: Set[int] = set()
-        for rank_idx in range(self._num_ranks):
-            if not self.refresh.rank_needs_refresh(rank_idx, cycle):
-                continue
-            blocked.add(rank_idx)
-        if not blocked:
-            return blocked
-        for rank_idx in sorted(blocked):
+        if cycle < self.refresh.first_due:
+            return ()
+        blocked = [rank_idx for rank_idx in range(self._num_ranks)
+                   if self.refresh.rank_needs_refresh(rank_idx, cycle)]
+        for rank_idx in blocked:
             rank = self.channel.ranks[rank_idx]
             if rank.all_banks_closed():
                 if self.channel.can_issue(Command.REF, rank_idx, 0, cycle):
@@ -404,37 +329,34 @@ class MemoryController:
     # Scheduling helpers
     # ------------------------------------------------------------------
 
-    def _update_drain_mode(self) -> None:
-        """Advance the watermark latch.
+    def _select_queue(self) -> Optional[RequestQueue]:
+        """The queue the scheduler serves this cycle (None when empty).
 
-        The latch transitions are idempotent in the queue lengths
-        (re-evaluating with unchanged queues never flips the state), a
-        property the event engine relies on: queue lengths only change
-        at visited cycles, so the latch is provably stable across
-        skipped ones.  Opportunistic draining when the read queue is
-        empty is therefore *not* latched - it is decided afresh in
-        :meth:`_select_queue` - because routing it through the latch
-        would make the state oscillate every evaluation at small write
-        occupancies (the drain would turn on, immediately drop below
-        the low watermark, turn off, and repeat), making command
-        timing depend on how often the controller is polled.
+        Advances the write-drain watermark latch first.  Its
+        transitions are idempotent in the queue lengths (re-evaluating
+        with unchanged queues never flips the state), a property the
+        event engine relies on: queue lengths only change at visited
+        cycles, so the latch is provably stable across skipped ones.
+        Opportunistic draining when the read queue is empty is
+        therefore *not* latched - it is decided afresh here - because
+        routing it through the latch would make the state oscillate
+        every evaluation at small write occupancies (the drain would
+        turn on, immediately drop below the low watermark, turn off,
+        and repeat), making command timing depend on how often the
+        controller is polled.
         """
         wq_len = len(self.write_q)
         if self._drain_writes:
             if wq_len <= self._wq_low:
                 self._drain_writes = False
-        else:
-            if wq_len >= self._wq_high:
-                self._drain_writes = True
-
-    def _select_queue(self) -> RequestQueue:
-        """The queue the scheduler serves this cycle."""
-        self._update_drain_mode()
+        elif wq_len >= self._wq_high:
+            self._drain_writes = True
         if self._drain_writes:
-            return self.write_q
-        if self.read_q.is_empty and len(self.write_q):
-            return self.write_q  # nothing to read: sneak writes out
-        return self.read_q
+            return self.write_q if wq_len else None
+        if len(self.read_q):
+            return self.read_q
+        # Nothing to read: sneak writes out.
+        return self.write_q if wq_len else None
 
     def _execute(self, decision: SchedulerDecision, queue: RequestQueue,
                  cycle: int) -> None:
@@ -496,16 +418,19 @@ class MemoryController:
                                                  self.write_q):
             self._pending_pre.add((req.rank, req.bank))
 
-    def _issue_pending_pre(self, cycle: int, blocked: Set[int]) -> bool:
+    def _issue_pending_pre(self, cycle: int, blocked: Sequence[int]) -> bool:
         """Issue one policy-requested PRE if legal; True when issued."""
+        ranks = self.channel.ranks
+        bus_free = self.channel.next_cmd <= cycle
         for rank, bank in list(self._pending_pre):
             if rank in blocked:
                 continue
-            bank_state = self.channel.bank(rank, bank)
+            bank_state = ranks[rank].banks[bank]
             if bank_state.open_row is None:
                 self._pending_pre.discard((rank, bank))
                 continue
-            if self.channel.can_issue(Command.PRE, rank, bank, cycle):
+            # Channel.earliest(PRE): the bank's next_pre and the bus.
+            if bus_free and bank_state.next_pre <= cycle:
                 self._issue_pre(rank, bank, cycle)
                 return True
         return False

@@ -8,18 +8,19 @@ to already-open rows (row hits) win; ties break by age.
 **FCFS** serves strictly in arrival order and is provided as a
 reference point for tests and ablations.
 
-A scheduler's ``scan`` computes, in one pass, the
-:class:`SchedulerDecision` naming the request and the command to issue
-on its behalf this cycle (``None`` when nothing can issue) and the
-earliest cycle at which anything could.  ``choose`` and
-``next_ready_cycle`` are views of that one computation, so the
-controller's decision and its wake-up bid cannot disagree.
+A scheduler's ``scan`` returns the :class:`SchedulerDecision` naming
+the request and the command to issue on its behalf this cycle
+(``None`` when nothing can issue) and the earliest cycle at which
+anything could.  ``choose`` and ``next_ready_cycle`` are views of that
+one computation, so the controller's decision and its wake-up bid
+cannot disagree.  FR-FCFS derives both from one readiness snapshot per
+controller state (see :class:`FRFCFSScheduler`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.controller.request import Request
 from repro.dram.channel import Channel
@@ -35,6 +36,16 @@ class SchedulerDecision:
     command: Command
 
 
+#: ``(earliest_issue_cycle, queue_seq, request, command)``.
+Candidate = Tuple[int, int, Request, Command]
+
+# Enum members as plain globals: the snapshot loop reads them per bank.
+_ACT, _PRE, _RD, _WR = Command.ACT, Command.PRE, Command.RD, Command.WR
+
+#: The ``blocked`` part of a snapshot key when no rank is blocked.
+_UNBLOCKED: FrozenSet[int] = frozenset()
+
+
 def required_command(request: Request, channel: Channel) -> Command:
     """The next command this request needs, given current bank state."""
     bank = channel.bank(request.rank, request.bank)
@@ -46,17 +57,38 @@ def required_command(request: Request, channel: Channel) -> Command:
 
 
 class FRFCFSScheduler:
-    """First-ready FCFS over one request queue."""
+    """First-ready FCFS over one request queue.
+
+    Readiness is a per-state *snapshot*: the candidate commands of every
+    unblocked queued bank with their earliest-issue cycles, built once
+    per controller state and kept under the key ``(queue,
+    queue.version, channel, channel.next_cmd, blocked ranks)``.  Each
+    cycle's decision and ready bound are derived from it without
+    touching the DRAM state again.
+
+    The key is sound because nothing else feeds the snapshot: queue
+    contents change only through ``push``/``remove``, which bump
+    ``queue.version``, and every bank, rank or channel timing register
+    changes only inside a ``Channel.issue_*`` call, each of which
+    claims the command bus and so strictly advances ``next_cmd``.
+    """
 
     name = "frfcfs"
 
     def __init__(self):
-        #: Ready bound of the last :meth:`choose` (see :meth:`scan`).
-        self.ready_cycle = NEVER
+        #: Snapshots built so far (an exact work counter for tests and
+        #: benchmarks; one per distinct controller state scanned).
+        self.snapshots = 0
+        self._queue = self._channel = None
+        self._version = self._next_cmd = -1
+        self._blocked = _UNBLOCKED
+        self._hits: List[Candidate] = []
+        self._rows: List[Candidate] = []
+        self._ready = NEVER
 
     def scan(self, queue, channel: Channel, cycle: int, blocked_ranks=()
              ) -> Tuple[Optional[SchedulerDecision], int]:
-        """One walk over the queued banks: ``(decision, earliest_ready)``.
+        """``(decision, earliest_ready)`` for ``cycle``.
 
         ``blocked_ranks`` lists ranks currently reserved for refresh; no
         new command is scheduled to them.  Each other bank with queued
@@ -70,78 +102,118 @@ class FRFCFSScheduler:
         classic two-pass "oldest ready hit, then oldest ready request"
         rule.  ``earliest_ready`` is the minimum earliest-issue cycle
         over all candidates, so no cycle before it can produce a
-        decision.  It is a lower bound valid until the next command
-        issue or enqueue (the event engine recomputes after both):
-        waking early and finding nothing to do is exactly what the
-        dense engine does on every idle cycle.
+        decision; it is exact until the controller state changes (a
+        command issue or a queue push/removal).
 
         The queue must be homogeneous (all reads or all writes), as the
         controller's per-direction queues are.
         """
-        hit = row_cmd = None     # best ready (seq, request, command)
-        ready = NEVER
-        for (rank, bank), entries in queue.by_bank():
-            if rank in blocked_ranks:
-                continue  # reserved for refresh; refresh wake-ups cover it
-            open_row = channel.bank(rank, bank).open_row
-            if open_row is None:
-                t = channel.earliest(Command.ACT, rank, bank)
-                if t < ready:
-                    ready = t
-                if t <= cycle and (row_cmd is None
-                                   or entries[0][0] < row_cmd[0]):
-                    seq, req = entries[0]
-                    row_cmd = (seq, req, Command.ACT)
-                continue
-            hits = queue.requests_for_row(rank, bank, open_row)
-            if hits:
-                for seq, req in entries:
-                    if req.row == open_row:
-                        break
-                cmd = Command.RD if req.is_read else Command.WR
-                t = channel.earliest(cmd, rank, bank)
-                if t < ready:
-                    ready = t
-                if t <= cycle and (hit is None or seq < hit[0]):
-                    hit = (seq, req, cmd)
-            if hits < len(entries):
-                for seq, req in entries:
-                    if req.row != open_row:
-                        break
-                t = channel.earliest(Command.PRE, rank, bank)
-                if t < ready:
-                    ready = t
-                if t <= cycle and (row_cmd is None or seq < row_cmd[0]):
-                    row_cmd = (seq, req, Command.PRE)
-        best = hit or row_cmd
-        if best is None:
+        ready = self._ready_bound(queue, channel, blocked_ranks)
+        if cycle < ready:
             return None, ready
-        return SchedulerDecision(best[1], best[2]), ready
+        return self._decide(cycle), ready
+
+    def _ready_bound(self, queue, channel: Channel, blocked_ranks) -> int:
+        """The snapshot's ready bound, rebuilding the snapshot first
+        unless its key still matches."""
+        blocked = frozenset(blocked_ranks) if blocked_ranks else _UNBLOCKED
+        if (queue.version != self._version
+                or channel.next_cmd != self._next_cmd
+                or queue is not self._queue or channel is not self._channel
+                or blocked != self._blocked):
+            self._snapshot(queue, channel, blocked)
+        return self._ready
+
+    def _snapshot(self, queue, channel: Channel, blocked) -> None:
+        """One walk over the queued banks: every candidate and its
+        earliest-issue cycle (:meth:`Channel.earliest`, from the bank's
+        registers and :meth:`Channel.rank_gates`)."""
+        self.snapshots += 1
+        self._queue, self._version = queue, queue.version
+        self._channel, self._next_cmd = channel, channel.next_cmd
+        self._blocked = blocked
+        ranks = channel.ranks
+        gates = channel.rank_gates()
+        pre_gate = channel.next_cmd
+        hits: List[Candidate] = []
+        rows: List[Candidate] = []
+        ready = NEVER
+        # Gates index and command of the column candidates (col < 0:
+        # not yet known).
+        col, cmd = -1, _RD
+        for (rank, bank), entries in queue.by_bank():
+            if rank in blocked:
+                continue  # reserved for refresh; refresh wake-ups cover it
+            bk = ranks[rank].banks[bank]
+            open_row = bk.open_row
+            if open_row is None:
+                t = bk.next_act
+                gate = gates[rank][0]
+                if gate > t:
+                    t = gate
+                seq, req = entries[0]
+                rows.append((t, seq, req, _ACT))
+                if t < ready:
+                    ready = t
+                continue
+            hit = miss = None
+            for entry in entries:
+                if entry[1].row == open_row:
+                    if hit is None:
+                        hit = entry
+                        if miss is not None:
+                            break
+                elif miss is None:
+                    miss = entry
+                    if hit is not None:
+                        break
+            if hit is not None:
+                seq, req = hit
+                if col < 0:   # the queue is homogeneous: ask once
+                    col, cmd = (1, _RD) if req.is_read else (2, _WR)
+                t = bk.next_rd if col == 1 else bk.next_wr
+                gate = gates[rank][col]
+                if gate > t:
+                    t = gate
+                hits.append((t, seq, req, cmd))
+                if t < ready:
+                    ready = t
+            if miss is not None:
+                t = bk.next_pre
+                if pre_gate > t:
+                    t = pre_gate
+                rows.append((t, miss[0], miss[1], _PRE))
+                if t < ready:
+                    ready = t
+        self._hits, self._rows, self._ready = hits, rows, ready
+
+    def _decide(self, cycle: int) -> Optional[SchedulerDecision]:
+        """The snapshot's decision at ``cycle``: the oldest ready hit,
+        else the oldest ready ACT/PRE."""
+        for candidates in (self._hits, self._rows):
+            best = None
+            for cand in candidates:
+                if cand[0] <= cycle and (best is None or cand[1] < best[1]):
+                    best = cand
+            if best is not None:
+                return SchedulerDecision(best[2], best[3])
+        return None
 
     def choose(self, queue, channel: Channel, cycle: int,
                blocked_ranks=()) -> Optional[SchedulerDecision]:
-        """The command to issue at ``cycle``, or None (:meth:`scan`).
-
-        The scan's ready bound is kept in :attr:`ready_cycle`, so a
-        caller that found nothing ready can reuse it as its wake bid.
-        """
-        decision, self.ready_cycle = self.scan(queue, channel, cycle,
-                                               blocked_ranks)
-        return decision
+        """The command to issue at ``cycle``, or None (:meth:`scan`)."""
+        return self.scan(queue, channel, cycle, blocked_ranks)[0]
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
                          blocked_ranks=()) -> int:
         """Earliest cycle at which :meth:`choose` could return non-None."""
-        return self.scan(queue, channel, cycle, blocked_ranks)[1]
+        return self._ready_bound(queue, channel, blocked_ranks)
 
 
 class FCFSScheduler:
     """Strict in-order service of the oldest request."""
 
     name = "fcfs"
-
-    def __init__(self):
-        self.ready_cycle = NEVER
 
     def scan(self, queue, channel: Channel, cycle: int, blocked_ranks=()
              ) -> Tuple[Optional[SchedulerDecision], int]:
@@ -157,9 +229,7 @@ class FCFSScheduler:
 
     def choose(self, queue, channel: Channel, cycle: int,
                blocked_ranks=()) -> Optional[SchedulerDecision]:
-        decision, self.ready_cycle = self.scan(queue, channel, cycle,
-                                               blocked_ranks)
-        return decision
+        return self.scan(queue, channel, cycle, blocked_ranks)[0]
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
                          blocked_ranks=()) -> int:

@@ -28,7 +28,7 @@ from repro.core.hcrac import HCRAC, UnboundedHCRAC
 from repro.core.invalidation import PeriodicInvalidator
 from repro.core.registry import MechanismContext, register_mechanism
 from repro.core.timing_policy import LatencyMechanism
-from repro.dram.timing import ReducedTimings, TimingParameters
+from repro.dram.timing import NEVER, ReducedTimings, TimingParameters
 
 
 def row_key(rank: int, bank: int, row: int) -> int:
@@ -73,6 +73,9 @@ class ChargeCache(LatencyMechanism):
             self.invalidators = [
                 PeriodicInvalidator(table, sweep_cycles)
                 for table in self.tables]
+        #: Earliest next IIC wrap over all invalidators: :meth:`maintain`
+        #: has nothing to do before it.
+        self._next_wrap = self._earliest_wrap()
         self.insertions = 0
 
     # ------------------------------------------------------------------
@@ -115,10 +118,16 @@ class ChargeCache(LatencyMechanism):
 
     def maintain(self, cycle: int) -> None:
         """Advance the IIC/EC invalidation counters to ``cycle``."""
-        if self.unbounded:
-            return
+        if cycle < self._next_wrap:
+            return  # no IIC wraps yet: advancing would be a no-op
         for invalidator in self.invalidators:
             invalidator.advance_to(cycle)
+        self._next_wrap = self._earliest_wrap()
+
+    def _earliest_wrap(self) -> int:
+        if self.unbounded:
+            return NEVER
+        return min(inv.next_wrap_cycle() for inv in self.invalidators)
 
     def next_wake(self, cycle: int) -> int:
         """Next IIC wrap across all tables (event-engine wake-up).
@@ -129,13 +138,13 @@ class ChargeCache(LatencyMechanism):
         to invalidate, so they demand no wake-up.
         """
         del cycle
-        if self.unbounded:
-            return super().next_wake(0)
-        wake = super().next_wake(0)
-        for table, invalidator in zip(self.tables, self.invalidators):
-            if len(table) and invalidator.next_wrap_cycle() < wake:
-                wake = invalidator.next_wrap_cycle()
-        return wake
+        for table in self.tables:
+            if len(table):
+                # The earliest wrap over all tables.  The invalidators
+                # share one interval and every maintain call, so it is
+                # also this table's next wrap.
+                return self._next_wrap
+        return super().next_wake(0)
 
     # ------------------------------------------------------------------
 

@@ -71,6 +71,10 @@ class RecordingMechanism:
     def __init__(self, inner: LatencyMechanism, log: MechanismEventLog):
         self._inner = inner
         self._log = log
+        # Called on every visited cycle and wake bid, and logged never:
+        # bind the inner methods directly instead of delegating.
+        self.maintain = inner.maintain
+        self.next_wake = inner.next_wake
 
     def on_activate(self, rank, bank, row, core_id, cycle):
         timings = self._inner.on_activate(rank, bank, row, core_id, cycle)
@@ -83,12 +87,6 @@ class RecordingMechanism:
     def on_precharge(self, rank, bank, row, core_id, cycle):
         self._log.events.append(("P", rank, bank, row, core_id, cycle))
         self._inner.on_precharge(rank, bank, row, core_id, cycle)
-
-    def maintain(self, cycle):
-        self._inner.maintain(cycle)
-
-    def next_wake(self, cycle):
-        return self._inner.next_wake(cycle)
 
     def reset_stats(self):
         self._inner.reset_stats()

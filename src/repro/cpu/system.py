@@ -36,7 +36,7 @@ from repro.controller.address_mapping import AddressMapper
 from repro.controller.controller import MemoryController
 from repro.core import registry
 from repro.cpu.cache import SharedCache
-from repro.cpu.core import Core
+from repro.cpu.core import BLOCK_REJECT, Core
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.dram.refresh import RefreshScheduler
@@ -382,7 +382,12 @@ class System:
             # ``now`` is already at ``cpu_prev``).
             if core.now < cpu_prev and \
                     not (idle_finished and warmed and core.finished):
-                core.run_until(cpu_prev)
+                if core.block_reason:
+                    # What run_until does for a blocked core, inline.
+                    core.stall_cycles += cpu_prev - core.now
+                    core.now = cpu_prev
+                else:
+                    core.run_until(cpu_prev)
         while events and events[0][0] <= cpu_now:
             _, _, core_id, token = heapq.heappop(events)
             cores[core_id].on_load_complete(token)
@@ -393,8 +398,16 @@ class System:
         for core in cores:
             if idle_finished and warmed and core.finished:
                 continue
-            core.retry_rejected()
-            core.run_until(cpu_now)
+            reason = core.block_reason
+            if reason == BLOCK_REJECT:
+                core.retry_rejected()
+                core.run_until(cpu_now)
+            elif not reason:
+                core.run_until(cpu_now)
+            elif core.now < cpu_now:
+                # Blocked on a load: only time passes (run_until, inline).
+                core.stall_cycles += cpu_now - core.now
+                core.now = cpu_now
             if not core.finished:
                 all_finished = False
         if not warmed and cpu_now >= self.config.warmup_cpu_cycles:

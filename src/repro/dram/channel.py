@@ -10,7 +10,7 @@ Channel-scope constraints:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.dram.commands import Command, IssuedCommand
 from repro.dram.rank import Rank
@@ -76,6 +76,34 @@ class Channel:
         else:
             raise ValueError(f"unsupported command {command}")
         return max(gate, self.next_cmd)
+
+    def rank_gates(self) -> List[Tuple[int, int, int]]:
+        """Per-rank ``(act, rd, wr)`` gates, each maxed with the
+        command bus.
+
+        These are the rank- and channel-scope parts of :meth:`earliest`:
+        the earliest ACT to bank ``b`` of rank ``r`` is
+        ``max(bank.next_act, gates[r][0])``, a RD ``max(bank.next_rd,
+        gates[r][1])``, a WR ``max(bank.next_wr, gates[r][2])``, and a
+        PRE ``max(bank.next_pre, next_cmd)``.  The scheduler builds its
+        readiness snapshot from these instead of one :meth:`earliest`
+        call per bank.
+        """
+        next_cmd = self.next_cmd
+        rd = self.next_rd if self.next_rd > next_cmd else next_cmd
+        wr = self.next_wr if self.next_wr > next_cmd else next_cmd
+        last = self._last_col_rank
+        gates = []
+        for index, rk in enumerate(self.ranks):
+            act = rk.earliest_act()
+            if act < next_cmd:
+                act = next_cmd
+            if last is None or last == index:
+                gates.append((act, rd, wr))
+            else:
+                switch = self._rank_switch_gate(index)
+                gates.append((act, max(rd, switch), max(wr, switch)))
+        return gates
 
     def can_issue(self, command: Command, rank: int, bank: int,
                   cycle: int) -> bool:

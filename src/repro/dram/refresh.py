@@ -51,6 +51,9 @@ class RefreshScheduler:
         # Next group each rank will refresh (continues the rotation).
         self._next_group = [0] * num_ranks
         self._next_due = [timing.tREFI] * num_ranks
+        #: Earliest due cycle over all ranks (``NEVER`` when disabled):
+        #: the controller's O(1) "no refresh due yet" test.
+        self.first_due = timing.tREFI if enabled else NEVER
         self.refreshes_issued = [0] * num_ranks
 
     # ------------------------------------------------------------------
@@ -70,6 +73,8 @@ class RefreshScheduler:
         self._group_time[rank][group] = cycle
         self._next_group[rank] = (group + 1) % self.num_groups
         self._next_due[rank] += self.timing.tREFI
+        if self.enabled:
+            self.first_due = min(self._next_due)
         self.refreshes_issued[rank] += 1
 
     # ------------------------------------------------------------------

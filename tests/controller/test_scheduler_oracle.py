@@ -8,6 +8,12 @@ each bank's required commands.  Hypothesis drives both over random
 1-2-rank channels (legal ACT/RD/WR/PRE/REF histories), random read or
 write queues with removals from the middle, random refresh-blocked
 ranks and random query cycles.
+
+The scheduler caches its readiness snapshot per controller state, so
+a second test keeps one scheduler alive through a random sequence of
+command issues, queue changes, blocked-rank changes and advancing
+cycles, and checks it after every step against a fresh scheduler and
+the reference.
 """
 
 from __future__ import annotations
@@ -147,3 +153,87 @@ def test_scan_matches_two_pass_reference(num_ranks, history, writes,
         == ready
     for later in range(cycle + 1, min(ready, cycle + 400)):
         assert scheduler.choose(queue, channel, later, blocked) is None
+
+
+# ----------------------------------------------------------------------
+# Snapshot invalidation: one long-lived scheduler across state changes
+# ----------------------------------------------------------------------
+
+steps = st.lists(st.one_of(
+    st.tuples(st.just("issue"),
+              st.sampled_from(("ACT", "ACT", "RD", "WR", "PRE", "REF")),
+              coords),
+    st.tuples(st.just("push"), st.booleans(), coords),
+    st.tuples(st.just("remove"), st.booleans(), st.integers(0, 31)),
+    st.tuples(st.just("block"),
+              st.sampled_from((set(), {0}, {1}, {0, 1}))),
+    st.tuples(st.just("select"), st.booleans()),
+    st.tuples(st.just("wait"), st.integers(1, 40)),
+), min_size=1, max_size=60)
+
+
+def _same(got, expected):
+    if expected is None:
+        return got is None
+    return (got is not None and got.request is expected.request
+            and got.command is expected.command)
+
+
+@given(num_ranks=st.integers(1, 2), program=steps,
+       lookahead=st.integers(0, 30))
+@settings(max_examples=300, deadline=None)
+def test_long_lived_scan_tracks_every_state_change(num_ranks, program,
+                                                   lookahead):
+    """A cached snapshot never outlives the state it was built from.
+
+    One :class:`FRFCFSScheduler` lives through a random interleaving of
+    legal ``Channel.issue_*`` calls, pushes and removals on a read and
+    a write queue, changes of the refresh-blocked ranks, switches of
+    the scanned queue and advancing cycles.  After every step its scan
+    (at the current cycle and at a later one, which reuses the
+    snapshot) must equal a fresh scheduler's scan and the two-pass
+    reference.
+    """
+    channel = Channel(DDR3_1600, num_ranks=num_ranks, num_banks=NUM_BANKS)
+    queues = {True: RequestQueue(32), False: RequestQueue(32)}
+    scheduler = FRFCFSScheduler()
+    now, line, blocked, writes = 0, 0, set(), False
+    for step in program:
+        kind = step[0]
+        if kind == "issue":
+            # At the command's earliest legal cycle (maybe before now).
+            now = max(now, _apply(channel, [(step[1], *step[2])]))
+        elif kind == "push":
+            rank, bank, row = step[2]
+            req = (write_request if step[1] else read_request)(line)
+            line += 1
+            req.channel, req.rank, req.bank, req.row = \
+                0, rank % num_ranks, bank, row
+            queues[step[1]].push(req, now)
+        elif kind == "remove":
+            items = list(queues[step[1]])
+            if items:
+                queues[step[1]].remove(items[step[2] % len(items)])
+        elif kind == "block":
+            blocked = {rank for rank in step[1] if rank < num_ranks}
+        elif kind == "select":
+            writes = step[1]
+        else:
+            now += step[1]
+        queue = queues[writes]
+        if not queue:
+            continue
+        for cycle in (now, now + lookahead):
+            decision, ready = scheduler.scan(queue, channel, cycle,
+                                             set(blocked))
+            fresh = FRFCFSScheduler().scan(queue, channel, cycle, blocked)
+            assert _same(decision, fresh[0])
+            assert ready == fresh[1]
+            assert _same(decision, reference_choose(queue, channel, cycle,
+                                                    blocked))
+            bid = reference_next_ready_cycle(queue, channel, cycle,
+                                             blocked)
+            if bid > cycle + 1:
+                assert ready == bid
+            else:
+                assert ready <= cycle + 1

@@ -1,10 +1,12 @@
-"""Dense-stepping regression for the post-issue wake bid.
+"""Dense-stepping regression for the controller's wake bid.
 
-After a command issues, the event engine no longer bids a blanket
-``cycle + 1``: :meth:`Controller._post_issue_bid` derives a cheap
-lower bound from per-bank timing registers alone (read-event heads,
-refresh deadlines, mechanism wake, per-candidate-bank gates).  These
-tests pin the properties that bid must keep:
+After every visited cycle, including one where a command issued,
+:meth:`MemoryController.next_event_cycle` bids the exact next cycle
+the controller can act at (read-event head, refresh deadlines, the
+FR-FCFS readiness snapshot's ready bound, pending precharges,
+mechanism wake).  The snapshot is rebuilt only when the controller
+state changed, so the exact bid costs about one snapshot per issued
+command.  These tests pin the properties the bid must keep:
 
 * **Soundness** — every counter of an event-engine run stays
   bit-identical to the dense tick-per-cycle reference, on workloads
@@ -12,10 +14,12 @@ tests pin the properties that bid must keep:
   too-high bid would skip an action cycle and silently diverge).
 * **Effectiveness** — the engine visits meaningfully fewer cycles
   than dense on mixed phases, and its visits-per-command stays under a
-  budget; regressing the bid back to ``cycle + 1`` busts the budget.
+  budget; an underestimating bid (such as a cheaper post-issue bound)
+  busts the budget.
 * **Cost per command** — the scheduler and the bid together make a
-  bounded number of :meth:`Channel.earliest` queries per issued
-  command; a return to per-request scans busts that budget.
+  bounded number of :meth:`Channel.earliest` queries and readiness
+  snapshots per issued command; rescanning an unchanged controller
+  state busts the snapshot budget.
 """
 
 from __future__ import annotations
@@ -138,3 +142,50 @@ def test_mixed_phase_earliest_call_budget(monkeypatch):
     assert per_command <= 10.0, (
         f"{per_command:.2f} Channel.earliest calls per command — "
         "scheduling regressed toward per-request scans")
+
+
+def _mixed_phase_event_run():
+    """The fixed mixed-phase event run and its issued-command count."""
+    cfg = tiny_config("chargecache", instruction_limit=20_000,
+                      warmup=1_000)
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    system = System(replace(cfg, engine="event"),
+                    [iter(_mixed_phase_trace(org))])
+    system.run(max_mem_cycles=600_000)
+    channels = [controller.channel for controller in system.controllers]
+    commands = sum(ch.num_acts + ch.num_pres + ch.num_rds + ch.num_wrs
+                   + ch.num_refs for ch in channels)
+    assert commands > 0
+    return system, commands
+
+
+def test_mixed_phase_snapshot_budget():
+    """FR-FCFS readiness is rebuilt once per controller state.
+
+    ``FRFCFSScheduler.snapshots`` counts readiness snapshots, an exact
+    count.  With the snapshot cache this run builds 1.21 per issued
+    command; rebuilding on every ``choose``/``next_ready_cycle`` call
+    (no cache) measures 2.82.
+    """
+    system, commands = _mixed_phase_event_run()
+    snapshots = sum(controller.scheduler.snapshots
+                    for controller in system.controllers)
+    per_command = snapshots / commands
+    assert per_command <= 1.3, (
+        f"{per_command:.2f} readiness snapshots per command — the "
+        "scheduler rescans unchanged controller states")
+
+
+def test_mixed_phase_exact_bid_visit_budget():
+    """The controller's bid is exact, also right after an issue.
+
+    Visited cycles per issued command on the fixed mixed-phase run, an
+    exact count: 1.80 with the exact bid; 2.18 with the earlier cheaper
+    post-issue lower bound, whose underestimates each cost a visited
+    cycle that does nothing.
+    """
+    system, commands = _mixed_phase_event_run()
+    per_command = system.visited_cycles / commands
+    assert per_command <= 1.9, (
+        f"{per_command:.2f} visited cycles per command — the wake bid "
+        "underestimates the controller's next action")
