@@ -47,10 +47,8 @@ def _no_persistent_run_cache():
     would pollute the user's real cache).  The in-process memo still
     applies — cross-figure run reuse is part of what the harness is."""
     from repro.harness import runner
-    prev = (runner._disk_enabled, runner._disk_dir)
-    runner.configure_disk_cache(None, enabled=False)
-    yield
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
+    with runner.executing(use_run_cache=False):
+        yield
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -59,11 +57,10 @@ def _sweep_jobs(request):
     selected by ``--jobs`` (or, when absent, the ``REPRO_JOBS``
     environment variable that :func:`repro.harness.pool.resolve_jobs`
     consults)."""
-    from repro.harness import experiments
-    jobs = request.config.getoption("--jobs", default=None)
-    experiments.set_default_jobs(jobs)
-    yield
-    experiments.set_default_jobs(None)
+    from repro.harness import runner
+    with runner.executing(jobs=request.config.getoption("--jobs",
+                                                        default=None)):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,16 @@ batches same-platform variants through one trace replay
 to compare) and ``System.run_batch`` is the library-level entry point.
 Results are bit-identical to serial runs — see DESIGN.md section 8.
 
+Harness runs (``repro.harness.runner``) execute under one
+``runner.execution`` value: pool width, store directory, engine,
+batching and progress.  Scope a change instead of mutating it, e.g. in
+a test::
+
+    with runner.executing(jobs=2, cache_dir=str(tmp_path)):
+        experiments.run_fig9(workloads=["hmmer"])
+
+The previous execution comes back on exit, even on error.
+
 Run:  python examples/quickstart.py
 """
 

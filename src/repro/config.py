@@ -16,7 +16,6 @@ The defaults mirror Table 1 of the paper (HPCA 2016):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 #: CPU clock frequency used throughout the paper's evaluation (Table 1).
 DEFAULT_CPU_FREQ_GHZ = 4.0
@@ -213,34 +212,6 @@ class NUATConfig:
 
 
 @dataclass(frozen=True)
-class ExecutionConfig:
-    """How the harness executes runs — not *what* a run computes.
-
-    These knobs never change simulation results, only wall-clock and
-    storage behaviour, so they are **excluded from run-cache keys**
-    (see DESIGN.md section 4): a result computed with ``jobs=8`` must
-    satisfy a later ``jobs=1`` request and vice versa.
-
-    ``jobs`` is the process-pool width for sweep fan-out: ``None``
-    defers to the ``REPRO_JOBS`` environment variable (default serial),
-    ``0`` means one worker per CPU, ``1`` forces serial in-process
-    execution.  ``cache_dir`` is the persistent result store, the
-    content-addressed envelope directory; ``None`` defers to
-    ``REPRO_CACHE_DIR`` or ``~/.cache/chargecache-repro``.
-    ``use_run_cache=False`` bypasses the persistent layer entirely
-    (the in-memory memo still applies).
-    """
-
-    jobs: Optional[int] = None
-    cache_dir: Optional[str] = None
-    use_run_cache: bool = True
-
-    def validate(self) -> None:
-        if self.jobs is not None and self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 = one per CPU)")
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     """Aggregate configuration for one simulation run."""
 
@@ -250,9 +221,6 @@ class SimulationConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     chargecache: ChargeCacheConfig = field(default_factory=ChargeCacheConfig)
     nuat: NUATConfig = field(default_factory=NUATConfig)
-    #: Harness execution policy (pool width, run-cache location).
-    #: Never part of run-cache keys; see :class:`ExecutionConfig`.
-    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     mechanism: str = "none"
     #: Simulation stops when every core retired this many instructions.
     instruction_limit: int = 100_000
@@ -284,7 +252,6 @@ class SimulationConfig:
         self.controller.validate()
         self.chargecache.validate()
         self.nuat.validate()
-        self.execution.validate()
         # The mechanism is a registry spec, not a fixed menu: any
         # +-composition of registered mechanisms with inline parameter
         # overrides is legal (parse errors carry the details).

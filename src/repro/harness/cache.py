@@ -58,7 +58,6 @@ from repro.config import (
     ChargeCacheConfig,
     ControllerConfig,
     DRAMConfig,
-    ExecutionConfig,
     NUATConfig,
     ProcessorConfig,
     SimulationConfig,
@@ -180,6 +179,9 @@ def config_to_json(cfg: SimulationConfig) -> Dict:
 
 
 def config_from_json(data: Dict) -> SimulationConfig:
+    """Rebuild a stored config.  Keys the current config no longer has
+    (older envelopes carry an ``"execution"`` block) are ignored, so
+    stores written by older code stay readable."""
     nuat = dict(data["nuat"])
     nuat["bin_edges_ms"] = tuple(nuat["bin_edges_ms"])
     return SimulationConfig(
@@ -189,7 +191,6 @@ def config_from_json(data: Dict) -> SimulationConfig:
         controller=ControllerConfig(**data["controller"]),
         chargecache=ChargeCacheConfig(**data["chargecache"]),
         nuat=NUATConfig(**nuat),
-        execution=ExecutionConfig(**data.get("execution", {})),
         mechanism=data["mechanism"],
         instruction_limit=data["instruction_limit"],
         warmup_cpu_cycles=data["warmup_cpu_cycles"],

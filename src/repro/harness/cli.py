@@ -50,14 +50,10 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from repro.config import ENGINES, ExecutionConfig
-from repro.harness import experiments, pool
+from repro.config import DEFAULT_ENGINE, ENGINES
+from repro.harness import experiments, pool, runner
 from repro.harness.report import render_experiment
-from repro.harness.runner import (
-    apply_execution_config,
-    current_scale,
-    set_default_engine,
-)
+from repro.harness.runner import Execution, Scale, current_scale
 
 #: Experiment name -> callable(workloads, scale, mechanisms) -> result
 #: dict.  ``mechanisms`` (the CLI's ``--mechanisms``, a list of
@@ -141,6 +137,28 @@ def build_parser() -> argparse.ArgumentParser:
                              "'chargecache(entries=256)+nuat'; validated "
                              "eagerly and normalized so order-permuted "
                              "spellings share cache entries")
+    parser.add_argument("--traces", nargs="+", default=None,
+                        metavar="PATH",
+                        help="trace files for the calibrate experiment "
+                             "(default: the bundled golden fixtures "
+                             "under tests/fixtures/traces/)")
+    _add_execution_flags(parser)
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the persistent run cache (recompute "
+                             "every sweep point; nothing is read or "
+                             "written on disk)")
+    parser.add_argument("--json", metavar="PATH", default=None,
+                        help="also dump raw results as JSON")
+    parser.add_argument("--csv", metavar="DIR", default=None,
+                        help="also write one CSV per experiment to DIR, "
+                             "plus a cache_manifest.csv recording which "
+                             "sweep points were cache hits")
+    return parser
+
+
+def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``main`` and ``sweep`` share: scale, engine, pool
+    width, batching, progress and the store directory."""
     parser.add_argument("--scale", type=_scale_arg, default=None,
                         metavar="FACTOR",
                         help="instruction-budget multiplier, or a named "
@@ -148,13 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  f"{k}={v}" for k, v in
                                  sorted(_SCALE_PRESETS.items(),
                                         key=lambda kv: kv[1])))
-    parser.add_argument("--traces", nargs="+", default=None,
-                        metavar="PATH",
-                        help="trace files for the calibrate experiment "
-                             "(default: the bundled golden fixtures "
-                             "under tests/fixtures/traces/)")
     parser.add_argument("--engine", choices=list(ENGINES),
-                        default=None,
+                        default=DEFAULT_ENGINE,
                         help="simulation engine: 'event' (default) skips "
                              "provably idle cycles, 'dense' ticks every "
                              "bus cycle; both give identical statistics")
@@ -173,25 +186,28 @@ def build_parser() -> argparse.ArgumentParser:
                              "each batch group is one pool work unit; "
                              "--no-batch forces one simulation per "
                              "point)")
+    parser.add_argument("--progress", action="store_true",
+                        help="print one line per completed sweep point "
+                             "to stderr")
     parser.add_argument("--cache-dir", "--store", dest="cache_dir",
                         metavar="DIR", default=None,
                         help="persistent run-store directory (default: "
                              "$REPRO_CACHE_DIR or "
                              "~/.cache/chargecache-repro)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the persistent run cache (recompute "
-                             "every sweep point; nothing is read or "
-                             "written on disk)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print one line per completed sweep point "
-                             "to stderr")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also dump raw results as JSON")
-    parser.add_argument("--csv", metavar="DIR", default=None,
-                        help="also write one CSV per experiment to DIR, "
-                             "plus a cache_manifest.csv recording which "
-                             "sweep points were cache hits")
-    return parser
+
+
+def _execution(args, **fields) -> Execution:
+    """The one :class:`Execution` a parsed command line describes."""
+    return Execution(jobs=args.jobs, cache_dir=args.cache_dir,
+                     engine=args.engine, batch=args.batch,
+                     progress=pool.stderr_progress if args.progress
+                     else None, **fields)
+
+
+def _scale(args) -> Scale:
+    """The current scale, multiplied by ``--scale`` when given."""
+    scale = current_scale()
+    return scale if args.scale is None else scale.scaled(args.scale)
 
 
 def _cache_summary(result: Dict) -> Optional[str]:
@@ -249,31 +265,27 @@ def _cache_main(argv: List[str]) -> int:
 
 
 def _sweep_specs(args) -> List:
-    """Build the spec cross-product a ``sweep`` invocation names."""
-    from repro.harness import runner as run
-    scale = current_scale()
-    if args.scale:
-        scale = scale.scaled(args.scale)
+    """Build the spec cross-product a ``sweep`` invocation names (the
+    engine comes from the installed execution)."""
+    scale = _scale(args)
     specs = []
     for name in args.workloads:
         for mechanism in args.mechanisms:
             if args.kind == "single":
-                spec = run.workload_spec(name, mechanism, scale,
-                                         seed=args.seed,
-                                         engine=args.engine)
+                spec = runner.workload_spec(name, mechanism, scale,
+                                            seed=args.seed)
             elif args.kind == "eight":
-                spec = run.mix_spec(name, mechanism, scale,
-                                    seed=args.seed, engine=args.engine)
+                spec = runner.mix_spec(name, mechanism, scale,
+                                       seed=args.seed)
             elif args.kind == "alone":
-                spec = run.alone_spec(name, scale, seed=args.seed,
-                                      engine=args.engine)
+                spec = runner.alone_spec(name, scale, seed=args.seed)
             else:
                 if not args.scenario:
                     raise ValueError(
                         "--kind scenario requires --scenario")
-                spec = run.scenario_spec(args.scenario, name, mechanism,
-                                         scale, seed=args.seed,
-                                         engine=args.engine)
+                spec = runner.scenario_spec(args.scenario, name,
+                                            mechanism, scale,
+                                            seed=args.seed)
             specs.append(spec)
     return specs
 
@@ -302,14 +314,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         metavar="SPEC",
                         help="mechanism specs (registry grammar)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--scale", type=float, default=None,
-                        help="instruction-budget multiplier")
-    parser.add_argument("--engine", choices=list(ENGINES), default=None)
-    parser.add_argument("--store", "--cache-dir", dest="store",
-                        metavar="DIR", default=None,
-                        help="shared store directory every worker "
-                             "points at (default: $REPRO_CACHE_DIR or "
-                             "~/.cache/chargecache-repro)")
+    _add_execution_flags(parser)
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="append-only completion journal; rerun "
                              "with the same journal and store to "
@@ -318,8 +323,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--owner", default=None,
                         help="claim-owner name written into each "
                              "lease (default: host:pid)")
-    parser.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
-                        metavar="N", help="local pool width")
     parser.add_argument("--chunk", type=int,
                         default=pool.DEFAULT_CHUNK_SPECS, metavar="N",
                         help="claim granularity in specs (whole batch "
@@ -333,13 +336,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="budget for peers' claimed keys to land "
                              "in the store (default %(default)s)")
-    parser.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="collapse same-trace variants into one "
-                             "replay (claim chunks keep batch groups "
-                             "whole either way)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print one line per completed point")
     parser.add_argument("--json", action="store_true",
                         help="print the sweep summary as JSON")
     return parser
@@ -351,14 +347,13 @@ def _sweep_main(argv: List[str]) -> int:
 
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
+    runner.set_execution(_execution(args))
     try:
         specs = _sweep_specs(args)
     except ValueError as exc:
         parser.error(str(exc))
 
-    from repro.harness import runner
     from repro.harness.store import FileClaimer
-    runner.configure_disk_cache(args.store)
     store = runner.active_disk_cache()
     if store is None:
         parser.error("distributed sweeps need the persistent store; "
@@ -369,9 +364,7 @@ def _sweep_main(argv: List[str]) -> int:
 
     try:
         sweep = pool.execute_sweep(
-            specs, jobs=args.jobs,
-            progress=pool.stderr_progress if args.progress else None,
-            batch=args.batch, journal=args.journal, claimer=claimer,
+            specs, journal=args.journal, claimer=claimer,
             chunk_specs=args.chunk, remote_wait_s=args.wait)
     except pool.SweepError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
@@ -497,22 +490,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.experiment not in ("calibrate", "all"):
             print(f"warning: --traces is ignored by {args.experiment} "
                   f"(honoured by: calibrate)", file=sys.stderr)
-    # None restores the bundled default, so CLI calls are stateless
-    # even in-process (tests drive main() repeatedly).
-    experiments.set_calibration_traces(args.traces)
-    scale = current_scale()
-    if args.scale:
-        scale = scale.scaled(args.scale)
-    if args.engine:
-        set_default_engine(args.engine)
-
-    execution = ExecutionConfig(jobs=args.jobs, cache_dir=args.cache_dir,
-                                use_run_cache=not args.no_cache)
-    apply_execution_config(execution)
-    pool.set_batching(args.batch)
-    experiments.set_default_jobs(args.jobs)
-    experiments.set_progress(pool.stderr_progress if args.progress
-                             else None)
+    # One whole value per call, defaults included, so in-process calls
+    # never inherit an earlier call's flags (tests drive main()
+    # repeatedly).
+    runner.set_execution(_execution(args, use_run_cache=not args.no_cache,
+                                    calibration_traces=args.traces))
+    scale = _scale(args)
 
     names = sorted(_EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]

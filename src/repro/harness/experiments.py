@@ -30,6 +30,7 @@ forks nothing (DESIGN.md section 5).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.circuit.latency_tables import (
@@ -43,7 +44,7 @@ from repro.dram.timing import DDR3_1600
 from repro.energy.drampower import access_rate_for_run, energy_for_run
 from repro.energy.mcpat import hcrac_overhead, overhead_for_config
 from repro.dram.standards import preset, profile, reduction_cycles_for
-from repro.harness import aggregate, pool, scenarios
+from repro.harness import aggregate, pool, runner, scenarios
 from repro.harness.runner import (
     Scale,
     alone_ipcs_for_mix,
@@ -78,31 +79,19 @@ FIG11_DURATIONS = (1.0, 4.0, 8.0, 16.0)
 #: ``workloads`` to widen or narrow.
 SCENARIO_WORKLOADS = ("w1", "w2")
 
-#: Pool width for experiment sweeps; None defers to REPRO_JOBS / serial.
-_default_jobs: Optional[int] = None
-
-#: Optional per-point progress callback (the CLI installs one).
-_progress_fn = None
-
-
 def set_default_jobs(jobs: Optional[int]) -> None:
     """Set the pool width used by every subsequent experiment sweep."""
-    global _default_jobs
-    if jobs is not None:
-        pool.resolve_jobs(jobs)  # validate eagerly
-    _default_jobs = jobs
+    runner.set_execution(replace(runner.execution, jobs=jobs))
 
 
 def set_progress(progress) -> None:
     """Install a progress callback for sweep execution (None = quiet)."""
-    global _progress_fn
-    _progress_fn = progress
+    runner.set_execution(replace(runner.execution, progress=progress))
 
 
 def _prefetch(specs: Sequence[RunSpec]) -> pool.Sweep:
     """Fan a declared sweep out; results land in the runner memo."""
-    return pool.execute_sweep(specs, jobs=_default_jobs,
-                              progress=_progress_fn)
+    return pool.execute_sweep(specs)
 
 
 def _mean(values: Iterable[float]) -> float:
@@ -782,10 +771,6 @@ def run_energy(workloads: Optional[Sequence[str]] = None,
 # plus the bundled golden traces replayed through the full simulator
 # ----------------------------------------------------------------------
 
-#: Override for the trace files ``calibrate`` replays (None = bundled).
-_calibration_trace_paths: Optional[List[str]] = None
-
-
 def bundled_fixture_traces() -> List[str]:
     """Paths of the golden ``tests/fixtures/traces/*.trace`` fixtures.
 
@@ -808,23 +793,14 @@ def bundled_fixture_traces() -> List[str]:
     return []
 
 
-def set_calibration_traces(paths: Optional[Sequence[str]]) -> None:
-    """Replace the trace files ``calibrate`` replays (None = bundled).
-
-    Module state (like :func:`set_default_jobs`) so the sweep
-    declaration in :data:`SWEEP_DECLARATIONS` and :func:`run_calibrate`
-    always agree on the trace set — the CLI's ``--traces`` flag sets
-    this once and both sides see it.
-    """
-    global _calibration_trace_paths
-    _calibration_trace_paths = list(paths) if paths is not None else None
-
-
 def calibration_traces() -> List[str]:
-    """The trace files the next ``calibrate`` will replay."""
-    if _calibration_trace_paths is not None:
-        return list(_calibration_trace_paths)
-    return bundled_fixture_traces()
+    """The trace files the next ``calibrate`` will replay:
+    ``runner.execution.calibration_traces`` (the CLI's ``--traces``),
+    else the bundled fixtures.  The sweep declaration in
+    :data:`SWEEP_DECLARATIONS` and :func:`run_calibrate` both read it,
+    so they always agree on the trace set."""
+    paths = runner.execution.calibration_traces
+    return list(paths) if paths is not None else bundled_fixture_traces()
 
 
 def _calibrate_specs(workloads: Optional[Sequence[str]],
@@ -872,7 +848,7 @@ def run_calibrate(workloads: Optional[Sequence[str]] = None,
       .REFERENCE_FINGERPRINTS` mean the same thing at every ``--scale``)
       and reported as signed deltas with an ok/drift status.
     * **trace rows** — each calibration trace (bundled golden fixtures
-      by default, :func:`set_calibration_traces` to override) is
+      by default, ``Execution.calibration_traces`` to override) is
       fingerprinted the same way *and* replayed through the full
       simulator (baseline + ChargeCache, at ``scale``), so the
       trace-level model and the simulated system sit side by side.

@@ -21,8 +21,9 @@ sweeps as flat :class:`~repro.harness.spec.RunSpec` lists through
   environments without working ``multiprocessing`` degrade to serial
   with a warning rather than failing.
 
-``jobs`` resolution: explicit argument, else the ``REPRO_JOBS``
-environment variable, else 1 (serial).  ``0`` means one worker per CPU.
+``jobs`` resolution: explicit argument, else ``runner.execution.jobs``,
+else the ``REPRO_JOBS`` environment variable, else 1 (serial).  ``0``
+means one worker per CPU.
 """
 
 from __future__ import annotations
@@ -47,17 +48,6 @@ JOBS_ENV = "REPRO_JOBS"
 #: interleave chunks (work stealing), large enough to amortize the
 #: claim lock and keep batch groups intact.
 DEFAULT_CHUNK_SPECS = 16
-
-#: Process-wide default for batched sweep execution; the CLI's
-#: ``--no-batch`` flips it via :func:`set_batching`.
-default_batching: bool = True
-
-
-def set_batching(enabled: bool) -> None:
-    """Enable/disable batched multi-variant execution process-wide."""
-    global default_batching
-    default_batching = enabled
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -141,14 +131,19 @@ class Sweep:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Concrete pool width: argument, then the applied
-    :class:`~repro.config.ExecutionConfig` default, then
-    ``REPRO_JOBS``, else 1 (serial); 0 = one per CPU."""
+    """Concrete pool width: argument, then ``runner.execution.jobs``,
+    then ``REPRO_JOBS``, else 1 (serial); 0 = one per CPU."""
     if jobs is None:
-        jobs = runner.default_jobs
+        jobs = runner.execution.jobs
     if jobs is None:
-        env = os.environ.get(JOBS_ENV)
-        jobs = int(env) if env else 1
+        env = os.environ.get(JOBS_ENV, "")
+        try:
+            jobs = int(env) if env else 1
+        except ValueError:
+            jobs = -1
+        if jobs < 0:
+            raise ValueError(f"{JOBS_ENV} must be an integer >= 0 "
+                             f"(0 = one per CPU), got {env!r}")
     if jobs < 0:
         raise ValueError("jobs must be >= 0 (0 = one per CPU)")
     if jobs == 0:
@@ -195,8 +190,9 @@ def _picklable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-# A worker re-binds the persistent cache exactly like its parent (the
-# binding is module state, which "spawn" children do not inherit), then
+# A worker binds the persistent store exactly like its parent (the
+# binding lives in ``runner.execution``, which "spawn" children do not
+# inherit; specs already carry their engine), then
 # serves its work unit through the full read-through stack.  A unit is
 # a *batch group* — one or more specs sharing a batch signature; multi-
 # spec units ride one shared trace replay (``runner.run_spec_batch``),
@@ -207,7 +203,8 @@ def _picklable(exc: BaseException) -> BaseException:
 def _pool_worker(payload: Tuple[List[RunSpec], Optional[str], bool]
                  ) -> List[Tuple[Dict, str, float, Optional[str]]]:
     group, cache_dir, cache_enabled = payload
-    runner.configure_disk_cache(cache_dir, enabled=cache_enabled)
+    runner.set_execution(runner.Execution(cache_dir=cache_dir,
+                                          use_run_cache=cache_enabled))
     if len(group) > 1:
         started = time.perf_counter()
         try:
@@ -258,8 +255,8 @@ def execute_sweep(specs: Sequence[RunSpec],
     cached under each spec's own key.  At ``jobs > 1`` each batch
     group is the unit of pool distribution, so parallel sweeps keep
     the collapse (groups overlap across workers; the variants inside a
-    group still share one replay).  ``batch`` overrides the
-    process-wide default (:func:`set_batching`).
+    group still share one replay).  ``jobs``, ``progress`` and
+    ``batch`` left None come from ``runner.execution``.
 
     **Resumable**: ``journal`` (a
     :class:`~repro.harness.journal.SweepJournal` or a path) checkpoints
@@ -278,8 +275,10 @@ def execute_sweep(specs: Sequence[RunSpec],
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
+    if progress is None:
+        progress = runner.execution.progress
     if batch is None:
-        batch = default_batching
+        batch = runner.execution.batch
     if isinstance(journal, str):
         from repro.harness.journal import SweepJournal
         journal = SweepJournal(journal)

@@ -18,17 +18,24 @@ Centralises:
   speedup needs each application's alone-IPC, which would otherwise be
   recomputed by every experiment; the persistent layer extends the
   same guarantee across processes, pool workers and CI reruns.
+* **Execution** - how runs execute (pool width, store, engine,
+  batching, progress, calibration traces) is one frozen
+  :class:`Execution` value, :data:`execution`.  Entry points install a
+  whole value with :func:`set_execution`; tests and embedders scope
+  changes with :func:`executing`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import (
+    DEFAULT_ENGINE,
+    ENGINES,
     ChargeCacheConfig,
-    ExecutionConfig,
     SimulationConfig,
     eight_core_config,
     single_core_config,
@@ -47,27 +54,86 @@ from repro.stats.metrics import weighted_speedup
 from repro.workloads.mixes import make_mix_traces, mix_composition
 from repro.workloads.spec_like import make_trace
 
-#: Engine used when a run does not name one explicitly; ``None`` keeps
-#: :class:`SimulationConfig`'s own default ("event").  The CLI's
-#: ``--engine`` flag overrides it process-wide via
-#: :func:`set_default_engine`.
-_default_engine: Optional[str] = None
+@dataclass(frozen=True)
+class Execution:
+    """How the harness executes runs — never *what* a run computes.
+
+    None of these fields reach a run-cache key (DESIGN.md section 4)
+    except ``engine``, which only picks the default for specs that do
+    not name one; a result computed with ``jobs=8`` satisfies a later
+    ``jobs=1`` request and vice versa.
+
+    * ``jobs`` - sweep pool width; ``None`` defers to ``REPRO_JOBS``
+      (default 1 = serial), ``0`` means one worker per CPU.
+    * ``cache_dir`` / ``use_run_cache`` - the persistent store
+      directory (``None`` = ``REPRO_CACHE_DIR`` or
+      ``~/.cache/chargecache-repro``) and whether to use it at all;
+      ``REPRO_NO_CACHE=1`` disables it regardless.
+    * ``engine`` - simulation engine of specs built without one.
+    * ``batch`` - route same-trace variants through one replay.
+    * ``progress`` - per-point sweep callback ``(done, total, point)``.
+    * ``calibration_traces`` - trace files ``calibrate`` replays
+      (``None`` = the bundled golden fixtures).
+    """
+
+    jobs: Optional[int] = None
+    cache_dir: Optional[str] = None
+    use_run_cache: bool = True
+    engine: str = DEFAULT_ENGINE
+    batch: bool = True
+    progress: Optional[Callable] = None
+    calibration_traces: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.jobs is not None and self.jobs < 0:
+            raise ValueError("jobs must be >= 0 (0 = one per CPU)")
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        if self.calibration_traces is not None:
+            object.__setattr__(self, "calibration_traces",
+                               tuple(self.calibration_traces))
+
+
+#: The current execution; replace it whole with :func:`set_execution`.
+execution = Execution()
+
+#: The persistent store opened from ``execution`` on first use.
+_disk: Optional[run_cache.RunCache] = None
+
+
+def set_execution(new: Execution) -> None:
+    """Install ``new`` as the harness's execution.
+
+    The opened store is dropped only when the store binding
+    (``cache_dir`` / ``use_run_cache``) changes, so the next run
+    re-resolves the directory.
+    """
+    global execution, _disk
+    if (new.cache_dir, new.use_run_cache) != \
+            (execution.cache_dir, execution.use_run_cache):
+        _disk = None
+    execution = new
+
+
+@contextmanager
+def executing(**changes) -> Iterator[Execution]:
+    """Run a block under ``execution`` with ``changes`` applied; on
+    exit the value current before the block comes back, even if the
+    block installed another."""
+    previous = execution
+    set_execution(replace(previous, **changes))
+    try:
+        yield execution
+    finally:
+        set_execution(previous)
 
 
 def set_default_engine(engine: Optional[str]) -> None:
-    """Select the simulation engine for every subsequent harness run.
-
-    ``engine`` is "event", "dense", or None (restore the config
+    """Select the engine of specs built without one (None = config
     default).  Results are memoised per engine, so switching engines
-    never returns a stale cross-engine result.
-    """
-    global _default_engine
-    if engine is not None:
-        from repro.config import ENGINES
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}")
-    _default_engine = engine
+    never returns a stale cross-engine result."""
+    set_execution(replace(execution, engine=engine or DEFAULT_ENGINE))
 
 
 def _resolve_engine(engine: Optional[str]) -> str:
@@ -76,12 +142,7 @@ def _resolve_engine(engine: Optional[str]) -> str:
     Always concrete (never None) so memo keys for "engine left default"
     and "engine named explicitly" collide onto one cache entry.
     """
-    if engine is not None:
-        return engine
-    if _default_engine is not None:
-        return _default_engine
-    from repro.config import DEFAULT_ENGINE
-    return DEFAULT_ENGINE
+    return engine if engine is not None else execution.engine
 
 
 # ----------------------------------------------------------------------
@@ -256,56 +317,24 @@ def alone_specs_for_mix(mix: str, scale: Optional[Scale] = None, *,
 
 _run_cache: Dict[RunSpec, RunResult] = {}
 
-#: Persistent-layer binding.  ``None`` dir means "resolve the default
-#: at first use" (env var or ~/.cache); tests point it at tmp dirs.
-_disk_enabled: bool = True
-_disk_dir: Optional[str] = None
-_disk: Optional[run_cache.RunCache] = None
-
-#: Default pool width for sweeps whose caller passed jobs=None;
-#: consulted by :func:`repro.harness.pool.resolve_jobs` before the
-#: ``REPRO_JOBS`` environment variable.
-default_jobs: Optional[int] = None
-
 
 def configure_disk_cache(path: Optional[str] = None,
                          enabled: bool = True) -> None:
-    """(Re)bind the persistent store layer.
-
-    ``path`` is the store directory; ``None`` restores
-    default-directory resolution; ``enabled=False`` bypasses the
-    persistent layer entirely (the in-memory memo still applies).
-    Rebinding always drops the current store instance, so the next
-    run re-resolves the directory.
-    """
-    global _disk_enabled, _disk_dir, _disk
-    _disk_enabled = enabled
-    _disk_dir = path
-    _disk = None
-
-
-def apply_execution_config(execution: ExecutionConfig) -> None:
-    """Thread a config-level execution policy into the harness.
-
-    Honours every :class:`ExecutionConfig` field: the cache binding
-    (``cache_dir``/``use_run_cache``) and the default sweep pool width
-    (``jobs``, picked up by :func:`repro.harness.pool.resolve_jobs`
-    whenever a caller does not pass an explicit width).
-    """
-    global default_jobs
-    execution.validate()
-    configure_disk_cache(execution.cache_dir,
-                         enabled=execution.use_run_cache)
-    default_jobs = execution.jobs
+    """Bind the persistent store to ``path`` (None = default-directory
+    resolution), or bypass it with ``enabled=False`` (the in-memory
+    memo still applies)."""
+    set_execution(replace(execution, cache_dir=path,
+                          use_run_cache=enabled))
 
 
 def active_disk_cache() -> Optional[run_cache.RunCache]:
     """The bound persistent store, or None when disabled."""
     global _disk
-    if not _disk_enabled or os.environ.get("REPRO_NO_CACHE", "") == "1":
+    if not execution.use_run_cache \
+            or os.environ.get("REPRO_NO_CACHE", "") == "1":
         return None
     if _disk is None:
-        _disk = run_cache.RunCache(_disk_dir)
+        _disk = run_cache.RunCache(execution.cache_dir)
     return _disk
 
 
@@ -319,9 +348,9 @@ def clear_caches() -> None:
     isolation).
 
     The in-memory memo is emptied; an **explicitly bound** persistent
-    cache (:func:`configure_disk_cache` with a path, the CLI's
-    ``--cache-dir``) has its entries deleted too, and the lazy binding
-    is reset so a subsequent rebind or env change takes effect cleanly.
+    cache (``Execution.cache_dir``, the CLI's ``--cache-dir``) has its
+    entries deleted too, and the opened store is dropped so a
+    subsequent env change takes effect cleanly.
     The *default* directory (``~/.cache/chargecache-repro`` or
     ``$REPRO_CACHE_DIR``) is deliberately never deleted here: a library
     caller asking for a fresh in-process state must not destroy hours
@@ -331,7 +360,7 @@ def clear_caches() -> None:
     """
     global _disk
     _run_cache.clear()
-    if _disk_dir is not None:
+    if execution.cache_dir is not None:
         disk = active_disk_cache()
         if disk is not None:
             disk.clear()

@@ -23,14 +23,14 @@ def _isolated_run_cache(tmp_path_factory):
     The harness's disk layer is read-through by default; without this,
     test runs would populate (and, via clear_caches, wipe) the user's
     real ~/.cache/chargecache-repro.  Tests that exercise specific
-    cache directories re-bind explicitly and restore on exit.
+    cache directories scope their own binding with
+    ``runner.executing(...)``, which restores this one on exit.
     """
     from repro.harness import runner
-    runner.configure_disk_cache(
-        str(tmp_path_factory.mktemp("run-cache")))
-    yield
-    runner.clear_caches()
-    runner.configure_disk_cache(None)
+    with runner.executing(
+            cache_dir=str(tmp_path_factory.mktemp("run-cache"))):
+        yield
+        runner.clear_caches()
 
 
 @pytest.fixture

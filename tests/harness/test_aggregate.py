@@ -29,12 +29,10 @@ ROWS = [
 
 @pytest.fixture(autouse=True)
 def _fresh(tmp_path):
-    prev = (runner._disk_enabled, runner._disk_dir)
     runner.clear_memo()
-    runner.configure_disk_cache(str(tmp_path / "cache"))
-    yield
+    with runner.executing(cache_dir=str(tmp_path / "cache")):
+        yield
     runner.clear_memo()
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
 
 
 class TestFrameVerbs:

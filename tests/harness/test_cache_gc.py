@@ -29,30 +29,28 @@ def seeded(tmp_path):
     """
     from repro.harness import runner
     root = tmp_path / "cache"
-    prev = (runner._disk_enabled, runner._disk_dir)
-    runner.configure_disk_cache(str(root))
-    runner.clear_memo()
-    spec = workload_spec("libquantum", "none", TINY)
-    result, source = run_spec_ex(spec)
-    assert source == "computed"
-    cache = RunCache(str(root))
-    assert len(cache) == 1
-    current_key = cache_key(spec)
+    with runner.executing(cache_dir=str(root)):
+        runner.clear_memo()
+        spec = workload_spec("libquantum", "none", TINY)
+        result, source = run_spec_ex(spec)
+        assert source == "computed"
+        cache = RunCache(str(root))
+        assert len(cache) == 1
+        current_key = cache_key(spec)
 
-    stale_key = "f" * 64
-    envelope = {
-        "schema": SCHEMA_VERSION,
-        "key": stale_key,
-        "fingerprint": "deadbeef" * 8,   # not the current sources
-        "spec": spec.key_payload(),
-        "result": result_to_json(result),
-    }
-    with open(cache.path_for(stale_key), "w", encoding="ascii") as fh:
-        json.dump(envelope, fh)
+        stale_key = "f" * 64
+        envelope = {
+            "schema": SCHEMA_VERSION,
+            "key": stale_key,
+            "fingerprint": "deadbeef" * 8,   # not the current sources
+            "spec": spec.key_payload(),
+            "result": result_to_json(result),
+        }
+        with open(cache.path_for(stale_key), "w", encoding="ascii") as fh:
+            json.dump(envelope, fh)
 
-    yield cache, current_key, stale_key
+        yield cache, current_key, stale_key
     runner.clear_memo()
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
 
 
 class TestGC:

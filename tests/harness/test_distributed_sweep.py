@@ -46,12 +46,10 @@ KEYS = [run_cache.cache_key(spec) for spec in SWEEP]
 
 @pytest.fixture(autouse=True)
 def _fresh(tmp_path):
-    prev = (runner._disk_enabled, runner._disk_dir)
     runner.clear_memo()
-    runner.configure_disk_cache(str(tmp_path / "store"))
-    yield
+    with runner.executing(cache_dir=str(tmp_path / "store")):
+        yield
     runner.clear_memo()
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
 
 
 def _claimer(tmp_path, owner, **kwargs):
@@ -264,6 +262,28 @@ class TestChunking:
 
 
 class TestCLI:
+    def test_sweep_shares_the_main_execution_flags(self):
+        from repro.harness import cli
+        flags = ["--scale", "tiny", "--engine", "dense", "-j", "2",
+                 "--no-batch", "--progress", "--store", "/tmp/s"]
+        sweep = cli.build_sweep_parser().parse_args(
+            ["--workloads", "hmmer"] + flags)
+        main = cli.build_parser().parse_args(["fig7a"] + flags)
+        for args in (sweep, main):
+            assert (args.scale, args.engine, args.jobs, args.batch,
+                    args.progress, args.cache_dir) == \
+                (0.05, "dense", 2, False, True, "/tmp/s")
+
+    @pytest.mark.parametrize("scale", ["0", "-0.5", "huge"])
+    def test_sweep_rejects_a_bad_scale(self, scale, capsys):
+        """``--scale 0`` used to run silently at default scale."""
+        from repro.harness import cli
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_sweep_parser().parse_args(
+                ["--workloads", "hmmer", "--scale", scale])
+        assert excinfo.value.code == 2
+        assert "--scale" in capsys.readouterr().err
+
     def test_sweep_then_query_the_store_directory(self, tmp_path,
                                                   capsys):
         from repro.harness import cli

@@ -148,19 +148,11 @@ class TestEndToEnd:
 class TestCLIMechanisms:
     @pytest.fixture(autouse=True)
     def _harness_state(self):
-        """Restore every global ``cli.main`` touches (cache binding,
-        jobs, progress, engine) so the session-wide tmp cache stays
-        bound for later tests."""
-        from repro.harness import experiments
-        prev = (runner._disk_enabled, runner._disk_dir,
-                runner.default_jobs)
-        yield
+        """Restore the execution ``cli.main`` installs so the
+        session-wide tmp cache stays bound for later tests."""
+        with runner.executing():
+            yield
         runner.clear_memo()
-        experiments.set_default_jobs(None)
-        experiments.set_progress(None)
-        runner.set_default_engine(None)
-        runner.configure_disk_cache(prev[1], enabled=prev[0])
-        runner.default_jobs = prev[2]
 
     def test_parser_accepts_mechanism_specs(self):
         args = cli.build_parser().parse_args(

@@ -19,12 +19,10 @@ SWEEP = [
 
 @pytest.fixture(autouse=True)
 def _fresh(tmp_path):
-    prev = (runner._disk_enabled, runner._disk_dir)
     runner.clear_memo()
-    runner.configure_disk_cache(str(tmp_path / "cache"))
-    yield
+    with runner.executing(cache_dir=str(tmp_path / "cache")):
+        yield
     runner.clear_memo()
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
 
 
 class TestResolveJobs:
@@ -42,6 +40,17 @@ class TestResolveJobs:
 
     def test_zero_means_all_cpus(self):
         assert resolve_jobs(0) >= 1
+
+    @pytest.mark.parametrize("value", ["abc", "-2"])
+    def test_bad_env_value_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match=f"REPRO_JOBS.*'{value}'"):
+            resolve_jobs(None)
+
+    def test_execution_jobs_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")  # never consulted
+        with runner.executing(jobs=2):
+            assert resolve_jobs(None) == 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

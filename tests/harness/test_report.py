@@ -88,17 +88,34 @@ class TestCacheAnnotation:
 class TestCLI:
     @pytest.fixture(autouse=True)
     def _restore_harness_state(self):
-        """Every main() call re-binds the global cache/pool state (that
-        is its job as a process entry point); restore it so later tests
-        never touch the default ~/.cache directory."""
+        """Every main() call installs a whole execution (that is its
+        job as a process entry point); restore the previous one so later
+        tests never touch the default ~/.cache directory."""
         from repro.harness import runner
-        prev = (runner._disk_enabled, runner._disk_dir)
-        yield
+        with runner.executing():
+            yield
         runner.clear_memo()
-        runner.configure_disk_cache(prev[1], enabled=prev[0])
-        runner.default_jobs = None
-        experiments.set_default_jobs(None)
-        experiments.set_progress(None)
+    def test_main_calls_never_leak_execution(self, tmp_path, monkeypatch,
+                                             capsys):
+        """Each main() installs one whole execution, so a bare call
+        after a flag-laden one is back on every default."""
+        from repro.harness import runner
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        assert main(["table2", "--engine", "dense", "--no-batch",
+                     "--jobs", "3", "--no-cache"]) == 0
+        assert runner.workload_spec("mcf").engine == "dense"
+        assert runner.active_disk_cache() is None
+        assert main(["table2"]) == 0
+        assert runner.workload_spec("mcf").engine == "event"
+        assert runner.execution.batch is True
+        assert runner.execution.jobs is None
+        assert runner.execution.progress is None
+        assert runner.active_disk_cache().root == str(tmp_path / "default")
+        assert main(["table2", "--cache-dir", str(tmp_path / "cc")]) == 0
+        assert runner.active_disk_cache().root == str(tmp_path / "cc")
+        capsys.readouterr()
+
     def test_parser_experiments(self):
         parser = build_parser()
         args = parser.parse_args(["table2"])

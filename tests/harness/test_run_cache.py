@@ -30,12 +30,10 @@ SPEC = RunSpec(kind="single", name="hmmer", mechanism="chargecache",
 @pytest.fixture
 def bound_cache(tmp_path):
     """Re-bind the runner's disk layer to a fresh dir; restore after."""
-    prev = (runner._disk_enabled, runner._disk_dir)
     runner.clear_memo()
-    runner.configure_disk_cache(str(tmp_path / "cache"))
-    yield runner.active_disk_cache()
+    with runner.executing(cache_dir=str(tmp_path / "cache")):
+        yield runner.active_disk_cache()
     runner.clear_memo()
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
 
 
 class TestCacheKey:
@@ -193,6 +191,28 @@ class TestRunCacheStore:
         assert key in again.keys()
         assert len(again) == 1
 
+    def test_envelope_with_legacy_execution_block_still_reads(
+            self, tmp_path):
+        """Envelopes written while ``SimulationConfig`` still carried an
+        ``execution`` block decode, and ``query`` still lists them."""
+        from repro.harness.aggregate import store_frame
+        store = RunCache(str(tmp_path))
+        result = runner._execute_spec(SPEC)
+        key = cache_key(SPEC)
+        store.put(key, SPEC, result)
+        with open(store.path_for(key)) as fh:
+            envelope = json.load(fh)
+        envelope["result"]["config"]["execution"] = {
+            "jobs": None, "cache_dir": None, "use_run_cache": True}
+        with open(store.path_for(key), "w") as fh:
+            json.dump(envelope, fh)
+        restored = result_from_json(envelope["result"])
+        assert restored.config == result.config
+        assert restored.ipcs == result.ipcs
+        rows = store_frame(store).rows
+        assert [row["key"] for row in rows] == [key]
+        assert rows[0]["total_ipc"] == result.total_ipc
+
     def test_corrupt_file_is_a_miss(self, tmp_path):
         store = RunCache(str(tmp_path))
         key = cache_key(SPEC)
@@ -304,21 +324,19 @@ class TestReadThrough:
         assert again is recalled
 
     def test_no_cache_bypass(self, tmp_path):
-        prev = (runner._disk_enabled, runner._disk_dir)
+        runner.clear_memo()
         try:
-            runner.clear_memo()
-            runner.configure_disk_cache(str(tmp_path / "c"),
-                                        enabled=False)
-            assert runner.active_disk_cache() is None
-            _, source = runner.run_spec_ex(SPEC)
-            assert source == "computed"
-            runner.clear_memo()
-            _, source = runner.run_spec_ex(SPEC)
-            assert source == "computed"  # nothing persisted
-            assert not os.path.exists(str(tmp_path / "c"))
+            with runner.executing(cache_dir=str(tmp_path / "c"),
+                                  use_run_cache=False):
+                assert runner.active_disk_cache() is None
+                _, source = runner.run_spec_ex(SPEC)
+                assert source == "computed"
+                runner.clear_memo()
+                _, source = runner.run_spec_ex(SPEC)
+                assert source == "computed"  # nothing persisted
+                assert not os.path.exists(str(tmp_path / "c"))
         finally:
             runner.clear_memo()
-            runner.configure_disk_cache(prev[1], enabled=prev[0])
 
     def test_no_cache_env_bypass(self, bound_cache, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
@@ -330,44 +348,42 @@ class TestReadThrough:
         assert source == "computed"
 
     def test_execution_config_threads_through(self, tmp_path):
-        from repro.config import ExecutionConfig
+        """One installed :class:`Execution` carries the store binding,
+        the disable switch and the default pool width."""
         from repro.harness.pool import resolve_jobs
-        prev = (runner._disk_enabled, runner._disk_dir)
+        before = runner.execution
         try:
-            runner.apply_execution_config(ExecutionConfig(
-                jobs=7, cache_dir=str(tmp_path / "via-config")))
-            disk = runner.active_disk_cache()
-            assert disk is not None
-            assert disk.root == str(tmp_path / "via-config")
-            assert resolve_jobs(None) == 7  # jobs honoured, not ignored
-            assert resolve_jobs(2) == 2     # explicit width still wins
-            runner.apply_execution_config(
-                ExecutionConfig(use_run_cache=False))
-            assert runner.active_disk_cache() is None
-            assert resolve_jobs(None) == 1
+            with runner.executing(jobs=7,
+                                  cache_dir=str(tmp_path / "via-config")):
+                disk = runner.active_disk_cache()
+                assert disk is not None
+                assert disk.root == str(tmp_path / "via-config")
+                assert resolve_jobs(None) == 7  # jobs honoured
+                assert resolve_jobs(2) == 2     # explicit width wins
+                runner.set_execution(runner.Execution(use_run_cache=False))
+                assert runner.active_disk_cache() is None
+                assert resolve_jobs(None) == 1
+            # The scope restores the session binding it replaced.
+            assert runner.execution == before
         finally:
             runner.clear_memo()
-            runner.default_jobs = None
-            runner.configure_disk_cache(prev[1], enabled=prev[0])
 
     def test_clear_caches_never_deletes_default_dir_entries(
             self, tmp_path, monkeypatch):
         """A library caller asking for a fresh in-process state must
         not destroy the shared default cache it never bound."""
-        prev = (runner._disk_enabled, runner._disk_dir)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        runner.clear_memo()
         try:
-            runner.clear_memo()
-            runner.configure_disk_cache(None)  # default-dir resolution
-            runner.run_spec(SPEC)
-            assert len(runner.active_disk_cache()) == 1
-            runner.clear_caches()
-            assert len(runner.active_disk_cache()) == 1  # survived
-            _, source = runner.run_spec_ex(SPEC)
-            assert source == "disk"
+            with runner.executing(cache_dir=None):  # default resolution
+                runner.run_spec(SPEC)
+                assert len(runner.active_disk_cache()) == 1
+                runner.clear_caches()
+                assert len(runner.active_disk_cache()) == 1  # survived
+                _, source = runner.run_spec_ex(SPEC)
+                assert source == "disk"
         finally:
             runner.clear_memo()
-            runner.configure_disk_cache(prev[1], enabled=prev[0])
 
     def test_clear_caches_clears_disk_layer(self, bound_cache):
         runner.run_spec(SPEC)

@@ -149,3 +149,32 @@ class TestCaching:
             assert b is not a  # restored object, not the memo entry
         assert b.ipcs == a.ipcs
         assert b.mem_cycles == a.mem_cycles
+
+
+class TestExecution:
+    def test_fields_validated_at_construction(self):
+        with pytest.raises(ValueError, match="jobs"):
+            runner.Execution(jobs=-1)
+        with pytest.raises(ValueError, match="unknown engine"):
+            runner.Execution(engine="warp")
+        assert runner.Execution(calibration_traces=["a"]) \
+            .calibration_traces == ("a",)
+
+    def test_executing_restores_even_on_error(self):
+        before = runner.execution
+        with pytest.raises(RuntimeError):
+            with runner.executing(engine="dense", jobs=2):
+                assert workload_spec("mcf").engine == "dense"
+                runner.set_execution(runner.Execution(batch=False))
+                raise RuntimeError
+        assert runner.execution is before
+
+    def test_store_reopened_only_when_its_binding_changes(self, tmp_path):
+        with runner.executing(cache_dir=str(tmp_path / "a")):
+            store = runner.active_disk_cache()
+            with runner.executing(jobs=3, engine="dense", batch=False):
+                assert runner.active_disk_cache() is store
+            with runner.executing(cache_dir=str(tmp_path / "b")):
+                assert runner.active_disk_cache().root \
+                    == str(tmp_path / "b")
+            assert runner.active_disk_cache().root == store.root

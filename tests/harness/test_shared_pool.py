@@ -37,17 +37,12 @@ TINY = Scale(single_core_instructions=2000, multi_core_instructions=900,
 
 @pytest.fixture(autouse=True)
 def _harness_state(monkeypatch):
-    """Shrink the matrix, and restore every global the CLI touches."""
+    """Shrink the matrix, and restore the execution the CLI installs."""
     monkeypatch.setattr(scenarios, "SCALING_SCENARIOS", SMALL_SCALING)
     monkeypatch.setattr(scenarios, "STANDARD_SCENARIOS", SMALL_STANDARDS)
-    prev = (runner._disk_enabled, runner._disk_dir, runner.default_jobs)
-    yield
+    with runner.executing():
+        yield
     runner.clear_memo()
-    experiments.set_default_jobs(None)
-    experiments.set_progress(None)
-    runner.set_default_engine(None)
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
-    runner.default_jobs = prev[2]
 
 
 def _cli(args):

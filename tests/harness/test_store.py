@@ -26,12 +26,10 @@ KEY = run_cache.cache_key(SPEC)
 
 @pytest.fixture(autouse=True)
 def _fresh(tmp_path):
-    prev = (runner._disk_enabled, runner._disk_dir)
     runner.clear_memo()
-    runner.configure_disk_cache(None, enabled=False)
-    yield
+    with runner.executing(use_run_cache=False):
+        yield
     runner.clear_memo()
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
 
 
 def _result():

@@ -9,6 +9,7 @@ same trace is answered entirely from the persistent cache.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -44,13 +45,10 @@ def _restore_harness_state():
     """Fresh memo and no ambient disk cache: these tests assert on
     *where* results come from (computed/disk) and on execution-time
     errors, both of which a warm cache would mask."""
-    prev = (runner._disk_enabled, runner._disk_dir)
     runner.clear_memo()
-    runner.configure_disk_cache(None, enabled=False)
-    yield
+    with runner.executing(use_run_cache=False):
+        yield
     runner.clear_memo()
-    experiments.set_calibration_traces(None)
-    runner.configure_disk_cache(prev[1], enabled=prev[0])
 
 
 class TestTraceSpec:
@@ -165,9 +163,16 @@ class TestTimeScaleSync:
         assert ingest_ts == harness_ts
 
 
+def _calibrate_with(paths):
+    """Point ``calibrate`` at ``paths`` (the autouse fixture's
+    ``executing`` scope restores the previous execution)."""
+    runner.set_execution(
+        dataclasses.replace(runner.execution, calibration_traces=paths))
+
+
 class TestCalibrate:
     def test_end_to_end(self, trace_path):
-        experiments.set_calibration_traces([trace_path])
+        _calibrate_with([trace_path])
         result = experiments.run_calibrate(
             workloads=["libquantum", "hmmer"], scale=TINY)
         assert result["id"] == "calibrate"
@@ -189,7 +194,7 @@ class TestCalibrate:
     def test_workload_without_reference_reports_no_ref(self,
                                                        monkeypatch):
         from repro.workloads.ingest import reference
-        experiments.set_calibration_traces([])
+        _calibrate_with([])
         monkeypatch.delitem(reference.REFERENCE_FINGERPRINTS, "hmmer")
         rows = experiments.run_calibrate(workloads=["hmmer"],
                                          scale=TINY)["rows"]
@@ -198,7 +203,7 @@ class TestCalibrate:
         assert rows[0]["rltl_1ms"] > 0.9    # still measured
 
     def test_declaration_covers_the_experiment(self, trace_path):
-        experiments.set_calibration_traces([trace_path])
+        _calibrate_with([trace_path])
         runner.clear_memo()
         experiments.prefetch_experiments(["calibrate"], ["hmmer"], TINY)
         result = experiments.run_calibrate(workloads=["hmmer"],
@@ -208,7 +213,7 @@ class TestCalibrate:
     def test_fingerprints_ignore_scale(self, trace_path):
         # Synthetic fingerprints are pinned to the reference
         # provenance point, so deltas mean the same at every --scale.
-        experiments.set_calibration_traces([])
+        _calibrate_with([])
         small = experiments.run_calibrate(workloads=["mcf"], scale=TINY)
         other = experiments.run_calibrate(
             workloads=["mcf"], scale=TINY.scaled(2.0))
@@ -217,7 +222,7 @@ class TestCalibrate:
     def test_renders_and_exports(self, trace_path, tmp_path):
         from repro.harness.export import export_csv
         from repro.harness.report import render_experiment
-        experiments.set_calibration_traces([trace_path])
+        _calibrate_with([trace_path])
         result = experiments.run_calibrate(workloads=["hmmer"],
                                            scale=TINY)
         text = render_experiment(result)

@@ -163,32 +163,30 @@ def test_run_cache_hit_is_bit_identical_per_engine(tmp_path):
     scale = Scale(single_core_instructions=2500,
                   multi_core_instructions=1200,
                   warmup_cpu_cycles=1000, max_mem_cycles=400_000)
-    prev = (runner._disk_enabled, runner._disk_dir)
     runner.clear_memo()
-    runner.configure_disk_cache(str(tmp_path / "run-cache"))
-    try:
-        by_engine = {}
-        for engine in ("dense", "event"):
-            spec = runner.workload_spec("hmmer", "chargecache", scale,
-                                        enable_rltl=True, engine=engine)
-            fresh, source = runner.run_spec_ex(spec)
-            assert source == "computed"
-            runner.clear_memo()  # force the disk layer on the next call
-            cached, source = runner.run_spec_ex(spec)
-            assert source == "disk"
+    with runner.executing(cache_dir=str(tmp_path / "run-cache")):
+        try:
+            by_engine = {}
+            for engine in ("dense", "event"):
+                spec = runner.workload_spec("hmmer", "chargecache", scale,
+                                            enable_rltl=True, engine=engine)
+                fresh, source = runner.run_spec_ex(spec)
+                assert source == "computed"
+                runner.clear_memo()  # force the disk layer on the next call
+                cached, source = runner.run_spec_ex(spec)
+                assert source == "disk"
+                for field in PARITY_FIELDS:
+                    assert getattr(cached, field) == getattr(fresh, field), (
+                        f"cache round-trip changed {field!r} on {engine}")
+                assert cached.config == fresh.config
+                for interval in fresh.rltl.intervals_ms:
+                    assert cached.rltl.rltl(interval) == \
+                        fresh.rltl.rltl(interval)
+                by_engine[engine] = cached
+            # And the cached artifacts themselves still satisfy parity.
             for field in PARITY_FIELDS:
-                assert getattr(cached, field) == getattr(fresh, field), (
-                    f"cache round-trip changed {field!r} on {engine}")
-            assert cached.config == fresh.config
-            for interval in fresh.rltl.intervals_ms:
-                assert cached.rltl.rltl(interval) == \
-                    fresh.rltl.rltl(interval)
-            by_engine[engine] = cached
-        # And the cached artifacts themselves still satisfy parity.
-        for field in PARITY_FIELDS:
-            assert getattr(by_engine["event"], field) == \
-                getattr(by_engine["dense"], field), (
-                f"cached engine divergence on {field!r}")
-    finally:
-        runner.clear_memo()
-        runner.configure_disk_cache(prev[1], enabled=prev[0])
+                assert getattr(by_engine["event"], field) == \
+                    getattr(by_engine["dense"], field), (
+                    f"cached engine divergence on {field!r}")
+        finally:
+            runner.clear_memo()

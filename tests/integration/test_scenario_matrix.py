@@ -147,25 +147,23 @@ class TestScenarioCacheRoundTrip:
         """A scenario run recalled from the persistent cache must be
         bit-identical to the fresh computation (the codec round-trips
         the standard-bearing config)."""
-        prev = (runner._disk_enabled, runner._disk_dir)
         runner.clear_memo()
-        runner.configure_disk_cache(str(tmp_path / "run-cache"))
-        try:
-            spec = runner.scenario_spec("c2-r2", "w1", "chargecache",
-                                        TINY)
-            fresh, source = runner.run_spec_ex(spec)
-            assert source == "computed"
-            runner.clear_memo()
-            cached, source = runner.run_spec_ex(spec)
-            assert source == "disk"
-            assert cached.config == fresh.config
-            assert cached.config.dram.standard == "DDR3-1600"
-            from tests.integration.test_engine_parity import PARITY_FIELDS
-            for field in PARITY_FIELDS:
-                assert getattr(cached, field) == getattr(fresh, field)
-        finally:
-            runner.clear_memo()
-            runner.configure_disk_cache(prev[1], enabled=prev[0])
+        with runner.executing(cache_dir=str(tmp_path / "run-cache")):
+            try:
+                spec = runner.scenario_spec("c2-r2", "w1", "chargecache",
+                                            TINY)
+                fresh, source = runner.run_spec_ex(spec)
+                assert source == "computed"
+                runner.clear_memo()
+                cached, source = runner.run_spec_ex(spec)
+                assert source == "disk"
+                assert cached.config == fresh.config
+                assert cached.config.dram.standard == "DDR3-1600"
+                from tests.integration.test_engine_parity import PARITY_FIELDS
+                for field in PARITY_FIELDS:
+                    assert getattr(cached, field) == getattr(fresh, field)
+            finally:
+                runner.clear_memo()
 
 
 # ----------------------------------------------------------------------
