@@ -201,12 +201,16 @@ class MemoryController:
         Issue-time sampling (instead of the old ``cycle & 63`` wall
         clock) makes the statistic independent of which cycles the
         engine visits, so dense and event runs report identical
-        occupancies.
+        occupancies.  The samples are :meth:`RequestQueue.sample_occupancy`
+        inlined: this runs once per issued command.
         """
         self._last_issue_cycle = cycle
         self._issue_count += 1
-        self.read_q.sample_occupancy()
-        self.write_q.sample_occupancy()
+        read_q, write_q = self.read_q, self.write_q
+        read_q.occupancy_accum += len(read_q.items)
+        read_q.occupancy_samples += 1
+        write_q.occupancy_accum += len(write_q.items)
+        write_q.occupancy_samples += 1
 
     def next_event_cycle(self, cycle: int) -> int:
         """Earliest future cycle at which this controller can act.
@@ -344,8 +348,11 @@ class MemoryController:
         turn on, immediately drop below the low watermark, turn off,
         and repeat), making command timing depend on how often the
         controller is polled.
+
+        Lengths are read off the queues' ``items`` lists: this runs on
+        every tick and every wake bid.
         """
-        wq_len = len(self.write_q)
+        wq_len = len(self.write_q.items)
         if self._drain_writes:
             if wq_len <= self._wq_low:
                 self._drain_writes = False
@@ -353,7 +360,7 @@ class MemoryController:
             self._drain_writes = True
         if self._drain_writes:
             return self.write_q if wq_len else None
-        if len(self.read_q):
+        if self.read_q.items:
             return self.read_q
         # Nothing to read: sneak writes out.
         return self.write_q if wq_len else None
@@ -441,14 +448,14 @@ class MemoryController:
 
     @property
     def has_work(self) -> bool:
-        return bool(self.read_q or self.write_q or self._read_events
-                    or self._pending_pre)
+        return bool(self.read_q.items or self.write_q.items
+                    or self._read_events or self._pending_pre)
 
     def next_refresh_due(self) -> int:
         return min(self.refresh.next_due(r) for r in range(self._num_ranks))
 
     def outstanding_reads(self) -> int:
-        return len(self.read_q) + len(self._read_events)
+        return len(self.read_q.items) + len(self._read_events)
 
     def active_cycles(self, cycle: int) -> int:
         """Bank-open cycles accumulated since the last stats reset."""

@@ -26,13 +26,21 @@ class RequestQueue:
     so the FR-FCFS scan and row-policy checks run in O(distinct banks)
     instead of rescanning every entry.  Merging the per-bank lists by
     ``seq`` gives back exactly the arrival-order list.
+
+    The arrival-order list itself is the public :attr:`items`, so the
+    controller's per-visit reads (queue length, occupancy samples) are
+    plain ``len(queue.items)`` instead of a Python-level ``__len__``
+    call.  It is read-only to everyone but the queue: only
+    :meth:`push` and :meth:`remove` may change it, because they also
+    keep the indexes and :attr:`version` in step.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: List[Request] = []
+        #: Queued requests in arrival order (read-only, see above).
+        self.items: List[Request] = []
         self._by_line: Dict[int, Request] = {}
         self._by_bank: Dict[Tuple[int, int], List[Tuple[int, Request]]] = {}
         self._row_count: Dict[Tuple[int, int, int], int] = {}
@@ -49,30 +57,30 @@ class RequestQueue:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     def __iter__(self) -> Iterator[Request]:
-        return iter(self._items)
+        return iter(self.items)
 
     @property
     def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
+        return len(self.items) >= self.capacity
 
     @property
     def is_empty(self) -> bool:
-        return not self._items
+        return not self.items
 
     def occupancy_fraction(self) -> float:
-        return len(self._items) / self.capacity
+        return len(self.items) / self.capacity
 
     # ------------------------------------------------------------------
 
     def push(self, request: Request, cycle: int) -> bool:
         """Append ``request``; returns False when the queue is full."""
-        if self.is_full:
+        if len(self.items) >= self.capacity:
             return False
         request.enqueue_cycle = cycle
-        self._items.append(request)
+        self.items.append(request)
         self._by_line[request.line_address] = request
         bank_key = (request.rank, request.bank)
         entries = self._by_bank.get(bank_key)
@@ -99,7 +107,7 @@ class RequestQueue:
         return self._by_line.get(line_address)
 
     def remove(self, request: Request) -> None:
-        self._items.remove(request)
+        self.items.remove(request)
         if self._by_line.get(request.line_address) is request:
             del self._by_line[request.line_address]
         bank_key = (request.rank, request.bank)
@@ -140,7 +148,7 @@ class RequestQueue:
         return self._by_bank.items()
 
     def sample_occupancy(self) -> None:
-        self.occupancy_accum += len(self._items)
+        self.occupancy_accum += len(self.items)
         self.occupancy_samples += 1
 
     def reset_stats(self) -> None:

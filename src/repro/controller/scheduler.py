@@ -19,7 +19,6 @@ controller state (see :class:`FRFCFSScheduler`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.controller.request import Request
@@ -28,12 +27,22 @@ from repro.dram.commands import Command
 from repro.dram.timing import NEVER
 
 
-@dataclass
 class SchedulerDecision:
-    """The command chosen for this cycle and the request it serves."""
+    """The command chosen for this cycle and the request it serves.
 
-    request: Request
-    command: Command
+    A plain ``__slots__`` class, built once per issued command: cheaper
+    to construct than a dataclass (``dataclass(slots=True)`` needs
+    Python 3.10).
+    """
+
+    __slots__ = ("request", "command")
+
+    def __init__(self, request: Request, command: Command):
+        self.request = request
+        self.command = command
+
+    def __repr__(self) -> str:
+        return f"SchedulerDecision({self.request!r}, {self.command!r})"
 
 
 #: ``(earliest_issue_cycle, queue_seq, request, command)``.

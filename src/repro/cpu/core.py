@@ -64,6 +64,12 @@ class Core:
 
         self.now = 0                 # CPU cycle, advanced by run_until
         self.dispatched = 0          # instructions entered into the window
+        #: In-order retirement barrier: everything older than the
+        #: oldest incomplete load has retired.  A maintained field,
+        #: ``_inflight[0][0]`` while loads are in flight, else
+        #: ``dispatched``; updated wherever either of those changes
+        #: (the dispatch paths and :meth:`on_load_complete`).
+        self.retired = 0
         self._slot = 0               # dispatch slots used in current cycle
         self.block_reason = BLOCK_NONE
         self._pending: Optional[TraceRecord] = None
@@ -88,14 +94,6 @@ class Core:
     # ------------------------------------------------------------------
 
     @property
-    def retired(self) -> int:
-        """In-order retirement barrier: everything older than the
-        oldest incomplete load has retired."""
-        if self._inflight:
-            return min(self.dispatched, self._inflight[0][0])
-        return self.dispatched
-
-    @property
     def window_occupancy(self) -> int:
         return self.dispatched - self.retired
 
@@ -118,12 +116,17 @@ class Core:
             raise KeyError(f"unknown load token {token}")
         entry[1] = True
         self.mshr_used -= 1
-        while self._inflight and self._inflight[0][1]:
-            self._inflight.popleft()
+        inflight = self._inflight
+        while inflight and inflight[0][1]:
+            inflight.popleft()
+        self.retired = inflight[0][0] if inflight else self.dispatched
         # Any stall except an explicit reject can now be re-evaluated.
         if self.block_reason in (BLOCK_WINDOW, BLOCK_MSHR, BLOCK_DEP):
             self.block_reason = BLOCK_NONE
-        self._check_finished()
+        if not self.finished and self.retired - self._stats_start_retired \
+                >= self.instruction_limit:
+            self.finished = True
+            self.finish_cycle = self.now
 
     def retry_rejected(self) -> None:
         """Clear a memory-system rejection (called each memory cycle)."""
@@ -164,7 +167,7 @@ class Core:
             # trace record has not been fetched yet: step next cycle.
             return self.now
         if self._inflight:
-            room = self.window_size - self.window_occupancy
+            room = self.window_size - (self.dispatched - self.retired)
             if room <= bubbles:
                 # The window fills behind the outstanding load before
                 # the bubble stretch ends; the core blocks without any
@@ -177,7 +180,8 @@ class Core:
         # lands one issue slot after the last bubble.
         wake = self.now + (self._slot + bubbles) // self.issue_width
         if not self.finished:
-            needed = self.instruction_limit - self.retired_since_reset
+            needed = self.instruction_limit \
+                - (self.retired - self._stats_start_retired)
             if needed <= bubbles:
                 # The instruction limit is crossed inside this stretch;
                 # finish_cycle is stamped at the end of the per-cycle
@@ -224,8 +228,9 @@ class Core:
         budget_cycles = target_cycle - self.now
         slots = budget_cycles * self.issue_width - self._slot
         count = min(self._bubbles_left, slots)
-        if self._inflight:
-            room = self.window_size - self.window_occupancy
+        inflight = self._inflight
+        if inflight:
+            room = self.window_size - (self.dispatched - self.retired)
             if room <= 0:
                 self.block_reason = BLOCK_WINDOW
                 return
@@ -238,17 +243,23 @@ class Core:
             return
         self._bubbles_left -= count
         self.dispatched += count
+        if not inflight:
+            self.retired = self.dispatched
         total_slots = self._slot + count
         self.now += total_slots // self.issue_width
         self._slot = total_slots % self.issue_width
-        self._check_finished()
+        if not self.finished and self.retired - self._stats_start_retired \
+                >= self.instruction_limit:
+            self.finished = True
+            self.finish_cycle = self.now
 
     def _dispatch_access(self, record: TraceRecord) -> bool:
         """Dispatch one load/store; returns False when stalled."""
-        if record.dependent and self._inflight:
+        inflight = self._inflight
+        if record.dependent and inflight:
             self.block_reason = BLOCK_DEP
             return False
-        if self._inflight and self.window_occupancy >= self.window_size:
+        if inflight and self.dispatched - self.retired >= self.window_size:
             self.block_reason = BLOCK_WINDOW
             return False
         if not record.is_write and self.mshr_used >= self.mshrs:
@@ -266,21 +277,22 @@ class Core:
             self.now += 1
         if record.is_write:
             self.stores_issued += 1
+            if not inflight:
+                self.retired = self.dispatched
         else:
+            # The barrier stays put: it was already at this load's
+            # index when nothing was in flight.
             self._next_token += 1
             entry = [self.dispatched - 1, False]
-            self._inflight.append(entry)
+            inflight.append(entry)
             self._by_token[token] = entry
             self.mshr_used += 1
             self.loads_issued += 1
-        self._check_finished()
-        return True
-
-    def _check_finished(self) -> None:
-        if not self.finished and \
-                self.retired_since_reset >= self.instruction_limit:
+        if not self.finished and self.retired - self._stats_start_retired \
+                >= self.instruction_limit:
             self.finished = True
             self.finish_cycle = self.now
+        return True
 
     # ------------------------------------------------------------------
     # Statistics

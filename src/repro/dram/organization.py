@@ -76,10 +76,12 @@ class Organization:
         }
         # Precompute (shift, mask) for each field, walking LSB -> MSB.
         shift = 0
-        self._layout = {}
+        #: Field name -> ``(shift, mask)`` of its bits in a line
+        #: address (read-only; :class:`AddressMapper` decodes from it).
+        self.layout = {}
         for name in reversed(_MAPPINGS[mapping]):
             width = self._bits[name]
-            self._layout[name] = (shift, (1 << width) - 1)
+            self.layout[name] = (shift, (1 << width) - 1)
             shift += width
         self.address_bits = shift
 
@@ -107,7 +109,7 @@ class Organization:
         """
         addr = line_address & (self.total_lines - 1)
         fields = {}
-        for name, (shift, mask) in self._layout.items():
+        for name, (shift, mask) in self.layout.items():
             fields[name] = (addr >> shift) & mask
         return DecodedAddress(**fields)
 
@@ -117,7 +119,7 @@ class Organization:
         values = {"channel": channel, "rank": rank, "bank": bank,
                   "row": row, "column": column}
         addr = 0
-        for name, (shift, mask) in self._layout.items():
+        for name, (shift, mask) in self.layout.items():
             value = values[name]
             if value < 0 or value > mask:
                 raise ValueError(f"{name}={value} out of range (max {mask})")

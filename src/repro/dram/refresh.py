@@ -41,11 +41,12 @@ class RefreshScheduler:
         self._group_shift = max(0, rows_per_group.bit_length() - 1)
 
         window = self.num_groups * timing.tREFI
-        # Steady-state pre-seed: group g last refreshed g*tREFI - window.
+        # Steady-state pre-seed: group g last refreshed g*tREFI - window,
+        # built from a ``range`` (no per-group Python step).
         # ``array('q')``: 8 bytes a group (8192 groups per rank), where
         # a list would hold a separate int object per group.
-        base = array("q", (g * timing.tREFI - window
-                           for g in range(self.num_groups)))
+        base = array("q", range(-window, self.num_groups * timing.tREFI
+                                - window, timing.tREFI))
         self._group_time: List[array] = [array("q", base)
                                          for _ in range(num_ranks)]
         # Next group each rank will refresh (continues the rotation).

@@ -340,7 +340,7 @@ def run_fig7(mode: str = "single",
 def _fig8_specs(modes: Sequence[str], workloads: Optional[Sequence[str]],
                 scale: Scale) -> List[RunSpec]:
     return [_spec(mode, name, mech, scale, idle_finished=True)
-            for mode in modes for name in _names_for(mode, workloads)
+            for mode in modes for name in _names_for(mode, workloads, modes)
             for mech in ("none", "chargecache")]
 
 
@@ -391,7 +391,7 @@ def run_fig8(modes: Sequence[str] = ("single", "eight"),
     sweep = _prefetch(_fig8_specs(modes, workloads, scale))
     rows = []
     for mode in modes:
-        names = _names_for(mode, workloads)
+        names = _names_for(mode, workloads, modes)
         reductions = []
         for name in names:
             base = _run_for(mode, name, "none", scale,
@@ -423,7 +423,7 @@ def _fig9_specs(modes: Sequence[str], workloads: Optional[Sequence[str]],
                 ) -> List[RunSpec]:
     specs = []
     for mode in modes:
-        for name in _names_for(mode, workloads):
+        for name in _names_for(mode, workloads, modes):
             specs += [_spec(mode, name, _cc(entries=cap), scale)
                       for cap in capacities]
             specs.append(_spec(mode, name, _cc(unbounded=True), scale))
@@ -459,7 +459,7 @@ def _fig10_specs(modes: Sequence[str], workloads: Optional[Sequence[str]],
                  ) -> List[RunSpec]:
     specs = []
     for mode in modes:
-        names = _names_for(mode, workloads)
+        names = _names_for(mode, workloads, modes)
         for name in names:
             specs.append(_spec(mode, name, "none", scale))
             specs += [_spec(mode, name, _cc(entries=cap), scale)
@@ -500,7 +500,7 @@ def _fig11_specs(modes: Sequence[str], workloads: Optional[Sequence[str]],
                  ) -> List[RunSpec]:
     specs = []
     for mode in modes:
-        names = _names_for(mode, workloads)
+        names = _names_for(mode, workloads, modes)
         for name in names:
             specs.append(_spec(mode, name, "none", scale))
             specs += [_spec(mode, name, _cc(duration_ms=duration), scale)
@@ -1043,10 +1043,32 @@ def run_table1() -> Dict:
 # Shared helpers
 # ----------------------------------------------------------------------
 
-def _names_for(mode: str, workloads: Optional[Sequence[str]]) -> List[str]:
-    if workloads is not None:
-        return list(workloads)
-    return list(WORKLOAD_NAMES) if mode == "single" else list(MIX_NAMES)
+def _mode_names(mode: str) -> Sequence[str]:
+    """The names ``mode`` runs: applications (single) or mixes."""
+    return WORKLOAD_NAMES if mode == "single" else MIX_NAMES
+
+
+def _names_for(mode: str, workloads: Optional[Sequence[str]],
+               modes: Optional[Sequence[str]] = None) -> List[str]:
+    """The names ``mode`` runs out of a ``--workloads`` filter.
+
+    Without a filter, every name of the mode.  With one, the names the
+    mode knows, in the filter's order: a multi-mode experiment such as
+    fig9 gives application names to its single-core half and mix names
+    to its eight-core half.  A name that none of ``modes`` (default:
+    just ``mode``) knows raises :class:`ValueError`.
+    """
+    known = _mode_names(mode)
+    if workloads is None:
+        return list(known)
+    modes = modes or (mode,)
+    unknown = [name for name in workloads
+               if not any(name in _mode_names(m) for m in modes)]
+    if unknown:
+        raise ValueError(
+            f"unknown workload or mix {', '.join(map(repr, unknown))} "
+            f"for mode {'/'.join(modes)}")
+    return [name for name in workloads if name in known]
 
 
 def _spec(mode: str, name: str, mechanism: str, scale: Scale,

@@ -1,6 +1,7 @@
 """Unit tests for the trace-driven core model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cpu.core import (
     BLOCK_DEP,
@@ -172,3 +173,60 @@ class TestAccounting:
         core = Core(0, iter([TraceRecord(1, 1, False)]), Memory())
         with pytest.raises(RuntimeError, match="exhausted"):
             core.run_until(100)
+
+
+def _oracle_retired(core):
+    """The retirement barrier recomputed from scratch: the formula the
+    maintained ``Core.retired`` replaced."""
+    inflight = core._inflight
+    return min(core.dispatched, inflight[0][0]) if inflight \
+        else core.dispatched
+
+
+class TestMaintainedRetired:
+    """``Core.retired`` is a field updated where it changes; it must
+    equal the from-scratch formula after every externally driven step,
+    whatever order loads complete in."""
+
+    # Bubble-free records are common: back-to-back accesses are where
+    # the barrier moves without a bubble stretch to resynchronize it.
+    record = st.tuples(st.one_of(st.just(0), st.integers(0, 40)),
+                       st.integers(0, 63), st.booleans(), st.booleans())
+    step = st.tuples(
+        st.sampled_from(("run", "complete", "reject", "accept", "retry",
+                         "reset")),
+        st.integers(0, 1 << 16))
+
+    @given(records=st.lists(record, min_size=1, max_size=30),
+           steps=st.lists(step, max_size=80),
+           window=st.integers(1, 32), mshrs=st.integers(1, 8),
+           limit=st.integers(1, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, records, steps, window, mshrs, limit):
+        memory = Memory()
+        core, _ = make_core(trace_from_tuples(records), memory,
+                            window_size=window, mshrs=mshrs,
+                            instruction_limit=limit)
+        outstanding = []   # load tokens issued and not yet completed
+
+        def check():
+            assert core.retired == _oracle_retired(core)
+            # The inlined finish test fired whenever it had to.
+            assert core.finished or \
+                core.retired_since_reset < core.instruction_limit
+
+        for kind, n in steps:
+            if kind == "run":
+                before = len(memory.issued)
+                core.run_until(core.now + 1 + n % 50)
+                outstanding += [token for _, is_write, token
+                                in memory.issued[before:] if not is_write]
+            elif kind == "complete" and outstanding:
+                core.on_load_complete(outstanding.pop(n % len(outstanding)))
+            elif kind in ("reject", "accept"):
+                memory.accept = kind == "accept"
+            elif kind == "retry":
+                core.retry_rejected()
+            elif kind == "reset":
+                core.reset_stats(core.now)
+            check()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dram.refresh import RefreshScheduler
+from repro.dram.standards import PRESETS
 from repro.dram.timing import DDR3_1600
 
 
@@ -96,3 +97,17 @@ class TestMultiRank:
         age0 = sched.row_refresh_age_cycles(0, 0, 1000)
         age1 = sched.row_refresh_age_cycles(1, 0, 1000)
         assert age0 != age1  # rank 0's group 0 was just refreshed
+
+
+class TestSeededStamps:
+    @pytest.mark.parametrize("standard", sorted(PRESETS))
+    def test_seed_is_steady_state_rotation(self, standard):
+        """Group ``g`` was last refreshed at ``g * tREFI - window``."""
+        timing = PRESETS[standard]
+        sched = RefreshScheduler(timing, num_ranks=2,
+                                 rows_per_bank=64 * 1024)
+        window = sched.window_cycles()
+        expected = [g * timing.tREFI - window
+                    for g in range(sched.num_groups)]
+        for rank in range(2):
+            assert list(sched._group_time[rank]) == expected

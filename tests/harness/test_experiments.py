@@ -113,6 +113,42 @@ class TestFig11:
         assert by_dur[1.0]["reductions"] >= by_dur[16.0]["reductions"]
 
 
+class TestWorkloadFilter:
+    """``--workloads`` goes to the modes that know each name."""
+
+    def test_each_mode_keeps_its_names_in_order(self):
+        names = ["w2", "mcf", "w1", "hmmer"]
+        modes = ("single", "eight")
+        assert experiments._names_for("single", names, modes) == \
+            ["mcf", "hmmer"]
+        assert experiments._names_for("eight", names, modes) == \
+            ["w2", "w1"]
+
+    def test_name_no_mode_knows_raises(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            experiments._names_for("single", ["mcf", "bogus"],
+                                   ("single", "eight"))
+        with pytest.raises(ValueError, match="'hmmer'"):
+            experiments.run_fig7("eight", ["hmmer"], scale=TINY)
+
+    def test_fig9_application_only(self):
+        result = experiments.run_fig9(capacities=(64,),
+                                      workloads=["hmmer"], scale=TINY)
+        assert [(r["mode"], r["entries"]) for r in result["rows"]] == [
+            ("single", 64), ("single", "unlimited"),
+            ("eight", 64), ("eight", "unlimited")]
+
+    def test_fig10_application_only(self):
+        result = experiments.run_fig10(capacities=(64,),
+                                       workloads=["hmmer"], scale=TINY)
+        assert [r["mode"] for r in result["rows"]] == ["single", "eight"]
+
+    def test_fig11_application_only(self):
+        result = experiments.run_fig11(durations_ms=(1.0,),
+                                       workloads=["hmmer"], scale=TINY)
+        assert [r["mode"] for r in result["rows"]] == ["single", "eight"]
+
+
 class TestEnergy:
     """Per-standard energy experiment (fig8 x Section 7.2)."""
 

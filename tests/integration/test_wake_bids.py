@@ -29,6 +29,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.controller.queues import RequestQueue
 from repro.cpu.system import System
 from repro.cpu.trace import TraceRecord
 from repro.dram.channel import Channel
@@ -189,3 +190,35 @@ def test_mixed_phase_exact_bid_visit_budget():
     assert per_command <= 1.9, (
         f"{per_command:.2f} visited cycles per command — the wake bid "
         "underestimates the controller's next action")
+
+
+def test_mixed_phase_hot_path_call_budget(monkeypatch):
+    """Per-visit state is read from maintained fields, not recomputed.
+
+    On the fixed mixed-phase run, the controller reads queue lengths
+    off ``RequestQueue.items`` and samples occupancy inline, and the
+    LLC decodes miss addresses with ``AddressMapper.decode_into``'s
+    precomputed shifts, so none of these helpers is called from
+    Python.  The counts are exact: a refactor that puts one back on
+    the hot path fails here rather than in a timing run.
+    """
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+        calls[f"{owner.__name__}.{name}"] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[f"{owner.__name__}.{name}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(RequestQueue, "__len__")
+    counted(RequestQueue, "sample_occupancy")
+    counted(Organization, "decode")
+    system, commands = _mixed_phase_event_run()
+    assert system.llc.load_misses > 0
+    assert calls == {"RequestQueue.__len__": 0,
+                     "RequestQueue.sample_occupancy": 0,
+                     "Organization.decode": 0}
