@@ -91,7 +91,7 @@ class MemoryController:
             refresh = RefreshScheduler(timing, num_ranks, rows_per_bank,
                                        enabled=refresh_enabled)
         self.refresh = refresh
-        self.mechanism = mechanism
+        self.mechanism = mechanism   # also sets the cached wake
         self.rltl_probe = rltl_probe
         self.scheduler = make_scheduler(controller_config.scheduler)
         self.row_policy = make_row_policy(controller_config.row_policy)
@@ -104,13 +104,34 @@ class MemoryController:
                            * controller_config.write_queue_size)
         self._pending_pre: Set[Tuple[int, int]] = set()
         self._act_owner: Dict[Tuple[int, int], int] = {}
-        self._read_events: List[Tuple[int, int, Request]] = []
+        #: Heap of ``(done_cycle, seq, request)`` read completions.
+        #: Read-only outside the controller; the event engine peeks at
+        #: its head to tell whether a visit fires a completion.
+        self.read_events: List[Tuple[int, int, Request]] = []
         self._event_seq = itertools.count()
         self.stats = ControllerStats()
         self._num_ranks = num_ranks
         self._last_issue_cycle = -1
         self._issue_count = 0
         self._forward_count = 0
+
+    @property
+    def mechanism(self) -> LatencyMechanism:
+        """The channel's latency mechanism.
+
+        Assigning one (``System.run_batch`` wraps it in a recording
+        mechanism after construction) also refreshes the cached wake.
+        """
+        return self._mechanism
+
+    @mechanism.setter
+    def mechanism(self, mechanism: LatencyMechanism) -> None:
+        self._mechanism = mechanism
+        #: ``mechanism.next_wake``, maintained: its value changes only
+        #: inside ``on_activate``, ``on_precharge`` and ``maintain``
+        #: (the :meth:`LatencyMechanism.next_wake` contract), and the
+        #: controller re-reads it after each of those calls.
+        self._mech_wake = mechanism.next_wake(0)
 
     # ------------------------------------------------------------------
     # Request entry points (called by the cache hierarchy / system)
@@ -127,7 +148,7 @@ class MemoryController:
             request.done_cycle = cycle + 1
             self.stats.forwards += 1
             self._forward_count += 1
-            heapq.heappush(self._read_events,
+            heapq.heappush(self.read_events,
                            (cycle + 1, next(self._event_seq), request))
             return True
         if not self.read_q.push(request, cycle):
@@ -165,10 +186,11 @@ class MemoryController:
         at cycles :meth:`next_event_cycle` reported.  Both produce the
         same command stream because nothing here depends on *how* the
         clock reached ``cycle``: completions pop by timestamp,
-        mechanism maintenance is batch-exact, and scheduling reads only
+        mechanism maintenance is batch-exact (so it runs only once the
+        mechanism's cached wake is due), and scheduling reads only
         current queue/bank state.
         """
-        events = self._read_events
+        events = self.read_events
         while events and events[0][0] <= cycle:
             _, _, req = heapq.heappop(events)
             self.stats.read_latency_sum += req.done_cycle - req.enqueue_cycle
@@ -176,12 +198,18 @@ class MemoryController:
             if req.callback is not None:
                 req.callback(req)
 
-        self.mechanism.maintain(cycle)
+        if cycle >= self._mech_wake:
+            mechanism = self._mechanism
+            mechanism.maintain(cycle)
+            self._mech_wake = mechanism.next_wake(cycle)
 
-        blocked = self._refresh_step(cycle)
-        if blocked is None:
-            self._note_issue(cycle)
-            return  # a refresh-related command was issued this cycle
+        if cycle < self.refresh.first_due:
+            blocked: Optional[Sequence[int]] = ()
+        else:
+            blocked = self._refresh_step(cycle)
+            if blocked is None:
+                self._note_issue(cycle)
+                return  # a refresh-related command was issued this cycle
 
         queue = self._select_queue()
         if queue is not None:
@@ -235,8 +263,8 @@ class MemoryController:
         and the scenario parity grid).
         """
         nxt = NEVER
-        if self._read_events:
-            nxt = self._read_events[0][0]
+        if self.read_events:
+            nxt = self.read_events[0][0]
 
         # Refresh: ranks whose REF is already due block normal
         # scheduling; wake when their refresh can make progress.
@@ -291,7 +319,7 @@ class MemoryController:
                 if t < nxt:
                     nxt = t
 
-        t = self.mechanism.next_wake(cycle)
+        t = self._mech_wake
         if t < nxt:
             nxt = t
         return nxt if nxt > cycle else cycle + 1
@@ -301,14 +329,13 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def _refresh_step(self, cycle: int) -> Optional[Sequence[int]]:
-        """Handle due refreshes.
+        """Handle due refreshes (:meth:`tick` calls this only once
+        ``cycle`` reaches ``refresh.first_due``).
 
         Returns the refresh-blocked ranks in ascending order, or None
         when a command was issued (the channel's one-command budget is
         spent).
         """
-        if cycle < self.refresh.first_due:
-            return ()
         blocked = [rank_idx for rank_idx in range(self._num_ranks)
                    if self.refresh.rank_needs_refresh(rank_idx, cycle)]
         for rank_idx in blocked:
@@ -378,7 +405,7 @@ class MemoryController:
             req.issue_cycle = cycle
             req.done_cycle = done
             queue.remove(req)
-            heapq.heappush(self._read_events,
+            heapq.heappush(self.read_events,
                            (done, next(self._event_seq), req))
             self.stats.reads += 1
             if not req.needed_act:
@@ -397,8 +424,10 @@ class MemoryController:
             raise RuntimeError(f"unexpected command {cmd}")
 
     def _issue_act(self, req: Request, cycle: int) -> None:
-        timings = self.mechanism.on_activate(req.rank, req.bank, req.row,
-                                             req.core_id, cycle)
+        mechanism = self._mechanism
+        timings = mechanism.on_activate(req.rank, req.bank, req.row,
+                                        req.core_id, cycle)
+        self._mech_wake = mechanism.next_wake(cycle)
         self.channel.issue_activate(req.rank, req.bank, req.row, cycle,
                                     timings)
         req.needed_act = True
@@ -414,7 +443,9 @@ class MemoryController:
     def _issue_pre(self, rank: int, bank: int, cycle: int) -> None:
         row = self.channel.issue_precharge(rank, bank, cycle)
         owner = self._act_owner.get((rank, bank), 0)
-        self.mechanism.on_precharge(rank, bank, row, owner, cycle)
+        mechanism = self._mechanism
+        mechanism.on_precharge(rank, bank, row, owner, cycle)
+        self._mech_wake = mechanism.next_wake(cycle)
         self._pending_pre.discard((rank, bank))
         self.stats.precharges += 1
         if self.rltl_probe is not None:
@@ -449,13 +480,13 @@ class MemoryController:
     @property
     def has_work(self) -> bool:
         return bool(self.read_q.items or self.write_q.items
-                    or self._read_events or self._pending_pre)
+                    or self.read_events or self._pending_pre)
 
     def next_refresh_due(self) -> int:
         return min(self.refresh.next_due(r) for r in range(self._num_ranks))
 
     def outstanding_reads(self) -> int:
-        return len(self.read_q.items) + len(self._read_events)
+        return len(self.read_q.items) + len(self.read_events)
 
     def active_cycles(self, cycle: int) -> int:
         """Bank-open cycles accumulated since the last stats reset."""
@@ -470,7 +501,7 @@ class MemoryController:
     def reset_stats(self, cycle: int) -> None:
         self.stats.reset(cycle, self.channel.active_cycles_until(cycle),
                          self.channel.rank_active_cycles_until(cycle))
-        self.mechanism.reset_stats()
+        self._mechanism.reset_stats()
         self.read_q.reset_stats()
         self.write_q.reset_stats()
         if self.rltl_probe is not None:

@@ -210,8 +210,11 @@ class FRFCFSScheduler:
 
     def choose(self, queue, channel: Channel, cycle: int,
                blocked_ranks=()) -> Optional[SchedulerDecision]:
-        """The command to issue at ``cycle``, or None (:meth:`scan`)."""
-        return self.scan(queue, channel, cycle, blocked_ranks)[0]
+        """The command to issue at ``cycle``, or None (:meth:`scan`'s
+        decision, without building its tuple)."""
+        if cycle < self._ready_bound(queue, channel, blocked_ranks):
+            return None
+        return self._decide(cycle)
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
                          blocked_ranks=()) -> int:

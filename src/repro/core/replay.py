@@ -71,8 +71,9 @@ class RecordingMechanism:
     def __init__(self, inner: LatencyMechanism, log: MechanismEventLog):
         self._inner = inner
         self._log = log
-        # Called on every visited cycle and wake bid, and logged never:
-        # bind the inner methods directly instead of delegating.
+        # Called after every decision point and on due ticks, and
+        # logged never: bind the inner methods directly instead of
+        # delegating.
         self.maintain = inner.maintain
         self.next_wake = inner.next_wake
 

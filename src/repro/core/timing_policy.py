@@ -8,7 +8,8 @@ the memory controller may use.  The controller calls:
   defaults).
 * :meth:`LatencyMechanism.on_precharge` when it issues a PRE - this is
   where ChargeCache learns about highly-charged rows.
-* :meth:`LatencyMechanism.maintain` once per controller tick, used by
+* :meth:`LatencyMechanism.maintain` on a controller tick once the
+  clock reaches :meth:`LatencyMechanism.next_wake`, used by
   ChargeCache's periodic invalidation counters.
 
 Mechanisms are instantiated per memory channel, matching the paper's
@@ -68,6 +69,12 @@ class LatencyMechanism:
         (the default) means the mechanism is purely reactive - its
         housekeeping is batch-exact and can run lazily at the next
         command boundary.
+
+        Contract: the value may change only inside :meth:`on_activate`,
+        :meth:`on_precharge` and :meth:`maintain`; between those calls
+        it is the same for every ``cycle``.  The memory controller
+        caches it after each of them and calls :meth:`maintain` only
+        once the clock reaches the cached cycle.
         """
         del cycle
         return NEVER

@@ -22,7 +22,9 @@ Two clock engines share the per-cycle body (:meth:`System._step`):
   state changes happen at visited cycles, the visited set is a
   superset of the dense engine's action cycles and the two engines
   produce bit-identical statistics (see DESIGN.md and
-  ``tests/integration/test_engine_parity.py``).
+  ``tests/integration/test_engine_parity.py``).  Each visit steps only
+  the side that is due: the controllers alone, the cores and LLC
+  alone, or the whole ``_step`` (:meth:`System._run_event`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.controller.address_mapping import AddressMapper
 from repro.controller.controller import MemoryController
 from repro.core import registry
 from repro.cpu.cache import SharedCache
-from repro.cpu.core import BLOCK_REJECT, Core
+from repro.cpu.core import BLOCK_NONE, BLOCK_REJECT, Core
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.dram.refresh import RefreshScheduler
@@ -358,12 +360,14 @@ class System:
             telemetry["collapsed"] = len(configs) - full_runs
         return results
 
-    def _step(self, mem: int) -> bool:
+    def _step(self, mem: int,
+              controllers: Sequence[MemoryController]) -> bool:
         """The per-bus-cycle body shared by both engines.
 
-        Delivers due CPU-side events, ticks controllers and the LLC,
-        lets every core catch up to CPU time, and handles the warmup
-        boundary.  Returns True when every core is finished.
+        Delivers due CPU-side events, ticks ``controllers`` (all of
+        them, or none on a visit where no controller is due) and the
+        LLC, lets every core catch up to CPU time, and handles the
+        warmup boundary.  Returns True when every core is finished.
         """
         cpu_now = mem * self.ratio
         cpu_prev = cpu_now - self.ratio
@@ -391,7 +395,7 @@ class System:
         while events and events[0][0] <= cpu_now:
             _, _, core_id, token = heapq.heappop(events)
             cores[core_id].on_load_complete(token)
-        for controller in self.controllers:
+        for controller in controllers:
             controller.tick(mem)
         self.llc.tick()
         all_finished = True
@@ -419,10 +423,11 @@ class System:
     def _run_dense(self, max_mem_cycles: Optional[int]) -> RunResult:
         """Reference engine: visit every bus cycle."""
         truncated = False
+        controllers = self.controllers
         while True:
             self.mem_cycle += 1
             self.visited_cycles += 1
-            all_finished = self._step(self.mem_cycle)
+            all_finished = self._step(self.mem_cycle, controllers)
             if self._warmed and all_finished:
                 break
             if max_mem_cycles is not None and self.mem_cycle >= max_mem_cycles:
@@ -436,60 +441,109 @@ class System:
         Cycles between wake-ups are provably no-ops (no command can
         issue, no completion fires, no core can touch memory), so
         skipping them leaves every statistic bit-identical to the
-        dense engine.
+        dense engine.  Each visit also skips the side that provably has
+        nothing to do at it:
+
+        * **controller-only**: the target is a controller bid earlier
+          than the cached external bid (:meth:`_external_bid`), fires
+          no read completion and is not the ``max_mem_cycles`` stop.
+          Only the controllers tick, and only they re-bid: nothing the
+          external bid reads (cores, LLC, hit events) changes.
+        * **core-only**: every controller bids later than the target,
+          so ticking one would be a no-op; ``_step`` runs without them.
+        * **full**: everything else, ``_step`` as the dense engine runs
+          it, after which the external bid is recomputed.
         """
         truncated = False
+        controllers = self.controllers
+        llc = self.llc
+        external = -1          # stale: recompute before the next use
         while True:
-            target = self._next_wake_cycle()
-            if target is None:
-                if max_mem_cycles is None:
-                    raise RuntimeError(
-                        "event engine deadlock: no pending wake-ups but "
-                        "cores are not finished")
-                target = max_mem_cycles
-            if max_mem_cycles is not None and target > max_mem_cycles:
-                target = max_mem_cycles
-            self.mem_cycle = max(target, self.mem_cycle + 1)
+            cycle = self.mem_cycle
+            soon = cycle + 1
+            if llc.has_parked_requests:
+                # The dense engine retries parked LLC requests every
+                # cycle; a parked read may newly forward from the write
+                # queue the cycle after a matching store arrives, which
+                # no controller or core bid covers.  Step densely until
+                # the lists drain.
+                target, ticked = soon, controllers
+            else:
+                nxt = NEVER
+                for controller in controllers:
+                    w = controller.next_event_cycle(cycle)
+                    if w < nxt:
+                        nxt = w
+                        if nxt <= soon:
+                            break
+                if external <= cycle:
+                    external = self._external_bid()
+                if nxt < external:
+                    target, ticked = nxt, controllers
+                    if max_mem_cycles is None or target < max_mem_cycles:
+                        for controller in controllers:
+                            events = controller.read_events
+                            if events and events[0][0] <= target:
+                                break   # a completion wakes a core
+                        else:           # controller-only visit
+                            self.mem_cycle = target
+                            self.visited_cycles += 1
+                            for controller in controllers:
+                                controller.tick(target)
+                            continue
+                else:
+                    target = external
+                    ticked = () if nxt > target else controllers
+                if target >= NEVER:
+                    if max_mem_cycles is None:
+                        raise RuntimeError(
+                            "event engine deadlock: no pending wake-ups "
+                            "but cores are not finished")
+                    target = max_mem_cycles
+            if max_mem_cycles is not None and target >= max_mem_cycles:
+                target, ticked = max_mem_cycles, controllers
+            self.mem_cycle = target
             self.visited_cycles += 1
-            all_finished = self._step(self.mem_cycle)
+            all_finished = self._step(target, ticked)
+            external = -1
             if self._warmed and all_finished:
                 break
-            if max_mem_cycles is not None and self.mem_cycle >= max_mem_cycles:
+            if max_mem_cycles is not None and target >= max_mem_cycles:
                 truncated = True
                 break
         return self._collect(truncated)
 
-    def _next_wake_cycle(self) -> Optional[int]:
-        """Minimum over every component's next-event bid, or None when
-        nothing is pending (only possible if the system is deadlocked
-        or every core is quiescent forever)."""
+    def _external_bid(self) -> int:
+        """The earliest cycle after ``mem_cycle`` at which anything
+        outside the controllers can act: a due LLC hit event, the
+        warmup boundary, or a core's next memory access or
+        instruction-limit crossing (``NEVER`` when none is pending).
+
+        It stays valid across controller-only visits, which change none
+        of its inputs.  Cores blocked on a load bid nothing (the read
+        completion that unblocks them is a controller event), so their
+        bid is not asked for.
+        """
         cycle = self.mem_cycle
+        soon = cycle + 1
         ratio = self.ratio
-        if self.llc.has_parked_requests:
-            # The dense engine retries parked LLC requests every cycle;
-            # a parked read may newly forward from the write queue the
-            # cycle after a matching store arrives, which no controller
-            # or core bid covers.  Step densely until the lists drain.
-            return cycle + 1
         nxt = NEVER
-        for controller in self.controllers:
-            w = controller.next_event_cycle(cycle)
-            if w < nxt:
-                nxt = w
-                if nxt <= cycle + 1:
-                    return cycle + 1
         if self._events:
             # Delivered at the first bus cycle with mem*ratio >= stamp.
             w = -(-self._events[0][0] // ratio)
             if w < nxt:
                 nxt = w
-        if not self._warmed:
+        warmed = self._warmed
+        if not warmed:
             w = -(-self.config.warmup_cpu_cycles // ratio)
             if w < nxt:
                 nxt = w
-        idle_finished = self.config.idle_finished_cores
+        idle_finished = self.config.idle_finished_cores and warmed
         for core in self.cores:
-            if idle_finished and self._warmed and core.finished:
+            reason = core.block_reason
+            if reason != BLOCK_NONE and reason != BLOCK_REJECT:
+                continue
+            if idle_finished and core.finished:
                 continue
             c = core.next_event_cpu_cycle()
             if c is None:
@@ -499,9 +553,9 @@ class System:
             w = c // ratio + 1
             if w < nxt:
                 nxt = w
-                if nxt <= cycle + 1:
-                    return cycle + 1
-        return nxt if nxt < NEVER else None
+                if nxt <= soon:
+                    return soon
+        return nxt if nxt > soon else soon
 
     def _reset_stats(self, cpu_now: int, mem: int) -> None:
         for controller in self.controllers:

@@ -62,7 +62,7 @@ class Channel:
         rk = self.ranks[rank]
         bk = rk.banks[bank]
         if command is Command.ACT:
-            gate = max(bk.earliest_act(), rk.earliest_act())
+            gate = max(bk.earliest_act(), rk.act_gate)
         elif command is Command.PRE:
             gate = bk.next_pre
         elif command is Command.RD:
@@ -95,7 +95,7 @@ class Channel:
         last = self._last_col_rank
         gates = []
         for index, rk in enumerate(self.ranks):
-            act = rk.earliest_act()
+            act = rk.act_gate
             if act < next_cmd:
                 act = next_cmd
             if last is None or last == index:
@@ -147,10 +147,10 @@ class Channel:
             timings = self.timing.default_timings()
         self._claim_cmd_bus(cycle)
         rk = self.ranks[rank]
-        if cycle < rk.earliest_act():
+        if cycle < rk.act_gate:
             raise RuntimeError(
                 f"ACT at {cycle} violates tRRD/tFAW/tRFC "
-                f"(earliest {rk.earliest_act()})")
+                f"(earliest {rk.act_gate})")
         rk.banks[bank].do_activate(row, cycle, timings)
         rk.record_act(cycle)
         rk.note_bank_opened(cycle)

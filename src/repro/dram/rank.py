@@ -24,8 +24,8 @@ class Rank:
     """
 
     __slots__ = ("timing", "banks", "next_act", "_act_history",
-                 "num_refreshes", "refresh_busy_until", "open_banks",
-                 "any_open_since", "any_open_cycles")
+                 "num_refreshes", "refresh_busy_until", "act_gate",
+                 "open_banks", "any_open_since", "any_open_cycles")
 
     def __init__(self, timing: TimingParameters, num_banks: int):
         self.timing = timing
@@ -35,6 +35,11 @@ class Rank:
         self._act_history: List[int] = []
         self.num_refreshes = 0
         self.refresh_busy_until = 0
+        #: Rank-level earliest ACT cycle: ``max(next_act, 4th-last ACT +
+        #: tFAW, refresh_busy_until)``.  A maintained field, read-only
+        #: outside the rank: :meth:`record_act` and :meth:`do_refresh`
+        #: are the only places its inputs change, and each recomputes it.
+        self.act_gate = 0
         # Active-standby accounting ("any bank open" time, for IDD3N).
         self.open_banks = 0
         self.any_open_since = 0
@@ -44,14 +49,7 @@ class Rank:
 
     def earliest_act(self) -> int:
         """Rank-level earliest ACT cycle (tRRD + tFAW + tRFC)."""
-        earliest = self.next_act
-        if len(self._act_history) >= 4:
-            faw_gate = self._act_history[-4] + self.timing.tFAW
-            if faw_gate > earliest:
-                earliest = faw_gate
-        if self.refresh_busy_until > earliest:
-            earliest = self.refresh_busy_until
-        return earliest
+        return self.act_gate
 
     def record_act(self, cycle: int) -> None:
         """Register an ACT for tRRD/tFAW accounting."""
@@ -59,6 +57,17 @@ class Rank:
         self._act_history.append(cycle)
         if len(self._act_history) > 4:
             del self._act_history[0]
+        self._update_act_gate()
+
+    def _update_act_gate(self) -> None:
+        gate = self.next_act
+        if len(self._act_history) == 4:
+            faw_gate = self._act_history[0] + self.timing.tFAW
+            if faw_gate > gate:
+                gate = faw_gate
+        if self.refresh_busy_until > gate:
+            gate = self.refresh_busy_until
+        self.act_gate = gate
 
     # ------------------------------------------------------------------
     # Refresh support
@@ -90,6 +99,7 @@ class Rank:
             raise RuntimeError("REF issued with an open bank")
         done = cycle + self.timing.tRFC
         self.refresh_busy_until = done
+        self._update_act_gate()
         for bank in self.banks:
             bank.do_refresh_block(done)
         self.num_refreshes += 1

@@ -1,8 +1,10 @@
 """Unit tests for rank-level constraints (tRRD, tFAW, refresh)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dram.rank import Rank
+from repro.dram.standards import PRESETS
 from repro.dram.timing import DDR3_1600
 
 
@@ -85,3 +87,42 @@ class TestActiveStandbyAccounting:
     def test_unbalanced_close_rejected(self, rank):
         with pytest.raises(RuntimeError):
             rank.note_bank_closed(0)
+
+
+class TestMaintainedActGate:
+    """``Rank.act_gate`` is a maintained field: after every
+    ``record_act`` and ``do_refresh`` it must equal the from-scratch
+    formula ``max(next_act, 4th-last ACT + tFAW, refresh_busy_until)``,
+    on every timing grade."""
+
+    @pytest.mark.parametrize("standard", sorted(PRESETS))
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(("act", "act", "act", "ref")),
+        # Short gaps pack four ACTs into one tFAW window; long ones
+        # outlast tRFC.
+        st.one_of(st.integers(0, 12), st.integers(0, 600))), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_act_gate_matches_formula(self, standard, ops):
+        timing = PRESETS[standard]
+        rank = Rank(timing, num_banks=8)
+        acts = []
+        busy_until = 0
+
+        def formula():
+            gate = max([a + timing.tRRD for a in acts], default=0)
+            if len(acts) >= 4:
+                gate = max(gate, acts[-4] + timing.tFAW)
+            return max(gate, busy_until)
+
+        assert rank.act_gate == formula() == 0
+        cycle = 0
+        for kind, gap in ops:
+            cycle += gap
+            if kind == "act":
+                rank.record_act(cycle)
+                acts.append(cycle)
+            else:
+                rank.do_refresh(cycle)
+                busy_until = cycle + timing.tRFC
+            assert rank.act_gate == formula(), (kind, cycle)
+            assert rank.earliest_act() == rank.act_gate

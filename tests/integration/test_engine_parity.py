@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.controller.controller import MemoryController
 from repro.cpu.system import RunResult, System
 from repro.dram.organization import Organization
 from repro.workloads.synthetic import random_trace, stream_trace, zipf_trace
@@ -63,6 +64,7 @@ def assert_parity(cfg, pattern: str, max_mem_cycles: int = 600_000):
         assert getattr(event, field) == getattr(dense, field), (
             f"engine divergence on {field!r}: "
             f"event={getattr(event, field)!r} dense={getattr(dense, field)!r}")
+    return dense, event
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -87,6 +89,36 @@ def test_streaming_parity_with_writes_and_drains():
 def test_truncated_run_parity():
     cfg = tiny_config(instruction_limit=10 ** 7)
     assert_parity(cfg, "random", max_mem_cycles=3_000)
+
+
+def test_eight_core_truncated_on_controller_only_cycle(monkeypatch):
+    """A ``max_mem_cycles`` stop on a cycle where only a controller is
+    due must still be a full visit: the cores' cycle counts are read
+    at the stop.  The stop is a controller-only visit of the untruncated
+    event run (a cycle some controller ticked at without ``_step``)."""
+    cfg = tiny_config(mechanism="chargecache", num_cores=8, channels=2,
+                      row_policy="closed", instruction_limit=1200,
+                      warmup=2000)
+    stepped, ticked = set(), set()
+    step, tick = System._step, MemoryController.tick
+
+    def recording_step(self, mem, controllers):
+        stepped.add(mem)
+        return step(self, mem, controllers)
+
+    def recording_tick(self, cycle):
+        ticked.add(cycle)
+        return tick(self, cycle)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(System, "_step", recording_step)
+        patch.setattr(MemoryController, "tick", recording_tick)
+        _run(cfg.with_engine("event"), "zipf")
+    controller_only = sorted(ticked - stepped)
+    assert controller_only
+    stop = controller_only[len(controller_only) // 2]
+    dense, event = assert_parity(cfg, "zipf", max_mem_cycles=stop)
+    assert event.truncated and dense.truncated
 
 
 def test_tiny_queue_retry_pressure_parity():

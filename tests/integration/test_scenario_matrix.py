@@ -201,7 +201,7 @@ def _drive_and_audit_bids(num_ranks: int, timing, seed: int,
 
     def observable_state():
         return (controller._issue_count, controller._forward_count,
-                len(controller._read_events))
+                len(controller.read_events))
 
     bid = 1
     actions = 0

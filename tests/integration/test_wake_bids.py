@@ -20,6 +20,9 @@ command.  These tests pin the properties the bid must keep:
   bounded number of :meth:`Channel.earliest` queries and readiness
   snapshots per issued command; rescanning an unchanged controller
   state busts the snapshot budget.
+* **Cost per visit** — a visit steps only the side that is due
+  (controllers, or cores and LLC), and the controller's cached
+  mechanism wake equals a fresh ``next_wake`` at every bid.
 """
 
 from __future__ import annotations
@@ -29,11 +32,17 @@ from dataclasses import replace
 
 import pytest
 
+from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueue
+from repro.core import registry
+from repro.core.replay import RecordingMechanism
+from repro.core.timing_policy import DefaultTiming
+from repro.cpu.core import Core
 from repro.cpu.system import System
 from repro.cpu.trace import TraceRecord
 from repro.dram.channel import Channel
 from repro.dram.organization import Organization
+from repro.dram.timing import NEVER
 from repro.workloads.synthetic import random_trace, zipf_trace
 
 from tests.conftest import tiny_config
@@ -145,9 +154,9 @@ def test_mixed_phase_earliest_call_budget(monkeypatch):
         "scheduling regressed toward per-request scans")
 
 
-def _mixed_phase_event_run():
+def _mixed_phase_event_run(mechanism: str = "chargecache"):
     """The fixed mixed-phase event run and its issued-command count."""
-    cfg = tiny_config("chargecache", instruction_limit=20_000,
+    cfg = tiny_config(mechanism, instruction_limit=20_000,
                       warmup=1_000)
     org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
     system = System(replace(cfg, engine="event"),
@@ -192,6 +201,23 @@ def test_mixed_phase_exact_bid_visit_budget():
         "underestimates the controller's next action")
 
 
+def _count_calls(monkeypatch, *targets):
+    """Count calls to each ``(owner, name)`` method, keyed
+    ``"Owner.name"``; returns the live dict."""
+    calls = {}
+    for owner, name in targets:
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
+
+        def wrapper(*args, _original=getattr(owner, name), _key=key,
+                    **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def test_mixed_phase_hot_path_call_budget(monkeypatch):
     """Per-visit state is read from maintained fields, not recomputed.
 
@@ -202,23 +228,121 @@ def test_mixed_phase_hot_path_call_budget(monkeypatch):
     Python.  The counts are exact: a refactor that puts one back on
     the hot path fails here rather than in a timing run.
     """
-    calls = {}
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-        calls[f"{owner.__name__}.{name}"] = 0
-
-        def wrapper(*args, **kwargs):
-            calls[f"{owner.__name__}.{name}"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(RequestQueue, "__len__")
-    counted(RequestQueue, "sample_occupancy")
-    counted(Organization, "decode")
+    calls = _count_calls(monkeypatch, (RequestQueue, "__len__"),
+                         (RequestQueue, "sample_occupancy"),
+                         (Organization, "decode"))
     system, commands = _mixed_phase_event_run()
     assert system.llc.load_misses > 0
     assert calls == {"RequestQueue.__len__": 0,
                      "RequestQueue.sample_occupancy": 0,
                      "Organization.decode": 0}
+
+
+def test_mixed_phase_visit_kind_budgets(monkeypatch):
+    """Each visit steps only the side that is due.
+
+    Exact call counts on the fixed mixed-phase run (946 visited
+    cycles).  A controller-only visit ticks the controllers and skips
+    the cores, the LLC and the core bids; a core-only visit skips the
+    controller ticks; and cores blocked on a load are not asked for a
+    bid.  Stepping both sides on every visit measures 946 ticks, 638
+    ``Core.run_until`` calls and 579 core bids.
+    """
+    calls = _count_calls(monkeypatch, (MemoryController, "tick"),
+                         (Core, "run_until"),
+                         (Core, "next_event_cpu_cycle"))
+    system, commands = _mixed_phase_event_run()
+    assert system.visited_cycles <= 946
+    assert calls == {"MemoryController.tick": 880,
+                     "Core.run_until": 375,
+                     "Core.next_event_cpu_cycle": 123}
+
+
+def _check_cached_wake_at_bids(monkeypatch):
+    """Make every controller bid assert that the cached mechanism
+    wake equals a fresh ``next_wake``; returns the checked
+    ``(mechanism, wake)`` pairs."""
+    checked = []
+    bid = MemoryController.next_event_cycle
+
+    def checked_bid(self, cycle):
+        fresh = self.mechanism.next_wake(cycle)
+        assert self._mech_wake == fresh, (cycle, self._mech_wake, fresh)
+        checked.append((self.mechanism, fresh))
+        return bid(self, cycle)
+
+    monkeypatch.setattr(MemoryController, "next_event_cycle", checked_bid)
+    return checked
+
+
+@pytest.mark.parametrize("mechanism", (
+    *registry.mechanism_names(), "chargecache(unbounded=true)",
+    "chargecache+nuat"))
+def test_cached_mechanism_wake_is_fresh_at_every_bid(monkeypatch,
+                                                     mechanism):
+    """The controller caches ``next_wake`` after ``on_activate``,
+    ``on_precharge`` and ``maintain``, the only calls that may change
+    it (the :meth:`LatencyMechanism.next_wake` contract)."""
+    checked = _check_cached_wake_at_bids(monkeypatch)
+    _mixed_phase_event_run(mechanism)
+    assert checked
+    if mechanism in ("chargecache", "chargecache+nuat"):
+        # The run moves the wake: HCRAC fills and sweeps happen.
+        assert len({wake for _, wake in checked}) > 2
+
+
+def test_cached_mechanism_wake_follows_mechanism_swap(monkeypatch):
+    """``run_batch`` replaces each controller's mechanism with a
+    recording wrapper after construction; the cached wake must follow
+    the replacement at every bid of the batch's full runs."""
+    checked = _check_cached_wake_at_bids(monkeypatch)
+    configs = [tiny_config(name, instruction_limit=20_000, warmup=1_000)
+               for name in ("none", "chargecache")]
+    org = Organization.from_config(configs[0].dram,
+                                   configs[0].cache.line_bytes)
+    telemetry = {}
+    System.run_batch(configs, [iter(_mixed_phase_trace(org))],
+                     max_mem_cycles=600_000, telemetry=telemetry)
+    assert telemetry["full_runs"] == 2
+    assert checked
+    assert all(isinstance(mech, RecordingMechanism)
+               for mech, _ in checked)
+    assert len({wake for _, wake in checked}) > 2
+
+
+class _MovingWake(DefaultTiming):
+    """Moves its wake in every hook, as the ``next_wake`` contract
+    allows (the built-in mechanisms never move it in ``on_activate``)."""
+
+    def __init__(self, timing):
+        super().__init__(timing)
+        self.wake = 1234
+
+    def on_activate(self, rank, bank, row, core_id, cycle):
+        self.wake = cycle + 1000
+        return super().on_activate(rank, bank, row, core_id, cycle)
+
+    def on_precharge(self, rank, bank, row, core_id, cycle):
+        self.wake = cycle + 3
+
+    def maintain(self, cycle):
+        self.wake = NEVER
+
+    def next_wake(self, cycle):
+        return self.wake
+
+
+def test_cached_wake_follows_assignment_and_every_hook(monkeypatch):
+    """Assigning ``controller.mechanism`` re-reads the new mechanism's
+    wake, and so do ``on_activate``, ``on_precharge`` and
+    ``maintain``."""
+    checked = _check_cached_wake_at_bids(monkeypatch)
+    cfg = tiny_config("none", instruction_limit=20_000, warmup=1_000)
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    system = System(cfg, [iter(_mixed_phase_trace(org))])
+    controller = system.controllers[0]
+    controller.mechanism = _MovingWake(system.timing)
+    assert controller.next_event_cycle(0) == 1234
+    system.run(max_mem_cycles=600_000)
+    wakes = {wake for _, wake in checked}
+    assert NEVER in wakes and len(wakes) > 100
