@@ -14,11 +14,11 @@ Like every benchmark here, the sweep honours ``--jobs`` (or
 
 from conftest import record, run_once
 
-from repro.harness.experiments import run_energy
+from repro.harness.experiments import run
 
 
 def test_energy_per_standard(benchmark, scale):
-    result = run_once(benchmark, run_energy, None, scale)
+    result = run_once(benchmark, run, "energy", None, scale)
     rows = result["rows"]
     assert len(result["standards"]) == 4
     record(benchmark, result,

@@ -10,16 +10,16 @@ near 8/64 = 12.5%, and eight-core RLTL >= single-core RLTL.
 import pytest
 from conftest import record, run_once
 
-from repro.harness.experiments import run_fig3
+from repro.harness.experiments import run
 
 
 @pytest.fixture(scope="module")
 def fig3a(scale):
-    return run_fig3("single", scale=scale)
+    return run("fig3a", scale=scale)
 
 
 def test_fig3a_single_core(benchmark, scale):
-    result = run_once(benchmark, run_fig3, "single", None, scale)
+    result = run_once(benchmark, run, "fig3a", None, scale)
     avg = result["rows"][-1]
     record(benchmark, result,
            rltl_8ms=avg["rltl_8ms"], refresh_8ms=avg["refresh_8ms"],
@@ -31,7 +31,7 @@ def test_fig3a_single_core(benchmark, scale):
 
 
 def test_fig3b_eight_core(benchmark, scale, fig3a):
-    result = run_once(benchmark, run_fig3, "eight", None, scale)
+    result = run_once(benchmark, run, "fig3b", None, scale)
     avg = result["rows"][-1]
     single_avg = fig3a["rows"][-1]
     record(benchmark, result,

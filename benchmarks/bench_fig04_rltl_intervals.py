@@ -9,7 +9,7 @@ single-core at the shortest interval, open ~ closed.
 
 from conftest import record, run_once
 
-from repro.harness.experiments import run_fig4
+from repro.harness.experiments import run
 
 INTERVALS = (0.125, 0.25, 0.5, 1.0, 32.0)
 
@@ -19,8 +19,8 @@ def _avg(result):
 
 
 def test_fig4a_single_core(benchmark, scale):
-    result = run_once(benchmark, run_fig4, "single", None, INTERVALS,
-                      scale)
+    result = run_once(benchmark, run, "fig4a", None, scale,
+                      intervals_ms=INTERVALS)
     avg = _avg(result)
     record(benchmark, result,
            open_0125=avg["open_0.125ms"], closed_0125=avg["closed_0.125ms"],
@@ -38,8 +38,8 @@ def test_fig4b_eight_core(benchmark, scale):
     # experiment; use half the mixes to bound wall-clock time.
     from repro.workloads.mixes import MIX_NAMES
     mixes = list(MIX_NAMES[:10])
-    result = run_once(benchmark, run_fig4, "eight", mixes, INTERVALS,
-                      scale)
+    result = run_once(benchmark, run, "fig4b", mixes, scale,
+                      intervals_ms=INTERVALS)
     avg = _avg(result)
     record(benchmark, result, open_0125=avg["open_0.125ms"],
            closed_0125=avg["closed_0.125ms"], paper_0125=0.77,

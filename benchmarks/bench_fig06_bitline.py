@@ -8,11 +8,11 @@ anchors within sub-ns tolerance.
 
 from conftest import record, run_once
 
-from repro.harness.experiments import run_fig6
+from repro.harness.experiments import run
 
 
 def test_fig6_bitline_transients(benchmark):
-    result = run_once(benchmark, run_fig6)
+    result = run_once(benchmark, run, "fig6")
     record(benchmark, result,
            ready_full_ns=result["full"]["ready_ns"],
            ready_partial_ns=result["partial"]["ready_ns"],

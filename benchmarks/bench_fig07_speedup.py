@@ -15,7 +15,7 @@ which writes the measured average speedups to ``BENCH_fig07.json``
 for the CI artifact.
 """
 
-from repro.harness.experiments import run_fig7
+from repro.harness.experiments import run
 
 if __name__ != "__main__":
     from conftest import record, run_once
@@ -26,7 +26,7 @@ def _avg(result):
 
 
 def test_fig7a_single_core_speedup(benchmark, scale):
-    result = run_once(benchmark, run_fig7, "single", scale=scale)
+    result = run_once(benchmark, run, "fig7a", scale=scale)
     avg = _avg(result)
     record(benchmark, result,
            nuat=avg["nuat"], chargecache=avg["chargecache"],
@@ -49,7 +49,7 @@ def test_fig7a_single_core_speedup(benchmark, scale):
 
 
 def test_fig7b_eight_core_speedup(benchmark, scale):
-    result = run_once(benchmark, run_fig7, "eight", scale=scale)
+    result = run_once(benchmark, run, "fig7b", scale=scale)
     avg = _avg(result)
     record(benchmark, result,
            nuat=avg["nuat"], chargecache=avg["chargecache"],
@@ -88,9 +88,10 @@ def main(argv=None):
     runner.configure_disk_cache(None, enabled=False)
     scale = current_scale()
     measurements = {}
-    for mode, paper_cc in (("single", 0.021), ("eight", 0.086)):
+    for name, mode, paper_cc in (("fig7a", "single", 0.021),
+                                 ("fig7b", "eight", 0.086)):
         start = time.perf_counter()
-        result = run_fig7(mode, scale=scale)
+        result = run(name, scale=scale)
         seconds = time.perf_counter() - start
         print(render_experiment(result))
         avg = _avg(result)

@@ -8,12 +8,11 @@ the ChargeCache table's own power is accounted against the mechanism.
 
 from conftest import record, run_once
 
-from repro.harness.experiments import run_fig8
+from repro.harness.experiments import run
 
 
 def test_fig8_dram_energy_reduction(benchmark, scale):
-    result = run_once(benchmark, run_fig8, ("single", "eight"), None,
-                      scale)
+    result = run_once(benchmark, run, "fig8", None, scale)
     rows = {r["mode"]: r for r in result["rows"]}
     record(benchmark, result,
            single_avg=rows["single"]["average_reduction"],

@@ -9,7 +9,7 @@ bound, eight-core > single-core at the paper's 128-entry point.
 
 from conftest import record, run_once
 
-from repro.harness.experiments import run_fig9
+from repro.harness.experiments import run as run_figure
 from repro.workloads.mixes import MIX_NAMES
 
 CAPACITIES = (64, 128, 256, 512, 1024)
@@ -17,8 +17,10 @@ EIGHT_MIXES = list(MIX_NAMES[:8])  # bound sweep cost
 
 
 def run(scale):
-    single = run_fig9(("single",), CAPACITIES, None, scale)
-    eight = run_fig9(("eight",), CAPACITIES, EIGHT_MIXES, scale)
+    single = run_figure("fig9", None, scale, modes=("single",),
+                        capacities=CAPACITIES)
+    eight = run_figure("fig9", EIGHT_MIXES, scale, modes=("eight",),
+                       capacities=CAPACITIES)
     return {"id": "fig9", "capacities": list(CAPACITIES),
             "rows": single["rows"] + eight["rows"]}
 

@@ -8,7 +8,7 @@ capturing most of the benefit.
 
 from conftest import record, run_once
 
-from repro.harness.experiments import run_fig10
+from repro.harness.experiments import run as run_figure
 from repro.workloads.mixes import MIX_NAMES
 
 CAPACITIES = (64, 128, 512, 1024)
@@ -16,8 +16,10 @@ EIGHT_MIXES = list(MIX_NAMES[:8])
 
 
 def run(scale):
-    single = run_fig10(("single",), CAPACITIES, None, scale)
-    eight = run_fig10(("eight",), CAPACITIES, EIGHT_MIXES, scale)
+    single = run_figure("fig10", None, scale, modes=("single",),
+                        capacities=CAPACITIES)
+    eight = run_figure("fig10", EIGHT_MIXES, scale, modes=("eight",),
+                       capacities=CAPACITIES)
     return {"id": "fig10", "capacities": list(CAPACITIES),
             "rows": single["rows"] + eight["rows"]}
 

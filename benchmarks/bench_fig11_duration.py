@@ -9,7 +9,7 @@ reductions shrink (Table 2).  Expected shape here: speedup maximal at
 
 from conftest import record, run_once
 
-from repro.harness.experiments import run_fig11
+from repro.harness.experiments import run as run_figure
 from repro.workloads.mixes import MIX_NAMES
 
 DURATIONS = (1.0, 4.0, 8.0, 16.0)
@@ -17,8 +17,10 @@ EIGHT_MIXES = list(MIX_NAMES[:8])
 
 
 def run(scale):
-    single = run_fig11(("single",), DURATIONS, None, scale)
-    eight = run_fig11(("eight",), DURATIONS, EIGHT_MIXES, scale)
+    single = run_figure("fig11", None, scale, modes=("single",),
+                        durations_ms=DURATIONS)
+    eight = run_figure("fig11", EIGHT_MIXES, scale, modes=("eight",),
+                       durations_ms=DURATIONS)
     return {"id": "fig11", "durations_ms": list(DURATIONS),
             "rows": single["rows"] + eight["rows"]}
 

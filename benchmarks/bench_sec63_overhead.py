@@ -10,11 +10,11 @@ McPAT at this design point and scales linearly elsewhere).
 import pytest
 from conftest import record, run_once
 
-from repro.harness.experiments import run_sec63
+from repro.harness.experiments import run
 
 
 def test_sec63_overhead(benchmark, scale):
-    result = run_once(benchmark, run_sec63, scale)
+    result = run_once(benchmark, run, "sec63", None, scale)
     record(benchmark, result,
            storage_bytes=result["storage_bytes"],
            area_mm2=result["area_mm2"],

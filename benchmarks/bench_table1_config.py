@@ -6,11 +6,11 @@ records the configuration echo alongside the benchmark results.
 
 from conftest import run_once
 
-from repro.harness.experiments import run_table1
+from repro.harness.experiments import run
 
 
 def test_table1_configuration(benchmark):
-    result = run_once(benchmark, run_table1)
+    result = run_once(benchmark, run, "table1")
 
     proc = result["processor"]
     assert proc["cores"] == [1, 8]

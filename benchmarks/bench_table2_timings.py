@@ -9,11 +9,11 @@ table, so agreement is a genuine cross-check).
 
 from conftest import record, run_once
 
-from repro.harness.experiments import run_table2
+from repro.harness.experiments import run
 
 
 def test_table2_duration_timings(benchmark):
-    result = run_once(benchmark, run_table2)
+    result = run_once(benchmark, run, "table2")
     rows = [r for r in result["rows"] if r["duration_ms"] != "baseline"]
     record(benchmark, result,
            model_1ms=rows[0]["model_trcd_ns"],

@@ -18,7 +18,7 @@ Run:  python examples/energy_per_standard.py
 
 from repro.dram.standards import PROFILES
 from repro.energy.drampower import energy_for_run
-from repro.harness.experiments import run_energy
+from repro.harness.experiments import run
 from repro.harness.report import render_experiment
 from repro.harness.runner import Scale, run_scenario
 
@@ -49,8 +49,7 @@ def main() -> None:
     print()
     print("full per-standard energy-reduction table "
           "(baseline vs ChargeCache):")
-    print(render_experiment(run_energy(workloads=[WORKLOAD],
-                                       scale=SCALE)))
+    print(render_experiment(run("energy", [WORKLOAD], SCALE)))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ batching and progress.  Scope a change instead of mutating it, e.g. in
 a test::
 
     with runner.executing(jobs=2, cache_dir=str(tmp_path)):
-        experiments.run_fig9(workloads=["hmmer"])
+        experiments.run("fig9", ["hmmer"])
 
 The previous execution comes back on exit, even on error.
 

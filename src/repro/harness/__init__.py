@@ -1,8 +1,10 @@
-"""Experiment harness: one driver per paper table/figure.
+"""Experiment harness: one figure-table entry per paper table/figure.
 
-Every experiment in the paper's evaluation can be regenerated with
-:mod:`repro.harness.experiments` (programmatic), the ``benchmarks/``
-pytest-benchmark suite, or the ``chargecache-harness`` CLI.
+Every artifact of the paper's evaluation is an entry of
+:data:`repro.harness.experiments.FIGURES` (a sweep plus a reducer) and
+is regenerated with :func:`repro.harness.experiments.run`
+(programmatic), the ``benchmarks/`` pytest-benchmark suite, or the
+``chargecache-harness`` CLI — all three read the same table.
 """
 
 from repro.harness.spec import RunSpec, Scale, current_scale
@@ -21,19 +23,7 @@ from repro.harness.runner import (
     mix_spec,
     alone_spec,
 )
-from repro.harness.experiments import (
-    run_fig3,
-    run_fig4,
-    run_fig6,
-    run_table2,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_sec63,
-    run_table1,
-)
+from repro.harness.experiments import FIGURES, Figure, run
 from repro.harness.report import format_table, format_percent
 
 __all__ = [
@@ -58,17 +48,9 @@ __all__ = [
     "workload_spec",
     "mix_spec",
     "alone_spec",
-    "run_fig3",
-    "run_fig4",
-    "run_fig6",
-    "run_table2",
-    "run_fig7",
-    "run_fig8",
-    "run_fig9",
-    "run_fig10",
-    "run_fig11",
-    "run_sec63",
-    "run_table1",
+    "FIGURES",
+    "Figure",
+    "run",
     "format_table",
     "format_percent",
 ]

@@ -1,31 +1,22 @@
-"""Unified sweep/store aggregation: one query→frame path.
+"""Result tables: a small frame over run rows, and the store query.
 
-Every figure used to collate its results ad hoc — nested loops over
-modes, names and parameters, each re-requesting runs from the memo and
-averaging by hand.  This module replaces that with one shape: execute
-(or query) → build a :class:`Frame` of per-point rows (spec axes +
-result metrics) → filter/group/average declaratively.
-
-The frame is a deliberately small, dependency-free table:
+A :class:`Frame` is a table of per-run rows (spec axes + result
+metrics) with declarative filter/group/average verbs.  The figures do
+not use it — each figure's reducer looks its points up by spec (see
+:mod:`repro.harness.experiments`); the frame serves cross-sweep
+analytics over stored results:
 
 * rows are plain dicts (spec :meth:`~repro.harness.spec.RunSpec.axes`
   columns plus :data:`METRIC_COLUMNS`),
 * arithmetic is plain ``sum(values) / len(values)`` over rows in
-  first-seen order — exactly the accumulation the hand-rolled figure
-  loops performed, so the refactor is bit-identical,
+  first-seen order,
 * :meth:`Frame.to_pandas` hands the same rows to pandas **when it is
   installed** — the toolchain here has no hard pandas dependency, so
   the import is gated and everything else works without it.
 
-Three constructors cover the sources:
-
-* :func:`sweep_frame` — rows from an executed
-  :class:`~repro.harness.pool.Sweep` (unique points, spec order);
-* :func:`specs_frame` — rows by running specs through the runner's
-  read-through stack (memo/store hits, never a duplicate simulation);
-* :func:`store_frame` — rows straight from a store directory,
-  *without* executing anything: cross-sweep analytics over everything
-  a fleet has ever computed.
+:func:`store_frame` builds one straight from a store directory,
+*without* executing anything: analytics over everything a fleet has
+ever computed (the CLI's ``query`` command renders it).
 """
 
 from __future__ import annotations
@@ -159,56 +150,12 @@ class GroupBy:
 # Row construction
 # ----------------------------------------------------------------------
 
-def point_row(spec: RunSpec, result: RunResult,
-              performance: bool = False) -> Dict:
-    """One frame row: the spec's axes plus scalar result metrics.
-
-    With ``performance`` true the row also carries the figure-level
-    ``performance`` column — total IPC for single-core runs, weighted
-    speedup against the alone runs for eight-core mixes (which must
-    already be warm in the runner, as every figure's sweep declaration
-    guarantees).
-    """
+def point_row(spec: RunSpec, result: RunResult) -> Dict:
+    """One frame row: the spec's axes plus scalar result metrics."""
     row = spec.axes()
     for name in METRIC_COLUMNS:
         row[name] = getattr(result, name)
-    if performance:
-        if spec.kind == "eight":
-            from repro.harness import runner
-            from repro.stats.metrics import weighted_speedup
-            row["performance"] = weighted_speedup(
-                result.ipcs,
-                runner.alone_ipcs_for_mix(spec.name, spec.scale))
-        else:
-            row["performance"] = result.total_ipc
     return row
-
-
-def sweep_frame(sweep, performance: bool = False) -> Frame:
-    """Frame over a :class:`~repro.harness.pool.Sweep`'s unique
-    points, in spec order (plus ``source``/``seconds`` provenance)."""
-    rows = []
-    for point in sweep._unique_points():
-        row = point_row(point.spec, point.result,
-                        performance=performance)
-        row["source"] = point.source
-        row["seconds"] = point.seconds
-        rows.append(row)
-    return Frame(rows)
-
-
-def specs_frame(specs: Sequence[RunSpec],
-                performance: bool = False) -> Frame:
-    """Frame by pulling each spec through the runner's read-through
-    stack (memo, then persistent store; simulates only on miss)."""
-    from repro.harness import runner
-    rows = []
-    for spec in specs:
-        result, source = runner.run_spec_ex(spec)
-        row = point_row(spec, result, performance=performance)
-        row["source"] = source
-        rows.append(row)
-    return Frame(rows)
 
 
 def spec_standard(spec: RunSpec) -> str:

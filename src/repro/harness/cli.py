@@ -31,10 +31,13 @@ Examples::
         --mechanisms none chargecache --store /shared/cc \\
         --journal /tmp/worker-a.journal --owner worker-a
 
-The ``all`` command first collects every experiment's declared sweep,
+Experiments are the entries of :data:`repro.harness.experiments.FIGURES`.
+The ``all`` command first collects every entry's declared sweep,
 dedupes it, and executes the union through one shared process pool
 (DESIGN.md section 5), so each distinct run is simulated at most once
-and workers never idle between figures.
+and workers never idle between figures.  With ``--workloads`` each
+entry runs on the names its modes know; an entry that knows none of
+them is skipped.
 
 Sweep points fan out over ``--jobs`` worker processes and are memoised
 in a persistent content-addressed run cache (default
@@ -54,38 +57,6 @@ from repro.config import DEFAULT_ENGINE, ENGINES
 from repro.harness import experiments, pool, runner
 from repro.harness.report import render_experiment
 from repro.harness.runner import Execution, Scale, current_scale
-
-#: Experiment name -> callable(workloads, scale, mechanisms) -> result
-#: dict.  ``mechanisms`` (the CLI's ``--mechanisms``, a list of
-#: registry spec strings) parameterizes the mechanism-comparison
-#: figures; the other experiments fix their own mechanisms and ignore
-#: it.
-_EXPERIMENTS = {
-    "fig3a": lambda w, s, m=None: experiments.run_fig3("single", w, s),
-    "fig3b": lambda w, s, m=None: experiments.run_fig3("eight", w, s),
-    "fig4a": lambda w, s, m=None: experiments.run_fig4("single", w, scale=s),
-    "fig4b": lambda w, s, m=None: experiments.run_fig4("eight", w, scale=s),
-    "fig6": lambda w, s, m=None: experiments.run_fig6(),
-    "table2": lambda w, s, m=None: experiments.run_table2(),
-    "fig7a": lambda w, s, m=None: experiments.run_fig7("single", w,
-                                                  mechanisms=m, scale=s),
-    "fig7b": lambda w, s, m=None: experiments.run_fig7("eight", w,
-                                                  mechanisms=m, scale=s),
-    "fig8": lambda w, s, m=None: experiments.run_fig8(workloads=w, scale=s),
-    "fig9": lambda w, s, m=None: experiments.run_fig9(workloads=w, scale=s),
-    "fig10": lambda w, s, m=None: experiments.run_fig10(workloads=w, scale=s),
-    "fig11": lambda w, s, m=None: experiments.run_fig11(workloads=w, scale=s),
-    "sec63": lambda w, s, m=None: experiments.run_sec63(scale=s),
-    "table1": lambda w, s, m=None: experiments.run_table1(),
-    "calibrate": lambda w, s, m=None: experiments.run_calibrate(w, s),
-    "scaling": lambda w, s, m=None: experiments.run_scaling(w, s),
-    "standards": lambda w, s, m=None: experiments.run_standards(w, s),
-    "energy": lambda w, s, m=None: experiments.run_energy(w, s),
-}
-
-#: Experiments that honour ``--mechanisms``.
-_MECHANISM_AWARE = experiments.MECHANISM_AWARE
-
 
 #: Named ``--scale`` presets (instruction-budget multipliers).
 _SCALE_PRESETS = {"tiny": 0.05, "small": 0.25, "half": 0.5, "full": 1.0}
@@ -125,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                "[--cache-dir DIR]' prunes run-cache entries stranded "
                "by source changes ('cache --help' for details)")
     parser.add_argument("experiment",
-                        choices=sorted(_EXPERIMENTS) + ["all"],
+                        choices=sorted(experiments.FIGURES) + ["all"],
                         help="which artifact to regenerate")
     parser.add_argument("--workloads", nargs="*", default=None,
                         help="restrict to these workloads/mixes")
@@ -471,6 +442,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _SUBCOMMANDS[argv[0]](argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    figures = experiments.FIGURES
+    names = sorted(figures) if args.experiment == "all" \
+        else [args.experiment]
     if args.mechanisms:
         from repro.core.registry import parse_mechanism_spec
         for spec in args.mechanisms:
@@ -478,10 +452,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parse_mechanism_spec(spec)
             except ValueError as exc:
                 parser.error(f"--mechanisms: {exc}")  # usage + exit 2
-        if args.experiment not in _MECHANISM_AWARE + ("all",):
+        aware = [name for name in sorted(figures)
+                 if "mechanisms" in figures[name].params]
+        if args.experiment not in aware + ["all"]:
             print(f"warning: --mechanisms is ignored by "
                   f"{args.experiment} (honoured by: "
-                  f"{', '.join(_MECHANISM_AWARE)})", file=sys.stderr)
+                  f"{', '.join(aware)})", file=sys.stderr)
     if args.traces is not None:
         import os
         for path in args.traces:
@@ -490,6 +466,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.experiment not in ("calibrate", "all"):
             print(f"warning: --traces is ignored by {args.experiment} "
                   f"(honoured by: calibrate)", file=sys.stderr)
+    # Each entry runs on the part of --workloads its modes know; a
+    # name no entry knows is a usage error.
+    plan = {name: experiments.workloads_for(name, args.workloads)
+            for name in names}
+    known = {w for part in plan.values() for w in part or ()}
+    unknown = [w for w in args.workloads or () if w not in known]
+    if unknown and any(figures[name].modes for name in names):
+        parser.error(f"--workloads: {args.experiment} knows no workload "
+                     f"or mix {', '.join(map(repr, unknown))}")
+    for name in [name for name, part in plan.items() if part == []]:
+        print(f"{name}: skipped (knows none of --workloads)",
+              file=sys.stderr)
+        del plan[name]
     # One whole value per call, defaults included, so in-process calls
     # never inherit an earlier call's flags (tests drive main()
     # repeatedly).
@@ -497,23 +486,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                                     calibration_traces=args.traces))
     scale = _scale(args)
 
-    names = sorted(_EXPERIMENTS) if args.experiment == "all" \
-        else [args.experiment]
     if args.experiment == "all":
-        # One shared pool for every experiment's sweep: collect the
-        # union of declared specs, dedupe, execute once.  The
-        # per-experiment prefetches below then hit the memo and fork
-        # nothing, so workers never idle between figures.
-        shared = experiments.prefetch_experiments(names, args.workloads,
+        # One shared pool for every entry's sweep: collect the union
+        # of declared specs, dedupe, execute once.  The entries' own
+        # sweeps below then hit the memo and fork nothing, so workers
+        # never idle between figures.
+        shared = experiments.prefetch_experiments(list(plan), args.workloads,
                                                   scale, args.mechanisms)
         from repro.harness.report import render_cache_annotation
         note = render_cache_annotation(shared.annotation())
         if note:
             print(f"all (shared pool) {note}", file=sys.stderr)
     results: Dict[str, Dict] = {}
-    for name in names:
-        result = _EXPERIMENTS[name](args.workloads, scale,
-                                    args.mechanisms)
+    for name, workloads in plan.items():
+        result = experiments.run(
+            name, workloads, scale,
+            **experiments.mechanism_params(name, args.mechanisms))
         results[name] = result
         print(render_experiment(result))
         print()

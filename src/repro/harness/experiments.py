@@ -1,37 +1,30 @@
-"""One driver per paper table/figure (see DESIGN.md's experiment index).
+"""The paper's tables and figures: one :data:`FIGURES` entry each.
 
-Every ``run_*`` function returns a plain dict (JSON-friendly) with a
-``rows`` list shaped like the paper's artifact, plus enough metadata to
-render or assert on.  Workload subsets default to the full paper sets;
-benchmarks pass smaller subsets where a sweep would otherwise dominate
-wall-clock time (recorded in EXPERIMENTS.md).
+An entry is a :class:`Figure`: a **sweep** declaring the flat list of
+:class:`~repro.harness.spec.RunSpec` points the artifact needs (the
+alone-runs behind weighted speedup included), and a **reducer**
+shaping the executed points into a plain, JSON-friendly result dict
+with a ``rows`` list like the paper's artifact.  :func:`run` is the
+one way to produce an artifact: it executes the sweep through
+:func:`repro.harness.pool.execute_sweep` (worker processes, persistent
+run cache), hands the reducer a ``{spec: result}`` map of exactly the
+executed points — a point the sweep did not declare is a
+:class:`KeyError`, never a silent extra simulation — and attaches a
+``"cache"`` annotation recording where each point came from.
 
-Execution model: each simulation-backed experiment first **declares**
-its complete sweep as a flat list of :class:`~repro.harness.spec.RunSpec`
-points (including the alone-runs that weighted speedup needs) and hands
-it to :func:`repro.harness.pool.execute_sweep`, which fans the points
-out over worker processes and the persistent run cache.  The
-aggregation code below then re-requests runs through the classic
-``run_workload``/``run_mix`` entry points, which hit the freshly
-back-filled in-process memo — so shaping logic stays sequential and
-readable while all simulation happens in parallel.  Experiments with a
-sweep attach a ``"cache"`` annotation to their result dict recording,
-per point, whether it was served from memory, disk, or computed.
-
-Declaration is separate from aggregation so sweeps compose: every
-``_*_specs`` helper is registered in :data:`SWEEP_DECLARATIONS`, and
-:func:`prefetch_experiments` concatenates any set of experiments'
-sweeps, dedupes them, and executes the union through **one** shared
-process pool.  The CLI's ``all`` command uses this so the tail of one
-figure's sweep never idles workers the next figure could use; each
-experiment's own ``_prefetch`` then finds everything in the memo and
-forks nothing (DESIGN.md section 5).
+Sweeps compose: :func:`prefetch_experiments` executes the deduplicated
+union of any set of entries' sweeps through **one** shared pool, so
+the CLI's ``all`` never idles workers at one figure's sweep tail; each
+entry's own :func:`run` then finds every point in the memo (DESIGN.md
+section 5).  The CLI's experiment choices, ``all`` and ``--mechanisms``
+read this table too.  Workload subsets default to the full paper sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.circuit.latency_tables import (
     BASELINE_TIMINGS_NS,
@@ -40,21 +33,17 @@ from repro.circuit.latency_tables import (
 )
 from repro.circuit.spice import bitline_transient, derive_timing_table
 from repro.config import eight_core_config, single_core_config
+from repro.cpu.system import RunResult
 from repro.dram.timing import DDR3_1600
 from repro.energy.drampower import access_rate_for_run, energy_for_run
 from repro.energy.mcpat import hcrac_overhead, overhead_for_config
-from repro.dram.standards import preset, profile, reduction_cycles_for
-from repro.harness import aggregate, pool, runner, scenarios
+from repro.dram.standards import preset, reduction_cycles_for
+from repro.harness import pool, runner, scenarios
 from repro.harness.runner import (
     Scale,
-    alone_ipcs_for_mix,
     alone_specs_for_mix,
     current_scale,
     mix_spec,
-    run_mix,
-    run_scenario,
-    run_trace,
-    run_workload,
     scenario_spec,
     trace_spec,
     workload_spec,
@@ -73,11 +62,24 @@ FIG9_CAPACITIES = (64, 128, 256, 512, 1024, 2048)
 #: Caching-duration sweep of Figure 11 (ms).
 FIG11_DURATIONS = (1.0, 4.0, 8.0, 16.0)
 
+#: RLTL intervals of Figure 4 (ms).
+FIG4_INTERVALS = (0.125, 0.25, 0.5, 1.0, 32.0)
+
 #: Default workloads for the scenario-matrix experiments.  Two mixes
 #: keep the full matrix (10 scaling + 6 extra standards platforms,
 #: baseline + ChargeCache each) affordable at default scale; pass
 #: ``workloads`` to widen or narrow.
 SCENARIO_WORKLOADS = ("w1", "w2")
+
+#: Both paper platforms: applications (single) and mixes (eight).
+BOTH_MODES = ("single", "eight")
+
+#: A ``{spec: result}`` map of one sweep's executed points.
+Points = Mapping[RunSpec, RunResult]
+
+#: A ``--workloads`` filter: application/mix names, None = all.
+Names = Optional[Sequence[str]]
+
 
 def set_default_jobs(jobs: Optional[int]) -> None:
     """Set the pool width used by every subsequent experiment sweep."""
@@ -89,9 +91,41 @@ def set_progress(progress) -> None:
     runner.set_execution(replace(runner.execution, progress=progress))
 
 
-def _prefetch(specs: Sequence[RunSpec]) -> pool.Sweep:
-    """Fan a declared sweep out; results land in the runner memo."""
-    return pool.execute_sweep(specs)
+@dataclass(frozen=True)
+class Figure:
+    """One paper artifact.
+
+    ``sweep(workloads=, scale=, **params)`` declares its spec list;
+    ``reduce(points, workloads=, scale=, **params)`` shapes the
+    executed ``points`` (entries without a sweep: ``reduce(**params)``).
+    ``params`` tell fig3a from fig3b and hold the paper's axes, which
+    :func:`run` lets a caller override.  ``modes`` name what a
+    ``workloads`` filter may hold: "single" applications, "eight"
+    mixes; ``()`` when the entry takes no filter.
+    """
+
+    reduce: Callable[..., Dict]
+    sweep: Optional[Callable[..., List[RunSpec]]] = None
+    params: Mapping[str, object] = field(default_factory=dict)
+    modes: Tuple[str, ...] = ()
+
+
+def run(name: str, workloads: Names = None,
+        scale: Optional[Scale] = None, **params) -> Dict:
+    """The artifact of :data:`FIGURES` entry ``name``; ``params``
+    override the entry's own (``run("fig9", capacities=(64, 256))``)."""
+    figure = FIGURES[name]
+    params = {**figure.params, **params}
+    if figure.sweep is None:
+        return figure.reduce(**params)
+    scale = scale or current_scale()
+    sweep = pool.execute_sweep(
+        figure.sweep(workloads=workloads, scale=scale, **params))
+    points = {point.spec: point.result for point in sweep.points}
+    result = figure.reduce(points, workloads=workloads, scale=scale,
+                           **params)
+    result["cache"] = sweep.annotation()
+    return result
 
 
 def _mean(values: Iterable[float]) -> float:
@@ -99,17 +133,14 @@ def _mean(values: Iterable[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _cc(entries: Optional[int] = None,
-        duration_ms: Optional[float] = None,
+def _cc(entries: Optional[int] = None, duration_ms: Optional[float] = None,
         unbounded: bool = False) -> str:
-    """A parameterized ChargeCache mechanism spec string.
+    """A parameterized ChargeCache mechanism spec string:
+    ``_cc(entries=256)`` -> ``"chargecache(entries=256)"``.
 
-    The capacity/duration sweeps are spec-string generation, not
-    config surgery: ``_cc(entries=256)`` -> ``"chargecache(entries=256)"``.
-    Normalization folds these inline parameters back into the
-    RunSpec's canonical shorthand fields, so the generated specs land
-    on exactly the keys the pre-registry ``cc_entries``/
-    ``cc_duration_ms`` keyword sweeps used.
+    Normalization folds inline parameters into the RunSpec's canonical
+    fields, so a reducer rebuilding ``_cc(entries=128)`` finds the
+    plain ``chargecache`` point the sweep declared.
     """
     params = []
     if entries is not None:
@@ -121,45 +152,90 @@ def _cc(entries: Optional[int] = None,
     return f"chargecache({','.join(params)})" if params else "chargecache"
 
 
-def _cc_axes(entries: Optional[int] = None,
-             duration_ms: Optional[float] = None,
-             unbounded: bool = False) -> Dict:
-    """Canonical frame-filter axes for a parameterized ChargeCache run.
+# ----------------------------------------------------------------------
+# Sweep points and the per-mode grid
+# ----------------------------------------------------------------------
 
-    Registry normalization folds default-valued parameters away
-    (``entries=128`` hashes like plain ``chargecache``), so frame
-    filters must match the *canonical* axis values, not the sweep's
-    literal parameters.
+def _mode_names(mode: str) -> Sequence[str]:
+    """The names ``mode`` runs: applications (single) or mixes."""
+    return WORKLOAD_NAMES if mode == "single" else MIX_NAMES
+
+
+def _names_for(mode: str, workloads: Names,
+               modes: Optional[Sequence[str]] = None) -> List[str]:
+    """The names ``mode`` runs out of a ``--workloads`` filter.
+
+    Without a filter, every name of the mode.  With one, the names the
+    mode knows, in the filter's order: a multi-mode experiment such as
+    fig9 gives application names to its single-core half and mix names
+    to its eight-core half.  A name that none of ``modes`` (default:
+    just ``mode``) knows raises :class:`ValueError`.
     """
-    from repro.core.registry import extract_run_params
-    mechanism, entries, duration_ms, unbounded = extract_run_params(
-        _cc(entries=entries, duration_ms=duration_ms,
-            unbounded=unbounded))
-    return {"mechanism": mechanism, "cc_entries": entries,
-            "cc_duration_ms": duration_ms, "cc_unbounded": unbounded}
+    known = _mode_names(mode)
+    if workloads is None:
+        return list(known)
+    modes = modes or (mode,)
+    unknown = [name for name in workloads
+               if not any(name in _mode_names(m) for m in modes)]
+    if unknown:
+        raise ValueError(
+            f"unknown workload or mix {', '.join(map(repr, unknown))} "
+            f"for mode {'/'.join(modes)}")
+    return [name for name in workloads if name in known]
+
+
+def _spec(mode: str, name: str, mechanism: str, scale: Scale,
+          **kwargs) -> RunSpec:
+    """One sweep point on the paper's single- or eight-core system."""
+    if mode == "single":
+        return workload_spec(name, mechanism, scale, **kwargs)
+    return mix_spec(name, mechanism, scale, **kwargs)
+
+
+def _grid(modes: Sequence[str], workloads: Names,
+          scale: Scale, mechanisms: Sequence[str],
+          weighted: bool = False, **kwargs) -> List[RunSpec]:
+    """Each mode's names x ``mechanisms`` (``kwargs``: shared spec
+    fields); ``weighted`` appends an eight-core mode's alone runs, which
+    :func:`_performance` needs."""
+    specs = []
+    for mode in modes:
+        names = _names_for(mode, workloads, modes)
+        specs += [_spec(mode, name, mech, scale, **kwargs)
+                  for name in names for mech in mechanisms]
+        if weighted and mode == "eight":
+            specs += [s for mix in names
+                      for s in alone_specs_for_mix(mix, scale)]
+    return specs
+
+
+def _performance(points: Points, mode: str, name: str, mechanism: str,
+                 scale: Scale) -> float:
+    """IPC (single-core) or weighted speedup (eight-core): the
+    harness's one weighted-speedup computation, against the alone runs
+    ``_grid(..., weighted=True)`` declares."""
+    result = points[_spec(mode, name, mechanism, scale)]
+    if mode == "single":
+        return result.total_ipc
+    alone = [points[spec].total_ipc
+             for spec in alone_specs_for_mix(name, scale)]
+    return weighted_speedup(result.ipcs, alone)
 
 
 # ----------------------------------------------------------------------
 # Figure 3: 8ms-RLTL vs accessed-within-8ms-of-refresh
 # ----------------------------------------------------------------------
 
-def _fig3_specs(mode: str, workloads: Optional[Sequence[str]],
-                scale: Scale) -> List[RunSpec]:
-    return [_spec(mode, name, "none", scale, enable_rltl=True)
-            for name in _names_for(mode, workloads)]
+def _fig3_specs(mode: str, workloads: Names, scale: Scale) -> List[RunSpec]:
+    return _grid((mode,), workloads, scale, ("none",), enable_rltl=True)
 
 
-def run_fig3(mode: str = "single",
-             workloads: Optional[Sequence[str]] = None,
-             scale: Optional[Scale] = None) -> Dict:
+def _fig3(points: Points, mode: str, workloads: Names, scale: Scale) -> Dict:
     """Fraction of activations within 8 ms of own precharge vs refresh."""
-    scale = scale or current_scale()
-    names = _names_for(mode, workloads)
-    sweep = _prefetch(_fig3_specs(mode, workloads, scale))
     rows = []
-    for name in names:
-        result = _run_for(mode, name, "none", scale, enable_rltl=True)
-        probe = result.rltl
+    for name in _names_for(mode, workloads):
+        probe = points[_spec(mode, name, "none", scale,
+                             enable_rltl=True)].rltl
         rows.append({
             "workload": name,
             "rltl_8ms": probe.rltl(8.0),
@@ -173,38 +249,33 @@ def run_fig3(mode: str = "single",
         "activations": sum(r["activations"] for r in rows),
     })
     return {"id": f"fig3{'a' if mode == 'single' else 'b'}",
-            "mode": mode, "time_scale": scale.time_scale, "rows": rows,
-            "cache": sweep.annotation()}
+            "mode": mode, "time_scale": scale.time_scale, "rows": rows}
 
 
 # ----------------------------------------------------------------------
 # Figure 4: RLTL vs interval, open vs closed row policy
 # ----------------------------------------------------------------------
 
-def _fig4_specs(mode: str, workloads: Optional[Sequence[str]],
-                scale: Scale) -> List[RunSpec]:
+def _fig4_specs(mode: str, workloads: Names, scale: Scale,
+                intervals_ms: Sequence[float]) -> List[RunSpec]:
+    del intervals_ms  # read off each run's probe by the reducer
     return [_spec(mode, name, "none", scale, enable_rltl=True,
                   row_policy=policy)
             for name in _names_for(mode, workloads)
             for policy in ("open", "closed")]
 
 
-def run_fig4(mode: str = "single",
-             workloads: Optional[Sequence[str]] = None,
-             intervals_ms: Sequence[float] = (0.125, 0.25, 0.5, 1.0, 32.0),
-             scale: Optional[Scale] = None) -> Dict:
+def _fig4(points: Points, mode: str, workloads: Names,
+          scale: Scale, intervals_ms: Sequence[float]) -> Dict:
     """t-RLTL for several intervals under both row policies."""
-    scale = scale or current_scale()
-    names = _names_for(mode, workloads)
-    sweep = _prefetch(_fig4_specs(mode, workloads, scale))
     rows = []
-    for name in names:
+    for name in _names_for(mode, workloads):
         row = {"workload": name}
         for policy in ("open", "closed"):
-            result = _run_for(mode, name, "none", scale, enable_rltl=True,
-                              row_policy=policy)
+            probe = points[_spec(mode, name, "none", scale,
+                                 enable_rltl=True, row_policy=policy)].rltl
             for interval in intervals_ms:
-                row[f"{policy}_{interval}ms"] = result.rltl.rltl(interval)
+                row[f"{policy}_{interval}ms"] = probe.rltl(interval)
         rows.append(row)
     avg = {"workload": "AVG"}
     for key in rows[0]:
@@ -213,16 +284,14 @@ def run_fig4(mode: str = "single",
     rows.append(avg)
     return {"id": f"fig4{'a' if mode == 'single' else 'b'}",
             "mode": mode, "intervals_ms": list(intervals_ms),
-            "time_scale": scale.time_scale, "rows": rows,
-            "cache": sweep.annotation()}
+            "time_scale": scale.time_scale, "rows": rows}
 
 
 # ----------------------------------------------------------------------
 # Figure 6: bitline voltage transients
 # ----------------------------------------------------------------------
 
-def run_fig6(partial_age_ms: float = 64.0,
-             samples: int = 40) -> Dict:
+def _fig6(partial_age_ms: float, samples: int) -> Dict:
     """Bitline voltage vs time for fully vs partially charged cells."""
     full = bitline_transient(0.0, t_end_ns=45.0)
     partial = bitline_transient(partial_age_ms, t_end_ns=45.0)
@@ -256,7 +325,7 @@ def run_fig6(partial_age_ms: float = 64.0,
 # Table 2: caching duration -> tRCD/tRAS
 # ----------------------------------------------------------------------
 
-def run_table2() -> Dict:
+def _table2() -> Dict:
     """Published vs model-derived duration->timing table."""
     model = derive_timing_table(tuple(DURATION_TABLE_NS))
     rows = [{
@@ -284,43 +353,29 @@ def run_table2() -> Dict:
 # Figure 7: speedups
 # ----------------------------------------------------------------------
 
-def _fig7_specs(mode: str, workloads: Optional[Sequence[str]],
-                scale: Scale,
-                mechanisms: Optional[Sequence[str]] = None
-                ) -> List[RunSpec]:
-    mechanisms = FIG7_MECHANISMS if mechanisms is None else mechanisms
-    names = _names_for(mode, workloads)
-    specs = [_spec(mode, name, mech, scale)
-             for name in names for mech in ("none",) + tuple(mechanisms)]
-    return specs + _ws_specs(mode, names, scale)
+def _fig7_specs(mode: str, workloads: Names, scale: Scale,
+                mechanisms: Sequence[str] = FIG7_MECHANISMS) -> List[RunSpec]:
+    return _grid((mode,), workloads, scale,
+                 ("none",) + tuple(mechanisms), weighted=True)
 
 
-def run_fig7(mode: str = "single",
-             workloads: Optional[Sequence[str]] = None,
-             mechanisms: Optional[Sequence[str]] = None,
-             scale: Optional[Scale] = None) -> Dict:
+def _fig7(points: Points, mode: str, workloads: Names,
+          scale: Scale, mechanisms: Sequence[str]) -> Dict:
     """Speedup of each mechanism over baseline, plus RMPKC.
 
     ``mechanisms`` accepts any registry spec strings (plain names,
-    compositions, inline parameters); ``None`` means the paper's
-    Figure 7 set.
+    compositions, inline parameters); the entry's default is the
+    paper's Figure 7 set.
     """
-    mechanisms = FIG7_MECHANISMS if mechanisms is None else tuple(mechanisms)
-    scale = scale or current_scale()
-    names = _names_for(mode, workloads)
-    sweep = _prefetch(_fig7_specs(mode, workloads, scale, mechanisms))
     rows = []
-    for name in names:
+    for name in _names_for(mode, workloads):
         row = {"workload": name}
-        base = _performance(mode, name, "none", scale)
-        row["rmpkc"] = _run_for(mode, name, "none", scale).rmpkc()
+        base = _performance(points, mode, name, "none", scale)
+        row["rmpkc"] = points[_spec(mode, name, "none", scale)].rmpkc()
         for mech in mechanisms:
-            perf = _performance(mode, name, mech, scale)
+            perf = _performance(points, mode, name, mech, scale)
             row[mech] = perf / base - 1.0 if base else 0.0
-        if mode == "single":
-            row["base_ipc"] = base
-        else:
-            row["base_ws"] = base
+        row["base_ipc" if mode == "single" else "base_ws"] = base
         rows.append(row)
     avg = {"workload": "AVG",
            "rmpkc": _mean(r["rmpkc"] for r in rows)}
@@ -329,19 +384,23 @@ def run_fig7(mode: str = "single",
     rows.sort(key=lambda r: r["rmpkc"])
     rows.append(avg)
     return {"id": f"fig7{'a' if mode == 'single' else 'b'}",
-            "mode": mode, "mechanisms": list(mechanisms), "rows": rows,
-            "cache": sweep.annotation()}
+            "mode": mode, "mechanisms": list(mechanisms), "rows": rows}
+
+
+def run_fig7(mode: str = "single", workloads: Names = None,
+             scale: Optional[Scale] = None) -> Dict:
+    """Figure 7a/7b (a named entry point the benchmark tracer patches)."""
+    return run(f"fig7{'a' if mode == 'single' else 'b'}", workloads, scale)
 
 
 # ----------------------------------------------------------------------
 # Figure 8: DRAM energy reduction
 # ----------------------------------------------------------------------
 
-def _fig8_specs(modes: Sequence[str], workloads: Optional[Sequence[str]],
+def _fig8_specs(modes: Sequence[str], workloads: Names,
                 scale: Scale) -> List[RunSpec]:
-    return [_spec(mode, name, mech, scale, idle_finished=True)
-            for mode in modes for name in _names_for(mode, workloads, modes)
-            for mech in ("none", "chargecache")]
+    return _grid(modes, workloads, scale, ("none", "chargecache"),
+                 idle_finished=True)
 
 
 def _energy_reduction(base, cc, e_base=None) -> Optional[float]:
@@ -370,9 +429,8 @@ def _energy_reduction(base, cc, e_base=None) -> Optional[float]:
     return 1.0 - per_inst_cc / per_inst_base
 
 
-def run_fig8(modes: Sequence[str] = ("single", "eight"),
-             workloads: Optional[Sequence[str]] = None,
-             scale: Optional[Scale] = None) -> Dict:
+def _fig8(points: Points, modes: Sequence[str],
+          workloads: Names, scale: Scale) -> Dict:
     """Average and maximum DRAM energy reduction of ChargeCache.
 
     Multi-core runs use trace-loop methodology (cores that reach their
@@ -384,20 +442,17 @@ def run_fig8(modes: Sequence[str] = ("single", "eight"),
 
     Timing and IDD parameters resolve from each run's own config (its
     ``dram.standard``), so non-DDR3 configs are charged with their own
-    clock and currents; :func:`run_energy` sweeps the whole standards
-    family this way.
+    clock and currents; the ``energy`` entry sweeps the whole
+    standards family this way.
     """
-    scale = scale or current_scale()
-    sweep = _prefetch(_fig8_specs(modes, workloads, scale))
     rows = []
     for mode in modes:
-        names = _names_for(mode, workloads, modes)
         reductions = []
-        for name in names:
-            base = _run_for(mode, name, "none", scale,
-                            idle_finished=True)
-            cc = _run_for(mode, name, "chargecache", scale,
-                          idle_finished=True)
+        for name in _names_for(mode, workloads, modes):
+            base = points[_spec(mode, name, "none", scale,
+                                idle_finished=True)]
+            cc = points[_spec(mode, name, "chargecache", scale,
+                              idle_finished=True)]
             reduction = _energy_reduction(base, cc)
             if reduction is not None:
                 reductions.append(reduction)
@@ -409,149 +464,129 @@ def run_fig8(modes: Sequence[str] = ("single", "eight"),
         })
     return {"id": "fig8", "rows": rows,
             "paper": {"single": {"avg": 0.018, "max": 0.069},
-                      "eight": {"avg": 0.079, "max": 0.141}},
-            "cache": sweep.annotation()}
+                      "eight": {"avg": 0.079, "max": 0.141}}}
 
 
 # ----------------------------------------------------------------------
 # Figures 9/10: capacity sweeps
 # ----------------------------------------------------------------------
 
-def _fig9_specs(modes: Sequence[str], workloads: Optional[Sequence[str]],
-                scale: Scale,
-                capacities: Sequence[int] = FIG9_CAPACITIES
-                ) -> List[RunSpec]:
-    specs = []
-    for mode in modes:
-        for name in _names_for(mode, workloads, modes):
-            specs += [_spec(mode, name, _cc(entries=cap), scale)
-                      for cap in capacities]
-            specs.append(_spec(mode, name, _cc(unbounded=True), scale))
-    return specs
+def _fig9_specs(modes: Sequence[str], workloads: Names, scale: Scale,
+                capacities: Sequence[int] = FIG9_CAPACITIES) -> List[RunSpec]:
+    return _grid(modes, workloads, scale,
+                 [_cc(entries=cap) for cap in capacities]
+                 + [_cc(unbounded=True)])
 
 
-def run_fig9(modes: Sequence[str] = ("single", "eight"),
-             capacities: Sequence[int] = FIG9_CAPACITIES,
-             workloads: Optional[Sequence[str]] = None,
-             scale: Optional[Scale] = None) -> Dict:
+def _fig9(points: Points, modes: Sequence[str], workloads: Names, scale: Scale,
+          capacities: Sequence[int]) -> Dict:
     """HCRAC hit rate vs capacity, plus the unlimited-size bound."""
-    scale = scale or current_scale()
-    sweep = _prefetch(_fig9_specs(modes, workloads, scale, capacities))
-    frame = aggregate.sweep_frame(sweep)
     rows = []
-    for mode in modes:
-        for cap in capacities:
-            rows.append({"mode": mode, "entries": cap,
-                         "hit_rate": frame.where(
-                             kind=mode, **_cc_axes(entries=cap))
-                         .mean("mechanism_hit_rate")})
-        rows.append({"mode": mode, "entries": "unlimited",
-                     "hit_rate": frame.where(
-                         kind=mode, **_cc_axes(unbounded=True))
-                     .mean("mechanism_hit_rate")})
-    return {"id": "fig9", "capacities": list(capacities), "rows": rows,
-            "cache": sweep.annotation()}
-
-
-def _fig10_specs(modes: Sequence[str], workloads: Optional[Sequence[str]],
-                 scale: Scale,
-                 capacities: Sequence[int] = FIG9_CAPACITIES
-                 ) -> List[RunSpec]:
-    specs = []
     for mode in modes:
         names = _names_for(mode, workloads, modes)
-        for name in names:
-            specs.append(_spec(mode, name, "none", scale))
-            specs += [_spec(mode, name, _cc(entries=cap), scale)
-                      for cap in capacities]
-        specs += _ws_specs(mode, names, scale)
-    return specs
+        for cap in capacities:
+            rows.append({"mode": mode, "entries": cap,
+                         "hit_rate": _hit_rate(points, mode, names,
+                                               _cc(entries=cap), scale)})
+        rows.append({"mode": mode, "entries": "unlimited",
+                     "hit_rate": _hit_rate(points, mode, names,
+                                           _cc(unbounded=True), scale)})
+    return {"id": "fig9", "capacities": list(capacities), "rows": rows}
 
 
-def run_fig10(modes: Sequence[str] = ("single", "eight"),
-              capacities: Sequence[int] = FIG9_CAPACITIES,
-              workloads: Optional[Sequence[str]] = None,
-              scale: Optional[Scale] = None) -> Dict:
+def run_fig9(modes: Sequence[str] = BOTH_MODES, workloads: Names = None,
+             scale: Optional[Scale] = None) -> Dict:
+    """Figure 9 (a named entry point the benchmark tracer patches)."""
+    return run("fig9", workloads, scale, modes=tuple(modes))
+
+
+def _hit_rate(points: Points, mode: str, names: Sequence[str],
+              mechanism: str, scale: Scale) -> float:
+    """Mean HCRAC hit rate of ``mechanism`` over ``names``."""
+    return _mean(points[_spec(mode, name, mechanism, scale)]
+                 .mechanism_hit_rate for name in names)
+
+
+def _speedups(points: Points, mode: str, names: Sequence[str],
+              mechanism: str, scale: Scale) -> List[float]:
+    """Per-name speedup of ``mechanism`` over the baseline (names
+    whose baseline performance is zero are left out)."""
+    speedups = []
+    for name in names:
+        base = _performance(points, mode, name, "none", scale)
+        if base:
+            speedups.append(_performance(points, mode, name, mechanism,
+                                         scale) / base - 1.0)
+    return speedups
+
+
+def _fig10_specs(modes: Sequence[str], workloads: Names, scale: Scale,
+                 capacities: Sequence[int]) -> List[RunSpec]:
+    return _grid(modes, workloads, scale,
+                 ["none"] + [_cc(entries=cap) for cap in capacities],
+                 weighted=True)
+
+
+def _fig10(points: Points, modes: Sequence[str], workloads: Names,
+           scale: Scale, capacities: Sequence[int]) -> Dict:
     """Speedup vs HCRAC capacity."""
-    scale = scale or current_scale()
-    sweep = _prefetch(_fig10_specs(modes, workloads, scale, capacities))
-    frame = aggregate.sweep_frame(sweep, performance=True)
     rows = []
     for mode in modes:
-        base = frame.where(kind=mode, mechanism="none") \
-            .pivot("name", "performance")
+        names = _names_for(mode, workloads, modes)
         for cap in capacities:
-            variant = frame.where(kind=mode, **_cc_axes(entries=cap))
-            speedups = [row["performance"] / base[row["name"]] - 1.0
-                        for row in variant if base.get(row["name"])]
+            speedups = _speedups(points, mode, names, _cc(entries=cap),
+                                 scale)
             rows.append({"mode": mode, "entries": cap,
                          "speedup": _mean(speedups)})
-    return {"id": "fig10", "capacities": list(capacities), "rows": rows,
-            "cache": sweep.annotation()}
+    return {"id": "fig10", "capacities": list(capacities), "rows": rows}
 
 
 # ----------------------------------------------------------------------
 # Figure 11: caching-duration sweep
 # ----------------------------------------------------------------------
 
-def _fig11_specs(modes: Sequence[str], workloads: Optional[Sequence[str]],
-                 scale: Scale,
-                 durations_ms: Sequence[float] = FIG11_DURATIONS
-                 ) -> List[RunSpec]:
-    specs = []
-    for mode in modes:
-        names = _names_for(mode, workloads, modes)
-        for name in names:
-            specs.append(_spec(mode, name, "none", scale))
-            specs += [_spec(mode, name, _cc(duration_ms=duration), scale)
-                      for duration in durations_ms]
-        specs += _ws_specs(mode, names, scale)
-    return specs
+def _fig11_specs(modes: Sequence[str], workloads: Names, scale: Scale,
+                 durations_ms: Sequence[float]) -> List[RunSpec]:
+    return _grid(modes, workloads, scale,
+                 ["none"] + [_cc(duration_ms=d) for d in durations_ms],
+                 weighted=True)
 
 
-def run_fig11(modes: Sequence[str] = ("single", "eight"),
-              durations_ms: Sequence[float] = FIG11_DURATIONS,
-              workloads: Optional[Sequence[str]] = None,
-              scale: Optional[Scale] = None) -> Dict:
+def _fig11(points: Points, modes: Sequence[str], workloads: Names,
+           scale: Scale, durations_ms: Sequence[float]) -> Dict:
     """Speedup and hit rate vs caching duration.
 
     Longer durations raise the chance an entry survives until reuse but
     weaken the timing reductions (Table 2 derating) - the paper finds
     1 ms the sweet spot.
     """
-    scale = scale or current_scale()
-    sweep = _prefetch(_fig11_specs(modes, workloads, scale, durations_ms))
-    frame = aggregate.sweep_frame(sweep, performance=True)
     rows = []
     for mode in modes:
-        base = frame.where(kind=mode, mechanism="none") \
-            .pivot("name", "performance")
+        names = _names_for(mode, workloads, modes)
         for duration in durations_ms:
-            variant = frame.where(kind=mode,
-                                  **_cc_axes(duration_ms=duration))
-            speedups = [row["performance"] / base[row["name"]] - 1.0
-                        for row in variant if base.get(row["name"])]
+            mechanism = _cc(duration_ms=duration)
             rows.append({
                 "mode": mode,
                 "duration_ms": duration,
-                "speedup": _mean(speedups),
-                "hit_rate": variant.mean("mechanism_hit_rate"),
+                "speedup": _mean(_speedups(points, mode, names,
+                                           mechanism, scale)),
+                "hit_rate": _hit_rate(points, mode, names, mechanism,
+                                      scale),
                 "reductions": reductions_for_duration_ms(duration),
             })
-    return {"id": "fig11", "durations_ms": list(durations_ms), "rows": rows,
-            "cache": sweep.annotation()}
+    return {"id": "fig11", "durations_ms": list(durations_ms), "rows": rows}
 
 
 # ----------------------------------------------------------------------
 # Section 6.3: area & power overhead
 # ----------------------------------------------------------------------
 
-def _sec63_specs(scale: Scale, mix: str = "w1") -> List[RunSpec]:
+def _sec63_specs(workloads: Names, scale: Scale, mix: str) -> List[RunSpec]:
+    del workloads  # the overhead is measured on one fixed mix
     return [mix_spec(mix, "chargecache", scale)]
 
 
-def run_sec63(scale: Optional[Scale] = None,
-              mix: str = "w1") -> Dict:
+def _sec63(points: Points, workloads: Names, scale: Scale, mix: str) -> Dict:
     """ChargeCache hardware overhead (paper Section 6.3).
 
     Storage uses the paper's equations (1)-(2); the access rate feeding
@@ -564,10 +599,9 @@ def run_sec63(scale: Optional[Scale] = None,
     coincide, but a scaled or re-parameterized run no longer silently
     mixes paper-config storage with measured access rates.
     """
-    scale = scale or current_scale()
+    del workloads
     overhead = hcrac_overhead()  # paper's 8-core, 2-channel, 128-entry
-    sweep = _prefetch(_sec63_specs(scale, mix))
-    result = run_mix(mix, "chargecache", scale)
+    result = points[mix_spec(mix, "chargecache", scale)]
     rate = access_rate_for_run(result)  # run's own standard's clock
     power = overhead.average_power_w(rate)
     run_overhead = overhead_for_config(result.config)
@@ -589,7 +623,6 @@ def run_sec63(scale: Optional[Scale] = None,
                   "area_fraction_of_llc": 0.0024,
                   "average_power_mw": 0.149,
                   "power_fraction_of_llc": 0.0023},
-        "cache": sweep.annotation(),
     }
 
 
@@ -598,39 +631,36 @@ def run_sec63(scale: Optional[Scale] = None,
 # grades) sensitivity figures, modeled on Figures 10/11-style plots
 # ----------------------------------------------------------------------
 
-def _scenario_names_for(workloads: Optional[Sequence[str]]) -> List[str]:
+def _scenario_names_for(workloads: Names) -> List[str]:
     return list(workloads) if workloads is not None \
         else list(SCENARIO_WORKLOADS)
 
 
-def _scenario_specs(scenario_names: Sequence[str],
-                    workloads: Optional[Sequence[str]],
-                    scale: Scale) -> List[RunSpec]:
+def _scenario_specs(scenario_names: Sequence[str], workloads: Names,
+                    scale: Scale, **kwargs) -> List[RunSpec]:
     names = _scenario_names_for(workloads)
-    return [scenario_spec(scen, name, mech, scale)
+    return [scenario_spec(scen, name, mech, scale, **kwargs)
             for scen in scenario_names
             for name in names
             for mech in ("none", "chargecache")]
 
 
-def _scaling_specs(workloads: Optional[Sequence[str]],
-                   scale: Scale) -> List[RunSpec]:
+def _scaling_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
     return _scenario_specs(scenarios.SCALING_SCENARIOS, workloads, scale)
 
 
-def _standards_specs(workloads: Optional[Sequence[str]],
-                     scale: Scale) -> List[RunSpec]:
+def _standards_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
     return _scenario_specs(scenarios.STANDARD_SCENARIOS, workloads, scale)
 
 
-def _scenario_row(scen_name: str, names: Sequence[str],
+def _scenario_row(points: Points, scen_name: str, names: Sequence[str],
                   scale: Scale) -> Dict:
     """Baseline-vs-ChargeCache aggregate for one platform."""
     scen = scenarios.scenario(scen_name)
     speedups, hits, rmpkcs, row_hits, lats = [], [], [], [], []
     for name in names:
-        base = run_scenario(scen_name, name, "none", scale)
-        cc = run_scenario(scen_name, name, "chargecache", scale)
+        base = points[scenario_spec(scen_name, name, "none", scale)]
+        cc = points[scenario_spec(scen_name, name, "chargecache", scale)]
         if base.total_ipc:
             speedups.append(cc.total_ipc / base.total_ipc - 1.0)
         hits.append(cc.mechanism_hit_rate)
@@ -648,8 +678,7 @@ def _scenario_row(scen_name: str, names: Sequence[str],
     return row
 
 
-def run_scaling(workloads: Optional[Sequence[str]] = None,
-                scale: Optional[Scale] = None) -> Dict:
+def _scaling(points: Points, workloads: Names, scale: Scale) -> Dict:
     """ChargeCache sensitivity to core count and ranks per channel.
 
     Sweeps the scaling family of :mod:`repro.harness.scenarios`
@@ -659,19 +688,21 @@ def run_scaling(workloads: Optional[Sequence[str]] = None,
     alone-run denominators of Figure 7b are platform-specific and
     would conflate the platform change with the mechanism's effect).
     """
-    scale = scale or current_scale()
     names = _scenario_names_for(workloads)
-    sweep = _prefetch(_scaling_specs(workloads, scale))
-    rows = [_scenario_row(scen, names, scale)
+    rows = [_scenario_row(points, scen, names, scale)
             for scen in scenarios.SCALING_SCENARIOS]
     return {"id": "scaling", "workloads": names,
             "core_counts": list(scenarios.SCALING_CORE_COUNTS),
             "ranks": list(scenarios.SCALING_RANKS),
-            "rows": rows, "cache": sweep.annotation()}
+            "rows": rows}
 
 
-def run_standards(workloads: Optional[Sequence[str]] = None,
-                  scale: Optional[Scale] = None) -> Dict:
+def _standard_names() -> List[str]:
+    return sorted({scenarios.scenario(n).standard
+                   for n in scenarios.STANDARD_SCENARIOS})
+
+
+def _standards(points: Points, workloads: Names, scale: Scale) -> Dict:
     """ChargeCache across DDR-derived timing grades (paper Section 7.2).
 
     Single-core and eight-core platforms on each preset of
@@ -680,15 +711,13 @@ def run_standards(workloads: Optional[Sequence[str]] = None,
     that standard's bus cycles (the physical ~5/10 ns charge headroom
     is more cycles on a faster clock).
     """
-    scale = scale or current_scale()
     names = _scenario_names_for(workloads)
-    sweep = _prefetch(_standards_specs(workloads, scale))
     rows = []
     for scen_name in scenarios.STANDARD_SCENARIOS:
         scen = scenarios.scenario(scen_name)
         timing = preset(scen.standard)
         trcd_red, tras_red = reduction_cycles_for(timing)
-        row = _scenario_row(scen_name, names, scale)
+        row = _scenario_row(points, scen_name, names, scale)
         row.update({
             "trcd": timing.tRCD,
             "tras": timing.tRAS,
@@ -697,26 +726,19 @@ def run_standards(workloads: Optional[Sequence[str]] = None,
         })
         rows.append(row)
     return {"id": "standards", "workloads": names,
-            "standards": sorted({scenarios.scenario(n).standard
-                                 for n in scenarios.STANDARD_SCENARIOS}),
-            "rows": rows, "cache": sweep.annotation()}
+            "standards": _standard_names(), "rows": rows}
 
 
 # ----------------------------------------------------------------------
 # Energy across the standards family (fig8 methodology x Section 7.2)
 # ----------------------------------------------------------------------
 
-def _energy_specs(workloads: Optional[Sequence[str]],
-                  scale: Scale) -> List[RunSpec]:
-    names = _scenario_names_for(workloads)
-    return [scenario_spec(scen, name, mech, scale, idle_finished=True)
-            for scen in scenarios.STANDARD_SCENARIOS
-            for name in names
-            for mech in ("none", "chargecache")]
+def _energy_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
+    return _scenario_specs(scenarios.STANDARD_SCENARIOS, workloads, scale,
+                           idle_finished=True)
 
 
-def run_energy(workloads: Optional[Sequence[str]] = None,
-               scale: Optional[Scale] = None) -> Dict:
+def _energy(points: Points, workloads: Names, scale: Scale) -> Dict:
     """DRAM energy reduction of ChargeCache on every standards platform.
 
     Figure 8's methodology (fixed-work runs, energy per retired
@@ -730,19 +752,17 @@ def run_energy(workloads: Optional[Sequence[str]] = None,
     rows reproduce Figure 8's energy model exactly while the other
     standards get theirs rather than DDR3's.
     """
-    scale = scale or current_scale()
     names = _scenario_names_for(workloads)
-    sweep = _prefetch(_energy_specs(workloads, scale))
     rows = []
     for scen_name in scenarios.STANDARD_SCENARIOS:
         scen = scenarios.scenario(scen_name)
         prof = scen.profile
         reductions, base_pj = [], []
         for name in names:
-            base = run_scenario(scen_name, name, "none", scale,
-                                idle_finished=True)
-            cc = run_scenario(scen_name, name, "chargecache", scale,
-                              idle_finished=True)
+            base = points[scenario_spec(scen_name, name, "none", scale,
+                                        idle_finished=True)]
+            cc = points[scenario_spec(scen_name, name, "chargecache",
+                                      scale, idle_finished=True)]
             e_base = energy_for_run(base)
             reduction = _energy_reduction(base, cc, e_base)
             if reduction is not None:
@@ -759,11 +779,10 @@ def run_energy(workloads: Optional[Sequence[str]] = None,
         })
         rows.append(row)
     return {"id": "energy", "workloads": names,
-            "standards": sorted({scenarios.scenario(n).standard
-                                 for n in scenarios.STANDARD_SCENARIOS}),
+            "standards": _standard_names(),
             "paper": {"single": {"avg": 0.018, "max": 0.069},
                       "eight": {"avg": 0.079, "max": 0.141}},
-            "rows": rows, "cache": sweep.annotation()}
+            "rows": rows}
 
 
 # ----------------------------------------------------------------------
@@ -796,21 +815,18 @@ def bundled_fixture_traces() -> List[str]:
 def calibration_traces() -> List[str]:
     """The trace files the next ``calibrate`` will replay:
     ``runner.execution.calibration_traces`` (the CLI's ``--traces``),
-    else the bundled fixtures.  The sweep declaration in
-    :data:`SWEEP_DECLARATIONS` and :func:`run_calibrate` both read it,
-    so they always agree on the trace set."""
+    else the bundled fixtures.  The entry's sweep and its reducer both
+    read it, so they always agree on the trace set."""
     paths = runner.execution.calibration_traces
     return list(paths) if paths is not None else bundled_fixture_traces()
 
 
-def _calibrate_specs(workloads: Optional[Sequence[str]],
-                     scale: Scale) -> List[RunSpec]:
+def _calibrate_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
     """Baseline + ChargeCache replay of every calibration trace.
 
     The synthetic-workload half of ``calibrate`` is a pure trace-level
     analysis (no simulation), so only the trace replays appear in the
-    sweep; ``workloads`` is accepted for declaration-signature
-    uniformity.
+    sweep.
     """
     del workloads
     return [trace_spec(path, mech, scale)
@@ -833,8 +849,7 @@ def _calibrate_row(**values) -> Dict:
     return row
 
 
-def run_calibrate(workloads: Optional[Sequence[str]] = None,
-                  scale: Optional[Scale] = None) -> Dict:
+def _calibrate(points: Points, workloads: Names, scale: Scale) -> Dict:
     """Workload fingerprint calibration (DESIGN.md section 2).
 
     Two halves, one table:
@@ -864,11 +879,9 @@ def run_calibrate(workloads: Optional[Sequence[str]] = None,
         REFERENCE_INTERVAL_MS,
         fingerprint_delta,
     )
-    scale = scale or current_scale()
     names = list(workloads) if workloads is not None \
         else list(WORKLOAD_NAMES)
     traces = calibration_traces()
-    sweep = _prefetch(_calibrate_specs(workloads, scale))
     rows = []
     for name in names:
         fp = fingerprint_workload(name)
@@ -886,8 +899,8 @@ def run_calibrate(workloads: Optional[Sequence[str]] = None,
     synthetic = list(rows)
     for path in traces:
         fp = fingerprint_file(path)
-        base = run_trace(path, "none", scale)
-        cc = run_trace(path, "chargecache", scale)
+        base = points[trace_spec(path, "none", scale)]
+        cc = points[trace_spec(path, "chargecache", scale)]
         rows.append(_calibrate_row(
             workload=fp.name, kind="trace",
             rltl_1ms=fp.rltl(REFERENCE_INTERVAL_MS),
@@ -907,91 +920,14 @@ def run_calibrate(workloads: Optional[Sequence[str]] = None,
                   if r["status"] == "drift"],
         "traces": list(traces),
         "rows": rows,
-        "cache": sweep.annotation(),
     }
-
-
-# ----------------------------------------------------------------------
-# Cross-experiment sweep declaration (the `all` command's shared pool)
-# ----------------------------------------------------------------------
-
-#: Experiment id -> callable(workloads, scale) -> flat RunSpec list.
-#: Mirrors the defaults of the matching ``run_*`` call in the CLI's
-#: experiment table; ids without a sweep (fig6, table1, table2) are
-#: simply absent.  tests/harness/test_shared_pool.py asserts the
-#: declarations stay in sync with what the experiments actually run.
-SWEEP_DECLARATIONS = {
-    "fig3a": lambda w, s: _fig3_specs("single", w, s),
-    "fig3b": lambda w, s: _fig3_specs("eight", w, s),
-    "fig4a": lambda w, s: _fig4_specs("single", w, s),
-    "fig4b": lambda w, s: _fig4_specs("eight", w, s),
-    "fig7a": lambda w, s, m=None: _fig7_specs("single", w, s, m),
-    "fig7b": lambda w, s, m=None: _fig7_specs("eight", w, s, m),
-    "fig8": lambda w, s: _fig8_specs(("single", "eight"), w, s),
-    "fig9": lambda w, s: _fig9_specs(("single", "eight"), w, s),
-    "fig10": lambda w, s: _fig10_specs(("single", "eight"), w, s),
-    "fig11": lambda w, s: _fig11_specs(("single", "eight"), w, s),
-    "sec63": lambda w, s: _sec63_specs(s),
-    "calibrate": lambda w, s: _calibrate_specs(w, s),
-    "scaling": lambda w, s: _scaling_specs(w, s),
-    "standards": lambda w, s: _standards_specs(w, s),
-    "energy": lambda w, s: _energy_specs(w, s),
-}
-
-#: Experiment ids whose declaration (and ``run_*``) accept a custom
-#: mechanism-spec list.  The CLI's ``--mechanisms`` flag reaches
-#: exactly these, both per-experiment and through the shared pool.
-MECHANISM_AWARE = ("fig7a", "fig7b")
-
-
-def declared_specs(names: Sequence[str],
-                   workloads: Optional[Sequence[str]] = None,
-                   scale: Optional[Scale] = None,
-                   mechanisms: Optional[Sequence[str]] = None
-                   ) -> List[RunSpec]:
-    """The deduplicated union of the named experiments' sweeps.
-
-    ``mechanisms`` replaces the default mechanism set for the
-    :data:`MECHANISM_AWARE` experiments, so a custom ``--mechanisms``
-    sweep is prefetched by the shared pool instead of the default one.
-    """
-    scale = scale or current_scale()
-    specs: List[RunSpec] = []
-    for name in names:
-        declaration = SWEEP_DECLARATIONS.get(name)
-        if declaration is None:
-            continue
-        if name in MECHANISM_AWARE:
-            specs += declaration(workloads, scale, mechanisms)
-        else:
-            specs += declaration(workloads, scale)
-    return dedupe_specs(specs)
-
-
-def prefetch_experiments(names: Sequence[str],
-                         workloads: Optional[Sequence[str]] = None,
-                         scale: Optional[Scale] = None,
-                         mechanisms: Optional[Sequence[str]] = None
-                         ) -> pool.Sweep:
-    """Execute every named experiment's sweep through ONE shared pool.
-
-    Collects each experiment's declared specs, dedupes them (cache
-    keys are injective in specs, so spec identity is key identity),
-    and fans the union out in a single :func:`pool.execute_sweep`
-    call: one ProcessPoolExecutor serves the whole batch, so workers
-    drain the global frontier instead of idling at per-experiment
-    sweep tails, and each distinct cache key is computed at most once.
-    The experiments run afterwards find every point in the runner memo
-    and fork nothing.
-    """
-    return _prefetch(declared_specs(names, workloads, scale, mechanisms))
 
 
 # ----------------------------------------------------------------------
 # Table 1: configuration echo
 # ----------------------------------------------------------------------
 
-def run_table1() -> Dict:
+def _table1() -> Dict:
     """The simulated system configuration (validation that our defaults
     match the paper's Table 1)."""
     single = single_core_config()
@@ -1040,67 +976,93 @@ def run_table1() -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Shared helpers
+# The figure table
 # ----------------------------------------------------------------------
 
-def _mode_names(mode: str) -> Sequence[str]:
-    """The names ``mode`` runs: applications (single) or mixes."""
-    return WORKLOAD_NAMES if mode == "single" else MIX_NAMES
+#: Experiment id -> :class:`Figure`.  The CLI's experiment choices,
+#: ``all`` and the shared pool read this table and nothing else.
+FIGURES: Dict[str, Figure] = {
+    "fig3a": Figure(_fig3, _fig3_specs, {"mode": "single"}, ("single",)),
+    "fig3b": Figure(_fig3, _fig3_specs, {"mode": "eight"}, ("eight",)),
+    "fig4a": Figure(_fig4, _fig4_specs, {
+        "mode": "single", "intervals_ms": FIG4_INTERVALS}, ("single",)),
+    "fig4b": Figure(_fig4, _fig4_specs, {
+        "mode": "eight", "intervals_ms": FIG4_INTERVALS}, ("eight",)),
+    "fig6": Figure(_fig6, None, {"partial_age_ms": 64.0, "samples": 40}),
+    "fig7a": Figure(_fig7, _fig7_specs, {
+        "mode": "single", "mechanisms": FIG7_MECHANISMS}, ("single",)),
+    "fig7b": Figure(_fig7, _fig7_specs, {
+        "mode": "eight", "mechanisms": FIG7_MECHANISMS}, ("eight",)),
+    "fig8": Figure(_fig8, _fig8_specs, {"modes": BOTH_MODES}, BOTH_MODES),
+    "fig9": Figure(_fig9, _fig9_specs, {
+        "modes": BOTH_MODES, "capacities": FIG9_CAPACITIES}, BOTH_MODES),
+    "fig10": Figure(_fig10, _fig10_specs, {
+        "modes": BOTH_MODES, "capacities": FIG9_CAPACITIES}, BOTH_MODES),
+    "fig11": Figure(_fig11, _fig11_specs, {
+        "modes": BOTH_MODES, "durations_ms": FIG11_DURATIONS}, BOTH_MODES),
+    "sec63": Figure(_sec63, _sec63_specs, {"mix": "w1"}),
+    "table1": Figure(_table1),
+    "table2": Figure(_table2),
+    "calibrate": Figure(_calibrate, _calibrate_specs, {}, ("single",)),
+    "scaling": Figure(_scaling, _scaling_specs, {}, BOTH_MODES),
+    "standards": Figure(_standards, _standards_specs, {}, BOTH_MODES),
+    "energy": Figure(_energy, _energy_specs, {}, BOTH_MODES),
+}
 
 
-def _names_for(mode: str, workloads: Optional[Sequence[str]],
-               modes: Optional[Sequence[str]] = None) -> List[str]:
-    """The names ``mode`` runs out of a ``--workloads`` filter.
+def workloads_for(name: str, workloads: Names) -> Optional[List[str]]:
+    """The part of a ``--workloads`` filter entry ``name`` runs on.
 
-    Without a filter, every name of the mode.  With one, the names the
-    mode knows, in the filter's order: a multi-mode experiment such as
-    fig9 gives application names to its single-core half and mix names
-    to its eight-core half.  A name that none of ``modes`` (default:
-    just ``mode``) knows raises :class:`ValueError`.
+    None when there is no filter or the entry takes none (no modes);
+    otherwise the names its modes know, in the filter's order — ``[]``
+    when it knows none of them (it has nothing to run).
     """
-    known = _mode_names(mode)
-    if workloads is None:
-        return list(known)
-    modes = modes or (mode,)
-    unknown = [name for name in workloads
-               if not any(name in _mode_names(m) for m in modes)]
-    if unknown:
-        raise ValueError(
-            f"unknown workload or mix {', '.join(map(repr, unknown))} "
-            f"for mode {'/'.join(modes)}")
-    return [name for name in workloads if name in known]
+    modes = FIGURES[name].modes
+    if workloads is None or not modes:
+        return None
+    return [w for w in workloads
+            if any(w in _mode_names(mode) for mode in modes)]
 
 
-def _spec(mode: str, name: str, mechanism: str, scale: Scale,
-          **kwargs) -> RunSpec:
-    """Declare one sweep point (mirrors :func:`_run_for`)."""
-    if mode == "single":
-        return workload_spec(name, mechanism, scale, **kwargs)
-    return mix_spec(name, mechanism, scale, **kwargs)
+def mechanism_params(name: str,
+                     mechanisms: Optional[Sequence[str]]) -> Dict:
+    """What a custom mechanism set overrides on entry ``name``: its
+    ``mechanisms`` if it compares mechanisms, else nothing."""
+    if mechanisms is None or "mechanisms" not in FIGURES[name].params:
+        return {}
+    return {"mechanisms": tuple(mechanisms)}
 
 
-def _ws_specs(mode: str, names: Sequence[str],
-              scale: Scale) -> List[RunSpec]:
-    """Alone-run specs backing weighted speedup (eight-core only)."""
-    if mode != "eight":
-        return []
+def declared_specs(names: Sequence[str], workloads: Names = None,
+                   scale: Optional[Scale] = None,
+                   mechanisms: Optional[Sequence[str]] = None
+                   ) -> List[RunSpec]:
+    """The deduplicated union of the named entries' sweeps, each over
+    its :func:`workloads_for` part of ``workloads`` and with
+    ``mechanisms`` swapped in where :func:`mechanism_params` says."""
+    scale = scale or current_scale()
     specs: List[RunSpec] = []
-    for mix in names:
-        specs += alone_specs_for_mix(mix, scale)
-    return specs
+    for name in names:
+        figure = FIGURES[name]
+        mine = workloads_for(name, workloads)
+        if figure.sweep is None or mine == []:
+            continue
+        params = {**figure.params, **mechanism_params(name, mechanisms)}
+        specs += figure.sweep(workloads=mine, scale=scale, **params)
+    return dedupe_specs(specs)
 
 
-def _run_for(mode: str, name: str, mechanism: str, scale: Scale,
-             **kwargs):
-    if mode == "single":
-        return run_workload(name, mechanism, scale, **kwargs)
-    return run_mix(name, mechanism, scale, **kwargs)
+def prefetch_experiments(names: Sequence[str], workloads: Names = None,
+                         scale: Optional[Scale] = None,
+                         mechanisms: Optional[Sequence[str]] = None
+                         ) -> pool.Sweep:
+    """Execute the named entries' :func:`declared_specs` through ONE
+    shared pool.
 
-
-def _performance(mode: str, name: str, mechanism: str, scale: Scale,
-                 **kwargs) -> float:
-    """IPC (single-core) or weighted speedup (eight-core)."""
-    result = _run_for(mode, name, mechanism, scale, **kwargs)
-    if mode == "single":
-        return result.total_ipc
-    return weighted_speedup(result.ipcs, alone_ipcs_for_mix(name, scale))
+    Spec identity is cache-key identity, so each distinct key is
+    computed at most once, and workers drain the global frontier
+    instead of idling at per-experiment sweep tails.  The entries run
+    afterwards find every point in the runner memo and fork nothing.
+    """
+    return pool.execute_sweep(
+        declared_specs(names, workloads, scale, mechanisms))

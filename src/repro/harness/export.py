@@ -39,15 +39,6 @@ def rows_to_csv(rows: Sequence[Dict],
     return out.getvalue()
 
 
-def frame_to_csv(frame) -> str:
-    """CSV text for a :class:`~repro.harness.aggregate.Frame`.
-
-    Column order is the frame's own; rows come out in frame order, so
-    a filtered/grouped frame exports exactly what it shows.
-    """
-    return rows_to_csv(frame.to_records(), columns=frame.columns)
-
-
 def _fig6_rows(result: Dict) -> List[Dict]:
     full = dict(result["full"]["curve"])
     partial = dict(result["partial"]["curve"])

@@ -12,8 +12,9 @@ sweeps as flat :class:`~repro.harness.spec.RunSpec` lists through
   parent's memo never reach the pool; workers consult (and populate)
   the persistent cache of :mod:`repro.harness.cache`; worker results
   cross the process boundary as the same versioned JSON the disk layer
-  stores, then back-fill the parent memo, so aggregation code that
-  re-requests a run hits memory.
+  stores, then back-fill the parent memo, so a later sweep over the
+  same points (e.g. each figure after ``all``'s shared pool) hits
+  memory.
 * **Failure surfacing** - a worker exception cancels the remaining
   sweep and re-raises as :class:`SweepError` naming the failing spec,
   instead of hanging the sweep or dying with a bare pickle traceback.

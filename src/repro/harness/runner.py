@@ -50,7 +50,6 @@ from repro.harness.spec import (  # noqa: F401  (re-exported API)
     Scale,
     current_scale,
 )
-from repro.stats.metrics import weighted_speedup
 from repro.workloads.mixes import make_mix_traces, mix_composition
 from repro.workloads.spec_like import make_trace
 
@@ -607,14 +606,6 @@ def run_alone(name: str, scale: Optional[Scale] = None,
     return run_spec(alone_spec(name, scale, seed=seed, engine=engine))
 
 
-def run_trace(path: str, mechanism: str = "none",
-              scale: Optional[Scale] = None, *,
-              engine: Optional[str] = None, **kwargs) -> RunResult:
-    """Replay an ingested external trace file (memoised by content)."""
-    return run_spec(trace_spec(path, mechanism, scale, engine=engine,
-                               **kwargs))
-
-
 def run_scenario(scenario: str, name: str, mechanism: str = "none",
                  scale: Optional[Scale] = None, *,
                  engine: Optional[str] = None, **kwargs) -> RunResult:
@@ -634,17 +625,3 @@ def alone_ipcs_for_mix(mix: str, scale: Optional[Scale] = None,
         ipcs.append(run_alone(name, scale, seed=seed).total_ipc)
     return ipcs
 
-
-def mix_weighted_speedup(mix: str, mechanism: str,
-                         scale: Optional[Scale] = None,
-                         seed: int = 1, **kwargs) -> float:
-    """Weighted speedup of one mix under a mechanism."""
-    shared = run_mix(mix, mechanism, scale, seed=seed, **kwargs)
-    alone = alone_ipcs_for_mix(mix, scale, seed=seed)
-    return weighted_speedup(shared.ipcs, alone)
-
-
-def geometric_like_mean(values: Iterable[float]) -> float:
-    """Arithmetic mean (the paper averages speedups arithmetically)."""
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0

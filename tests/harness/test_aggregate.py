@@ -91,31 +91,6 @@ class TestFrameVerbs:
             Frame(ROWS).to_pandas()
 
 
-class TestSweepFrame:
-    def test_axes_and_metrics(self):
-        sweep = pool.execute_sweep(SWEEP)
-        frame = aggregate.sweep_frame(sweep)
-        assert len(frame) == len(SWEEP)
-        for column in ("kind", "name", "mechanism", "label", "source",
-                       "total_ipc", "row_hit_rate"):
-            assert column in frame.columns
-        none = frame.where(mechanism="none")
-        assert sorted(none.column("name")) == ["hmmer", "libquantum"]
-
-    def test_mean_matches_hand_loop(self):
-        sweep = pool.execute_sweep(SWEEP)
-        frame = aggregate.sweep_frame(sweep)
-        by_hand = [p.result.total_ipc for p in sweep.points
-                   if p.spec.mechanism == "chargecache"]
-        assert frame.where(mechanism="chargecache").mean("total_ipc") \
-            == sum(by_hand) / len(by_hand)
-
-    def test_specs_frame_serves_from_memo(self):
-        pool.execute_sweep(SWEEP)
-        frame = aggregate.specs_frame(SWEEP)
-        assert set(frame.column("source")) == {"memory"}
-
-
 class TestStoreFrame:
     def test_from_store_dir(self, tmp_path):
         pool.execute_sweep(SWEEP)

@@ -3,7 +3,7 @@
 import csv
 import io
 
-from repro.harness.experiments import run_fig6, run_table2
+from repro.harness.experiments import run
 from repro.harness.export import (
     export_cache_manifest,
     export_csv,
@@ -39,13 +39,13 @@ class TestRowsToCsv:
 
 class TestExperimentExport:
     def test_table2_roundtrip(self):
-        text = export_csv(run_table2())
+        text = export_csv(run("table2"))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0][0] == "duration_ms"
         assert len(rows) == 6  # header + baseline + 4 durations
 
     def test_fig6_wide_format(self):
-        text = export_csv(run_fig6())
+        text = export_csv(run("fig6"))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["time_ns", "bitline_v_full",
                            "bitline_v_partial"]
@@ -61,7 +61,7 @@ class TestExperimentExport:
 
     def test_write_csv(self, tmp_path):
         path = tmp_path / "t2.csv"
-        assert write_csv(run_table2(), str(path)) == str(path)
+        assert write_csv(run("table2"), str(path)) == str(path)
         assert path.read_text().startswith("duration_ms")
 
     def test_cache_annotation_not_leaked_into_rows_csv(self):

@@ -186,10 +186,9 @@ class TestCLIMechanisms:
         capsys.readouterr()
         # The permuted spelling is served from the memo: zero computes.
         from repro.harness import experiments
-        result = experiments.run_fig7(
-            "single", ["libquantum"],
-            mechanisms=("nuat+chargecache(entries=256)",),
-            scale=runner.current_scale())
+        result = experiments.run(
+            "fig7a", ["libquantum"], runner.current_scale(),
+            mechanisms=("nuat+chargecache(entries=256)",))
         assert result["cache"]["computed"] == 0
         row = result["rows"][0]
         assert "nuat+chargecache(entries=256)" in row

@@ -38,7 +38,7 @@ class TestRenderers:
         assert "fig9" in text and "128" in text
 
     def test_fig6_renderer(self):
-        text = render_experiment(experiments.run_fig6())
+        text = render_experiment(experiments.run("fig6"))
         assert "tRCD headroom" in text
         assert "paper: 4.5 / 9.6" in text
 

@@ -1,11 +1,12 @@
 """Regression tests for the `all` command's shared sweep pool.
 
-`all` must collect every experiment's declared specs, dedupe them, and
-execute the union through ONE pool: each distinct cache key is
-computed at most once per cold run, every experiment's own prefetch is
+`all` must collect every figure-table entry's declared specs, dedupe
+them, and execute the union through ONE pool: each distinct cache key
+is computed at most once per cold run, every entry's own sweep is
 then served entirely from the memo (zero computed points), and the
-exported artifacts are byte-identical to running the experiments
-individually.
+exported artifacts are byte-identical to running the entries
+individually.  The tests run `all` over a monkeypatched subset of
+`experiments.FIGURES`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,20 @@ def _cli(args):
     assert cli.main(args) == 0
 
 
+def _only(monkeypatch, names):
+    """Make `all` (and the CLI's choices) cover just ``names``."""
+    subset = {name: experiments.FIGURES[name] for name in names}
+    monkeypatch.setattr(experiments, "FIGURES", subset)
+
+
+def _known(name):
+    """One workload per mode entry ``name`` knows (an application for
+    "single", a mix for "eight"); None for entries that take none."""
+    modes = experiments.FIGURES[name].modes
+    return [w for mode, w in (("single", "libquantum"), ("eight", "w1"))
+            if mode in modes] or None
+
+
 def _manifest_keys(csv_dir) -> set:
     path = os.path.join(csv_dir, "cache_manifest.csv")
     with open(path, newline="") as fh:
@@ -60,8 +75,7 @@ def _manifest_keys(csv_dir) -> set:
 class TestSharedPoolAll:
     def test_all_computes_each_key_once_and_matches_individual_runs(
             self, tmp_path, monkeypatch, capsys):
-        subset = {name: cli._EXPERIMENTS[name] for name in SUBSET}
-        monkeypatch.setattr(cli, "_EXPERIMENTS", subset)
+        _only(monkeypatch, SUBSET)
 
         cache_all = tmp_path / "cache-all"
         csv_all = tmp_path / "csv-all"
@@ -114,9 +128,7 @@ class TestSharedPoolAll:
         assert solo_keys == keys
 
     def test_warm_all_is_all_hits(self, tmp_path, monkeypatch, capsys):
-        subset = {name: cli._EXPERIMENTS[name]
-                  for name in ("fig3a", "scaling")}
-        monkeypatch.setattr(cli, "_EXPERIMENTS", subset)
+        _only(monkeypatch, ("fig3a", "scaling"))
         cache_dir = tmp_path / "cache"
         common = ["--workloads", "libquantum", "--scale", "0.03",
                   "--jobs", "2", "--cache-dir", str(cache_dir)]
@@ -133,28 +145,77 @@ class TestSharedPoolAll:
         assert sorted(os.listdir(cache_dir)) == entries_cold
 
 
+class TestWorkloadsAcrossEntries:
+    """`all --workloads` gives each entry the names its modes know."""
+
+    SUBSET = ("fig3a", "fig3b", "fig9", "scaling", "calibrate", "sec63")
+
+    def test_all_runs_each_entry_on_the_names_it_knows(
+            self, tmp_path, monkeypatch, capsys):
+        _only(monkeypatch, self.SUBSET)
+        trace = experiments.bundled_fixture_traces()[0]
+        out = tmp_path / "all.json"
+        csv_dir = tmp_path / "csv"
+        assert cli.main(["all", "--workloads", "hmmer", "w1",
+                         "--scale", "0.03", "--no-cache",
+                         "--traces", trace, "--json", str(out),
+                         "--csv", str(csv_dir)]) == 0
+        capsys.readouterr()
+        results = json.loads(out.read_text())
+        assert sorted(results) == sorted(self.SUBSET)
+        assert [r["workload"] for r in results["fig3a"]["rows"]] == \
+            ["hmmer", "AVG"]
+        assert [r["workload"] for r in results["fig3b"]["rows"]] == \
+            ["w1", "AVG"]
+        assert {r["mode"] for r in results["fig9"]["rows"]} == \
+            {"single", "eight"}
+        assert results["scaling"]["workloads"] == ["hmmer", "w1"]
+        synthetic = [r["workload"] for r in results["calibrate"]["rows"]
+                     if r["kind"] == "synthetic"]
+        assert synthetic == ["hmmer"]
+        written = {f for f in os.listdir(csv_dir) if f != "cache_manifest.csv"}
+        assert written == {f"{name}.csv" for name in self.SUBSET}
+
+    def test_entry_that_knows_no_name_is_skipped(self, monkeypatch,
+                                                 capsys):
+        _only(monkeypatch, ("fig3a", "fig3b"))
+        assert cli.main(["all", "--workloads", "hmmer", "--scale", "0.03",
+                         "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert "fig3b: skipped" in captured.err
+        assert "fig3a" in captured.out and "fig3b" not in captured.out
+
+    @pytest.mark.parametrize("argv,named", [
+        (["all", "--workloads", "hmmer", "bogus"], ("all", "'bogus'")),
+        (["fig7b", "--workloads", "hmmer"], ("fig7b", "'hmmer'")),
+        (["calibrate", "--workloads", "w1"], ("calibrate", "'w1'")),
+    ], ids=["all", "fig7b", "calibrate"])
+    def test_unknown_name_is_a_usage_error(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--scale", "0.03", "--no-cache"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        for word in named:
+            assert word in err
+
+
 class TestDeclarations:
     def test_declarations_exist_for_every_sweeping_experiment(self):
-        declared = set(experiments.SWEEP_DECLARATIONS)
-        assert declared <= set(cli._EXPERIMENTS)
-        assert set(cli._EXPERIMENTS) - declared == \
-            {"fig6", "table1", "table2"}  # the no-sweep artifacts
+        no_sweep = {name for name, figure in experiments.FIGURES.items()
+                    if figure.sweep is None}
+        assert no_sweep == {"fig6", "table1", "table2"}  # no-sweep artifacts
 
-    @pytest.mark.parametrize("name,workloads", [
-        ("fig3a", ["libquantum"]),
-        ("fig7a", ["libquantum"]),
-        ("scaling", ["libquantum"]),
-        ("standards", ["libquantum"]),
-        ("energy", ["libquantum"]),
-    ])
-    def test_declaration_covers_what_the_experiment_runs(
-            self, name, workloads):
-        """After prefetching only the declared specs, the experiment
-        itself must find every run in the memo — i.e. declarations
-        never under-declare."""
+    @pytest.mark.parametrize("name", sorted(
+        name for name, figure in experiments.FIGURES.items()
+        if figure.sweep is not None))
+    def test_declaration_covers_what_the_experiment_runs(self, name):
+        """After prefetching only the declared specs, the entry itself
+        must find every run in the memo — i.e. declarations never
+        under-declare."""
+        workloads = _known(name)
         runner.clear_memo()
         experiments.prefetch_experiments([name], workloads, TINY)
-        result = cli._EXPERIMENTS[name](workloads, TINY)
+        result = experiments.run(name, workloads, TINY)
         info = result["cache"]
         assert info["computed"] == 0, (
             f"{name} computed {info['computed']} undeclared points")

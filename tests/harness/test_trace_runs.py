@@ -173,8 +173,7 @@ def _calibrate_with(paths):
 class TestCalibrate:
     def test_end_to_end(self, trace_path):
         _calibrate_with([trace_path])
-        result = experiments.run_calibrate(
-            workloads=["libquantum", "hmmer"], scale=TINY)
+        result = experiments.run("calibrate", ["libquantum", "hmmer"], TINY)
         assert result["id"] == "calibrate"
         rows = {(r["workload"], r["kind"]): r for r in result["rows"]}
         assert set(rows) == {("libquantum", "synthetic"),
@@ -196,8 +195,7 @@ class TestCalibrate:
         from repro.workloads.ingest import reference
         _calibrate_with([])
         monkeypatch.delitem(reference.REFERENCE_FINGERPRINTS, "hmmer")
-        rows = experiments.run_calibrate(workloads=["hmmer"],
-                                         scale=TINY)["rows"]
+        rows = experiments.run("calibrate", ["hmmer"], TINY)["rows"]
         assert rows[0]["status"] == "no-ref"
         assert rows[0]["ref_rltl_1ms"] == ""
         assert rows[0]["rltl_1ms"] > 0.9    # still measured
@@ -206,25 +204,22 @@ class TestCalibrate:
         _calibrate_with([trace_path])
         runner.clear_memo()
         experiments.prefetch_experiments(["calibrate"], ["hmmer"], TINY)
-        result = experiments.run_calibrate(workloads=["hmmer"],
-                                           scale=TINY)
+        result = experiments.run("calibrate", ["hmmer"], TINY)
         assert result["cache"]["computed"] == 0
 
     def test_fingerprints_ignore_scale(self, trace_path):
         # Synthetic fingerprints are pinned to the reference
         # provenance point, so deltas mean the same at every --scale.
         _calibrate_with([])
-        small = experiments.run_calibrate(workloads=["mcf"], scale=TINY)
-        other = experiments.run_calibrate(
-            workloads=["mcf"], scale=TINY.scaled(2.0))
+        small = experiments.run("calibrate", ["mcf"], TINY)
+        other = experiments.run("calibrate", ["mcf"], TINY.scaled(2.0))
         assert small["rows"][0] == other["rows"][0]
 
     def test_renders_and_exports(self, trace_path, tmp_path):
         from repro.harness.export import export_csv
         from repro.harness.report import render_experiment
         _calibrate_with([trace_path])
-        result = experiments.run_calibrate(workloads=["hmmer"],
-                                           scale=TINY)
+        result = experiments.run("calibrate", ["hmmer"], TINY)
         text = render_experiment(result)
         assert "calibrate: fingerprints @" in text
         assert "avg 1ms-RLTL" in text
