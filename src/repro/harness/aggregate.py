@@ -15,8 +15,8 @@ analytics over stored results:
   the import is gated and everything else works without it.
 
 :func:`store_frame` builds one straight from a store directory,
-*without* executing anything: analytics over everything a fleet has
-ever computed (the CLI's ``query`` command renders it).
+*without* executing anything: analytics over everything the store
+holds (the CLI's ``query`` command renders it).
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ Layout (DESIGN.md section 4)::
 
     <cache-dir>/
         <64-hex-digit key>.json     one RunResult envelope per run
-        claims.lock                 lock serializing sweep claims
-        claims/<key>.lease          a distributed sweep's claim on a key
+        <random>.tmp                an in-flight (or crashed) put
 
 Envelopes carry ``schema``, ``fingerprint``, the originating ``spec``
 payload (for inspection; the key already commits to it) and the
@@ -75,16 +74,10 @@ SCHEMA_VERSION = 1
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Minimum age (seconds) before :meth:`RunCache.gc` treats a ``.tmp``
-#: file or a claim lease as a crashed process's orphan rather than an
-#: in-flight :meth:`RunCache.put` or sweep claim in another process.
-#: Envelope writes take milliseconds and a claim lasts one chunk's
-#: simulation, so an hour is conservatively safe.
+#: file as a crashed writer's orphan rather than an in-flight
+#: :meth:`RunCache.put` in another process.  Envelope writes take
+#: milliseconds, so an hour is conservatively safe.
 TMP_SWEEP_AGE_S = 3600.0
-
-#: Subdirectory of the store holding distributed-sweep claim leases
-#: (``<key>.lease``, see :class:`repro.harness.store.FileClaimer`).
-CLAIMS_DIR = "claims"
-LEASE_SUFFIX = ".lease"
 
 
 def default_cache_dir() -> str:
@@ -423,14 +416,11 @@ class RunCache:
     def _directory_now(self) -> float:
         """"Now" according to the cache directory's own clock.
 
-        The ``.tmp`` and lease sweeps (and
-        :class:`~repro.harness.store.FileClaimer`'s steal rule) age
-        files by mtime, but mtimes are stamped by the *filesystem
-        serving the directory* — on an NFS-mounted cache dir (exactly
-        the shared-store setup of distributed sweeps) the
-        server's clock can be arbitrarily skewed from this host's
-        ``time.time()``, making fresh in-flight temps look hours old
-        (or orphans look forever young).  Touching a probe file and
+        The ``.tmp`` sweep ages files by mtime, but mtimes are stamped
+        by the *filesystem serving the directory* — on an NFS-mounted
+        cache dir the server's clock can be arbitrarily skewed from
+        this host's ``time.time()``, making fresh in-flight temps look
+        hours old (or orphans look forever young).  Touching a probe file and
         reading its mtime back samples the same clock that stamped
         every other file, so age comparisons stay meaningful under any
         skew.  Falls back to ``time.time()`` if the directory is not
@@ -464,13 +454,11 @@ class RunCache:
         stale from here — use ``dry_run`` first in that setup (the
         entries are only a recompute away, never wrong, so the cost
         of an over-eager gc is time, not correctness).  Stray
-        ``.tmp`` files from crashed writers and ``claims/*.lease``
-        files from crashed sweep workers are swept once they are older
-        than :data:`TMP_SWEEP_AGE_S` (young ones may belong to an
-        in-flight :meth:`put` or claim in another process and are left
+        ``.tmp`` files from crashed writers are swept once they are
+        older than :data:`TMP_SWEEP_AGE_S` (young ones may belong to
+        an in-flight :meth:`put` in another process and are left
         alone).  ``dry_run=True`` reports everything that would be
-        removed — envelopes, temps and leases — without deleting
-        anything.
+        removed — envelopes and temps — without deleting anything.
         """
         fingerprint = fingerprint or code_fingerprint()
         stale, kept, removed = [], 0, 0
@@ -507,22 +495,14 @@ class RunCache:
         # _directory_now (NFS-grade clock skew must not sweep a live
         # writer's temp or immortalize a crashed one).
         cutoff = self._directory_now() - TMP_SWEEP_AGE_S
-        try:
-            leases = os.listdir(os.path.join(self.root, CLAIMS_DIR))
-        except OSError:
-            leases = []
-        candidates = [(name, "stray writer temp") for name in names
-                      if name.endswith(".tmp")]
-        candidates += [(f"{CLAIMS_DIR}/{name}", "abandoned claim lease")
-                       for name in leases if name.endswith(LEASE_SUFFIX)]
-        for name, reason in sorted(candidates):
+        for name in sorted(n for n in names if n.endswith(".tmp")):
             path = os.path.join(self.root, name)
             try:
                 if os.stat(path).st_mtime > cutoff:
-                    continue   # possibly an in-flight writer or claim
+                    continue   # possibly an in-flight writer
             except OSError:
                 continue
-            stale.append((name, reason))
+            stale.append((name, "stray writer temp"))
             if not dry_run:
                 try:
                     os.unlink(path)

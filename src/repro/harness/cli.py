@@ -24,12 +24,12 @@ Examples::
     chargecache-harness query --mechanism chargecache --standard DDR3-1600
     chargecache-harness query --cache-dir /tmp/cc --kind single --csv
 
-    # Distributed, resumable sweeps: N hosts pointing at one shared
-    # store directory partition the sweep by exactly-one-winner claim
-    # leases; a killed worker's journal + the store make restarts free.
+    # Resumable sweeps: every finished point lands in the store, so
+    # rerunning a killed sweep against the same store simulates only
+    # what is missing; the journal logs each point's key and source.
     chargecache-harness sweep --kind single --workloads hmmer mcf \\
-        --mechanisms none chargecache --store /shared/cc \\
-        --journal /tmp/worker-a.journal --owner worker-a
+        --mechanisms none chargecache --store /tmp/cc \\
+        --journal /tmp/cc-sweep.journal
 
 Experiments are the entries of :data:`repro.harness.experiments.FIGURES`.
 The ``all`` command first collects every entry's declared sweep,
@@ -57,6 +57,8 @@ from repro.config import DEFAULT_ENGINE, ENGINES
 from repro.harness import experiments, pool, runner
 from repro.harness.report import render_experiment
 from repro.harness.runner import Execution, Scale, current_scale
+from repro.workloads.mixes import MIX_NAMES
+from repro.workloads.spec_like import WORKLOAD_NAMES
 
 #: Named ``--scale`` presets (instruction-budget multipliers).
 _SCALE_PRESETS = {"tiny": 0.05, "small": 0.25, "half": 0.5, "full": 1.0}
@@ -200,8 +202,7 @@ def build_cache_parser() -> argparse.ArgumentParser:
              "THIS checkout — with a cache dir shared across branches "
              "or worktrees, other checkouts' entries look stale from "
              "here, so --dry-run first.  Crashed writers' temp files "
-             "and crashed sweep workers' claim leases older than an "
-             "hour are swept in the same pass")
+             "older than an hour are swept in the same pass")
     gc.add_argument("--cache-dir", "--store", dest="cache_dir",
                     metavar="DIR", default=None,
                     help="store directory to sweep (default: "
@@ -235,9 +236,25 @@ def _cache_main(argv: List[str]) -> int:
     return 0
 
 
+#: The names each non-scenario ``sweep --kind`` takes.
+_SWEEP_NAMES = {"single": WORKLOAD_NAMES, "alone": WORKLOAD_NAMES,
+                "eight": MIX_NAMES}
+
+
 def _sweep_specs(args) -> List:
     """Build the spec cross-product a ``sweep`` invocation names (the
-    engine comes from the installed execution)."""
+    engine comes from the installed execution).  Raises ValueError
+    for a name the kind does not know, before anything is simulated."""
+    known = _SWEEP_NAMES.get(args.kind)
+    if known is not None:
+        unknown = [name for name in args.workloads if name not in known]
+        if unknown:
+            what = "mix" if args.kind == "eight" else "application"
+            raise ValueError(
+                f"--workloads: --kind {args.kind} takes {what} names; "
+                f"unknown: {', '.join(map(repr, unknown))}")
+    elif not args.scenario:
+        raise ValueError("--kind scenario requires --scenario")
     scale = _scale(args)
     specs = []
     for name in args.workloads:
@@ -251,9 +268,6 @@ def _sweep_specs(args) -> List:
             elif args.kind == "alone":
                 spec = runner.alone_spec(name, scale, seed=args.seed)
             else:
-                if not args.scenario:
-                    raise ValueError(
-                        "--kind scenario requires --scenario")
                 spec = runner.scenario_spec(args.scenario, name,
                                             mechanism, scale,
                                             seed=args.seed)
@@ -264,14 +278,11 @@ def _sweep_specs(args) -> List:
 def build_sweep_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chargecache-harness sweep",
-        description="Execute one sweep as a resumable, distributable "
-                    "worker: specs are claimed in chunks with lease "
-                    "files in a shared store directory (exactly one "
-                    "worker simulates each key), completions are "
-                    "checkpointed to a journal, and peers' keys are "
-                    "served from the store — N processes pointing at "
-                    "one directory partition the sweep with no other "
-                    "coordination.")
+        description="Execute one cross-product sweep, resumably: every "
+                    "finished point is written to the store as it "
+                    "lands and the store is checked before anything "
+                    "runs, so rerunning a killed sweep against the "
+                    "same store simulates only the missing points.")
     parser.add_argument("--kind", choices=("single", "eight", "alone",
                                            "scenario"),
                         default="single")
@@ -287,71 +298,39 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1)
     _add_execution_flags(parser)
     parser.add_argument("--journal", metavar="PATH", default=None,
-                        help="append-only completion journal; rerun "
-                             "with the same journal and store to "
-                             "resume a killed sweep without "
-                             "re-simulating checkpointed specs")
-    parser.add_argument("--owner", default=None,
-                        help="claim-owner name written into each "
-                             "lease (default: host:pid)")
-    parser.add_argument("--chunk", type=int,
-                        default=pool.DEFAULT_CHUNK_SPECS, metavar="N",
-                        help="claim granularity in specs (whole batch "
-                             "groups, default %(default)s)")
-    parser.add_argument("--steal-stale", type=float, default=None,
-                        metavar="S",
-                        help="steal a peer's claim lease once it is "
-                             "S seconds old on the store directory's "
-                             "clock (default: never steal)")
-    parser.add_argument("--wait", type=float, default=600.0,
-                        metavar="S",
-                        help="budget for peers' claimed keys to land "
-                             "in the store (default %(default)s)")
+                        help="append-only log of completed points "
+                             "(key, label, source: memory, disk or "
+                             "computed), one line per key across "
+                             "reruns; resuming needs only the store")
     parser.add_argument("--json", action="store_true",
                         help="print the sweep summary as JSON")
     return parser
 
 
 def _sweep_main(argv: List[str]) -> int:
-    import os
-    import socket
-
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
     runner.set_execution(_execution(args))
     try:
         specs = _sweep_specs(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    from repro.harness.store import FileClaimer
-    store = runner.active_disk_cache()
-    if store is None:
-        parser.error("distributed sweeps need the persistent store; "
-                     "unset REPRO_NO_CACHE")
-    owner = args.owner or f"{socket.gethostname()}:{os.getpid()}"
-    claimer = FileClaimer(store, owner=owner,
-                          steal_stale_s=args.steal_stale)
-
+    except (ValueError, KeyError) as exc:
+        # A KeyError's str() is its repr; report the message itself.
+        parser.error(exc.args[0] if exc.args else str(exc))
     try:
-        sweep = pool.execute_sweep(
-            specs, journal=args.journal, claimer=claimer,
-            chunk_specs=args.chunk, remote_wait_s=args.wait)
+        sweep = pool.execute_sweep(specs, journal=args.journal)
     except pool.SweepError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
-    summary = {"owner": owner,
-               "store": store.root,
-               "journal": args.journal,
-               "counts": sweep.counts()}
+    store = runner.active_disk_cache()
+    counts = sweep.counts()
     if args.json:
-        print(json.dumps(summary, indent=2))
-    counts = summary["counts"]
-    print(f"sweep: {counts.get('points', len(specs))} point(s) — "
-          f"{counts.get('computed', 0)} computed here, "
-          f"{counts.get('remote', 0)} from peers, "
-          f"{counts.get('memory', 0) + counts.get('disk', 0)} already "
-          f"stored", file=sys.stderr)
+        print(json.dumps({"store": store.root if store else None,
+                          "journal": args.journal,
+                          "counts": counts}, indent=2))
+    print(f"sweep: {counts['points']} point(s) — "
+          f"{counts['computed']} computed, "
+          f"{counts['memory'] + counts['disk']} already stored",
+          file=sys.stderr)
     return 0
 
 

@@ -1,9 +1,11 @@
-"""Sweep journal: a crash-safe checkpoint of completed sweep keys.
+"""Sweep journal: a crash-safe log of completed sweep keys.
 
 ``execute_sweep(journal=...)`` appends one JSON line per completed
-point, flushed and fsynced before the sweep moves on, so a killed
-sweep can be restarted with the same journal and skip — without even
-probing the store — every spec whose key is already checkpointed.
+point, flushed and fsynced before the sweep moves on, recording which
+key finished and which layer served it.  The sweep never reads the
+journal back: a killed sweep resumes because every finished point is
+already in the store, which the restarted sweep probes before running
+anything.  The journal is the record of what each run did.
 
 Format: JSON lines, one object per completed key::
 
@@ -17,13 +19,13 @@ Design points:
   line per key rather than growing without bound.
 * **Torn tails are tolerated** — a writer killed mid-line leaves a
   trailing fragment; the loader skips undecodable lines instead of
-  failing, because losing one checkpoint only costs one cache probe.
+  failing, and a rerun records the lost key again.
 * **No timestamps** — ordering is the ``seq`` counter, so journal
   bytes are a pure function of completion order and the repro-lint
   determinism rule holds with no pragmas.
-* **One journal per worker** — the journal is a private, per-process
-  checkpoint (the shared store is the inter-host source of truth);
-  concurrent writers should each get their own file.
+* **One journal per sweep process** — the journal is a private log
+  (the store is the source of truth for results); concurrent sweeps
+  should each get their own file.
 """
 
 from __future__ import annotations

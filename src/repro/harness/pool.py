@@ -44,11 +44,6 @@ from repro.harness.spec import RunSpec, batch_signature, dedupe_specs
 #: Environment variable supplying the default pool width.
 JOBS_ENV = "REPRO_JOBS"
 
-#: Claim-chunk size for distributed sweeps: how many specs one
-#: ``claim_many`` grabs at a time.  Small enough that racing hosts
-#: interleave chunks (work stealing), large enough to amortize the
-#: claim lock and keep batch groups intact.
-DEFAULT_CHUNK_SPECS = 16
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -56,9 +51,7 @@ class SweepPoint:
 
     spec: RunSpec
     result: RunResult
-    #: "memory" | "disk" | "computed" | "remote" — which layer served
-    #: the run ("remote" = a peer host computed it into the shared
-    #: store while we waited on its claim).
+    #: "memory" | "disk" | "computed" — which layer served the run.
     source: str
     seconds: float = 0.0
     #: Short id of the batch group this point was computed in, or None
@@ -103,7 +96,7 @@ class Sweep:
     def counts(self) -> Dict[str, int]:
         unique = self._unique_points()
         counts = {"points": len(unique), "memory": 0, "disk": 0,
-                  "computed": 0, "remote": 0, "batched": 0}
+                  "computed": 0, "batched": 0}
         for point in unique:
             counts[point.source] += 1
             if point.batch_group is not None:
@@ -239,11 +232,7 @@ def execute_sweep(specs: Sequence[RunSpec],
                   jobs: Optional[int] = None,
                   progress: Optional[ProgressFn] = None,
                   batch: Optional[bool] = None,
-                  journal=None,
-                  claimer=None,
-                  chunk_specs: int = DEFAULT_CHUNK_SPECS,
-                  remote_wait_s: float = 600.0,
-                  remote_poll_s: float = 0.1) -> Sweep:
+                  journal=None) -> Sweep:
     """Execute every spec, fanning out over processes when jobs > 1.
 
     Duplicate specs are computed once; the returned sweep always has
@@ -259,30 +248,24 @@ def execute_sweep(specs: Sequence[RunSpec],
     group still share one replay).  ``jobs``, ``progress`` and
     ``batch`` left None come from ``runner.execution``.
 
-    **Resumable**: ``journal`` (a
-    :class:`~repro.harness.journal.SweepJournal` or a path) checkpoints
-    every completed key as it lands; a killed sweep restarted with the
-    same journal and store serves checkpointed specs from the store and
-    re-simulates none of them.
-
-    **Distributable**: ``claimer`` (a
-    :class:`~repro.harness.store.FileClaimer`) turns the sweep into a
-    work-stealing participant: pending specs are claimed in chunks of
-    ``chunk_specs``, each key is computed by exactly the host that won
-    its claim, and keys claimed by peers are polled from the shared
-    store (source ``"remote"``) for up to ``remote_wait_s`` seconds —
-    after which stale claims are stolen via the claimer's staleness
-    policy, and anything still missing fails the sweep.
+    **Resumable**: every computed point is persisted to the store as
+    it lands, and the store is probed before anything runs, so a
+    killed sweep restarted against the same store re-simulates none of
+    the points it already finished.  ``journal`` (a
+    :class:`~repro.harness.journal.SweepJournal` or a path) records
+    each completed key and where it came from; a journal opened here
+    from a path is closed before returning.
     """
+    if isinstance(journal, str):
+        from repro.harness.journal import SweepJournal
+        with SweepJournal(journal) as opened:
+            return execute_sweep(specs, jobs, progress, batch, opened)
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     if progress is None:
         progress = runner.execution.progress
     if batch is None:
         batch = runner.execution.batch
-    if isinstance(journal, str):
-        from repro.harness.journal import SweepJournal
-        journal = SweepJournal(journal)
     unique = dedupe_specs(specs)
     by_spec: Dict[RunSpec, SweepPoint] = {}
     total = len(unique)
@@ -318,10 +301,7 @@ def execute_sweep(specs: Sequence[RunSpec],
         pending.append(spec)
 
     if pending:
-        if claimer is not None:
-            _run_distributed(pending, jobs, record, batch, claimer,
-                             chunk_specs, remote_wait_s, remote_poll_s)
-        elif jobs > 1 and len(pending) > 1:
+        if jobs > 1 and len(pending) > 1:
             _run_parallel(pending, jobs, record, batch)
         elif batch:
             _run_grouped(pending, record)
@@ -432,154 +412,6 @@ def _run_parallel(pending: Sequence[RunSpec], jobs: int,
             # at most the in-flight runs, not the whole remaining sweep.
             executor.shutdown(wait=False, cancel_futures=True)
             raise
-
-
-def _chunk_units(units: Sequence[List[RunSpec]],
-                 chunk_specs: int) -> List[List[List[RunSpec]]]:
-    """Pack whole work units into claim chunks of ~``chunk_specs``.
-
-    Units (batch groups) are never split across chunks, so a chunk's
-    winner keeps the PR 6 one-replay-per-group collapse intact.
-    """
-    chunks: List[List[List[RunSpec]]] = []
-    current: List[List[RunSpec]] = []
-    size = 0
-    for unit in units:
-        current.append(list(unit))
-        size += len(unit)
-        if size >= chunk_specs:
-            chunks.append(current)
-            current, size = [], 0
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _run_distributed(pending: Sequence[RunSpec], jobs: int,
-                     record: Callable[[SweepPoint], None], batch: bool,
-                     claimer, chunk_specs: int,
-                     remote_wait_s: float, remote_poll_s: float) -> None:
-    """Work-stealing partition of ``pending`` across claimer peers.
-
-    The sweep walks its chunks in spec order, claiming each atomically
-    (:meth:`~repro.harness.store.FileClaimer.claim_many`); racing
-    hosts walking the same order therefore interleave — whoever
-    reaches a chunk first wins it, everyone else skips ahead.  Won
-    specs run locally (batched, and through the process pool when
-    ``jobs > 1``); lost specs are drained from the shared store once
-    their winner publishes them.
-    """
-    disk = runner.active_disk_cache()
-    if disk is None:
-        raise SweepError(pending[0], RuntimeError(
-            "distributed sweeps need a shared persistent store; "
-            "run without --no-cache / REPRO_NO_CACHE"))
-    units = _batch_groups(pending) if batch \
-        else [[spec] for spec in pending]
-    theirs: List[Tuple[RunSpec, str]] = []
-    for chunk in _chunk_units(units, chunk_specs):
-        flat = [spec for unit in chunk for spec in unit]
-        keys = [run_cache.cache_key(spec) for spec in flat]
-        wins = claimer.claim_many(keys)
-        won = {spec for spec, win in zip(flat, wins) if win}
-        theirs += [(spec, key) for spec, win, key
-                   in zip(flat, wins, keys) if not win]
-        mine = [[spec for spec in unit if spec in won]
-                for unit in chunk]
-        mine = [unit for unit in mine if unit]
-        if mine:
-            _run_claimed(mine, jobs, record, batch, claimer)
-    if theirs:
-        _drain_remote(theirs, jobs, record, batch, claimer,
-                      remote_wait_s, remote_poll_s)
-
-
-def _run_claimed(units: Sequence[List[RunSpec]], jobs: int,
-                 record: Callable[[SweepPoint], None], batch: bool,
-                 claimer) -> None:
-    """Run units this host won; mark each key done (or release it).
-
-    ``done`` fires only after the point is recorded — by then the
-    runner has persisted the envelope, so a peer that finds the lease
-    gone always finds the envelope (DESIGN.md §10).  On failure every
-    not-yet-finished claim is released so peers (or a retry) can
-    claim it instead of deadlocking on a dead owner.
-    """
-    flat = [spec for unit in units for spec in unit]
-    finished = set()
-
-    def capture(point: SweepPoint) -> None:
-        record(point)
-        finished.add(point.spec)
-        claimer.done(run_cache.cache_key(point.spec))
-
-    try:
-        if jobs > 1 and len(flat) > 1:
-            _run_parallel(flat, jobs, capture, batch)
-        elif batch:
-            _run_grouped(flat, capture)
-        else:
-            _run_serial(flat, capture)
-    except BaseException:
-        for spec in flat:
-            if spec in finished:
-                continue
-            try:
-                claimer.release(run_cache.cache_key(spec))
-            except Exception:
-                pass  # releasing is best-effort; staleness recovers it
-        raise
-
-
-def _drain_remote(theirs: Sequence[Tuple[RunSpec, str]], jobs: int,
-                  record: Callable[[SweepPoint], None], batch: bool,
-                  claimer, wait_s: float, poll_s: float) -> None:
-    """Wait for peer-claimed keys to appear in the shared store.
-
-    Peers publish the envelope before dropping their lease, so a store
-    hit is always a complete result.  If the deadline passes, one
-    reclaim attempt is made — a claimer configured with
-    ``steal_stale_s`` takes over work whose owner died — and only then
-    does the sweep fail.
-    """
-    disk = runner.active_disk_cache()
-    waiting = list(theirs)
-    deadline = time.monotonic() + wait_s
-    while waiting:
-        still: List[Tuple[RunSpec, str]] = []
-        for spec, key in waiting:
-            hit = disk.get(key)
-            if hit is not None:
-                runner._install(spec, hit)
-                record(SweepPoint(spec, hit, "remote"))
-            else:
-                still.append((spec, key))
-        waiting = still
-        if not waiting:
-            return
-        if time.monotonic() >= deadline:
-            specs = [spec for spec, _ in waiting]
-            keys = [key for _, key in waiting]
-            wins = claimer.claim_many(keys)
-            stolen = [spec for spec, win in zip(specs, wins) if win]
-            if stolen:
-                _run_claimed(_batch_groups(stolen) if batch
-                             else [[spec] for spec in stolen],
-                             jobs, record, batch, claimer)
-            waiting = [(spec, key) for (spec, key), win
-                       in zip(waiting, wins) if not win]
-            if not waiting:
-                return
-            # Give the live-but-slow owners one more full window
-            # after a steal round before declaring them lost.
-            if stolen:
-                deadline = time.monotonic() + wait_s
-                continue
-            raise SweepError(waiting[0][0], TimeoutError(
-                f"{len(waiting)} peer-claimed key(s) never appeared "
-                f"in the shared store within {wait_s:.0f}s and could "
-                f"not be stolen"))
-        time.sleep(poll_s)
 
 
 def stderr_progress(done: int, total: int, point: SweepPoint) -> None:

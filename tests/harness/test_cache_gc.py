@@ -171,18 +171,3 @@ class TestCLI:
 
     def test_cache_without_action_shows_help(self, capsys):
         assert cli.main(["cache"]) == 2
-
-    def test_cache_gc_sweeps_abandoned_leases(self, seeded, capsys):
-        from repro.harness.cache import TMP_SWEEP_AGE_S
-        from repro.harness.store import FileClaimer
-        cache, current_key, stale_key = seeded
-        claimer = FileClaimer(cache, owner="crashed")
-        assert claimer.claim_many(["c" * 64]) == [True]
-        then = cache._directory_now() - TMP_SWEEP_AGE_S - 60
-        os.utime(claimer.lease_path("c" * 64), (then, then))
-        assert cli.main(["cache", "gc", "--cache-dir", cache.root]) == 0
-        out = capsys.readouterr().out
-        assert f"claims/{'c' * 64}.lease" in out
-        assert "removed 2" in out   # the stale envelope + the lease
-        assert not os.path.exists(claimer.lease_path("c" * 64))
-        assert cache.contains(current_key)

@@ -1,10 +1,12 @@
 """Tests for the persistent content-addressed run cache."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -394,3 +396,98 @@ class TestReadThrough:
         assert len(disk) == 0
         _, source = runner.run_spec_ex(SPEC)
         assert source == "computed"
+
+
+N_WRITERS = 4
+
+WRITER = """
+import hashlib, json, os, sys, time
+
+cache_dir, key, out_dir, go_file = sys.argv[1:5]
+
+from repro.harness.cache import RunCache, cache_key, result_to_json
+from repro.harness.spec import RunSpec, Scale
+
+spec = RunSpec(kind="single", name="hmmer", mechanism="chargecache",
+               scale=Scale(single_core_instructions=2000,
+                           multi_core_instructions=1000,
+                           warmup_cpu_cycles=1000,
+                           max_mem_cycles=300_000),
+               enable_rltl=True, seed=3, engine="event")
+assert cache_key(spec) == key
+cache = RunCache(cache_dir)
+result = cache.get(key)
+canonical = json.dumps(result_to_json(result), sort_keys=True)
+
+# Line up on the barrier so the writes really overlap.
+pid = os.getpid()
+open(os.path.join(out_dir, "ready-%d" % pid), "w").close()
+while not os.path.exists(go_file):
+    time.sleep(0.005)
+
+# Hammer the shared key: concurrent re-puts must never expose a
+# torn/corrupt envelope to any concurrent reader.
+for _ in range(15):
+    cache.put(key, spec, result)
+    seen = cache.get(key)
+    assert seen is not None, "reader observed a corrupt envelope"
+    got = json.dumps(result_to_json(seen), sort_keys=True)
+    assert got == canonical, "reader observed a torn write"
+
+digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
+with open(os.path.join(out_dir, "ok-%d" % pid), "w") as fh:
+    fh.write(digest)
+"""
+
+
+def test_n_processes_reput_one_key_never_tear(bound_cache, tmp_path):
+    """N processes re-put and read one key at once (as pool workers
+    share one store): no reader ever sees a torn or corrupt envelope,
+    every process reads the same bits, and the store ends with one
+    intact envelope and no stray temp file."""
+    runner.run_spec(SPEC)
+    key = cache_key(SPEC)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    go_file = tmp_path / "go"
+    script = tmp_path / "writer.py"
+    script.write_text(WRITER)
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+
+    writers = [
+        subprocess.Popen(
+            [sys.executable, str(script), bound_cache.root, key,
+             str(out_dir), str(go_file)],
+            env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        for _ in range(N_WRITERS)
+    ]
+    try:
+        deadline = time.monotonic() + 120.0
+        while len([f for f in os.listdir(out_dir)
+                   if f.startswith("ready-")]) < N_WRITERS:
+            assert time.monotonic() < deadline, "writers never lined up"
+            time.sleep(0.02)
+        go_file.touch()
+        for writer in writers:
+            output, _ = writer.communicate(timeout=300)
+            assert writer.returncode == 0, output
+    finally:
+        for writer in writers:
+            if writer.poll() is None:
+                writer.kill()
+
+    oks = [f for f in os.listdir(out_dir) if f.startswith("ok-")]
+    assert len(oks) == N_WRITERS
+    digests = {(out_dir / f).read_text() for f in oks}
+    assert len(digests) == 1
+
+    store = RunCache(bound_cache.root)
+    assert sorted(os.listdir(store.root)) == [f"{key}.json"]
+    canonical = json.dumps(result_to_json(store.get(key)), sort_keys=True)
+    assert hashlib.sha256(
+        canonical.encode("ascii")).hexdigest() == digests.pop()
