@@ -19,7 +19,7 @@ from repro.config import ChargeCacheConfig
 from repro.cpu.system import System
 from repro.dram.organization import Organization
 from repro.harness.runner import build_config, run_mix, run_workload
-from repro.workloads.mixes import make_mix_traces
+from repro.workloads.mixes import make_mix_traces, mix_composition
 
 
 def _run_with_cc(scale, mix, **cc_overrides):
@@ -27,7 +27,7 @@ def _run_with_cc(scale, mix, **cc_overrides):
     cfg = replace(cfg, chargecache=replace(cfg.chargecache,
                                            **cc_overrides))
     org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
-    system = System(cfg, make_mix_traces(mix, org, seed=1))
+    system = System(cfg, make_mix_traces(mix_composition(mix), org, seed=1))
     return system.run(max_mem_cycles=scale.max_mem_cycles)
 
 

@@ -1,14 +1,10 @@
 """Address mapping between cache-line addresses and DRAM coordinates.
 
 A thin, controller-facing wrapper around
-:class:`repro.dram.organization.Organization` that also provides the
-helpers workloads and tests use to construct addresses with specific
-locality properties (same row, same bank / different row, etc.).
+:class:`repro.dram.organization.Organization`.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 from repro.dram.organization import DecodedAddress, Organization
 
@@ -48,31 +44,6 @@ class AddressMapper:
         request.bank = (addr >> ba_shift) & ba_mask
         request.row = (addr >> ro_shift) & ro_mask
         request.column = (addr >> co_shift) & co_mask
-
-    # ------------------------------------------------------------------
-    # Locality helpers (used by synthetic workloads and tests)
-    # ------------------------------------------------------------------
-
-    def same_row(self, a: int, b: int) -> bool:
-        da, db = self.org.decode(a), self.org.decode(b)
-        return (da.channel, da.rank, da.bank, da.row) == \
-               (db.channel, db.rank, db.bank, db.row)
-
-    def same_bank(self, a: int, b: int) -> bool:
-        da, db = self.org.decode(a), self.org.decode(b)
-        return (da.channel, da.rank, da.bank) == (db.channel, db.rank, db.bank)
-
-    def row_conflict_pair(self, channel: int = 0, rank: int = 0,
-                          bank: int = 0) -> Tuple[int, int]:
-        """Two addresses in the same bank but different rows."""
-        a = self.encode(channel, rank, bank, row=0, column=0)
-        b = self.encode(channel, rank, bank, row=1, column=0)
-        return a, b
-
-    def row_walk(self, channel: int, rank: int, bank: int, row: int):
-        """Generator over all column addresses of one row."""
-        for col in range(self.org.columns):
-            yield self.encode(channel, rank, bank, row, col)
 
     @property
     def lines_per_row(self) -> int:

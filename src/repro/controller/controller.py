@@ -62,14 +62,6 @@ class ControllerStats:
         hits = self.read_row_hits + self.write_row_hits
         return hits / total if total else 0.0
 
-    @property
-    def act_hit_rate(self) -> float:
-        return self.act_reduced / self.activations if self.activations else 0.0
-
-    @property
-    def average_read_latency(self) -> float:
-        return self.read_latency_sum / self.read_count if self.read_count else 0.0
-
 
 class MemoryController:
     """Command-issue engine for one memory channel."""
@@ -481,12 +473,6 @@ class MemoryController:
     def has_work(self) -> bool:
         return bool(self.read_q.items or self.write_q.items
                     or self.read_events or self._pending_pre)
-
-    def next_refresh_due(self) -> int:
-        return min(self.refresh.next_due(r) for r in range(self._num_ranks))
-
-    def outstanding_reads(self) -> int:
-        return len(self.read_q.items) + len(self.read_events)
 
     def active_cycles(self, cycle: int) -> int:
         """Bank-open cycles accumulated since the last stats reset."""

@@ -66,10 +66,6 @@ class RequestQueue:
     def is_full(self) -> bool:
         return len(self.items) >= self.capacity
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.items
-
     def occupancy_fraction(self) -> float:
         return len(self.items) / self.capacity
 

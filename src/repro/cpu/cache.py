@@ -246,9 +246,6 @@ class SharedCache:
         lru, tag = self._locate(line_address)
         return tag in lru
 
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
-
     def hit_rate(self) -> float:
         accesses = (self.load_hits + self.load_misses
                     + self.store_hits + self.store_misses)

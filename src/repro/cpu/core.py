@@ -101,10 +101,6 @@ class Core:
     def retired_since_reset(self) -> int:
         return self.retired - self._stats_start_retired
 
-    @property
-    def is_blocked(self) -> bool:
-        return self.block_reason != BLOCK_NONE
-
     # ------------------------------------------------------------------
     # Memory-completion callback
     # ------------------------------------------------------------------

@@ -255,6 +255,11 @@ def _sweep_specs(args) -> List:
                 f"unknown: {', '.join(map(repr, unknown))}")
     elif not args.scenario:
         raise ValueError("--kind scenario requires --scenario")
+    mechanisms = [m for m in args.mechanisms if m != "none"]
+    if args.kind == "alone" and mechanisms:
+        raise ValueError(
+            "--mechanisms: --kind alone runs the baseline 'none' only; "
+            f"got {', '.join(map(repr, mechanisms))}")
     scale = _scale(args)
     specs = []
     for name in args.workloads:

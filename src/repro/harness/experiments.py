@@ -32,7 +32,6 @@ from repro.circuit.latency_tables import (
     reductions_for_duration_ms,
 )
 from repro.circuit.spice import bitline_transient, derive_timing_table
-from repro.config import eight_core_config, single_core_config
 from repro.cpu.system import RunResult
 from repro.dram.timing import DDR3_1600
 from repro.energy.drampower import access_rate_for_run, energy_for_run
@@ -930,8 +929,8 @@ def _calibrate(points: Points, workloads: Names, scale: Scale) -> Dict:
 def _table1() -> Dict:
     """The simulated system configuration (validation that our defaults
     match the paper's Table 1)."""
-    single = single_core_config()
-    eight = eight_core_config()
+    single = runner.build_config("single", "none")
+    eight = runner.build_config("eight", "none")
     t = DDR3_1600
     return {
         "id": "table1",

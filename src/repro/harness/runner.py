@@ -9,8 +9,10 @@ Centralises:
   environment variables ``REPRO_SCALE`` (float multiplier on
   instruction budgets) and ``REPRO_FULL=1`` (8x budgets) adjust every
   experiment uniformly.
-* **Config construction** - the paper's single-core (1 channel,
-  open-row) and eight-core (2 channels, closed-row) systems.
+* **Config construction** - one builder, :func:`build_config`, for
+  every platform of :mod:`repro.harness.scenarios`; the paper's
+  single-core (1 channel, open-row) and eight-core (2 channels,
+  closed-row) systems are its ``c1-r1`` and ``c8-r1``.
 * **Run caching** - every run is described by a
   :class:`~repro.harness.spec.RunSpec` and served through two
   read-through layers: an in-process memo dict, then the persistent
@@ -36,13 +38,16 @@ from repro.config import (
     DEFAULT_ENGINE,
     ENGINES,
     ChargeCacheConfig,
+    ControllerConfig,
+    DRAMConfig,
+    ProcessorConfig,
     SimulationConfig,
-    eight_core_config,
-    single_core_config,
 )
 from repro.cpu.system import RunResult, System
 from repro.dram.organization import Organization
+from repro.dram.standards import derated_reduction_cycles
 from repro.harness import cache as run_cache
+from repro.harness import scenarios
 from repro.harness.spec import (  # noqa: F401  (re-exported API)
     DEFAULT_CC_TIME_SCALE,
     DEFAULT_TIME_SCALE,
@@ -50,8 +55,9 @@ from repro.harness.spec import (  # noqa: F401  (re-exported API)
     Scale,
     current_scale,
 )
-from repro.workloads.mixes import make_mix_traces, mix_composition
-from repro.workloads.spec_like import make_trace
+from repro.workloads.mixes import MIX_NAMES, make_mix_traces, mix_composition
+# The benchmark tracer wraps both trace builders by their names here.
+from repro.workloads.spec_like import make_trace  # noqa: F401
 
 @dataclass(frozen=True)
 class Execution:
@@ -148,64 +154,68 @@ def _resolve_engine(engine: Optional[str]) -> str:
 # Config construction
 # ----------------------------------------------------------------------
 
-def build_config(mode: str, mechanism: str, scale: Optional[Scale] = None,
+def build_config(platform: str, mechanism: str,
+                 scale: Optional[Scale] = None, *,
                  cc_entries: Optional[int] = None,
                  cc_duration_ms: Optional[float] = None,
-                 cc_sharing: Optional[str] = None,
                  cc_unbounded: bool = False,
                  row_policy: Optional[str] = None,
                  engine: Optional[str] = None) -> SimulationConfig:
-    """A paper-faithful configuration for one run.
+    """A validated configuration for one run on ``platform``.
 
-    ``mode`` is "single" (1 core, 1 channel, open-row) or "eight"
-    (8 cores, 2 channels, closed-row).  ``mechanism`` is a registry
-    spec: plain names, ``+``-compositions and inline parameter
-    overrides (``"chargecache(entries=256)+nuat"``) are all accepted
-    and normalized.  The ChargeCache keyword knobs cover the capacity
-    (Fig. 9/10) and caching-duration (Fig. 11) sweeps and are
-    interchangeable with the equivalent inline parameters; the
-    duration also selects the matching timing reductions from the
-    paper's Table 2 derating.
+    ``platform`` is a scenario name or a run kind of
+    :data:`~repro.harness.scenarios.KIND_PLATFORMS`: "single" is the
+    paper's single-core system (1 channel, open-row, scenario
+    ``c1-r1``), "eight" its eight-core system (2 channels,
+    closed-row, ``c8-r1``).  The DRAM block carries the platform's
+    geometry and timing standard (bus frequency included, so the
+    CPU/DRAM clock ratio is right on every grade).  ``row_policy``
+    overrides the platform's own policy.
+
+    ``mechanism`` is a registry spec: plain names, ``+``-compositions
+    and inline parameter overrides (``"chargecache(entries=256)+nuat"``)
+    are all accepted and normalized.  The ChargeCache keyword knobs
+    cover the capacity (Fig. 9/10) and caching-duration (Fig. 11)
+    sweeps and are interchangeable with the equivalent inline
+    parameters.  The duration selects the paper's Table 2 derating,
+    re-expressed in the standard's bus cycles from the physical
+    (nanosecond) charge headroom — 4/8 DDR3 cycles is 5/10 ns, which
+    is 6/12 DDR4-2400 cycles and 10/20 GDDR5-4000 cycles.
     """
     from repro.core import registry
     mechanism, cc_entries, cc_duration_ms, cc_unbounded = \
         registry.extract_run_params(mechanism, cc_entries,
                                     cc_duration_ms, cc_unbounded)
+    scen = scenarios.platform(platform)
     scale = scale or current_scale()
-    if mode == "single":
-        cfg = single_core_config(mechanism)
-        instructions = scale.single_core_instructions
-    elif mode == "eight":
-        cfg = eight_core_config(mechanism)
-        instructions = scale.multi_core_instructions
-    else:
-        raise ValueError(f"unknown mode {mode!r}; use 'single' or 'eight'")
-
-    cc = cfg.chargecache
+    defaults = ChargeCacheConfig()
     duration = cc_duration_ms if cc_duration_ms is not None \
-        else cc.caching_duration_ms
-    # Shared Table 2 derating (exact for the DDR3 timing these
-    # paper-faithful modes use).
-    from repro.dram.standards import derated_reduction_cycles
-    from repro.dram.timing import DDR3_1600
-    trcd_red, tras_red = derated_reduction_cycles(DDR3_1600, duration)
-    cc = ChargeCacheConfig(
-        entries=cc_entries if cc_entries is not None else cc.entries,
-        associativity=cc.associativity,
-        caching_duration_ms=duration,
-        trcd_reduction_cycles=trcd_red,
-        tras_reduction_cycles=tras_red,
-        sharing=cc_sharing if cc_sharing is not None else cc.sharing,
-        unbounded=cc_unbounded,
-        time_scale=scale.cc_time_scale,
+        else defaults.caching_duration_ms
+    trcd_red, tras_red = derated_reduction_cycles(scen.timing, duration)
+    cc = replace(defaults,
+                 entries=cc_entries if cc_entries is not None
+                 else defaults.entries,
+                 caching_duration_ms=duration,
+                 trcd_reduction_cycles=trcd_red,
+                 tras_reduction_cycles=tras_red,
+                 unbounded=cc_unbounded,
+                 time_scale=scale.cc_time_scale)
+    cfg = SimulationConfig(
+        processor=ProcessorConfig(num_cores=scen.num_cores),
+        dram=DRAMConfig(channels=scen.channels,
+                        ranks_per_channel=scen.ranks_per_channel,
+                        bus_freq_mhz=scen.timing.freq_mhz,
+                        standard=scen.standard),
+        controller=ControllerConfig(
+            row_policy=row_policy or scen.row_policy),
+        chargecache=cc,
+        mechanism=mechanism,
+        instruction_limit=(scale.single_core_instructions
+                           if scen.num_cores == 1
+                           else scale.multi_core_instructions),
+        warmup_cpu_cycles=scale.warmup_cpu_cycles,
+        engine=_resolve_engine(engine),
     )
-    cfg = replace(cfg, chargecache=cc,
-                  instruction_limit=instructions,
-                  warmup_cpu_cycles=scale.warmup_cpu_cycles)
-    if row_policy is not None:
-        cfg = replace(cfg, controller=replace(cfg.controller,
-                                              row_policy=row_policy))
-    cfg = replace(cfg, engine=_resolve_engine(engine))
     cfg.validate()
     return cfg
 
@@ -229,6 +239,14 @@ def _build_spec(kind: str, name: str, mechanism: str,
     against — the legacy ``cc_*`` keyword arguments), so
     ``"nuat+chargecache(entries=256)"`` and ``("chargecache+nuat",
     cc_entries=256)`` are one spec, one memo entry, one cache key.
+
+    The platform is canonicalized too, so one simulation has one
+    spec: a scenario point on the paper's single-core platform is the
+    "single" spec of its one application, one on the eight-core
+    platform running a mix is the "eight" spec, and a ``row_policy``
+    equal to the platform's own is dropped.  A scenario point naming
+    an unknown scenario or workload fails here, at declaration time,
+    not inside a pool worker mid-sweep.
     """
     from repro.core import registry
     mechanism, cc_entries, cc_duration_ms, cc_unbounded = \
@@ -236,6 +254,19 @@ def _build_spec(kind: str, name: str, mechanism: str,
                                     kwargs.pop("cc_entries", None),
                                     kwargs.pop("cc_duration_ms", None),
                                     kwargs.pop("cc_unbounded", False))
+    scen = kwargs.get("scenario")
+    if kind == "scenario":
+        apps = scenarios.scenario_workload_names(
+            scenarios.scenario(scen), name)
+        if scen == scenarios.KIND_PLATFORMS["single"]:
+            kind, name, scen = "single", apps[0], None
+        elif scen == scenarios.KIND_PLATFORMS["eight"] \
+                and name in MIX_NAMES:
+            kind, scen = "eight", None
+        kwargs["scenario"] = scen
+    if kwargs.get("row_policy") == \
+            scenarios.platform(scen or kind).row_policy:
+        kwargs["row_policy"] = None
     return RunSpec(kind=kind, name=name, mechanism=mechanism,
                    scale=scale or current_scale(),
                    engine=_resolve_engine(engine),
@@ -266,14 +297,8 @@ def alone_spec(name: str, scale: Optional[Scale] = None, *,
 def scenario_spec(scenario: str, name: str, mechanism: str = "none",
                   scale: Optional[Scale] = None, *,
                   engine: Optional[str] = None, **kwargs) -> RunSpec:
-    """Spec for one workload/mix on a named scale-out scenario.
-
-    The scenario (and the workload) are validated eagerly so a typo
-    fails at declaration time, not inside a pool worker mid-sweep.
-    """
-    from repro.harness import scenarios
-    scen = scenarios.scenario(scenario)
-    scenarios.scenario_workload_names(scen, name)
+    """Spec for one workload/mix on a named platform (the paper's own
+    platforms come back as their "single"/"eight" spec)."""
     return _build_spec("scenario", name, mechanism, scale, engine,
                        scenario=scenario, **kwargs)
 
@@ -407,40 +432,28 @@ def run_spec(spec: RunSpec) -> RunResult:
 
 
 def _spec_config(spec: RunSpec) -> SimulationConfig:
-    """The :class:`SimulationConfig` one spec resolves to."""
-    scale = spec.scale
+    """The :class:`SimulationConfig` one spec resolves to: its
+    platform's :func:`build_config`, cut to one core for an alone run
+    (which keeps the eight-core instruction budget)."""
+    cfg = build_config(spec.scenario or spec.kind, spec.mechanism,
+                       spec.scale, cc_entries=spec.cc_entries,
+                       cc_duration_ms=spec.cc_duration_ms,
+                       cc_unbounded=spec.cc_unbounded,
+                       row_policy=spec.row_policy, engine=spec.engine)
+    if spec.kind == "alone":
+        cfg = replace(cfg, processor=replace(cfg.processor, num_cores=1))
+    return replace(cfg, idle_finished_cores=spec.idle_finished)
+
+
+def _spec_apps(spec: RunSpec) -> List[str]:
+    """Per-core application names of a non-trace spec: a scenario's
+    :func:`~repro.harness.scenarios.scenario_workload_names`, a mix's
+    composition, else the one application the spec names."""
     if spec.kind == "scenario":
-        from repro.harness import scenarios
-        cfg = scenarios.scenario_config(
-            spec.scenario, spec.mechanism, scale,
-            cc_entries=spec.cc_entries,
-            cc_duration_ms=spec.cc_duration_ms,
-            cc_unbounded=spec.cc_unbounded,
-            engine=spec.engine)
-        if spec.row_policy is not None:
-            cfg = replace(cfg, controller=replace(
-                cfg.controller, row_policy=spec.row_policy))
-    elif spec.kind == "alone":
-        cfg = eight_core_config("none")
-        cfg = replace(cfg,
-                      processor=replace(cfg.processor, num_cores=1),
-                      instruction_limit=scale.multi_core_instructions,
-                      warmup_cpu_cycles=scale.warmup_cpu_cycles,
-                      engine=spec.engine)
-    else:
-        # "trace" runs replay an ingested file on the paper's
-        # single-core platform (1 channel, open-row); everything else
-        # maps its own kind straight onto build_config's mode.
-        mode = "single" if spec.kind == "trace" else spec.kind
-        cfg = build_config(mode, spec.mechanism, scale,
-                           cc_entries=spec.cc_entries,
-                           cc_duration_ms=spec.cc_duration_ms,
-                           cc_unbounded=spec.cc_unbounded,
-                           row_policy=spec.row_policy,
-                           engine=spec.engine)
-    if spec.idle_finished and spec.kind != "alone":
-        cfg = replace(cfg, idle_finished_cores=True)
-    return cfg
+        return scenarios.scenario_workload_names(
+            scenarios.scenario(spec.scenario), spec.name)
+    return mix_composition(spec.name) if spec.kind == "eight" \
+        else [spec.name]
 
 
 def _spec_traces(spec: RunSpec, cfg: SimulationConfig) -> list:
@@ -453,16 +466,9 @@ def _spec_traces(spec: RunSpec, cfg: SimulationConfig) -> list:
     from the group's first spec.
     """
     org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
-    if spec.kind == "scenario":
-        from repro.harness import scenarios
-        scen = scenarios.scenario(spec.scenario)
-        return scenarios.scenario_traces(scen, spec.name, org,
-                                         seed=spec.seed)
     if spec.kind == "trace":
         return [_load_trace_records(spec, org)]
-    if spec.kind in ("alone", "single"):
-        return [make_trace(spec.name, org, seed=spec.seed)]
-    return make_mix_traces(spec.name, org, seed=spec.seed)
+    return make_mix_traces(_spec_apps(spec), org, seed=spec.seed)
 
 
 def _load_trace_records(spec: RunSpec, org: Organization):

@@ -3,8 +3,11 @@
 
 A :class:`Scenario` names one complete *system platform*: core count,
 channel count, ranks per channel, DRAM timing grade and row policy.
-The registry enumerates the curated matrix the scaling/standards
-experiments sweep —
+The registry is the harness's only platform definition.  The paper's
+own systems are its ``c1-r1`` (single-core) and ``c8-r1`` (eight-core)
+entries, which the run kinds that name no scenario resolve to
+(:data:`KIND_PLATFORMS`).  It enumerates the curated matrix the
+scaling/standards experiments sweep —
 
 * **Scaling family** (``SCALING_SCENARIOS``): 1/2/4/8/16 cores, each
   with 1 and 2 ranks per channel, on the paper's DDR3-1600 baseline.
@@ -14,9 +17,8 @@ experiments sweep —
 * **Standards family** (``STANDARD_SCENARIOS``): the single-core and
   eight-core platforms on each timing-grade preset of
   :mod:`repro.dram.standards` (DDR3-1600, DDR4-2400, LPDDR3-1600,
-  GDDR5-4000).  The DDR3 rows reuse the scaling family's ``c1-r1`` /
-  ``c8-r1`` scenarios so the shared sweep never runs one platform
-  twice under two names.
+  GDDR5-4000).  The DDR3 rows are the scaling family's ``c1-r1`` /
+  ``c8-r1``, i.e. the paper's own platforms.
 
 Scenario **names are cache-key material**: a
 :class:`~repro.harness.spec.RunSpec` embeds the scenario name, so the
@@ -35,28 +37,14 @@ new axis is exercised end-to-end — see DESIGN.md section 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
-from repro.config import (
-    ROW_POLICIES,
-    ChargeCacheConfig,
-    ControllerConfig,
-    DRAMConfig,
-    ProcessorConfig,
-    SimulationConfig,
-)
-from repro.cpu.trace import TraceRecord
-from repro.dram.standards import (
-    PRESETS,
-    StandardProfile,
-    derated_reduction_cycles,
-    preset,
-    profile,
-)
+from repro.config import ROW_POLICIES
+from repro.dram.standards import PRESETS, StandardProfile, preset, profile
 from repro.dram.timing import TimingParameters
 from repro.workloads.mixes import MIX_NAMES, mix_composition
-from repro.workloads.spec_like import PROFILES, make_trace
+from repro.workloads.spec_like import PROFILES
 
 #: Core counts covered by the scaling family.
 SCALING_CORE_COUNTS = (1, 2, 4, 8, 16)
@@ -113,10 +101,6 @@ class Scenario:
     def profile(self) -> StandardProfile:
         """The standard's timing+power bundle (energy experiments)."""
         return profile(self.standard)
-
-    @property
-    def total_ranks(self) -> int:
-        return self.channels * self.ranks_per_channel
 
     def axes(self) -> Dict[str, object]:
         """The platform axes as a plain dict (report/CSV rows)."""
@@ -220,70 +204,24 @@ STANDARD_SCENARIOS: Tuple[str, ...] = tuple(
         else (f"{_standard_slug(std)}-c1", f"{_standard_slug(std)}-c8")))
 
 
-# ----------------------------------------------------------------------
-# Config / trace construction
-# ----------------------------------------------------------------------
+#: The platform of each run kind that names no scenario.  The paper's
+#: single-core system runs an application ("single") or an ingested
+#: trace ("trace"); its eight-core system runs a mix ("eight") or one
+#: application alone on one of its cores ("alone", the
+#: weighted-speedup denominator).
+KIND_PLATFORMS = {"single": "c1-r1", "trace": "c1-r1",
+                  "eight": "c8-r1", "alone": "c8-r1"}
 
-def scenario_config(name: str, mechanism: str = "none",
-                    scale=None,
-                    cc_entries: Optional[int] = None,
-                    cc_duration_ms: Optional[float] = None,
-                    cc_unbounded: bool = False,
-                    engine: Optional[str] = None) -> SimulationConfig:
-    """A validated :class:`SimulationConfig` for one scenario run.
 
-    Mirrors :func:`repro.harness.runner.build_config` for the paper's
-    fixed platforms, with two scenario-specific twists: the DRAM block
-    carries the scenario's geometry *and* timing standard (bus
-    frequency included, so the CPU/DRAM clock ratio is correct on
-    every grade), and the ChargeCache timing reductions are re-derived
-    in the standard's bus cycles from the physical (nanosecond) charge
-    headroom — 4/8 DDR3 cycles is 5/10 ns, which is 6/12 DDR4-2400
-    cycles and 10/20 GDDR5-4000 cycles.
-    """
-    from repro.core import registry
-    mechanism, cc_entries, cc_duration_ms, cc_unbounded = \
-        registry.extract_run_params(mechanism, cc_entries,
-                                    cc_duration_ms, cc_unbounded)
-    scen = scenario(name)
-    if scale is None:
-        from repro.harness.spec import current_scale
-        scale = current_scale()
-    timing = scen.timing
-    instructions = (scale.single_core_instructions if scen.num_cores == 1
-                    else scale.multi_core_instructions)
-
-    duration = cc_duration_ms if cc_duration_ms is not None else 1.0
-    # Table 2 derating re-expressed in the scenario's clock (shared
-    # with the registry factory and the harness duration path).
-    trcd_red, tras_red = derated_reduction_cycles(timing, duration)
-
-    base_cc = ChargeCacheConfig()
-    cc = ChargeCacheConfig(
-        entries=cc_entries if cc_entries is not None else base_cc.entries,
-        associativity=base_cc.associativity,
-        caching_duration_ms=duration,
-        trcd_reduction_cycles=trcd_red,
-        tras_reduction_cycles=tras_red,
-        unbounded=cc_unbounded,
-        time_scale=scale.cc_time_scale,
-    )
-    cfg = SimulationConfig(
-        processor=ProcessorConfig(num_cores=scen.num_cores),
-        dram=DRAMConfig(channels=scen.channels,
-                        ranks_per_channel=scen.ranks_per_channel,
-                        bus_freq_mhz=timing.freq_mhz,
-                        standard=scen.standard),
-        controller=ControllerConfig(row_policy=scen.row_policy),
-        chargecache=cc,
-        mechanism=mechanism,
-        instruction_limit=instructions,
-        warmup_cpu_cycles=scale.warmup_cpu_cycles,
-    )
-    if engine is not None:
-        cfg = replace(cfg, engine=engine)
-    cfg.validate()
-    return cfg
+def platform(name: str) -> Scenario:
+    """The platform a run kind of :data:`KIND_PLATFORMS` or a scenario
+    name stands for."""
+    found = _REGISTRY.get(KIND_PLATFORMS.get(name, name))
+    if found is None:
+        raise ValueError(
+            f"unknown platform {name!r}; expected a run kind "
+            f"{sorted(KIND_PLATFORMS)} or a scenario {sorted(_REGISTRY)}")
+    return found
 
 
 def scenario_workload_names(scen: Scenario, workload: str) -> List[str]:
@@ -303,16 +241,3 @@ def scenario_workload_names(scen: Scenario, workload: str) -> List[str]:
         f"unknown workload {workload!r}; expected a mix "
         f"({MIX_NAMES[0]}..{MIX_NAMES[-1]}) or an application "
         f"({sorted(PROFILES)})")
-
-
-def scenario_traces(scen: Scenario, workload: str, org,
-                    seed: int = 1) -> List[Iterator[TraceRecord]]:
-    """Build the per-core traces for one scenario run.
-
-    Seeding matches :func:`repro.workloads.mixes.make_mix_traces`
-    (``seed + 7919 * core``), so the eight-core scenarios replay the
-    exact streams the paper-platform mixes use.
-    """
-    return [make_trace(name, org, seed=seed + 7919 * core)
-            for core, name in enumerate(
-                scenario_workload_names(scen, workload))]

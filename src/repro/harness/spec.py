@@ -46,7 +46,8 @@ DEFAULT_CC_TIME_SCALE = 8.0
 #: name a platform from :mod:`repro.harness.scenarios` in the spec's
 #: ``scenario`` field; "trace" runs replay an ingested external trace
 #: file on the single-core platform (the file's content hash lives in
-#: ``trace_sha256``); the other kinds are the paper's fixed platforms.
+#: ``trace_sha256``); the kinds without a scenario run on the paper's
+#: platforms (:data:`repro.harness.scenarios.KIND_PLATFORMS`).
 RUN_KINDS = ("single", "eight", "alone", "scenario", "trace")
 
 #: RunSpec fields that are deliberately *excluded* from cache-key
@@ -105,12 +106,15 @@ def current_scale() -> Scale:
 class RunSpec:
     """One sweep point: everything that determines a RunResult.
 
-    ``kind`` selects the platform: "single" (1 core, 1 channel,
-    open-row), "eight" (8 cores, 2 channels, closed-row), or "alone"
-    (one application alone on the eight-core platform, used for
-    weighted-speedup denominators).  ``engine`` must be concrete
-    ("event"/"dense", never None) so that a spec means the same run in
-    every process regardless of ambient defaults.
+    ``kind`` selects the platform (:mod:`repro.harness.scenarios`):
+    "single" (1 core, 1 channel, open-row: ``c1-r1``), "eight"
+    (8 cores, 2 channels, closed-row: ``c8-r1``), "alone" (one
+    application on one core of ``c8-r1``, the baseline behind
+    weighted-speedup denominators), "scenario" (the platform named
+    in ``scenario``) or "trace" (an ingested file on ``c1-r1``).
+    ``engine`` must be concrete ("event"/"dense", never None) so that
+    a spec means the same run in every process regardless of ambient
+    defaults.
 
     ``mechanism`` is a registry spec
     (:func:`repro.core.registry.parse_mechanism_spec`): any
@@ -177,8 +181,16 @@ class RunSpec:
         # inline/shorthand conflict fails at declaration time, not
         # inside a pool worker mid-sweep (or at cache-key time).
         from repro.core.registry import extract_run_params
-        extract_run_params(self.mechanism, self.cc_entries,
-                           self.cc_duration_ms, self.cc_unbounded)
+        canonical = extract_run_params(self.mechanism, self.cc_entries,
+                                       self.cc_duration_ms,
+                                       self.cc_unbounded)
+        if self.kind == "alone" and (
+                canonical != ("none", None, None, False)
+                or self.idle_finished):
+            raise ValueError(
+                "alone runs are the baseline weighted-speedup "
+                "denominator: mechanism must be 'none' and "
+                f"idle_finished False, got {self.label()!r}")
 
     def key_payload(self) -> Dict:
         """JSON-stable dict of every field that defines this run.

@@ -7,7 +7,7 @@ seeded so w1..w20 are stable across runs and machines.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -42,17 +42,19 @@ def mix_composition(mix: str) -> List[str]:
             f"unknown mix {mix!r}; known: {MIX_NAMES}") from None
 
 
-def make_mix_traces(mix: str, org, seed: int = 1
+def make_mix_traces(apps: Sequence[str], org, seed: int = 1
                     ) -> List[Iterator[TraceRecord]]:
-    """Build the 8 per-core traces of ``mix``.
+    """Build one trace per core, core ``k`` running ``apps[k]``.
 
-    Each core gets an independent RNG stream even when two cores run
-    the same application.
+    Every harness run of synthetic workloads builds its traces here:
+    a single-core run passes its one application, a mix its
+    :func:`mix_composition`.  Core
+    ``k`` is seeded ``seed + 7919 * k``, so each core gets an
+    independent RNG stream even when two cores run the same
+    application.
     """
-    traces = []
-    for core_id, name in enumerate(mix_composition(mix)):
-        traces.append(make_trace(name, org, seed=seed + 7919 * core_id))
-    return traces
+    return [make_trace(name, org, seed=seed + 7919 * core)
+            for core, name in enumerate(apps)]
 
 
 def all_compositions() -> Dict[str, List[str]]:

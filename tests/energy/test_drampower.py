@@ -119,8 +119,8 @@ class TestRunResolution:
     """energy_for_run must use the run config's own standard."""
 
     def _scenario_run(self, name):
-        from repro.harness.scenarios import scenario_config
-        return _fake_run(scenario_config(name, "none"))
+        from repro.harness.runner import build_config
+        return _fake_run(build_config(name, "none"))
 
     def test_ddr4_run_uses_ddr4_clock_and_currents(self):
         run = self._scenario_run("ddr4-2400-c1")
@@ -153,11 +153,11 @@ class TestRunResolution:
         assert resolved.as_dict() == legacy.as_dict()
 
     def test_access_rate_uses_own_clock(self):
-        from repro.harness.scenarios import scenario_config
+        from repro.harness.runner import build_config
         counts = dict(mem_cycles=80_000, activations=100, reads=400,
                       writes=100)
-        ddr3 = _fake_run(scenario_config("c1-r1", "none"), **counts)
-        gddr5 = _fake_run(scenario_config("gddr5-4000-c1", "none"),
+        ddr3 = _fake_run(build_config("c1-r1", "none"), **counts)
+        gddr5 = _fake_run(build_config("gddr5-4000-c1", "none"),
                           **counts)
         # Same counts, 2.5x faster clock => 2.5x the access rate.
         assert access_rate_for_run(gddr5) == pytest.approx(

@@ -189,6 +189,22 @@ class TestCLI:
         assert sim_log == []
         assert not os.path.exists(store)
 
+    def test_sweep_alone_rejects_mechanisms(self, tmp_path, sim_log,
+                                            capsys):
+        """Alone runs are the baseline denominator: asking for a
+        mechanism is a usage error, not a silent baseline run."""
+        from repro.harness import cli
+        store = str(tmp_path / "cli-store")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--kind", "alone", "--workloads", "mcf",
+                      "--mechanisms", "none", "chargecache", "nuat",
+                      "--scale", "0.03", "--store", store])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "'chargecache'" in err and "'nuat'" in err
+        assert sim_log == []
+        assert not os.path.exists(store)
+
     def test_sweep_scenario_requires_a_scenario(self, sim_log, capsys):
         from repro.harness import cli
         with pytest.raises(SystemExit) as excinfo:

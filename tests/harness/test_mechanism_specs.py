@@ -18,7 +18,6 @@ from repro.harness.runner import (
     run_workload,
     workload_spec,
 )
-from repro.harness.scenarios import scenario_config
 from repro.harness.spec import RunSpec
 
 TINY = Scale(single_core_instructions=2000, multi_core_instructions=1000,
@@ -117,11 +116,10 @@ class TestEndToEnd:
         assert result.config.mechanism == \
             "chargecache(associativity=3,entries=3)"
 
-    def test_scenario_config_accepts_inline_params(self):
-        via_spec = scenario_config("c8-r2", "chargecache(entries=64)",
-                                   TINY)
-        via_kwargs = scenario_config("c8-r2", "chargecache", TINY,
-                                     cc_entries=64)
+    def test_scenario_build_config_accepts_inline_params(self):
+        via_spec = build_config("c8-r2", "chargecache(entries=64)", TINY)
+        via_kwargs = build_config("c8-r2", "chargecache", TINY,
+                                  cc_entries=64)
         assert via_spec == via_kwargs
         assert via_spec.chargecache.entries == 64
 

@@ -15,6 +15,7 @@ from repro.harness.runner import (
     run_workload,
     workload_spec,
 )
+from repro.harness.spec import RunSpec
 
 TINY = Scale(single_core_instructions=2000, multi_core_instructions=1000,
              warmup_cpu_cycles=1000, max_mem_cycles=300_000)
@@ -80,6 +81,23 @@ class TestBuildConfig:
         cfg = build_config("single", "none", TINY, row_policy="closed")
         assert cfg.controller.row_policy == "closed"
 
+    @pytest.mark.parametrize("knobs", [
+        {}, {"cc_entries": 512}, {"cc_duration_ms": 16.0},
+        {"cc_unbounded": True}, {"row_policy": "closed"}])
+    @pytest.mark.parametrize("mechanism", [
+        "none", "chargecache", "nuat", "lldram", "chargecache+nuat"])
+    def test_paper_kinds_are_their_scenarios(self, mechanism, knobs):
+        for kind, scen in (("single", "c1-r1"), ("eight", "c8-r1")):
+            assert build_config(kind, mechanism, TINY, **knobs) == \
+                build_config(scen, mechanism, TINY, **knobs)
+
+    def test_alone_is_one_core_of_the_eight_core_platform(self):
+        cfg = runner._spec_config(alone_spec("mcf", TINY))
+        eight = build_config("eight", "none", TINY)
+        assert cfg.processor.num_cores == 1
+        assert (cfg.dram, cfg.controller) == (eight.dram, eight.controller)
+        assert cfg.instruction_limit == TINY.multi_core_instructions
+
 
 class TestSpecBuilders:
     def test_workload_spec_normalises_engine_and_scale(self):
@@ -98,6 +116,22 @@ class TestSpecBuilders:
         alone = alone_spec("hmmer", TINY)
         assert alone.kind == "alone"
         assert alone.mechanism == "none"
+
+    def test_platform_row_policy_is_the_default_spelling(self):
+        for name in ("hmmer", "mcf"):
+            assert workload_spec(name, "none", row_policy="open") == \
+                workload_spec(name, "none")
+        assert mix_spec("w1", "none", row_policy="closed") == \
+            mix_spec("w1", "none")
+        assert workload_spec("mcf", row_policy="closed").row_policy == \
+            "closed"
+
+    @pytest.mark.parametrize("fields", [
+        {"mechanism": "chargecache"}, {"mechanism": "nuat"},
+        {"cc_entries": 256}, {"idle_finished": True}])
+    def test_alone_spec_rejects_what_it_would_ignore(self, fields):
+        with pytest.raises(ValueError, match="alone runs"):
+            RunSpec(kind="alone", name="mcf", **fields)
 
     def test_spec_paths_share_the_memo_with_run_workload(self):
         clear_caches()

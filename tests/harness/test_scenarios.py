@@ -10,18 +10,20 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.harness import scenarios
+from repro.harness.runner import build_config
 from repro.harness.scenarios import (
+    KIND_PLATFORMS,
     SCALING_SCENARIOS,
     STANDARD_SCENARIOS,
     Scenario,
+    platform,
     register_scenario,
     scenario,
-    scenario_config,
     scenario_names,
-    scenario_traces,
     scenario_workload_names,
 )
-from repro.harness.spec import RunSpec, Scale
+from repro.harness.spec import RUN_KINDS, RunSpec, Scale
+from repro.workloads.mixes import make_mix_traces
 
 TINY = Scale(single_core_instructions=2000, multi_core_instructions=900,
              warmup_cpu_cycles=1000, max_mem_cycles=300_000)
@@ -92,6 +94,14 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown scenario"):
             scenario("c3-r1")
 
+    def test_run_kinds_resolve_to_paper_platforms(self):
+        assert platform("single") is platform("trace") is scenario("c1-r1")
+        assert platform("eight") is platform("alone") is scenario("c8-r1")
+        assert platform("c4-r2") is scenario("c4-r2")
+        assert set(KIND_PLATFORMS) | {"scenario"} == set(RUN_KINDS)
+        with pytest.raises(ValueError, match="unknown platform"):
+            platform("dual")
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_scenario(Scenario(name="c1-r1"))
@@ -127,9 +137,9 @@ class TestValidation:
 class TestConfigConstruction:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_every_scenario_builds_a_valid_config(self, name):
-        cfg = scenario_config(name, "chargecache", TINY)
+        cfg = build_config(name, "chargecache", TINY)
         assert isinstance(cfg, SimulationConfig)
-        cfg.validate()  # idempotent; scenario_config validated already
+        cfg.validate()  # idempotent; build_config validated already
         scen = scenario(name)
         assert cfg.processor.num_cores == scen.num_cores
         assert cfg.dram.channels == scen.channels
@@ -141,17 +151,17 @@ class TestConfigConstruction:
 
     def test_reductions_rescale_with_the_clock(self):
         """~5/10 ns of charge headroom is more cycles on faster buses."""
-        ddr3 = scenario_config("c1-r1", "chargecache", TINY).chargecache
-        gddr5 = scenario_config("gddr5-4000-c1", "chargecache",
-                                TINY).chargecache
+        ddr3 = build_config("c1-r1", "chargecache", TINY).chargecache
+        gddr5 = build_config("gddr5-4000-c1", "chargecache",
+                             TINY).chargecache
         assert (ddr3.trcd_reduction_cycles,
                 ddr3.tras_reduction_cycles) == (4, 8)
         assert gddr5.trcd_reduction_cycles > ddr3.trcd_reduction_cycles
         assert gddr5.tras_reduction_cycles > ddr3.tras_reduction_cycles
 
     def test_instruction_budget_follows_core_count(self):
-        single = scenario_config("c1-r1", "none", TINY)
-        multi = scenario_config("c4-r1", "none", TINY)
+        single = build_config("c1-r1", "none", TINY)
+        multi = build_config("c4-r1", "none", TINY)
         assert single.instruction_limit == TINY.single_core_instructions
         assert multi.instruction_limit == TINY.multi_core_instructions
 
@@ -176,9 +186,10 @@ class TestWorkloads:
 
     def test_traces_match_core_count(self):
         from repro.dram.organization import Organization
-        cfg = scenario_config("c2-r2", "none", TINY)
+        cfg = build_config("c2-r2", "none", TINY)
         org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
-        traces = scenario_traces(scenario("c2-r2"), "w1", org)
+        traces = make_mix_traces(
+            scenario_workload_names(scenario("c2-r2"), "w1"), org)
         assert len(traces) == 2
 
 
@@ -193,6 +204,22 @@ class TestSpecs:
         assert spec.kind == "scenario"
         assert spec.scenario == "c2-r2"
         assert "c2-r2" in spec.label()
+
+    @pytest.mark.parametrize("mechanism", ["none", "chargecache"])
+    def test_paper_platform_points_are_paper_kind_specs(self, mechanism):
+        from repro.harness.runner import (mix_spec, scenario_spec,
+                                          workload_spec)
+        from repro.workloads.mixes import mix_composition
+        assert scenario_spec("c8-r1", "w1", mechanism) == \
+            mix_spec("w1", mechanism)
+        assert scenario_spec("c1-r1", "w1", mechanism,
+                             idle_finished=True) == \
+            workload_spec(mix_composition("w1")[0], mechanism,
+                          idle_finished=True)
+        assert scenario_spec("c1-r1", "mcf", mechanism) == \
+            workload_spec("mcf", mechanism)
+        # One application on every core of c8-r1 is no paper kind.
+        assert scenario_spec("c8-r1", "mcf").kind == "scenario"
 
     def test_spec_kind_scenario_coupling(self):
         with pytest.raises(ValueError, match="scenario runs"):

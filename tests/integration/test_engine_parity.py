@@ -157,17 +157,19 @@ SCENARIO_PARITY_GRID = (
 
 def _scenario_parity_run(scenario_name, mechanism, engine):
     from repro.harness import scenarios
+    from repro.harness.runner import build_config
     from repro.harness.spec import Scale
     from repro.dram.organization import Organization
+    from repro.workloads.mixes import make_mix_traces
 
     scale = Scale(single_core_instructions=2500,
                   multi_core_instructions=900,
                   warmup_cpu_cycles=1000, max_mem_cycles=500_000)
-    cfg = scenarios.scenario_config(scenario_name, mechanism, scale,
-                                    engine=engine)
+    cfg = build_config(scenario_name, mechanism, scale, engine=engine)
     org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
     scen = scenarios.scenario(scenario_name)
-    traces = scenarios.scenario_traces(scen, "w1", org)
+    traces = make_mix_traces(scenarios.scenario_workload_names(scen, "w1"),
+                             org)
     return System(cfg, traces).run(max_mem_cycles=scale.max_mem_cycles)
 
 

@@ -39,7 +39,9 @@ from repro.dram.commands import Command
 from repro.dram.organization import Organization
 from repro.dram.timing import DDR3_1600
 from repro.harness import runner, scenarios
+from repro.harness.runner import build_config
 from repro.harness.spec import Scale
+from repro.workloads.mixes import make_mix_traces
 from repro.workloads.synthetic import random_trace
 
 from tests.conftest import tiny_config
@@ -62,10 +64,11 @@ CONFORMANCE_AXES = {
 
 
 def _run_scenario_logged(name: str, mechanism: str = "chargecache"):
-    cfg = scenarios.scenario_config(name, mechanism, TINY)
+    cfg = build_config(name, mechanism, TINY)
     org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
     scen = scenarios.scenario(name)
-    traces = scenarios.scenario_traces(scen, "w1", org)
+    traces = make_mix_traces(scenarios.scenario_workload_names(scen, "w1"),
+                             org)
     system = System(cfg, traces, log_commands=True)
     result = system.run(max_mem_cycles=TINY.max_mem_cycles)
     return system, result

@@ -49,7 +49,7 @@ class TestTraces:
     def test_traces_built_per_core(self):
         org = Organization(channels=2, ranks=1, banks=8, rows=64 * 1024,
                            columns=128)
-        traces = make_mix_traces("w3", org, seed=1)
+        traces = make_mix_traces(mix_composition("w3"), org, seed=1)
         assert len(traces) == 8
         for trace in traces:
             records = list(itertools.islice(trace, 20))
@@ -65,7 +65,7 @@ class TestTraces:
             if dupes:
                 app = dupes.pop()
                 idx = [i for i, a in enumerate(apps) if a == app][:2]
-                traces = make_mix_traces(mix, org, seed=1)
+                traces = make_mix_traces(apps, org, seed=1)
                 a = list(itertools.islice(traces[idx[0]], 50))
                 b = list(itertools.islice(traces[idx[1]], 50))
                 assert a != b
