@@ -1,9 +1,9 @@
 """Rule ``service-concurrency``: durable publication of shared files.
 
-Store directories are read and written by many processes at once (pool
-workers, distributed sweep peers on other hosts), which unit tests that
-run one process at a time never exercise.  One convention keeps those
-readers safe:
+A run store directory is read and written by many processes at once
+(the pool workers of a sweep, and later runs reading what earlier ones
+stored), which unit tests that run one process at a time never
+exercise.  One convention keeps those readers safe:
 
 * **Renames are durable.**  ``os.rename``/``os.replace``/
   ``Path.rename`` publishes a file atomically only if the bytes were
@@ -14,7 +14,7 @@ The rule applies to modules under a ``service/`` directory
 (path-scoped, so test fixtures placed there exercise it) and, by
 basename wherever they live, to the harness modules that publish files
 other processes read concurrently (:data:`SCOPED_BASENAMES`): the run
-store's envelope writer, its claim leases and the sweep journal.
+store's envelope writer and the sweep journal.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.analysis.base import (
 
 #: Modules outside ``service/`` that publish files across process
 #: boundaries and therefore carry the same discipline.
-SCOPED_BASENAMES = ("cache.py", "store.py", "journal.py")
+SCOPED_BASENAMES = ("cache.py", "journal.py")
 
 
 class ServiceConcurrencyChecker(Checker):

@@ -27,6 +27,13 @@ from repro.dram.commands import Command
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import NEVER, TimingParameters
 
+# Enum members as plain globals: ``_execute`` tests them per command.
+_ACT, _PRE, _RD, _WR = Command.ACT, Command.PRE, Command.RD, Command.WR
+
+#: ``MemoryController._served`` after a queue length changed: the next
+#: ``tick`` or bid that needs the served queue re-selects it.
+_STALE = object()
+
 
 class ControllerStats:
     """Post-warmup event counters for one channel."""
@@ -90,6 +97,9 @@ class MemoryController:
         self.read_q = RequestQueue(controller_config.read_queue_size)
         self.write_q = RequestQueue(controller_config.write_queue_size)
         self._drain_writes = False
+        #: The queue :meth:`_select_queue` last picked, or ``_STALE``
+        #: once a push or removal changed a queue length since.
+        self._served = _STALE
         self._wq_high = int(controller_config.write_high_watermark
                             * controller_config.write_queue_size)
         self._wq_low = int(controller_config.write_low_watermark
@@ -145,7 +155,9 @@ class MemoryController:
             return True
         if not self.read_q.push(request, cycle):
             return False
-        self._cancel_pending_pre_if_hit(request)
+        self._served = _STALE
+        if self._pending_pre:
+            self._cancel_pending_pre_if_hit(request)
         return True
 
     def enqueue_write(self, request: Request, cycle: int) -> bool:
@@ -156,7 +168,9 @@ class MemoryController:
             return True
         if not self.write_q.push(request, cycle):
             return False
-        self._cancel_pending_pre_if_hit(request)
+        self._served = _STALE
+        if self._pending_pre:
+            self._cancel_pending_pre_if_hit(request)
         return True
 
     def _cancel_pending_pre_if_hit(self, request: Request) -> None:
@@ -199,31 +213,24 @@ class MemoryController:
             blocked: Optional[Sequence[int]] = ()
         else:
             blocked = self._refresh_step(cycle)
-            if blocked is None:
-                self._note_issue(cycle)
-                return  # a refresh-related command was issued this cycle
-
-        queue = self._select_queue()
-        if queue is not None:
-            decision = self.scheduler.choose(queue, self.channel, cycle,
-                                             blocked)
+        if blocked is not None:  # None: refresh issued a REF or PRE
+            queue = self._served
+            if queue is _STALE:
+                queue = self._select_queue()
+            decision = None if queue is None else self.scheduler.choose(
+                queue, self.channel, cycle, blocked)
             if decision is not None:
                 self._execute(decision, queue, cycle)
-                self._note_issue(cycle)
-                return
+            elif not (self._pending_pre
+                      and self._issue_pending_pre(cycle, blocked)):
+                return  # nothing issued this cycle
 
-        if self._pending_pre and self._issue_pending_pre(cycle, blocked):
-            self._note_issue(cycle)
-
-    def _note_issue(self, cycle: int) -> None:
-        """Record a command issue and sample queue occupancy.
-
-        Issue-time sampling (instead of the old ``cycle & 63`` wall
-        clock) makes the statistic independent of which cycles the
-        engine visits, so dense and event runs report identical
-        occupancies.  The samples are :meth:`RequestQueue.sample_occupancy`
-        inlined: this runs once per issued command.
-        """
+        # One command issued: record it and sample queue occupancy.
+        # Issue-time sampling (instead of the old ``cycle & 63`` wall
+        # clock) makes the statistic independent of which cycles the
+        # engine visits, so dense and event runs report identical
+        # occupancies.  The samples are
+        # :meth:`RequestQueue.sample_occupancy` inlined.
         self._last_issue_cycle = cycle
         self._issue_count += 1
         read_q, write_q = self.read_q, self.write_q
@@ -287,7 +294,9 @@ class MemoryController:
         # lengths (the drain latch is idempotent in them), and lengths
         # change only at visited cycles - where this bid is recomputed
         # - so the selection provably cannot flip during a skip.
-        queue = self._select_queue()
+        queue = self._served
+        if queue is _STALE:
+            queue = self._select_queue()
         if queue is not None:
             t = self.scheduler.next_ready_cycle(queue, self.channel, cycle,
                                                 blocked)
@@ -353,7 +362,8 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def _select_queue(self) -> Optional[RequestQueue]:
-        """The queue the scheduler serves this cycle (None when empty).
+        """The queue the scheduler serves this cycle (None when empty),
+        also stored as ``_served``.
 
         Advances the write-drain watermark latch first.  Its
         transitions are idempotent in the queue lengths (re-evaluating
@@ -368,8 +378,11 @@ class MemoryController:
         and repeat), making command timing depend on how often the
         controller is polled.
 
-        Lengths are read off the queues' ``items`` lists: this runs on
-        every tick and every wake bid.
+        The same idempotence lets ``tick`` and the bid reuse
+        ``_served`` until a push or removal marks it ``_STALE``.  The
+        re-selection waits for the next tick or bid that needs it: the
+        latch must sample lengths only there, as the dense engine does
+        (DESIGN.md section 3, "The served queue").
         """
         wq_len = len(self.write_q.items)
         if self._drain_writes:
@@ -378,42 +391,46 @@ class MemoryController:
         elif wq_len >= self._wq_high:
             self._drain_writes = True
         if self._drain_writes:
-            return self.write_q if wq_len else None
-        if self.read_q.items:
-            return self.read_q
-        # Nothing to read: sneak writes out.
-        return self.write_q if wq_len else None
+            queue = self.write_q if wq_len else None
+        elif self.read_q.items:
+            queue = self.read_q
+        else:  # nothing to read: sneak writes out
+            queue = self.write_q if wq_len else None
+        self._served = queue
+        return queue
 
     def _execute(self, decision: SchedulerDecision, queue: RequestQueue,
                  cycle: int) -> None:
         req = decision.request
         cmd = decision.command
-        if cmd is Command.ACT:
-            self._issue_act(req, cycle)
-        elif cmd is Command.PRE:
-            self._issue_pre(req.rank, req.bank, cycle)
-        elif cmd is Command.RD:
+        if cmd is _RD:   # the most common command: tested first
             done = self.channel.issue_read(req.rank, req.bank, cycle)
-            req.issue_cycle = cycle
-            req.done_cycle = done
-            queue.remove(req)
             heapq.heappush(self.read_events,
                            (done, next(self._event_seq), req))
             self.stats.reads += 1
             if not req.needed_act:
                 self.stats.read_row_hits += 1
-            self._maybe_close_after(req)
-        elif cmd is Command.WR:
+        elif cmd is _ACT:
+            self._issue_act(req, cycle)
+            return
+        elif cmd is _PRE:
+            self._issue_pre(req.rank, req.bank, cycle)
+            return
+        elif cmd is _WR:
             done = self.channel.issue_write(req.rank, req.bank, cycle)
-            req.issue_cycle = cycle
-            req.done_cycle = done
-            queue.remove(req)
             self.stats.writes += 1
             if not req.needed_act:
                 self.stats.write_row_hits += 1
-            self._maybe_close_after(req)
         else:  # pragma: no cover - scheduler never returns others
             raise RuntimeError(f"unexpected command {cmd}")
+        # A RD or WR: the request leaves its queue.
+        req.issue_cycle = cycle
+        req.done_cycle = done
+        queue.remove(req)
+        self._served = _STALE
+        if self.row_policy.wants_precharge_after(req, self.read_q,
+                                                 self.write_q):
+            self._pending_pre.add((req.rank, req.bank))
 
     def _issue_act(self, req: Request, cycle: int) -> None:
         mechanism = self._mechanism
@@ -442,11 +459,6 @@ class MemoryController:
         self.stats.precharges += 1
         if self.rltl_probe is not None:
             self.rltl_probe.on_precharge(self.index, rank, bank, row, cycle)
-
-    def _maybe_close_after(self, req: Request) -> None:
-        if self.row_policy.wants_precharge_after(req, self.read_q,
-                                                 self.write_q):
-            self._pending_pre.add((req.rank, req.bank))
 
     def _issue_pending_pre(self, cycle: int, blocked: Sequence[int]) -> bool:
         """Issue one policy-requested PRE if legal; True when issued."""

@@ -30,9 +30,11 @@ class RequestQueue:
     The arrival-order list itself is the public :attr:`items`, so the
     controller's per-visit reads (queue length, occupancy samples) are
     plain ``len(queue.items)`` instead of a Python-level ``__len__``
-    call.  It is read-only to everyone but the queue: only
-    :meth:`push` and :meth:`remove` may change it, because they also
-    keep the indexes and :attr:`version` in step.
+    call; the per-bank index is the public :attr:`by_bank`, which the
+    FR-FCFS snapshot walks directly.  Both are read-only to everyone
+    but the queue: only :meth:`push` and :meth:`remove` may change
+    them, because they also keep the other indexes and :attr:`version`
+    in step.
     """
 
     def __init__(self, capacity: int):
@@ -42,7 +44,9 @@ class RequestQueue:
         #: Queued requests in arrival order (read-only, see above).
         self.items: List[Request] = []
         self._by_line: Dict[int, Request] = {}
-        self._by_bank: Dict[Tuple[int, int], List[Tuple[int, Request]]] = {}
+        #: ``(rank, bank) -> [(seq, request), ...]`` per queued bank,
+        #: each list in arrival order (ascending ``seq``); read-only.
+        self.by_bank: Dict[Tuple[int, int], List[Tuple[int, Request]]] = {}
         self._row_count: Dict[Tuple[int, int, int], int] = {}
         self._seq = 0
         #: Bumped on every push/remove; lets the event engine cache
@@ -79,9 +83,9 @@ class RequestQueue:
         self.items.append(request)
         self._by_line[request.line_address] = request
         bank_key = (request.rank, request.bank)
-        entries = self._by_bank.get(bank_key)
+        entries = self.by_bank.get(bank_key)
         if entries is None:
-            self._by_bank[bank_key] = [(self._seq, request)]
+            self.by_bank[bank_key] = [(self._seq, request)]
         else:
             entries.append((self._seq, request))
         self._seq += 1
@@ -107,9 +111,9 @@ class RequestQueue:
         if self._by_line.get(request.line_address) is request:
             del self._by_line[request.line_address]
         bank_key = (request.rank, request.bank)
-        entries = self._by_bank[bank_key]
+        entries = self.by_bank[bank_key]
         if len(entries) == 1:
-            del self._by_bank[bank_key]
+            del self.by_bank[bank_key]
         else:
             for i, (_, queued) in enumerate(entries):
                 if queued is request:
@@ -125,7 +129,7 @@ class RequestQueue:
 
     def requests_for_bank(self, rank: int, bank: int) -> int:
         """Count queued requests to a specific (rank, bank)."""
-        return len(self._by_bank.get((rank, bank), ()))
+        return len(self.by_bank.get((rank, bank), ()))
 
     def requests_for_row(self, rank: int, bank: int, row: int) -> int:
         """Count queued requests to a specific (rank, bank, row)."""
@@ -133,15 +137,7 @@ class RequestQueue:
 
     def banks(self) -> Iterator[Tuple[int, int]]:
         """The distinct (rank, bank) pairs with queued requests."""
-        return iter(self._by_bank)
-
-    def by_bank(self):
-        """``((rank, bank), [(seq, request), ...])`` per queued bank.
-
-        Each list is in arrival order (ascending ``seq``).  Callers must
-        not mutate the lists.
-        """
-        return self._by_bank.items()
+        return iter(self.by_bank)
 
     def sample_occupancy(self) -> None:
         self.occupancy_accum += len(self.items)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Tuple
 
-from repro.controller.request import Request
+from repro.controller.request import Request, RequestType
 from repro.dram.channel import Channel
 from repro.dram.commands import Command
 from repro.dram.timing import NEVER
@@ -50,6 +50,7 @@ Candidate = Tuple[int, int, Request, Command]
 
 # Enum members as plain globals: the snapshot loop reads them per bank.
 _ACT, _PRE, _RD, _WR = Command.ACT, Command.PRE, Command.RD, Command.WR
+_READ = RequestType.READ
 
 #: The ``blocked`` part of a snapshot key when no rank is blocked.
 _UNBLOCKED: FrozenSet[int] = frozenset()
@@ -135,31 +136,36 @@ class FRFCFSScheduler:
 
     def _snapshot(self, queue, channel: Channel, blocked) -> None:
         """One walk over the queued banks: every candidate and its
-        earliest-issue cycle (:meth:`Channel.earliest`, from the bank's
-        registers and :meth:`Channel.rank_gates`)."""
+        earliest-issue cycle, :meth:`Channel.earliest` computed inline
+        from the bank, rank and channel registers."""
         self.snapshots += 1
+        next_cmd = channel.next_cmd
         self._queue, self._version = queue, queue.version
-        self._channel, self._next_cmd = channel, channel.next_cmd
+        self._channel, self._next_cmd = channel, next_cmd
         self._blocked = blocked
         ranks = channel.ranks
-        gates = channel.rank_gates()
-        pre_gate = channel.next_cmd
+        last = channel.last_col_rank
         hits: List[Candidate] = []
         rows: List[Candidate] = []
         ready = NEVER
-        # Gates index and command of the column candidates (col < 0:
-        # not yet known).
-        col, cmd = -1, _RD
-        for (rank, bank), entries in queue.by_bank():
+        # Channel column gates of the hit direction, maxed with the
+        # bus: ``same`` for the last column rank, ``other`` for any
+        # other rank (-1 until the first hit sets them).
+        same = other = -1
+        is_rd, cmd = True, _RD
+        for (rank, bank), entries in queue.by_bank.items():
             if rank in blocked:
                 continue  # reserved for refresh; refresh wake-ups cover it
-            bk = ranks[rank].banks[bank]
+            rk = ranks[rank]
+            bk = rk.banks[bank]
             open_row = bk.open_row
             if open_row is None:
                 t = bk.next_act
-                gate = gates[rank][0]
+                gate = rk.act_gate
                 if gate > t:
                     t = gate
+                if next_cmd > t:
+                    t = next_cmd
                 seq, req = entries[0]
                 rows.append((t, seq, req, _ACT))
                 if t < ready:
@@ -178,10 +184,23 @@ class FRFCFSScheduler:
                         break
             if hit is not None:
                 seq, req = hit
-                if col < 0:   # the queue is homogeneous: ask once
-                    col, cmd = (1, _RD) if req.is_read else (2, _WR)
-                t = bk.next_rd if col == 1 else bk.next_wr
-                gate = gates[rank][col]
+                if same < 0:   # the queue is homogeneous: ask once
+                    is_rd = req.type is _READ
+                    cmd = _RD if is_rd else _WR
+                    nrd, nwr = channel.next_rd, channel.next_wr
+                    same = nrd if is_rd else nwr
+                    if next_cmd > same:
+                        same = next_cmd
+                    other = same
+                    if last is not None:
+                        # Channel._rank_switch_gate: tRTRS after the
+                        # earlier of the two column gates.
+                        switch = (nrd if nrd < nwr else nwr) \
+                            + channel.timing.tRTRS
+                        if switch > other:
+                            other = switch
+                t = bk.next_rd if is_rd else bk.next_wr
+                gate = same if rank == last else other
                 if gate > t:
                     t = gate
                 hits.append((t, seq, req, cmd))
@@ -189,8 +208,8 @@ class FRFCFSScheduler:
                     ready = t
             if miss is not None:
                 t = bk.next_pre
-                if pre_gate > t:
-                    t = pre_gate
+                if next_cmd > t:
+                    t = next_cmd
                 rows.append((t, miss[0], miss[1], _PRE))
                 if t < ready:
                     ready = t

@@ -67,8 +67,15 @@ class SharedCache:
         self._sets: List[OrderedDict] = [OrderedDict()
                                          for _ in range(self.num_sets)]
         self._mshrs: Dict[int, MSHREntry] = {}
-        self._retry_reads: List[Request] = []
-        self._retry_writes: List[Request] = []
+        #: Parked requests the controllers refused, retried every
+        #: memory cycle by :meth:`tick`.  Read-only outside the cache.
+        #: While either list is non-empty the event engine must visit
+        #: every cycle, mirroring the dense engine's per-cycle retry: a
+        #: parked read can newly succeed not only when queue room frees
+        #: (a visited issue cycle) but also by write-queue forwarding
+        #: the cycle after a matching store enqueues.
+        self.retry_reads: List[Request] = []
+        self.retry_writes: List[Request] = []
         # Statistics.
         self.load_hits = 0
         self.load_misses = 0
@@ -179,7 +186,7 @@ class SharedCache:
         if controller.enqueue_read(request, self.mem_cycle()):
             mshr.sent = True
         else:
-            self._retry_reads.append(request)
+            self.retry_reads.append(request)
 
     #: Back-pressure bound on parked (retry) writes from store misses.
     MAX_PARKED_WRITES = 32
@@ -196,16 +203,16 @@ class SharedCache:
         controller = self.controllers[request.channel]
         if controller.enqueue_write(request, self.mem_cycle()):
             return True
-        if must_park or len(self._retry_writes) < self.MAX_PARKED_WRITES:
-            self._retry_writes.append(request)
+        if must_park or len(self.retry_writes) < self.MAX_PARKED_WRITES:
+            self.retry_writes.append(request)
             return True
         return False
 
     def tick(self) -> None:
         """Retry parked requests (called once per memory cycle)."""
-        if self._retry_reads:
+        if self.retry_reads:
             still_waiting = []
-            for request in self._retry_reads:
+            for request in self.retry_reads:
                 controller = self.controllers[request.channel]
                 if controller.enqueue_read(request, self.mem_cycle()):
                     mshr = self._mshrs.get(request.line_address)
@@ -213,14 +220,14 @@ class SharedCache:
                         mshr.sent = True
                 else:
                     still_waiting.append(request)
-            self._retry_reads = still_waiting
-        if self._retry_writes:
+            self.retry_reads = still_waiting
+        if self.retry_writes:
             still_waiting = []
-            for request in self._retry_writes:
+            for request in self.retry_writes:
                 controller = self.controllers[request.channel]
                 if not controller.enqueue_write(request, self.mem_cycle()):
                     still_waiting.append(request)
-            self._retry_writes = still_waiting
+            self.retry_writes = still_waiting
 
     # ------------------------------------------------------------------
     # Introspection
@@ -229,18 +236,6 @@ class SharedCache:
     @property
     def outstanding_misses(self) -> int:
         return len(self._mshrs)
-
-    @property
-    def has_parked_requests(self) -> bool:
-        """Any requests waiting in the retry lists?
-
-        While parked requests exist the event engine must visit every
-        cycle, mirroring the dense engine's per-cycle :meth:`tick`
-        retry: a parked read can newly succeed not only when queue room
-        frees (a visited issue cycle) but also by write-queue
-        forwarding the cycle after a matching store enqueues.
-        """
-        return bool(self._retry_reads or self._retry_writes)
 
     def contains(self, line_address: int) -> bool:
         lru, tag = self._locate(line_address)

@@ -461,7 +461,7 @@ class System:
         while True:
             cycle = self.mem_cycle
             soon = cycle + 1
-            if llc.has_parked_requests:
+            if llc.retry_reads or llc.retry_writes:
                 # The dense engine retries parked LLC requests every
                 # cycle; a parked read may newly forward from the write
                 # queue the cycle after a matching store arrives, which

@@ -10,7 +10,7 @@ Channel-scope constraints:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.dram.commands import Command, IssuedCommand
 from repro.dram.rank import Rank
@@ -26,8 +26,9 @@ class Channel:
     """
 
     __slots__ = ("timing", "index", "ranks", "next_cmd",
-                 "next_rd", "next_wr", "_last_col_rank", "num_acts",
-                 "num_pres", "num_rds", "num_wrs", "num_refs",
+                 "next_rd", "next_wr", "last_col_rank", "_default_act",
+                 "_rd_to_wr", "_wr_to_rd", "_rd_done", "_wr_done",
+                 "num_acts", "num_pres", "num_rds", "num_wrs", "num_refs",
                  "num_reduced_acts", "command_log", "log_commands",
                  "data_bus_busy_cycles")
 
@@ -41,7 +42,18 @@ class Channel:
         self.next_cmd = 0       # command bus free cycle
         self.next_rd = 0        # earliest RD anywhere on the channel
         self.next_wr = 0        # earliest WR anywhere on the channel
-        self._last_col_rank: Optional[int] = None
+        #: Rank of the last RD/WR (None before the first); read-only
+        #: outside the channel, which sets it in ``issue_read``/
+        #: ``issue_write``.  The rank-switch gate keys on it.
+        self.last_col_rank: Optional[int] = None
+        # ``timing`` is frozen, so what each command derives from it is
+        # built once: the timings of a normal ACT, and the turnarounds
+        # and completion delays of RD and WR.
+        self._default_act = timing.default_timings()
+        self._rd_to_wr = timing.read_to_write
+        self._wr_to_rd = timing.write_to_read
+        self._rd_done = timing.read_latency
+        self._wr_done = timing.tCWL + timing.tBL
         # Statistics.
         self.num_acts = 0
         self.num_pres = 0
@@ -77,34 +89,6 @@ class Channel:
             raise ValueError(f"unsupported command {command}")
         return max(gate, self.next_cmd)
 
-    def rank_gates(self) -> List[Tuple[int, int, int]]:
-        """Per-rank ``(act, rd, wr)`` gates, each maxed with the
-        command bus.
-
-        These are the rank- and channel-scope parts of :meth:`earliest`:
-        the earliest ACT to bank ``b`` of rank ``r`` is
-        ``max(bank.next_act, gates[r][0])``, a RD ``max(bank.next_rd,
-        gates[r][1])``, a WR ``max(bank.next_wr, gates[r][2])``, and a
-        PRE ``max(bank.next_pre, next_cmd)``.  The scheduler builds its
-        readiness snapshot from these instead of one :meth:`earliest`
-        call per bank.
-        """
-        next_cmd = self.next_cmd
-        rd = self.next_rd if self.next_rd > next_cmd else next_cmd
-        wr = self.next_wr if self.next_wr > next_cmd else next_cmd
-        last = self._last_col_rank
-        gates = []
-        for index, rk in enumerate(self.ranks):
-            act = rk.act_gate
-            if act < next_cmd:
-                act = next_cmd
-            if last is None or last == index:
-                gates.append((act, rd, wr))
-            else:
-                switch = self._rank_switch_gate(index)
-                gates.append((act, max(rd, switch), max(wr, switch)))
-        return gates
-
     def can_issue(self, command: Command, rank: int, bank: int,
                   cycle: int) -> bool:
         return self.earliest(command, rank, bank) <= cycle
@@ -130,10 +114,12 @@ class Channel:
 
     def _rank_switch_gate(self, rank: int) -> int:
         """Extra delay when the data bus switches ranks (tRTRS)."""
-        if self._last_col_rank is None or self._last_col_rank == rank:
+        if self.last_col_rank is None or self.last_col_rank == rank:
             return 0
-        # Approximation: the switch penalty rides on the existing
-        # column gates, so just add tRTRS to the later of the two.
+        # Approximation: a column command to another rank than the
+        # last one waits tRTRS after the *earlier* of the channel's two
+        # column gates, ``min(next_rd, next_wr)``; :meth:`earliest`
+        # then maxes that with the command's own gate.
         return min(self.next_rd, self.next_wr) + self.timing.tRTRS
 
     # ------------------------------------------------------------------
@@ -144,7 +130,7 @@ class Channel:
                        timings: Optional[ReducedTimings] = None) -> None:
         """Issue an ACT; ``timings`` may lower tRCD/tRAS for this row."""
         if timings is None:
-            timings = self.timing.default_timings()
+            timings = self._default_act
         self._claim_cmd_bus(cycle)
         rk = self.ranks[rank]
         if cycle < rk.act_gate:
@@ -178,30 +164,38 @@ class Channel:
         self._claim_cmd_bus(cycle)
         t = self.timing
         self.ranks[rank].banks[bank].do_read(cycle)
-        self.next_rd = max(self.next_rd, cycle + t.tCCD)
-        self.next_wr = max(self.next_wr, cycle + t.read_to_write)
-        self._last_col_rank = rank
+        gate = cycle + t.tCCD
+        if gate > self.next_rd:
+            self.next_rd = gate
+        gate = cycle + self._rd_to_wr
+        if gate > self.next_wr:
+            self.next_wr = gate
+        self.last_col_rank = rank
         self.num_rds += 1
         self.data_bus_busy_cycles += t.tBL
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.RD, cycle, self.index, rank, bank))
-        return cycle + t.read_latency
+        return cycle + self._rd_done
 
     def issue_write(self, rank: int, bank: int, cycle: int) -> int:
         """Issue a WR; returns the cycle the burst is fully written."""
         self._claim_cmd_bus(cycle)
         t = self.timing
         self.ranks[rank].banks[bank].do_write(cycle)
-        self.next_wr = max(self.next_wr, cycle + t.tCCD)
-        self.next_rd = max(self.next_rd, cycle + t.write_to_read)
-        self._last_col_rank = rank
+        gate = cycle + t.tCCD
+        if gate > self.next_wr:
+            self.next_wr = gate
+        gate = cycle + self._wr_to_rd
+        if gate > self.next_rd:
+            self.next_rd = gate
+        self.last_col_rank = rank
         self.num_wrs += 1
         self.data_bus_busy_cycles += t.tBL
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.WR, cycle, self.index, rank, bank))
-        return cycle + t.tCWL + t.tBL
+        return cycle + self._wr_done
 
     def issue_refresh(self, rank: int, cycle: int) -> None:
         self._claim_cmd_bus(cycle)

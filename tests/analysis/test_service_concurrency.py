@@ -39,11 +39,11 @@ class TestServiceConcurrencyFixture:
         assert not _rule_findings(elsewhere)
 
     def test_store_and_journal_modules_are_scoped(self, tmp_path):
-        """harness/cache.py, store.py and journal.py publish files
-        other processes read: the rule applies to them by basename
-        wherever they live."""
+        """harness/cache.py and journal.py publish files other
+        processes read: the rule applies to them by basename wherever
+        they live."""
         from tests.analysis.helpers import fixture
-        for basename in ("cache.py", "store.py", "journal.py"):
+        for basename in ("cache.py", "journal.py"):
             target = tmp_path / basename
             shutil.copy(fixture("service", "conc_bad.py"), target)
             assert _rule_findings(target), basename

@@ -106,13 +106,13 @@ class TestBankIndex:
                 if q.coalesce_write(req.line_address):
                     continue
                 q.push(req, 0)
-            merged = sorted(entry for _, entries in q.by_bank()
+            merged = sorted(entry for _, entries in q.by_bank.items()
                             for entry in entries)
             assert [req for _, req in merged] == list(q)
-            for (rank_, bank_), entries in q.by_bank():
+            for (rank_, bank_), entries in q.by_bank.items():
                 assert len(entries) == q.requests_for_bank(rank_, bank_)
                 seqs = [seq for seq, _ in entries]
                 assert seqs == sorted(seqs)
                 assert all(req.rank == rank_ and req.bank == bank_
                            for _, req in entries)
-            assert sum(len(e) for _, e in q.by_bank()) == len(q)
+            assert sum(len(e) for _, e in q.by_bank.items()) == len(q)

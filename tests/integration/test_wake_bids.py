@@ -37,12 +37,13 @@ from repro.controller.queues import RequestQueue
 from repro.core import registry
 from repro.core.replay import RecordingMechanism
 from repro.core.timing_policy import DefaultTiming
+from repro.cpu.cache import SharedCache
 from repro.cpu.core import Core
 from repro.cpu.system import System
 from repro.cpu.trace import TraceRecord
 from repro.dram.channel import Channel
 from repro.dram.organization import Organization
-from repro.dram.timing import NEVER
+from repro.dram.timing import NEVER, TimingParameters
 from repro.workloads.synthetic import random_trace, zipf_trace
 
 from tests.conftest import tiny_config
@@ -154,13 +155,20 @@ def test_mixed_phase_earliest_call_budget(monkeypatch):
         "scheduling regressed toward per-request scans")
 
 
-def _mixed_phase_event_run(mechanism: str = "chargecache"):
-    """The fixed mixed-phase event run and its issued-command count."""
+def _mixed_phase_event_system(mechanism: str = "chargecache"):
+    """The fixed mixed-phase event system, not yet run."""
     cfg = tiny_config(mechanism, instruction_limit=20_000,
                       warmup=1_000)
     org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
-    system = System(replace(cfg, engine="event"),
-                    [iter(_mixed_phase_trace(org))])
+    return System(replace(cfg, engine="event"),
+                  [iter(_mixed_phase_trace(org))])
+
+
+def _mixed_phase_event_run(mechanism: str = "chargecache", system=None):
+    """The fixed mixed-phase event run and its issued-command count
+    (``system``: one from :func:`_mixed_phase_event_system`)."""
+    if system is None:
+        system = _mixed_phase_event_system(mechanism)
     system.run(max_mem_cycles=600_000)
     channels = [controller.channel for controller in system.controllers]
     commands = sum(ch.num_acts + ch.num_pres + ch.num_rds + ch.num_wrs
@@ -222,20 +230,42 @@ def test_mixed_phase_hot_path_call_budget(monkeypatch):
     """Per-visit state is read from maintained fields, not recomputed.
 
     On the fixed mixed-phase run, the controller reads queue lengths
-    off ``RequestQueue.items`` and samples occupancy inline, and the
-    LLC decodes miss addresses with ``AddressMapper.decode_into``'s
-    precomputed shifts, so none of these helpers is called from
-    Python.  The counts are exact: a refactor that puts one back on
-    the hot path fails here rather than in a timing run.
+    off ``RequestQueue.items`` and samples occupancy inline, the LLC
+    decodes miss addresses with ``AddressMapper.decode_into``'s
+    precomputed shifts, and a non-hit ACT reuses the channel's default
+    ``ReducedTimings``, so none of these helpers is called from Python
+    during the run.  The FR-FCFS snapshot computes its gates inline and
+    the engine reads the LLC's retry lists, so ``Channel.rank_gates``
+    and ``SharedCache.has_parked_requests`` are gone.  The counts are
+    exact: a refactor that puts one back on the hot path fails here
+    rather than in a timing run.
+
+    The served queue is re-selected only after a queue length changed:
+    at most once per push or removal (here 401 calls for 470 of them;
+    re-selecting on every tick and bid measured 1,775).
     """
+    assert not hasattr(Channel, "rank_gates")
+    assert not hasattr(SharedCache, "has_parked_requests")
+    system = _mixed_phase_event_system()
     calls = _count_calls(monkeypatch, (RequestQueue, "__len__"),
                          (RequestQueue, "sample_occupancy"),
-                         (Organization, "decode"))
-    system, commands = _mixed_phase_event_run()
+                         (Organization, "decode"),
+                         (TimingParameters, "default_timings"),
+                         (MemoryController, "_select_queue"))
+    system, commands = _mixed_phase_event_run(system=system)
     assert system.llc.load_misses > 0
+    selections = calls.pop("MemoryController._select_queue")
     assert calls == {"RequestQueue.__len__": 0,
                      "RequestQueue.sample_occupancy": 0,
-                     "Organization.decode": 0}
+                     "Organization.decode": 0,
+                     "TimingParameters.default_timings": 0}
+    # Every push is removed by a RD/WR or still queued at the end.
+    removals = sum(c.channel.num_rds + c.channel.num_wrs
+                   for c in system.controllers)
+    pushes = removals + sum(len(c.read_q.items) + len(c.write_q.items)
+                            for c in system.controllers)
+    assert 0 < selections <= pushes + removals, (selections, pushes,
+                                                 removals)
 
 
 def test_mixed_phase_visit_kind_budgets(monkeypatch):
