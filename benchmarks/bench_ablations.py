@@ -18,7 +18,8 @@ from conftest import run_once
 from repro.config import ChargeCacheConfig
 from repro.cpu.system import System
 from repro.dram.organization import Organization
-from repro.harness.runner import build_config, run_mix, run_workload
+from repro.harness.runner import (build_config, mix_spec, run_spec,
+                                  workload_spec)
 from repro.workloads.mixes import make_mix_traces, mix_composition
 
 
@@ -33,7 +34,7 @@ def _run_with_cc(scale, mix, **cc_overrides):
 
 def test_ablation_frfcfs_vs_fcfs(benchmark, scale):
     def run():
-        frfcfs = run_workload("libquantum", "none", scale)
+        frfcfs = run_spec(workload_spec("libquantum", "none", scale))
         cfg = build_config("single", "none", scale)
         cfg = replace(cfg, controller=replace(cfg.controller,
                                               scheduler="fcfs"))
@@ -70,7 +71,7 @@ def test_ablation_associativity(benchmark, scale):
 
 def test_ablation_shared_vs_per_core(benchmark, scale):
     def run():
-        per_core = run_mix("w3", "chargecache", scale)
+        per_core = run_spec(mix_spec("w3", "chargecache", scale))
         shared = _run_with_cc(scale, "w3", sharing="shared",
                               entries=ChargeCacheConfig().entries * 8)
         return per_core.mechanism_hit_rate, shared.mechanism_hit_rate

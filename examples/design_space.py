@@ -19,7 +19,7 @@ Run:  python examples/design_space.py
 """
 
 from repro.circuit.latency_tables import reductions_for_duration_ms
-from repro.harness.runner import Scale, run_workload
+from repro.harness.runner import Scale, run_spec, workload_spec
 
 SCALE = Scale(single_core_instructions=15_000, warmup_cpu_cycles=6_000)
 WORKLOADS = ("libquantum", "tpch17", "soplex")
@@ -37,14 +37,14 @@ def capacity_sweep() -> None:
         spec = f"chargecache(entries={entries})"
         hits, gains = [], []
         for name in WORKLOADS:
-            base = run_workload(name, "none", SCALE)
-            cc = run_workload(name, spec, SCALE)
+            base = run_spec(workload_spec(name, "none", SCALE))
+            cc = run_spec(workload_spec(name, spec, SCALE))
             hits.append(cc.mechanism_hit_rate)
             gains.append(cc.total_ipc / base.total_ipc - 1)
         print(f"{entries:>10d} {average(hits):>10.0%} "
               f"{average(gains):>+10.1%}")
-    unlimited = [run_workload(n, "chargecache(unbounded=true)",
-                              SCALE).mechanism_hit_rate
+    unlimited = [run_spec(workload_spec(n, "chargecache(unbounded=true)",
+                                        SCALE)).mechanism_hit_rate
                  for n in WORKLOADS]
     print(f"{'unlimited':>10s} {average(unlimited):>10.0%} {'-':>10s}")
 
@@ -58,8 +58,8 @@ def duration_sweep() -> None:
         red = reductions_for_duration_ms(duration)
         hits, gains = [], []
         for name in WORKLOADS:
-            base = run_workload(name, "none", SCALE)
-            cc = run_workload(name, spec, SCALE)
+            base = run_spec(workload_spec(name, "none", SCALE))
+            cc = run_spec(workload_spec(name, spec, SCALE))
             hits.append(cc.mechanism_hit_rate)
             gains.append(cc.total_ipc / base.total_ipc - 1)
         print(f"{f'{duration:g} ms':>10s} {f'{red[0]}/{red[1]}':>12s} "
@@ -72,8 +72,8 @@ def composition() -> None:
     for spec in ("chargecache+nuat", "nuat+chargecache(entries=128)"):
         gains = []
         for name in WORKLOADS:
-            base = run_workload(name, "none", SCALE)
-            combo = run_workload(name, spec, SCALE)
+            base = run_spec(workload_spec(name, "none", SCALE))
+            combo = run_spec(workload_spec(name, spec, SCALE))
             gains.append(combo.total_ipc / base.total_ipc - 1)
         print(f"{spec:>35s} {average(gains):>+10.1%}")
 

@@ -20,7 +20,7 @@ from repro.dram.standards import PROFILES
 from repro.energy.drampower import energy_for_run
 from repro.harness.experiments import run
 from repro.harness.report import render_experiment
-from repro.harness.runner import Scale, run_scenario
+from repro.harness.runner import Scale, run_spec, scenario_spec
 
 #: Small budgets so the example finishes in seconds.
 SCALE = Scale(single_core_instructions=4000, multi_core_instructions=2000,
@@ -37,8 +37,8 @@ def main() -> None:
     for standard in sorted(PROFILES):
         scen = ("c1-r1" if standard == "DDR3-1600"
                 else f"{standard.lower()}-c1")
-        result = run_scenario(scen, WORKLOAD, "none", SCALE,
-                              idle_finished=True)
+        result = run_spec(scenario_spec(scen, WORKLOAD, "none", SCALE,
+                                        idle_finished=True))
         breakdown = energy_for_run(result)  # resolves the standard
         prof = PROFILES[standard]
         bg = breakdown.background_pj / breakdown.total_pj

@@ -14,8 +14,9 @@ import sys
 
 from repro.harness.runner import (
     Scale,
-    alone_ipcs_for_mix,
-    run_mix,
+    alone_specs_for_mix,
+    mix_spec,
+    run_spec,
 )
 from repro.stats.metrics import weighted_speedup
 from repro.workloads.mixes import MIX_NAMES, mix_composition
@@ -34,11 +35,14 @@ def main() -> None:
     averages = {m: [] for m in MECHANISMS}
     for mix in mixes:
         apps = ",".join(a[:6] for a in mix_composition(mix))
-        alone = alone_ipcs_for_mix(mix, SCALE)
-        base_ws = weighted_speedup(run_mix(mix, "none", SCALE).ipcs, alone)
+        alone = [run_spec(spec).total_ipc
+                 for spec in alone_specs_for_mix(mix, SCALE)]
+        base = run_spec(mix_spec(mix, "none", SCALE))
+        base_ws = weighted_speedup(base.ipcs, alone)
         cells = []
         for mech in MECHANISMS:
-            ws = weighted_speedup(run_mix(mix, mech, SCALE).ipcs, alone)
+            run = run_spec(mix_spec(mix, mech, SCALE))
+            ws = weighted_speedup(run.ipcs, alone)
             gain = ws / base_ws - 1.0
             averages[mech].append(gain)
             cells.append(f"{gain:+11.1%}")

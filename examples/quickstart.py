@@ -17,14 +17,14 @@ mechanism is accepted.
 
 When you sweep *many* mechanism variants over one workload (the shape
 of the paper's Figures 9-11), don't loop this script: the harness CLI
-batches same-platform variants through one trace replay
-(``chargecache-harness fig9 --jobs 1``; on by default, ``--no-batch``
-to compare) and ``System.run_batch`` is the library-level entry point.
-Results are bit-identical to serial runs — see DESIGN.md section 8.
+always batches same-platform variants through one trace replay
+(``chargecache-harness fig9 --jobs 1``) and ``System.run_batch`` is the
+library-level entry point.  Results are bit-identical to running each
+variant alone with ``runner.run_spec`` — see DESIGN.md section 8.
 
 Harness runs (``repro.harness.runner``) execute under one
-``runner.execution`` value: pool width, store directory, engine,
-batching and progress.  Scope a change instead of mutating it, e.g. in
+``runner.execution`` value: pool width, store directory, engine and
+progress.  Scope a change instead of mutating it, e.g. in
 a test::
 
     with runner.executing(jobs=2, cache_dir=str(tmp_path)):

@@ -16,7 +16,8 @@ Run:  python examples/reuse_distance.py
 """
 
 from repro import Organization, System, make_trace
-from repro.harness.runner import Scale, build_config, run_workload
+from repro.harness.runner import (Scale, build_config, run_spec,
+                                  workload_spec)
 
 SCALE = Scale(single_core_instructions=20_000, warmup_cpu_cycles=8_000)
 WORKLOADS = ("tpch17", "libquantum", "mcf", "omnetpp")
@@ -42,7 +43,7 @@ def main() -> None:
         median = reuse.median_reuse_distance()
         cells = "".join(f"{reuse.predicted_hit_rate(c):>10.0%}"
                         for c in CAPACITIES)
-        measured = run_workload(name, "chargecache", SCALE)
+        measured = run_spec(workload_spec(name, "chargecache", SCALE))
         print(f"{name:12s}{str(median):>12s}{cells}"
               f"{measured.mechanism_hit_rate:>14.0%}")
     print("\nmcf/omnetpp need thousands of entries before their reuse "

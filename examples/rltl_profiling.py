@@ -12,7 +12,7 @@ curve alongside the refresh-recency fraction NUAT relies on.
 Run:  python examples/rltl_profiling.py
 """
 
-from repro.harness.runner import Scale, run_workload
+from repro.harness.runner import Scale, run_spec, workload_spec
 
 SCALE = Scale(single_core_instructions=25_000, warmup_cpu_cycles=8_000)
 WORKLOADS = ("libquantum", "tpch17", "mcf", "sjeng")
@@ -30,7 +30,8 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name in WORKLOADS:
-        result = run_workload(name, "none", SCALE, enable_rltl=True)
+        result = run_spec(workload_spec(name, "none", SCALE,
+                                        enable_rltl=True))
         probe = result.rltl
         cells = "".join(f"{probe.rltl(i):>10.0%}" for i in INTERVALS)
         print(f"{name:12s}{cells}{probe.refresh_fraction(8.0):>11.0%}"

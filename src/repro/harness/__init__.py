@@ -12,10 +12,7 @@ from repro.harness.cache import RunCache, cache_key, code_fingerprint
 from repro.harness.pool import Sweep, SweepError, SweepPoint, execute_sweep
 from repro.harness.runner import (
     build_config,
-    run_workload,
-    run_mix,
     run_spec,
-    alone_ipcs_for_mix,
     clear_caches,
     clear_memo,
     configure_disk_cache,
@@ -38,10 +35,7 @@ __all__ = [
     "execute_sweep",
     "current_scale",
     "build_config",
-    "run_workload",
-    "run_mix",
     "run_spec",
-    "alone_ipcs_for_mix",
     "clear_caches",
     "clear_memo",
     "configure_disk_cache",

@@ -329,8 +329,8 @@ class RunCache:
 
     Thread- and process-safe by construction: reads never lock (a
     corrupt or in-flight file is a miss) and writes are atomic renames.
-    ``hits``/``misses``/``stores`` count this instance's traffic for
-    progress reporting.
+    ``hits``/``misses``/``stores``/``failed_puts`` count this
+    instance's traffic for progress reporting.
     """
 
     def __init__(self, root: Optional[str] = None):
@@ -338,6 +338,7 @@ class RunCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.failed_puts = 0
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")

@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """The flags ``main`` and ``sweep`` share: scale, engine, pool
-    width, batching, progress and the store directory."""
+    width, progress and the store directory."""
     parser.add_argument("--scale", type=_scale_arg, default=None,
                         metavar="FACTOR",
                         help="instruction-budget multiplier, or a named "
@@ -150,15 +150,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                              "processes (default: $REPRO_JOBS or 1 = "
                              "serial; 0 = one per CPU); results are "
                              "identical for every N")
-    parser.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="evaluate sweep points that differ only "
-                             "in mechanism parameters through one "
-                             "shared trace replay (bit-identical "
-                             "results, same cache keys; at --jobs N "
-                             "each batch group is one pool work unit; "
-                             "--no-batch forces one simulation per "
-                             "point)")
     parser.add_argument("--progress", action="store_true",
                         help="print one line per completed sweep point "
                              "to stderr")
@@ -172,7 +163,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
 def _execution(args, **fields) -> Execution:
     """The one :class:`Execution` a parsed command line describes."""
     return Execution(jobs=args.jobs, cache_dir=args.cache_dir,
-                     engine=args.engine, batch=args.batch,
+                     engine=args.engine,
                      progress=pool.stderr_progress if args.progress
                      else None, **fields)
 

@@ -8,19 +8,21 @@ sweeps as flat :class:`~repro.harness.spec.RunSpec` lists through
 * **Deterministic ordering** - results come back in spec order no
   matter how workers finish, so ``--jobs 1`` and ``--jobs N`` produce
   byte-identical experiment artifacts.
-* **Read-through caching at every layer** - points already in the
-  parent's memo never reach the pool; workers consult (and populate)
-  the persistent cache of :mod:`repro.harness.cache`; worker results
-  cross the process boundary as the same versioned JSON the disk layer
-  stores, then back-fill the parent memo, so a later sweep over the
-  same points (e.g. each figure after ``all``'s shared pool) hits
-  memory.
-* **Failure surfacing** - a worker exception cancels the remaining
-  sweep and re-raises as :class:`SweepError` naming the failing spec,
+* **One unit runner** - pending points run as batch groups through
+  :func:`_run_unit`, in this process or in a pool worker.
+* **Read-through caching at every layer** - points the parent can
+  already recall (memo, then store) never reach a unit; workers
+  consult (and populate) the persistent cache of
+  :mod:`repro.harness.cache`; worker results cross the process
+  boundary as the same versioned JSON the disk layer stores, then
+  back-fill the parent memo, so a later sweep over the same points
+  (e.g. each figure after ``all``'s shared pool) hits memory.
+* **Failure surfacing** - a failing unit cancels the remaining sweep
+  and re-raises as :class:`SweepError` naming the unit's first spec,
   instead of hanging the sweep or dying with a bare pickle traceback.
-* **Graceful serial fallback** - ``jobs=1`` (the default) never forks;
-  environments without working ``multiprocessing`` degrade to serial
-  with a warning rather than failing.
+* **Graceful in-process fallback** - ``jobs=1`` (the default) never
+  forks; environments without working ``multiprocessing`` run the
+  units in-process with a warning rather than failing.
 
 ``jobs`` resolution: explicit argument, else ``runner.execution.jobs``,
 else the ``REPRO_JOBS`` environment variable, else 1 (serial).  ``0``
@@ -55,7 +57,7 @@ class SweepPoint:
     source: str
     seconds: float = 0.0
     #: Short id of the batch group this point was computed in, or None
-    #: when it ran on its own (cache hits and serial runs).  Points
+    #: when it ran on its own (cache hits and groups of one).  Points
     #: sharing an id shared one trace replay through
     #: ``System.run_batch``; the id never feeds cache keys.
     batch_group: Optional[str] = None
@@ -160,17 +162,14 @@ def _group_id(spec: RunSpec) -> str:
 
 
 class _WorkerError(Exception):
-    """A spec inside a pool work unit failed.
+    """A work unit failed; ``cause`` is the (picklable) original.
 
-    Carries the failing spec's index within its unit plus the original
-    cause, so the parent can raise a :class:`SweepError` naming the
-    right spec.  ``args`` mirror ``__init__`` so the instance survives
-    the pickle round-trip back through ``concurrent.futures``.
+    ``args`` mirror ``__init__`` so the instance survives the pickle
+    round-trip back through ``concurrent.futures``.
     """
 
-    def __init__(self, index: int, cause: BaseException):
-        super().__init__(index, cause)
-        self.index = index
+    def __init__(self, cause: BaseException):
+        super().__init__(cause)
         self.cause = cause
 
 
@@ -184,13 +183,48 @@ def _picklable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+def _run_unit(group: List[RunSpec]) -> List[SweepPoint]:
+    """Run one work unit — a batch group — and return its points, in
+    group order.
+
+    A group of one runs through ``runner.run_spec_ex``; a larger group
+    shares one trace replay through ``runner.run_spec_batch`` (looked
+    up on the module, so wrappers installed there see the call), and
+    each member reports an equal share of its wall time.  Any failure
+    is raised as :class:`_WorkerError`, attributed to the group's
+    first spec.
+    """
+    started = time.perf_counter()
+    try:
+        if len(group) == 1:
+            result, source = runner.run_spec_ex(group[0])
+            outcomes, gid = [(result, source)], None
+        else:
+            gid = _group_id(group[0])
+            outcomes = [(result, "computed")
+                        for result in runner.run_spec_batch(group)]
+    except Exception as exc:
+        raise _WorkerError(_picklable(exc)) from None
+    share = (time.perf_counter() - started) / len(group)
+    return [SweepPoint(spec, result, source, share, gid)
+            for spec, (result, source) in zip(group, outcomes)]
+
+
+def _unit_result(group: List[RunSpec], outcome: Callable[[], list]
+                 ) -> list:
+    """``outcome()``, with any failure raised as :class:`SweepError`
+    naming the group's first spec."""
+    try:
+        return outcome()
+    except _WorkerError as exc:
+        raise SweepError(group[0], exc.cause) from exc.cause
+    except Exception as exc:   # the pool itself broke
+        raise SweepError(group[0], exc) from exc
+
+
 # A worker binds the persistent store exactly like its parent (the
 # binding lives in ``runner.execution``, which "spawn" children do not
-# inherit; specs already carry their engine), then
-# serves its work unit through the full read-through stack.  A unit is
-# a *batch group* — one or more specs sharing a batch signature; multi-
-# spec units ride one shared trace replay (``runner.run_spec_batch``),
-# degrading to per-spec serial runs if the runner rejects the group.
+# inherit; specs already carry their engine), then runs its unit.
 # Results cross back as cache-layer JSON: plain data, cheap to pickle,
 # and guaranteed to decode to the same RunResult a disk hit would
 # produce.
@@ -199,30 +233,9 @@ def _pool_worker(payload: Tuple[List[RunSpec], Optional[str], bool]
     group, cache_dir, cache_enabled = payload
     runner.set_execution(runner.Execution(cache_dir=cache_dir,
                                           use_run_cache=cache_enabled))
-    if len(group) > 1:
-        started = time.perf_counter()
-        try:
-            results = runner.run_spec_batch(group)
-        except runner.BatchIncompatible:
-            pass   # mechanisms resolved to incompatible platforms
-        except Exception as exc:
-            # Attribute batch failures to the group's witness spec.
-            raise _WorkerError(0, _picklable(exc)) from None
-        else:
-            share = (time.perf_counter() - started) / len(group)
-            gid = _group_id(group[0])
-            return [(run_cache.result_to_json(result), "computed",
-                     share, gid) for result in results]
-    entries = []
-    for index, spec in enumerate(group):
-        started = time.perf_counter()
-        try:
-            result, source = runner.run_spec_ex(spec)
-        except Exception as exc:
-            raise _WorkerError(index, _picklable(exc)) from None
-        entries.append((run_cache.result_to_json(result), source,
-                        time.perf_counter() - started, None))
-    return entries
+    return [(run_cache.result_to_json(point.result), point.source,
+             point.seconds, point.batch_group)
+            for point in _run_unit(group)]
 
 
 ProgressFn = Callable[[int, int, SweepPoint], None]
@@ -231,22 +244,20 @@ ProgressFn = Callable[[int, int, SweepPoint], None]
 def execute_sweep(specs: Sequence[RunSpec],
                   jobs: Optional[int] = None,
                   progress: Optional[ProgressFn] = None,
-                  batch: Optional[bool] = None,
                   journal=None) -> Sweep:
     """Execute every spec, fanning out over processes when jobs > 1.
 
     Duplicate specs are computed once; the returned sweep always has
     one point per input spec, in input order.
 
-    At every job width, specs that differ only in their mechanism
-    fields (same :func:`~repro.harness.spec.batch_signature`) are
-    routed through one batched trace replay (``System.run_batch``)
+    Pending specs that differ only in their mechanism fields (same
+    :func:`~repro.harness.spec.batch_signature`) form one work unit
+    and run through one batched trace replay (``System.run_batch``)
     instead of N independent simulations — bit-identical results,
-    cached under each spec's own key.  At ``jobs > 1`` each batch
-    group is the unit of pool distribution, so parallel sweeps keep
-    the collapse (groups overlap across workers; the variants inside a
-    group still share one replay).  ``jobs``, ``progress`` and
-    ``batch`` left None come from ``runner.execution``.
+    cached under each spec's own key.  At ``jobs > 1`` units overlap
+    across workers; the variants inside a unit still share one
+    replay.  ``jobs`` and ``progress`` left None come from
+    ``runner.execution``.
 
     **Resumable**: every computed point is persisted to the store as
     it lands, and the store is probed before anything runs, so a
@@ -259,13 +270,11 @@ def execute_sweep(specs: Sequence[RunSpec],
     if isinstance(journal, str):
         from repro.harness.journal import SweepJournal
         with SweepJournal(journal) as opened:
-            return execute_sweep(specs, jobs, progress, batch, opened)
+            return execute_sweep(specs, jobs, progress, opened)
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     if progress is None:
         progress = runner.execution.progress
-    if batch is None:
-        batch = runner.execution.batch
     unique = dedupe_specs(specs)
     by_spec: Dict[RunSpec, SweepPoint] = {}
     total = len(unique)
@@ -282,90 +291,38 @@ def execute_sweep(specs: Sequence[RunSpec],
         if progress is not None:
             progress(done, total, point)
 
-    # Points the parent can already serve never reach the pool: memo
-    # first, then a parent-side disk probe — a fully warm sweep must
-    # not fork workers just to decode JSON it could read directly.
-    disk = runner.active_disk_cache()
+    # Points the parent can already recall never reach a unit: a
+    # fully warm sweep must not fork workers just to decode JSON it
+    # could read directly.
     pending: List[RunSpec] = []
     for spec in unique:
-        memo = runner._run_cache.get(spec)
-        if memo is not None:
-            record(SweepPoint(spec, memo, "memory"))
-            continue
-        if disk is not None:
-            hit = disk.get(run_cache.cache_key(spec))
-            if hit is not None:
-                runner._install(spec, hit)
-                record(SweepPoint(spec, hit, "disk"))
-                continue
-        pending.append(spec)
-
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            _run_parallel(pending, jobs, record, batch)
-        elif batch:
-            _run_grouped(pending, record)
+        result, source, _ = runner.recall(spec)
+        if result is None:
+            pending.append(spec)
         else:
-            _run_serial(pending, record)
+            record(SweepPoint(spec, result, source))
+
+    units = _batch_groups(pending)
+    if jobs > 1 and len(pending) > 1:
+        _run_parallel(units, jobs, record)
+    else:
+        _run_in_process(units, record)
 
     return Sweep([by_spec[spec] for spec in specs], jobs)
 
 
-def _run_grouped(pending: Sequence[RunSpec],
-                 record: Callable[[SweepPoint], None]) -> None:
-    """Serial execution with same-platform variants batched.
-
-    Groups keep first-seen order, and specs inside a group keep input
-    order, so progress output stays deterministic.  A group of one is
-    just a serial run; a group the runner rejects (mechanisms that
-    resolve to incompatible platforms despite matching signatures)
-    falls back to serial rather than failing the sweep.
-    """
-    for group in _batch_groups(pending):
-        if len(group) == 1:
-            _run_serial(group, record)
-            continue
-        gid = _group_id(group[0])
-        started = time.perf_counter()
-        try:
-            results = runner.run_spec_batch(group)
-        except runner.BatchIncompatible:
-            _run_serial(group, record)
-            continue
-        except Exception as exc:
-            raise SweepError(group[0], exc) from exc
-        # Wall-clock is shared; report each point's amortized share.
-        share = (time.perf_counter() - started) / len(group)
-        for spec, result in zip(group, results):
-            record(SweepPoint(spec, result, "computed", share,
-                              batch_group=gid))
+def _run_in_process(units: List[List[RunSpec]],
+                    record: Callable[[SweepPoint], None]) -> None:
+    """Run the units here, one after another, in first-seen order."""
+    for unit in units:
+        for point in _unit_result(unit, lambda: _run_unit(unit)):
+            record(point)
 
 
-def _run_serial(pending: Sequence[RunSpec],
-                record: Callable[[SweepPoint], None]) -> None:
-    for spec in pending:
-        started = time.perf_counter()
-        try:
-            result, source = runner.run_spec_ex(spec)
-        except Exception as exc:
-            raise SweepError(spec, exc) from exc
-        record(SweepPoint(spec, result, source,
-                          time.perf_counter() - started))
-
-
-def _run_parallel(pending: Sequence[RunSpec], jobs: int,
-                  record: Callable[[SweepPoint], None],
-                  batch: bool) -> None:
-    """Fan work units out over a process pool.
-
-    With ``batch`` on, the unit of distribution is a batch group
-    (specs sharing a :func:`~repro.harness.spec.batch_signature`), so
-    parallel sweeps keep the multi-variant collapse: groups overlap
-    across workers while each group's variants share one trace replay
-    inside its worker.  With ``batch`` off every spec is its own unit.
-    """
-    units = _batch_groups(pending) if batch \
-        else [[spec] for spec in pending]
+def _run_parallel(units: List[List[RunSpec]], jobs: int,
+                  record: Callable[[SweepPoint], None]) -> None:
+    """Fan the units out over a process pool, recording each point as
+    its unit lands."""
     try:
         from concurrent.futures import FIRST_COMPLETED, \
             ProcessPoolExecutor, wait
@@ -373,11 +330,8 @@ def _run_parallel(pending: Sequence[RunSpec], jobs: int,
     except (ImportError, NotImplementedError, OSError,
             PermissionError) as exc:
         print(f"warning: process pool unavailable ({exc}); "
-              f"running sweep serially", file=sys.stderr)
-        if batch:
-            _run_grouped(pending, record)
-        else:
-            _run_serial(pending, record)
+              f"running sweep in-process", file=sys.stderr)
+        _run_in_process(units, record)
         return
 
     disk = runner.active_disk_cache()
@@ -394,17 +348,10 @@ def _run_parallel(pending: Sequence[RunSpec], jobs: int,
                                           return_when=FIRST_COMPLETED)
                 for future in finished:
                     unit = futures[future]
-                    try:
-                        entries = future.result()
-                    except _WorkerError as exc:
-                        raise SweepError(unit[exc.index],
-                                         exc.cause) from exc.cause
-                    except Exception as exc:
-                        raise SweepError(unit[0], exc) from exc
-                    for spec, entry in zip(unit, entries):
-                        data, source, seconds, gid = entry
+                    for spec, (data, source, seconds, gid) in zip(
+                            unit, _unit_result(unit, future.result)):
                         result = run_cache.result_from_json(data)
-                        runner._install(spec, result)
+                        runner.remember(spec, result, persist=False)
                         record(SweepPoint(spec, result, source, seconds,
                                           batch_group=gid))
         except BaseException:

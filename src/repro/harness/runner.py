@@ -21,7 +21,7 @@ Centralises:
   recomputed by every experiment; the persistent layer extends the
   same guarantee across processes, pool workers and CI reruns.
 * **Execution** - how runs execute (pool width, store, engine,
-  batching, progress, calibration traces) is one frozen
+  progress, calibration traces) is one frozen
   :class:`Execution` value, :data:`execution`.  Entry points install a
   whole value with :func:`set_execution`; tests and embedders scope
   changes with :func:`executing`.
@@ -30,6 +30,7 @@ Centralises:
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -75,7 +76,6 @@ class Execution:
       ``~/.cache/chargecache-repro``) and whether to use it at all;
       ``REPRO_NO_CACHE=1`` disables it regardless.
     * ``engine`` - simulation engine of specs built without one.
-    * ``batch`` - route same-trace variants through one replay.
     * ``progress`` - per-point sweep callback ``(done, total, point)``.
     * ``calibration_traces`` - trace files ``calibrate`` replays
       (``None`` = the bundled golden fixtures).
@@ -85,7 +85,6 @@ class Execution:
     cache_dir: Optional[str] = None
     use_run_cache: bool = True
     engine: str = DEFAULT_ENGINE
-    batch: bool = True
     progress: Optional[Callable] = None
     calibration_traces: Optional[Tuple[str, ...]] = None
 
@@ -222,7 +221,7 @@ def build_config(platform: str, mechanism: str,
 
 # ----------------------------------------------------------------------
 # Spec construction (normalisation lives here so that experiments,
-# the pool and direct run_* calls all produce byte-identical keys)
+# the pool and direct run_spec calls all produce byte-identical keys)
 # ----------------------------------------------------------------------
 
 def _build_spec(kind: str, name: str, mechanism: str,
@@ -391,9 +390,51 @@ def clear_caches() -> None:
     _disk = None
 
 
-def _install(spec: RunSpec, result: RunResult) -> None:
-    """Back-fill the in-process memo (pool results re-enter here)."""
+def recall(spec: RunSpec
+           ) -> Tuple[Optional[RunResult], str, Optional[str]]:
+    """``(result, source, key)`` of ``spec`` from the memo ("memory")
+    or the store ("disk", back-filling the memo); on a miss ``result``
+    is None and ``source`` "computed".  ``key`` is the store key when
+    the store was probed (else None), so a caller that goes on to
+    simulate stores the result without hashing the spec again.
+    """
+    result = _run_cache.get(spec)
+    if result is not None:
+        return result, "memory", None
+    disk = active_disk_cache()
+    if disk is None:
+        return None, "computed", None
+    key = run_cache.cache_key(spec)
+    result = disk.get(key)
+    if result is None:
+        return None, "computed", key
     _run_cache[spec] = result
+    return result, "disk", key
+
+
+def remember(spec: RunSpec, result: RunResult, key: Optional[str] = None,
+             *, persist: bool = True) -> None:
+    """Memoise ``result`` for ``spec`` and, with ``persist``, write it
+    to the store (under ``key`` when the caller already hashed it).
+
+    A store that cannot be written (an ``OSError``) costs the result
+    its persistence, not the run: the store's first failed write
+    prints one warning naming its directory.  Anything else — a codec
+    bug, say — raises.
+    """
+    _run_cache[spec] = result
+    disk = active_disk_cache() if persist else None
+    if disk is None:
+        return
+    try:
+        disk.put(run_cache.cache_key(spec) if key is None else key,
+                 spec, result)
+    except OSError as exc:
+        disk.failed_puts += 1
+        if disk.failed_puts == 1:
+            print(f"warning: cannot write the run store {disk.root} "
+                  f"({exc}); results are kept in memory only",
+                  file=sys.stderr)
 
 
 def run_spec_ex(spec: RunSpec) -> Tuple[RunResult, str]:
@@ -403,27 +444,11 @@ def run_spec_ex(spec: RunSpec) -> Tuple[RunResult, str]:
     cache) or "computed" (simulated now; persisted when the disk layer
     is enabled).
     """
-    result = _run_cache.get(spec)
-    if result is not None:
-        return result, "memory"
-    disk = active_disk_cache()
-    key = run_cache.cache_key(spec) if disk is not None else None
-    if disk is not None:
-        result = disk.get(key)
-        if result is not None:
-            _run_cache[spec] = result
-            return result, "disk"
-    result = _execute_spec(spec)
-    _run_cache[spec] = result
-    if disk is not None:
-        try:
-            disk.put(key, spec, result)
-        except Exception:
-            # Persistence is best-effort: an unwritable cache dir or an
-            # unserialisable result degrades to memo-only, never fails
-            # the run that just completed.
-            pass
-    return result, "computed"
+    result, source, key = recall(spec)
+    if result is None:
+        result = _execute_spec(spec)
+        remember(spec, result, key)
+    return result, source
 
 
 def run_spec(spec: RunSpec) -> RunResult:
@@ -513,22 +538,17 @@ def _execute_spec(spec: RunSpec) -> RunResult:
     return system.run(max_mem_cycles=spec.scale.max_mem_cycles)
 
 
-class BatchIncompatible(ValueError):
-    """A spec group cannot share one batched trace replay."""
-
-
 def run_spec_batch(specs: Iterable[RunSpec],
                    telemetry: Optional[Dict] = None) -> List[RunResult]:
     """Simulate a batch group through one shared trace replay.
 
     Every spec must share one :func:`~repro.harness.spec.batch_signature`
     (same workload, seed, scale, engine, platform — different mechanism
-    knobs only); otherwise :class:`BatchIncompatible` is raised before
-    any simulation starts, and the caller falls back to serial
-    execution.  Results are bit-identical to :func:`run_spec` on each
-    spec individually (enforced by ``System.run_batch``'s decision-
-    replay contract) and are installed into both cache layers under
-    each spec's own, unchanged cache key — a later serial run of any
+    knobs only); otherwise ``ValueError`` is raised before any
+    simulation starts.  Results are bit-identical to :func:`run_spec`
+    on each spec individually (enforced by ``System.run_batch``'s
+    decision-replay contract) and are remembered in both cache layers
+    under each spec's own, unchanged cache key — a later run of any
     member is a plain cache hit.
     """
     from repro.harness.spec import batch_signature
@@ -538,96 +558,17 @@ def run_spec_batch(specs: Iterable[RunSpec],
     signature = batch_signature(specs[0])
     for spec in specs[1:]:
         if batch_signature(spec) != signature:
-            raise BatchIncompatible(
+            raise ValueError(
                 f"specs {specs[0].label()!r} and {spec.label()!r} "
                 "differ outside their mechanism fields")
     configs = [_spec_config(spec) for spec in specs]
     enable_rltl, rltl_time_scale = _spec_rltl(specs[0])
-    try:
-        results = System.run_batch(
-            configs, _spec_traces(specs[0], configs[0]),
-            max_mem_cycles=specs[0].scale.max_mem_cycles,
-            enable_rltl=enable_rltl,
-            rltl_time_scale=rltl_time_scale,
-            telemetry=telemetry)
-    except ValueError as exc:
-        # The signature check above should make this unreachable; keep
-        # run_batch's own platform guard surfaced as the same
-        # fall-back-to-serial signal rather than a sweep failure.
-        raise BatchIncompatible(str(exc)) from exc
-    disk = active_disk_cache()
+    results = System.run_batch(
+        configs, _spec_traces(specs[0], configs[0]),
+        max_mem_cycles=specs[0].scale.max_mem_cycles,
+        enable_rltl=enable_rltl,
+        rltl_time_scale=rltl_time_scale,
+        telemetry=telemetry)
     for spec, result in zip(specs, results):
-        _run_cache[spec] = result
-        if disk is not None:
-            try:
-                disk.put(run_cache.cache_key(spec), spec, result)
-            except Exception:
-                pass
+        remember(spec, result)
     return results
-
-
-# ----------------------------------------------------------------------
-# Cached runs (the classic entry points; now thin spec wrappers)
-# ----------------------------------------------------------------------
-
-def run_workload(name: str, mechanism: str = "none",
-                 scale: Optional[Scale] = None,
-                 enable_rltl: bool = False,
-                 row_policy: Optional[str] = None,
-                 cc_entries: Optional[int] = None,
-                 cc_duration_ms: Optional[float] = None,
-                 cc_unbounded: bool = False,
-                 idle_finished: bool = False,
-                 seed: int = 1,
-                 engine: Optional[str] = None) -> RunResult:
-    """Run one workload on the single-core system (memoised)."""
-    return run_spec(workload_spec(
-        name, mechanism, scale, enable_rltl=enable_rltl,
-        row_policy=row_policy, cc_entries=cc_entries,
-        cc_duration_ms=cc_duration_ms, cc_unbounded=cc_unbounded,
-        idle_finished=idle_finished, seed=seed, engine=engine))
-
-
-def run_mix(mix: str, mechanism: str = "none",
-            scale: Optional[Scale] = None,
-            enable_rltl: bool = False,
-            row_policy: Optional[str] = None,
-            cc_entries: Optional[int] = None,
-            cc_duration_ms: Optional[float] = None,
-            cc_unbounded: bool = False,
-            idle_finished: bool = False,
-            seed: int = 1,
-            engine: Optional[str] = None) -> RunResult:
-    """Run one 8-core mix on the eight-core system (memoised)."""
-    return run_spec(mix_spec(
-        mix, mechanism, scale, enable_rltl=enable_rltl,
-        row_policy=row_policy, cc_entries=cc_entries,
-        cc_duration_ms=cc_duration_ms, cc_unbounded=cc_unbounded,
-        idle_finished=idle_finished, seed=seed, engine=engine))
-
-
-def run_alone(name: str, scale: Optional[Scale] = None,
-              seed: int = 1, engine: Optional[str] = None) -> RunResult:
-    """One application alone on the eight-core platform (for WS)."""
-    return run_spec(alone_spec(name, scale, seed=seed, engine=engine))
-
-
-def run_scenario(scenario: str, name: str, mechanism: str = "none",
-                 scale: Optional[Scale] = None, *,
-                 engine: Optional[str] = None, **kwargs) -> RunResult:
-    """Run one workload/mix on a named scenario (memoised)."""
-    return run_spec(scenario_spec(scenario, name, mechanism, scale,
-                                  engine=engine, **kwargs))
-
-
-def alone_ipcs_for_mix(mix: str, scale: Optional[Scale] = None,
-                       seed: int = 1) -> List[float]:
-    """Alone-IPC of each application in a mix (shared cache)."""
-    ipcs = []
-    for core_id, name in enumerate(mix_composition(mix)):
-        # The alone run does not depend on core placement, so seed it
-        # the way run_mix seeds core 0 for reproducibility.
-        del core_id
-        ipcs.append(run_alone(name, scale, seed=seed).total_ipc)
-    return ipcs
-

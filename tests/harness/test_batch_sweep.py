@@ -4,11 +4,15 @@ Satellite guarantees for the batched sweep path:
 
 * a randomized property test — sampled (platform x mechanism-spec)
   grids must produce byte-identical results and identical persistent
-  cache contents whether executed batched or one-at-a-time;
+  cache contents whether executed as a sweep (batch groups, in-process
+  or in pool workers) or one spec at a time through ``run_spec``;
 * a grouping guard — :func:`~repro.harness.spec.batch_signature` may
   only merge specs whose cache keys agree on every non-mechanism
   field, so batching can never alias two distinct platform/workload
-  cache entries.
+  cache entries;
+* a platform guard — every batch group the figure table declares
+  resolves to one mechanism-invariant config, so no group can fail
+  ``System.run_batch``'s guard.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.harness.spec import (
     RunSpec,
     Scale,
     batch_signature,
+    current_scale,
 )
 
 TINY = Scale(single_core_instructions=1500, multi_core_instructions=1000,
@@ -75,26 +80,28 @@ def _sampled_sweep(rng: random.Random, points: int):
     return specs
 
 
+def _assert_matches_serial_reference(sweep, specs, store):
+    """Each sweep point equals ``runner.run_spec`` of its spec on a
+    cleared memo and a separate store, and both stores hold exactly
+    the same content-addressed keys."""
+    sweep_keys = set(runner.active_disk_cache().keys())
+    runner.clear_memo()
+    runner.configure_disk_cache(store)
+    reference = [runner.run_spec(spec) for spec in specs]
+    assert [p.spec for p in sweep.points] == specs
+    for point, result in zip(sweep.points, reference):
+        assert result_to_json(point.result) == result_to_json(result), \
+            point.spec.label()
+    assert sweep_keys == set(runner.active_disk_cache().keys())
+
+
 @pytest.mark.parametrize("seed", (0, 1))
 def test_batched_sweep_is_bit_identical_to_serial(seed, tmp_path):
     specs = _sampled_sweep(random.Random(seed), points=10)
-
     runner.configure_disk_cache(str(tmp_path / "batched"))
-    batched = execute_sweep(specs, jobs=1, batch=True)
-    batched_keys = set(runner.active_disk_cache().keys())
-
-    runner.clear_memo()
-    runner.configure_disk_cache(str(tmp_path / "serial"))
-    serial = execute_sweep(specs, jobs=1, batch=False)
-    serial_keys = set(runner.active_disk_cache().keys())
-
-    assert [p.spec for p in batched.points] == specs
-    for b, s in zip(batched.points, serial.points):
-        assert result_to_json(b.result) == result_to_json(s.result), \
-            b.spec.label()
-    # Both paths persist under exactly the same content-addressed keys.
-    assert batched_keys == serial_keys
-    assert all(p.batch_group is None for p in serial.points)
+    batched = execute_sweep(specs, jobs=1)
+    _assert_matches_serial_reference(batched, specs,
+                                     str(tmp_path / "serial"))
 
 
 def test_batched_points_warm_a_serial_rerun():
@@ -102,10 +109,10 @@ def test_batched_points_warm_a_serial_rerun():
                      scale=TINY, engine="event", cc_entries=entries)
              for mech, entries in (("none", None), ("chargecache", 64),
                                    ("chargecache", 256))]
-    batched = execute_sweep(specs, jobs=1, batch=True)
+    batched = execute_sweep(specs, jobs=1)
     assert batched.counts()["batched"] == 3
     runner.clear_memo()  # fresh process, same persistent cache
-    warm = execute_sweep(specs, jobs=1, batch=True)
+    warm = execute_sweep(specs, jobs=1)
     assert all(p.source == "disk" for p in warm.points)
     assert warm.counts()["batched"] == 0
 
@@ -126,7 +133,7 @@ class TestParallelBatching:
 
     def test_parallel_sweep_keeps_batch_groups(self, tmp_path):
         runner.configure_disk_cache(str(tmp_path / "par"))
-        parallel = execute_sweep(self.SPECS, jobs=2, batch=True)
+        parallel = execute_sweep(self.SPECS, jobs=2)
         counts = parallel.counts()
         assert counts["computed"] == len(self.SPECS)
         assert counts["batched"] == len(self.SPECS)
@@ -141,25 +148,9 @@ class TestParallelBatching:
 
     def test_parallel_batched_matches_serial_unbatched(self, tmp_path):
         runner.configure_disk_cache(str(tmp_path / "par"))
-        parallel = execute_sweep(self.SPECS, jobs=2, batch=True)
-        parallel_keys = set(runner.active_disk_cache().keys())
-
-        runner.clear_memo()
-        runner.configure_disk_cache(str(tmp_path / "ser"))
-        serial = execute_sweep(self.SPECS, jobs=1, batch=False)
-        serial_keys = set(runner.active_disk_cache().keys())
-
-        assert [p.spec for p in parallel.points] == self.SPECS
-        for par, ser in zip(parallel.points, serial.points):
-            assert result_to_json(par.result) == \
-                result_to_json(ser.result), par.spec.label()
-        assert parallel_keys == serial_keys
-
-    def test_parallel_no_batch_stays_ungrouped(self, tmp_path):
-        runner.configure_disk_cache(str(tmp_path / "nobatch"))
-        sweep = execute_sweep(self.SPECS, jobs=2, batch=False)
-        assert all(p.batch_group is None for p in sweep.points)
-        assert sweep.counts()["computed"] == len(self.SPECS)
+        parallel = execute_sweep(self.SPECS, jobs=2)
+        _assert_matches_serial_reference(parallel, self.SPECS,
+                                         str(tmp_path / "ser"))
 
     def test_parallel_failure_inside_group_names_the_spec(self,
                                                           tmp_path):
@@ -167,9 +158,37 @@ class TestParallelBatching:
         bad = RunSpec(kind="single", name="no-such-workload",
                       scale=TINY, engine="event")
         with pytest.raises(pool.SweepError) as err:
-            execute_sweep(self.SPECS[:3] + [bad], jobs=2, batch=True)
+            execute_sweep(self.SPECS[:3] + [bad], jobs=2)
         assert err.value.spec == bad
         assert "no-such-workload" in str(err.value)
+
+
+    def test_pool_unavailable_runs_the_units_in_process(
+            self, tmp_path, monkeypatch, capsys):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        runner.configure_disk_cache(str(tmp_path / "inproc"))
+        sweep = execute_sweep(self.SPECS, jobs=2)
+        assert "process pool unavailable" in capsys.readouterr().err
+        assert sweep.counts()["batched"] == len(self.SPECS)
+        _assert_matches_serial_reference(sweep, self.SPECS,
+                                         str(tmp_path / "ser"))
+
+    def test_in_process_group_failure_is_a_sweep_error(self,
+                                                       monkeypatch):
+        def rejecting(specs, *args, **kwargs):
+            raise ValueError("configs differ outside the mechanism")
+
+        monkeypatch.setattr(runner, "run_spec_batch", rejecting)
+        with pytest.raises(pool.SweepError) as err:
+            execute_sweep(self.SPECS, jobs=1)
+        assert err.value.spec == self.SPECS[0]
+        assert isinstance(err.value.__cause__, ValueError)
 
 
 class TestGroupingGuard:
@@ -209,7 +228,7 @@ class TestGroupingGuard:
         a = RunSpec(mechanism="none", **self.BASE)
         b = RunSpec(mechanism="chargecache",
                     **{**self.BASE, "name": "mcf"})
-        with pytest.raises(runner.BatchIncompatible):
+        with pytest.raises(ValueError, match="mechanism fields"):
             runner.run_spec_batch([a, b])
 
     def test_pool_never_groups_across_signatures(self):
@@ -220,7 +239,7 @@ class TestGroupingGuard:
             RunSpec(mechanism="chargecache",
                     **{**self.BASE, "name": "mcf"}),
         ]
-        sweep = execute_sweep(specs, jobs=1, batch=True)
+        sweep = execute_sweep(specs, jobs=1)
         groups = {}
         for point in sweep.points:
             groups.setdefault(point.batch_group, []).append(point.spec)
@@ -228,3 +247,19 @@ class TestGroupingGuard:
         for members in groups.values():
             signatures = {batch_signature(s) for s in members}
             assert len(signatures) == 1
+
+
+def test_declared_batch_groups_pass_the_platform_guard():
+    """Every batch group the figure table declares at tiny scale
+    resolves to one mechanism-invariant config, so ``System.run_batch``
+    accepts it: a sweep never needs a one-at-a-time fallback."""
+    from repro.cpu.system import mechanism_invariant_config
+    from repro.harness.experiments import FIGURES, declared_specs
+    specs = declared_specs(sorted(FIGURES), None,
+                           current_scale().scaled(0.05))
+    groups = pool._batch_groups(specs)
+    assert any(len(group) > 1 for group in groups)
+    for group in groups:
+        first, *rest = [mechanism_invariant_config(runner._spec_config(s))
+                        for s in group]
+        assert all(config == first for config in rest), group[0].label()

@@ -181,13 +181,13 @@ class TestEnergy:
         """Property check on real runs: no standard's preset yields a
         negative energy component anywhere in the sampled matrix."""
         from repro.energy.drampower import energy_for_run
-        from repro.harness.runner import run_scenario
+        from repro.harness.runner import run_spec, scenario_spec
         experiments.run("energy", WORKLOADS, TINY)  # populate the memo
         for scen in self.SMALL:
             for mech in ("none", "chargecache"):
                 for name in WORKLOADS:
-                    run = run_scenario(scen, name, mech, TINY,
-                                       idle_finished=True)
+                    run = run_spec(scenario_spec(
+                        scen, name, mech, TINY, idle_finished=True))
                     breakdown = energy_for_run(run)
                     for key, value in breakdown.as_dict().items():
                         assert value >= 0, (scen, mech, name, key)

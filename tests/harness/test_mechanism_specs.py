@@ -14,8 +14,8 @@ from repro.harness.runner import (
     Scale,
     build_config,
     clear_memo,
+    run_spec,
     run_spec_ex,
-    run_workload,
     workload_spec,
 )
 from repro.harness.spec import RunSpec
@@ -70,16 +70,16 @@ class TestEndToEnd:
         """Same RunResult object: one memo entry serves both
         spellings; counters of a recompute match bit-for-bit."""
         clear_memo()
-        via_spec = run_workload("libquantum",
-                                "chargecache(entries=256)+nuat", TINY)
+        via_spec = run_spec(workload_spec(
+            "libquantum", "chargecache(entries=256)+nuat", TINY))
         via_kwargs, source = run_spec_ex(workload_spec(
             "libquantum", "nuat+chargecache", TINY, cc_entries=256))
         assert source == "memory"
         assert via_kwargs is via_spec
         # And an independent recompute (memo dropped) is bit-identical.
         clear_memo()
-        recomputed = run_workload("libquantum", "nuat+chargecache",
-                                  TINY, cc_entries=256)
+        recomputed = run_spec(workload_spec(
+            "libquantum", "nuat+chargecache", TINY, cc_entries=256))
         assert recomputed.ipcs == via_spec.ipcs
         assert recomputed.mem_cycles == via_spec.mem_cycles
         assert recomputed.mechanism_hits == via_spec.mechanism_hits
@@ -109,9 +109,9 @@ class TestEndToEnd:
         mechanism (regression: the fold used to split the pair and
         falsely reject it)."""
         clear_memo()
-        result = run_workload(
+        result = run_spec(workload_spec(
             "libquantum", "chargecache(entries=3,associativity=3)",
-            TINY)
+            TINY))
         assert result.config.chargecache.entries == 128  # block untouched
         assert result.config.mechanism == \
             "chargecache(associativity=3,entries=3)"
@@ -128,8 +128,8 @@ class TestEndToEnd:
         inline in the config's mechanism string and reach the built
         mechanism through the registry."""
         clear_memo()
-        result = run_workload("libquantum",
-                              "chargecache(sharing=shared)", TINY)
+        result = run_spec(workload_spec(
+            "libquantum", "chargecache(sharing=shared)", TINY))
         assert result.config.mechanism == "chargecache(sharing=shared)"
         from repro.core import registry
         from repro.dram.refresh import RefreshScheduler

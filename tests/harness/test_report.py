@@ -102,13 +102,12 @@ class TestCLI:
         from repro.harness import runner
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        assert main(["table2", "--engine", "dense", "--no-batch",
-                     "--jobs", "3", "--no-cache"]) == 0
+        assert main(["table2", "--engine", "dense", "--jobs", "3",
+                     "--no-cache"]) == 0
         assert runner.workload_spec("mcf").engine == "dense"
         assert runner.active_disk_cache() is None
         assert main(["table2"]) == 0
         assert runner.workload_spec("mcf").engine == "event"
-        assert runner.execution.batch is True
         assert runner.execution.jobs is None
         assert runner.execution.progress is None
         assert runner.active_disk_cache().root == str(tmp_path / "default")

@@ -45,15 +45,22 @@ def _fresh(tmp_path):
 
 @pytest.fixture
 def sim_log(monkeypatch):
-    """Log of every actual simulation (cache keys, in call order)."""
+    """Log of every actual simulation (cache keys, in call order): one
+    entry per spec run alone and per member of a batch group."""
     calls = []
-    real = runner._execute_spec
+    real_spec, real_batch = runner._execute_spec, runner.run_spec_batch
 
-    def counting(spec):
+    def counting_spec(spec):
         calls.append(run_cache.cache_key(spec))
-        return real(spec)
+        return real_spec(spec)
 
-    monkeypatch.setattr(runner, "_execute_spec", counting)
+    def counting_batch(specs, *args, **kwargs):
+        specs = list(specs)
+        calls.extend(run_cache.cache_key(spec) for spec in specs)
+        return real_batch(specs, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "_execute_spec", counting_spec)
+    monkeypatch.setattr(runner, "run_spec_batch", counting_batch)
     return calls
 
 
@@ -73,7 +80,7 @@ class TestResumption:
                 raise KeyboardInterrupt("simulated worker death")
 
         with pytest.raises(KeyboardInterrupt):
-            execute_sweep(SWEEP, journal=journal_path, batch=False,
+            execute_sweep(SWEEP, journal=journal_path,
                           progress=dying_progress)
         first_run = list(sim_log)
         checkpointed = SweepJournal(journal_path).completed_keys()
@@ -84,7 +91,7 @@ class TestResumption:
         # finished.
         runner.clear_memo()
         sim_log.clear()
-        sweep = execute_sweep(SWEEP, journal=journal_path, batch=False)
+        sweep = execute_sweep(SWEEP, journal=journal_path)
         assert [p.spec for p in sweep.points] == SWEEP
         assert sweep.counts()["disk"] == kill_after
 
@@ -100,10 +107,10 @@ class TestResumption:
     def test_rerun_of_finished_sweep_is_all_store_hits(
             self, tmp_path, sim_log):
         journal_path = str(tmp_path / "w.journal")
-        execute_sweep(SWEEP, journal=journal_path, batch=False)
+        execute_sweep(SWEEP, journal=journal_path)
         runner.clear_memo()
         sim_log.clear()
-        sweep = execute_sweep(SWEEP, journal=journal_path, batch=False)
+        sweep = execute_sweep(SWEEP, journal=journal_path)
         assert sim_log == []
         assert sweep.counts()["disk"] == len(SWEEP)
         assert len(_journal_lines(journal_path)) == len(KEYS)
@@ -149,14 +156,13 @@ class TestCLI:
     def test_sweep_shares_the_main_execution_flags(self):
         from repro.harness import cli
         flags = ["--scale", "tiny", "--engine", "dense", "-j", "2",
-                 "--no-batch", "--progress", "--store", "/tmp/s"]
+                 "--progress", "--store", "/tmp/s"]
         sweep = cli.build_sweep_parser().parse_args(
             ["--workloads", "hmmer"] + flags)
         main = cli.build_parser().parse_args(["fig7a"] + flags)
         for args in (sweep, main):
-            assert (args.scale, args.engine, args.jobs, args.batch,
-                    args.progress, args.cache_dir) == \
-                (0.05, "dense", 2, False, True, "/tmp/s")
+            assert (args.scale, args.engine, args.jobs, args.progress,
+                    args.cache_dir) == (0.05, "dense", 2, True, "/tmp/s")
 
     @pytest.mark.parametrize("scale", ["0", "-0.5", "huge"])
     def test_sweep_rejects_a_bad_scale(self, scale, capsys):

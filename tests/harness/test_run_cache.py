@@ -491,3 +491,36 @@ def test_n_processes_reput_one_key_never_tear(bound_cache, tmp_path):
     canonical = json.dumps(result_to_json(store.get(key)), sort_keys=True)
     assert hashlib.sha256(
         canonical.encode("ascii")).hexdigest() == digests.pop()
+
+
+class TestStoreWrites:
+    """A store write that fails is reported, never swallowed."""
+
+    def test_unwritable_store_warns_and_keeps_the_result(
+            self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        store = str(blocker / "store")
+        runner.clear_memo()
+        try:
+            with runner.executing(cache_dir=store):
+                first, source = runner.run_spec_ex(SPEC)
+                assert source == "computed"
+                again, source = runner.run_spec_ex(SPEC)
+                assert (again, source) == (first, "memory")
+                runner.clear_memo()
+                runner.run_spec_ex(SPEC)   # fails to store again
+        finally:
+            runner.clear_memo()
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1, warnings
+        assert store in warnings[0]
+
+    def test_other_store_failures_raise(self, bound_cache, monkeypatch):
+        def broken_codec(result):
+            raise TypeError("unserialisable result")
+
+        monkeypatch.setattr(cache, "result_to_json", broken_codec)
+        with pytest.raises(TypeError, match="unserialisable"):
+            runner.run_spec_ex(SPEC)

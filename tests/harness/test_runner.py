@@ -11,8 +11,8 @@ from repro.harness.runner import (
     clear_memo,
     current_scale,
     mix_spec,
+    run_spec,
     run_spec_ex,
-    run_workload,
     workload_spec,
 )
 from repro.harness.spec import RunSpec
@@ -133,32 +133,24 @@ class TestSpecBuilders:
         with pytest.raises(ValueError, match="alone runs"):
             RunSpec(kind="alone", name="mcf", **fields)
 
-    def test_spec_paths_share_the_memo_with_run_workload(self):
-        clear_caches()
-        via_fn = run_workload("hmmer", "none", TINY)
-        _, source = run_spec_ex(workload_spec("hmmer", "none", TINY))
-        assert source == "memory"  # identical spec, identical key
-        assert via_fn is runner.run_spec(
-            workload_spec("hmmer", "none", TINY))
-
 
 class TestCaching:
     def test_identical_runs_memoised(self):
         clear_caches()
-        a = run_workload("hmmer", "none", TINY)
-        b = run_workload("hmmer", "none", TINY)
+        a = run_spec(workload_spec("hmmer", "none", TINY))
+        b = run_spec(workload_spec("hmmer", "none", TINY))
         assert a is b  # same object: cache hit
 
     def test_different_mechanism_not_shared(self):
         clear_caches()
-        a = run_workload("hmmer", "none", TINY)
-        b = run_workload("hmmer", "chargecache", TINY)
+        a = run_spec(workload_spec("hmmer", "none", TINY))
+        b = run_spec(workload_spec("hmmer", "chargecache", TINY))
         assert a is not b
 
     def test_clear_caches(self):
-        a = run_workload("hmmer", "none", TINY)
+        a = run_spec(workload_spec("hmmer", "none", TINY))
         clear_caches()
-        b = run_workload("hmmer", "none", TINY)
+        b = run_spec(workload_spec("hmmer", "none", TINY))
         assert a is not b
         # Determinism: the recomputed result matches.
         assert a.ipcs == b.ipcs
@@ -168,14 +160,14 @@ class TestCaching:
         layer too, or test isolation would silently read stale disk
         entries after the memo is dropped."""
         clear_caches()
-        run_workload("hmmer", "none", TINY)
+        run_spec(workload_spec("hmmer", "none", TINY))
         clear_caches()
         _, source = run_spec_ex(workload_spec("hmmer", "none", TINY))
         assert source == "computed"  # neither memo nor disk survived
 
     def test_memo_clear_falls_through_to_disk(self):
         clear_caches()
-        a = run_workload("hmmer", "none", TINY)
+        a = run_spec(workload_spec("hmmer", "none", TINY))
         clear_memo()
         b, source = run_spec_ex(workload_spec("hmmer", "none", TINY))
         if runner.active_disk_cache() is not None:
@@ -199,14 +191,14 @@ class TestExecution:
         with pytest.raises(RuntimeError):
             with runner.executing(engine="dense", jobs=2):
                 assert workload_spec("mcf").engine == "dense"
-                runner.set_execution(runner.Execution(batch=False))
+                runner.set_execution(runner.Execution())
                 raise RuntimeError
         assert runner.execution is before
 
     def test_store_reopened_only_when_its_binding_changes(self, tmp_path):
         with runner.executing(cache_dir=str(tmp_path / "a")):
             store = runner.active_disk_cache()
-            with runner.executing(jobs=3, engine="dense", batch=False):
+            with runner.executing(jobs=3, engine="dense"):
                 assert runner.active_disk_cache() is store
             with runner.executing(cache_dir=str(tmp_path / "b")):
                 assert runner.active_disk_cache().root \

@@ -11,7 +11,8 @@
 
 import pytest
 
-from repro.harness.runner import Scale, clear_caches, run_workload
+from repro.harness.runner import (Scale, clear_caches, run_spec,
+                                  workload_spec)
 
 SCALE = Scale(single_core_instructions=12_000,
               multi_core_instructions=4000,
@@ -28,7 +29,7 @@ def _fresh():
 
 
 def ipc(workload, mechanism):
-    return run_workload(workload, mechanism, SCALE).total_ipc
+    return run_spec(workload_spec(workload, mechanism, SCALE)).total_ipc
 
 
 class TestNoDegradation:
@@ -63,8 +64,8 @@ class TestHitRates:
         # Paper Figure 9: single-core 128-entry hit rate averages 38%;
         # a high-RLTL streaming workload should sit near or above that,
         # and far above the random-footprint one.
-        high = run_workload(HIGH_RLTL, "chargecache", SCALE)
-        low = run_workload(LOW_RLTL, "chargecache", SCALE)
+        high = run_spec(workload_spec(HIGH_RLTL, "chargecache", SCALE))
+        low = run_spec(workload_spec(LOW_RLTL, "chargecache", SCALE))
         assert high.mechanism_hit_rate > low.mechanism_hit_rate
         assert high.mechanism_hit_rate > 0.25
         assert low.mechanism_hit_rate < 0.25
@@ -81,8 +82,8 @@ class TestHitRates:
 class TestEnergyOrdering:
     def test_chargecache_saves_dram_energy(self):
         from repro.energy.drampower import energy_for_run
-        base = run_workload(HIGH_RLTL, "none", SCALE)
-        cc = run_workload(HIGH_RLTL, "chargecache", SCALE)
+        base = run_spec(workload_spec(HIGH_RLTL, "none", SCALE))
+        cc = run_spec(workload_spec(HIGH_RLTL, "chargecache", SCALE))
         # Timing/IDD resolve from each run's config (DDR3 here).
         e_base = energy_for_run(base).total_pj
         e_cc = energy_for_run(cc).total_pj
