@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Request
 from repro.controller.row_policy import make_row_policy
-from repro.controller.scheduler import SchedulerDecision, make_scheduler
+from repro.controller.scheduler import Candidate, make_scheduler
 from repro.core.timing_policy import LatencyMechanism
 from repro.dram.channel import Channel
 from repro.dram.commands import Command
@@ -225,19 +225,9 @@ class MemoryController:
                       and self._issue_pending_pre(cycle, blocked)):
                 return  # nothing issued this cycle
 
-        # One command issued: record it and sample queue occupancy.
-        # Issue-time sampling (instead of the old ``cycle & 63`` wall
-        # clock) makes the statistic independent of which cycles the
-        # engine visits, so dense and event runs report identical
-        # occupancies.  The samples are
-        # :meth:`RequestQueue.sample_occupancy` inlined.
+        # One command issued.
         self._last_issue_cycle = cycle
         self._issue_count += 1
-        read_q, write_q = self.read_q, self.write_q
-        read_q.occupancy_accum += len(read_q.items)
-        read_q.occupancy_samples += 1
-        write_q.occupancy_accum += len(write_q.items)
-        write_q.occupancy_samples += 1
 
     def next_event_cycle(self, cycle: int) -> int:
         """Earliest future cycle at which this controller can act.
@@ -399,10 +389,9 @@ class MemoryController:
         self._served = queue
         return queue
 
-    def _execute(self, decision: SchedulerDecision, queue: RequestQueue,
+    def _execute(self, decision: Candidate, queue: RequestQueue,
                  cycle: int) -> None:
-        req = decision.request
-        cmd = decision.command
+        _, _, req, cmd = decision
         if cmd is _RD:   # the most common command: tested first
             done = self.channel.issue_read(req.rank, req.bank, cycle)
             heapq.heappush(self.read_events,

@@ -17,24 +17,21 @@ class RequestQueue:
     """FIFO-ordered bounded queue indexed by line address.
 
     Besides the arrival-order list, the queue maintains incrementally
-
-    * per-(rank, bank) lists of ``(seq, request)`` in arrival order,
-      where ``seq`` is a queue-local arrival counter (``Request.id`` is
-      not usable: a retried request arrives out of id order), and
-    * per-(rank, bank, row) request counts,
-
-    so the FR-FCFS scan and row-policy checks run in O(distinct banks)
-    instead of rescanning every entry.  Merging the per-bank lists by
-    ``seq`` gives back exactly the arrival-order list.
+    per-(rank, bank) lists of ``(seq, request)`` in arrival order, where
+    ``seq`` is a queue-local arrival counter (``Request.id`` is not
+    usable: a retried request arrives out of id order), so the FR-FCFS
+    scan runs in O(distinct banks) instead of rescanning every entry.
+    Merging the per-bank lists by ``seq`` gives back exactly the
+    arrival-order list.  Row counts for the closed-row policy scan one
+    bank's list (no per-row index to keep on every push and removal).
 
     The arrival-order list itself is the public :attr:`items`, so the
-    controller's per-visit reads (queue length, occupancy samples) are
-    plain ``len(queue.items)`` instead of a Python-level ``__len__``
-    call; the per-bank index is the public :attr:`by_bank`, which the
-    FR-FCFS snapshot walks directly.  Both are read-only to everyone
-    but the queue: only :meth:`push` and :meth:`remove` may change
-    them, because they also keep the other indexes and :attr:`version`
-    in step.
+    controller's per-visit queue-length reads are plain
+    ``len(queue.items)`` instead of a Python-level ``__len__`` call;
+    the per-bank index is the public :attr:`by_bank`, which the FR-FCFS
+    snapshot walks directly.  Both are read-only to everyone but the
+    queue: only :meth:`push` and :meth:`remove` may change them,
+    because they also keep the line index and :attr:`version` in step.
     """
 
     def __init__(self, capacity: int):
@@ -47,16 +44,12 @@ class RequestQueue:
         #: ``(rank, bank) -> [(seq, request), ...]`` per queued bank,
         #: each list in arrival order (ascending ``seq``); read-only.
         self.by_bank: Dict[Tuple[int, int], List[Tuple[int, Request]]] = {}
-        self._row_count: Dict[Tuple[int, int, int], int] = {}
         self._seq = 0
         #: Bumped on every push/remove; lets the event engine cache
         #: earliest-ready computations between content changes.
         self.version = 0
-        # Statistics.
-        self.enqueued = 0
+        #: Writes absorbed by a queued write to the same line.
         self.coalesced = 0
-        self.occupancy_accum = 0
-        self.occupancy_samples = 0
 
     # ------------------------------------------------------------------
 
@@ -69,9 +62,6 @@ class RequestQueue:
     @property
     def is_full(self) -> bool:
         return len(self.items) >= self.capacity
-
-    def occupancy_fraction(self) -> float:
-        return len(self.items) / self.capacity
 
     # ------------------------------------------------------------------
 
@@ -89,10 +79,7 @@ class RequestQueue:
         else:
             entries.append((self._seq, request))
         self._seq += 1
-        row_key = (request.rank, request.bank, request.row)
-        self._row_count[row_key] = self._row_count.get(row_key, 0) + 1
         self.version += 1
-        self.enqueued += 1
         return True
 
     def coalesce_write(self, line_address: int) -> bool:
@@ -119,12 +106,6 @@ class RequestQueue:
                 if queued is request:
                     del entries[i]
                     break
-        row_key = (request.rank, request.bank, request.row)
-        left = self._row_count[row_key] - 1
-        if left:
-            self._row_count[row_key] = left
-        else:
-            del self._row_count[row_key]
         self.version += 1
 
     def requests_for_bank(self, rank: int, bank: int) -> int:
@@ -133,25 +114,13 @@ class RequestQueue:
 
     def requests_for_row(self, rank: int, bank: int, row: int) -> int:
         """Count queued requests to a specific (rank, bank, row)."""
-        return self._row_count.get((rank, bank, row), 0)
+        return sum(1 for _, req in self.by_bank.get((rank, bank), ())
+                   if req.row == row)
 
     def banks(self) -> Iterator[Tuple[int, int]]:
         """The distinct (rank, bank) pairs with queued requests."""
         return iter(self.by_bank)
 
-    def sample_occupancy(self) -> None:
-        self.occupancy_accum += len(self.items)
-        self.occupancy_samples += 1
-
     def reset_stats(self) -> None:
-        """Zero the enqueue/coalesce counters and occupancy samples."""
-        self.enqueued = 0
+        """Zero the coalesce counter."""
         self.coalesced = 0
-        self.occupancy_accum = 0
-        self.occupancy_samples = 0
-
-    @property
-    def average_occupancy(self) -> float:
-        if not self.occupancy_samples:
-            return 0.0
-        return self.occupancy_accum / self.occupancy_samples

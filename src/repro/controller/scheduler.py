@@ -8,13 +8,15 @@ to already-open rows (row hits) win; ties break by age.
 **FCFS** serves strictly in arrival order and is provided as a
 reference point for tests and ablations.
 
-A scheduler's ``scan`` returns the :class:`SchedulerDecision` naming
-the request and the command to issue on its behalf this cycle
-(``None`` when nothing can issue) and the earliest cycle at which
-anything could.  ``choose`` and ``next_ready_cycle`` are views of that
-one computation, so the controller's decision and its wake-up bid
-cannot disagree.  FR-FCFS derives both from one readiness snapshot per
-controller state (see :class:`FRFCFSScheduler`).
+A scheduler's decision is a :data:`Candidate`, ``(earliest_issue_cycle,
+queue_seq, request, command)``, naming the request and the command to
+issue on its behalf this cycle (``None`` when nothing can issue).
+``choose`` returns it and ``next_ready_cycle`` the earliest cycle at
+which anything could issue; ``scan`` returns both.  All three are views
+of one computation, so the controller's decision and its wake-up bid
+cannot disagree.  FR-FCFS derives them from one readiness snapshot per
+controller state (see :class:`FRFCFSScheduler`) and hands out the
+snapshot's own candidate, so no decision object is built per command.
 """
 
 from __future__ import annotations
@@ -27,25 +29,8 @@ from repro.dram.commands import Command
 from repro.dram.timing import NEVER
 
 
-class SchedulerDecision:
-    """The command chosen for this cycle and the request it serves.
-
-    A plain ``__slots__`` class, built once per issued command: cheaper
-    to construct than a dataclass (``dataclass(slots=True)`` needs
-    Python 3.10).
-    """
-
-    __slots__ = ("request", "command")
-
-    def __init__(self, request: Request, command: Command):
-        self.request = request
-        self.command = command
-
-    def __repr__(self) -> str:
-        return f"SchedulerDecision({self.request!r}, {self.command!r})"
-
-
-#: ``(earliest_issue_cycle, queue_seq, request, command)``.
+#: ``(earliest_issue_cycle, queue_seq, request, command)``: a snapshot
+#: entry, and the decision :meth:`FRFCFSScheduler.choose` returns.
 Candidate = Tuple[int, int, Request, Command]
 
 # Enum members as plain globals: the snapshot loop reads them per bank.
@@ -97,7 +82,7 @@ class FRFCFSScheduler:
         self._ready = NEVER
 
     def scan(self, queue, channel: Channel, cycle: int, blocked_ranks=()
-             ) -> Tuple[Optional[SchedulerDecision], int]:
+             ) -> Tuple[Optional[Candidate], int]:
         """``(decision, earliest_ready)`` for ``cycle``.
 
         ``blocked_ranks`` lists ranks currently reserved for refresh; no
@@ -118,21 +103,8 @@ class FRFCFSScheduler:
         The queue must be homogeneous (all reads or all writes), as the
         controller's per-direction queues are.
         """
-        ready = self._ready_bound(queue, channel, blocked_ranks)
-        if cycle < ready:
-            return None, ready
-        return self._decide(cycle), ready
-
-    def _ready_bound(self, queue, channel: Channel, blocked_ranks) -> int:
-        """The snapshot's ready bound, rebuilding the snapshot first
-        unless its key still matches."""
-        blocked = frozenset(blocked_ranks) if blocked_ranks else _UNBLOCKED
-        if (queue.version != self._version
-                or channel.next_cmd != self._next_cmd
-                or queue is not self._queue or channel is not self._channel
-                or blocked != self._blocked):
-            self._snapshot(queue, channel, blocked)
-        return self._ready
+        return self.choose(queue, channel, cycle, blocked_ranks), \
+            self._ready
 
     def _snapshot(self, queue, channel: Channel, blocked) -> None:
         """One walk over the queued banks: every candidate and its
@@ -215,30 +187,42 @@ class FRFCFSScheduler:
                     ready = t
         self._hits, self._rows, self._ready = hits, rows, ready
 
-    def _decide(self, cycle: int) -> Optional[SchedulerDecision]:
-        """The snapshot's decision at ``cycle``: the oldest ready hit,
-        else the oldest ready ACT/PRE."""
+    def choose(self, queue, channel: Channel, cycle: int,
+               blocked_ranks=()) -> Optional[Candidate]:
+        """The candidate to issue at ``cycle`` (the oldest ready hit,
+        else the oldest ready ACT/PRE), or None.
+
+        The snapshot key check is inlined here and in
+        :meth:`next_ready_cycle`: each runs once per controller tick or
+        bid, so one call does the whole view.
+        """
+        blocked = frozenset(blocked_ranks) if blocked_ranks else _UNBLOCKED
+        if (queue.version != self._version
+                or channel.next_cmd != self._next_cmd
+                or queue is not self._queue or channel is not self._channel
+                or blocked != self._blocked):
+            self._snapshot(queue, channel, blocked)
+        if cycle < self._ready:
+            return None
         for candidates in (self._hits, self._rows):
             best = None
             for cand in candidates:
                 if cand[0] <= cycle and (best is None or cand[1] < best[1]):
                     best = cand
             if best is not None:
-                return SchedulerDecision(best[2], best[3])
+                return best
         return None
-
-    def choose(self, queue, channel: Channel, cycle: int,
-               blocked_ranks=()) -> Optional[SchedulerDecision]:
-        """The command to issue at ``cycle``, or None (:meth:`scan`'s
-        decision, without building its tuple)."""
-        if cycle < self._ready_bound(queue, channel, blocked_ranks):
-            return None
-        return self._decide(cycle)
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
                          blocked_ranks=()) -> int:
         """Earliest cycle at which :meth:`choose` could return non-None."""
-        return self._ready_bound(queue, channel, blocked_ranks)
+        blocked = frozenset(blocked_ranks) if blocked_ranks else _UNBLOCKED
+        if (queue.version != self._version
+                or channel.next_cmd != self._next_cmd
+                or queue is not self._queue or channel is not self._channel
+                or blocked != self._blocked):
+            self._snapshot(queue, channel, blocked)
+        return self._ready
 
 
 class FCFSScheduler:
@@ -247,19 +231,20 @@ class FCFSScheduler:
     name = "fcfs"
 
     def scan(self, queue, channel: Channel, cycle: int, blocked_ranks=()
-             ) -> Tuple[Optional[SchedulerDecision], int]:
+             ) -> Tuple[Optional[Candidate], int]:
         """Only the oldest unblocked request counts (head-of-line
-        blocking): its command if ready, and when it will be."""
+        blocking): its command if ready, and when it will be.  Its
+        ``queue_seq`` is 0: FCFS never compares ages."""
         for req in queue:
             if req.rank in blocked_ranks:
                 continue
             cmd = required_command(req, channel)
             t = channel.earliest(cmd, req.rank, req.bank)
-            return (SchedulerDecision(req, cmd) if t <= cycle else None), t
+            return ((t, 0, req, cmd) if t <= cycle else None), t
         return None, NEVER
 
     def choose(self, queue, channel: Channel, cycle: int,
-               blocked_ranks=()) -> Optional[SchedulerDecision]:
+               blocked_ranks=()) -> Optional[Candidate]:
         return self.scan(queue, channel, cycle, blocked_ranks)[0]
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,

@@ -14,13 +14,15 @@ Design notes:
   drained every memory cycle.
 
 LRU is implemented with per-set ``OrderedDict`` (move-to-end on access,
-pop-first on eviction), which is both exact and fast.
+pop-first on eviction), which is both exact and fast.  A set is
+created the first time its index is looked up, so building a cache
+costs nothing per set and a run pays only for the sets it touches.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, List, Tuple
+from collections import OrderedDict, defaultdict
+from typing import Callable, DefaultDict, Dict, List, Tuple
 
 from repro.controller.request import Request, RequestType
 
@@ -63,9 +65,10 @@ class SharedCache:
 
         self.num_sets = cache_config.num_sets
         self.assoc = cache_config.associativity
-        # _sets[i]: OrderedDict mapping tag -> dirty flag (LRU order).
-        self._sets: List[OrderedDict] = [OrderedDict()
-                                         for _ in range(self.num_sets)]
+        #: ``set index -> OrderedDict(tag -> dirty flag)`` in LRU
+        #: order, holding only the sets looked up so far; read-only
+        #: outside the cache.
+        self.sets: DefaultDict[int, OrderedDict] = defaultdict(OrderedDict)
         self._mshrs: Dict[int, MSHREntry] = {}
         #: Parked requests the controllers refused, retried every
         #: memory cycle by :meth:`tick`.  Read-only outside the cache.
@@ -89,7 +92,7 @@ class SharedCache:
     def _locate(self, line_address: int) -> Tuple[OrderedDict, int]:
         set_idx = line_address % self.num_sets
         tag = line_address // self.num_sets
-        return self._sets[set_idx], tag
+        return self.sets[set_idx], tag
 
     # ------------------------------------------------------------------
     # Core-facing accesses

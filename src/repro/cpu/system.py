@@ -448,7 +448,9 @@ class System:
           than the cached external bid (:meth:`_external_bid`), fires
           no read completion and is not the ``max_mem_cycles`` stop.
           Only the controllers tick, and only they re-bid: nothing the
-          external bid reads (cores, LLC, hit events) changes.
+          external bid reads (cores, LLC, hit events) changes.  A
+          stretch of such visits runs in one inner loop, whose last
+          bid is carried out of it as the next target.
         * **core-only**: every controller bids later than the target,
           so ticking one would be a no-op; ``_step`` runs without them.
         * **full**: everything else, ``_step`` as the dense engine runs
@@ -457,40 +459,44 @@ class System:
         truncated = False
         controllers = self.controllers
         llc = self.llc
+        stop = NEVER if max_mem_cycles is None else max_mem_cycles
         external = -1          # stale: recompute before the next use
         while True:
             cycle = self.mem_cycle
-            soon = cycle + 1
             if llc.retry_reads or llc.retry_writes:
                 # The dense engine retries parked LLC requests every
                 # cycle; a parked read may newly forward from the write
                 # queue the cycle after a matching store arrives, which
                 # no controller or core bid covers.  Step densely until
                 # the lists drain.
-                target, ticked = soon, controllers
+                target, ticked = cycle + 1, controllers
             else:
-                nxt = NEVER
-                for controller in controllers:
-                    w = controller.next_event_cycle(cycle)
-                    if w < nxt:
-                        nxt = w
-                        if nxt <= soon:
-                            break
                 if external <= cycle:
                     external = self._external_bid()
+                while True:     # controller-only visits
+                    soon = cycle + 1
+                    nxt = NEVER
+                    for controller in controllers:
+                        w = controller.next_event_cycle(cycle)
+                        if w < nxt:
+                            nxt = w
+                            if nxt <= soon:
+                                break
+                    if nxt >= external or nxt >= stop:
+                        break
+                    for controller in controllers:
+                        events = controller.read_events
+                        if events and events[0][0] <= nxt:
+                            break   # a completion wakes a core
+                    else:
+                        self.mem_cycle = cycle = nxt
+                        self.visited_cycles += 1
+                        for controller in controllers:
+                            controller.tick(cycle)
+                        continue
+                    break
                 if nxt < external:
                     target, ticked = nxt, controllers
-                    if max_mem_cycles is None or target < max_mem_cycles:
-                        for controller in controllers:
-                            events = controller.read_events
-                            if events and events[0][0] <= target:
-                                break   # a completion wakes a core
-                        else:           # controller-only visit
-                            self.mem_cycle = target
-                            self.visited_cycles += 1
-                            for controller in controllers:
-                                controller.tick(target)
-                            continue
                 else:
                     target = external
                     ticked = () if nxt > target else controllers
@@ -500,7 +506,7 @@ class System:
                             "event engine deadlock: no pending wake-ups "
                             "but cores are not finished")
                     target = max_mem_cycles
-            if max_mem_cycles is not None and target >= max_mem_cycles:
+            if target >= stop:
                 target, ticked = max_mem_cycles, controllers
             self.mem_cycle = target
             self.visited_cycles += 1
@@ -508,7 +514,7 @@ class System:
             external = -1
             if self._warmed and all_finished:
                 break
-            if max_mem_cycles is not None and target >= max_mem_cycles:
+            if target >= stop:
                 truncated = True
                 break
         return self._collect(truncated)

@@ -3,7 +3,7 @@
 DDR3 auto-refresh: the controller issues one REF per rank every tREFI
 (7.8 us); the device internally refreshes the next *refresh group* of
 rows, cycling through all groups once per retention window (8192 REFs
-per 64 ms).  A row therefore belongs to group ``row >> log2(rows/groups)``
+per 64 ms).  A row belongs to one group (:meth:`RefreshScheduler.row_group`)
 and its charge is replenished whenever its group is refreshed (or the
 row itself is activated - that part is ChargeCache's observation and is
 tracked by the controller, not here).
@@ -11,7 +11,8 @@ tracked by the controller, not here).
 Because Python-scale simulations cover far less than 64 ms, the group
 timestamps are *pre-seeded* so that at cycle 0 the refresh rotation is
 already in steady state: group ``g`` was last refreshed at
-``g * tREFI - window``.  Row refresh ages are then uniformly distributed
+``g * tREFI - window``.  The seed is a formula, not a table: only the
+groups a run actually refreshes get a stored stamp.  Row refresh ages are then uniformly distributed
 over [0, 64 ms) from the first simulated cycle, exactly as in a long
 run.  This both drives the NUAT baseline realistically and reproduces
 the paper's "~12% of activations fall within 8 ms of a refresh"
@@ -20,8 +21,7 @@ observation without simulating 64 ms of wall-clock DRAM time.
 
 from __future__ import annotations
 
-from array import array
-from typing import List
+from typing import Dict, List
 
 from repro.dram.timing import NEVER, TimingParameters
 
@@ -37,18 +37,13 @@ class RefreshScheduler:
         self.enabled = enabled
 
         self.num_groups = timing.refreshes_per_window
-        rows_per_group = max(1, rows_per_bank // self.num_groups)
-        self._group_shift = max(0, rows_per_group.bit_length() - 1)
-
-        window = self.num_groups * timing.tREFI
-        # Steady-state pre-seed: group g last refreshed g*tREFI - window,
-        # built from a ``range`` (no per-group Python step).
-        # ``array('q')``: 8 bytes a group (8192 groups per rank), where
-        # a list would hold a separate int object per group.
-        base = array("q", range(-window, self.num_groups * timing.tREFI
-                                - window, timing.tREFI))
-        self._group_time: List[array] = [array("q", base)
-                                         for _ in range(num_ranks)]
+        #: The pre-seed's offset: group g was last refreshed at
+        #: ``g * tREFI - window`` until its first simulated REF.
+        self._window = self.num_groups * timing.tREFI
+        #: Per rank, ``group -> cycle`` of each group's last simulated
+        #: REF; the seed formula supplies every group not in it, so a
+        #: run stores only the groups it refreshes.
+        self._stamps: List[Dict[int, int]] = [{} for _ in range(num_ranks)]
         # Next group each rank will refresh (continues the rotation).
         self._next_group = [0] * num_ranks
         self._next_due = [timing.tREFI] * num_ranks
@@ -71,7 +66,7 @@ class RefreshScheduler:
     def on_refresh_issued(self, rank: int, cycle: int) -> None:
         """Record a REF: stamp the refreshed group and advance the clock."""
         group = self._next_group[rank]
-        self._group_time[rank][group] = cycle
+        self._stamps[rank][group] = cycle
         self._next_group[rank] = (group + 1) % self.num_groups
         self._next_due[rank] += self.timing.tREFI
         if self.enabled:
@@ -102,7 +97,10 @@ class RefreshScheduler:
 
     def row_refresh_age_cycles(self, rank: int, row: int, cycle: int) -> int:
         """Bus cycles since ``row`` was last refreshed."""
-        stamp = self._group_time[rank][self.row_group(row)]
+        group = self.row_group(row)
+        stamp = self._stamps[rank].get(group)
+        if stamp is None:
+            stamp = group * self.timing.tREFI - self._window
         return max(0, cycle - stamp)
 
     def row_refresh_age_ms(self, rank: int, row: int, cycle: int) -> float:
@@ -113,4 +111,4 @@ class RefreshScheduler:
 
     def window_cycles(self) -> int:
         """Length of the retention window in bus cycles."""
-        return self.num_groups * self.timing.tREFI
+        return self._window

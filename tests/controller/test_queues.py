@@ -74,15 +74,6 @@ class TestStats:
         q.push(req, 77)
         assert req.enqueue_cycle == 77
 
-    def test_occupancy_sampling(self):
-        q = RequestQueue(4)
-        q.push(read_request(1), 0)
-        q.sample_occupancy()
-        q.push(read_request(2), 0)
-        q.sample_occupancy()
-        assert q.average_occupancy == pytest.approx(1.5)
-        assert q.occupancy_fraction() == pytest.approx(0.5)
-
 
 class TestBankIndex:
     @given(st.lists(st.tuples(st.sampled_from(("push", "remove", "coalesce")),
@@ -92,7 +83,9 @@ class TestBankIndex:
     @settings(max_examples=100, deadline=None)
     def test_per_bank_lists_mirror_the_queue(self, steps):
         """After any push/remove/coalesce sequence, the per-bank lists
-        merged by ``seq`` are exactly the arrival-order queue."""
+        merged by ``seq`` are exactly the arrival-order queue, and
+        ``requests_for_row`` equals a brute-force count for every
+        (rank, bank, row)."""
         q = RequestQueue(16)
         for kind, rank, bank, pick, is_write in steps:
             items = list(q)
@@ -116,3 +109,9 @@ class TestBankIndex:
                 assert all(req.rank == rank_ and req.bank == bank_
                            for _, req in entries)
             assert sum(len(e) for _, e in q.by_bank.items()) == len(q)
+            for rank_ in range(3):
+                for bank_ in range(4):
+                    for row in range(3):
+                        assert q.requests_for_row(rank_, bank_, row) == sum(
+                            1 for req in q if (req.rank, req.bank, req.row)
+                            == (rank_, bank_, row))

@@ -33,25 +33,25 @@ def queued(*coords):
 class TestFRFCFS:
     def test_closed_bank_gets_act(self, channel):
         q = queued((0, 0, 5))
-        decision = FRFCFSScheduler().choose(q, channel, 0)
-        assert decision.command is Command.ACT
-        assert decision.request.row == 5
+        _, _, req, cmd = FRFCFSScheduler().choose(q, channel, 0)
+        assert cmd is Command.ACT
+        assert req.row == 5
 
     def test_row_hit_prioritised_over_older_conflict(self, channel):
         channel.issue_activate(0, 0, 5, 0)
         ready = DDR3_1600.tRCD
         # Oldest request conflicts (row 9); younger hits row 5.
         q = queued((0, 0, 9), (0, 0, 5))
-        decision = FRFCFSScheduler().choose(q, channel, ready)
-        assert decision.command is Command.RD
-        assert decision.request.row == 5
+        _, _, req, cmd = FRFCFSScheduler().choose(q, channel, ready)
+        assert cmd is Command.RD
+        assert req.row == 5
 
     def test_conflict_triggers_precharge(self, channel):
         channel.issue_activate(0, 0, 5, 0)
         q = queued((0, 0, 9))
         at = DDR3_1600.tRAS
-        decision = FRFCFSScheduler().choose(q, channel, at)
-        assert decision.command is Command.PRE
+        _, _, _, cmd = FRFCFSScheduler().choose(q, channel, at)
+        assert cmd is Command.PRE
 
     def test_nothing_ready_returns_none(self, channel):
         channel.issue_activate(0, 0, 5, 0)
@@ -66,8 +66,8 @@ class TestFRFCFS:
 
     def test_oldest_ready_wins_among_misses(self, channel):
         q = queued((0, 1, 7), (0, 2, 8))
-        decision = FRFCFSScheduler().choose(q, channel, 0)
-        assert decision.request.bank == 1  # arrival order
+        _, _, req, _ = FRFCFSScheduler().choose(q, channel, 0)
+        assert req.bank == 1  # arrival order
 
     def test_write_request_gets_wr(self, channel):
         channel.issue_activate(0, 0, 5, 0)
@@ -75,8 +75,8 @@ class TestFRFCFS:
         req = write_request(0)
         req.rank, req.bank, req.row, req.channel = 0, 0, 5, 0
         q.push(req, 0)
-        decision = FRFCFSScheduler().choose(q, channel, DDR3_1600.tRCD)
-        assert decision.command is Command.WR
+        _, _, _, cmd = FRFCFSScheduler().choose(q, channel, DDR3_1600.tRCD)
+        assert cmd is Command.WR
 
 
 class TestFCFS:
@@ -89,9 +89,9 @@ class TestFCFS:
 
     def test_serves_head_when_ready(self, channel):
         q = queued((0, 3, 2))
-        decision = FCFSScheduler().choose(q, channel, 0)
-        assert decision.command is Command.ACT
-        assert decision.request.bank == 3
+        _, _, req, cmd = FCFSScheduler().choose(q, channel, 0)
+        assert cmd is Command.ACT
+        assert req.bank == 3
 
 
 class TestFactory:

@@ -22,11 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import read_request, write_request
-from repro.controller.scheduler import (
-    FRFCFSScheduler,
-    SchedulerDecision,
-    required_command,
-)
+from repro.controller.scheduler import FRFCFSScheduler, required_command
 from repro.dram.channel import Channel
 from repro.dram.commands import Command
 from repro.dram.timing import DDR3_1600, NEVER
@@ -36,6 +32,7 @@ NUM_ROWS = 2     # few rows, so queued requests often hit
 
 
 def reference_choose(queue, channel, cycle, blocked_ranks=()):
+    """The ``(request, command)`` to issue, or None."""
     for req in queue:
         if req.rank in blocked_ranks:
             continue
@@ -43,14 +40,14 @@ def reference_choose(queue, channel, cycle, blocked_ranks=()):
             continue
         cmd = Command.RD if req.is_read else Command.WR
         if channel.can_issue(cmd, req.rank, req.bank, cycle):
-            return SchedulerDecision(req, cmd)
+            return req, cmd
     for req in queue:
         if req.rank in blocked_ranks:
             continue
         cmd = required_command(req, channel)
         if not cmd.is_column and \
                 channel.can_issue(cmd, req.rank, req.bank, cycle):
-            return SchedulerDecision(req, cmd)
+            return req, cmd
     return None
 
 
@@ -143,8 +140,8 @@ def test_scan_matches_two_pass_reference(num_ranks, history, writes,
         assert decision is None
     else:
         assert decision is not None
-        assert decision.request is expected.request
-        assert decision.command is expected.command
+        assert decision[2] is expected[0]
+        assert decision[3] is expected[1]
 
     bid = reference_next_ready_cycle(queue, channel, cycle, blocked)
     if bid > cycle + 1:
@@ -173,10 +170,12 @@ steps = st.lists(st.one_of(
 
 
 def _same(got, expected):
+    """``got``, a candidate, names the request and command ``expected``
+    names (a candidate or a reference ``(request, command)`` pair)."""
     if expected is None:
         return got is None
-    return (got is not None and got.request is expected.request
-            and got.command is expected.command)
+    req, cmd = expected[-2:]
+    return got is not None and got[2] is req and got[3] is cmd
 
 
 @given(num_ranks=st.integers(1, 2), program=steps,

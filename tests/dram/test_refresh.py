@@ -100,14 +100,53 @@ class TestMultiRank:
 
 
 class TestSeededStamps:
+    @staticmethod
+    def _row_of_group(sched):
+        """One row of every refresh group, ``{group: row}``."""
+        rows = {}
+        row = 0
+        while len(rows) < sched.num_groups:
+            rows.setdefault(sched.row_group(row), row)
+            row += 1
+        return rows
+
     @pytest.mark.parametrize("standard", sorted(PRESETS))
     def test_seed_is_steady_state_rotation(self, standard):
-        """Group ``g`` was last refreshed at ``g * tREFI - window``."""
+        """Group ``g`` was last refreshed at ``g * tREFI - window``: at
+        cycle 0 each of its rows is ``window - g * tREFI`` cycles old,
+        on every rank."""
         timing = PRESETS[standard]
         sched = RefreshScheduler(timing, num_ranks=2,
                                  rows_per_bank=64 * 1024)
         window = sched.window_cycles()
-        expected = [g * timing.tREFI - window
-                    for g in range(sched.num_groups)]
+        rows = self._row_of_group(sched)
         for rank in range(2):
-            assert list(sched._group_time[rank]) == expected
+            ages = [sched.row_refresh_age_cycles(rank, rows[g], 0)
+                    for g in range(sched.num_groups)]
+            assert ages == [window - g * timing.tREFI
+                            for g in range(sched.num_groups)]
+
+    @pytest.mark.parametrize("refs", (1, 5))
+    def test_refreshed_groups_report_their_ref(self, refs):
+        """After k REFs on rank 0, groups 0..k-1 report their REF
+        cycles, group k still reports its seed, and rank 1 keeps its
+        seed everywhere."""
+        timing = DDR3_1600
+        sched = RefreshScheduler(timing, num_ranks=2,
+                                 rows_per_bank=64 * 1024)
+        window = sched.window_cycles()
+        rows = self._row_of_group(sched)
+        ref_cycles = [(k + 1) * timing.tREFI + 3 * k for k in range(refs)]
+        for cycle in ref_cycles:
+            sched.on_refresh_issued(0, cycle)
+        now = ref_cycles[-1] + 100
+        for group, cycle in enumerate(ref_cycles):
+            assert sched.row_refresh_age_cycles(0, rows[group], now) \
+                == now - cycle
+        seed = refs * timing.tREFI - window
+        assert sched.row_refresh_age_cycles(0, rows[refs], now) \
+            == now - seed
+        assert [sched.row_refresh_age_cycles(1, rows[g], now)
+                for g in range(sched.num_groups)] \
+            == [now - (g * timing.tREFI - window)
+                for g in range(sched.num_groups)]

@@ -172,16 +172,26 @@ class TestCLIMechanisms:
             cli.build_parser().parse_args(["fig7a", "--mechanisms"])
 
     def test_fig7_runs_parameterized_specs_from_the_cli(self, capsys,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       tmp_path):
         """A parameterized composition runs end-to-end through the real
         CLI entry point and lands on the same cached run as the
-        order-permuted spelling."""
+        order-permuted spelling.  The run is bound to a temporary store,
+        so the user's default store (under ``$XDG_CACHE_HOME``) stays
+        untouched."""
         monkeypatch.setenv("REPRO_SCALE", "0.001")  # floors at 1000 inst
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        xdg = tmp_path / "xdg"
+        xdg.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        store = tmp_path / "store"
         runner.clear_memo()
         assert cli.main(["fig7a", "--workloads", "libquantum",
                          "--mechanisms", "chargecache(entries=256)+nuat",
-                         "--progress"]) == 0
+                         "--progress", "--store", str(store)]) == 0
         capsys.readouterr()
+        assert list(xdg.iterdir()) == []
+        assert any(store.iterdir())
         # The permuted spelling is served from the memo: zero computes.
         from repro.harness import experiments
         result = experiments.run(

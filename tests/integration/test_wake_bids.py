@@ -21,8 +21,10 @@ command.  These tests pin the properties the bid must keep:
   snapshots per issued command; rescanning an unchanged controller
   state busts the snapshot budget.
 * **Cost per visit** — a visit steps only the side that is due
-  (controllers, or cores and LLC), and the controller's cached
-  mechanism wake equals a fresh ``next_wake`` at every bid.
+  (controllers, or cores and LLC), each tick or bid asks the scheduler
+  once, and the controller's cached mechanism wake equals a fresh
+  ``next_wake`` at every bid.
+* **Cost per run** — the LLC creates only the sets a run looks up.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import pytest
 
 from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueue
+from repro.controller.scheduler import FRFCFSScheduler
 from repro.core import registry
 from repro.core.replay import RecordingMechanism
 from repro.core.timing_policy import DefaultTiming
@@ -44,6 +47,7 @@ from repro.cpu.trace import TraceRecord
 from repro.dram.channel import Channel
 from repro.dram.organization import Organization
 from repro.dram.timing import NEVER, TimingParameters
+from repro.harness.runner import build_config
 from repro.workloads.synthetic import random_trace, zipf_trace
 
 from tests.conftest import tiny_config
@@ -230,15 +234,17 @@ def test_mixed_phase_hot_path_call_budget(monkeypatch):
     """Per-visit state is read from maintained fields, not recomputed.
 
     On the fixed mixed-phase run, the controller reads queue lengths
-    off ``RequestQueue.items`` and samples occupancy inline, the LLC
-    decodes miss addresses with ``AddressMapper.decode_into``'s
-    precomputed shifts, and a non-hit ACT reuses the channel's default
-    ``ReducedTimings``, so none of these helpers is called from Python
-    during the run.  The FR-FCFS snapshot computes its gates inline and
-    the engine reads the LLC's retry lists, so ``Channel.rank_gates``
-    and ``SharedCache.has_parked_requests`` are gone.  The counts are
-    exact: a refactor that puts one back on the hot path fails here
-    rather than in a timing run.
+    off ``RequestQueue.items``, the LLC decodes miss addresses with
+    ``AddressMapper.decode_into``'s precomputed shifts, and a non-hit
+    ACT reuses the channel's default ``ReducedTimings``, so none of
+    these helpers is called from Python during the run.  The FR-FCFS
+    snapshot computes its gates inline and the engine reads the LLC's
+    retry lists, so ``Channel.rank_gates`` and
+    ``SharedCache.has_parked_requests`` are gone; nothing read the
+    queues' occupancy samples or per-row counts, so
+    ``RequestQueue.sample_occupancy`` and ``_row_count`` are gone too.
+    The counts are exact: a refactor that puts one back on the hot path
+    fails here rather than in a timing run.
 
     The served queue is re-selected only after a queue length changed:
     at most once per push or removal (here 401 calls for 470 of them;
@@ -246,9 +252,10 @@ def test_mixed_phase_hot_path_call_budget(monkeypatch):
     """
     assert not hasattr(Channel, "rank_gates")
     assert not hasattr(SharedCache, "has_parked_requests")
+    assert not hasattr(RequestQueue, "sample_occupancy")
     system = _mixed_phase_event_system()
+    assert not hasattr(system.controllers[0].read_q, "_row_count")
     calls = _count_calls(monkeypatch, (RequestQueue, "__len__"),
-                         (RequestQueue, "sample_occupancy"),
                          (Organization, "decode"),
                          (TimingParameters, "default_timings"),
                          (MemoryController, "_select_queue"))
@@ -256,7 +263,6 @@ def test_mixed_phase_hot_path_call_budget(monkeypatch):
     assert system.llc.load_misses > 0
     selections = calls.pop("MemoryController._select_queue")
     assert calls == {"RequestQueue.__len__": 0,
-                     "RequestQueue.sample_occupancy": 0,
                      "Organization.decode": 0,
                      "TimingParameters.default_timings": 0}
     # Every push is removed by a RD/WR or still queued at the end.
@@ -266,6 +272,67 @@ def test_mixed_phase_hot_path_call_budget(monkeypatch):
                             for c in system.controllers)
     assert 0 < selections <= pushes + removals, (selections, pushes,
                                                  removals)
+
+
+def test_mixed_phase_scheduler_views_stay_on_the_path(monkeypatch):
+    """The controller asks the scheduler through ``choose`` and
+    ``next_ready_cycle``, once per tick or bid that reaches it.
+
+    Exact counts on the fixed mixed-phase run: of the 880 ticks, 741
+    reach the scheduler (the other 139 find both queues empty), and of
+    the 946 controller bids, 715 reach it (the others return first,
+    because a read completion or refresh already bids the next cycle,
+    or find both queues empty).  No tick or bid asks twice,
+    so every call has its own cycle, and the engine bids at most once
+    per visited cycle.  These are the names ``perfbench``'s tracer
+    wraps, so a refactor that bypasses them fails here.
+    """
+    cycles = {"choose": [], "next_ready_cycle": []}
+    for name, seen in cycles.items():
+        def record(self, queue, channel, cycle, blocked_ranks=(),
+                   _original=getattr(FRFCFSScheduler, name), _seen=seen):
+            _seen.append(cycle)
+            return _original(self, queue, channel, cycle, blocked_ranks)
+
+        monkeypatch.setattr(FRFCFSScheduler, name, record)
+    calls = _count_calls(monkeypatch, (MemoryController, "tick"),
+                         (MemoryController, "next_event_cycle"))
+    system, commands = _mixed_phase_event_run()
+    assert len(system.controllers) == 1
+    assert calls == {"MemoryController.tick": 880,
+                     "MemoryController.next_event_cycle": 946}
+    assert len(cycles["choose"]) == 741
+    assert len(cycles["next_ready_cycle"]) == 715
+    for seen in cycles.values():
+        assert len(set(seen)) == len(seen)
+    assert calls["MemoryController.next_event_cycle"] \
+        <= system.visited_cycles
+
+
+def test_paper_system_builds_no_llc_sets():
+    """LLC sets are created on first lookup: a freshly built paper
+    single-core system (4 MB LLC, 4,096 sets) holds none."""
+    system = System(build_config("single", "chargecache"), [iter(())])
+    assert system.llc.num_sets == 4096
+    assert len(system.llc.sets) == 0
+
+
+def test_mixed_phase_llc_holds_exactly_the_touched_sets(monkeypatch):
+    """After the fixed mixed-phase run, the LLC holds a set for exactly
+    the set indices the cores' loads and stores looked up (fills and
+    writebacks reuse them): 154 of its 256."""
+    touched = set()
+    for name in ("access_load", "access_store"):
+        def record(self, core_id, line_address, *args,
+                   _original=getattr(SharedCache, name), **kwargs):
+            touched.add(line_address % self.num_sets)
+            return _original(self, core_id, line_address, *args,
+                             **kwargs)
+
+        monkeypatch.setattr(SharedCache, name, record)
+    system, commands = _mixed_phase_event_run()
+    assert set(system.llc.sets) == touched
+    assert len(touched) == 154 < system.llc.num_sets
 
 
 def test_mixed_phase_visit_kind_budgets(monkeypatch):
