@@ -105,6 +105,10 @@ class MemoryController:
         self._wq_low = int(controller_config.write_low_watermark
                            * controller_config.write_queue_size)
         self._pending_pre: Set[Tuple[int, int]] = set()
+        #: A lower bound on ``next_pre`` over ``_pending_pre``'s banks
+        #: (a bank's ``next_pre`` never falls): ``_execute`` folds in
+        #: each bank it adds, a full walk of the set stores its minimum.
+        self._pre_gate = NEVER
         self._act_owner: Dict[Tuple[int, int], int] = {}
         #: Heap of ``(done_cycle, seq, request)`` read completions.
         #: Read-only outside the controller; the event engine peeks at
@@ -221,7 +225,7 @@ class MemoryController:
                 queue, self.channel, cycle, blocked)
             if decision is not None:
                 self._execute(decision, queue, cycle)
-            elif not (self._pending_pre
+            elif not (self._pending_pre and self._pre_gate <= cycle
                       and self._issue_pending_pre(cycle, blocked)):
                 return  # nothing issued this cycle
 
@@ -251,9 +255,9 @@ class MemoryController:
         tests/integration/test_scenario_matrix.py::TestMultiRankWakeBid
         and the scenario parity grid).
         """
-        nxt = NEVER
-        if self.read_events:
-            nxt = self.read_events[0][0]
+        events = self.read_events
+        nxt = events[0][0] if events else NEVER
+        soon = cycle + 1
 
         # Refresh: ranks whose REF is already due block normal
         # scheduling; wake when their refresh can make progress.
@@ -276,8 +280,8 @@ class MemoryController:
                     if t < nxt:
                         nxt = t
             blocked = due_ranks
-        if nxt <= cycle + 1:
-            return cycle + 1
+        if nxt <= soon:
+            return soon
 
         # Scheduled commands.  Only the queue :meth:`_select_queue`
         # picks matters: the selection is a pure function of queue
@@ -292,19 +296,23 @@ class MemoryController:
                                                 blocked)
             if t < nxt:
                 nxt = t
-            if nxt <= cycle + 1:
-                return cycle + 1
+            if nxt <= soon:
+                return soon
 
-        if self._pending_pre:
+        if self._pending_pre and self._pre_gate < nxt:
             # A PRE is gated only by its bank's next_pre and the bus.
-            gate = NEVER
-            banks = self.channel.ranks
+            gate = low = NEVER
+            ranks = self.channel.ranks
             for rank, bank in self._pending_pre:
+                bk = ranks[rank].banks[bank]
+                t = bk.next_pre
+                if t < low:
+                    low = t
                 if rank in blocked:
                     continue  # refresh handling owns this rank for now
-                bk = banks[rank].banks[bank]
-                if bk.open_row is not None and bk.next_pre < gate:
-                    gate = bk.next_pre
+                if bk.open_row is not None and t < gate:
+                    gate = t
+            self._pre_gate = low
             if gate < nxt:
                 t = max(gate, self.channel.next_cmd)
                 if t < nxt:
@@ -313,7 +321,7 @@ class MemoryController:
         t = self._mech_wake
         if t < nxt:
             nxt = t
-        return nxt if nxt > cycle else cycle + 1
+        return nxt if nxt > cycle else soon
 
     # ------------------------------------------------------------------
     # Refresh handling
@@ -417,9 +425,13 @@ class MemoryController:
         req.done_cycle = done
         queue.remove(req)
         self._served = _STALE
-        if self.row_policy.wants_precharge_after(req, self.read_q,
-                                                 self.write_q):
+        if self.row_policy.closes_rows and \
+                self.row_policy.wants_precharge_after(req, self.read_q,
+                                                      self.write_q):
             self._pending_pre.add((req.rank, req.bank))
+            t = self.channel.ranks[req.rank].banks[req.bank].next_pre
+            if t < self._pre_gate:
+                self._pre_gate = t
 
     def _issue_act(self, req: Request, cycle: int) -> None:
         mechanism = self._mechanism
@@ -450,21 +462,32 @@ class MemoryController:
             self.rltl_probe.on_precharge(self.index, rank, bank, row, cycle)
 
     def _issue_pending_pre(self, cycle: int, blocked: Sequence[int]) -> bool:
-        """Issue one policy-requested PRE if legal; True when issued."""
+        """Issue the set's first legal policy PRE (True if issued), and
+        drop the unblocked closed banks met on the way."""
         ranks = self.channel.ranks
         bus_free = self.channel.next_cmd <= cycle
-        for rank, bank in list(self._pending_pre):
-            if rank in blocked:
-                continue
+        closed, issue, low = [], None, NEVER
+        for key in self._pending_pre:
+            rank, bank = key
             bank_state = ranks[rank].banks[bank]
-            if bank_state.open_row is None:
-                self._pending_pre.discard((rank, bank))
-                continue
-            # Channel.earliest(PRE): the bank's next_pre and the bus.
-            if bus_free and bank_state.next_pre <= cycle:
-                self._issue_pre(rank, bank, cycle)
-                return True
-        return False
+            if rank not in blocked:
+                if bank_state.open_row is None:
+                    closed.append(key)
+                    continue
+                # Channel.earliest(PRE): the bank's next_pre and the bus.
+                if bus_free and bank_state.next_pre <= cycle:
+                    issue = key
+                    break
+            if bank_state.next_pre < low:
+                low = bank_state.next_pre
+        for key in closed:
+            # One by one: difference_update may resize (reorder) the set.
+            self._pending_pre.discard(key)
+        if issue is None:
+            self._pre_gate = low
+            return False
+        self._issue_pre(issue[0], issue[1], cycle)
+        return True
 
     # ------------------------------------------------------------------
     # Introspection / statistics

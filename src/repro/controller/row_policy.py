@@ -18,6 +18,7 @@ class RowPolicy:
     """Decides whether to precharge after servicing a column command."""
 
     name = "abstract"
+    closes_rows = True   # False: never asked, as it never precharges
 
     def wants_precharge_after(self, request, read_queue, write_queue) -> bool:
         raise NotImplementedError
@@ -27,6 +28,7 @@ class OpenRowPolicy(RowPolicy):
     """Leave rows open; precharge only on demand (conflicts)."""
 
     name = "open"
+    closes_rows = False
 
     def wants_precharge_after(self, request, read_queue, write_queue) -> bool:
         return False
@@ -43,11 +45,14 @@ class ClosedRowPolicy(RowPolicy):
     name = "closed"
 
     def wants_precharge_after(self, request, read_queue, write_queue) -> bool:
-        rank, bank, row = request.rank, request.bank, request.row
-        if read_queue.requests_for_row(rank, bank, row):
-            return False
-        if write_queue.requests_for_row(rank, bank, row):
-            return False
+        key = (request.rank, request.bank)
+        row = request.row
+        for _, queued in read_queue.by_bank.get(key, ()):
+            if queued.row == row:
+                return False
+        for _, queued in write_queue.by_bank.get(key, ()):
+            if queued.row == row:
+                return False
         return True
 
 

@@ -27,18 +27,6 @@ from typing import Callable, DefaultDict, Dict, List, Tuple
 from repro.controller.request import Request, RequestType
 
 
-class MSHREntry:
-    """Outstanding fill for one line, with merged waiters."""
-
-    __slots__ = ("line_address", "waiters", "sent")
-
-    def __init__(self, line_address: int):
-        self.line_address = line_address
-        #: (core_id, token, notify) triples waiting for the fill.
-        self.waiters: List[Tuple[int, int, Callable[[int, int], None]]] = []
-        self.sent = False
-
-
 class SharedCache:
     """Shared LLC in front of the memory controllers."""
 
@@ -69,7 +57,8 @@ class SharedCache:
         #: order, holding only the sets looked up so far; read-only
         #: outside the cache.
         self.sets: DefaultDict[int, OrderedDict] = defaultdict(OrderedDict)
-        self._mshrs: Dict[int, MSHREntry] = {}
+        #: MSHRs: line -> the (core_id, token, notify) loads awaiting it.
+        self._mshrs: Dict[int, List[Tuple[int, int, Callable]]] = {}
         #: Parked requests the controllers refused, retried every
         #: memory cycle by :meth:`tick`.  Read-only outside the cache.
         #: While either list is non-empty the event engine must visit
@@ -88,14 +77,8 @@ class SharedCache:
         self.mshr_merges = 0
 
     # ------------------------------------------------------------------
-
-    def _locate(self, line_address: int) -> Tuple[OrderedDict, int]:
-        set_idx = line_address % self.num_sets
-        tag = line_address // self.num_sets
-        return self.sets[set_idx], tag
-
-    # ------------------------------------------------------------------
-    # Core-facing accesses
+    # Core-facing accesses (each computes its line's set and tag:
+    # ``line % num_sets`` and ``line // num_sets``)
     # ------------------------------------------------------------------
 
     def access_load(self, core_id: int, line_address: int,
@@ -105,30 +88,32 @@ class SharedCache:
 
         ``notify(core_id, token)`` fires when data is available.
         """
-        lru, tag = self._locate(line_address)
+        lru = self.sets[line_address % self.num_sets]
+        tag = line_address // self.num_sets
         if tag in lru:
             lru.move_to_end(tag)
             self.load_hits += 1
             self.hit_notify(core_id, token, self.config.hit_latency_cycles)
             return True
         self.load_misses += 1
-        mshr = self._mshrs.get(line_address)
-        if mshr is not None:
-            mshr.waiters.append((core_id, token, notify))
+        waiters = self._mshrs.get(line_address)
+        if waiters is not None:
+            waiters.append((core_id, token, notify))
             self.mshr_merges += 1
             return True
-        mshr = MSHREntry(line_address)
-        mshr.waiters.append((core_id, token, notify))
-        self._mshrs[line_address] = mshr
+        self._mshrs[line_address] = [(core_id, token, notify)]
         request = Request(line_address, RequestType.READ, core_id,
                           callback=self._fill)
         self.mapper.decode_into(request)
-        self._send_read(request, mshr)
+        if not self.controllers[request.channel].enqueue_read(
+                request, self.mem_cycle()):
+            self.retry_reads.append(request)
         return True
 
     def access_store(self, core_id: int, line_address: int) -> bool:
         """Handle a store; returns False if the write must be retried."""
-        lru, tag = self._locate(line_address)
+        lru = self.sets[line_address % self.num_sets]
+        tag = line_address // self.num_sets
         if tag in lru:
             lru.move_to_end(tag)
             lru[tag] = True  # dirty
@@ -145,23 +130,21 @@ class SharedCache:
 
     def _fill(self, request: Request) -> None:
         """Controller read completion: install line, wake waiters."""
-        mshr = self._mshrs.pop(request.line_address, None)
-        if mshr is None:
+        line_address = request.line_address
+        waiters = self._mshrs.pop(line_address, None)
+        if waiters is None:
             return  # e.g. a probe request not tracked by an MSHR
-        lru, tag = self._locate(request.line_address)
+        lru = self.sets[line_address % self.num_sets]
+        tag = line_address // self.num_sets
         if tag not in lru:
-            self._install(request.line_address, lru, tag,
-                          request.core_id)
-        for core_id, token, notify in mshr.waiters:
+            if len(lru) >= self.assoc:
+                victim_tag, dirty = lru.popitem(last=False)
+                if dirty:
+                    self._writeback(line_address, victim_tag,
+                                    request.core_id)
+            lru[tag] = False
+        for core_id, token, notify in waiters:
             notify(core_id, token)
-
-    def _install(self, line_address: int, lru: OrderedDict,
-                 tag: int, core_id: int) -> None:
-        if len(lru) >= self.assoc:
-            victim_tag, dirty = lru.popitem(last=False)
-            if dirty:
-                self._writeback(line_address, victim_tag, core_id)
-        lru[tag] = False
 
     def _writeback(self, incoming_line: int, victim_tag: int,
                    core_id: int) -> None:
@@ -184,13 +167,6 @@ class SharedCache:
     # Controller interfacing with retry
     # ------------------------------------------------------------------
 
-    def _send_read(self, request: Request, mshr: MSHREntry) -> None:
-        controller = self.controllers[request.channel]
-        if controller.enqueue_read(request, self.mem_cycle()):
-            mshr.sent = True
-        else:
-            self.retry_reads.append(request)
-
     #: Back-pressure bound on parked (retry) writes from store misses.
     MAX_PARKED_WRITES = 32
 
@@ -212,16 +188,13 @@ class SharedCache:
         return False
 
     def tick(self) -> None:
-        """Retry parked requests (called once per memory cycle)."""
+        """Retry parked requests (called on each visited cycle that
+        finds some)."""
         if self.retry_reads:
             still_waiting = []
             for request in self.retry_reads:
                 controller = self.controllers[request.channel]
-                if controller.enqueue_read(request, self.mem_cycle()):
-                    mshr = self._mshrs.get(request.line_address)
-                    if mshr is not None:
-                        mshr.sent = True
-                else:
+                if not controller.enqueue_read(request, self.mem_cycle()):
                     still_waiting.append(request)
             self.retry_reads = still_waiting
         if self.retry_writes:
@@ -241,8 +214,8 @@ class SharedCache:
         return len(self._mshrs)
 
     def contains(self, line_address: int) -> bool:
-        lru, tag = self._locate(line_address)
-        return tag in lru
+        return line_address // self.num_sets \
+            in self.sets[line_address % self.num_sets]
 
     def hit_rate(self) -> float:
         accesses = (self.load_hits + self.load_misses

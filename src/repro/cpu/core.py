@@ -81,8 +81,6 @@ class Core:
         self._next_token = 0
         self.mshr_used = 0
         # Statistics.
-        self.loads_issued = 0
-        self.stores_issued = 0
         self.stall_cycles = 0
         self.finished = False
         self.finish_cycle: Optional[int] = None
@@ -146,7 +144,7 @@ class Core:
 
         The bound is exact for uninterrupted bubble stretches - it is
         derived from the same closed-form slot arithmetic
-        :meth:`_dispatch_bubbles` uses - and conservative (early)
+        :meth:`run_until` dispatches with - and conservative (early)
         otherwise, which preserves dense-engine equivalence: waking at
         a cycle where nothing happens is exactly what the dense engine
         does every cycle.
@@ -193,102 +191,89 @@ class Core:
     # ------------------------------------------------------------------
 
     def run_until(self, target_cycle: int) -> None:
-        """Advance the core to ``target_cycle`` CPU cycles."""
-        while self.now < target_cycle:
-            if self.block_reason != BLOCK_NONE:
-                self.stall_cycles += target_cycle - self.now
-                self.now = target_cycle
-                return
-            if self._bubbles_left:
-                self._dispatch_bubbles(target_cycle)
-                continue
-            if self._pending is not None:
-                if not self._dispatch_access(self._pending):
-                    self.stall_cycles += target_cycle - self.now
-                    self.now = target_cycle
-                    return
-                self._pending = None
-                continue
-            record = next(self.trace, None)
+        """Advance the core to ``target_cycle`` CPU cycles: per trace
+        record, dispatch as many of its bubbles as width, window and
+        time allow (in closed form), then its access; a stall idles."""
+        width = self.issue_width
+        inflight = self._inflight
+        while self.now < target_cycle and not self.block_reason:
+            record = self._pending
             if record is None:
-                raise RuntimeError(
-                    f"core {self.core_id}: trace exhausted after "
-                    f"{self.dispatched} instructions; use an infinite "
-                    "or looped trace")
-            if record.bubbles:
-                self._bubbles_left = record.bubbles
-            self._pending = record
-
-    def _dispatch_bubbles(self, target_cycle: int) -> None:
-        """Dispatch as many bubbles as width/window/time allow."""
-        budget_cycles = target_cycle - self.now
-        slots = budget_cycles * self.issue_width - self._slot
-        count = min(self._bubbles_left, slots)
-        inflight = self._inflight
-        if inflight:
-            room = self.window_size - (self.dispatched - self.retired)
-            if room <= 0:
-                self.block_reason = BLOCK_WINDOW
-                return
-            count = min(count, room)
-        if count <= 0:
-            # Can't fit another instruction this quantum; consume time.
-            self.stall_cycles += budget_cycles
+                record = next(self.trace, None)
+                if record is None:
+                    raise RuntimeError(
+                        f"core {self.core_id}: trace exhausted after "
+                        f"{self.dispatched} instructions; use an infinite "
+                        "or looped trace")
+                self._pending = record
+                self._bubbles_left = record[0]
+            count = self._bubbles_left
+            if count:
+                if inflight:
+                    room = self.window_size - (self.dispatched - self.retired)
+                    if room <= 0:
+                        self.block_reason = BLOCK_WINDOW
+                        break
+                    if room < count:
+                        count = room
+                # >= 1, as now < target_cycle and _slot < issue_width.
+                slots = (target_cycle - self.now) * width - self._slot
+                if slots < count:
+                    count = slots
+                self._bubbles_left -= count
+                self.dispatched += count
+                if not inflight:
+                    self.retired = self.dispatched
+                slot = self._slot + count
+                self.now += slot // width
+                self._slot = slot % width
+                if not self.finished and self.retired \
+                        - self._stats_start_retired >= self.instruction_limit:
+                    self.finished = True
+                    self.finish_cycle = self.now
+                if self._bubbles_left or self.now >= target_cycle:
+                    continue   # out of room or time: the loop test decides
+            _, line_address, is_write, dependent = record
+            if inflight:
+                if dependent:
+                    self.block_reason = BLOCK_DEP
+                    break
+                if self.dispatched - self.retired >= self.window_size:
+                    self.block_reason = BLOCK_WINDOW
+                    break
+            if not is_write and self.mshr_used >= self.mshrs:
+                self.block_reason = BLOCK_MSHR
+                break
+            token = self._next_token
+            if not self.issue(self.core_id, line_address, is_write, token):
+                self.block_reason = BLOCK_REJECT
+                break
+            self._pending = None
+            self.dispatched += 1
+            slot = self._slot + 1
+            if slot >= width:
+                slot = 0
+                self.now += 1
+            self._slot = slot
+            if is_write:
+                if not inflight:
+                    self.retired = self.dispatched
+            else:
+                # The barrier stays put: it was already at this load's
+                # index when nothing was in flight.
+                self._next_token = token + 1
+                entry = [self.dispatched - 1, False]
+                inflight.append(entry)
+                self._by_token[token] = entry
+                self.mshr_used += 1
+            if not self.finished and self.retired \
+                    - self._stats_start_retired >= self.instruction_limit:
+                self.finished = True
+                self.finish_cycle = self.now
+        if self.now < target_cycle:
+            # Blocked: only time passes.
+            self.stall_cycles += target_cycle - self.now
             self.now = target_cycle
-            self._slot = 0
-            return
-        self._bubbles_left -= count
-        self.dispatched += count
-        if not inflight:
-            self.retired = self.dispatched
-        total_slots = self._slot + count
-        self.now += total_slots // self.issue_width
-        self._slot = total_slots % self.issue_width
-        if not self.finished and self.retired - self._stats_start_retired \
-                >= self.instruction_limit:
-            self.finished = True
-            self.finish_cycle = self.now
-
-    def _dispatch_access(self, record: TraceRecord) -> bool:
-        """Dispatch one load/store; returns False when stalled."""
-        inflight = self._inflight
-        if record.dependent and inflight:
-            self.block_reason = BLOCK_DEP
-            return False
-        if inflight and self.dispatched - self.retired >= self.window_size:
-            self.block_reason = BLOCK_WINDOW
-            return False
-        if not record.is_write and self.mshr_used >= self.mshrs:
-            self.block_reason = BLOCK_MSHR
-            return False
-        token = self._next_token
-        if not self.issue(self.core_id, record.line_address,
-                          record.is_write, token):
-            self.block_reason = BLOCK_REJECT
-            return False
-        self.dispatched += 1
-        self._slot += 1
-        if self._slot >= self.issue_width:
-            self._slot = 0
-            self.now += 1
-        if record.is_write:
-            self.stores_issued += 1
-            if not inflight:
-                self.retired = self.dispatched
-        else:
-            # The barrier stays put: it was already at this load's
-            # index when nothing was in flight.
-            self._next_token += 1
-            entry = [self.dispatched - 1, False]
-            inflight.append(entry)
-            self._by_token[token] = entry
-            self.mshr_used += 1
-            self.loads_issued += 1
-        if not self.finished and self.retired - self._stats_start_retired \
-                >= self.instruction_limit:
-            self.finished = True
-            self.finish_cycle = self.now
-        return True
 
     # ------------------------------------------------------------------
     # Statistics
@@ -298,8 +283,6 @@ class Core:
         """Restart IPC accounting at ``cycle`` (end of warmup)."""
         self.stats_start_cycle = cycle
         self._stats_start_retired = self.retired
-        self.loads_issued = 0
-        self.stores_issued = 0
         self.stall_cycles = 0
         self.finished = False
         self.finish_cycle = None

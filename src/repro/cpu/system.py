@@ -38,7 +38,7 @@ from repro.controller.address_mapping import AddressMapper
 from repro.controller.controller import MemoryController
 from repro.core import registry
 from repro.cpu.cache import SharedCache
-from repro.cpu.core import BLOCK_NONE, BLOCK_REJECT, Core
+from repro.cpu.core import BLOCK_REJECT, Core
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.dram.refresh import RefreshScheduler
@@ -200,6 +200,10 @@ class System:
                 self.rltl_probe.refresh_schedulers[ch] = refresh
 
         self.mem_cycle = 0
+        #: The last ``_step``'s core bids (see ``_external_bid``), its
+        #: cycle, and the CPU time its cores started from.
+        self._core_bid, self._bid_from, self._stepped = NEVER, 0, 0
+        self._cpu_prev = 0
         self._events: List = []  # (cpu_time, seq, core_id, token)
         self._event_seq = 0
         self._warmed = config.warmup_cpu_cycles == 0
@@ -227,10 +231,13 @@ class System:
         if is_write:
             return self.llc.access_store(core_id, line_address)
         return self.llc.access_load(core_id, line_address, token,
-                                    notify=self._load_done)
+                                    self._load_done)
 
     def _load_done(self, core_id: int, token: int) -> None:
-        self.cores[core_id].on_load_complete(token)
+        core = self.cores[core_id]
+        if core.now < self._cpu_prev:
+            self._catch_up((core,), self._cpu_prev)
+        core.on_load_complete(token)
 
     def _schedule_hit(self, core_id: int, token: int, delay: int) -> None:
         cpu_time = self.mem_cycle * self.ratio + delay
@@ -360,64 +367,95 @@ class System:
             telemetry["collapsed"] = len(configs) - full_runs
         return results
 
-    def _step(self, mem: int,
-              controllers: Sequence[MemoryController]) -> bool:
+    def _step(self, mem: int, controllers: Sequence[MemoryController],
+              bid: bool = False) -> bool:
         """The per-bus-cycle body shared by both engines.
 
         Delivers due CPU-side events, ticks ``controllers`` (all of
         them, or none on a visit where no controller is due) and the
-        LLC, lets every core catch up to CPU time, and handles the
-        warmup boundary.  Returns True when every core is finished.
+        LLC, lets every core catch up to CPU time (asking it for its
+        bid with ``bid``), and handles the warmup boundary.  Returns
+        True when every core is finished.
         """
-        cpu_now = mem * self.ratio
-        cpu_prev = cpu_now - self.ratio
+        ratio = self.ratio
+        cpu_now = mem * ratio
         events = self._events
         cores = self.cores
-        idle_finished = self.config.idle_finished_cores
         warmed = self._warmed
-        for core in cores:
-            # Catch skipped cores up to the previous cycle's CPU time
-            # first: in the dense engine a blocked core still consumes
-            # wall-clock every cycle, so time skipped while stalled
-            # must not be handed back as dispatch budget once a
-            # completion unblocks it.  The wake-up bounds guarantee no
-            # core can issue a memory access before ``cpu_prev``, so
-            # this advance is side-effect-free (dense mode: no-op,
-            # ``now`` is already at ``cpu_prev``).
-            if core.now < cpu_prev and \
-                    not (idle_finished and warmed and core.finished):
-                if core.block_reason:
-                    # What run_until does for a blocked core, inline.
-                    core.stall_cycles += cpu_prev - core.now
-                    core.now = cpu_prev
-                else:
-                    core.run_until(cpu_prev)
+        idles = self.config.idle_finished_cores and warmed
+        self._cpu_prev = cpu_prev = cpu_now - ratio
+        if self._stepped < mem - 1:
+            # After skipped cycles, run the runnable cores up to the
+            # previous cycle's CPU time first, where the dense engine has
+            # them when this visit's completions arrive (the wake-up
+            # bounds guarantee the advance issues nothing).  A core
+            # blocked on a load catches up only when its completion
+            # arrives (_load_done): in the dense engine it consumes
+            # wall-clock every cycle, so the time skipped while stalled
+            # must not be handed back as dispatch budget.
+            for core in cores:
+                if core.now < cpu_prev and not (idles and core.finished):
+                    reason = core.block_reason
+                    if not reason:
+                        core.run_until(cpu_prev)
+                    elif reason == BLOCK_REJECT:
+                        self._catch_up((core,), cpu_prev)
+        self._stepped = mem
         while events and events[0][0] <= cpu_now:
             _, _, core_id, token = heapq.heappop(events)
-            cores[core_id].on_load_complete(token)
+            self._load_done(core_id, token)
         for controller in controllers:
             controller.tick(mem)
-        self.llc.tick()
-        all_finished = True
+        llc = self.llc
+        if llc.retry_reads or llc.retry_writes:
+            llc.tick()
+        crossing = not warmed and cpu_now >= self.config.warmup_cpu_cycles
+        # Core bids in _external_bid's order; none on the warmup visit
+        # (the reset changes them) or with parked requests (unread).
+        asking = bid and not crossing \
+            and not (llc.retry_reads or llc.retry_writes)
+        core_bid, all_finished = NEVER, True
+        bid_from = len(cores) if asking else 0
         for core in cores:
-            if idle_finished and warmed and core.finished:
+            if idles and core.finished:
                 continue
             reason = core.block_reason
-            if reason == BLOCK_REJECT:
+            if reason and reason != BLOCK_REJECT:
+                # Blocked on a load: no bid, and _load_done catches up.
+                if all_finished and not core.finished:
+                    all_finished = False
+                continue
+            if reason:
                 core.retry_rejected()
-                core.run_until(cpu_now)
-            elif not reason:
-                core.run_until(cpu_now)
-            elif core.now < cpu_now:
-                # Blocked on a load: only time passes (run_until, inline).
-                core.stall_cycles += cpu_now - core.now
-                core.now = cpu_now
+            core.run_until(cpu_now)
             if not core.finished:
                 all_finished = False
-        if not warmed and cpu_now >= self.config.warmup_cpu_cycles:
+            elif idles:
+                continue            # it idles from now on: no bid
+            reason = core.block_reason
+            if not asking or (reason and reason != BLOCK_REJECT):
+                continue
+            if warmed and all_finished:
+                # If the rest finish too the run ends unasked: leave
+                # this core and the rest to _external_bid.
+                asking = False
+                bid_from = core.core_id
+                continue
+            c = core.next_event_cpu_cycle()
+            # Step the core at the first bus cycle past CPU cycle c.
+            if c is not None and c // ratio + 1 < core_bid:
+                core_bid = c // ratio + 1
+                if core_bid <= mem + 1:
+                    asking = False
+                    bid_from = core.core_id + 1
+        if crossing:
+            self._catch_up(cores, cpu_now)
             self._warmed = True
             self._reset_stats(cpu_now, mem)
             all_finished = False
+        if bid:
+            self._core_bid = core_bid
+            self._bid_from = bid_from
         return all_finished
 
     def _run_dense(self, max_mem_cycles: Optional[int]) -> RunResult:
@@ -510,7 +548,7 @@ class System:
                 target, ticked = max_mem_cycles, controllers
             self.mem_cycle = target
             self.visited_cycles += 1
-            all_finished = self._step(target, ticked)
+            all_finished = self._step(target, ticked, target < stop)
             external = -1
             if self._warmed and all_finished:
                 break
@@ -525,43 +563,49 @@ class System:
         warmup boundary, or a core's next memory access or
         instruction-limit crossing (``NEVER`` when none is pending).
 
-        It stays valid across controller-only visits, which change none
-        of its inputs.  Cores blocked on a load bid nothing (the read
-        completion that unblocks them is a controller event), so their
-        bid is not asked for.
+        Cores are asked in index order until one bids the next cycle
+        (unless the hit heap or warmup already does); ``_step`` asked
+        those before ``_bid_from`` (minimum ``_core_bid``).  Cores
+        blocked on a load bid nothing (a controller event unblocks
+        them).  The bid stays valid across controller-only visits,
+        which change none of its inputs.
         """
-        cycle = self.mem_cycle
-        soon = cycle + 1
+        soon = self.mem_cycle + 1
         ratio = self.ratio
         nxt = NEVER
         if self._events:
             # Delivered at the first bus cycle with mem*ratio >= stamp.
-            w = -(-self._events[0][0] // ratio)
-            if w < nxt:
-                nxt = w
+            nxt = -(-self._events[0][0] // ratio)
         warmed = self._warmed
         if not warmed:
-            w = -(-self.config.warmup_cpu_cycles // ratio)
-            if w < nxt:
-                nxt = w
-        idle_finished = self.config.idle_finished_cores and warmed
-        for core in self.cores:
-            reason = core.block_reason
-            if reason != BLOCK_NONE and reason != BLOCK_REJECT:
-                continue
-            if idle_finished and core.finished:
-                continue
-            c = core.next_event_cpu_cycle()
-            if c is None:
-                continue
-            # The core must be stepped at the first bus cycle whose CPU
-            # time strictly exceeds c.
-            w = c // ratio + 1
-            if w < nxt:
-                nxt = w
-                if nxt <= soon:
-                    return soon
+            nxt = min(nxt, -(-self.config.warmup_cpu_cycles // ratio))
+        core_bid = self._core_bid
+        walk = self._bid_from < len(self.cores) \
+            and (core_bid > soon or nxt <= soon)
+        if core_bid < nxt:
+            nxt = core_bid
+        if walk:
+            idles = self.config.idle_finished_cores and warmed
+            for core in self.cores[self._bid_from:]:
+                reason = core.block_reason
+                if (reason and reason != BLOCK_REJECT) \
+                        or (idles and core.finished):
+                    continue
+                c = core.next_event_cpu_cycle()
+                if c is not None and c // ratio + 1 < nxt:
+                    nxt = c // ratio + 1
+                    if nxt <= soon:
+                        return soon
         return nxt if nxt > soon else soon
+
+    def _catch_up(self, cores: Sequence[Core], cpu: int) -> None:
+        """Advance ``cores`` that ``_step`` left behind (blocked on a
+        load) to CPU cycle ``cpu``, before anything reads their clock."""
+        idles = self.config.idle_finished_cores and self._warmed
+        for core in cores:
+            if core.now < cpu and not (idles and core.finished):
+                core.stall_cycles += cpu - core.now
+                core.now = cpu
 
     def _reset_stats(self, cpu_now: int, mem: int) -> None:
         for controller in self.controllers:
@@ -577,6 +621,7 @@ class System:
     # ------------------------------------------------------------------
 
     def _collect(self, truncated: bool) -> RunResult:
+        self._catch_up(self.cores, self.mem_cycle * self.ratio)
         start_mem = getattr(self, "_warmup_end_mem", 0)
         start_cpu = getattr(self, "_warmup_end_cpu", 0)
         mem_cycles = self.mem_cycle - start_mem

@@ -40,8 +40,7 @@ class Bank:
     """
 
     __slots__ = ("timing", "open_row", "next_act", "next_pre", "next_rd",
-                 "next_wr", "act_cycle", "act_reduced", "open_cycles",
-                 "num_acts", "num_reduced_acts", "last_open_at")
+                 "next_wr", "act_reduced", "open_cycles", "last_open_at")
 
     def __init__(self, timing: TimingParameters):
         self.timing = timing
@@ -51,13 +50,10 @@ class Bank:
         self.next_rd = 0
         self.next_wr = 0
         # Bookkeeping for the last activation.
-        self.act_cycle = -1
         self.act_reduced = False
         self.last_open_at = 0
-        # Statistics.
+        # Bank-open time, for the energy model.
         self.open_cycles = 0
-        self.num_acts = 0
-        self.num_reduced_acts = 0
 
     # ------------------------------------------------------------------
 
@@ -102,16 +98,12 @@ class Bank:
             raise RuntimeError(
                 f"ACT at {cycle} violates tRP/tRFC (earliest {self.next_act})")
         self.open_row = row
-        self.act_cycle = cycle
         self.last_open_at = cycle
         self.act_reduced = (timings.trcd < self.timing.tRCD
                             or timings.tras < self.timing.tRAS)
         self.next_rd = cycle + timings.trcd
         self.next_wr = cycle + timings.trcd
         self.next_pre = max(self.next_pre, cycle + timings.tras)
-        self.num_acts += 1
-        if self.act_reduced:
-            self.num_reduced_acts += 1
 
     def do_read(self, cycle: int) -> None:
         if self.open_row is None:

@@ -28,9 +28,7 @@ class Channel:
     __slots__ = ("timing", "index", "ranks", "next_cmd",
                  "next_rd", "next_wr", "last_col_rank", "_default_act",
                  "_rd_to_wr", "_wr_to_rd", "_rd_done", "_wr_done",
-                 "num_acts", "num_pres", "num_rds", "num_wrs", "num_refs",
-                 "num_reduced_acts", "command_log", "log_commands",
-                 "data_bus_busy_cycles")
+                 "command_log", "log_commands")
 
     def __init__(self, timing: TimingParameters, num_ranks: int,
                  num_banks: int, index: int = 0,
@@ -54,14 +52,6 @@ class Channel:
         self._wr_to_rd = timing.write_to_read
         self._rd_done = timing.read_latency
         self._wr_done = timing.tCWL + timing.tBL
-        # Statistics.
-        self.num_acts = 0
-        self.num_pres = 0
-        self.num_rds = 0
-        self.num_wrs = 0
-        self.num_refs = 0
-        self.num_reduced_acts = 0
-        self.data_bus_busy_cycles = 0
         self.log_commands = log_commands
         self.command_log: List[IssuedCommand] = []
 
@@ -140,9 +130,6 @@ class Channel:
         rk.banks[bank].do_activate(row, cycle, timings)
         rk.record_act(cycle)
         rk.note_bank_opened(cycle)
-        self.num_acts += 1
-        if rk.banks[bank].act_reduced:
-            self.num_reduced_acts += 1
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.ACT, cycle, self.index, rank, bank, row,
@@ -153,7 +140,6 @@ class Channel:
         self._claim_cmd_bus(cycle)
         row = self.ranks[rank].banks[bank].do_precharge(cycle)
         self.ranks[rank].note_bank_closed(cycle)
-        self.num_pres += 1
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.PRE, cycle, self.index, rank, bank, row))
@@ -171,8 +157,6 @@ class Channel:
         if gate > self.next_wr:
             self.next_wr = gate
         self.last_col_rank = rank
-        self.num_rds += 1
-        self.data_bus_busy_cycles += t.tBL
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.RD, cycle, self.index, rank, bank))
@@ -190,8 +174,6 @@ class Channel:
         if gate > self.next_rd:
             self.next_rd = gate
         self.last_col_rank = rank
-        self.num_wrs += 1
-        self.data_bus_busy_cycles += t.tBL
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.WR, cycle, self.index, rank, bank))
@@ -200,7 +182,6 @@ class Channel:
     def issue_refresh(self, rank: int, cycle: int) -> None:
         self._claim_cmd_bus(cycle)
         self.ranks[rank].do_refresh(cycle)
-        self.num_refs += 1
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.REF, cycle, self.index, rank))

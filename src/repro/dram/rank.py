@@ -24,7 +24,7 @@ class Rank:
     """
 
     __slots__ = ("timing", "banks", "next_act", "_act_history",
-                 "num_refreshes", "refresh_busy_until", "act_gate",
+                 "refresh_busy_until", "act_gate",
                  "open_banks", "any_open_since", "any_open_cycles")
 
     def __init__(self, timing: TimingParameters, num_banks: int):
@@ -33,7 +33,6 @@ class Rank:
         self.next_act = 0
         # Cycles of the last four ACTs (ring buffer for tFAW).
         self._act_history: List[int] = []
-        self.num_refreshes = 0
         self.refresh_busy_until = 0
         #: Rank-level earliest ACT cycle: ``max(next_act, 4th-last ACT +
         #: tFAW, refresh_busy_until)``.  A maintained field, read-only
@@ -102,7 +101,6 @@ class Rank:
         self._update_act_gate()
         for bank in self.banks:
             bank.do_refresh_block(done)
-        self.num_refreshes += 1
 
     # ------------------------------------------------------------------
     # Active-standby accounting (energy model input)

@@ -50,10 +50,13 @@ class TestActivation:
             bank.do_activate(2, DDR3_1600.tRAS + 1,
                              DDR3_1600.default_timings())
 
-    def test_act_counts(self, bank):
+    def test_act_reduced_marks_the_last_activation(self, bank):
         bank.do_activate(1, 0, DDR3_1600.reduced_by(4, 8))
-        assert bank.num_acts == 1
-        assert bank.num_reduced_acts == 1
+        assert bank.act_reduced
+        bank.do_precharge(DDR3_1600.tRAS)
+        bank.do_activate(2, DDR3_1600.tRAS + DDR3_1600.tRP,
+                         DDR3_1600.default_timings())
+        assert not bank.act_reduced
 
 
 class TestColumnCommands:

@@ -66,10 +66,10 @@ class TestRefresh:
         rank.note_bank_closed(DDR3_1600.tRAS)
         assert rank.earliest_refresh() == DDR3_1600.tRAS + DDR3_1600.tRP
 
-    def test_refresh_counter(self, rank):
+    def test_each_refresh_moves_the_act_gate(self, rank):
         rank.do_refresh(0)
         rank.do_refresh(DDR3_1600.tREFI)
-        assert rank.num_refreshes == 2
+        assert rank.earliest_act() == DDR3_1600.tREFI + DDR3_1600.tRFC
 
 
 class TestActiveStandbyAccounting:

@@ -102,9 +102,9 @@ def test_eight_core_truncated_on_controller_only_cycle(monkeypatch):
     stepped, ticked = set(), set()
     step, tick = System._step, MemoryController.tick
 
-    def recording_step(self, mem, controllers):
+    def recording_step(self, mem, controllers, *args):
         stepped.add(mem)
-        return step(self, mem, controllers)
+        return step(self, mem, controllers, *args)
 
     def recording_tick(self, cycle):
         ticked.add(cycle)

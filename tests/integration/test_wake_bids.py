@@ -22,8 +22,10 @@ command.  These tests pin the properties the bid must keep:
   state busts the snapshot budget.
 * **Cost per visit** — a visit steps only the side that is due
   (controllers, or cores and LLC), each tick or bid asks the scheduler
-  once, and the controller's cached mechanism wake equals a fresh
-  ``next_wake`` at every bid.
+  once, the controller's cached mechanism wake equals a fresh
+  ``next_wake`` at every bid, the core bids ``_step`` takes are the
+  ones an after-the-step walk would take, the LLC is ticked only with
+  parked requests, and an open-row channel never asks its row policy.
 * **Cost per run** — the LLC creates only the sets a run looks up.
 """
 
@@ -36,6 +38,7 @@ import pytest
 
 from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueue
+from repro.controller.row_policy import OpenRowPolicy
 from repro.controller.scheduler import FRFCFSScheduler
 from repro.core import registry
 from repro.core.replay import RecordingMechanism
@@ -149,9 +152,8 @@ def test_mixed_phase_earliest_call_budget(monkeypatch):
     system = System(replace(cfg, engine="event"),
                     [iter(_mixed_phase_trace(org))])
     system.run(max_mem_cycles=600_000)
-    channels = [controller.channel for controller in system.controllers]
-    commands = sum(ch.num_acts + ch.num_pres + ch.num_rds + ch.num_wrs
-                   + ch.num_refs for ch in channels)
+    commands = sum(controller._issue_count
+                   for controller in system.controllers)
     assert commands > 0
     per_command = calls / commands
     assert per_command <= 10.0, (
@@ -174,9 +176,9 @@ def _mixed_phase_event_run(mechanism: str = "chargecache", system=None):
     if system is None:
         system = _mixed_phase_event_system(mechanism)
     system.run(max_mem_cycles=600_000)
-    channels = [controller.channel for controller in system.controllers]
-    commands = sum(ch.num_acts + ch.num_pres + ch.num_rds + ch.num_wrs
-                   + ch.num_refs for ch in channels)
+    # One command per issuing tick: refresh, scheduled or pending PRE.
+    commands = sum(controller._issue_count
+                   for controller in system.controllers)
     assert commands > 0
     return system, commands
 
@@ -258,16 +260,16 @@ def test_mixed_phase_hot_path_call_budget(monkeypatch):
     calls = _count_calls(monkeypatch, (RequestQueue, "__len__"),
                          (Organization, "decode"),
                          (TimingParameters, "default_timings"),
-                         (MemoryController, "_select_queue"))
+                         (MemoryController, "_select_queue"),
+                         (RequestQueue, "remove"))
     system, commands = _mixed_phase_event_run(system=system)
     assert system.llc.load_misses > 0
     selections = calls.pop("MemoryController._select_queue")
+    removals = calls.pop("RequestQueue.remove")    # one per RD/WR
     assert calls == {"RequestQueue.__len__": 0,
                      "Organization.decode": 0,
                      "TimingParameters.default_timings": 0}
     # Every push is removed by a RD/WR or still queued at the end.
-    removals = sum(c.channel.num_rds + c.channel.num_wrs
-                   for c in system.controllers)
     pushes = removals + sum(len(c.read_q.items) + len(c.write_q.items)
                             for c in system.controllers)
     assert 0 < selections <= pushes + removals, (selections, pushes,
@@ -342,7 +344,8 @@ def test_mixed_phase_visit_kind_budgets(monkeypatch):
     cycles).  A controller-only visit ticks the controllers and skips
     the cores, the LLC and the core bids; a core-only visit skips the
     controller ticks; and cores blocked on a load are not asked for a
-    bid.  Stepping both sides on every visit measures 946 ticks, 638
+    bid (``_step`` asks the others right after stepping them).
+    Stepping both sides on every visit measures 946 ticks, 638
     ``Core.run_until`` calls and 579 core bids.
     """
     calls = _count_calls(monkeypatch, (MemoryController, "tick"),
@@ -353,6 +356,154 @@ def test_mixed_phase_visit_kind_budgets(monkeypatch):
     assert calls == {"MemoryController.tick": 880,
                      "Core.run_until": 375,
                      "Core.next_event_cpu_cycle": 123}
+
+
+def test_mixed_phase_core_llc_and_row_policy_budgets(monkeypatch):
+    """The core dispatches in one loop, the LLC retries only parked
+    requests, and an open-row controller never asks its row policy.
+
+    Exact counts on the fixed mixed-phase run, which is open-row and
+    never parks a request.  ``Core.run_until`` dispatches bubble
+    stretches and accesses itself, without ``_dispatch_bubbles`` and
+    ``_dispatch_access``.  ``SharedCache.tick`` used to run on each of
+    the 267 full and core-only visits, every time with nothing to
+    retry; ``OpenRowPolicy.wants_precharge_after`` ran once per RD/WR
+    (235 times), always answering False.  Both now make no call.
+    """
+    assert not hasattr(Core, "_dispatch_bubbles")
+    assert not hasattr(Core, "_dispatch_access")
+    calls = _count_calls(monkeypatch, (SharedCache, "tick"),
+                         (OpenRowPolicy, "wants_precharge_after"))
+    system, commands = _mixed_phase_event_run()
+    assert system.config.controller.row_policy == "open"
+    assert calls == {"SharedCache.tick": 0,
+                     "OpenRowPolicy.wants_precharge_after": 0}
+
+
+def test_llc_tick_only_on_visits_with_parked_requests(monkeypatch):
+    """With two-entry queues the LLC parks requests all the time.  It
+    is ticked on exactly the 8,581 of the run's 8,584 visits that find
+    a parked request (an exact count), and each tick has one to
+    retry."""
+    from repro.config import ControllerConfig
+    from tests.integration.test_engine_parity import _traces
+
+    ticks = []
+    tick = SharedCache.tick
+
+    def checked_tick(self):
+        ticks.append(bool(self.retry_reads or self.retry_writes))
+        return tick(self)
+
+    monkeypatch.setattr(SharedCache, "tick", checked_tick)
+    cfg = replace(tiny_config(instruction_limit=4000),
+                  controller=ControllerConfig(read_queue_size=2,
+                                              write_queue_size=2))
+    system = System(cfg, _traces(cfg, "random"))
+    system.run(max_mem_cycles=900_000)
+    assert system.visited_cycles == 8_584
+    assert len(ticks) == 8_581 and all(ticks)
+
+
+class _AsksAfterTheStep(System):
+    """The engine before core bids moved into ``_step``: the step takes
+    none, so ``_external_bid`` asks every core itself after each
+    visit."""
+
+    def _step(self, mem, controllers, bid=False):
+        return super()._step(mem, controllers)
+
+
+def _assert_same_asks(monkeypatch, cfg, make_traces):
+    """Run ``cfg`` on both engines and compare every core bid asked
+    (core, its clock and block reason, the answer, in call order), the
+    visited cycles and the results."""
+    asked = []
+    bid = Core.next_event_cpu_cycle
+
+    def recorded(self):
+        result = bid(self)
+        asked.append((self.core_id, self.now, self.block_reason, result))
+        return result
+
+    monkeypatch.setattr(Core, "next_event_cpu_cycle", recorded)
+    runs = []
+    for cls in (System, _AsksAfterTheStep):
+        del asked[:]
+        system = cls(cfg, make_traces())
+        result = system.run(max_mem_cycles=600_000)
+        runs.append((system.visited_cycles, list(asked), result))
+    (visited, asks, result), (ref_visited, ref_asks, ref_result) = runs
+    assert visited == ref_visited
+    assert asks == ref_asks
+    for field in PARITY_FIELDS:
+        assert getattr(result, field) == getattr(ref_result, field), field
+    return asks
+
+
+@pytest.mark.parametrize("cores,channels,policy,idle_finished,pattern", (
+    (8, 2, "closed", False, "zipf"),
+    (8, 2, "closed", True, "random"),
+    (2, 1, "open", False, "stream"),
+    (4, 2, "open", True, "zipf"),
+))
+def test_core_bids_taken_in_the_step_are_the_same_asks(
+        monkeypatch, cores, channels, policy, idle_finished, pattern):
+    """``_step`` asks each core it leaves runnable for its bid right
+    after stepping it, and ``_external_bid`` asks only the cores the
+    step left out.  The cores asked, in order, the state they are asked
+    in and the answers equal those of an engine that asks every core
+    after the step, with the same early exit (also when the hit heap
+    bids the next cycle, so that every core is asked) and none asked on
+    the visit that ends the run; so do the visited cycles and the
+    results."""
+    from tests.integration.test_engine_parity import _traces
+
+    cfg = replace(tiny_config("chargecache", num_cores=cores,
+                              channels=channels, row_policy=policy,
+                              instruction_limit=1500, warmup=2000),
+                  idle_finished_cores=idle_finished)
+    asks = _assert_same_asks(monkeypatch, cfg, lambda: _traces(cfg, pattern))
+    assert len(asks) > cores
+
+
+def test_warmup_visit_core_bids_follow_the_reset(monkeypatch):
+    """The warmup visit resets the instruction count the core bid's
+    limit crossing is measured from, so its bids are asked after the
+    reset, by ``_external_bid``.  Here the core is 50 instructions
+    short of its limit before the reset (bid: the crossing, inside the
+    bubble stretch) and 950 after it (bid: the stretch's end)."""
+    cfg = tiny_config("none", instruction_limit=950, warmup=300)
+    records = [TraceRecord(1000, 0x40, False)]
+    asks = _assert_same_asks(monkeypatch, cfg,
+                             lambda: [itertools.cycle(records)])
+    # At the warmup visit (cpu 300) the core has 100 bubbles left.
+    assert (0, 300, 0, 300 + 100 // 3) in asks
+
+
+@pytest.mark.parametrize("engine", ("dense", "event"))
+def test_blocked_cores_are_caught_up_before_the_warmup_reset(monkeypatch,
+                                                             engine):
+    """``_step`` leaves a core blocked on a load at its clock until
+    something reads it; the warmup reset does (it restarts the stall
+    and IPC accounting), so at the reset every core stands at the
+    visit's CPU time, as in an engine that advances every core on
+    every visit."""
+    from tests.integration.test_engine_parity import _traces
+
+    at_reset = []
+    reset = System._reset_stats
+
+    def checked(self, cpu_now, mem):
+        at_reset.append([core.now - cpu_now for core in self.cores])
+        return reset(self, cpu_now, mem)
+
+    monkeypatch.setattr(System, "_reset_stats", checked)
+    cfg = tiny_config("chargecache", num_cores=8, channels=2,
+                      row_policy="closed", instruction_limit=1500,
+                      warmup=2000).with_engine(engine)
+    System(cfg, _traces(cfg, "zipf")).run(max_mem_cycles=600_000)
+    assert at_reset == [[0] * 8]
 
 
 def _check_cached_wake_at_bids(monkeypatch):
