@@ -36,6 +36,8 @@ def row_key(rank: int, bank: int, row: int) -> int:
 
     The row occupies the low bits so that the HCRAC set index is taken
     from row-address bits, as a hardware implementation would.
+    :meth:`ChargeCache.on_activate` and :meth:`ChargeCache.on_precharge`
+    pack inline; a test checks them against this definition.
     """
     return ((rank << 6) | bank) << 32 | row
 
@@ -57,7 +59,7 @@ class ChargeCache(LatencyMechanism):
         self.hit_timings = timing.reduced_by(config.trcd_reduction_cycles,
                                              config.tras_reduction_cycles)
         num_tables = 1 if config.sharing == "shared" else num_cores
-        self._shared = config.sharing == "shared"
+        self._num_tables = num_tables
         self.unbounded = config.unbounded
         if self.unbounded:
             self.tables: List[UnboundedHCRAC] = [
@@ -80,21 +82,19 @@ class ChargeCache(LatencyMechanism):
 
     # ------------------------------------------------------------------
 
-    def _table_index(self, core_id: int) -> int:
-        if self._shared:
-            return 0
-        if core_id < 0:
-            return 0
-        return core_id % self.num_cores
-
     def on_activate(self, rank: int, bank: int, row: int, core_id: int,
                     cycle: int) -> Optional[ReducedTimings]:
-        """HCRAC lookup; reduced timings on a hit (paper Section 4.2.2)."""
-        self.maintain(cycle)
+        """HCRAC lookup; reduced timings on a hit (paper Section 4.2.2).
+
+        Core ``core_id``'s table (table 0 when shared or for a negative
+        id) is probed with the :func:`row_key` of the row, inline.
+        """
+        if cycle >= self._next_wrap:
+            self.maintain(cycle)
         self.lookups += 1
-        key = row_key(rank, bank, row)
-        idx = self._table_index(core_id)
-        table = self.tables[idx]
+        key = ((rank << 6) | bank) << 32 | row
+        table = self.tables[core_id % self._num_tables
+                            if core_id >= 0 else 0]
         if self.unbounded:
             hit = table.lookup(key, cycle)
         else:
@@ -106,10 +106,15 @@ class ChargeCache(LatencyMechanism):
 
     def on_precharge(self, rank: int, bank: int, row: int, core_id: int,
                      cycle: int) -> None:
-        """HCRAC insert: the closing row is highly charged (Sec. 4.2.1)."""
-        self.maintain(cycle)
-        key = row_key(rank, bank, row)
-        table = self.tables[self._table_index(core_id)]
+        """HCRAC insert: the closing row is highly charged (Sec. 4.2.1).
+
+        Table and key as in :meth:`on_activate`.
+        """
+        if cycle >= self._next_wrap:
+            self.maintain(cycle)
+        key = ((rank << 6) | bank) << 32 | row
+        table = self.tables[core_id % self._num_tables
+                            if core_id >= 0 else 0]
         if self.unbounded:
             table.insert(key, cycle)
         else:
@@ -138,13 +143,15 @@ class ChargeCache(LatencyMechanism):
         to invalidate, so they demand no wake-up.
         """
         del cycle
+        if self.unbounded:
+            return NEVER  # no sweep: entries expire lazily by age
         for table in self.tables:
-            if len(table):
+            if table.valid_count:
                 # The earliest wrap over all tables.  The invalidators
                 # share one interval and every maintain call, so it is
                 # also this table's next wrap.
                 return self._next_wrap
-        return super().next_wake(0)
+        return NEVER
 
     # ------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ Two implementations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class HCRAC:
@@ -34,16 +34,20 @@ class HCRAC:
         self.num_sets = entries // associativity
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("entries/associativity must be a power of two")
+        # Set index and tag of a key: its low bits select the set, the
+        # bits above them are the tag.
+        self._set_mask = self.num_sets - 1
+        self._tag_shift = self.num_sets.bit_length() - 1
         # Way-stable storage: tags[set][way] is None when invalid.
         self._tags: List[List[Optional[int]]] = [
             [None] * associativity for _ in range(self.num_sets)]
         self._stamp: List[List[int]] = [
             [0] * associativity for _ in range(self.num_sets)]
         self._use_counter = 0
-        # Incremental valid-entry count: the hot paths (the event
-        # engine polls ``len(table)`` every wake computation) must not
-        # pay an O(entries) scan.
-        self._valid = 0
+        #: Number of valid entries, maintained: the event engine reads
+        #: it on every wake computation, which must not pay an
+        #: O(entries) scan.
+        self.valid_count = 0
         # Statistics.
         self.insertions = 0
         self.evictions = 0
@@ -51,45 +55,37 @@ class HCRAC:
 
     # ------------------------------------------------------------------
 
-    def _index(self, key: int) -> Tuple[int, int]:
-        set_idx = key & (self.num_sets - 1)
-        tag = key >> (self.num_sets.bit_length() - 1)
-        return set_idx, tag
-
     def lookup(self, key: int, touch: bool = True) -> bool:
         """True if ``key`` is present; updates LRU state when ``touch``."""
-        set_idx, tag = self._index(key)
+        set_idx = key & self._set_mask
+        tag = key >> self._tag_shift
         tags = self._tags[set_idx]
-        for way in range(self.associativity):
-            if tags[way] == tag:
-                if touch:
-                    self._use_counter += 1
-                    self._stamp[set_idx][way] = self._use_counter
-                return True
-        return False
+        if tag not in tags:
+            return False
+        if touch:
+            self._use_counter += 1
+            self._stamp[set_idx][tags.index(tag)] = self._use_counter
+        return True
 
     def insert(self, key: int) -> None:
         """Insert ``key``, evicting the LRU way of its set if needed."""
-        set_idx, tag = self._index(key)
+        set_idx = key & self._set_mask
+        tag = key >> self._tag_shift
         tags = self._tags[set_idx]
         stamps = self._stamp[set_idx]
         self._use_counter += 1
-        # Hit: refresh the stamp (re-insertion of a cached row).
-        for way in range(self.associativity):
-            if tags[way] == tag:
-                stamps[way] = self._use_counter
-                return
-        # Free way if available, else LRU eviction.
-        victim = None
-        for way in range(self.associativity):
-            if tags[way] is None:
-                victim = way
-                break
-        if victim is None:
-            victim = min(range(self.associativity), key=lambda w: stamps[w])
-            self.evictions += 1
+        if tag in tags:
+            # Hit: refresh the stamp (re-insertion of a cached row).
+            stamps[tags.index(tag)] = self._use_counter
+            return
+        # Free way if available, else LRU eviction: the lowest stamp
+        # (stamps of valid ways are distinct).
+        if None in tags:
+            victim = tags.index(None)
+            self.valid_count += 1
         else:
-            self._valid += 1
+            victim = stamps.index(min(stamps))
+            self.evictions += 1
         tags[victim] = tag
         stamps[victim] = self._use_counter
         self.insertions += 1
@@ -106,32 +102,17 @@ class HCRAC:
         if self._tags[set_idx][way] is None:
             return False
         self._tags[set_idx][way] = None
-        self._valid -= 1
+        self.valid_count -= 1
         self.invalidations += 1
         return True
-
-    def invalidate_key(self, key: int) -> bool:
-        """Invalidate a specific row address if present."""
-        set_idx, tag = self._index(key)
-        for way in range(self.associativity):
-            if self._tags[set_idx][way] == tag:
-                self._tags[set_idx][way] = None
-                self._valid -= 1
-                self.invalidations += 1
-                return True
-        return False
 
     def clear(self) -> None:
         for set_idx in range(self.num_sets):
             for way in range(self.associativity):
                 self._tags[set_idx][way] = None
-        self._valid = 0
+        self.valid_count = 0
 
     # ------------------------------------------------------------------
-
-    @property
-    def valid_count(self) -> int:
-        return self._valid
 
     def __contains__(self, key: int) -> bool:
         return self.lookup(key, touch=False)

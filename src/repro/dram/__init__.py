@@ -10,7 +10,7 @@ the standard inter-command timing constraints.
 from repro.dram.commands import Command, CommandKind
 from repro.dram.timing import TimingParameters, ReducedTimings, DDR3_1600
 from repro.dram.organization import Organization, DecodedAddress
-from repro.dram.bank import Bank, BankState
+from repro.dram.bank import Bank
 from repro.dram.rank import Rank
 from repro.dram.channel import Channel
 from repro.dram.refresh import RefreshScheduler
@@ -24,7 +24,6 @@ __all__ = [
     "Organization",
     "DecodedAddress",
     "Bank",
-    "BankState",
     "Rank",
     "Channel",
     "RefreshScheduler",

@@ -27,6 +27,7 @@ class Channel:
 
     __slots__ = ("timing", "index", "ranks", "next_cmd",
                  "next_rd", "next_wr", "last_col_rank", "_default_act",
+                 "_tccd", "_trtrs", "_rd_to_pre", "_wr_to_pre",
                  "_rd_to_wr", "_wr_to_rd", "_rd_done", "_wr_done",
                  "command_log", "log_commands")
 
@@ -45,9 +46,13 @@ class Channel:
         #: ``issue_write``.  The rank-switch gate keys on it.
         self.last_col_rank: Optional[int] = None
         # ``timing`` is frozen, so what each command derives from it is
-        # built once: the timings of a normal ACT, and the turnarounds
-        # and completion delays of RD and WR.
+        # built once: the timings of a normal ACT, and the column
+        # spacings, turnarounds and completion delays of RD and WR.
         self._default_act = timing.default_timings()
+        self._tccd = timing.tCCD
+        self._trtrs = timing.tRTRS
+        self._rd_to_pre = timing.read_to_pre
+        self._wr_to_pre = timing.write_to_pre
         self._rd_to_wr = timing.read_to_write
         self._wr_to_rd = timing.write_to_read
         self._rd_done = timing.read_latency
@@ -110,7 +115,7 @@ class Channel:
         # last one waits tRTRS after the *earlier* of the channel's two
         # column gates, ``min(next_rd, next_wr)``; :meth:`earliest`
         # then maxes that with the command's own gate.
-        return min(self.next_rd, self.next_wr) + self.timing.tRTRS
+        return min(self.next_rd, self.next_wr) + self._trtrs
 
     # ------------------------------------------------------------------
     # Command issue
@@ -118,28 +123,89 @@ class Channel:
 
     def issue_activate(self, rank: int, bank: int, row: int, cycle: int,
                        timings: Optional[ReducedTimings] = None) -> None:
-        """Issue an ACT; ``timings`` may lower tRCD/tRAS for this row."""
+        """Issue an ACT; ``timings`` may lower tRCD/tRAS for this row.
+
+        Checks and applies the command in one frame: the command bus,
+        the bank's row and gates, and the rank's tRRD/tFAW window,
+        ``act_gate`` and open-bank accounting.
+        """
         if timings is None:
             timings = self._default_act
-        self._claim_cmd_bus(cycle)
+        if cycle < self.next_cmd:
+            raise RuntimeError(
+                f"command bus busy until {self.next_cmd}, issue at {cycle}")
         rk = self.ranks[rank]
         if cycle < rk.act_gate:
             raise RuntimeError(
                 f"ACT at {cycle} violates tRRD/tFAW/tRFC "
                 f"(earliest {rk.act_gate})")
-        rk.banks[bank].do_activate(row, cycle, timings)
-        rk.record_act(cycle)
-        rk.note_bank_opened(cycle)
+        bk = rk.banks[bank]
+        if bk.open_row is not None:
+            raise RuntimeError(
+                f"ACT to open bank (row {bk.open_row}) at cycle {cycle}")
+        if cycle < bk.next_act:
+            raise RuntimeError(
+                f"ACT at {cycle} violates tRP/tRFC (earliest {bk.next_act})")
+        self.next_cmd = cycle + 1
+        t = self.timing
+        trcd = timings.trcd
+        tras = timings.tras
+        bk.open_row = row
+        bk.last_open_at = cycle
+        bk.act_reduced = trcd < t.tRCD or tras < t.tRAS
+        bk.next_rd = bk.next_wr = cycle + trcd
+        gate = cycle + tras
+        if gate > bk.next_pre:
+            bk.next_pre = gate
+        # The rank's tRRD gate and tFAW window, then act_gate from them
+        # (the formula of Rank._update_act_gate).
+        gate = cycle + t.tRRD
+        if gate < rk.next_act:
+            gate = rk.next_act
+        rk.next_act = gate
+        history = rk.act_history
+        history.append(cycle)
+        if len(history) > 4:
+            del history[0]
+        if len(history) == 4:
+            faw_gate = history[0] + t.tFAW
+            if faw_gate > gate:
+                gate = faw_gate
+        if rk.refresh_busy_until > gate:
+            gate = rk.refresh_busy_until
+        rk.act_gate = gate
+        if rk.open_banks == 0:
+            rk.any_open_since = cycle
+        rk.open_banks += 1
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.ACT, cycle, self.index, rank, bank, row,
-                reduced=rk.banks[bank].act_reduced))
+                reduced=bk.act_reduced))
 
     def issue_precharge(self, rank: int, bank: int, cycle: int) -> int:
         """Issue a PRE; returns the row that was closed."""
-        self._claim_cmd_bus(cycle)
-        row = self.ranks[rank].banks[bank].do_precharge(cycle)
-        self.ranks[rank].note_bank_closed(cycle)
+        if cycle < self.next_cmd:
+            raise RuntimeError(
+                f"command bus busy until {self.next_cmd}, issue at {cycle}")
+        rk = self.ranks[rank]
+        bk = rk.banks[bank]
+        row = bk.open_row
+        if row is None:
+            raise RuntimeError(f"PRE to closed bank at cycle {cycle}")
+        if cycle < bk.next_pre:
+            raise RuntimeError(
+                f"PRE at {cycle} violates tRAS/tRTP/tWR "
+                f"(earliest {bk.next_pre})")
+        self.next_cmd = cycle + 1
+        bk.open_row = None
+        bk.open_cycles += cycle - bk.last_open_at
+        gate = cycle + self.timing.tRP
+        if gate > bk.next_act:
+            bk.next_act = gate
+        # A bank was open, so the rank counts at least one.
+        rk.open_banks -= 1
+        if rk.open_banks == 0:
+            rk.any_open_cycles += cycle - rk.any_open_since
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.PRE, cycle, self.index, rank, bank, row))
@@ -147,14 +213,34 @@ class Channel:
 
     def issue_read(self, rank: int, bank: int, cycle: int) -> int:
         """Issue a RD; returns the cycle the data burst completes."""
-        self._claim_cmd_bus(cycle)
-        t = self.timing
-        self.ranks[rank].banks[bank].do_read(cycle)
-        gate = cycle + t.tCCD
-        if gate > self.next_rd:
+        if cycle < self.next_cmd:
+            raise RuntimeError(
+                f"command bus busy until {self.next_cmd}, issue at {cycle}")
+        bk = self.ranks[rank].banks[bank]
+        if bk.open_row is None:
+            raise RuntimeError(f"RD to closed bank at cycle {cycle}")
+        if cycle < bk.next_rd:
+            raise RuntimeError(
+                f"RD at {cycle} violates tRCD/tCCD (earliest {bk.next_rd})")
+        next_rd = self.next_rd
+        next_wr = self.next_wr
+        gate = next_rd
+        if self.last_col_rank != rank:
+            switch = self._rank_switch_gate(rank)
+            if switch > gate:
+                gate = switch
+        if cycle < gate:
+            raise RuntimeError(
+                f"RD at {cycle} violates tCCD/tWTR/tRTRS (earliest {gate})")
+        self.next_cmd = cycle + 1
+        gate = cycle + self._rd_to_pre
+        if gate > bk.next_pre:
+            bk.next_pre = gate
+        gate = cycle + self._tccd
+        if gate > next_rd:
             self.next_rd = gate
         gate = cycle + self._rd_to_wr
-        if gate > self.next_wr:
+        if gate > next_wr:
             self.next_wr = gate
         self.last_col_rank = rank
         if self.log_commands:
@@ -164,14 +250,34 @@ class Channel:
 
     def issue_write(self, rank: int, bank: int, cycle: int) -> int:
         """Issue a WR; returns the cycle the burst is fully written."""
-        self._claim_cmd_bus(cycle)
-        t = self.timing
-        self.ranks[rank].banks[bank].do_write(cycle)
-        gate = cycle + t.tCCD
-        if gate > self.next_wr:
+        if cycle < self.next_cmd:
+            raise RuntimeError(
+                f"command bus busy until {self.next_cmd}, issue at {cycle}")
+        bk = self.ranks[rank].banks[bank]
+        if bk.open_row is None:
+            raise RuntimeError(f"WR to closed bank at cycle {cycle}")
+        if cycle < bk.next_wr:
+            raise RuntimeError(
+                f"WR at {cycle} violates tRCD/tCCD (earliest {bk.next_wr})")
+        next_rd = self.next_rd
+        next_wr = self.next_wr
+        gate = next_wr
+        if self.last_col_rank != rank:
+            switch = self._rank_switch_gate(rank)
+            if switch > gate:
+                gate = switch
+        if cycle < gate:
+            raise RuntimeError(
+                f"WR at {cycle} violates tCCD/tRTW/tRTRS (earliest {gate})")
+        self.next_cmd = cycle + 1
+        gate = cycle + self._wr_to_pre
+        if gate > bk.next_pre:
+            bk.next_pre = gate
+        gate = cycle + self._tccd
+        if gate > next_wr:
             self.next_wr = gate
         gate = cycle + self._wr_to_rd
-        if gate > self.next_rd:
+        if gate > next_rd:
             self.next_rd = gate
         self.last_col_rank = rank
         if self.log_commands:
@@ -180,17 +286,14 @@ class Channel:
         return cycle + self._wr_done
 
     def issue_refresh(self, rank: int, cycle: int) -> None:
-        self._claim_cmd_bus(cycle)
-        self.ranks[rank].do_refresh(cycle)
-        if self.log_commands:
-            self.command_log.append(IssuedCommand(
-                Command.REF, cycle, self.index, rank))
-
-    def _claim_cmd_bus(self, cycle: int) -> None:
         if cycle < self.next_cmd:
             raise RuntimeError(
                 f"command bus busy until {self.next_cmd}, issue at {cycle}")
+        self.ranks[rank].do_refresh(cycle)
         self.next_cmd = cycle + 1
+        if self.log_commands:
+            self.command_log.append(IssuedCommand(
+                Command.REF, cycle, self.index, rank))
 
     # ------------------------------------------------------------------
 

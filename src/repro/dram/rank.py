@@ -23,23 +23,27 @@ class Rank:
     :class:`Bank` objects.
     """
 
-    __slots__ = ("timing", "banks", "next_act", "_act_history",
+    __slots__ = ("timing", "banks", "next_act", "act_history",
                  "refresh_busy_until", "act_gate",
                  "open_banks", "any_open_since", "any_open_cycles")
 
     def __init__(self, timing: TimingParameters, num_banks: int):
         self.timing = timing
-        self.banks: List[Bank] = [Bank(timing) for _ in range(num_banks)]
+        self.banks: List[Bank] = [Bank() for _ in range(num_banks)]
+        #: tRRD gate: the last ACT's cycle + tRRD.
         self.next_act = 0
-        # Cycles of the last four ACTs (ring buffer for tFAW).
-        self._act_history: List[int] = []
+        #: Cycles of the last four ACTs (the tFAW window), oldest first.
+        self.act_history: List[int] = []
         self.refresh_busy_until = 0
         #: Rank-level earliest ACT cycle: ``max(next_act, 4th-last ACT +
-        #: tFAW, refresh_busy_until)``.  A maintained field, read-only
-        #: outside the rank: :meth:`record_act` and :meth:`do_refresh`
-        #: are the only places its inputs change, and each recomputes it.
+        #: tFAW, refresh_busy_until)``.  A maintained field:
+        #: :meth:`Channel.issue_activate
+        #: <repro.dram.channel.Channel.issue_activate>` and
+        #: :meth:`do_refresh` are the only places its inputs change, and
+        #: each recomputes it.
         self.act_gate = 0
-        # Active-standby accounting ("any bank open" time, for IDD3N).
+        # Active-standby accounting ("any bank open" time, for IDD3N),
+        # kept by the channel's ACT and PRE.
         self.open_banks = 0
         self.any_open_since = 0
         self.any_open_cycles = 0
@@ -50,18 +54,10 @@ class Rank:
         """Rank-level earliest ACT cycle (tRRD + tFAW + tRFC)."""
         return self.act_gate
 
-    def record_act(self, cycle: int) -> None:
-        """Register an ACT for tRRD/tFAW accounting."""
-        self.next_act = max(self.next_act, cycle + self.timing.tRRD)
-        self._act_history.append(cycle)
-        if len(self._act_history) > 4:
-            del self._act_history[0]
-        self._update_act_gate()
-
     def _update_act_gate(self) -> None:
         gate = self.next_act
-        if len(self._act_history) == 4:
-            faw_gate = self._act_history[0] + self.timing.tFAW
+        if len(self.act_history) == 4:
+            faw_gate = self.act_history[0] + self.timing.tFAW
             if faw_gate > gate:
                 gate = faw_gate
         if self.refresh_busy_until > gate:
@@ -105,18 +101,6 @@ class Rank:
     # ------------------------------------------------------------------
     # Active-standby accounting (energy model input)
     # ------------------------------------------------------------------
-
-    def note_bank_opened(self, cycle: int) -> None:
-        if self.open_banks == 0:
-            self.any_open_since = cycle
-        self.open_banks += 1
-
-    def note_bank_closed(self, cycle: int) -> None:
-        if self.open_banks <= 0:
-            raise RuntimeError("bank-close without matching open")
-        self.open_banks -= 1
-        if self.open_banks == 0:
-            self.any_open_cycles += cycle - self.any_open_since
 
     def any_open_until(self, cycle: int) -> int:
         """Cycles with >= 1 open bank (IDD3N active standby), to date."""

@@ -153,14 +153,14 @@ class TestRowPolicies:
         req, done = read_at(mc, 1, row=5)
         run_until(mc, lambda: done)
         mc.tick(req.done_cycle + 1)
-        assert mc.channel.bank(0, 0).is_open(5)
+        assert mc.channel.bank(0, 0).open_row == 5
         assert mc.stats.precharges == 0
 
     def test_closed_policy_precharges_idle_row(self):
         mc = make_controller(row_policy="closed")
         req, done = read_at(mc, 1, row=5)
         run_until(mc, lambda: mc.stats.precharges == 1)
-        assert not mc.channel.bank(0, 0).is_open()
+        assert mc.channel.bank(0, 0).open_row is None
 
     def test_closed_policy_waits_for_queued_hits(self):
         mc = make_controller(row_policy="closed")

@@ -93,12 +93,6 @@ class TestInvalidation:
         with pytest.raises(IndexError):
             cache.invalidate_entry(4)
 
-    def test_invalidate_key(self):
-        cache = HCRAC(4, 2)
-        cache.insert(3)
-        assert cache.invalidate_key(3)
-        assert not cache.invalidate_key(3)
-
 
 class TestProperties:
     @given(st.lists(st.integers(0, 1000), max_size=200))

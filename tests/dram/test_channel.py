@@ -154,3 +154,33 @@ class TestRankSwitch:
         assert DDR3_1600.write_to_read > DDR3_1600.tCCD + DDR3_1600.tRTRS
         assert channel.earliest(Command.RD, 0, 0) == \
             t + DDR3_1600.write_to_read
+
+
+class TestColumnGateChecks:
+    """``issue_read``/``issue_write`` check the channel's column gates
+    as ``earliest`` models them (tCCD, the read/write turnarounds and
+    tRTRS), not only the bank's: an early column command raises."""
+
+    @pytest.mark.parametrize("first", (Command.RD, Command.WR),
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("second", (Command.RD, Command.WR),
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("target", ((0, 1), (1, 0)),
+                             ids=("same-rank", "other-rank"))
+    def test_early_column_command_raises(self, first, second, target):
+        channel = Channel(DDR3_1600, num_ranks=2, num_banks=8)
+        channel.issue_activate(0, 0, 0, 0)
+        channel.issue_activate(0, 1, 0, DDR3_1600.tRRD)
+        channel.issue_activate(1, 0, 0, 2 * DDR3_1600.tRRD)
+        t = 2 * DDR3_1600.tRRD + DDR3_1600.tRCD   # every bank's tRCD met
+        issue = {Command.RD: channel.issue_read,
+                 Command.WR: channel.issue_write}
+        issue[first](0, 0, t)
+        rank, bank = target
+        gate = channel.earliest(second, rank, bank)
+        # The channel gate, not the bank's or the bus's, sets it.
+        assert gate > t + 1
+        assert channel.bank(rank, bank).next_rd <= t
+        with pytest.raises(RuntimeError, match="tCCD/"):
+            issue[second](rank, bank, gate - 1)
+        issue[second](rank, bank, gate)

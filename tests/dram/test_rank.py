@@ -1,54 +1,66 @@
-"""Unit tests for rank-level constraints (tRRD, tFAW, refresh)."""
+"""Unit tests for rank-level constraints (tRRD, tFAW, refresh).
+
+A rank's ACT window and open-bank accounting change in
+``Channel.issue_activate``/``issue_precharge``, so the cases issue
+commands on a one-rank channel; REF is applied with ``Rank.do_refresh``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.rank import Rank
+from repro.dram.channel import Channel
+from repro.dram.commands import Command
 from repro.dram.standards import PRESETS
 from repro.dram.timing import DDR3_1600
 
 
 @pytest.fixture
-def rank():
-    return Rank(DDR3_1600, num_banks=8)
+def channel():
+    return Channel(DDR3_1600, num_ranks=1, num_banks=8)
+
+
+@pytest.fixture
+def rank(channel):
+    return channel.ranks[0]
 
 
 class TestTRRD:
-    def test_record_act_sets_trrd(self, rank):
-        rank.record_act(100)
+    def test_record_act_sets_trrd(self, channel, rank):
+        channel.issue_activate(0, 0, 0, 100)
         assert rank.earliest_act() == 100 + DDR3_1600.tRRD
 
-    def test_acts_spaced_by_trrd_ok(self, rank):
+    def test_acts_spaced_by_trrd_ok(self, channel, rank):
         t = 0
-        for _ in range(3):
+        for bank in range(3):
             assert rank.earliest_act() <= t
-            rank.record_act(t)
+            channel.issue_activate(0, bank, 0, t)
             t += DDR3_1600.tRRD
 
 
 class TestTFAW:
-    def test_fifth_act_waits_for_faw(self, rank):
+    def test_fifth_act_waits_for_faw(self, channel, rank):
         # Four ACTs packed at tRRD spacing...
         cycles = [i * DDR3_1600.tRRD for i in range(4)]
-        for c in cycles:
-            rank.record_act(c)
+        for bank, c in enumerate(cycles):
+            channel.issue_activate(0, bank, 0, c)
         # ...the fifth must wait until the first leaves the window.
         assert rank.earliest_act() == cycles[0] + DDR3_1600.tFAW
+        with pytest.raises(RuntimeError, match="tRRD/tFAW"):
+            channel.issue_activate(0, 4, 0, rank.earliest_act() - 1)
 
-    def test_faw_window_slides(self, rank):
-        for c in (0, 10, 20, 30):
-            rank.record_act(c)
+    def test_faw_window_slides(self, channel, rank):
+        for bank, c in enumerate((0, 10, 20, 30)):
+            channel.issue_activate(0, bank, 0, c)
         fifth = rank.earliest_act()  # max(0 + tFAW, 30 + tRRD) = 35
         assert fifth == max(DDR3_1600.tFAW, 30 + DDR3_1600.tRRD)
-        rank.record_act(fifth)       # window is now 10, 20, 30, 35
+        channel.issue_activate(0, 4, 0, fifth)  # window: 10, 20, 30, 35
         assert rank.earliest_act() == max(10 + DDR3_1600.tFAW,
                                           fifth + DDR3_1600.tRRD)
 
 
 class TestRefresh:
-    def test_refresh_requires_closed_banks(self, rank):
-        rank.banks[0].do_activate(1, 0, DDR3_1600.default_timings())
-        rank.note_bank_opened(0)
+    def test_refresh_requires_closed_banks(self, channel, rank):
+        channel.issue_activate(0, 0, 1, 0)
         with pytest.raises(RuntimeError):
             rank.do_refresh(100)
 
@@ -58,12 +70,9 @@ class TestRefresh:
         for bank in rank.banks:
             assert bank.earliest_act() >= 100 + DDR3_1600.tRFC
 
-    def test_earliest_refresh_waits_for_trp(self, rank):
-        bank = rank.banks[0]
-        bank.do_activate(1, 0, DDR3_1600.default_timings())
-        rank.note_bank_opened(0)
-        bank.do_precharge(DDR3_1600.tRAS)
-        rank.note_bank_closed(DDR3_1600.tRAS)
+    def test_earliest_refresh_waits_for_trp(self, channel, rank):
+        channel.issue_activate(0, 0, 1, 0)
+        channel.issue_precharge(0, 0, DDR3_1600.tRAS)
         assert rank.earliest_refresh() == DDR3_1600.tRAS + DDR3_1600.tRP
 
     def test_each_refresh_moves_the_act_gate(self, rank):
@@ -73,27 +82,29 @@ class TestRefresh:
 
 
 class TestActiveStandbyAccounting:
-    def test_any_open_tracks_union_not_sum(self, rank):
-        rank.note_bank_opened(100)
-        rank.note_bank_opened(110)   # second bank overlaps
-        rank.note_bank_closed(150)
-        rank.note_bank_closed(200)
+    def test_any_open_tracks_union_not_sum(self, channel, rank):
+        channel.issue_activate(0, 0, 1, 100)
+        channel.issue_activate(0, 1, 1, 110)   # second bank overlaps
+        channel.issue_precharge(0, 0, 150)
+        channel.issue_precharge(0, 1, 200)
         assert rank.any_open_cycles == 100  # 100..200, not 140
 
-    def test_any_open_until_includes_current(self, rank):
-        rank.note_bank_opened(10)
+    def test_any_open_until_includes_current(self, channel, rank):
+        channel.issue_activate(0, 0, 1, 10)
         assert rank.any_open_until(60) == 50
 
-    def test_unbalanced_close_rejected(self, rank):
-        with pytest.raises(RuntimeError):
-            rank.note_bank_closed(0)
+    def test_unbalanced_close_rejected(self, channel, rank):
+        with pytest.raises(RuntimeError, match="PRE to closed bank"):
+            channel.issue_precharge(0, 0, 0)
+        assert rank.open_banks == 0
+        assert rank.any_open_cycles == 0
 
 
 class TestMaintainedActGate:
-    """``Rank.act_gate`` is a maintained field: after every
-    ``record_act`` and ``do_refresh`` it must equal the from-scratch
-    formula ``max(next_act, 4th-last ACT + tFAW, refresh_busy_until)``,
-    on every timing grade."""
+    """``Rank.act_gate`` is a maintained field: after every ACT that
+    ``Channel.issue_activate`` applies and every ``do_refresh`` it must
+    equal the from-scratch formula ``max(next_act, 4th-last ACT + tFAW,
+    refresh_busy_until)``, on every timing grade."""
 
     @pytest.mark.parametrize("standard", sorted(PRESETS))
     @given(ops=st.lists(st.tuples(
@@ -104,7 +115,8 @@ class TestMaintainedActGate:
     @settings(max_examples=100, deadline=None)
     def test_act_gate_matches_formula(self, standard, ops):
         timing = PRESETS[standard]
-        rank = Rank(timing, num_banks=8)
+        channel = Channel(timing, num_ranks=1, num_banks=8)
+        rank = channel.ranks[0]
         acts = []
         busy_until = 0
 
@@ -114,15 +126,30 @@ class TestMaintainedActGate:
                 gate = max(gate, acts[-4] + timing.tFAW)
             return max(gate, busy_until)
 
+        def close(bank, cycle):
+            """PRE ``bank`` at its first legal cycle from ``cycle``."""
+            cycle = max(cycle, channel.earliest(Command.PRE, 0, bank))
+            channel.issue_precharge(0, bank, cycle)
+            return cycle + 1
+
         assert rank.act_gate == formula() == 0
         cycle = 0
         for kind, gap in ops:
             cycle += gap
             if kind == "act":
-                rank.record_act(cycle)
+                # Banks in turn; an open one is closed first.
+                bank = len(acts) % len(rank.banks)
+                if rank.banks[bank].open_row is not None:
+                    cycle = close(bank, cycle)
+                cycle = max(cycle, channel.earliest(Command.ACT, 0, bank))
+                channel.issue_activate(0, bank, 0, cycle)
                 acts.append(cycle)
             else:
-                rank.do_refresh(cycle)
+                for bank, bk in enumerate(rank.banks):
+                    if bk.open_row is not None:
+                        cycle = close(bank, cycle)
+                cycle = max(cycle, channel.earliest(Command.REF, 0, 0))
+                channel.issue_refresh(0, cycle)
                 busy_until = cycle + timing.tRFC
             assert rank.act_gate == formula(), (kind, cycle)
             assert rank.earliest_act() == rank.act_gate
