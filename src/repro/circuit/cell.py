@@ -44,13 +44,6 @@ class CellParameters:
         return self.vdd / 2.0
 
     @property
-    def transfer_ratio(self) -> float:
-        """Cb/(Cb+Cc): how much of the cell's excess reaches the bitline."""
-        cc = self.cell_capacitance_f
-        cb = self.bitline_capacitance_f
-        return cc / (cb + cc)
-
-    @property
     def ready_voltage(self) -> float:
         return self.vdd * self.ready_fraction
 
@@ -83,10 +76,3 @@ def charge_sharing_voltage(cell_voltage: float,
     cc = params.cell_capacitance_f
     cb = params.bitline_capacitance_f
     return (cb * params.precharge_voltage + cc * cell_voltage) / (cb + cc)
-
-
-def initial_deviation(cell_voltage: float,
-                      params: CellParameters = CellParameters()) -> float:
-    """Bitline deviation from Vdd/2 after charge sharing (the "delta")."""
-    return charge_sharing_voltage(cell_voltage, params) \
-        - params.precharge_voltage

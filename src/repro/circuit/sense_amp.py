@@ -64,15 +64,6 @@ class TransientResult:
     restore_time_ns: Optional[float]
     initial_cell_v: float
 
-    def voltage_at(self, t_ns: float) -> float:
-        """Bitline voltage at ``t_ns`` (nearest sample)."""
-        if not self.times_ns:
-            raise ValueError("empty transient")
-        dt = self.times_ns[1] - self.times_ns[0] if len(self.times_ns) > 1 \
-            else 1.0
-        idx = min(len(self.times_ns) - 1, max(0, round(t_ns / dt)))
-        return self.bitline_v[idx]
-
 
 class SenseAmpModel:
     """RK4 integrator for the coupled bitline/cell system."""

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.circuit.cell import CellParameters
 from repro.circuit.sense_amp import (
     SenseAmpModel,
-    SenseAmpParameters,
     TransientResult,
 )
 from repro.circuit.latency_tables import BASELINE_TIMINGS_NS
@@ -102,22 +100,3 @@ def derive_timing_table(durations_ms=(1.0, 4.0, 8.0, 16.0),
         tras = min(base_tras, restore + margin_ras)
         table[float(duration)] = (trcd, tras)
     return table
-
-
-def make_model(retention_tau_ms: Optional[float] = None,
-               tau_sa_ns: Optional[float] = None,
-               tau_cell_ns: Optional[float] = None,
-               t_offset_ns: Optional[float] = None) -> SenseAmpModel:
-    """Convenience constructor with selective overrides (for tests)."""
-    cell_kwargs = {}
-    if retention_tau_ms is not None:
-        cell_kwargs["retention_tau_ms"] = retention_tau_ms
-    amp_kwargs = {}
-    if tau_sa_ns is not None:
-        amp_kwargs["tau_sa_ns"] = tau_sa_ns
-    if tau_cell_ns is not None:
-        amp_kwargs["tau_cell_ns"] = tau_cell_ns
-    if t_offset_ns is not None:
-        amp_kwargs["t_offset_ns"] = t_offset_ns
-    return SenseAmpModel(CellParameters(**cell_kwargs),
-                         SenseAmpParameters(**amp_kwargs))

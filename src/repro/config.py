@@ -265,24 +265,6 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}")
 
-    def with_mechanism(self, mechanism: str) -> "SimulationConfig":
-        """Return a copy of this config with a different latency
-        mechanism.
-
-        The copy is re-validated so an invalid spec fails here, at the
-        call site, rather than later inside a channel build.
-        """
-        cfg = replace(self, mechanism=mechanism)
-        cfg.validate()
-        return cfg
-
-    def with_engine(self, engine: str) -> "SimulationConfig":
-        """Return a copy of this config running on a different engine
-        (re-validated, like :meth:`with_mechanism`)."""
-        cfg = replace(self, engine=engine)
-        cfg.validate()
-        return cfg
-
 
 def single_core_config(mechanism: str = "none", **overrides) -> SimulationConfig:
     """Paper's single-core system: 1 channel, open-row policy."""

@@ -63,12 +63,6 @@ class ControllerStats:
         self.rank_active_base = rank_active_base
         self.start_cycle = cycle
 
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.reads + self.writes
-        hits = self.read_row_hits + self.write_row_hits
-        return hits / total if total else 0.0
-
 
 class MemoryController:
     """Command-issue engine for one memory channel."""

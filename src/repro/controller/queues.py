@@ -108,19 +108,6 @@ class RequestQueue:
                     break
         self.version += 1
 
-    def requests_for_bank(self, rank: int, bank: int) -> int:
-        """Count queued requests to a specific (rank, bank)."""
-        return len(self.by_bank.get((rank, bank), ()))
-
-    def requests_for_row(self, rank: int, bank: int, row: int) -> int:
-        """Count queued requests to a specific (rank, bank, row)."""
-        return sum(1 for _, req in self.by_bank.get((rank, bank), ())
-                   if req.row == row)
-
-    def banks(self) -> Iterator[Tuple[int, int]]:
-        """The distinct (rank, bank) pairs with queued requests."""
-        return iter(self.by_bank)
-
     def reset_stats(self) -> None:
         """Zero the coalesce counter."""
         self.coalesced = 0

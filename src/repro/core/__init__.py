@@ -24,7 +24,7 @@ from repro.core.timing_policy import (
     CombinedMechanism,
 )
 from repro.core.hcrac import HCRAC, UnboundedHCRAC
-from repro.core.invalidation import PeriodicInvalidator, TimestampInvalidator
+from repro.core.invalidation import PeriodicInvalidator
 from repro.core.aldram import ALDRAM, aldram_timings_at
 from repro.core.chargecache import ChargeCache
 from repro.core.nuat import NUAT
@@ -44,7 +44,6 @@ __all__ = [
     "HCRAC",
     "UnboundedHCRAC",
     "PeriodicInvalidator",
-    "TimestampInvalidator",
     "ChargeCache",
     "NUAT",
     "LowLatencyDRAM",

@@ -13,15 +13,11 @@ Every entry is therefore invalidated (at least) once every ``C`` cycles,
 guaranteeing no valid entry is older than the caching duration, at the
 cost of occasionally invalidating a *younger* entry prematurely (the
 paper measures this loss as negligible; we do too - see
-``tests/core/test_invalidation.py``).
-
-:class:`TimestampInvalidator` is the storage-heavier exact scheme the
-paper rejects; it is kept as a cross-checking oracle.
+``tests/core/test_invalidation.py``, which checks this scheme against
+the exact per-entry timestamp design the paper rejects).
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.core.hcrac import HCRAC
 
@@ -87,27 +83,3 @@ class PeriodicInvalidator:
     def reset(self, cycle: int = 0) -> None:
         self._last_cycle = cycle
         self.entry_counter = 0
-
-
-class TimestampInvalidator:
-    """Exact per-key expiry (the rejected higher-cost design).
-
-    Stores an insertion timestamp per key and reports whether a key is
-    still within the caching duration.  Used by tests as an oracle: the
-    periodic scheme must never report a *stale* entry as valid, though
-    it may drop valid entries early.
-    """
-
-    def __init__(self, duration_cycles: int):
-        self.duration_cycles = duration_cycles
-        self._inserted_at: Dict[int, int] = {}
-
-    def record_insert(self, key: int, cycle: int) -> None:
-        self._inserted_at[key] = cycle
-
-    def is_fresh(self, key: int, cycle: int) -> bool:
-        stamp = self._inserted_at.get(key)
-        return stamp is not None and cycle - stamp <= self.duration_cycles
-
-    def drop(self, key: int) -> None:
-        self._inserted_at.pop(key, None)

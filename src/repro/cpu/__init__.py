@@ -6,7 +6,7 @@ and 8 MSHRs, a shared 4 MB LLC, and a DRAM clock domain bridged at the
 4 GHz / 800 MHz ratio.
 """
 
-from repro.cpu.trace import TraceRecord, trace_from_tuples, read_trace_file, write_trace_file
+from repro.cpu.trace import TraceRecord, trace_from_tuples
 from repro.cpu.core import Core
 from repro.cpu.cache import SharedCache
 from repro.cpu.system import System, RunResult
@@ -14,8 +14,6 @@ from repro.cpu.system import System, RunResult
 __all__ = [
     "TraceRecord",
     "trace_from_tuples",
-    "read_trace_file",
-    "write_trace_file",
     "Core",
     "SharedCache",
     "System",

@@ -97,29 +97,6 @@ class RunResult:
             return 0.0
         return self.activations * 1000.0 / self.cpu_cycles
 
-    def summary(self) -> str:
-        """Human-readable one-paragraph run summary."""
-        lines = [
-            f"mechanism={self.config.mechanism} "
-            f"cores={self.config.processor.num_cores} "
-            f"channels={self.config.dram.channels} "
-            f"policy={self.config.controller.row_policy}",
-            f"cycles: {self.mem_cycles} bus / {self.cpu_cycles} cpu"
-            + (" (truncated)" if self.truncated else ""),
-            f"IPC: total {self.total_ipc:.3f} "
-            f"[{', '.join(f'{i:.3f}' for i in self.ipcs)}]",
-            f"DRAM: {self.activations} ACT ({self.rmpkc():.2f} RMPKC), "
-            f"{self.reads} RD, {self.writes} WR, "
-            f"{self.refreshes} REF, row-hit {self.row_hit_rate:.0%}, "
-            f"avg read latency {self.average_read_latency_cycles:.1f} cyc",
-            f"LLC hit rate: {self.llc_hit_rate:.0%}",
-        ]
-        if self.mechanism_lookups:
-            lines.append(
-                f"mechanism: {self.mechanism_hits}/{self.mechanism_lookups}"
-                f" activations accelerated ({self.mechanism_hit_rate:.0%})")
-        return "\n".join(lines)
-
 
 def mechanism_invariant_config(config: SimulationConfig) -> SimulationConfig:
     """``config`` with every mechanism-defining field normalized away.

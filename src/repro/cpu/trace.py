@@ -1,4 +1,4 @@
-"""Trace records and Ramulator-compatible trace files.
+"""Trace records: the stream each simulated core consumes.
 
 A trace is an iterable of :class:`TraceRecord`.  Each record encodes:
 
@@ -8,19 +8,13 @@ A trace is an iterable of :class:`TraceRecord`.  Each record encodes:
 * ``dependent`` - the access must wait for all earlier loads
   (models pointer-chasing, which bounds memory-level parallelism).
 
-File format: the native format is one access per line::
-
-    <bubbles> R|W <hex-line-address> [D]
-
-The loader also accepts Ramulator's CPU trace format
-(``<bubbles> <read-byte-addr> [<write-byte-addr>]``), where a write
-address expands to a separate write record.
+External trace files enter through :mod:`repro.workloads.ingest`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 
 class TraceRecord(NamedTuple):
@@ -91,53 +85,3 @@ class TraceTape:
     def readers(self) -> List[Iterator[TraceRecord]]:
         """One fresh reader per core, for a System's ``traces``."""
         return [self.reader(core_id) for core_id in range(len(self))]
-
-
-# ----------------------------------------------------------------------
-# File I/O
-# ----------------------------------------------------------------------
-
-def write_trace_file(path: str, records: Iterable[TraceRecord]) -> int:
-    """Write records in the native format; returns the record count."""
-    count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
-            op = "W" if rec.is_write else "R"
-            dep = " D" if rec.dependent else ""
-            fh.write(f"{rec.bubbles} {op} {rec.line_address:#x}{dep}\n")
-            count += 1
-    return count
-
-
-def read_trace_file(path: str) -> List[TraceRecord]:
-    """Read a trace file in native or Ramulator CPU format."""
-    records: List[TraceRecord] = []
-    with open(path, encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                records.extend(_parse_parts(parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return records
-
-
-def _parse_parts(parts: List[str]) -> List[TraceRecord]:
-    if len(parts) >= 2 and parts[1] in ("R", "W"):
-        # Native format.
-        bubbles = int(parts[0])
-        addr = int(parts[2], 0)
-        dependent = len(parts) > 3 and parts[3] == "D"
-        return [TraceRecord(bubbles, addr, parts[1] == "W", dependent)]
-    if len(parts) == 2:
-        # Ramulator: <bubbles> <read-byte-address>
-        return [TraceRecord(int(parts[0]), int(parts[1], 0) >> 6, False)]
-    if len(parts) == 3:
-        # Ramulator: <bubbles> <read-byte-address> <write-byte-address>
-        bubbles = int(parts[0])
-        return [TraceRecord(bubbles, int(parts[1], 0) >> 6, False),
-                TraceRecord(0, int(parts[2], 0) >> 6, True)]
-    raise ValueError(f"unparseable trace line: {' '.join(parts)!r}")

@@ -251,16 +251,3 @@ def derated_reduction_cycles(timing: TimingParameters,
         timing,
         trcd_reduction_ns=trcd_d3 * DDR3_1600.tCK_ns,
         tras_reduction_ns=tras_d3 * DDR3_1600.tCK_ns)
-
-
-def chargecache_reductions_for(timing: TimingParameters,
-                               trcd_reduction_ns: float = 5.0,
-                               tras_reduction_ns: float = 10.0):
-    """Translate the 1 ms charge headroom into cycles for a standard.
-
-    The physics (charge in the cells) is standard independent; only the
-    clock changes.  Reductions are floored conservatively.
-    """
-    trcd_red, tras_red = reduction_cycles_for(
-        timing, trcd_reduction_ns, tras_reduction_ns)
-    return timing.reduced_by(trcd_red, tras_red)

@@ -78,10 +78,6 @@ class Frame:
     def column(self, name: str) -> List:
         return [row.get(name) for row in self.rows]
 
-    def pivot(self, key: str, value: str) -> Dict:
-        """``{row[key]: row[value]}`` — last row wins on duplicates."""
-        return {row.get(key): row.get(value) for row in self.rows}
-
     def mean(self, name: str) -> float:
         """Plain ``sum/len`` over the column's non-absent values, in
         row order — the figure loops' accumulation, verbatim."""

@@ -74,20 +74,22 @@ def _scale_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a multiplier or one of "
             f"{'/'.join(sorted(_SCALE_PRESETS))}: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("scale must be positive")
+    try:
+        Scale().scaled(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
-def _jobs_arg(text: str) -> int:
+def _count_arg(text: str) -> int:
+    """An integer >= 0 (``--jobs``, ``--limit``)."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            "jobs must be >= 0 (0 = one worker per CPU)")
-    return jobs
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +146,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help="simulation engine: 'event' (default) skips "
                              "provably idle cycles, 'dense' ticks every "
                              "bus cycle; both give identical statistics")
-    parser.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
+    parser.add_argument("--jobs", "-j", type=_count_arg, default=None,
                         metavar="N",
                         help="fan sweep points out over N worker "
                              "processes (default: $REPRO_JOBS or 1 = "
@@ -350,7 +352,7 @@ def build_query_parser() -> argparse.ArgumentParser:
     for axis in ("scenario", "mechanism", "standard", "kind", "name",
                  "engine"):
         parser.add_argument(f"--{axis}", default=None)
-    parser.add_argument("--limit", type=int, default=None)
+    parser.add_argument("--limit", type=_count_arg, default=None)
     parser.add_argument("--json", action="store_true",
                         help="emit the raw table as JSON instead of "
                              "rendering it")

@@ -38,7 +38,7 @@ new axis is exercised end-to-end — see DESIGN.md section 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import ROW_POLICIES
 from repro.dram.standards import PRESETS, StandardProfile, preset, profile
@@ -145,11 +145,6 @@ def scenario(name: str) -> Scenario:
 
 def scenario_names() -> List[str]:
     return sorted(_REGISTRY)
-
-
-def all_scenarios() -> Iterator[Scenario]:
-    for name in sorted(_REGISTRY):
-        yield _REGISTRY[name]
 
 
 def _scaling_platform(cores: int, ranks: int) -> Scenario:

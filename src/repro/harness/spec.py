@@ -24,6 +24,7 @@ different experiments and must never share a cache entry.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional
@@ -80,15 +81,19 @@ class Scale:
     cc_time_scale: float = DEFAULT_CC_TIME_SCALE
 
     def scaled(self, factor: float) -> "Scale":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return replace(
-            self,
-            single_core_instructions=max(1000, int(
-                self.single_core_instructions * factor)),
-            multi_core_instructions=max(1000, int(
-                self.multi_core_instructions * factor)),
-        )
+        if not 0 < factor < math.inf:
+            raise ValueError(
+                f"scale factor must be finite and positive, got {factor!r}")
+        try:
+            return replace(
+                self,
+                single_core_instructions=max(1000, int(
+                    self.single_core_instructions * factor)),
+                multi_core_instructions=max(1000, int(
+                    self.multi_core_instructions * factor)),
+            )
+        except OverflowError:
+            raise ValueError(f"scale factor {factor!r} is too large") from None
 
 
 def current_scale() -> Scale:
@@ -98,7 +103,11 @@ def current_scale() -> Scale:
         scale = scale.scaled(8.0)
     factor = os.environ.get("REPRO_SCALE")
     if factor:
-        scale = scale.scaled(float(factor))
+        try:
+            scale = scale.scaled(float(factor))
+        except ValueError:
+            raise ValueError("REPRO_SCALE must be a finite positive "
+                             f"number, got {factor!r}") from None
     return scale
 
 

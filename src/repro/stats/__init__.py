@@ -1,6 +1,5 @@
-"""Statistics: counters, the RLTL profiler and evaluation metrics."""
+"""Statistics: the RLTL and row-reuse probes and evaluation metrics."""
 
-from repro.stats.collector import StatsCollector
 from repro.stats.probes import CompositeProbe
 from repro.stats.reuse import RowReuseProfiler
 from repro.stats.rltl import RLTLProbe, RLTL_INTERVALS_MS
@@ -9,11 +8,9 @@ from repro.stats.metrics import (
     weighted_speedup,
     speedup,
     rmpkc,
-    geometric_mean,
 )
 
 __all__ = [
-    "StatsCollector",
     "CompositeProbe",
     "RowReuseProfiler",
     "RLTLProbe",
@@ -22,5 +19,4 @@ __all__ = [
     "weighted_speedup",
     "speedup",
     "rmpkc",
-    "geometric_mean",
 ]

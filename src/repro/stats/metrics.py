@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 
@@ -62,12 +61,3 @@ def rmpki(activations: int, instructions: int) -> float:
     if instructions <= 0:
         return 0.0
     return activations * 1000.0 / instructions
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (0 if any value <= 0)."""
-    if not values:
-        return 0.0
-    if any(v <= 0 for v in values):
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))

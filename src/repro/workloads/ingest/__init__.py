@@ -1,7 +1,8 @@
 """Real-trace ingestion and workload fingerprinting.
 
 External memory traces (gem5/Ramulator-style ``<cycle> <addr> <R|W>``
-files) enter the repro here: :mod:`formats` parses them,
+files) enter the repro here and only here, the one trace-file format
+every run reads: :mod:`formats` parses them,
 :mod:`normalize` maps them through the configured address mapping into
 internal request streams, and :mod:`fingerprint` measures the locality
 signature (RLTL distribution, RMPKC, row-hit rate) of any stream -
@@ -34,7 +35,6 @@ from repro.workloads.ingest.reference import (
     REFERENCE_FINGERPRINTS,
     REFERENCE_INTERVAL_MS,
     fingerprint_delta,
-    reference_for,
 )
 
 __all__ = [
@@ -56,5 +56,4 @@ __all__ = [
     "REFERENCE_FINGERPRINTS",
     "REFERENCE_INTERVAL_MS",
     "fingerprint_delta",
-    "reference_for",
 ]

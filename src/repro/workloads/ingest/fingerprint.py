@@ -105,16 +105,6 @@ class WorkloadFingerprint:
         data["write_fraction"] = self.write_fraction
         return data
 
-    @classmethod
-    def from_json(cls, data: Dict) -> "WorkloadFingerprint":
-        kwargs = {f: data[f] for f in (
-            "name", "records", "instructions", "activations",
-            "cold_activations", "row_hits", "writes", "footprint_lines",
-            "time_scale", "cpu_freq_ghz")}
-        kwargs["intervals_ms"] = tuple(data["intervals_ms"])
-        kwargs["rltl_counts"] = tuple(data["rltl_counts"])
-        return cls(**kwargs)
-
 
 def fingerprint_records(records: Iterable[TraceRecord],
                         org: Organization, *,

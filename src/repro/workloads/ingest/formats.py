@@ -27,7 +27,6 @@ loudly at ingestion time rather than as a silent workload mutation.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
 
@@ -195,27 +194,3 @@ def read_gem5_stats(path: str, snapshot: int = 0) -> Dict[str, float]:
     if not chosen:
         raise TraceFormatError(path, None, "empty statistics snapshot")
     return chosen
-
-
-def stats_sanity(stats: Dict[str, float]) -> Dict[str, float]:
-    """Best-effort extraction of fingerprint-comparable gem5 stats.
-
-    Looks for the conventional memory-controller counter names (row
-    hits/misses under any controller prefix) and returns whichever of
-    ``row_hit_rate`` / ``activations`` / ``cpu_cycles`` it can derive.
-    Missing counters are simply absent - callers treat this as hints,
-    not a contract.
-    """
-    out: Dict[str, float] = {}
-    hits = sum(v for k, v in stats.items()
-               if k.endswith("readRowHits") or k.endswith("writeRowHits"))
-    total = sum(v for k, v in stats.items()
-                if k.endswith("readBursts") or k.endswith("writeBursts"))
-    if total > 0:
-        out["row_hit_rate"] = hits / total
-        out["activations"] = total - hits
-    for key in ("system.cpu.numCycles", "sim_ticks", "simTicks"):
-        if key in stats and not math.isnan(stats[key]):
-            out["cpu_cycles"] = stats[key]
-            break
-    return out

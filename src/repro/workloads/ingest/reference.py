@@ -83,15 +83,6 @@ REFERENCE_FINGERPRINTS: Dict[str, Dict[str, float]] = {
 PAPER_AVG_RLTL_1MS = 0.86
 
 
-def reference_for(name: str) -> Dict[str, float]:
-    try:
-        return REFERENCE_FINGERPRINTS[name]
-    except KeyError:
-        raise KeyError(
-            f"no reference fingerprint for {name!r}; "
-            f"known: {sorted(REFERENCE_FINGERPRINTS)}") from None
-
-
 def fingerprint_delta(fp: WorkloadFingerprint,
                       ref: Mapping[str, float]) -> Dict[str, float]:
     """Signed deltas of a measured fingerprint against a reference.

@@ -55,8 +55,3 @@ def make_mix_traces(apps: Sequence[str], org, seed: int = 1
     """
     return [make_trace(name, org, seed=seed + 7919 * core)
             for core, name in enumerate(apps)]
-
-
-def all_compositions() -> Dict[str, List[str]]:
-    """Mapping of every mix to its application list (for reports)."""
-    return {mix: list(apps) for mix, apps in _COMPOSITIONS.items()}

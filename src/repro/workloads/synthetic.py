@@ -200,10 +200,3 @@ def _mixed_impl(children, probabilities, seed):
         picks = rng.choice(len(children), size=_BATCH, p=probabilities)
         for i in range(_BATCH):
             yield next(children[picks[i]])
-
-
-def constant_trace(line: int, mean_bubbles: int = 10,
-                   is_write: bool = False) -> Iterator[TraceRecord]:
-    """Degenerate single-address trace, used by unit tests."""
-    while True:
-        yield TraceRecord(mean_bubbles, line, is_write)

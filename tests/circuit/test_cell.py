@@ -7,7 +7,6 @@ from repro.circuit.cell import (
     CellParameters,
     cell_voltage_after,
     charge_sharing_voltage,
-    initial_deviation,
 )
 
 P = CellParameters()
@@ -52,12 +51,14 @@ class TestChargeSharing:
 
     def test_deviation_magnitude(self):
         """delta = (Vcell - Vdd/2) * Cc/(Cb+Cc), the capacitive divider."""
-        expected = (P.vdd - P.precharge_voltage) * P.transfer_ratio
-        assert initial_deviation(P.vdd) == pytest.approx(expected)
+        cc, cb = P.cell_capacitance_f, P.bitline_capacitance_f
+        expected = (P.vdd - P.precharge_voltage) * cc / (cb + cc)
+        delta = charge_sharing_voltage(P.vdd) - P.precharge_voltage
+        assert delta == pytest.approx(expected)
 
     def test_deviation_monotone_in_charge(self):
-        deviations = [initial_deviation(cell_voltage_after(a))
-                      for a in (0.0, 8.0, 64.0)]
+        deviations = [charge_sharing_voltage(cell_voltage_after(a))
+                      - P.precharge_voltage for a in (0.0, 8.0, 64.0)]
         assert deviations == sorted(deviations, reverse=True)
 
 
@@ -65,6 +66,3 @@ class TestParameters:
     def test_ready_and_restore_levels(self):
         assert P.ready_voltage == pytest.approx(0.75 * P.vdd)
         assert P.restore_voltage < P.vdd
-
-    def test_transfer_ratio_below_one(self):
-        assert 0 < P.transfer_ratio < 1

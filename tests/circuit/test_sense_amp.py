@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.circuit.sense_amp import SenseAmpModel
+from repro.circuit.cell import CellParameters
+from repro.circuit.sense_amp import SenseAmpModel, SenseAmpParameters
 from repro.circuit.spice import (
     WORST_CASE_AGE_MS,
     bitline_transient,
@@ -66,10 +67,6 @@ class TestWaveforms:
         tail = result.bitline_v[2:]
         assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
 
-    def test_voltage_at_lookup(self):
-        result = bitline_transient(0.0)
-        assert result.voltage_at(0.0) == pytest.approx(0.75, abs=0.05)
-
 
 class TestDerivedTable:
     def test_margins_reproduce_baseline(self):
@@ -104,15 +101,15 @@ class TestDerivedTable:
 
 class TestCustomModels:
     def test_weaker_retention_slows_sensing(self):
-        from repro.circuit.spice import make_model
-        leaky = make_model(retention_tau_ms=50.0)
+        leaky = SenseAmpModel(CellParameters(retention_tau_ms=50.0),
+                              SenseAmpParameters())
         normal = SenseAmpModel()
         r_leaky = leaky.simulate(32.0)
         r_normal = normal.simulate(32.0)
         assert r_leaky.ready_time_ns > r_normal.ready_time_ns
 
     def test_nonconvergent_model_raises(self):
-        from repro.circuit.spice import find_latency_pair, make_model
-        broken = make_model(tau_sa_ns=500.0)  # far too slow to converge
+        broken = SenseAmpModel(CellParameters(),
+                               SenseAmpParameters(tau_sa_ns=500.0))  # far too slow
         with pytest.raises(RuntimeError):
             find_latency_pair(64.0, model=broken)

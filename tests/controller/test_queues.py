@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.controller.queues import RequestQueue
 from repro.controller.request import read_request, write_request
 
+from tests.helpers import requests_for_bank, requests_for_row
+
 
 class TestCapacity:
     def test_push_until_full(self):
@@ -63,8 +65,8 @@ class TestIndexing:
         b.rank, b.bank, b.row = 0, 1, 42
         q.push(a, 0)
         q.push(b, 0)
-        assert q.requests_for_row(0, 1, 42) == 2
-        assert q.requests_for_row(0, 1, 43) == 0
+        assert requests_for_row(q, 0, 1, 42) == 2
+        assert requests_for_row(q, 0, 1, 43) == 0
 
 
 class TestStats:
@@ -103,7 +105,7 @@ class TestBankIndex:
                             for entry in entries)
             assert [req for _, req in merged] == list(q)
             for (rank_, bank_), entries in q.by_bank.items():
-                assert len(entries) == q.requests_for_bank(rank_, bank_)
+                assert len(entries) == requests_for_bank(q, rank_, bank_)
                 seqs = [seq for seq, _ in entries]
                 assert seqs == sorted(seqs)
                 assert all(req.rank == rank_ and req.bank == bank_
@@ -112,6 +114,6 @@ class TestBankIndex:
             for rank_ in range(3):
                 for bank_ in range(4):
                     for row in range(3):
-                        assert q.requests_for_row(rank_, bank_, row) == sum(
+                        assert requests_for_row(q, rank_, bank_, row) == sum(
                             1 for req in q if (req.rank, req.bank, req.row)
                             == (rank_, bank_, row))

@@ -27,6 +27,8 @@ from repro.dram.channel import Channel
 from repro.dram.commands import Command
 from repro.dram.timing import DDR3_1600, NEVER
 
+from tests.helpers import requests_for_bank, requests_for_row
+
 NUM_BANKS = 4
 NUM_ROWS = 2     # few rows, so queued requests often hit
 
@@ -54,16 +56,16 @@ def reference_choose(queue, channel, cycle, blocked_ranks=()):
 def reference_next_ready_cycle(queue, channel, cycle, blocked_ranks=()):
     best = NEVER
     col_cmd = Command.WR if next(iter(queue)).is_write else Command.RD
-    for rank, bank in queue.banks():
+    for rank, bank in queue.by_bank:
         if rank in blocked_ranks:
             continue
         open_row = channel.bank(rank, bank).open_row
         if open_row is None:
             t = channel.earliest(Command.ACT, rank, bank)
         else:
-            hits = queue.requests_for_row(rank, bank, open_row)
+            hits = requests_for_row(queue, rank, bank, open_row)
             t = channel.earliest(col_cmd, rank, bank) if hits else NEVER
-            if hits < queue.requests_for_bank(rank, bank):
+            if hits < requests_for_bank(queue, rank, bank):
                 t = min(t, channel.earliest(Command.PRE, rank, bank))
         best = min(best, t)
         if best <= cycle + 1:

@@ -9,7 +9,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hcrac import HCRAC
-from repro.core.invalidation import PeriodicInvalidator, TimestampInvalidator
+from repro.core.invalidation import PeriodicInvalidator
+
+
+class TimestampInvalidator:
+    """Exact per-key expiry (the rejected higher-cost design).
+
+    Stores an insertion timestamp per key and reports whether a key is
+    still within the caching duration.  The oracle for the periodic
+    scheme: that scheme must never report a *stale* entry as valid,
+    though it may drop valid entries early.
+    """
+
+    def __init__(self, duration_cycles: int):
+        self.duration_cycles = duration_cycles
+        self._inserted_at: dict = {}
+
+    def record_insert(self, key: int, cycle: int) -> None:
+        self._inserted_at[key] = cycle
+
+    def is_fresh(self, key: int, cycle: int) -> bool:
+        stamp = self._inserted_at.get(key)
+        return stamp is not None and cycle - stamp <= self.duration_cycles
+
+    def drop(self, key: int) -> None:
+        self._inserted_at.pop(key, None)
 
 
 class TestMechanics:

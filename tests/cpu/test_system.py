@@ -107,21 +107,6 @@ class TestAccountingInvariants:
             System(cfg, [stream_trace(org, 1 << 20, 10.0, seed=1)])
 
 
-class TestSummary:
-    def test_summary_contains_key_stats(self):
-        result = small_system("chargecache", pattern="random").run(
-            max_mem_cycles=400_000)
-        text = result.summary()
-        assert "mechanism=chargecache" in text
-        assert "RMPKC" in text
-        assert "accelerated" in text
-
-    def test_summary_marks_truncation(self):
-        result = small_system(instruction_limit=10 ** 7).run(
-            max_mem_cycles=2_000)
-        assert "(truncated)" in result.summary()
-
-
 class TestRLTLProbeIntegration:
     def test_probe_counts_activations(self):
         cfg = tiny_config(mechanism="none", instruction_limit=3000)

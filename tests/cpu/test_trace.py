@@ -1,13 +1,11 @@
-"""Unit tests for trace records and file I/O."""
+"""Unit tests for trace records."""
 
 import pytest
 
 from repro.cpu.trace import (
     TraceRecord,
     looped,
-    read_trace_file,
     trace_from_tuples,
-    write_trace_file,
 )
 
 
@@ -29,40 +27,3 @@ class TestRecords:
     def test_looped_empty_rejected(self):
         with pytest.raises(ValueError):
             looped([])
-
-
-class TestFileIO:
-    def test_roundtrip_native(self, tmp_path):
-        path = tmp_path / "t.trace"
-        records = trace_from_tuples([
-            (5, 0x100, False),
-            (0, 0x200, True),
-            (2, 0x300, False, True),
-        ])
-        count = write_trace_file(str(path), records)
-        assert count == 3
-        assert read_trace_file(str(path)) == records
-
-    def test_ramulator_read_only_format(self, tmp_path):
-        path = tmp_path / "r.trace"
-        path.write_text("7 0x400\n")
-        records = read_trace_file(str(path))
-        assert records == [TraceRecord(7, 0x400 >> 6, False)]
-
-    def test_ramulator_read_write_format(self, tmp_path):
-        path = tmp_path / "rw.trace"
-        path.write_text("7 1024 2048\n")
-        records = read_trace_file(str(path))
-        assert records == [TraceRecord(7, 16, False),
-                           TraceRecord(0, 32, True)]
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "c.trace"
-        path.write_text("# header\n\n3 R 0x40\n")
-        assert len(read_trace_file(str(path))) == 1
-
-    def test_bad_line_reports_location(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text("1 2 3 4 5\n")
-        with pytest.raises(ValueError, match="bad.trace:1"):
-            read_trace_file(str(path))

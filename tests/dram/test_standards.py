@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circuit.latency_tables import DURATION_REDUCTIONS_CYCLES
 from repro.config import DRAMConfig
 from repro.cpu.system import System
 from repro.dram.organization import Organization
@@ -10,8 +11,9 @@ from repro.dram.standards import (
     GDDR5_4000,
     LPDDR3_1600,
     PRESETS,
-    chargecache_reductions_for,
+    derated_reduction_cycles,
     preset,
+    reduction_cycles_for,
 )
 from repro.workloads.synthetic import stream_trace
 
@@ -48,17 +50,23 @@ class TestReductions:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_reductions_positive_and_legal(self, name):
         timing = preset(name)
-        reduced = chargecache_reductions_for(timing)
-        assert 1 <= reduced.trcd < timing.tRCD
-        assert 1 <= reduced.tras < timing.tRAS
+        trcd_red, tras_red = reduction_cycles_for(timing)
+        assert 1 <= timing.tRCD - trcd_red < timing.tRCD
+        assert 1 <= timing.tRAS - tras_red < timing.tRAS
 
     def test_same_physics_different_cycles(self):
         """~5 ns of tRCD headroom is more cycles on a faster bus."""
         ddr3 = preset("DDR3-1600")
         gddr5 = preset("GDDR5-4000")
-        red3 = ddr3.tRCD - chargecache_reductions_for(ddr3).trcd
-        red5 = gddr5.tRCD - chargecache_reductions_for(gddr5).trcd
+        red3, _ = reduction_cycles_for(ddr3)
+        red5, _ = reduction_cycles_for(gddr5)
         assert red5 > red3
+
+    @pytest.mark.parametrize("duration_ms", sorted(DURATION_REDUCTIONS_CYCLES))
+    def test_derating_round_trips_on_ddr3(self, duration_ms):
+        """Table 2 is in DDR3-1600 cycles: the ns round trip is exact."""
+        assert derated_reduction_cycles(preset("DDR3-1600"), duration_ms) == \
+            DURATION_REDUCTIONS_CYCLES[duration_ms]
 
 
 class TestEndToEnd:

@@ -59,10 +59,8 @@ class TestFrameVerbs:
         assert Frame(ROWS).where(mech="cc").mean("ipc") == 3.5
         assert Frame([]).mean("ipc") == 0.0
 
-    def test_column_and_pivot(self):
-        frame = Frame(ROWS).where(mech="none")
-        assert frame.column("ipc") == [1.0, 3.0]
-        assert frame.pivot("name", "ipc") == {"a": 1.0, "b": 3.0}
+    def test_column(self):
+        assert Frame(ROWS).where(mech="none").column("ipc") == [1.0, 3.0]
 
     def test_groupby_mean(self):
         grouped = Frame(ROWS).groupby(["mech"]).mean("ipc")

@@ -164,7 +164,8 @@ class TestCLI:
             assert (args.scale, args.engine, args.jobs, args.progress,
                     args.cache_dir) == (0.05, "dense", 2, True, "/tmp/s")
 
-    @pytest.mark.parametrize("scale", ["0", "-0.5", "huge"])
+    @pytest.mark.parametrize("scale", ["0", "-0.5", "huge", "nan", "inf",
+                                       "1e308"])
     def test_sweep_rejects_a_bad_scale(self, scale, capsys):
         """``--scale 0`` used to run silently at default scale."""
         from repro.harness import cli
@@ -269,3 +270,19 @@ class TestCLI:
         assert cli.main(["query", "--cache-dir", store, "--standard",
                          "GDDR5-4000"]) == 0
         assert capsys.readouterr().out.endswith("0 row(s)\n")
+
+    def test_query_rejects_a_negative_limit(self, tmp_path, capsys):
+        """``--limit -1`` used to slice off the last row silently."""
+        from repro.harness import cli
+        store = str(tmp_path / "cli-store")
+        assert cli.main(["sweep", "--workloads", "hmmer", "--mechanisms",
+                         "none", "chargecache", "--scale", "0.03",
+                         "--store", store, "--json"]) == 0
+        capsys.readouterr()
+        assert cli.main(["query", "--cache-dir", store, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 2
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["query", "--cache-dir", store, "--limit", "-1",
+                      "--json"])
+        assert excinfo.value.code == 2
+        assert "--limit" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Tests for the harness run manager."""
 
+import math
+
 import pytest
 
 from repro.harness import runner
@@ -37,6 +39,17 @@ class TestScale:
     def test_bad_factor(self):
         with pytest.raises(ValueError):
             Scale().scaled(0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 1e308])
+    def test_non_finite_or_overflowing_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="scale factor"):
+            Scale().scaled(factor)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0"])
+    def test_bad_env_scale_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SCALE", value)
+        with pytest.raises(ValueError, match=f"REPRO_SCALE.*'{value}'"):
+            current_scale()
 
     def test_env_scale(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "2.0")

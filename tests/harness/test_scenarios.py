@@ -68,7 +68,7 @@ class TestRegistry:
         """Duplicate platforms under two names would run (and cache)
         the same simulation twice in the shared `all` sweep."""
         platforms = {}
-        for scen in scenarios.all_scenarios():
+        for scen in map(scenario, scenarios.scenario_names()):
             key = (scen.num_cores, scen.channels, scen.ranks_per_channel,
                    scen.standard, scen.row_policy)
             assert key not in platforms, (

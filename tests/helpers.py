@@ -187,6 +187,17 @@ def check_command_log(log: Iterable[IssuedCommand],
     return count
 
 
+def requests_for_bank(queue, rank: int, bank: int) -> int:
+    """Count a RequestQueue's queued requests to one (rank, bank)."""
+    return len(queue.by_bank.get((rank, bank), ()))
+
+
+def requests_for_row(queue, rank: int, bank: int, row: int) -> int:
+    """Count a RequestQueue's queued requests to one (rank, bank, row)."""
+    return sum(1 for _, req in queue.by_bank.get((rank, bank), ())
+               if req.row == row)
+
+
 def drain_system(system, max_mem_cycles: int = 400_000):
     """Run a system and return its result (helper for integration)."""
     return system.run(max_mem_cycles=max_mem_cycles)

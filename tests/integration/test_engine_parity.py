@@ -58,8 +58,8 @@ def _run(cfg, pattern: str, max_mem_cycles: int = 600_000) -> RunResult:
 
 
 def assert_parity(cfg, pattern: str, max_mem_cycles: int = 600_000):
-    dense = _run(cfg.with_engine("dense"), pattern, max_mem_cycles)
-    event = _run(cfg.with_engine("event"), pattern, max_mem_cycles)
+    dense = _run(replace(cfg, engine="dense"), pattern, max_mem_cycles)
+    event = _run(replace(cfg, engine="event"), pattern, max_mem_cycles)
     for field in PARITY_FIELDS:
         assert getattr(event, field) == getattr(dense, field), (
             f"engine divergence on {field!r}: "
@@ -113,7 +113,7 @@ def test_eight_core_truncated_on_controller_only_cycle(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(System, "_step", recording_step)
         patch.setattr(MemoryController, "tick", recording_tick)
-        _run(cfg.with_engine("event"), "zipf")
+        _run(replace(cfg, engine="event"), "zipf")
     controller_only = sorted(ticked - stepped)
     assert controller_only
     stop = controller_only[len(controller_only) // 2]

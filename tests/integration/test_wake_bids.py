@@ -499,9 +499,9 @@ def test_blocked_cores_are_caught_up_before_the_warmup_reset(monkeypatch,
         return reset(self, cpu_now, mem)
 
     monkeypatch.setattr(System, "_reset_stats", checked)
-    cfg = tiny_config("chargecache", num_cores=8, channels=2,
-                      row_policy="closed", instruction_limit=1500,
-                      warmup=2000).with_engine(engine)
+    cfg = replace(tiny_config("chargecache", num_cores=8, channels=2,
+                              row_policy="closed", instruction_limit=1500,
+                              warmup=2000), engine=engine)
     System(cfg, _traces(cfg, "zipf")).run(max_mem_cycles=600_000)
     assert at_reset == [[0] * 8]
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.stats.metrics import (
-    geometric_mean,
     ipc,
     rmpkc,
     speedup,
@@ -57,19 +56,3 @@ class TestRMPKC:
 
     def test_zero_cycles(self):
         assert rmpkc(50, 0) == 0.0
-
-
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_empty(self):
-        assert geometric_mean([]) == 0.0
-
-    def test_non_positive(self):
-        assert geometric_mean([1.0, 0.0]) == 0.0
-
-    @given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=10))
-    def test_bounded_by_min_max(self, values):
-        g = geometric_mean(values)
-        assert min(values) - 1e-9 <= g <= max(values) + 1e-9

@@ -1,5 +1,7 @@
 """Unit tests for configuration validation and paper defaults."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (
@@ -102,9 +104,10 @@ class TestValidation:
 
 
 class TestMutation:
-    def test_with_mechanism_copy(self):
+    def test_replace_mechanism_copy(self):
         base = single_core_config("none")
-        cc = base.with_mechanism("chargecache")
+        cc = replace(base, mechanism="chargecache")
+        cc.validate()
         assert base.mechanism == "none"
         assert cc.mechanism == "chargecache"
         assert cc.dram == base.dram

@@ -19,7 +19,6 @@ from repro.workloads.ingest import (
     read_mem_trace,
     write_mem_trace,
 )
-from repro.workloads.ingest.formats import stats_sanity
 
 from tests.helpers import tiny_trace, write_trace
 
@@ -141,13 +140,6 @@ class TestGem5Stats:
     def test_snapshot_selection(self):
         last = read_gem5_stats(f"{FIXTURES}/gem5_stats.txt", snapshot=-1)
         assert last["system.cpu.numCycles"] == 8_000_000
-
-    def test_sanity_extraction(self):
-        stats = read_gem5_stats(f"{FIXTURES}/gem5_stats.txt")
-        sane = stats_sanity(stats)
-        assert sane["row_hit_rate"] == pytest.approx(0.70)
-        assert sane["activations"] == pytest.approx(30_000)
-        assert sane["cpu_cycles"] == pytest.approx(4_000_000)
 
     def test_markerless_dump_is_one_snapshot(self, tmp_path):
         path = tmp_path / "stats.txt"

@@ -7,7 +7,6 @@ import pytest
 from repro.dram.organization import Organization
 from repro.workloads.mixes import (
     MIX_NAMES,
-    all_compositions,
     make_mix_traces,
     mix_composition,
 )
@@ -38,11 +37,6 @@ class TestComposition:
     def test_unknown_mix_rejected(self):
         with pytest.raises(KeyError):
             mix_composition("w21")
-
-    def test_all_compositions_copy(self):
-        comps = all_compositions()
-        comps["w1"].append("tampered")
-        assert len(mix_composition("w1")) == 8
 
 
 class TestTraces:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.workloads.synthetic import (
     bounded_footprint_lines,
     chase_trace,
-    constant_trace,
     mixed_trace,
     random_trace,
     stream_trace,
@@ -117,26 +117,30 @@ class TestZipf:
             assert 0 <= d.row < org.rows
 
 
+def _constant(line):
+    return itertools.repeat(TraceRecord(0, line, False))
+
+
 class TestMixed:
     def test_interleaves_children(self, org):
-        a = constant_trace(1, 0)
-        b = constant_trace(2, 0)
+        a = _constant(1)
+        b = _constant(2)
         records = take(mixed_trace([a, b], [0.5, 0.5], seed=1), 500)
         lines = {r.line_address for r in records}
         assert lines == {1, 2}
 
     def test_weights_respected(self, org):
-        a = constant_trace(1, 0)
-        b = constant_trace(2, 0)
+        a = _constant(1)
+        b = _constant(2)
         records = take(mixed_trace([a, b], [0.9, 0.1], seed=1), 3000)
         share = sum(r.line_address == 1 for r in records) / len(records)
         assert 0.85 < share < 0.95
 
     def test_bad_weights(self, org):
         with pytest.raises(ValueError):
-            mixed_trace([constant_trace(1)], [1.0, 2.0], seed=1)
+            mixed_trace([_constant(1)], [1.0, 2.0], seed=1)
         with pytest.raises(ValueError):
-            mixed_trace([constant_trace(1)], [0.0], seed=1)
+            mixed_trace([_constant(1)], [0.0], seed=1)
 
 
 class TestBoundedFootprint:
