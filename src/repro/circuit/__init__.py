@@ -16,7 +16,6 @@ from repro.circuit.latency_tables import (
     DURATION_TABLE_NS,
     DURATION_REDUCTIONS_CYCLES,
     reductions_for_duration_ms,
-    timings_ns_for_duration_ms,
     nuat_bin_reductions,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "DURATION_TABLE_NS",
     "DURATION_REDUCTIONS_CYCLES",
     "reductions_for_duration_ms",
-    "timings_ns_for_duration_ms",
     "nuat_bin_reductions",
 ]

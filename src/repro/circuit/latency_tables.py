@@ -61,26 +61,12 @@ NUAT_BIN_REDUCTIONS_CYCLES: Dict[float, Tuple[int, int]] = {
 }
 
 
-def timings_ns_for_duration_ms(duration_ms: float) -> Tuple[float, float]:
-    """(tRCD, tRAS) in ns for a caching duration, by conservative lookup.
-
-    Durations between table rows use the next *longer* duration's (i.e.
-    safer, slower) timings; durations beyond the table use the baseline.
-    """
-    if duration_ms <= 0:
-        raise ValueError("duration must be positive")
-    for edge in sorted(DURATION_TABLE_NS):
-        if duration_ms <= edge:
-            return DURATION_TABLE_NS[edge]
-    return BASELINE_TIMINGS_NS
-
-
 def reductions_for_duration_ms(duration_ms: float) -> Tuple[int, int]:
     """(tRCD, tRAS) cycle reductions for a caching duration.
 
-    Same conservative rule as :func:`timings_ns_for_duration_ms`:
-    round the duration up to the next table row; beyond 16 ms no
-    reduction is assumed.
+    Conservative lookup: a duration between table rows takes the next
+    *longer* (safer, slower) row; beyond 16 ms no reduction is
+    assumed.
     """
     if duration_ms <= 0:
         raise ValueError("duration must be positive")

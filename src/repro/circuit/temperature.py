@@ -8,22 +8,20 @@ temperature - unlike AL-DRAM-style dynamic latency scaling, which
 relies on the DRAM being cool.
 
 This module models that relationship so the claim can be checked
-quantitatively (see ``tests/circuit/test_temperature.py`` and the
-``bench_ablations`` notes):
+quantitatively (see ``tests/circuit/test_temperature.py``, which also
+holds the ChargeCache-margin oracle, and AL-DRAM in
+:mod:`repro.core.aldram`):
 
 * :func:`retention_tau_at` - leakage time constant vs temperature.
 * :func:`cell_model_at` - a :class:`SenseAmpModel` for a device at a
   given temperature.
-* :func:`chargecache_margin_at` - how much *extra* margin a
-  ChargeCache-hit row has at temperature T relative to the worst-case
-  cell the reduced timings were validated against.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.circuit.cell import CellParameters, cell_voltage_after
+from repro.circuit.cell import CellParameters
 from repro.circuit.sense_amp import SenseAmpModel, SenseAmpParameters
 
 #: Temperature at which DRAM timings are specified (worst case).
@@ -65,21 +63,3 @@ def cell_model_at(temperature_c: float,
                                                      base_cell))
     return SenseAmpModel(cell, base_amp)
 
-
-def chargecache_margin_at(temperature_c: float,
-                          caching_duration_ms: float = 1.0,
-                          base: CellParameters = CellParameters()
-                          ) -> float:
-    """Voltage margin of a ChargeCache hit vs the validated worst case.
-
-    The reduced timings are validated for a cell that is
-    ``caching_duration_ms`` old at the worst-case temperature.  At any
-    temperature at or below that, a cached row holds at least as much
-    charge, so the margin (in volts) is non-negative - the paper's
-    Section 7.1 temperature-independence claim.
-    """
-    worst_case = cell_voltage_after(caching_duration_ms, base)
-    cell = replace(base, retention_tau_ms=retention_tau_at(temperature_c,
-                                                           base))
-    actual = cell_voltage_after(caching_duration_ms, cell)
-    return actual - worst_case

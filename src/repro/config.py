@@ -20,9 +20,6 @@ from dataclasses import dataclass, field, replace
 #: CPU clock frequency used throughout the paper's evaluation (Table 1).
 DEFAULT_CPU_FREQ_GHZ = 4.0
 
-#: DDR3-1600 bus frequency in MHz (Table 1).
-DEFAULT_BUS_FREQ_MHZ = 800.0
-
 #: Known row-buffer management policies (Section 3 of the paper).
 ROW_POLICIES = ("open", "closed")
 
@@ -44,15 +41,14 @@ class ProcessorConfig:
     num_cores: int = 1
     freq_ghz: float = DEFAULT_CPU_FREQ_GHZ
     issue_width: int = 3
-    retire_width: int = 4
     window_size: int = 128
     mshrs_per_core: int = 8
 
     def validate(self) -> None:
         if self.num_cores < 1:
             raise ValueError("num_cores must be >= 1")
-        if self.issue_width < 1 or self.retire_width < 1:
-            raise ValueError("issue/retire width must be >= 1")
+        if self.issue_width < 1:
+            raise ValueError("issue_width must be >= 1")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
         if self.mshrs_per_core < 1:
@@ -90,15 +86,12 @@ DEFAULT_STANDARD = "DDR3-1600"
 class DRAMConfig:
     """DRAM organization (Table 1, "DRAM" row).
 
-    ``standard`` names the timing-grade preset
-    (:mod:`repro.dram.standards`) the simulated devices follow;
-    :class:`repro.cpu.system.System` resolves it to a
-    :class:`~repro.dram.timing.TimingParameters` unless the caller
-    injects explicit timing.  A non-default standard must agree with
-    ``bus_freq_mhz`` (the CPU/DRAM clock ratio is derived from it); the
-    default standard tolerates any bus frequency for backward
-    compatibility with frequency-sweep configs that pass their own
-    timing object.
+    ``standard`` names the device profile (:mod:`repro.dram.standards`)
+    the run simulates, and is the only source of the device's timing
+    constraints, its bus clock (hence the CPU/bus cycle ratio) and its
+    IDD currents: :class:`repro.cpu.system.System` and the energy model
+    both resolve it, so no run can be simulated on one device and
+    clocked or billed as another.
     """
 
     channels: int = 1
@@ -106,14 +99,8 @@ class DRAMConfig:
     banks_per_rank: int = 8
     rows_per_bank: int = 64 * 1024
     row_buffer_bytes: int = 8 * 1024
-    bus_freq_mhz: float = DEFAULT_BUS_FREQ_MHZ
     address_mapping: str = "RoBaRaCoCh"
     standard: str = DEFAULT_STANDARD
-
-    @property
-    def columns_per_row(self) -> int:
-        """Number of 64 B cache-line columns per row buffer."""
-        return self.row_buffer_bytes // 64
 
     def validate(self) -> None:
         for name in ("channels", "ranks_per_channel", "banks_per_rank",
@@ -127,13 +114,6 @@ class DRAMConfig:
             raise ValueError(
                 f"unknown DRAM standard {self.standard!r}; "
                 f"known: {sorted(PRESETS)}")
-        if self.standard != DEFAULT_STANDARD:
-            preset_freq = PRESETS[self.standard].freq_mhz
-            if abs(self.bus_freq_mhz - preset_freq) > 1e-6:
-                raise ValueError(
-                    f"bus_freq_mhz={self.bus_freq_mhz} does not match "
-                    f"standard {self.standard!r} ({preset_freq} MHz); "
-                    f"set both consistently")
 
 
 @dataclass(frozen=True)
@@ -220,29 +200,26 @@ class SimulationConfig:
     dram: DRAMConfig = field(default_factory=DRAMConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     chargecache: ChargeCacheConfig = field(default_factory=ChargeCacheConfig)
-    nuat: NUATConfig = field(default_factory=NUATConfig)
     mechanism: str = "none"
     #: Simulation stops when every core retired this many instructions.
     instruction_limit: int = 100_000
     #: Statistics are reset after this many CPU cycles (cache warmup).
     warmup_cpu_cycles: int = 20_000
-    #: Random seed used by workload generators attached to this run.
-    seed: int = 1
     #: When True, a core that reaches its instruction limit stops
     #: issuing (fixed-work methodology, used for energy comparisons);
     #: when False, finished cores keep executing to preserve memory
     #: pressure (trace-loop methodology, used for performance).
     idle_finished_cores: bool = False
-    #: DRAM operating temperature; used by the AL-DRAM mechanism
-    #: (Section 7.1).  85 C is the specified worst case.
-    temperature_c: float = 85.0
     #: Simulation engine: "event" (default, skips idle cycles) or
     #: "dense" (tick-per-cycle reference implementation).
     engine: str = DEFAULT_ENGINE
 
     @property
     def cpu_cycles_per_mem_cycle(self) -> int:
-        ratio = self.processor.freq_ghz * 1000.0 / self.dram.bus_freq_mhz
+        """CPU cycles per bus cycle of the configured standard."""
+        from repro.dram.standards import preset
+        ratio = self.processor.freq_ghz * 1000.0 / \
+            preset(self.dram.standard).freq_mhz
         return max(1, round(ratio))
 
     def validate(self) -> None:
@@ -251,7 +228,6 @@ class SimulationConfig:
         self.dram.validate()
         self.controller.validate()
         self.chargecache.validate()
-        self.nuat.validate()
         # The mechanism is a registry spec, not a fixed menu: any
         # +-composition of registered mechanisms with inline parameter
         # overrides is legal (parse errors carry the details).

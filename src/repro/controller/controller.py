@@ -487,11 +487,6 @@ class MemoryController:
     # Introspection / statistics
     # ------------------------------------------------------------------
 
-    @property
-    def has_work(self) -> bool:
-        return bool(self.read_q.items or self.write_q.items
-                    or self.read_events or self._pending_pre)
-
     def active_cycles(self, cycle: int) -> int:
         """Bank-open cycles accumulated since the last stats reset."""
         return self.channel.active_cycles_until(cycle) \

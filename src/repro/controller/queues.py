@@ -59,10 +59,6 @@ class RequestQueue:
     def __iter__(self) -> Iterator[Request]:
         return iter(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     # ------------------------------------------------------------------
 
     def push(self, request: Request, cycle: int) -> bool:

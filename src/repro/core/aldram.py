@@ -42,13 +42,8 @@ from repro.dram.timing import ReducedTimings, TimingParameters
 
 @dataclass(frozen=True)
 class ALDRAMParams:
-    """AL-DRAM's registry parameter block.
-
-    The operating temperature historically lives on
-    :attr:`repro.config.SimulationConfig.temperature_c`; this dataclass
-    gives it a per-mechanism home so spec strings can override it
-    inline (``aldram(temperature=55)``).
-    """
+    """AL-DRAM's registry parameter block: the operating temperature,
+    set inline in a spec (``aldram(temperature=55)``)."""
 
     temperature_c: float = WORST_CASE_TEMPERATURE_C
 
@@ -107,11 +102,4 @@ class ALDRAM(LatencyMechanism):
     description="temperature-adaptive device-wide timings "
                 "(Lee et al., HPCA 2015)")
 def _build_aldram(ctx: MechanismContext, overrides) -> ALDRAM:
-    if "temperature_c" in overrides:
-        temperature = overrides["temperature_c"]
-    elif ctx.config is not None:
-        temperature = ctx.config.temperature_c
-    else:
-        temperature = ALDRAMParams().temperature_c
-    ALDRAMParams(temperature_c=temperature).validate()
-    return ALDRAM(ctx.timing, temperature)
+    return ALDRAM(ctx.timing, ALDRAMParams(**overrides).temperature_c)

@@ -155,9 +155,6 @@ class ChargeCache(LatencyMechanism):
 
     # ------------------------------------------------------------------
 
-    def valid_entries(self) -> int:
-        return sum(len(table) for table in self.tables)
-
     def fork_state(self) -> "ChargeCache":
         """Fresh tables/invalidators under this instance's config.
 

@@ -79,16 +79,6 @@ class NUAT(LatencyMechanism):
             "NUAT state is coupled to its channel's refresh scheduler; "
             "it cannot be forked for decision replay")
 
-    # ------------------------------------------------------------------
-
-    @property
-    def num_bins(self) -> int:
-        return len(self._bins)
-
-    def bin_timings(self) -> List[Tuple[int, Optional[ReducedTimings]]]:
-        """The (age_edge_cycles, timings) table, for inspection/tests."""
-        return list(self._bins)
-
 
 @register_mechanism(
     "nuat", params=NUATConfig, order=20,
@@ -99,8 +89,5 @@ def _build_nuat(ctx: MechanismContext, overrides) -> NUAT:
         raise ValueError(
             "nuat needs the channel's refresh scheduler; supply it via "
             "MechanismContext(refresh_scheduler=...)")
-    base = ctx.config.nuat if ctx.config is not None else NUATConfig()
-    import dataclasses
-    params = dataclasses.replace(base, **overrides)
-    params.validate()
-    return NUAT(ctx.timing, params, ctx.refresh_scheduler)
+    return NUAT(ctx.timing, NUATConfig(**overrides),
+                ctx.refresh_scheduler)

@@ -27,7 +27,7 @@ family the public API:
 * **Construction** - :func:`build` instantiates a spec against a
   :class:`MechanismContext` (channel timing, core count, refresh
   scheduler, optional :class:`~repro.config.SimulationConfig` whose
-  per-mechanism blocks supply parameter defaults).  Compositions build
+  ``chargecache`` block supplies parameter defaults).  Compositions build
   an N-way :class:`~repro.core.timing_policy.CombinedMechanism` whose
   two-way behaviour is bit-identical to the historical hardcoded
   pairs.
@@ -59,11 +59,11 @@ _DEFAULT_ORDER = 1000
 class MechanismContext:
     """Everything a mechanism factory may need at construction time.
 
-    ``config`` is optional: when present, its per-mechanism parameter
-    blocks (``config.chargecache``, ``config.nuat``,
-    ``config.temperature_c``) supply the defaults that inline spec
-    parameters override; when absent, the registered params dataclass
-    defaults apply.
+    ``config`` is optional: when present, its ``chargecache`` block
+    supplies the defaults that inline ``chargecache``/``lldram``
+    parameters override; every other mechanism, and these two when
+    ``config`` is absent, starts from its registered params dataclass
+    defaults.
     """
 
     timing: object

@@ -209,10 +209,6 @@ class SharedCache:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def outstanding_misses(self) -> int:
-        return len(self._mshrs)
-
     def contains(self, line_address: int) -> bool:
         return line_address // self.num_sets \
             in self.sets[line_address % self.num_sets]

@@ -92,10 +92,6 @@ class Core:
     # ------------------------------------------------------------------
 
     @property
-    def window_occupancy(self) -> int:
-        return self.dispatched - self.retired
-
-    @property
     def retired_since_reset(self) -> int:
         return self.retired - self._stats_start_retired
 
@@ -286,10 +282,3 @@ class Core:
         self.stall_cycles = 0
         self.finished = False
         self.finish_cycle = None
-
-    def ipc(self) -> float:
-        """Post-warmup IPC, frozen at the instruction limit."""
-        end = self.finish_cycle if self.finish_cycle is not None else self.now
-        cycles = end - self.stats_start_cycle
-        retired = min(self.retired_since_reset, self.instruction_limit)
-        return retired / cycles if cycles > 0 else 0.0

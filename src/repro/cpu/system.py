@@ -42,7 +42,9 @@ from repro.cpu.core import BLOCK_REJECT, Core
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.dram.refresh import RefreshScheduler
-from repro.dram.timing import NEVER, TimingParameters
+from repro.dram.standards import preset
+from repro.dram.timing import NEVER
+from repro.stats.metrics import ipc
 from repro.stats.probes import CompositeProbe
 from repro.stats.reuse import RowReuseProfiler
 from repro.stats.rltl import RLTLProbe
@@ -106,10 +108,9 @@ def mechanism_invariant_config(config: SimulationConfig) -> SimulationConfig:
     compatibility condition for sharing one trace replay in
     :meth:`System.run_batch` (and for the harness's batch grouping).
     """
-    from repro.config import ChargeCacheConfig, NUATConfig
+    from repro.config import ChargeCacheConfig
     return replace(config, mechanism="none",
-                   chargecache=ChargeCacheConfig(), nuat=NUATConfig(),
-                   temperature_c=85.0)
+                   chargecache=ChargeCacheConfig())
 
 
 class System:
@@ -120,20 +121,13 @@ class System:
                  enable_rltl: bool = False,
                  rltl_time_scale: float = 1.0,
                  enable_reuse: bool = False,
-                 log_commands: bool = False,
-                 timing: Optional[TimingParameters] = None):
+                 log_commands: bool = False):
         config.validate()
         if len(traces) != config.processor.num_cores:
             raise ValueError(
                 f"need {config.processor.num_cores} traces, got {len(traces)}")
         self.config = config
-        if timing is None:
-            # Resolve the configured timing grade (DDR3-1600 unless the
-            # scenario names another standard); an explicit ``timing``
-            # argument still wins for tests and frequency sweeps.
-            from repro.dram.standards import preset
-            timing = preset(config.dram.standard)
-        self.timing = timing
+        self.timing = preset(config.dram.standard)
         self.organization = Organization.from_config(
             config.dram, config.cache.line_bytes)
         self.mapper = AddressMapper(self.organization)
@@ -249,7 +243,6 @@ class System:
                   enable_rltl: bool = False,
                   rltl_time_scale: float = 1.0,
                   enable_reuse: bool = False,
-                  timing: Optional[TimingParameters] = None,
                   telemetry: Optional[Dict] = None) -> List[RunResult]:
         """Run N mechanism variants of one workload off one trace tape.
 
@@ -313,7 +306,7 @@ class System:
             collapsed = None
             if witnesses:
                 channels = cfg.dram.channels
-                mechanisms = _replay_mechanisms(cfg, channels, timing)
+                mechanisms = _replay_mechanisms(cfg, channels)
                 if mechanisms is not None:
                     for logs, witness_result in witnesses:
                         if replay_decisions_match(logs, mechanisms):
@@ -321,8 +314,7 @@ class System:
                             break
                         # A failed replay leaves the fork's state
                         # dirty; later witnesses need a clean one.
-                        mechanisms = _replay_mechanisms(cfg, channels,
-                                                        timing)
+                        mechanisms = _replay_mechanisms(cfg, channels)
                         if mechanisms is None:  # pragma: no cover
                             break
             if collapsed is not None:
@@ -330,7 +322,7 @@ class System:
                 continue
             system = cls(cfg, tape.readers(), enable_rltl=enable_rltl,
                          rltl_time_scale=rltl_time_scale,
-                         enable_reuse=enable_reuse, timing=timing)
+                         enable_reuse=enable_reuse)
             logs = [MechanismEventLog() for _ in system.controllers]
             for controller, log in zip(system.controllers, logs):
                 controller.mechanism = RecordingMechanism(
@@ -615,7 +607,7 @@ class System:
             cycles = max(1, end - core.stats_start_cycle)
             instructions.append(retired)
             core_cycles.append(cycles)
-            ipcs.append(retired / cycles)
+            ipcs.append(ipc(retired, cycles))
 
         activations = sum(c.stats.activations for c in self.controllers)
         act_reduced = sum(c.stats.act_reduced for c in self.controllers)
@@ -666,8 +658,7 @@ class System:
 # Batch-evaluator helpers
 # ----------------------------------------------------------------------
 
-def _replay_mechanisms(config: SimulationConfig, channels: int,
-                       timing: Optional[TimingParameters]):
+def _replay_mechanisms(config: SimulationConfig, channels: int):
     """Fresh per-channel mechanisms of ``config`` for decision replay.
 
     Returns None when the configured mechanism cannot be replayed
@@ -675,14 +666,12 @@ def _replay_mechanisms(config: SimulationConfig, channels: int,
     refresh scheduler) — the caller then runs the variant in full.
     """
     from repro.core.replay import fork_for_replay
-    if timing is None:
-        from repro.dram.standards import preset
-        timing = preset(config.dram.standard)
     try:
         prototype = registry.build(
             config.mechanism,
             registry.MechanismContext(
-                timing=timing, num_cores=config.processor.num_cores,
+                timing=preset(config.dram.standard),
+                num_cores=config.processor.num_cores,
                 refresh_scheduler=None, config=config))
     except ValueError:
         return None

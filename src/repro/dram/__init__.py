@@ -7,7 +7,7 @@ the level ChargeCache interacts with: ACT/PRE/RD/WR/REF commands gated by
 the standard inter-command timing constraints.
 """
 
-from repro.dram.commands import Command, CommandKind
+from repro.dram.commands import Command
 from repro.dram.timing import TimingParameters, ReducedTimings, DDR3_1600
 from repro.dram.organization import Organization, DecodedAddress
 from repro.dram.bank import Bank
@@ -17,7 +17,6 @@ from repro.dram.refresh import RefreshScheduler
 
 __all__ = [
     "Command",
-    "CommandKind",
     "TimingParameters",
     "ReducedTimings",
     "DDR3_1600",

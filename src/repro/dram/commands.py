@@ -23,35 +23,6 @@ class Command(enum.IntEnum):
     WR = 4
     REF = 5
 
-    @property
-    def is_column(self) -> bool:
-        """True for commands that move data over the bus (RD/WR)."""
-        return self in (Command.RD, Command.WR)
-
-    @property
-    def is_row(self) -> bool:
-        """True for commands that change the row state (ACT/PRE/PREA)."""
-        return self in (Command.ACT, Command.PRE, Command.PREA)
-
-
-class CommandKind(enum.Enum):
-    """Scope at which a command is addressed."""
-
-    BANK = "bank"
-    RANK = "rank"
-    CHANNEL = "channel"
-
-
-#: Scope of each command: ACT/PRE/RD/WR target one bank, PREA/REF a rank.
-COMMAND_SCOPE = {
-    Command.ACT: CommandKind.BANK,
-    Command.PRE: CommandKind.BANK,
-    Command.PREA: CommandKind.RANK,
-    Command.RD: CommandKind.BANK,
-    Command.WR: CommandKind.BANK,
-    Command.REF: CommandKind.RANK,
-}
-
 
 @dataclass(frozen=True)
 class IssuedCommand:

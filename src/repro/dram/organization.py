@@ -16,7 +16,6 @@ the columns of one row - the layout the paper's baseline uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 #: Supported address mappings.  Field order is MSB -> LSB.
 _MAPPINGS = {
@@ -41,9 +40,6 @@ class DecodedAddress:
     bank: int
     row: int
     column: int
-
-    def as_tuple(self) -> Tuple[int, int, int, int, int]:
-        return (self.channel, self.rank, self.bank, self.row, self.column)
 
 
 class Organization:
@@ -91,15 +87,6 @@ class Organization:
     def total_lines(self) -> int:
         """Total number of cache lines in the address space."""
         return 1 << self.address_bits
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.total_lines * self.line_bytes
-
-    @property
-    def banks_total(self) -> int:
-        """Number of (channel, rank, bank) triples in the system."""
-        return self.channels * self.ranks * self.banks
 
     def decode(self, line_address: int) -> DecodedAddress:
         """Decode a cache-line address into DRAM coordinates.

@@ -102,13 +102,3 @@ class RefreshScheduler:
         if stamp is None:
             stamp = group * self.timing.tREFI - self._window
         return max(0, cycle - stamp)
-
-    def row_refresh_age_ms(self, rank: int, row: int, cycle: int) -> float:
-        return self.row_refresh_age_cycles(rank, row, cycle) \
-            * self.timing.tCK_ns / 1e6
-
-    # ------------------------------------------------------------------
-
-    def window_cycles(self) -> int:
-        """Length of the retention window in bus cycles."""
-        return self._window

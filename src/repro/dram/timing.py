@@ -16,8 +16,7 @@ Two structures are exported:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Sentinel cycle meaning "never" / "nothing pending", shared by every
 #: layer's event-engine wake-up queries so bids compare consistently.
@@ -118,13 +117,6 @@ class TimingParameters:
     # Unit helpers
     # ------------------------------------------------------------------
 
-    def ns_to_cycles(self, ns: float) -> int:
-        """Convert nanoseconds to bus cycles, rounding up (JEDEC style)."""
-        return int(math.ceil(ns / self.tCK_ns - 1e-9))
-
-    def cycles_to_ns(self, cycles: int) -> float:
-        return cycles * self.tCK_ns
-
     def ms_to_cycles(self, ms: float) -> int:
         return int(round(ms * 1e6 / self.tCK_ns))
 
@@ -164,22 +156,6 @@ class TimingParameters:
         if self.tREFI <= self.tRFC:
             raise ValueError("tREFI must exceed tRFC")
 
-    def scaled_to(self, freq_mhz: float) -> "TimingParameters":
-        """Rescale every constraint to a different bus frequency."""
-        if freq_mhz <= 0:
-            raise ValueError("frequency must be positive")
-        ratio = freq_mhz / self.freq_mhz
-        fields = {}
-        for name in ("tRCD", "tRAS", "tRP", "tCL", "tCWL", "tBL", "tCCD",
-                     "tRTP", "tWR", "tWTR", "tRRD", "tFAW", "tRFC",
-                     "tREFI", "tRTRS"):
-            fields[name] = max(1, int(math.ceil(getattr(self, name) * ratio)))
-        return replace(self, freq_mhz=freq_mhz,
-                       tCK_ns=1000.0 / freq_mhz, **fields)
-
 
 #: The paper's baseline device (Table 1).
 DDR3_1600 = TimingParameters()
-
-#: A slower speed grade, used by tests to check frequency scaling.
-DDR3_1066 = DDR3_1600.scaled_to(533.0)

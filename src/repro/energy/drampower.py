@@ -18,8 +18,8 @@ representative preset per timing grade inside each
 :class:`~repro.dram.standards.StandardProfile`, so a run's energy is
 always computed with the IDD set *and* clock of the standard the run
 was simulated on.  :func:`energy_for_run` resolves both from
-``result.config`` — callers only pass timing/power explicitly to model
-a hypothetical device.
+``result.config``; :func:`energy_components` prices raw counts on any
+explicit timing/power pair.
 
 ChargeCache reduces DRAM energy through exactly two terms the model
 captures: a shorter run (less background energy for the same work) and
@@ -112,22 +112,6 @@ class EnergyBreakdown:
         return (self.act_pre_pj + self.read_pj + self.write_pj
                 + self.refresh_pj + self.background_pj + self.mechanism_pj)
 
-    @property
-    def total_mj(self) -> float:
-        return self.total_pj * 1e-9
-
-    def as_dict(self) -> dict:
-        return {
-            "act_pre_pj": self.act_pre_pj,
-            "read_pj": self.read_pj,
-            "write_pj": self.write_pj,
-            "refresh_pj": self.refresh_pj,
-            "background_active_pj": self.background_active_pj,
-            "background_precharged_pj": self.background_precharged_pj,
-            "mechanism_pj": self.mechanism_pj,
-            "total_pj": self.total_pj,
-        }
-
 
 def _pj(current_ma: float, vdd: float, time_ns: float) -> float:
     """mA * V * ns = pJ."""
@@ -184,59 +168,47 @@ def energy_components(activations: int, reads: int, writes: int,
                            bg_pre, mechanism_pj)
 
 
-def _resolve(result, timing: Optional[TimingParameters],
-             power: Optional[PowerParameters]):
-    """Fill missing timing/power from the run config's standard."""
-    if timing is None or power is None:
-        from repro.dram.standards import profile_for_config
-        prof = profile_for_config(result.config)
-        timing = timing if timing is not None else prof.timing
-        power = power if power is not None else prof.power
-    return timing, power
+def _profile(result):
+    from repro.dram.standards import profile_for_config
+    return profile_for_config(result.config)
 
 
-def run_seconds(result, timing: Optional[TimingParameters] = None) -> float:
+def run_seconds(result) -> float:
     """Wall-clock length of a run in its own standard's bus clock."""
-    if timing is None:
-        from repro.dram.standards import profile_for_config
-        timing = profile_for_config(result.config).timing
-    return result.mem_cycles * timing.tCK_ns * 1e-9
+    return result.mem_cycles * _profile(result).timing.tCK_ns * 1e-9
 
 
-def access_rate_for_run(result,
-                        timing: Optional[TimingParameters] = None) -> float:
+def access_rate_for_run(result) -> float:
     """HCRAC accesses (ACT + RD + WR) per second of run time.
 
     Feeds :meth:`repro.energy.mcpat.HCRACOverhead.average_power_w`;
     the denominator uses the run's own clock, so the rate is correct
     on every standard, not just DDR3.
     """
-    seconds = run_seconds(result, timing)
+    seconds = run_seconds(result)
     if seconds <= 0:
         return 0.0
     return (result.activations + result.reads + result.writes) / seconds
 
 
-def energy_for_run(result, timing: Optional[TimingParameters] = None,
-                   power: Optional[PowerParameters] = None,
-                   mechanism_power_w: float = 0.0) -> EnergyBreakdown:
+def energy_for_run(result, mechanism_power_w: float = 0.0
+                   ) -> EnergyBreakdown:
     """Energy breakdown for a :class:`repro.cpu.system.RunResult`.
 
-    Timing and IDD parameters default to the
+    Timing and IDD parameters come from the
     :class:`~repro.dram.standards.StandardProfile` of the standard the
     run's config names, so a DDR4/LPDDR3/GDDR5 run is charged with its
-    own clock and currents.  Pass ``timing``/``power`` explicitly only
-    to model a hypothetical device.
+    own clock and currents.
 
     ``mechanism_power_w`` is the average power of the latency
     mechanism's hardware (e.g. ChargeCache's HCRAC from
     :func:`repro.energy.mcpat.hcrac_overhead`), integrated over the run.
     """
-    timing, power = _resolve(result, timing, power)
+    prof = _profile(result)
     cfg = result.config
     ranks = cfg.dram.channels * cfg.dram.ranks_per_channel
     total_rank_cycles = ranks * result.mem_cycles
-    mechanism_pj = mechanism_power_w * run_seconds(result, timing) * 1e12
+    mechanism_pj = mechanism_power_w * run_seconds(result) * 1e12
     return energy_components(
         activations=result.activations,
         reads=result.reads,
@@ -244,7 +216,7 @@ def energy_for_run(result, timing: Optional[TimingParameters] = None,
         refreshes=result.refreshes,
         rank_active_cycles=result.rank_active_cycles,
         total_rank_cycles=total_rank_cycles,
-        timing=timing,
-        power=power,
+        timing=prof.timing,
+        power=prof.power,
         mechanism_pj=mechanism_pj,
     )

@@ -57,7 +57,6 @@ from repro.config import (
     ChargeCacheConfig,
     ControllerConfig,
     DRAMConfig,
-    NUATConfig,
     ProcessorConfig,
     SimulationConfig,
 )
@@ -171,25 +170,29 @@ def config_to_json(cfg: SimulationConfig) -> Dict:
     return dataclasses.asdict(cfg)
 
 
+def _known(block: type, data: Dict) -> Dict:
+    """``data`` without the keys ``block`` no longer has."""
+    names = {f.name for f in dataclasses.fields(block)}
+    return {key: value for key, value in data.items() if key in names}
+
+
 def config_from_json(data: Dict) -> SimulationConfig:
     """Rebuild a stored config.  Keys the current config no longer has
-    (older envelopes carry an ``"execution"`` block) are ignored, so
-    stores written by older code stay readable."""
-    nuat = dict(data["nuat"])
-    nuat["bin_edges_ms"] = tuple(nuat["bin_edges_ms"])
+    (older envelopes carry an ``"execution"`` block, a ``"nuat"`` block,
+    ``"seed"``, ``"temperature_c"``, ``dram.bus_freq_mhz`` and
+    ``processor.retire_width``) are ignored, so stores written by older
+    code stay readable."""
     return SimulationConfig(
-        processor=ProcessorConfig(**data["processor"]),
+        processor=ProcessorConfig(**_known(ProcessorConfig,
+                                           data["processor"])),
         cache=CacheConfig(**data["cache"]),
-        dram=DRAMConfig(**data["dram"]),
+        dram=DRAMConfig(**_known(DRAMConfig, data["dram"])),
         controller=ControllerConfig(**data["controller"]),
         chargecache=ChargeCacheConfig(**data["chargecache"]),
-        nuat=NUATConfig(**nuat),
         mechanism=data["mechanism"],
         instruction_limit=data["instruction_limit"],
         warmup_cpu_cycles=data["warmup_cpu_cycles"],
-        seed=data["seed"],
         idle_finished_cores=data["idle_finished_cores"],
-        temperature_c=data["temperature_c"],
         engine=data["engine"],
     )
 

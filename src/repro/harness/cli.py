@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment",
                         choices=sorted(experiments.FIGURES) + ["all"],
                         help="which artifact to regenerate")
-    parser.add_argument("--workloads", nargs="*", default=None,
+    parser.add_argument("--workloads", nargs="+", default=None,
                         help="restrict to these workloads/mixes")
     parser.add_argument("--mechanisms", nargs="+", default=None,
                         metavar="SPEC",
@@ -373,6 +373,22 @@ def _query_main(argv: List[str]) -> int:
                for axis in ("scenario", "mechanism", "standard", "kind",
                             "name", "engine")
                if getattr(args, axis) is not None}
+    if args.mechanism is not None:
+        # Stored rows carry the canonical spelling with ChargeCache's
+        # entries/duration/unbounded folded into cc_* columns; filter
+        # the same way, so every spelling of a run finds it and a bare
+        # "chargecache" matches every capacity.
+        from repro.core.registry import extract_run_params
+        try:
+            (filters["mechanism"], entries, duration,
+             unbounded) = extract_run_params(args.mechanism)
+        except ValueError as exc:
+            parser.error(f"--mechanism: {exc}")  # usage + exit 2
+        for column, value in (("cc_entries", entries),
+                              ("cc_duration_ms", duration),
+                              ("cc_unbounded", unbounded or None)):
+            if value is not None:
+                filters[column] = value
     frame = store_frame(RunCache(args.cache_dir), **filters)
     rows = sorted(frame.rows, key=lambda row: (
         row["scenario"] is None, row["scenario"] or "", row["kind"],
@@ -435,6 +451,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"warning: --mechanisms is ignored by "
                   f"{args.experiment} (honoured by: "
                   f"{', '.join(aware)})", file=sys.stderr)
+    if args.workloads is not None and args.experiment != "all" \
+            and not figures[args.experiment].modes:
+        aware = [name for name in sorted(figures) if figures[name].modes]
+        print(f"warning: --workloads is ignored by {args.experiment} "
+              f"(honoured by: {', '.join(aware)})", file=sys.stderr)
     if args.traces is not None:
         import os
         for path in args.traces:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator
 
 
 class SweepJournal:
@@ -70,24 +70,10 @@ class SweepJournal:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def completed_keys(self) -> Set[str]:
-        """Every checkpointed key (any source)."""
-        return set(self._entries)
-
-    def computed_keys(self) -> Set[str]:
-        """Keys this journal's sweeps actually simulated (source
-        'computed'), the set the no-duplicated-work assertions use."""
-        return {key for key, entry in self._entries.items()
-                if entry.get("source") == "computed"}
-
     def entries(self) -> Iterator[Dict]:
         """Checkpoint entries in recorded (seq) order."""
         return iter(sorted(self._entries.values(),
                            key=lambda entry: entry.get("seq", 0)))
-
-    def source_of(self, key: str) -> Optional[str]:
-        entry = self._entries.get(key)
-        return entry.get("source") if entry else None
 
     # -- recording ------------------------------------------------------
 

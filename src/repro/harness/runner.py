@@ -203,7 +203,6 @@ def build_config(platform: str, mechanism: str,
         processor=ProcessorConfig(num_cores=scen.num_cores),
         dram=DRAMConfig(channels=scen.channels,
                         ranks_per_channel=scen.ranks_per_channel,
-                        bus_freq_mhz=scen.timing.freq_mhz,
                         standard=scen.standard),
         controller=ControllerConfig(
             row_policy=row_policy or scen.row_policy),

@@ -36,11 +36,13 @@ DEFAULT_TIME_SCALE = 64.0
 #: smaller than the RLTL scale: the paper's physical 1 ms duration is
 #: ~800k bus cycles, far above any row-reuse gap, so invalidation has
 #: almost no effect on hit rates (Figure 11 shows ~2% single-core,
-#: ~0% eight-core).  Scaling the duration all the way down to run
-#: length would push it *below* eight-core reuse gaps and invert the
-#: paper's single-vs-eight hit-rate relationship; a factor of 8 keeps
-#: the sweep meaningful while preserving the duration >> reuse-gap
-#: regime.
+#: ~0% eight-core); a factor of 8 keeps the sweep meaningful while
+#: preserving the duration >> reuse-gap regime.  It does not keep the
+#: paper's single- vs eight-core hit-rate relationship: at this factor
+#: the eight-core Fig 9 hit rate is already below single-core at every
+#: capacity, because all eight cores of a mix address one physical
+#: space and a row one core closes misses in the next core's per-core
+#: table (DESIGN.md section 1).
 DEFAULT_CC_TIME_SCALE = 8.0
 
 #: The run shapes the harness knows how to execute.  "scenario" runs

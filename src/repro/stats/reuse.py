@@ -15,7 +15,7 @@ model to size the HCRAC without running full simulations.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 class RowReuseProfiler:
@@ -79,9 +79,6 @@ class RowReuseProfiler:
                    if distance < capacity)
         return hits / self.activations
 
-    def hit_rate_curve(self, capacities) -> List[Tuple[int, float]]:
-        return [(c, self.predicted_hit_rate(c)) for c in capacities]
-
     def median_reuse_distance(self) -> Optional[int]:
         """Median over non-cold activations (None if no reuse seen)."""
         total = sum(self.histogram.values())
@@ -93,9 +90,6 @@ class RowReuseProfiler:
             if seen * 2 >= total:
                 return distance
         return None  # pragma: no cover
-
-    def distinct_rows(self) -> int:
-        return len(self._stack)
 
     def reset(self) -> None:
         self._stack.clear()

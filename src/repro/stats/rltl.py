@@ -22,7 +22,7 @@ definition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.dram.timing import TimingParameters
 
@@ -110,10 +110,6 @@ class RLTLProbe:
             return 0.0
         return self.refresh_counts[idx] / self.activations
 
-    def rltl_series(self) -> List[Tuple[float, float]]:
-        """(interval_ms, t-RLTL) pairs for every tracked interval."""
-        return [(ms, self.rltl(ms)) for ms in self.intervals_ms]
-
     def _interval_index(self, interval_ms: float) -> int:
         try:
             return self.intervals_ms.index(interval_ms)
@@ -121,14 +117,6 @@ class RLTLProbe:
             raise KeyError(
                 f"interval {interval_ms} ms not tracked; "
                 f"tracked: {self.intervals_ms}") from None
-
-    @property
-    def mean_gap_ms(self) -> Optional[float]:
-        """Mean ACT-after-PRE gap among non-cold activations."""
-        covered = self.activations - self.cold_activations
-        if covered <= 0:
-            return None
-        return (self.gap_sum_cycles / covered) * self.timing.tCK_ns / 1e6
 
     def reset(self) -> None:
         self.activations = 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.config import DEFAULT_CPU_FREQ_GHZ
@@ -78,9 +78,6 @@ class WorkloadFingerprint:
             return 0.0
         return self.rltl_counts[idx] / self.activations
 
-    def rltl_series(self) -> Tuple[Tuple[float, float], ...]:
-        return tuple((ms, self.rltl(ms)) for ms in self.intervals_ms)
-
     @property
     def row_hit_rate(self) -> float:
         return self.row_hits / self.records if self.records else 0.0
@@ -94,16 +91,6 @@ class WorkloadFingerprint:
     def write_fraction(self) -> float:
         return self.writes / self.records if self.records else 0.0
 
-    def to_json(self) -> Dict:
-        data = asdict(self)
-        data["intervals_ms"] = list(self.intervals_ms)
-        data["rltl_counts"] = list(self.rltl_counts)
-        # Derived metrics inlined so the JSON is directly plottable.
-        data["rltl"] = {str(ms): self.rltl(ms) for ms in self.intervals_ms}
-        data["row_hit_rate"] = self.row_hit_rate
-        data["rmpkc"] = self.rmpkc
-        data["write_fraction"] = self.write_fraction
-        return data
 
 
 def fingerprint_records(records: Iterable[TraceRecord],

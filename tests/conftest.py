@@ -61,17 +61,15 @@ def tiny_config(mechanism: str = "none", num_cores: int = 1,
 
     Uses a 64 KB LLC so DRAM traffic appears quickly, and a reduced
     DRAM geometry to keep footprints small.  ``ranks`` and
-    ``standard`` open the multi-rank and timing-grade axes; the bus
-    frequency always tracks the standard's preset.
+    ``standard`` open the multi-rank and timing-grade axes; the
+    standard alone sets the timing and the CPU/bus clock ratio.
     """
-    from repro.dram.standards import preset
     cc = ChargeCacheConfig(time_scale=512.0, **cc_kwargs)
     cfg = SimulationConfig(
         processor=ProcessorConfig(num_cores=num_cores),
         cache=CacheConfig(size_bytes=64 * 1024, associativity=4),
         dram=DRAMConfig(channels=channels, ranks_per_channel=ranks,
-                        rows_per_bank=4096, standard=standard,
-                        bus_freq_mhz=preset(standard).freq_mhz),
+                        rows_per_bank=4096, standard=standard),
         controller=ControllerConfig(row_policy=row_policy),
         chargecache=cc,
         mechanism=mechanism,

@@ -1,5 +1,7 @@
 """The controller's request decoder against the reference codec."""
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,4 +31,4 @@ def test_decode_into_matches_decode(mapping, geometry, data):
     mapper.decode_into(request)
     got = (request.channel, request.rank, request.bank, request.row,
            request.column)
-    assert got == org.decode(line).as_tuple()
+    assert got == astuple(org.decode(line))

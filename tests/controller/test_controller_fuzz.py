@@ -71,7 +71,8 @@ def _drive(mc, ops):
             if mc.enqueue_read(req, cycle):
                 accepted_reads += 1
     deadline = cycle + 20_000
-    while mc.has_work and cycle < deadline:
+    while (mc.read_q.items or mc.write_q.items or mc.read_events
+           or mc._pending_pre) and cycle < deadline:
         cycle += 1
         mc.tick(cycle)
     return completed, accepted_reads, accepted_writes, cycle

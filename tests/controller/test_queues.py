@@ -14,7 +14,7 @@ class TestCapacity:
         q = RequestQueue(2)
         assert q.push(read_request(1), 0)
         assert q.push(read_request(2), 0)
-        assert q.is_full
+        assert len(q.items) == q.capacity
         assert not q.push(read_request(3), 0)
 
     def test_bad_capacity(self):

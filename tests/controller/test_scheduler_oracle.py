@@ -47,7 +47,7 @@ def reference_choose(queue, channel, cycle, blocked_ranks=()):
         if req.rank in blocked_ranks:
             continue
         cmd = required_command(req, channel)
-        if not cmd.is_column and \
+        if cmd not in (Command.RD, Command.WR) and \
                 channel.can_issue(cmd, req.rank, req.bank, cycle):
             return req, cmd
     return None

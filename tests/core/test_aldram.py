@@ -58,22 +58,21 @@ class TestMechanism:
 
 
 class TestFactory:
-    def _build(self, mechanism, temperature):
-        from dataclasses import replace
-        cfg = replace(SimulationConfig(), mechanism=mechanism,
-                      temperature_c=temperature)
+    def _build(self, mechanism):
+        cfg = SimulationConfig(mechanism=mechanism)
         refresh = RefreshScheduler(DDR3_1600, 1, 64 * 1024)
         return registry.build(mechanism, registry.MechanismContext(
             timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh,
             config=cfg))
 
     def test_aldram_from_config(self):
-        mech = self._build("aldram", 55.0)
+        mech = self._build("aldram(temperature_c=55.0)")
         assert isinstance(mech, ALDRAM)
         assert mech.temperature_c == 55.0
+        assert self._build("aldram").temperature_c == 85.0
 
     def test_combined_with_chargecache(self):
-        mech = self._build("chargecache+aldram", 55.0)
+        mech = self._build("chargecache+aldram(temperature=55)")
         # Cool device: even a cold row hits (AL-DRAM side).
         assert mech.on_activate(0, 0, 1, 0, 0) is not None
         # A recently-precharged row gets the stronger of the two.

@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 
+from repro.config import NUATConfig
 from repro.core.chargecache import ChargeCache
 from repro.core.nuat import NUAT
 from repro.core.replay import (
@@ -154,7 +155,7 @@ class TestForkProtocol:
         assert fork.mechanisms[0] is not cc
 
     def test_nuat_opts_out(self):
-        nuat = NUAT(TIMING, tiny_config("nuat").nuat, refresh=None)
+        nuat = NUAT(TIMING, NUATConfig(), refresh=None)
         assert not nuat.supports_decision_replay
         assert fork_for_replay(nuat, channels=1) is None
         with pytest.raises(NotImplementedError):
@@ -237,7 +238,8 @@ class TestRunBatch:
 
     def test_rejects_platform_divergence(self):
         base = _variant("none")
-        other = dataclasses.replace(_variant("chargecache"), seed=99)
+        other = dataclasses.replace(_variant("chargecache"),
+                                    warmup_cpu_cycles=99)
         with pytest.raises(ValueError):
             System.run_batch([base, other], [_trace(base)])
 
@@ -256,5 +258,5 @@ class TestMechanismInvariantConfig:
     def test_platform_fields_survive(self):
         a = mechanism_invariant_config(_variant("none"))
         b = mechanism_invariant_config(
-            dataclasses.replace(_variant("none"), seed=7))
+            dataclasses.replace(_variant("none"), instruction_limit=7))
         assert a != b

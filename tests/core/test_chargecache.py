@@ -141,4 +141,4 @@ class TestStats:
         cc = make_cc()
         cc.on_precharge(0, 0, 1, 0, 0)
         cc.on_precharge(0, 0, 2, 0, 1)
-        assert cc.valid_entries() == 2
+        assert sum(len(table) for table in cc.tables) == 2

@@ -20,12 +20,12 @@ def nuat(refresh):
 
 class TestBins:
     def test_five_bins(self, nuat):
-        assert nuat.num_bins == 5
+        assert len(nuat.bin_hits) == len(nuat._bins) == 5
 
     def test_bin_reductions_monotone(self, nuat):
         """Younger bins get equal-or-more aggressive timings."""
         previous = None
-        for edge, timings in nuat.bin_timings():
+        for edge, timings in nuat._bins:
             if timings is None:
                 continue
             if previous is not None:
@@ -34,7 +34,7 @@ class TestBins:
             previous = timings
 
     def test_last_bin_is_default(self, nuat):
-        edge, timings = nuat.bin_timings()[-1]
+        edge, timings = nuat._bins[-1]
         assert timings is None
         assert edge == DDR3_1600.ms_to_cycles(64.0)
 

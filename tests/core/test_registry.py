@@ -11,6 +11,7 @@ import pytest
 
 from repro.config import (
     ChargeCacheConfig,
+    NUATConfig,
     SimulationConfig,
     single_core_config,
 )
@@ -285,7 +286,7 @@ class TestNWayComposition:
         legacy = CombinedMechanism(
             DDR3_1600,
             ChargeCache(DDR3_1600, cfg.chargecache, 1),
-            NUAT(DDR3_1600, cfg.nuat, refresh))
+            NUAT(DDR3_1600, NUATConfig(), refresh))
         built = registry.build("nuat+chargecache", registry.MechanismContext(
             timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh,
             config=cfg))
@@ -297,7 +298,7 @@ class TestNWayComposition:
         def parts():
             cfg = SimulationConfig()
             return (ChargeCache(DDR3_1600, cfg.chargecache, 1),
-                    NUAT(DDR3_1600, cfg.nuat, refresh),
+                    NUAT(DDR3_1600, NUATConfig(), refresh),
                     LowLatencyDRAM(DDR3_1600, cfg.chargecache))
 
         flat = CombinedMechanism(DDR3_1600, *parts())

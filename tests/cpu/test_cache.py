@@ -140,7 +140,7 @@ class TestRetry:
     def test_read_parks_when_controller_full(self):
         h = Harness(accept=False)
         h.load(5)
-        assert h.cache.outstanding_misses == 1
+        assert len(h.cache._mshrs) == 1
         assert not h.controller.reads
         h.controller.accept = True
         h.cache.tick()

@@ -1,36 +1,51 @@
 """Unit tests for the DRAM command vocabulary."""
 
-from repro.dram.commands import (
-    COMMAND_SCOPE,
-    Command,
-    CommandKind,
-    IssuedCommand,
-)
+import pytest
+
+from repro.cpu.system import System
+from repro.dram.commands import Command, IssuedCommand
+from repro.dram.organization import Organization
+from repro.workloads.synthetic import random_trace
+
+from tests.conftest import tiny_config
+
+
+@pytest.fixture(scope="module")
+def logged_run():
+    """One short logged run long enough to span several refreshes."""
+    cfg = tiny_config(instruction_limit=20_000)
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    system = System(cfg, [random_trace(org, 1 << 22, 30.0, 1,
+                                       write_fraction=0.2)],
+                    log_commands=True)
+    system.run(max_mem_cycles=600_000)
+    return cfg, system.controllers[0].channel.command_log
 
 
 class TestCommandProperties:
-    def test_column_commands(self):
-        assert Command.RD.is_column
-        assert Command.WR.is_column
-        assert not Command.ACT.is_column
-        assert not Command.REF.is_column
+    """Each command's scope, as the issued stream records it."""
 
-    def test_row_commands(self):
-        assert Command.ACT.is_row
-        assert Command.PRE.is_row
-        assert Command.PREA.is_row
-        assert not Command.RD.is_row
+    def test_bank_scoped(self, logged_run):
+        cfg, log = logged_run
+        seen = set()
+        for c in log:
+            if c.command in (Command.ACT, Command.PRE, Command.RD,
+                             Command.WR):
+                assert 0 <= c.bank < cfg.dram.banks_per_rank, c
+                seen.add(c.command)
+                if c.command in (Command.ACT, Command.PRE):
+                    assert c.row >= 0, c
+                else:
+                    assert c.row == -1, c
+        assert seen == {Command.ACT, Command.PRE, Command.RD, Command.WR}
 
-    def test_scope_table_complete(self):
-        assert set(COMMAND_SCOPE) == set(Command)
-
-    def test_bank_scoped(self):
-        for cmd in (Command.ACT, Command.PRE, Command.RD, Command.WR):
-            assert COMMAND_SCOPE[cmd] is CommandKind.BANK
-
-    def test_rank_scoped(self):
-        for cmd in (Command.PREA, Command.REF):
-            assert COMMAND_SCOPE[cmd] is CommandKind.RANK
+    def test_rank_scoped(self, logged_run):
+        _, log = logged_run
+        rank_cmds = [c for c in log
+                     if c.command in (Command.PREA, Command.REF)]
+        assert any(c.command is Command.REF for c in rank_cmds)
+        for c in rank_cmds:
+            assert c.bank == -1 and c.row == -1, c
 
 
 class TestIssuedCommand:

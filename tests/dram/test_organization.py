@@ -1,5 +1,7 @@
 """Unit tests for DRAM geometry and address decoding."""
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +11,10 @@ from repro.dram.organization import Organization
 
 class TestConstruction:
     def test_paper_geometry(self, paper_org):
-        assert paper_org.banks_total == 8
-        assert paper_org.capacity_bytes == 4 * 1024 ** 3  # 4 GB
+        banks = paper_org.channels * paper_org.ranks * paper_org.banks
+        assert banks == 8
+        capacity = paper_org.total_lines * paper_org.line_bytes
+        assert capacity == 4 * 1024 ** 3  # 4 GB
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -30,7 +34,7 @@ class TestCodec:
     def test_encode_decode_identity(self, small_org):
         for line in range(small_org.total_lines):
             d = small_org.decode(line)
-            assert small_org.encode(*d.as_tuple()) == line
+            assert small_org.encode(*astuple(d)) == line
 
     def test_decode_fields_in_range(self, small_org):
         for line in range(small_org.total_lines):
@@ -56,7 +60,7 @@ class TestCodec:
                            columns=128)
         wrapped = line & (org.total_lines - 1)
         d = org.decode(line)
-        assert org.encode(*d.as_tuple()) == wrapped
+        assert org.encode(*astuple(d)) == wrapped
 
 
 class TestMappingProperties:
@@ -91,4 +95,5 @@ class TestMappingProperties:
         for line in range(small_org.total_lines):
             d = small_org.decode(line)
             seen.add(small_org.bank_index(d))
-        assert seen == set(range(small_org.banks_total))
+        assert seen == set(range(
+            small_org.channels * small_org.ranks * small_org.banks))

@@ -67,7 +67,7 @@ class TestSteadyStatePreseed:
         """At cycle 0, refresh ages are uniform over the 64 ms window."""
         ages = [sched.row_refresh_age_cycles(0, row, 0)
                 for row in range(0, 64 * 1024, 64)]
-        window = sched.window_cycles()
+        window = sched._window
         assert min(ages) >= 0
         assert max(ages) <= window
         # Roughly uniform: mean near window/2.
@@ -84,7 +84,8 @@ class TestSteadyStatePreseed:
         assert fraction == pytest.approx(0.125, abs=0.02)
 
     def test_age_in_ms(self, sched):
-        age_ms = sched.row_refresh_age_ms(0, 0, 0)
+        age_ms = sched.row_refresh_age_cycles(0, 0, 0) \
+            * sched.timing.tCK_ns / 1e6
         assert age_ms == pytest.approx(64.0, rel=0.01)
 
 
@@ -118,7 +119,7 @@ class TestSeededStamps:
         timing = PRESETS[standard]
         sched = RefreshScheduler(timing, num_ranks=2,
                                  rows_per_bank=64 * 1024)
-        window = sched.window_cycles()
+        window = sched._window
         rows = self._row_of_group(sched)
         for rank in range(2):
             ages = [sched.row_refresh_age_cycles(rank, rows[g], 0)
@@ -134,7 +135,7 @@ class TestSeededStamps:
         timing = DDR3_1600
         sched = RefreshScheduler(timing, num_ranks=2,
                                  rows_per_bank=64 * 1024)
-        window = sched.window_cycles()
+        window = sched._window
         rows = self._row_of_group(sched)
         ref_cycles = [(k + 1) * timing.tREFI + 3 * k for k in range(refs)]
         for cycle in ref_cycles:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.circuit.latency_tables import DURATION_REDUCTIONS_CYCLES
-from repro.config import DRAMConfig
 from repro.cpu.system import System
 from repro.dram.organization import Organization
 from repro.dram.standards import (
@@ -39,8 +38,8 @@ class TestPresets:
         """Core timings are similar in ns across standards (same cell
         physics), even though cycle counts differ wildly."""
         for timing in PRESETS.values():
-            assert 10.0 <= timing.cycles_to_ns(timing.tRCD) <= 20.0
-            assert 25.0 <= timing.cycles_to_ns(timing.tRAS) <= 45.0
+            assert 10.0 <= timing.tRCD * timing.tCK_ns <= 20.0
+            assert 25.0 <= timing.tRAS * timing.tCK_ns <= 45.0
 
     def test_lpddr_refreshes_more_often(self):
         assert LPDDR3_1600.tREFI < PRESETS["DDR3-1600"].tREFI
@@ -72,16 +71,12 @@ class TestReductions:
 class TestEndToEnd:
     @pytest.mark.parametrize("name", ("DDR4-2400", "LPDDR3-1600"))
     def test_chargecache_runs_on_other_standards(self, name):
-        timing = preset(name)
-        cfg = tiny_config(mechanism="chargecache", instruction_limit=2000)
-        # Match the config's bus frequency to the standard's.
-        from dataclasses import replace
-        cfg = replace(cfg, dram=DRAMConfig(channels=1, rows_per_bank=4096,
-                                           bus_freq_mhz=timing.freq_mhz))
+        cfg = tiny_config(mechanism="chargecache", standard=name,
+                          instruction_limit=2000)
         org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
         system = System(cfg, [stream_trace(org, 1 << 21, 8.0, seed=1,
-                                           num_streams=2)],
-                        timing=timing)
+                                           num_streams=2)])
+        assert system.timing is preset(name)
         result = system.run(max_mem_cycles=600_000)
         assert not result.truncated
         assert result.mechanism_lookups > 0

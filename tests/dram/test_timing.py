@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dram.timing import DDR3_1066, DDR3_1600, ReducedTimings, TimingParameters
+from repro.dram.timing import DDR3_1600, ReducedTimings, TimingParameters
 
 
 class TestDefaults:
@@ -19,8 +19,8 @@ class TestDefaults:
 
     def test_ns_per_cycle(self):
         assert DDR3_1600.tCK_ns == pytest.approx(1.25)
-        assert DDR3_1600.cycles_to_ns(11) == pytest.approx(13.75)
-        assert DDR3_1600.cycles_to_ns(28) == pytest.approx(35.0)
+        assert DDR3_1600.tRCD * DDR3_1600.tCK_ns == pytest.approx(13.75)
+        assert DDR3_1600.tRAS * DDR3_1600.tCK_ns == pytest.approx(35.0)
 
     def test_validate_passes(self):
         DDR3_1600.validate()
@@ -52,18 +52,8 @@ class TestDerivedConstraints:
 
 
 class TestConversions:
-    def test_ns_to_cycles_rounds_up(self):
-        assert DDR3_1600.ns_to_cycles(13.75) == 11
-        assert DDR3_1600.ns_to_cycles(13.76) == 12
-        assert DDR3_1600.ns_to_cycles(0.1) == 1
-
     def test_ms_to_cycles(self):
         assert DDR3_1600.ms_to_cycles(1.0) == 800_000
-
-    @given(st.integers(min_value=1, max_value=10_000))
-    def test_roundtrip_cycles_ns(self, cycles):
-        ns = DDR3_1600.cycles_to_ns(cycles)
-        assert DDR3_1600.ns_to_cycles(ns) == cycles
 
 
 class TestReducedTimings:
@@ -95,24 +85,6 @@ class TestReducedTimings:
     def test_min_with_commutative(self, a1, a2, b1, b2):
         a, b = ReducedTimings(a1, a2), ReducedTimings(b1, b2)
         assert a.min_with(b) == b.min_with(a)
-
-
-class TestScaling:
-    def test_scaled_frequency(self):
-        assert DDR3_1066.freq_mhz == pytest.approx(533.0)
-        assert DDR3_1066.tCK_ns == pytest.approx(1000.0 / 533.0)
-
-    def test_scaled_constraints_shrink_in_cycles(self):
-        # Slower clock -> same ns -> fewer cycles.
-        assert DDR3_1066.tRCD <= DDR3_1600.tRCD
-        assert DDR3_1066.tRAS <= DDR3_1600.tRAS
-
-    def test_scaled_validates(self):
-        DDR3_1066.validate()
-
-    def test_bad_frequency(self):
-        with pytest.raises(ValueError):
-            DDR3_1600.scaled_to(0)
 
 
 class TestValidation:

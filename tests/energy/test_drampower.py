@@ -1,5 +1,6 @@
 """Unit tests for the DRAM energy model."""
 
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.energy.drampower import (
     DDR3PowerParameters,
-    EnergyBreakdown,
     PowerParameters,
     access_rate_for_run,
     energy_components,
@@ -106,6 +106,18 @@ class TestStandardPresets:
         assert profile("DDR3-1600").power == DDR3PowerParameters()
 
 
+def _billed_as(run, prof):
+    """``run``'s counts priced on an explicit standard profile."""
+    cfg = run.config
+    ranks = cfg.dram.channels * cfg.dram.ranks_per_channel
+    return energy_components(
+        activations=run.activations, reads=run.reads,
+        writes=run.writes, refreshes=run.refreshes,
+        rank_active_cycles=run.rank_active_cycles,
+        total_rank_cycles=ranks * run.mem_cycles,
+        timing=prof.timing, power=prof.power)
+
+
 def _fake_run(config, mem_cycles=100_000, activations=500, reads=2000,
               writes=700, refreshes=12, rank_active_cycles=40_000):
     """Minimal RunResult stand-in for the energy path."""
@@ -126,17 +138,11 @@ class TestRunResolution:
         run = self._scenario_run("ddr4-2400-c1")
         prof = profile("DDR4-2400")
         e = energy_for_run(run)
-        expected = energy_components(
-            activations=run.activations, reads=run.reads,
-            writes=run.writes, refreshes=run.refreshes,
-            rank_active_cycles=run.rank_active_cycles,
-            total_rank_cycles=run.mem_cycles,
-            timing=prof.timing, power=prof.power)
-        assert e.as_dict() == pytest.approx(expected.as_dict())
+        expected = _billed_as(run, prof)
+        assert asdict(e) == pytest.approx(asdict(expected))
         # The same counts billed at DDR3's clock/IDD set differ: the
         # pre-change hardcoded-DDR3 path was wrong for this run.
-        wrong = energy_for_run(run, timing=DDR3_1600,
-                               power=DDR3PowerParameters())
+        wrong = _billed_as(run, profile("DDR3-1600"))
         assert e.total_pj != pytest.approx(wrong.total_pj)
         assert run_seconds(run) == pytest.approx(
             run.mem_cycles * prof.timing.tCK_ns * 1e-9)
@@ -148,9 +154,13 @@ class TestRunResolution:
         from repro.config import eight_core_config
         run = _fake_run(eight_core_config())
         resolved = energy_for_run(run)
-        legacy = energy_for_run(run, timing=DDR3_1600,
-                                power=DDR3PowerParameters())
-        assert resolved.as_dict() == legacy.as_dict()
+        legacy = energy_components(
+            activations=run.activations, reads=run.reads,
+            writes=run.writes, refreshes=run.refreshes,
+            rank_active_cycles=run.rank_active_cycles,
+            total_rank_cycles=2 * run.mem_cycles,
+            timing=DDR3_1600, power=DDR3PowerParameters())
+        assert asdict(resolved) == asdict(legacy)
 
     def test_access_rate_uses_own_clock(self):
         from repro.harness.runner import build_config
@@ -215,15 +225,6 @@ class TestBreakdown:
                  + e.mechanism_pj)
         assert e.total_pj == pytest.approx(parts)
 
-    def test_as_dict_round_trip(self):
-        e = components(activations=5)
-        d = e.as_dict()
-        assert d["act_pre_pj"] == e.act_pre_pj
-        assert d["total_pj"] == e.total_pj
-
-    def test_total_mj(self):
-        e = EnergyBreakdown(1e9, 0, 0, 0, 0, 0)
-        assert e.total_mj == pytest.approx(1.0)
 
 
 class TestProperties:
@@ -243,7 +244,7 @@ class TestProperties:
                               rank_active_cycles=active,
                               total_rank_cycles=10_000,
                               timing=prof.timing, power=prof.power)
-        for value in e.as_dict().values():
+        for value in asdict(e).values():
             assert value >= 0
 
     @given(st.integers(0, 500))

@@ -180,6 +180,8 @@ class TestEnergy:
     def test_breakdown_components_non_negative_across_matrix(self):
         """Property check on real runs: no standard's preset yields a
         negative energy component anywhere in the sampled matrix."""
+        from dataclasses import asdict
+
         from repro.energy.drampower import energy_for_run
         from repro.harness.runner import run_spec, scenario_spec
         experiments.run("energy", WORKLOADS, TINY)  # populate the memo
@@ -189,7 +191,7 @@ class TestEnergy:
                     run = run_spec(scenario_spec(
                         scen, name, mech, TINY, idle_finished=True))
                     breakdown = energy_for_run(run)
-                    for key, value in breakdown.as_dict().items():
+                    for key, value in asdict(breakdown).items():
                         assert value >= 0, (scen, mech, name, key)
 
 

@@ -5,6 +5,8 @@ import os
 
 from repro.harness.journal import SweepJournal
 
+from tests.helpers import journal_sources
+
 
 class TestRecordAndLoad:
     def test_round_trip(self, tmp_path):
@@ -15,9 +17,7 @@ class TestRecordAndLoad:
         loaded = SweepJournal(path)
         assert len(loaded) == 2
         assert "k1" in loaded and "k2" in loaded
-        assert loaded.completed_keys() == {"k1", "k2"}
-        assert loaded.computed_keys() == {"k1"}
-        assert loaded.source_of("k2") == "disk"
+        assert journal_sources(loaded) == {"k1": "computed", "k2": "disk"}
 
     def test_idempotent_append(self, tmp_path):
         journal = SweepJournal(str(tmp_path / "j"))
@@ -25,7 +25,7 @@ class TestRecordAndLoad:
         assert not journal.record("k1")
         assert not journal.record("k1", source="disk")
         assert len(journal) == 1
-        assert journal.source_of("k1") == "computed"
+        assert journal_sources(journal).get("k1") == "computed"
 
     def test_seq_orders_entries(self, tmp_path):
         journal = SweepJournal(str(tmp_path / "j"))
@@ -53,10 +53,10 @@ class TestCrashTolerance:
         with open(path, "a", encoding="ascii") as fh:
             fh.write('{"key": "k3", "la')  # crash mid-write
         reloaded = SweepJournal(path)
-        assert reloaded.completed_keys() == {"k1", "k2"}
+        assert set(journal_sources(reloaded)) == {"k1", "k2"}
         # And the journal stays appendable after the torn tail.
         assert reloaded.record("k4")
-        assert "k4" in SweepJournal(path).completed_keys()
+        assert "k4" in set(journal_sources(SweepJournal(path)))
 
     def test_blank_lines_skipped(self, tmp_path):
         path = str(tmp_path / "j")
@@ -65,12 +65,12 @@ class TestCrashTolerance:
         journal.close()
         with open(path, "a", encoding="ascii") as fh:
             fh.write("\n\n")
-        assert SweepJournal(path).completed_keys() == {"k1"}
+        assert set(journal_sources(SweepJournal(path))) == {"k1"}
 
     def test_missing_file_is_empty(self, tmp_path):
         journal = SweepJournal(str(tmp_path / "absent"))
         assert len(journal) == 0
-        assert journal.completed_keys() == set()
+        assert set(journal_sources(journal)) == set()
 
 
 class TestFormat:

@@ -22,6 +22,8 @@ from repro.harness.journal import SweepJournal
 from repro.harness.pool import execute_sweep
 from repro.harness.spec import RunSpec, Scale
 
+from tests.helpers import journal_sources
+
 TINY = Scale(single_core_instructions=1500, multi_core_instructions=1000,
              warmup_cpu_cycles=1000, max_mem_cycles=300_000)
 
@@ -83,7 +85,7 @@ class TestResumption:
             execute_sweep(SWEEP, journal=journal_path,
                           progress=dying_progress)
         first_run = list(sim_log)
-        checkpointed = SweepJournal(journal_path).completed_keys()
+        checkpointed = set(journal_sources(SweepJournal(journal_path)))
         assert len(checkpointed) == kill_after
 
         # Restart: same journal, same store, a fresh process (memo
@@ -101,7 +103,8 @@ class TestResumption:
         assert sorted(first_run + sim_log) == sorted(KEYS)
 
         # The journal converged: one line per key, every key present.
-        assert SweepJournal(journal_path).completed_keys() == set(KEYS)
+        assert set(journal_sources(SweepJournal(journal_path))) == \
+            set(KEYS)
         assert len(_journal_lines(journal_path)) == len(KEYS)
 
     def test_rerun_of_finished_sweep_is_all_store_hits(
@@ -237,7 +240,7 @@ class TestCLI:
         assert counts[1]["disk"] == 2
         assert len(_journal_lines(journal)) == 2
         assert sorted(os.listdir(store)) == sorted(
-            f"{key}.json" for key in SweepJournal(journal).completed_keys())
+            f"{key}.json" for key in journal_sources(SweepJournal(journal)))
 
     def test_sweep_then_query_the_store_directory(self, tmp_path,
                                                   capsys):
@@ -270,6 +273,36 @@ class TestCLI:
         assert cli.main(["query", "--cache-dir", store, "--standard",
                          "GDDR5-4000"]) == 0
         assert capsys.readouterr().out.endswith("0 row(s)\n")
+
+    def test_query_mechanism_matches_every_spelling(self, tmp_path,
+                                                    capsys):
+        """``query --mechanism`` canonicalizes its filter the way the
+        store keys runs: any spelling finds the run, inline ChargeCache
+        parameters filter on the folded cc_* columns, and a bare
+        ``chargecache`` matches every capacity."""
+        from repro.harness import cli
+        store = str(tmp_path / "cli-store")
+        assert cli.main(["sweep", "--workloads", "hmmer", "--mechanisms",
+                         "chargecache+nuat", "chargecache(entries=256)",
+                         "--scale", "0.03", "--store", store,
+                         "--json"]) == 0
+        capsys.readouterr()
+
+        def count(spec):
+            assert cli.main(["query", "--cache-dir", store, "--mechanism",
+                             spec, "--json"]) == 0
+            return json.loads(capsys.readouterr().out)["count"]
+
+        assert count("chargecache+nuat") == 1
+        assert count("nuat+chargecache") == 1
+        assert count("chargecache(entries=256)") == 1
+        assert count("chargecache(entries=64)") == 0
+        assert count("chargecache") == 1
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["query", "--cache-dir", store, "--mechanism",
+                      "chargecache(entries=", "--json"])
+        assert excinfo.value.code == 2
+        assert "--mechanism" in capsys.readouterr().err
 
     def test_query_rejects_a_negative_limit(self, tmp_path, capsys):
         """``--limit -1`` used to slice off the last row silently."""

@@ -146,8 +146,16 @@ class TestConfigConstruction:
         assert cfg.dram.ranks_per_channel == scen.ranks_per_channel
         assert cfg.dram.standard == scen.standard
         assert cfg.controller.row_policy == scen.row_policy
-        # Bus frequency always tracks the standard.
-        assert cfg.dram.bus_freq_mhz == scen.timing.freq_mhz
+
+    @pytest.mark.parametrize("name,ratio", (
+        ("c1-r1", 5), ("ddr4-2400-c1", 3), ("lpddr3-1600-c1", 5),
+        ("gddr5-4000-c1", 2)))
+    def test_clock_ratio_follows_the_standard(self, name, ratio):
+        """The 4 GHz CPU's cycles per bus cycle come from the
+        standard's bus clock alone: DDR3-1600 and LPDDR3-1600 run at
+        800 MHz, DDR4-2400 at 1200 MHz, GDDR5-4000 at 2000 MHz."""
+        cfg = build_config(name, "none", TINY)
+        assert cfg.cpu_cycles_per_mem_cycle == ratio
 
     def test_reductions_rescale_with_the_clock(self):
         """~5/10 ns of charge headroom is more cycles on faster buses."""

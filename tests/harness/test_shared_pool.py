@@ -198,6 +198,24 @@ class TestWorkloadsAcrossEntries:
         for word in named:
             assert word in err
 
+    def test_workloads_flag_without_names_is_a_usage_error(self, capsys):
+        """``--workloads`` with no names used to skip every entry and
+        exit 0 having run nothing."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig7a", "--workloads", "--no-cache"])
+        assert exc.value.code == 2
+        assert "--workloads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ("table1", "table2", "fig6", "sec63"))
+    def test_workloads_warns_on_an_entry_that_takes_none(self, name,
+                                                          capsys):
+        assert cli.main([name, "--workloads", "mcf", "--scale", "0.03",
+                         "--no-cache"]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: --workloads is ignored by {name} " \
+               f"(honoured by: " in err
+        assert "fig7a" in err and name + "," not in err
+
 
 class TestDeclarations:
     def test_declarations_exist_for_every_sweeping_experiment(self):

@@ -10,12 +10,13 @@ enforcement cannot hide itself.
 small deterministic trace, write it, ingest it" dance out of the
 ingestion, fingerprint and harness tests; :func:`tiny_internal` is the
 same idea for the simulator's internal record type.
+:func:`journal_sources` reads a sweep journal's checkpoints back.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.cpu.trace import TraceRecord
 from repro.dram.commands import Command, IssuedCommand
@@ -208,3 +209,10 @@ def collect_command_logs(system) -> List[IssuedCommand]:
     for controller in system.controllers:
         logs.append(controller.channel.command_log)
     return logs
+
+
+def journal_sources(journal) -> Dict[str, str]:
+    """Checkpointed key -> source ("computed", "disk", ...) of a
+    :class:`~repro.harness.journal.SweepJournal`."""
+    return {entry["key"]: entry.get("source")
+            for entry in journal.entries()}

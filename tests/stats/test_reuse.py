@@ -18,7 +18,7 @@ class TestStackDistance:
         p = RowReuseProfiler()
         assert activate_rows(p, [1, 2, 3]) == [None, None, None]
         assert p.cold == 3
-        assert p.distinct_rows() == 3
+        assert len(p._stack) == 3
 
     def test_immediate_reuse_is_distance_zero(self):
         p = RowReuseProfiler()
@@ -45,8 +45,7 @@ class TestHitRatePrediction:
         """Bigger capacity never predicts a lower hit rate."""
         p = RowReuseProfiler()
         activate_rows(p, [1, 2, 3, 1, 4, 2, 5, 1, 2, 3])
-        curve = p.hit_rate_curve((1, 2, 4, 8))
-        rates = [rate for _, rate in curve]
+        rates = [p.predicted_hit_rate(c) for c in (1, 2, 4, 8)]
         assert rates == sorted(rates)
 
     def test_prediction_matches_direct_lru(self):
@@ -106,5 +105,5 @@ class TestStatistics:
         p = RowReuseProfiler()
         activate_rows(p, rows)
         assert p.activations == len(rows)
-        assert p.cold == p.distinct_rows()
+        assert p.cold == len(p._stack)
         assert p.cold + sum(p.histogram.values()) == p.activations

@@ -46,7 +46,7 @@ class TestPaperDefaults:
         assert d.banks_per_rank == 8
         assert d.rows_per_bank == 64 * 1024
         assert d.row_buffer_bytes == 8 * 1024
-        assert d.columns_per_row == 128
+        assert d.row_buffer_bytes // 64 == 128  # 64 B columns per row
 
     def test_chargecache_row(self):
         cc = ChargeCacheConfig()
@@ -113,6 +113,7 @@ class TestMutation:
         assert cc.dram == base.dram
 
     def test_overrides_via_kwargs(self):
-        cfg = single_core_config(instruction_limit=123, seed=9)
+        cfg = single_core_config(instruction_limit=123,
+                                 warmup_cpu_cycles=9)
         assert cfg.instruction_limit == 123
-        assert cfg.seed == 9
+        assert cfg.warmup_cpu_cycles == 9
