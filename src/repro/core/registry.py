@@ -297,6 +297,13 @@ def _split_terms(text: str) -> List[str]:
 
 
 def _parse_term(raw: str, spec_text: str) -> MechanismTerm:
+    return _normalized_term(*_written_term(raw, spec_text))
+
+
+def _written_term(raw: str, spec_text: str
+                  ) -> Tuple[RegisteredMechanism, Dict[str, object]]:
+    """A term's mechanism and the coerced parameters it spells out
+    (canonical names, defaults still included)."""
     match = _TERM_RE.match(raw)
     if not match or not match.group("name"):
         raise ValueError(
@@ -306,7 +313,7 @@ def _parse_term(raw: str, spec_text: str) -> MechanismTerm:
     entry = registered(name)
     raw_params = match.group("params")
     if raw_params is None or not raw_params.strip():
-        return MechanismTerm(name=name)
+        return entry, {}
     if entry.params_type is None:
         raise ValueError(
             f"mechanism {name!r} takes no parameters, got "
@@ -337,7 +344,7 @@ def _parse_term(raw: str, spec_text: str) -> MechanismTerm:
                 f"mechanism {name!r}: parameter {key!r} given twice")
         overrides[key] = _coerce_value(name, key, value_text,
                                        getattr(defaults, key))
-    return _normalized_term(entry, overrides)
+    return entry, overrides
 
 
 def _normalized_term(entry: RegisteredMechanism,
@@ -399,6 +406,22 @@ def _validated_spec(terms: List[MechanismTerm],
             f"(spec {origin})")
     terms = sorted(terms, key=lambda t: (registered(t.name).order, t.name))
     return MechanismSpec(terms=tuple(terms))
+
+
+def written_params(text: str) -> Dict[str, Dict[str, object]]:
+    """``{mechanism name: {parameter: value}}`` as ``text`` spells the
+    parameters out, under their canonical names.
+
+    Unlike the canonical form, which drops a parameter equal to its
+    registered default, this keeps it: a filter over stored runs
+    (``query --mechanism``) must tell ``chargecache(entries=128)``
+    from a bare ``chargecache``.
+    """
+    written = {}
+    for raw in _split_terms(text):
+        entry, overrides = _written_term(raw, text)
+        written[entry.name] = overrides
+    return written
 
 
 def canonical_spec(text: Union[str, MechanismSpec]) -> str:

@@ -45,7 +45,8 @@ class MechanismEventLog:
 
     * ``("A", rank, bank, row, core_id, cycle, decision)`` for
       ``on_activate``, where ``decision`` is ``None`` (default
-      timings) or the ``(trcd, tras)`` pair that was applied;
+      timings) or the :class:`~repro.dram.timing.ReducedTimings` that
+      was applied (compared by value on replay);
     * ``("P", rank, bank, row, core_id, cycle)`` for ``on_precharge``.
     """
 
@@ -81,12 +82,7 @@ class RecordingMechanism:
 
     def on_activate(self, rank, bank, row, core_id, cycle):
         timings = self._activate(rank, bank, row, core_id, cycle)
-        # A pair, not the returned object: logging the object changes
-        # when the collector runs full collections, which raised peak
-        # memory by up to 3% on the perfbench sweeps.
-        self._append(("A", rank, bank, row, core_id, cycle,
-                      None if timings is None
-                      else (timings.trcd, timings.tras)))
+        self._append(("A", rank, bank, row, core_id, cycle, timings))
         return timings
 
     def on_precharge(self, rank, bank, row, core_id, cycle):
@@ -117,11 +113,8 @@ def replay_decisions_match(logs: Sequence[MechanismEventLog],
         for event in log.events:
             if event[0] == "A":
                 _, rank, bank, row, core_id, cycle, decision = event
-                timings = mechanism.on_activate(rank, bank, row,
-                                                core_id, cycle)
-                offered = None if timings is None \
-                    else (timings.trcd, timings.tras)
-                if offered != decision:
+                if mechanism.on_activate(rank, bank, row, core_id,
+                                         cycle) != decision:
                     return False
             else:
                 _, rank, bank, row, core_id, cycle = event

@@ -32,6 +32,7 @@ class SharedCache:
 
     def __init__(self, cache_config, mapper, controllers,
                  hit_notify: Callable[[int, int, int], None],
+                 load_notify: Callable[[int, int], None],
                  current_mem_cycle: Callable[[], int]):
         """
         Args:
@@ -41,6 +42,8 @@ class SharedCache:
             hit_notify: ``hit_notify(core_id, token, cpu_delay)``
                 schedules a load-completion callback after the hit
                 latency (the system wires this to its event queue).
+            load_notify: ``load_notify(core_id, token)`` fires when a
+                missed load's data is filled.
             current_mem_cycle: callable returning the present DRAM bus
                 cycle, used to timestamp controller requests.
         """
@@ -49,6 +52,7 @@ class SharedCache:
         self.mapper = mapper
         self.controllers = controllers
         self.hit_notify = hit_notify
+        self.load_notify = load_notify
         self.mem_cycle = current_mem_cycle
 
         self.num_sets = cache_config.num_sets
@@ -57,8 +61,8 @@ class SharedCache:
         #: order, holding only the sets looked up so far; read-only
         #: outside the cache.
         self.sets: DefaultDict[int, OrderedDict] = defaultdict(OrderedDict)
-        #: MSHRs: line -> the (core_id, token, notify) loads awaiting it.
-        self._mshrs: Dict[int, List[Tuple[int, int, Callable]]] = {}
+        #: MSHRs: line -> the (core_id, token) loads awaiting it.
+        self._mshrs: Dict[int, List[Tuple[int, int]]] = {}
         #: Parked requests the controllers refused, retried every
         #: memory cycle by :meth:`tick`.  Read-only outside the cache.
         #: While either list is non-empty the event engine must visit
@@ -82,11 +86,11 @@ class SharedCache:
     # ------------------------------------------------------------------
 
     def access_load(self, core_id: int, line_address: int,
-                    token: int,
-                    notify: Callable[[int, int], None]) -> bool:
+                    token: int) -> bool:
         """Handle a load; always accepted (MSHR/retry absorb pressure).
 
-        ``notify(core_id, token)`` fires when data is available.
+        ``hit_notify`` or, after a miss, ``load_notify`` reports the
+        data's arrival.
         """
         lru = self.sets[line_address % self.num_sets]
         tag = line_address // self.num_sets
@@ -98,10 +102,10 @@ class SharedCache:
         self.load_misses += 1
         waiters = self._mshrs.get(line_address)
         if waiters is not None:
-            waiters.append((core_id, token, notify))
+            waiters.append((core_id, token))
             self.mshr_merges += 1
             return True
-        self._mshrs[line_address] = [(core_id, token, notify)]
+        self._mshrs[line_address] = [(core_id, token)]
         request = Request(line_address, RequestType.READ, core_id,
                           callback=self._fill)
         self.mapper.decode_into(request)
@@ -143,7 +147,8 @@ class SharedCache:
                     self._writeback(line_address, victim_tag,
                                     request.core_id)
             lru[tag] = False
-        for core_id, token, notify in waiters:
+        notify = self.load_notify
+        for core_id, token in waiters:
             notify(core_id, token)
 
     def _writeback(self, incoming_line: int, victim_tag: int,

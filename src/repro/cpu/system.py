@@ -171,6 +171,11 @@ class System:
                 self.rltl_probe.refresh_schedulers[ch] = refresh
 
         self.mem_cycle = 0
+        #: Engine-efficiency instrumentation (not part of RunResult, so
+        #: cache keys and artifacts are unaffected): how many bus cycles
+        #: the engine actually stepped.
+        self.visited_cycles = 0
+        self._ran = False
         #: The last ``_step``'s core bids (see ``_external_bid``), its
         #: cycle, and the CPU time its cores started from.
         self._core_bid, self._bid_from, self._stepped = NEVER, 0, 0
@@ -181,6 +186,7 @@ class System:
 
         self.llc = SharedCache(config.cache, self.mapper, self.controllers,
                                hit_notify=self._schedule_hit,
+                               load_notify=self._load_done,
                                current_mem_cycle=lambda: self.mem_cycle)
 
         proc = config.processor
@@ -201,8 +207,7 @@ class System:
                     token: int) -> bool:
         if is_write:
             return self.llc.access_store(core_id, line_address)
-        return self.llc.access_load(core_id, line_address, token,
-                                    self._load_done)
+        return self.llc.access_load(core_id, line_address, token)
 
     def _load_done(self, core_id: int, token: int) -> None:
         core = self.cores[core_id]
@@ -226,15 +231,47 @@ class System:
         ``max_mem_cycles`` is a safety stop; if hit, the result is
         flagged ``truncated`` and IPCs reflect the partial run.
         Dispatches to the engine named by ``config.engine``.
+
+        A System runs once: the run ends by detaching its graph
+        (:meth:`_detach`), so a second call raises ``RuntimeError``.
         """
-        self._warmed = self.config.warmup_cpu_cycles == 0
-        # Engine-efficiency instrumentation (not part of RunResult, so
-        # cache keys and artifacts are unaffected): how many bus cycles
-        # the engine actually stepped.
-        self.visited_cycles = 0
-        if self.config.engine == "dense":
-            return self._run_dense(max_mem_cycles)
-        return self._run_event(max_mem_cycles)
+        if self._ran:
+            raise RuntimeError(
+                "a System runs once: its finished run detached the "
+                "callbacks that wire cores, LLC and controllers "
+                "together; build a new System for another run")
+        self._ran = True
+        try:
+            if self.config.engine == "dense":
+                return self._run_dense(max_mem_cycles)
+            return self._run_event(max_mem_cycles)
+        finally:
+            self._detach()
+
+    def _detach(self) -> None:
+        """Cut every edge from the run's graph back up to the System or
+        the LLC (DESIGN.md section 3, "A finished run frees its graph").
+
+        The graph then holds no reference cycle and is freed by
+        reference counting as soon as the caller drops the System; the
+        forward references (``cores``, ``llc``, ``controllers``, their
+        statistics and command logs) stay readable.
+        """
+        for core in self.cores:
+            core.issue = None
+        llc = self.llc
+        llc.hit_notify = llc.load_notify = llc.mem_cycle = None
+        # Each read request still held carries the LLC's fill as its
+        # completion callback: parked, queued or in flight.  Served
+        # ones may sit in a scheduler snapshot, which is dropped.
+        for request in llc.retry_reads:
+            request.callback = None
+        for controller in self.controllers:
+            for request in controller.read_q.items:
+                request.callback = None
+            for _, _, request in controller.read_events:
+                request.callback = None
+            controller.scheduler.forget()
 
     @classmethod
     def run_batch(cls, configs: Sequence[SimulationConfig],

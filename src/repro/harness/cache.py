@@ -214,21 +214,20 @@ def _rltl_to_json(probe: RLTLProbe) -> Dict:
         "tck_ns": probe.timing.tCK_ns,
         "activations": probe.activations,
         "precharges": probe.precharges,
-        "cold_activations": probe.cold_activations,
-        "gap_sum_cycles": probe.gap_sum_cycles,
         "rltl_counts": list(probe.rltl_counts),
         "refresh_counts": list(probe.refresh_counts),
     }
 
 
 def _rltl_from_json(data: Dict) -> RLTLProbe:
+    """The probe of ``data``; keys it does not name (the
+    ``cold_activations`` and ``gap_sum_cycles`` of older envelopes) are
+    ignored."""
     probe = RLTLProbe(_CodecTiming(data["tck_ns"]),
                       intervals_ms=tuple(data["intervals_ms"]),
                       time_scale=data["time_scale"])
     probe.activations = data["activations"]
     probe.precharges = data["precharges"]
-    probe.cold_activations = data["cold_activations"]
-    probe.gap_sum_cycles = data["gap_sum_cycles"]
     probe.rltl_counts = list(data["rltl_counts"])
     probe.refresh_counts = list(data["refresh_counts"])
     return probe

@@ -376,18 +376,24 @@ def _query_main(argv: List[str]) -> int:
     if args.mechanism is not None:
         # Stored rows carry the canonical spelling with ChargeCache's
         # entries/duration/unbounded folded into cc_* columns; filter
-        # the same way, so every spelling of a run finds it and a bare
-        # "chargecache" matches every capacity.
-        from repro.core.registry import extract_run_params
+        # the same way, so every spelling of a run finds it.  A cc_*
+        # column filters only when the spec writes its parameter, even
+        # at the default (whose runs carry None): a bare "chargecache"
+        # matches every capacity, "chargecache(entries=128)" only the
+        # default one.
+        from repro.core.registry import extract_run_params, written_params
         try:
             (filters["mechanism"], entries, duration,
              unbounded) = extract_run_params(args.mechanism)
         except ValueError as exc:
             parser.error(f"--mechanism: {exc}")  # usage + exit 2
-        for column, value in (("cc_entries", entries),
-                              ("cc_duration_ms", duration),
-                              ("cc_unbounded", unbounded or None)):
-            if value is not None:
+        written = {key for params in written_params(args.mechanism).values()
+                   for key in params}
+        for column, key, value in (
+                ("cc_entries", "entries", entries),
+                ("cc_duration_ms", "caching_duration_ms", duration),
+                ("cc_unbounded", "unbounded", unbounded)):
+            if value or key in written:
                 filters[column] = value
     frame = store_frame(RunCache(args.cache_dir), **filters)
     rows = sorted(frame.rows, key=lambda row: (

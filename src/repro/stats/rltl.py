@@ -16,7 +16,7 @@ activation's
   ages uniformly over the retention window).
 
 Activations of rows never seen precharging during the run ("cold"
-activations) are counted separately; they are *not* RLTL by
+activations) count toward ``activations`` only; they are *not* RLTL by
 definition.
 """
 
@@ -72,14 +72,11 @@ class RLTLProbe:
         self.activations += 1
         key = (channel, rank, bank, row)
         last_pre = self._last_pre.get(key)
-        if last_pre is None:
-            self.cold_activations += 1
-        else:
+        if last_pre is not None:
             gap = cycle - last_pre
             for i, edge in enumerate(self._interval_cycles):
                 if gap <= edge:
                     self.rltl_counts[i] += 1
-            self.gap_sum_cycles += gap
         refresh = self.refresh_schedulers.get(channel)
         if refresh is not None:
             age = refresh.row_refresh_age_cycles(rank, row, cycle)
@@ -121,8 +118,6 @@ class RLTLProbe:
     def reset(self) -> None:
         self.activations = 0
         self.precharges = 0
-        self.cold_activations = 0
-        self.gap_sum_cycles = 0
         self.rltl_counts = [0] * len(self.intervals_ms)
         self.refresh_counts = [0] * len(self.intervals_ms)
         # Precharge history is deliberately retained across resets:

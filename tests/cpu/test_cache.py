@@ -42,12 +42,11 @@ class Harness:
                         line_bytes=64),
             self.mapper, [self.controller],
             hit_notify=lambda c, t, d: self.hits.append((c, t, d)),
+            load_notify=lambda c, t: self.completions.append((c, t)),
             current_mem_cycle=lambda: 0)
 
     def load(self, line, core=0, token=0):
-        return self.cache.access_load(
-            core, line, token,
-            notify=lambda c, t: self.completions.append((c, t)))
+        return self.cache.access_load(core, line, token)
 
     def fill(self, index=-1):
         self.controller.reads[index].callback(self.controller.reads[index])

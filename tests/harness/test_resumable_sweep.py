@@ -304,6 +304,29 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "--mechanism" in capsys.readouterr().err
 
+    def test_query_mechanism_at_a_default_parameter(self, tmp_path,
+                                                    capsys):
+        """A parameter written at its default still filters:
+        ``chargecache(entries=128)`` names the default-capacity runs
+        only, while a bare ``chargecache`` matches every capacity."""
+        from repro.harness import cli
+        store = str(tmp_path / "cli-store")
+        assert cli.main(["sweep", "--workloads", "hmmer", "--mechanisms",
+                         "chargecache", "chargecache(entries=256)",
+                         "--scale", "0.03", "--store", store,
+                         "--json"]) == 0
+        capsys.readouterr()
+
+        def count(spec):
+            assert cli.main(["query", "--cache-dir", store, "--mechanism",
+                             spec, "--json"]) == 0
+            return json.loads(capsys.readouterr().out)["count"]
+
+        assert count("chargecache") == 2
+        assert count("chargecache(entries=128)") == 1
+        assert count("chargecache(entries=256)") == 1
+        assert count("chargecache(entries=64)") == 0
+
     def test_query_rejects_a_negative_limit(self, tmp_path, capsys):
         """``--limit -1`` used to slice off the last row silently."""
         from repro.harness import cli

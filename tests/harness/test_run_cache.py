@@ -153,6 +153,21 @@ class TestResultCodec:
         data["processor"]["retire_width"] = 4
         assert cache.config_from_json(data) == cfg
 
+    def test_rltl_from_older_envelopes(self):
+        """Envelopes written while the RLTL probe still kept
+        ``cold_activations`` and ``gap_sum_cycles`` read back as the
+        same probe."""
+        from repro.dram.timing import DDR3_1600
+        from repro.stats.rltl import RLTLProbe
+        probe = RLTLProbe(DDR3_1600, time_scale=64.0)
+        probe.on_precharge(0, 0, 0, 5, 0)
+        probe.on_activate(0, 0, 0, 5, 100)
+        probe.on_activate(0, 0, 0, 6, 200)
+        data = json.loads(json.dumps(cache._rltl_to_json(probe)))
+        data.update(cold_activations=1, gap_sum_cycles=100)
+        restored = cache._rltl_from_json(data)
+        assert cache._rltl_to_json(restored) == cache._rltl_to_json(probe)
+
     def test_round_trip_fidelity(self, bound_cache):
         fresh = runner.run_spec(SPEC)
         assert fresh.rltl is not None
@@ -172,9 +187,8 @@ class TestResultCodec:
                 fresh.rltl.rltl(interval)
             assert restored.rltl.refresh_fraction(interval) == \
                 fresh.rltl.refresh_fraction(interval)
-        assert restored.rltl.gap_sum_cycles == fresh.rltl.gap_sum_cycles
-        assert restored.rltl.cold_activations == \
-            fresh.rltl.cold_activations
+        assert restored.rltl.activations == fresh.rltl.activations
+        assert restored.rltl.precharges == fresh.rltl.precharges
 
     def test_reuse_profiler_round_trip(self):
         from repro.stats.reuse import RowReuseProfiler

@@ -16,8 +16,7 @@ class TestDefinition:
     def test_cold_activation_not_rltl(self, probe):
         probe.on_activate(0, 0, 0, row=5, cycle=100)
         assert probe.activations == 1
-        assert probe.cold_activations == 1
-        assert probe.rltl(8.0) == 0.0
+        assert probe.rltl(32.0) == 0.0
 
     def test_activation_after_precharge_counts(self, probe):
         probe.on_precharge(0, 0, 0, row=5, cycle=100)
@@ -35,7 +34,7 @@ class TestDefinition:
     def test_different_rows_tracked_separately(self, probe):
         probe.on_precharge(0, 0, 0, 5, cycle=0)
         probe.on_activate(0, 0, 0, 6, cycle=10)
-        assert probe.cold_activations == 1
+        assert probe.rltl(32.0) == 0.0
 
     def test_interval_series(self, probe):
         probe.on_precharge(0, 0, 0, 5, 0)
@@ -91,28 +90,10 @@ class TestTimeScale:
             RLTLProbe(DDR3_1600, time_scale=0.0)
 
 
-def _mean_gap_ms(probe):
-    """Mean ACT-after-PRE gap among non-cold activations (None if
-    every activation was cold)."""
-    covered = probe.activations - probe.cold_activations
-    if covered <= 0:
-        return None
-    return probe.gap_sum_cycles / covered * probe.timing.tCK_ns / 1e6
-
-
 class TestBookkeeping:
-    def test_mean_gap(self, probe):
-        probe.on_precharge(0, 0, 0, 5, 0)
-        probe.on_activate(0, 0, 0, 5, 800)  # 1 us
-        assert _mean_gap_ms(probe) == pytest.approx(1e-3)
-
-    def test_mean_gap_none_when_all_cold(self, probe):
-        probe.on_activate(0, 0, 0, 5, 0)
-        assert _mean_gap_ms(probe) is None
-
     def test_reset_keeps_precharge_history(self, probe):
         probe.on_precharge(0, 0, 0, 5, 0)
         probe.reset()
         probe.on_activate(0, 0, 0, 5, 10)
-        assert probe.cold_activations == 0
+        assert probe.activations == 1
         assert probe.rltl(0.125) == 1.0
