@@ -15,7 +15,6 @@ from dataclasses import replace
 
 from conftest import run_once
 
-from repro.config import ChargeCacheConfig
 from repro.cpu.system import System
 from repro.dram.organization import Organization
 from repro.harness.runner import (build_config, mix_spec, run_spec,
@@ -23,10 +22,8 @@ from repro.harness.runner import (build_config, mix_spec, run_spec,
 from repro.workloads.mixes import make_mix_traces, mix_composition
 
 
-def _run_with_cc(scale, mix, **cc_overrides):
-    cfg = build_config("eight", "chargecache", scale)
-    cfg = replace(cfg, chargecache=replace(cfg.chargecache,
-                                           **cc_overrides))
+def _run_with_cc(scale, mix, mechanism):
+    cfg = build_config("eight", mechanism, scale)
     org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
     system = System(cfg, make_mix_traces(mix_composition(mix), org, seed=1))
     return system.run(max_mem_cycles=scale.max_mem_cycles)
@@ -56,7 +53,8 @@ def test_ablation_associativity(benchmark, scale):
     def run():
         rates = {}
         for assoc in (2, 8):
-            result = _run_with_cc(scale, "w2", associativity=assoc)
+            result = _run_with_cc(
+                scale, "w2", f"chargecache(associativity={assoc})")
             rates[assoc] = result.mechanism_hit_rate
         return rates
 
@@ -72,8 +70,8 @@ def test_ablation_associativity(benchmark, scale):
 def test_ablation_shared_vs_per_core(benchmark, scale):
     def run():
         per_core = run_spec(mix_spec("w3", "chargecache", scale))
-        shared = _run_with_cc(scale, "w3", sharing="shared",
-                              entries=ChargeCacheConfig().entries * 8)
+        shared = _run_with_cc(scale, "w3",
+                              "chargecache(entries=1024,sharing=shared)")
         return per_core.mechanism_hit_rate, shared.mechanism_hit_rate
 
     per_core_hits, shared_hits = run_once(benchmark, run)

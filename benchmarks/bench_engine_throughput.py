@@ -41,7 +41,6 @@ from typing import Optional
 
 from repro.config import (
     CacheConfig,
-    ChargeCacheConfig,
     ControllerConfig,
     DRAMConfig,
     ProcessorConfig,
@@ -112,19 +111,18 @@ def measure(workload: str, repeats: int = 3) -> dict:
 # Batched multi-variant evaluator
 # ----------------------------------------------------------------------
 
-def _batch_variant(mechanism: str, **cc_kwargs) -> SimulationConfig:
-    # A long physical caching duration (unscaled) keeps the
-    # invalidation sweep outside the run, so capacity variants that
-    # never evict share one decision stream and collapse onto one
-    # witness; the default 4/8-cycle reductions stay untouched.
-    cc = ChargeCacheConfig(caching_duration_ms=100.0, time_scale=1.0,
-                           **cc_kwargs)
+#: The 1 ms caching duration with its sweep stretched to 100 ms keeps
+#: the invalidation sweep outside the run, so capacity variants that
+#: never evict share one decision stream and collapse onto one witness.
+_LONG_SWEEP = "time_scale=0.01"
+
+
+def _batch_variant(mechanism: str) -> SimulationConfig:
     cfg = SimulationConfig(
         processor=ProcessorConfig(num_cores=1),
         cache=CacheConfig(size_bytes=64 * 1024, associativity=4),
         dram=DRAMConfig(channels=1, rows_per_bank=4096),
         controller=ControllerConfig(row_policy="open"),
-        chargecache=cc,
         mechanism=mechanism,
         instruction_limit=BATCH_INSTRUCTIONS,
         warmup_cpu_cycles=2000,
@@ -135,9 +133,11 @@ def _batch_variant(mechanism: str, **cc_kwargs) -> SimulationConfig:
 
 def _batch_configs() -> list:
     return ([_batch_variant("none")]
-            + [_batch_variant("chargecache", entries=entries)
+            + [_batch_variant(f"chargecache({_LONG_SWEEP},"
+                              f"entries={entries})")
                for entries in BATCH_CAPACITIES]
-            + [_batch_variant("chargecache", unbounded=True)])
+            + [_batch_variant(f"chargecache({_LONG_SWEEP},"
+                              f"unbounded=true)")])
 
 
 def _batch_trace(cfg: SimulationConfig):

@@ -142,16 +142,17 @@ class ControllerConfig:
 class ChargeCacheConfig:
     """ChargeCache parameters (Table 1, "ChargeCache" row).
 
-    ``entries`` is the per-core, per-channel HCRAC capacity.  The timing
-    reductions are expressed in DRAM bus cycles and correspond to the
-    paper's 1 ms caching duration (tRCD 11->7, tRAS 28->20).
+    The parameter block of the ``chargecache`` mechanism spec: a run
+    sets these inline (``chargecache(entries=256,sharing=shared)``).
+    ``entries`` is the per-core, per-channel HCRAC capacity.  A hit
+    cuts tRCD/tRAS by Table 2's derating of the caching duration on the
+    run's standard (:func:`repro.dram.standards.derated_reduction_cycles`),
+    which for the paper's 1 ms on DDR3-1600 is tRCD 11->7, tRAS 28->20.
     """
 
     entries: int = 128
     associativity: int = 2
     caching_duration_ms: float = 1.0
-    trcd_reduction_cycles: int = 4
-    tras_reduction_cycles: int = 8
     #: "per-core" replicates one HCRAC per (core, channel) as in the paper;
     #: "shared" uses one table per channel (paper footnote 2, future work).
     sharing: str = "per-core"
@@ -199,7 +200,8 @@ class SimulationConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     dram: DRAMConfig = field(default_factory=DRAMConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    chargecache: ChargeCacheConfig = field(default_factory=ChargeCacheConfig)
+    #: The latency-mechanism spec (:mod:`repro.core.registry`), the one
+    #: home of every mechanism parameter.
     mechanism: str = "none"
     #: Simulation stops when every core retired this many instructions.
     instruction_limit: int = 100_000
@@ -227,7 +229,6 @@ class SimulationConfig:
         self.cache.validate()
         self.dram.validate()
         self.controller.validate()
-        self.chargecache.validate()
         # The mechanism is a registry spec, not a fixed menu: any
         # +-composition of registered mechanisms with inline parameter
         # overrides is legal (parse errors carry the details).

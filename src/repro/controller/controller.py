@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Request
@@ -108,6 +108,9 @@ class MemoryController:
         #: Read-only outside the controller; the event engine peeks at
         #: its head to tell whether a visit fires a completion.
         self.read_events: List[Tuple[int, int, Request]] = []
+        #: ``read_done(request)`` as each READ's data arrives: the
+        #: LLC's fill, set once by the LLC it serves (None: unwired).
+        self.read_done: Optional[Callable[[Request], None]] = None
         self._event_seq = itertools.count()
         self.stats = ControllerStats()
         self._num_ranks = num_ranks
@@ -199,8 +202,8 @@ class MemoryController:
             _, _, req = heapq.heappop(events)
             self.stats.read_latency_sum += req.done_cycle - req.enqueue_cycle
             self.stats.read_count += 1
-            if req.callback is not None:
-                req.callback(req)
+            if self.read_done is not None:
+                self.read_done(req)
 
         if cycle >= self._mech_wake:
             mechanism = self._mechanism

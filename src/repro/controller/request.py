@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Optional
 
 
 class RequestType(enum.Enum):
@@ -32,18 +31,17 @@ class Request:
         needed_act: True when servicing required a row activation (i.e.
             this request was a row miss or conflict).
         act_was_hit: True when its ACT used reduced timings.
-        callback: invoked as ``callback(request)`` when a READ's data
-            arrives (WRITEs are posted and complete at issue).
+
+    A READ's data arrival is reported through its controller's
+    ``read_done`` hook; WRITEs are posted and complete at issue.
     """
 
     __slots__ = ("id", "line_address", "type", "core_id", "channel",
                  "rank", "bank", "row", "column", "enqueue_cycle",
-                 "issue_cycle", "done_cycle", "needed_act", "act_was_hit",
-                 "callback")
+                 "issue_cycle", "done_cycle", "needed_act", "act_was_hit")
 
     def __init__(self, line_address: int, type: RequestType,
-                 core_id: int = 0,
-                 callback: Optional[Callable[["Request"], None]] = None):
+                 core_id: int = 0):
         self.id = next(_request_ids)
         self.line_address = line_address
         self.type = type
@@ -58,7 +56,6 @@ class Request:
         self.done_cycle = -1
         self.needed_act = False
         self.act_was_hit = False
-        self.callback = callback
 
     # ------------------------------------------------------------------
 
@@ -83,9 +80,8 @@ class Request:
                 f"ba{self.bank} row{self.row})")
 
 
-def read_request(line_address: int, core_id: int = 0,
-                 callback=None) -> Request:
-    return Request(line_address, RequestType.READ, core_id, callback)
+def read_request(line_address: int, core_id: int = 0) -> Request:
+    return Request(line_address, RequestType.READ, core_id)
 
 
 def write_request(line_address: int, core_id: int = 0) -> Request:

@@ -187,13 +187,6 @@ class FRFCFSScheduler:
                     ready = t
         self._hits, self._rows, self._ready = hits, rows, ready
 
-    def forget(self) -> None:
-        """Drop the snapshot as a run ends: its candidates may name
-        requests already served, whose callbacks still point up to
-        the LLC (:meth:`repro.cpu.system.System.run`)."""
-        self._queue = self._channel = None
-        self._hits, self._rows = [], []
-
     def choose(self, queue, channel: Channel, cycle: int,
                blocked_ranks=()) -> Optional[Candidate]:
         """The candidate to issue at ``cycle`` (the oldest ready hit,
@@ -249,9 +242,6 @@ class FCFSScheduler:
             t = channel.earliest(cmd, req.rank, req.bank)
             return ((t, 0, req, cmd) if t <= cycle else None), t
         return None, NEVER
-
-    def forget(self) -> None:
-        """Nothing to drop: FCFS keeps no snapshot."""
 
     def choose(self, queue, channel: Channel, cycle: int,
                blocked_ranks=()) -> Optional[Candidate]:

@@ -20,14 +20,15 @@ footnote 2 - left as future work there, implemented here).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional
 
 from repro.config import ChargeCacheConfig
 from repro.core.hcrac import HCRAC, UnboundedHCRAC
 from repro.core.invalidation import PeriodicInvalidator
-from repro.core.registry import MechanismContext, register_mechanism
+from repro.core.registry import (MechanismContext, parse_mechanism_spec,
+                                 register_mechanism)
 from repro.core.timing_policy import LatencyMechanism
+from repro.dram.standards import derated_reduction_cycles
 from repro.dram.timing import NEVER, ReducedTimings, TimingParameters
 
 
@@ -56,8 +57,8 @@ class ChargeCache(LatencyMechanism):
         self.duration_cycles = max(
             1, timing.ms_to_cycles(
                 config.caching_duration_ms / config.time_scale))
-        self.hit_timings = timing.reduced_by(config.trcd_reduction_cycles,
-                                             config.tras_reduction_cycles)
+        self.hit_timings = timing.reduced_by(*derated_reduction_cycles(
+            timing, config.caching_duration_ms))
         num_tables = 1 if config.sharing == "shared" else num_cores
         self._num_tables = num_tables
         self.unbounded = config.unbounded
@@ -179,30 +180,12 @@ class ChargeCache(LatencyMechanism):
 # Registry binding
 # ----------------------------------------------------------------------
 
-def resolve_chargecache_params(base: ChargeCacheConfig,
-                               overrides: Dict[str, object],
-                               timing: TimingParameters
-                               ) -> ChargeCacheConfig:
-    """Merge inline spec parameters over a config block.
-
-    An inline ``caching_duration_ms`` without explicit reduction
-    overrides re-derives the tRCD/tRAS reductions for the new duration
-    (Table 2 derating) in ``timing``'s bus cycles - the same
-    physical-nanoseconds conversion the harness applies for scenario
-    timing grades, so a spec string and the equivalent hand-built
-    config produce identical mechanisms.
-    """
-    if "caching_duration_ms" in overrides and not (
-            {"trcd_reduction_cycles", "tras_reduction_cycles"}
-            & set(overrides)):
-        from repro.dram.standards import derated_reduction_cycles
-        trcd_red, tras_red = derated_reduction_cycles(
-            timing, overrides["caching_duration_ms"])
-        overrides = dict(overrides, trcd_reduction_cycles=trcd_red,
-                         tras_reduction_cycles=tras_red)
-    params = dataclasses.replace(base, **overrides)
-    params.validate()
-    return params
+def chargecache_params(mechanism: str) -> ChargeCacheConfig:
+    """The ChargeCache parameters a mechanism spec runs with: the
+    registered defaults plus its ``chargecache`` term's inline values
+    (the defaults alone when the spec has no such term)."""
+    term = parse_mechanism_spec(mechanism).term("chargecache")
+    return ChargeCacheConfig(**(term.overrides if term is not None else {}))
 
 
 @register_mechanism(
@@ -212,7 +195,5 @@ def resolve_chargecache_params(base: ChargeCacheConfig,
                 "(the paper's mechanism)")
 def _build_chargecache(ctx: MechanismContext,
                        overrides: Dict[str, object]) -> ChargeCache:
-    base = ctx.config.chargecache if ctx.config is not None \
-        else ChargeCacheConfig()
-    params = resolve_chargecache_params(base, overrides, ctx.timing)
-    return ChargeCache(ctx.timing, params, ctx.num_cores)
+    return ChargeCache(ctx.timing, ChargeCacheConfig(**overrides),
+                       ctx.num_cores)

@@ -15,6 +15,7 @@ from typing import Optional
 from repro.config import ChargeCacheConfig
 from repro.core.registry import register_mechanism
 from repro.core.timing_policy import LatencyMechanism
+from repro.dram.standards import derated_reduction_cycles
 from repro.dram.timing import ReducedTimings, TimingParameters
 
 
@@ -24,12 +25,11 @@ class LowLatencyDRAM(LatencyMechanism):
     name = "lldram"
 
     def __init__(self, timing: TimingParameters,
-                 config: Optional[ChargeCacheConfig] = None):
+                 params: Optional[LLDRAMParams] = None):
         super().__init__(timing)
-        self._config = config or ChargeCacheConfig()
-        self.hit_timings = timing.reduced_by(
-            self._config.trcd_reduction_cycles,
-            self._config.tras_reduction_cycles)
+        self._params = params or LLDRAMParams()
+        self.hit_timings = timing.reduced_by(*derated_reduction_cycles(
+            timing, self._params.caching_duration_ms))
 
     def on_activate(self, rank: int, bank: int, row: int, core_id: int,
                     cycle: int) -> Optional[ReducedTimings]:
@@ -38,7 +38,7 @@ class LowLatencyDRAM(LatencyMechanism):
         return self.hit_timings
 
     def fork_state(self) -> "LowLatencyDRAM":
-        return LowLatencyDRAM(self.timing, self._config)
+        return LowLatencyDRAM(self.timing, self._params)
 
 
 #: Defaults mirrored from ChargeCacheConfig so a value that is an
@@ -59,8 +59,6 @@ class LLDRAMParams:
     """
 
     caching_duration_ms: float = _CC_DEFAULTS.caching_duration_ms
-    trcd_reduction_cycles: int = _CC_DEFAULTS.trcd_reduction_cycles
-    tras_reduction_cycles: int = _CC_DEFAULTS.tras_reduction_cycles
 
     def validate(self) -> None:
         dataclasses.replace(_CC_DEFAULTS, **dataclasses.asdict(self)) \
@@ -73,8 +71,4 @@ class LLDRAMParams:
     description="idealised low-latency DRAM: every ACT at "
                 "ChargeCache's hit timings")
 def _build_lldram(ctx, overrides) -> LowLatencyDRAM:
-    from repro.core.chargecache import resolve_chargecache_params
-    base = ctx.config.chargecache if ctx.config is not None \
-        else ChargeCacheConfig()
-    params = resolve_chargecache_params(base, overrides, ctx.timing)
-    return LowLatencyDRAM(ctx.timing, params)
+    return LowLatencyDRAM(ctx.timing, LLDRAMParams(**overrides))

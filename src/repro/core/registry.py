@@ -26,11 +26,10 @@ family the public API:
   run cache (:mod:`repro.harness.cache`) serve both from one entry.
 * **Construction** - :func:`build` instantiates a spec against a
   :class:`MechanismContext` (channel timing, core count, refresh
-  scheduler, optional :class:`~repro.config.SimulationConfig` whose
-  ``chargecache`` block supplies parameter defaults).  Compositions build
-  an N-way :class:`~repro.core.timing_policy.CombinedMechanism` whose
-  two-way behaviour is bit-identical to the historical hardcoded
-  pairs.
+  scheduler); each term's parameters are its registered defaults plus
+  its inline values, nothing else.  Compositions build an N-way
+  :class:`~repro.core.timing_policy.CombinedMechanism` whose two-way
+  behaviour is bit-identical to the historical hardcoded pairs.
 
 The plain names of the pre-registry fixed menu (``none``,
 ``chargecache``, ``nuat``, ``chargecache+nuat``, ``lldram``,
@@ -57,19 +56,12 @@ _DEFAULT_ORDER = 1000
 
 @dataclass(frozen=True)
 class MechanismContext:
-    """Everything a mechanism factory may need at construction time.
-
-    ``config`` is optional: when present, its ``chargecache`` block
-    supplies the defaults that inline ``chargecache``/``lldram``
-    parameters override; every other mechanism, and these two when
-    ``config`` is absent, starts from its registered params dataclass
-    defaults.
-    """
+    """Everything a mechanism factory may need at construction time
+    besides its parameters, which come from the spec alone."""
 
     timing: object
     num_cores: int = 1
     refresh_scheduler: Optional[object] = None
-    config: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -424,6 +416,23 @@ def written_params(text: str) -> Dict[str, Dict[str, object]]:
     return written
 
 
+def fill_params(text: Union[str, MechanismSpec], name: str,
+                params: Mapping[str, object]) -> str:
+    """The canonical spec with ``params`` (canonical names; None values
+    skipped) written into its ``name`` term, each one the term does not
+    write itself.  A spec without a ``name`` term comes back as it was.
+    """
+    spec = parse_mechanism_spec(text)
+    term = spec.term(name)
+    if term is None:
+        return spec.canonical()
+    values = {key: value for key, value in params.items()
+              if value is not None}
+    values.update(term.overrides)
+    return spec.replace_term(
+        _normalized_term(registered(name), values)).canonical()
+
+
 def canonical_spec(text: Union[str, MechanismSpec]) -> str:
     """The canonical string form of any valid spec."""
     return parse_mechanism_spec(text).canonical()
@@ -433,17 +442,7 @@ def canonical_spec(text: Union[str, MechanismSpec]) -> str:
 # Harness shorthand normalization
 # ----------------------------------------------------------------------
 
-#: ChargeCache parameters the harness historically modelled as
-#: dedicated RunSpec fields / run_* keyword arguments.  Normalization
-#: keeps those fields the canonical home for these three values so
-#: pre-registry sweeps and parameterized spec strings land on the same
-#: cache keys.
-_CC_FIELD_PARAMS = (("cc_entries", "entries"),
-                    ("cc_duration_ms", "caching_duration_ms"),
-                    ("cc_unbounded", "unbounded"))
-
-
-def extract_run_params(mechanism: Union[str, MechanismSpec],
+def extract_run_params(mechanism: str,
                        cc_entries: Optional[int] = None,
                        cc_duration_ms: Optional[float] = None,
                        cc_unbounded: bool = False
@@ -461,7 +460,10 @@ def extract_run_params(mechanism: Union[str, MechanismSpec],
     contradicts an inline parameter raises ``ValueError`` — except
     when the inline value equals the registered default, which (being
     an identity, already dropped at parse time) yields to the
-    shorthand, exactly as it yields to a config block at build time.
+    shorthand.  A shorthand argument no term can read raises too:
+    ``cc_entries``/``cc_unbounded`` without a chargecache term, or
+    ``cc_duration_ms`` without a chargecache or lldram term, would
+    key a distinct run that simulates the same as the bare spec.
 
     When the term also carries parameters *without* a shorthand home
     (``associativity``, ``sharing``, ...), nothing is folded: the
@@ -472,13 +474,21 @@ def extract_run_params(mechanism: Union[str, MechanismSpec],
     would re-validate each half against the registered defaults and
     reject a perfectly valid spec.
 
-    An lldram term's sole inline ``duration_ms`` folds the same way —
-    but only when no chargecache term competes for the shorthand
-    fields.  In the degenerate ``chargecache+lldram`` composition an
-    inline lldram duration therefore stays inline (distinct cache key
-    from the keyword spelling; behaviour identical either way).
+    An lldram term's inline ``duration_ms`` folds the same way — but
+    only when no chargecache term competes for the shorthand fields.
+    In the degenerate ``chargecache+lldram`` composition an inline
+    lldram duration therefore stays inline (distinct cache key from the
+    keyword spelling; behaviour identical either way).
+
+    A chargecache ``time_scale`` belongs to the run's scale
+    (``Scale.cc_time_scale``, which the harness writes into the built
+    config), so a spec that writes one raises, even at its default.
     """
     spec = parse_mechanism_spec(mechanism)
+    if "time_scale" in written_params(mechanism).get("chargecache", {}):
+        raise ValueError(
+            f"chargecache time_scale is set by the run scale "
+            f"(cc_time_scale); spec {mechanism!r} may not write it")
     # Coerce the shorthand through the field types the spec grammar
     # uses, so cc_duration_ms=4 and duration_ms=4.0 spellings of one
     # run cannot hash apart.
@@ -491,15 +501,19 @@ def extract_run_params(mechanism: Union[str, MechanismSpec],
                  "unbounded": cc_unbounded or None}
     term = spec.term("chargecache")
     if term is None:
-        # Legacy pass-through: the shorthand knobs still shape the
-        # config's chargecache block (LL-DRAM reads its reductions),
-        # they just have no inline home to fold into.
-        defaults = registered("chargecache").defaults()
-        if cc_entries == defaults.entries:
-            cc_entries = None
-        if cc_duration_ms == defaults.caching_duration_ms:
-            cc_duration_ms = None
         lterm = spec.term("lldram")
+        if cc_entries is not None or cc_unbounded:
+            raise ValueError(
+                f"cc_entries/cc_unbounded size a chargecache term; "
+                f"spec {spec.canonical()!r} has none")
+        if cc_duration_ms is not None and lterm is None:
+            raise ValueError(
+                f"cc_duration_ms sets the caching duration of a "
+                f"chargecache or lldram term; spec "
+                f"{spec.canonical()!r} has neither")
+        if cc_duration_ms == registered("lldram").defaults() \
+                .caching_duration_ms:
+            cc_duration_ms = None
         if lterm is not None:
             inline = lterm.overrides.get("caching_duration_ms")
             if inline is not None:
@@ -509,16 +523,12 @@ def extract_run_params(mechanism: Union[str, MechanismSpec],
                         f"twice with conflicting values: {inline!r} "
                         f"inline vs {cc_duration_ms!r} via keyword/spec "
                         f"field")
-                if set(lterm.overrides) == {"caching_duration_ms"}:
-                    # Sole override: fold into the shorthand home so
-                    # "lldram(duration_ms=4)" and ("lldram",
-                    # cc_duration_ms=4) are one run, one cache key.
-                    # Alongside explicit reduction overrides it stays
-                    # inline — the factory's re-derivation couples
-                    # them (see resolve_chargecache_params).
-                    cc_duration_ms = inline
-                    spec = spec.replace_term(MechanismTerm(name="lldram"))
-        return spec.canonical(), cc_entries, cc_duration_ms, bool(cc_unbounded)
+                # Fold into the shorthand home so "lldram(duration_ms=4)"
+                # and ("lldram", cc_duration_ms=4) are one run, one
+                # cache key.
+                cc_duration_ms = inline
+                spec = spec.replace_term(MechanismTerm(name="lldram"))
+        return spec.canonical(), None, cc_duration_ms, False
 
     entry = registered("chargecache")
     overrides = term.overrides
@@ -554,7 +564,7 @@ def default_context(timing=None, num_cores: int = 1) -> MechanismContext:
     timing = timing if timing is not None else DDR3_1600
     refresh = RefreshScheduler(timing, 1, 64 * 1024)
     return MechanismContext(timing=timing, num_cores=num_cores,
-                            refresh_scheduler=refresh, config=None)
+                            refresh_scheduler=refresh)
 
 
 def build(spec: Union[str, MechanismSpec], ctx: MechanismContext):

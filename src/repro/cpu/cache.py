@@ -38,7 +38,9 @@ class SharedCache:
         Args:
             cache_config: a :class:`repro.config.CacheConfig`.
             mapper: the system's :class:`AddressMapper`.
-            controllers: list of per-channel memory controllers.
+            controllers: list of per-channel memory controllers; each
+                reports read completions to this cache's fill
+                (their ``read_done`` hook).
             hit_notify: ``hit_notify(core_id, token, cpu_delay)``
                 schedules a load-completion callback after the hit
                 latency (the system wires this to its event queue).
@@ -51,6 +53,8 @@ class SharedCache:
         self.config = cache_config
         self.mapper = mapper
         self.controllers = controllers
+        for controller in controllers:
+            controller.read_done = self._fill
         self.hit_notify = hit_notify
         self.load_notify = load_notify
         self.mem_cycle = current_mem_cycle
@@ -106,8 +110,7 @@ class SharedCache:
             self.mshr_merges += 1
             return True
         self._mshrs[line_address] = [(core_id, token)]
-        request = Request(line_address, RequestType.READ, core_id,
-                          callback=self._fill)
+        request = Request(line_address, RequestType.READ, core_id)
         self.mapper.decode_into(request)
         if not self.controllers[request.channel].enqueue_read(
                 request, self.mem_cycle()):

@@ -101,16 +101,15 @@ class RunResult:
 
 
 def mechanism_invariant_config(config: SimulationConfig) -> SimulationConfig:
-    """``config`` with every mechanism-defining field normalized away.
+    """``config`` with its mechanism spec, the one home of every
+    mechanism parameter, normalized away.
 
     Two configurations whose invariant forms are equal simulate the
     identical system up to the latency mechanism's decisions — the
     compatibility condition for sharing one trace replay in
     :meth:`System.run_batch` (and for the harness's batch grouping).
     """
-    from repro.config import ChargeCacheConfig
-    return replace(config, mechanism="none",
-                   chargecache=ChargeCacheConfig())
+    return replace(config, mechanism="none")
 
 
 class System:
@@ -153,14 +152,14 @@ class System:
                                        self.organization.rows)
             # Channels build their latency mechanism through the
             # registry: config.mechanism is a spec string (possibly a
-            # +-composition with inline parameter overrides), resolved
-            # against this config's per-mechanism parameter blocks.
+            # +-composition with inline parameter overrides) that
+            # carries every mechanism parameter.
             mechanism = registry.build(
                 config.mechanism,
                 registry.MechanismContext(
                     timing=self.timing,
                     num_cores=config.processor.num_cores,
-                    refresh_scheduler=refresh, config=config))
+                    refresh_scheduler=refresh))
             controller = MemoryController(
                 ch, self.timing, self.organization.ranks,
                 self.organization.banks, self.organization.rows,
@@ -261,17 +260,8 @@ class System:
             core.issue = None
         llc = self.llc
         llc.hit_notify = llc.load_notify = llc.mem_cycle = None
-        # Each read request still held carries the LLC's fill as its
-        # completion callback: parked, queued or in flight.  Served
-        # ones may sit in a scheduler snapshot, which is dropped.
-        for request in llc.retry_reads:
-            request.callback = None
         for controller in self.controllers:
-            for request in controller.read_q.items:
-                request.callback = None
-            for _, _, request in controller.read_events:
-                request.callback = None
-            controller.scheduler.forget()
+            controller.read_done = None
 
     @classmethod
     def run_batch(cls, configs: Sequence[SimulationConfig],
@@ -709,7 +699,7 @@ def _replay_mechanisms(config: SimulationConfig, channels: int):
             registry.MechanismContext(
                 timing=preset(config.dram.standard),
                 num_cores=config.processor.num_cores,
-                refresh_scheduler=None, config=config))
+                refresh_scheduler=None))
     except ValueError:
         return None
     return fork_for_replay(prototype, channels)

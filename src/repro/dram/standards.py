@@ -239,9 +239,8 @@ def derated_reduction_cycles(timing: TimingParameters,
     (tRCD, tRAS) reduction cycle counts: look the duration up in the
     paper's Table 2 derating (expressed in DDR3-1600 cycles), convert
     to physical nanoseconds, then re-express in ``timing``'s bus
-    clock.  For DDR3-1600 this round-trips exactly.  ChargeCache's
-    registry factory, the scenario builder, and the harness's
-    ``cc_duration_ms`` path all call this, so a spec string, a
+    clock.  For DDR3-1600 this round-trips exactly.  ChargeCache and
+    LL-DRAM call this on their channel's timing, so a spec string, a
     scenario, and a hand-built config can never disagree about the
     reductions a duration implies.
     """

@@ -114,18 +114,23 @@ def hcrac_overhead(cores: int = 8, channels: int = 2, entries: int = 128,
 def overhead_for_config(config) -> HCRACOverhead:
     """Overhead for a :class:`repro.config.SimulationConfig`.
 
-    Honours the ChargeCache ``sharing`` mode: equation (1)'s per-core
-    factor C applies to the paper's replicated per-(core, channel)
-    tables; ``sharing="shared"`` keeps one table per channel
+    The HCRAC is the one its mechanism spec simulates
+    (:func:`repro.core.chargecache.chargecache_params`; the registered
+    defaults when the spec has no chargecache term).  Honours the
+    ``sharing`` mode: equation (1)'s per-core factor C applies to the
+    paper's replicated per-(core, channel) tables;
+    ``sharing="shared"`` keeps one table per channel
     (:class:`repro.core.chargecache.ChargeCache` builds exactly one),
     so C = 1.
     """
-    per_core = config.chargecache.sharing != "shared"
+    from repro.core.chargecache import chargecache_params
+    params = chargecache_params(config.mechanism)
+    per_core = params.sharing != "shared"
     return hcrac_overhead(
         cores=config.processor.num_cores if per_core else 1,
         channels=config.dram.channels,
-        entries=config.chargecache.entries,
-        associativity=config.chargecache.associativity,
+        entries=params.entries,
+        associativity=params.associativity,
         ranks=config.dram.ranks_per_channel,
         banks=config.dram.banks_per_rank,
         rows=config.dram.rows_per_bank,

@@ -54,7 +54,6 @@ from typing import Dict, List, Optional
 
 from repro.config import (
     CacheConfig,
-    ChargeCacheConfig,
     ControllerConfig,
     DRAMConfig,
     ProcessorConfig,
@@ -178,17 +177,16 @@ def _known(block: type, data: Dict) -> Dict:
 
 def config_from_json(data: Dict) -> SimulationConfig:
     """Rebuild a stored config.  Keys the current config no longer has
-    (older envelopes carry an ``"execution"`` block, a ``"nuat"`` block,
-    ``"seed"``, ``"temperature_c"``, ``dram.bus_freq_mhz`` and
-    ``processor.retire_width``) are ignored, so stores written by older
-    code stay readable."""
+    (older envelopes carry an ``"execution"`` block, a ``"nuat"`` and a
+    ``"chargecache"`` block, ``"seed"``, ``"temperature_c"``,
+    ``dram.bus_freq_mhz`` and ``processor.retire_width``) are ignored,
+    so stores written by older code stay readable."""
     return SimulationConfig(
         processor=ProcessorConfig(**_known(ProcessorConfig,
                                            data["processor"])),
         cache=CacheConfig(**data["cache"]),
         dram=DRAMConfig(**_known(DRAMConfig, data["dram"])),
         controller=ControllerConfig(**data["controller"]),
-        chargecache=ChargeCacheConfig(**data["chargecache"]),
         mechanism=data["mechanism"],
         instruction_limit=data["instruction_limit"],
         warmup_cpu_cycles=data["warmup_cpu_cycles"],

@@ -334,8 +334,9 @@ def _sweep_main(argv: List[str]) -> int:
 
 #: Columns of the ``query`` table: the queryable spec axes, then the
 #: headline metrics.
-_QUERY_COLUMNS = ("kind", "name", "scenario", "mechanism", "standard",
-                  "engine", "seed", "total_ipc", "row_hit_rate",
+_QUERY_COLUMNS = ("kind", "name", "scenario", "mechanism", "cc_entries",
+                  "cc_duration_ms", "cc_unbounded", "standard", "engine",
+                  "seed", "total_ipc", "row_hit_rate",
                   "mechanism_hit_rate", "mem_cycles", "activations")
 
 
@@ -398,7 +399,9 @@ def _query_main(argv: List[str]) -> int:
     frame = store_frame(RunCache(args.cache_dir), **filters)
     rows = sorted(frame.rows, key=lambda row: (
         row["scenario"] is None, row["scenario"] or "", row["kind"],
-        row["name"], row["mechanism"], row["seed"]))[:args.limit]
+        row["name"], row["mechanism"], row["cc_unbounded"],
+        row["cc_entries"] or 0, row["cc_duration_ms"] or 0.0,
+        row["seed"]))[:args.limit]
     headers = list(_QUERY_COLUMNS)
     if args.json:
         table = {"columns": headers,

@@ -32,11 +32,13 @@ from repro.circuit.latency_tables import (
     reductions_for_duration_ms,
 )
 from repro.circuit.spice import bitline_transient, derive_timing_table
+from repro.core.chargecache import chargecache_params
 from repro.cpu.system import RunResult
 from repro.dram.timing import DDR3_1600
 from repro.energy.drampower import access_rate_for_run, energy_for_run
 from repro.energy.mcpat import hcrac_overhead, overhead_for_config
-from repro.dram.standards import preset, reduction_cycles_for
+from repro.dram.standards import (derated_reduction_cycles, preset,
+                                  reduction_cycles_for)
 from repro.harness import pool, runner, scenarios
 from repro.harness.runner import (
     Scale,
@@ -932,6 +934,9 @@ def _table1() -> Dict:
     single = runner.build_config("single", "none")
     eight = runner.build_config("eight", "none")
     t = DDR3_1600
+    cc = chargecache_params("chargecache")
+    trcd_reduction, tras_reduction = derated_reduction_cycles(
+        t, cc.caching_duration_ms)
     return {
         "id": "table1",
         "processor": {
@@ -965,11 +970,11 @@ def _table1() -> Dict:
             "tras_cycles": t.tRAS,
         },
         "chargecache": {
-            "entries": single.chargecache.entries,
-            "associativity": single.chargecache.associativity,
-            "duration_ms": single.chargecache.caching_duration_ms,
-            "trcd_reduction": single.chargecache.trcd_reduction_cycles,
-            "tras_reduction": single.chargecache.tras_reduction_cycles,
+            "entries": cc.entries,
+            "associativity": cc.associativity,
+            "duration_ms": cc.caching_duration_ms,
+            "trcd_reduction": trcd_reduction,
+            "tras_reduction": tras_reduction,
         },
     }
 

@@ -38,7 +38,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.config import (
     DEFAULT_ENGINE,
     ENGINES,
-    ChargeCacheConfig,
     ControllerConfig,
     DRAMConfig,
     ProcessorConfig,
@@ -46,7 +45,6 @@ from repro.config import (
 )
 from repro.cpu.system import RunResult, System
 from repro.dram.organization import Organization
-from repro.dram.standards import derated_reduction_cycles
 from repro.harness import cache as run_cache
 from repro.harness import scenarios
 from repro.harness.spec import (  # noqa: F401  (re-exported API)
@@ -176,10 +174,12 @@ def build_config(platform: str, mechanism: str,
     are all accepted and normalized.  The ChargeCache keyword knobs
     cover the capacity (Fig. 9/10) and caching-duration (Fig. 11)
     sweeps and are interchangeable with the equivalent inline
-    parameters.  The duration selects the paper's Table 2 derating,
-    re-expressed in the standard's bus cycles from the physical
-    (nanosecond) charge headroom — 4/8 DDR3 cycles is 5/10 ns, which
-    is 6/12 DDR4-2400 cycles and 10/20 GDDR5-4000 cycles.
+    parameters.  The config's mechanism spec is the one home of the
+    run's mechanism parameters: it gets the knobs written back inline
+    where the spec does not write its own value, and a chargecache
+    term gets ``time_scale=scale.cc_time_scale``, which the spec may
+    not write.  The duration selects the paper's Table 2 derating on
+    the standard (:func:`repro.dram.standards.derated_reduction_cycles`).
     """
     from repro.core import registry
     mechanism, cc_entries, cc_duration_ms, cc_unbounded = \
@@ -187,18 +187,12 @@ def build_config(platform: str, mechanism: str,
                                     cc_duration_ms, cc_unbounded)
     scen = scenarios.platform(platform)
     scale = scale or current_scale()
-    defaults = ChargeCacheConfig()
-    duration = cc_duration_ms if cc_duration_ms is not None \
-        else defaults.caching_duration_ms
-    trcd_red, tras_red = derated_reduction_cycles(scen.timing, duration)
-    cc = replace(defaults,
-                 entries=cc_entries if cc_entries is not None
-                 else defaults.entries,
-                 caching_duration_ms=duration,
-                 trcd_reduction_cycles=trcd_red,
-                 tras_reduction_cycles=tras_red,
-                 unbounded=cc_unbounded,
-                 time_scale=scale.cc_time_scale)
+    mechanism = registry.fill_params(mechanism, "chargecache", {
+        "entries": cc_entries, "caching_duration_ms": cc_duration_ms,
+        "unbounded": cc_unbounded or None,
+        "time_scale": scale.cc_time_scale})
+    mechanism = registry.fill_params(
+        mechanism, "lldram", {"caching_duration_ms": cc_duration_ms})
     cfg = SimulationConfig(
         processor=ProcessorConfig(num_cores=scen.num_cores),
         dram=DRAMConfig(channels=scen.channels,
@@ -206,7 +200,6 @@ def build_config(platform: str, mechanism: str,
                         standard=scen.standard),
         controller=ControllerConfig(
             row_policy=row_policy or scen.row_policy),
-        chargecache=cc,
         mechanism=mechanism,
         instruction_limit=(scale.single_core_instructions
                            if scen.num_cores == 1

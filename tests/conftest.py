@@ -6,12 +6,12 @@ import pytest
 
 from repro.config import (
     CacheConfig,
-    ChargeCacheConfig,
     ControllerConfig,
     DRAMConfig,
     ProcessorConfig,
     SimulationConfig,
 )
+from repro.core.registry import fill_params
 from repro.dram.organization import Organization
 from repro.dram.timing import DDR3_1600
 
@@ -63,15 +63,18 @@ def tiny_config(mechanism: str = "none", num_cores: int = 1,
     DRAM geometry to keep footprints small.  ``ranks`` and
     ``standard`` open the multi-rank and timing-grade axes; the
     standard alone sets the timing and the CPU/bus clock ratio.
+    A chargecache term runs at ``time_scale=512`` and gets
+    ``cc_kwargs`` as inline parameters, each where the spec does not
+    write its own.
     """
-    cc = ChargeCacheConfig(time_scale=512.0, **cc_kwargs)
+    mechanism = fill_params(mechanism, "chargecache",
+                            {"time_scale": 512.0, **cc_kwargs})
     cfg = SimulationConfig(
         processor=ProcessorConfig(num_cores=num_cores),
         cache=CacheConfig(size_bytes=64 * 1024, associativity=4),
         dram=DRAMConfig(channels=channels, ranks_per_channel=ranks,
                         rows_per_bank=4096, standard=standard),
         controller=ControllerConfig(row_policy=row_policy),
-        chargecache=cc,
         mechanism=mechanism,
         instruction_limit=instruction_limit,
         warmup_cpu_cycles=warmup,

@@ -18,20 +18,30 @@ from repro.dram.timing import DDR3_1600
 T = DDR3_1600
 
 
+#: Completion list of each read :func:`read_at` queued, by request id.
+_DONE = {}
+
+
+def _read_done(request):
+    _DONE.pop(request.id).append(request)
+
+
 def make_controller(row_policy="open", mechanism=None, refresh=False,
                     scheduler="frfcfs"):
     cfg = ControllerConfig(row_policy=row_policy, scheduler=scheduler)
     mech = mechanism or DefaultTiming(T)
-    return MemoryController(0, T, num_ranks=1, num_banks=8,
-                            rows_per_bank=4096, controller_config=cfg,
-                            mechanism=mech, refresh_enabled=refresh,
-                            log_commands=True)
+    mc = MemoryController(0, T, num_ranks=1, num_banks=8,
+                          rows_per_bank=4096, controller_config=cfg,
+                          mechanism=mech, refresh_enabled=refresh,
+                          log_commands=True)
+    mc.read_done = _read_done
+    return mc
 
 
 def read_at(mc, line, rank=0, bank=0, row=0, col=0, cycle=0, core=0):
     done = []
-    req = Request(line, RequestType.READ, core,
-                  callback=lambda r: done.append(r))
+    req = Request(line, RequestType.READ, core)
+    _DONE[req.id] = done
     req.channel, req.rank, req.bank, req.row, req.column = \
         0, rank, bank, row, col
     assert mc.enqueue_read(req, cycle)

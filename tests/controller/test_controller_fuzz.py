@@ -48,6 +48,7 @@ def _build(mechanism, row_policy="open"):
 def _drive(mc, ops):
     """Feed ops at their arrival times; run until drained."""
     completed = []
+    mc.read_done = completed.append
     cycle = 0
     accepted_reads = 0
     accepted_writes = 0
@@ -60,8 +61,7 @@ def _drive(mc, ops):
         if is_write:
             req = Request(line, RequestType.WRITE, 0)
         else:
-            req = Request(line, RequestType.READ, 0,
-                          callback=completed.append)
+            req = Request(line, RequestType.READ, 0)
         req.channel, req.rank, req.bank, req.row, req.column = \
             0, 0, bank, row, col
         if is_write:

@@ -1,6 +1,5 @@
 """Tests for the AL-DRAM extension mechanism (paper Section 7.1)."""
 
-from repro.config import SimulationConfig
 from repro.core.aldram import ALDRAM, aldram_timings_at
 from repro.core import registry
 from repro.dram.refresh import RefreshScheduler
@@ -59,11 +58,9 @@ class TestMechanism:
 
 class TestFactory:
     def _build(self, mechanism):
-        cfg = SimulationConfig(mechanism=mechanism)
         refresh = RefreshScheduler(DDR3_1600, 1, 64 * 1024)
         return registry.build(mechanism, registry.MechanismContext(
-            timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh,
-            config=cfg))
+            timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh))
 
     def test_aldram_from_config(self):
         mech = self._build("aldram(temperature_c=55.0)")

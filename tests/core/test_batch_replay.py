@@ -14,7 +14,7 @@ import itertools
 import pytest
 
 from repro.config import NUATConfig
-from repro.core.chargecache import ChargeCache
+from repro.core.chargecache import ChargeCache, chargecache_params
 from repro.core.nuat import NUAT
 from repro.core.replay import (
     MechanismEventLog,
@@ -32,6 +32,9 @@ from repro.workloads.synthetic import zipf_trace
 from tests.conftest import tiny_config
 
 TIMING = preset("DDR3-1600")
+
+#: The ChargeCache parameters of ``tiny_config("chargecache")``.
+_TINY_CC = chargecache_params(tiny_config("chargecache").mechanism)
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +97,7 @@ EVENTS = [
 
 class TestRecordingAndReplay:
     def _chargecache(self):
-        cfg = tiny_config("chargecache").chargecache
-        return ChargeCache(TIMING, cfg, num_cores=1)
+        return ChargeCache(TIMING, _TINY_CC, num_cores=1)
 
     def test_recording_is_transparent(self):
         plain = _drive(self._chargecache(), EVENTS)
@@ -137,8 +139,7 @@ class TestRecordingAndReplay:
 
 class TestForkProtocol:
     def test_chargecache_forks_fresh_state(self):
-        mech = ChargeCache(TIMING, tiny_config("chargecache").chargecache,
-                           num_cores=1)
+        mech = ChargeCache(TIMING, _TINY_CC, num_cores=1)
         _drive(mech, EVENTS)
         fork = mech.fork_state()
         assert fork.config == mech.config
@@ -146,8 +147,7 @@ class TestForkProtocol:
         assert all(t.valid_count == 0 for t in fork.tables)
 
     def test_combined_forks_parts(self):
-        cc = ChargeCache(TIMING, tiny_config("chargecache").chargecache,
-                         num_cores=1)
+        cc = ChargeCache(TIMING, _TINY_CC, num_cores=1)
         combined = CombinedMechanism(TIMING, cc, DefaultTiming(TIMING))
         fork = combined.fork_state()
         assert isinstance(fork, CombinedMechanism)
@@ -179,10 +179,9 @@ def _result_payload(result):
 
 
 def _variant(mechanism, **cc_kwargs):
-    cfg = tiny_config(mechanism, instruction_limit=4_000, **cc_kwargs)
-    cc = dataclasses.replace(cfg.chargecache, caching_duration_ms=100.0,
-                             time_scale=1.0)
-    return dataclasses.replace(cfg, chargecache=cc)
+    # The 1 ms caching duration with its sweep stretched to 100 ms.
+    return tiny_config(mechanism, instruction_limit=4_000,
+                       time_scale=0.01, **cc_kwargs)
 
 
 def _trace(cfg, seed=3):

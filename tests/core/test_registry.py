@@ -22,6 +22,7 @@ from repro.core.lldram import LowLatencyDRAM
 from repro.core.aldram import ALDRAM
 from repro.core.timing_policy import CombinedMechanism, DefaultTiming
 from repro.dram.refresh import RefreshScheduler
+from repro.dram.standards import derated_reduction_cycles, preset
 from repro.dram.timing import DDR3_1600
 
 #: The pre-registry fixed mechanism menu.  Cache keys computed before
@@ -40,8 +41,7 @@ def refresh():
 @pytest.fixture
 def ctx(refresh):
     return registry.MechanismContext(
-        timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh,
-        config=None)
+        timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh)
 
 
 class TestParseNormalize:
@@ -131,25 +131,6 @@ class TestParseNormalize:
         with pytest.raises(ValueError):
             registry.parse_mechanism_spec(bad)
 
-    def test_default_valued_param_yields_to_config_block(self, refresh):
-        """Precedence contract (DESIGN.md section 6): an inline value
-        equal to the registered default is an identity — it shares a
-        cache key with the plain spelling, so it must also mean the
-        same behaviour, i.e. a non-default config block wins over it.
-        Non-default inline values beat the block."""
-        import dataclasses
-        cfg = single_core_config("chargecache")
-        cfg = dataclasses.replace(
-            cfg, chargecache=dataclasses.replace(cfg.chargecache,
-                                                 entries=512))
-        ctx = registry.MechanismContext(
-            timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh,
-            config=cfg)
-        assert registry.build("chargecache(entries=128)", ctx) \
-            .config.entries == 512   # identity: block wins
-        assert registry.build("chargecache(entries=64)", ctx) \
-            .config.entries == 64    # deviation: inline wins
-
     def test_cross_field_validation_is_against_registered_defaults(self):
         """Documented limitation (DESIGN.md section 6): eager
         validation merges inline values into the registered defaults,
@@ -229,26 +210,32 @@ class TestBuild:
         assert mech.config.sharing == "shared"
         assert len(mech.tables) == 1  # shared mode: one table
 
-    def test_config_blocks_supply_defaults(self, refresh):
-        cfg = single_core_config(
-            "chargecache",
-            chargecache=ChargeCacheConfig(entries=512, associativity=2))
-        ctx = registry.MechanismContext(
-            timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh,
-            config=cfg)
-        assert registry.build("chargecache", ctx).config.entries == 512
-        # Inline overrides beat the config block.
-        assert registry.build("chargecache(entries=64)",
-                              ctx).config.entries == 64
+    def test_spec_is_the_only_input(self):
+        """The parameters are the registered defaults plus the inline
+        values; the reductions derive from the duration on the
+        context's timing."""
+        ddr4 = registry.MechanismContext(timing=preset("DDR4-2400"))
+        for spec in ("chargecache", "lldram"):
+            assert registry.build(spec, ddr4).hit_timings == \
+                ddr4.timing.reduced_by(6, 12)
+        mech = registry.build("chargecache(entries=64,duration_ms=16)",
+                              ddr4)
+        assert mech.config == ChargeCacheConfig(entries=64,
+                                                caching_duration_ms=16.0)
+        assert mech.hit_timings == ddr4.timing.reduced_by(
+            *derated_reduction_cycles(ddr4.timing, 16.0))
+        for param in ("trcd_reduction_cycles", "tras_reduction_cycles"):
+            for name in ("chargecache", "lldram"):
+                with pytest.raises(ValueError, match="no parameter"):
+                    registry.parse_mechanism_spec(f"{name}({param}=4)")
 
     def test_inline_duration_rederives_reductions(self, ctx):
         """An inline duration re-derives the Table 2 timing reductions
         exactly like the harness's cc_duration_ms path does."""
         from repro.circuit.latency_tables import reductions_for_duration_ms
-        mech = registry.build("chargecache(duration_ms=16)", ctx)
-        assert (mech.config.trcd_reduction_cycles,
-                mech.config.tras_reduction_cycles) == \
-            reductions_for_duration_ms(16.0)
+        for spec in ("chargecache(duration_ms=16)", "lldram(duration_ms=16)"):
+            assert registry.build(spec, ctx).hit_timings == \
+                DDR3_1600.reduced_by(*reductions_for_duration_ms(16.0))
 
     def test_aldram_temperature_inline(self, ctx):
         cool = registry.build("aldram(temperature=55)", ctx)
@@ -282,24 +269,21 @@ class TestNWayComposition:
     def test_two_way_parity_with_legacy_pairs(self, refresh):
         """Registry-built chargecache+nuat behaves bit-for-bit like a
         hand-assembled two-way CombinedMechanism."""
-        cfg = SimulationConfig(mechanism="chargecache+nuat")
         legacy = CombinedMechanism(
             DDR3_1600,
-            ChargeCache(DDR3_1600, cfg.chargecache, 1),
+            ChargeCache(DDR3_1600, ChargeCacheConfig(), 1),
             NUAT(DDR3_1600, NUATConfig(), refresh))
         built = registry.build("nuat+chargecache", registry.MechanismContext(
-            timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh,
-            config=cfg))
+            timing=DDR3_1600, num_cores=1, refresh_scheduler=refresh))
         assert _stimulus(legacy) == _stimulus(built)
 
     def test_three_way_equals_pairwise_min(self, refresh):
         """N-way composition == folding the same parts pairwise: same
         offers on every ACT (min is associative)."""
         def parts():
-            cfg = SimulationConfig()
-            return (ChargeCache(DDR3_1600, cfg.chargecache, 1),
+            return (ChargeCache(DDR3_1600, ChargeCacheConfig(), 1),
                     NUAT(DDR3_1600, NUATConfig(), refresh),
-                    LowLatencyDRAM(DDR3_1600, cfg.chargecache))
+                    LowLatencyDRAM(DDR3_1600))
 
         flat = CombinedMechanism(DDR3_1600, *parts())
         a, b, c = parts()
@@ -311,12 +295,10 @@ class TestNWayComposition:
         assert flat_lookups == 266 and flat_hits == 266  # lldram: all hit
 
     def test_three_way_next_wake_and_reset(self, refresh):
-        cfg = SimulationConfig()
         mech = registry.build(
             "chargecache+nuat+aldram",
             registry.MechanismContext(timing=DDR3_1600, num_cores=1,
-                                      refresh_scheduler=refresh,
-                                      config=cfg))
+                                      refresh_scheduler=refresh))
         assert isinstance(mech, CombinedMechanism)
         assert len(mech.mechanisms) == 3
         mech.on_precharge(0, 0, 5, 0, 10)
@@ -408,12 +390,6 @@ class TestExtractRunParams:
         with pytest.raises(ValueError, match="conflicting"):
             registry.extract_run_params("lldram(duration_ms=4)",
                                         cc_duration_ms=8.0)
-        # Explicit reduction overrides couple with the duration via
-        # the factory's re-derivation: the term then stays inline.
-        assert registry.extract_run_params(
-            "lldram(duration_ms=4,trcd_reduction_cycles=2)") == \
-            ("lldram(caching_duration_ms=4.0,trcd_reduction_cycles=2)",
-             None, None, False)
 
 
 class TestConfigIntegration:

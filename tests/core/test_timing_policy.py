@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.config import (
-    ChargeCacheConfig,
-    NUATConfig,
-    SimulationConfig,
-)
+from repro.config import ChargeCacheConfig, NUATConfig
 from repro.core.chargecache import ChargeCache
 from repro.core.lldram import LowLatencyDRAM
 from repro.core.nuat import NUAT
@@ -21,10 +17,9 @@ def refresh():
     return RefreshScheduler(DDR3_1600, 1, 64 * 1024)
 
 
-def _context(cfg, refresh):
+def _context(refresh):
     return registry.MechanismContext(timing=DDR3_1600, num_cores=1,
-                                     refresh_scheduler=refresh,
-                                     config=cfg)
+                                     refresh_scheduler=refresh)
 
 
 class TestDefaultTiming:
@@ -103,10 +98,9 @@ class TestFactory:
         ("lldram", LowLatencyDRAM),
     ])
     def test_build_each_mechanism(self, refresh, name, expected):
-        cfg = SimulationConfig(mechanism=name)
-        mech = registry.build(name, _context(cfg, refresh))
+        mech = registry.build(name, _context(refresh))
         assert isinstance(mech, expected)
 
     def test_unknown_mechanism(self, refresh):
         with pytest.raises(ValueError):
-            registry.build("bogus", _context(SimulationConfig(), refresh))
+            registry.build("bogus", _context(refresh))

@@ -49,7 +49,7 @@ class Harness:
         return self.cache.access_load(core, line, token)
 
     def fill(self, index=-1):
-        self.controller.reads[index].callback(self.controller.reads[index])
+        self.controller.read_done(self.controller.reads[index])
 
 
 class TestLoads:

@@ -81,11 +81,17 @@ class TestConfigBridge:
     def test_shared_table_drops_the_per_core_factor(self):
         """sharing="shared" builds one table per channel (paper
         footnote 2), so equation (1)'s C factor is 1, not 8."""
-        from dataclasses import replace
-        cfg = eight_core_config()
-        shared = replace(cfg, chargecache=replace(cfg.chargecache,
-                                                  sharing="shared"))
+        shared = eight_core_config("chargecache(sharing=shared)")
         assert overhead_for_config(shared).storage_bytes == 5376 // 8
+
+    def test_bills_the_table_the_spec_simulates(self):
+        """The bill reads the run's mechanism spec, the only place a
+        run's HCRAC size and sharing live."""
+        from repro.harness.runner import build_config
+        cfg = build_config("eight", "chargecache(entries=256,sharing=shared)")
+        assert overhead_for_config(cfg) == hcrac_overhead(
+            cores=1, channels=2, entries=256)
+        assert overhead_for_config(cfg).storage_bits == 2 * 5376
 
     def test_bigger_table_bigger_area(self):
         small = hcrac_overhead(entries=128)

@@ -8,6 +8,9 @@ order-permuted compositions share one cache key.
 
 import pytest
 
+from repro.core import registry
+from repro.core.chargecache import chargecache_params
+from repro.dram.timing import DDR3_1600
 from repro.harness import cli, runner
 from repro.harness.cache import cache_key
 from repro.harness.runner import (
@@ -91,8 +94,10 @@ class TestEndToEnd:
         via_kwargs = build_config("single", "chargecache+nuat", TINY,
                                   cc_entries=256)
         assert via_spec == via_kwargs
-        assert via_spec.mechanism == "chargecache+nuat"
-        assert via_spec.chargecache.entries == 256
+        # The folded capacity and the scale's time-scale are written
+        # back inline: the spec is the mechanism's one input.
+        assert via_spec.mechanism == \
+            f"chargecache(entries=256,time_scale={TINY.cc_time_scale!r})+nuat"
 
     def test_build_config_inline_duration_derives_reductions(self):
         via_spec = build_config("single", "chargecache(duration_ms=16)",
@@ -100,7 +105,11 @@ class TestEndToEnd:
         via_kwargs = build_config("single", "chargecache", TINY,
                                   cc_duration_ms=16.0)
         assert via_spec == via_kwargs
-        assert via_spec.chargecache.trcd_reduction_cycles < 4
+        assert chargecache_params(via_spec.mechanism) \
+            .caching_duration_ms == 16.0
+        mech = registry.build(via_spec.mechanism,
+                              registry.default_context())
+        assert mech.hit_timings.trcd > DDR3_1600.tRCD - 4
 
     def test_coupled_inline_params_run_through_the_harness(self):
         """entries=3 is only valid with associativity=3 (it fails the
@@ -112,16 +121,16 @@ class TestEndToEnd:
         result = run_spec(workload_spec(
             "libquantum", "chargecache(entries=3,associativity=3)",
             TINY))
-        assert result.config.chargecache.entries == 128  # block untouched
         assert result.config.mechanism == \
-            "chargecache(associativity=3,entries=3)"
+            "chargecache(associativity=3,entries=3," \
+            f"time_scale={TINY.cc_time_scale!r})"
 
     def test_scenario_build_config_accepts_inline_params(self):
         via_spec = build_config("c8-r2", "chargecache(entries=64)", TINY)
         via_kwargs = build_config("c8-r2", "chargecache", TINY,
                                   cc_entries=64)
         assert via_spec == via_kwargs
-        assert via_spec.chargecache.entries == 64
+        assert chargecache_params(via_spec.mechanism).entries == 64
 
     def test_residual_inline_params_flow_to_the_mechanism(self):
         """Parameters without a RunSpec shorthand (e.g. sharing) stay
@@ -130,16 +139,15 @@ class TestEndToEnd:
         clear_memo()
         result = run_spec(workload_spec(
             "libquantum", "chargecache(sharing=shared)", TINY))
-        assert result.config.mechanism == "chargecache(sharing=shared)"
+        assert result.config.mechanism == \
+            f"chargecache(sharing=shared,time_scale={TINY.cc_time_scale!r})"
         from repro.core import registry
         from repro.dram.refresh import RefreshScheduler
-        from repro.dram.timing import DDR3_1600
         mech = registry.build(
             result.config.mechanism,
             registry.MechanismContext(
                 timing=DDR3_1600, num_cores=1,
-                refresh_scheduler=RefreshScheduler(DDR3_1600, 1, 64 * 1024),
-                config=result.config))
+                refresh_scheduler=RefreshScheduler(DDR3_1600, 1, 64 * 1024)))
         assert mech.config.sharing == "shared"
 
 

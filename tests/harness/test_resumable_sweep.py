@@ -267,7 +267,9 @@ class TestCLI:
         assert cli.main(["query", "--cache-dir", store, "--limit", "1",
                          "--csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("kind,name,scenario,mechanism,standard")
+        assert lines[0].startswith("kind,name,scenario,mechanism,"
+                                   "cc_entries,cc_duration_ms,"
+                                   "cc_unbounded,standard")
         assert len(lines) == 2
 
         assert cli.main(["query", "--cache-dir", store, "--standard",
@@ -326,6 +328,26 @@ class TestCLI:
         assert count("chargecache(entries=128)") == 1
         assert count("chargecache(entries=256)") == 1
         assert count("chargecache(entries=64)") == 0
+
+    def test_query_rows_show_the_chargecache_shorthand(self, tmp_path,
+                                                       capsys):
+        """Runs that differ only in a folded ChargeCache parameter
+        carry the same mechanism string: the cc_* columns tell their
+        rows apart."""
+        from repro.harness import cli
+        store = str(tmp_path / "cli-store")
+        assert cli.main(["sweep", "--workloads", "hmmer", "--mechanisms",
+                         "chargecache", "chargecache(entries=64)",
+                         "chargecache(unbounded=true)", "--scale", "0.03",
+                         "--store", store, "--json"]) == 0
+        capsys.readouterr()
+        assert cli.main(["query", "--cache-dir", store, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        shorthand = [(row["mechanism"], row["cc_entries"],
+                      row["cc_unbounded"]) for row in rows]
+        assert shorthand == [("chargecache", None, False),
+                             ("chargecache", 64, False),
+                             ("chargecache", None, True)]
 
     def test_query_rejects_a_negative_limit(self, tmp_path, capsys):
         """``--limit -1`` used to slice off the last row silently."""

@@ -148,7 +148,13 @@ class TestResultCodec:
         cfg = runner.build_config("ddr4-2400-c1", "chargecache+nuat")
         data = json.loads(json.dumps(cache.config_to_json(cfg)))
         data.update(seed=1, temperature_c=85.0,
-                    nuat={"bin_edges_ms": [6.0, 16.0, 32.0, 48.0, 64.0]})
+                    nuat={"bin_edges_ms": [6.0, 16.0, 32.0, 48.0, 64.0]},
+                    chargecache={"entries": 128, "associativity": 2,
+                                 "caching_duration_ms": 1.0,
+                                 "trcd_reduction_cycles": 6,
+                                 "tras_reduction_cycles": 12,
+                                 "sharing": "per-core", "unbounded": False,
+                                 "time_scale": 8.0})
         data["dram"]["bus_freq_mhz"] = 1200.0
         data["processor"]["retire_width"] = 4
         assert cache.config_from_json(data) == cfg

@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from repro.core import registry
+from repro.core.chargecache import chargecache_params
+from repro.dram.timing import DDR3_1600
 from repro.harness import runner
 from repro.harness.runner import (
     Scale,
@@ -83,12 +86,15 @@ class TestBuildConfig:
                             cc_duration_ms=1.0)
         cfg16 = build_config("single", "chargecache", TINY,
                              cc_duration_ms=16.0)
-        assert cfg1.chargecache.trcd_reduction_cycles == 4
-        assert cfg16.chargecache.trcd_reduction_cycles < 4
+        ctx = registry.default_context()
+        assert registry.build(cfg1.mechanism, ctx).hit_timings == \
+            DDR3_1600.reduced_by(4, 8)
+        assert registry.build(cfg16.mechanism, ctx).hit_timings.trcd > \
+            DDR3_1600.tRCD - 4
 
     def test_capacity_override(self):
         cfg = build_config("single", "chargecache", TINY, cc_entries=512)
-        assert cfg.chargecache.entries == 512
+        assert chargecache_params(cfg.mechanism).entries == 512
 
     def test_row_policy_override(self):
         cfg = build_config("single", "none", TINY, row_policy="closed")
@@ -101,8 +107,13 @@ class TestBuildConfig:
         "none", "chargecache", "nuat", "lldram", "chargecache+nuat"])
     def test_paper_kinds_are_their_scenarios(self, mechanism, knobs):
         for kind, scen in (("single", "c1-r1"), ("eight", "c8-r1")):
-            assert build_config(kind, mechanism, TINY, **knobs) == \
-                build_config(scen, mechanism, TINY, **knobs)
+            try:
+                expected = build_config(scen, mechanism, TINY, **knobs)
+            except ValueError:  # a knob no term of the spec reads
+                with pytest.raises(ValueError, match="term"):
+                    build_config(kind, mechanism, TINY, **knobs)
+                continue
+            assert build_config(kind, mechanism, TINY, **knobs) == expected
 
     def test_alone_is_one_core_of_the_eight_core_platform(self):
         cfg = runner._spec_config(alone_spec("mcf", TINY))
@@ -143,8 +154,39 @@ class TestSpecBuilders:
         {"mechanism": "chargecache"}, {"mechanism": "nuat"},
         {"cc_entries": 256}, {"idle_finished": True}])
     def test_alone_spec_rejects_what_it_would_ignore(self, fields):
-        with pytest.raises(ValueError, match="alone runs"):
+        with pytest.raises(ValueError, match="alone runs|chargecache term"):
             RunSpec(kind="alone", name="mcf", **fields)
+
+    @pytest.mark.parametrize("mechanism,fields", [
+        ("nuat", {"cc_entries": 64}), ("none", {"cc_unbounded": True}),
+        ("lldram", {"cc_entries": 64}), ("nuat", {"cc_duration_ms": 4.0}),
+        ("aldram", {"cc_duration_ms": 1.0})])
+    def test_shorthand_no_term_reads_is_rejected(self, mechanism, fields):
+        """A cc_* field without a term that reads it would key its own
+        run of the same simulation as the bare spec."""
+        with pytest.raises(ValueError, match="term"):
+            RunSpec(kind="single", name="mcf", mechanism=mechanism,
+                    **fields)
+        with pytest.raises(ValueError, match="term"):
+            workload_spec("mcf", mechanism, **fields)
+
+    def test_shorthand_a_term_reads_is_kept(self):
+        assert workload_spec("mcf", "lldram", cc_duration_ms=4.0) \
+            .cc_duration_ms == 4.0
+        assert workload_spec("mcf", "nuat+chargecache", cc_entries=64) \
+            .cc_entries == 64
+
+    def test_spec_may_not_write_the_scale_time_scale(self):
+        """build_config writes scale.cc_time_scale; an inline value,
+        even the default, would be overwritten or win silently."""
+        for spec in ("chargecache(time_scale=1)",
+                     "chargecache(entries=64,time_scale=2)+nuat"):
+            with pytest.raises(ValueError, match="time_scale"):
+                RunSpec(kind="single", name="mcf", mechanism=spec)
+            with pytest.raises(ValueError, match="time_scale"):
+                build_config("single", spec, TINY)
+        assert build_config("single", "chargecache", TINY).mechanism == \
+            f"chargecache(time_scale={TINY.cc_time_scale!r})"
 
 
 class TestCaching:

@@ -9,6 +9,8 @@ different platform is a bug.
 import pytest
 
 from repro.config import SimulationConfig
+from repro.cpu.system import System
+from repro.dram.standards import preset
 from repro.harness import scenarios
 from repro.harness.runner import build_config
 from repro.harness.scenarios import (
@@ -159,13 +161,12 @@ class TestConfigConstruction:
 
     def test_reductions_rescale_with_the_clock(self):
         """~5/10 ns of charge headroom is more cycles on faster buses."""
-        ddr3 = build_config("c1-r1", "chargecache", TINY).chargecache
-        gddr5 = build_config("gddr5-4000-c1", "chargecache",
-                             TINY).chargecache
-        assert (ddr3.trcd_reduction_cycles,
-                ddr3.tras_reduction_cycles) == (4, 8)
-        assert gddr5.trcd_reduction_cycles > ddr3.trcd_reduction_cycles
-        assert gddr5.tras_reduction_cycles > ddr3.tras_reduction_cycles
+        ddr3, gddr5 = (
+            System(build_config(name, "chargecache", TINY),
+                   [iter(())]).controllers[0].mechanism.hit_timings
+            for name in ("c1-r1", "gddr5-4000-c1"))
+        assert ddr3 == preset("DDR3-1600").reduced_by(4, 8)
+        assert gddr5 == preset("GDDR5-4000").reduced_by(10, 20)
 
     def test_instruction_budget_follows_core_count(self):
         single = build_config("c1-r1", "none", TINY)

@@ -2,11 +2,11 @@
 
 ``System.run`` ends by cutting every edge that points from the run's
 graph back up to the System or the LLC (core issue hooks, the LLC's
-notify and clock callbacks, the fill callback of every request still
-held).  With the collector disabled, dropping the System must then free
-the whole graph at once: the LLC is dead by reference counting alone and
-a following ``gc.collect()`` finds no cyclic garbage.  Each case runs a
-different part of the graph: both engines, the single-core open-row and
+notify and clock callbacks, each controller's fill hook).  With the
+collector disabled, dropping the System must then free the whole graph
+at once: the LLC is dead by reference counting alone and a following
+``gc.collect()`` finds no cyclic garbage.  Each case runs a different
+part of the graph: both engines, the single-core open-row and
 eight-core closed-row platforms, a drained run (the scheduler's last
 snapshot names a served read), a truncated run (reads still parked,
 queued and in flight), and a batch with recording mechanisms, a
@@ -94,7 +94,7 @@ def test_drained_run_leaves_no_cyclic_garbage(engine):
 def test_truncated_run_leaves_no_cyclic_garbage(engine):
     """Stopped mid-run with short read queues, the LLC still parks
     refused reads and the controllers hold queued and in-flight ones:
-    their callbacks are cut too."""
+    none of them points back up."""
     cfg = replace(tiny_config(**PLATFORMS["eight-closed"]), engine=engine)
     cfg = replace(cfg, controller=replace(cfg.controller,
                                           read_queue_size=16))
@@ -125,9 +125,8 @@ def test_batch_run_leaves_no_cyclic_garbage(monkeypatch):
     monkeypatch.setattr(System, "run", watched)
 
     def variant(mechanism, **cc_kwargs):
-        cfg = tiny_config(mechanism, instruction_limit=4_000, **cc_kwargs)
-        return replace(cfg, chargecache=replace(
-            cfg.chargecache, caching_duration_ms=100.0, time_scale=1.0))
+        return tiny_config(mechanism, instruction_limit=4_000,
+                           time_scale=0.01, **cc_kwargs)
 
     configs = [variant("chargecache", entries=64),
                variant("chargecache", entries=256),

@@ -33,10 +33,12 @@ from repro.config import ControllerConfig
 from repro.controller.controller import MemoryController
 from repro.controller.request import Request, RequestType
 from repro.controller.address_mapping import AddressMapper
+from repro.core.chargecache import chargecache_params
 from repro.core.timing_policy import DefaultTiming
 from repro.cpu.system import System
 from repro.dram.commands import Command
 from repro.dram.organization import Organization
+from repro.dram.standards import derated_reduction_cycles
 from repro.dram.timing import DDR3_1600
 from repro.harness import runner, scenarios
 from repro.harness.runner import build_config
@@ -96,15 +98,17 @@ class TestAxisConformance:
 
         # Command stream legality under the scenario's own standard,
         # including its rescaled ChargeCache reductions.
-        cc = result.config.chargecache
         timing = system.timing
+        trcd_reduction, tras_reduction = derated_reduction_cycles(
+            timing,
+            chargecache_params(result.config.mechanism).caching_duration_ms)
         checked = 0
         for controller in system.controllers:
             log = controller.channel.command_log
             checked += check_command_log(
                 log, timing,
-                reduced_trcd=timing.tRCD - cc.trcd_reduction_cycles,
-                reduced_tras=timing.tRAS - cc.tras_reduction_cycles)
+                reduced_trcd=timing.tRCD - trcd_reduction,
+                reduced_tras=timing.tRAS - tras_reduction)
             if scen.ranks_per_channel > 1:
                 act_ranks = {c.rank for c in log
                              if c.command is Command.ACT}

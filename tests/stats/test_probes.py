@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.chargecache import chargecache_params
 from repro.cpu.system import System
 from repro.dram.organization import Organization
 from repro.stats.probes import CompositeProbe
@@ -81,5 +82,5 @@ class TestSystemWiring:
                         enable_reuse=True)
         result = system.run(max_mem_cycles=400_000)
         predicted = result.reuse.predicted_hit_rate(
-            cfg.chargecache.entries)
+            chargecache_params(cfg.mechanism).entries)
         assert result.mechanism_hit_rate <= predicted + 0.08

@@ -14,6 +14,8 @@ from repro.config import (
     eight_core_config,
     single_core_config,
 )
+from repro.dram.standards import derated_reduction_cycles
+from repro.dram.timing import DDR3_1600
 
 
 class TestPaperDefaults:
@@ -53,7 +55,9 @@ class TestPaperDefaults:
         assert cc.entries == 128
         assert cc.associativity == 2
         assert cc.caching_duration_ms == 1.0
-        assert (cc.trcd_reduction_cycles, cc.tras_reduction_cycles) == (4, 8)
+        # Table 2's 1 ms derating on the run's standard: 4/8 on DDR3.
+        assert derated_reduction_cycles(
+            DDR3_1600, cc.caching_duration_ms) == (4, 8)
 
     def test_clock_ratio(self):
         assert SimulationConfig().cpu_cycles_per_mem_cycle == 5
