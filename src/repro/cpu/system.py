@@ -284,7 +284,8 @@ class System:
         * **Full run**: the variant is simulated normally (sharing only
           the trace tape), with a
           :class:`~repro.core.replay.RecordingMechanism` logging its
-          decision stream.  Closed-loop timing feedback makes any
+          decision stream, except for the last variant, whose log no
+          later variant could replay.  Closed-loop timing feedback makes any
           cross-variant computation sharing *after* the first diverging
           mechanism decision unsound (a hit changes tRCD, the read
           completes earlier, the core unblocks earlier, and every
@@ -329,7 +330,8 @@ class System:
         witnesses: List = []  # (per-channel logs, RunResult)
         results: List[RunResult] = []
         full_runs = 0
-        for cfg in configs:
+        last = len(configs) - 1
+        for index, cfg in enumerate(configs):
             collapsed = None
             if witnesses:
                 channels = cfg.dram.channels
@@ -350,13 +352,18 @@ class System:
             system = cls(cfg, tape.readers(), enable_rltl=enable_rltl,
                          rltl_time_scale=rltl_time_scale,
                          enable_reuse=enable_reuse)
-            logs = [MechanismEventLog() for _ in system.controllers]
-            for controller, log in zip(system.controllers, logs):
-                controller.mechanism = RecordingMechanism(
-                    controller.mechanism, log)
+            if index < last:
+                # The last variant's log could serve no later variant.
+                logs = [MechanismEventLog(system.organization,
+                                          cfg.processor.num_cores)
+                        for _ in system.controllers]
+                for controller, log in zip(system.controllers, logs):
+                    controller.mechanism = RecordingMechanism(
+                        controller.mechanism, log)
             result = system.run(max_mem_cycles=max_mem_cycles)
             full_runs += 1
-            witnesses.append((logs, result))
+            if index < last:
+                witnesses.append((logs, result))
             results.append(result)
         if telemetry is not None:
             telemetry["full_runs"] = full_runs

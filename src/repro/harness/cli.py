@@ -410,8 +410,11 @@ def _query_main(argv: List[str]) -> int:
         print(json.dumps(table, indent=2))
         return 0
     if args.csv:
+        # A missing axis is an empty cell, as in the table below.
         from repro.harness.export import rows_to_csv
-        print(rows_to_csv(rows, columns=headers), end="")
+        print(rows_to_csv([{h: "" if row[h] is None else row[h]
+                            for h in headers} for row in rows],
+                          columns=headers), end="")
         return 0
     from repro.harness.report import format_table
     body = [["" if row[h] is None

@@ -95,11 +95,59 @@ def _assert_matches_serial_reference(sweep, specs, store):
     assert sweep_keys == set(runner.active_disk_cache().keys())
 
 
+def _spy_batches(monkeypatch):
+    """Per ``System.run_batch`` call, its variant count, telemetry and
+    one ``(last variant, recorded)`` pair per full run: whether the
+    run simulated the batch's last config, and whether its mechanisms
+    were wrapped in a ``RecordingMechanism``."""
+    from repro.core.replay import RecordingMechanism
+    from repro.cpu.system import System
+    batches, active = [], []
+    run_batch, run = System.run_batch.__func__, System.run
+
+    def spied_run_batch(cls, configs, *args, telemetry=None, **kwargs):
+        configs = list(configs)
+        batch = {"configs": configs, "runs": [],
+                 "telemetry": {} if telemetry is None else telemetry}
+        batches.append(batch)
+        active.append(batch)
+        try:
+            return run_batch(cls, configs, *args,
+                             telemetry=batch["telemetry"], **kwargs)
+        finally:
+            active.pop()
+
+    def spied_run(self, *args, **kwargs):
+        if active:
+            active[-1]["runs"].append((
+                self.config is active[-1]["configs"][-1],
+                all(isinstance(c.mechanism, RecordingMechanism)
+                    for c in self.controllers)))
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(System, "run_batch", classmethod(spied_run_batch))
+    monkeypatch.setattr(System, "run", spied_run)
+    return batches
+
+
 @pytest.mark.parametrize("seed", (0, 1))
-def test_batched_sweep_is_bit_identical_to_serial(seed, tmp_path):
+def test_batched_sweep_is_bit_identical_to_serial(seed, tmp_path,
+                                                  monkeypatch):
     specs = _sampled_sweep(random.Random(seed), points=10)
     runner.configure_disk_cache(str(tmp_path / "batched"))
+    batches = _spy_batches(monkeypatch)
     batched = execute_sweep(specs, jobs=1)
+    assert batches
+    for batch in batches:
+        # Every full run is recorded but the last variant's, whose log
+        # no later variant could replay: N variants that all run in
+        # full wrap N - 1 mechanism sets.
+        runs = batch["runs"]
+        assert len(runs) == batch["telemetry"]["full_runs"]
+        assert all(recorded != last for last, recorded in runs)
+        if not batch["telemetry"]["collapsed"]:
+            assert sum(recorded for _, recorded in runs) \
+                == len(batch["configs"]) - 1
     _assert_matches_serial_reference(batched, specs,
                                      str(tmp_path / "serial"))
 

@@ -9,7 +9,9 @@ The guarantees under test:
   simulates anything.
 """
 
+import csv
 import gc
+import io
 import json
 import os
 import warnings
@@ -348,6 +350,33 @@ class TestCLI:
         assert shorthand == [("chargecache", None, False),
                              ("chargecache", 64, False),
                              ("chargecache", None, True)]
+
+    def test_query_csv_writes_a_missing_axis_as_an_empty_cell(
+            self, tmp_path, capsys):
+        """``--csv`` agrees with the table's empty cell and the JSON
+        null: a default run's missing scenario, capacity and duration
+        used to come out as the text ``None``."""
+        from repro.harness import cli
+        store = str(tmp_path / "cli-store")
+        assert cli.main(["sweep", "--workloads", "hmmer", "--mechanisms",
+                         "chargecache", "chargecache(entries=64)",
+                         "--scale", "0.03", "--store", store,
+                         "--json"]) == 0
+        capsys.readouterr()
+        assert cli.main(["query", "--cache-dir", store, "--json"]) == 0
+        expect = json.loads(capsys.readouterr().out)["rows"]
+        assert cli.main(["query", "--cache-dir", store, "--csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["cc_entries"] for row in rows] == ["", "64"]
+        for row, want in zip(rows, expect):
+            assert row.keys() == want.keys()
+            for column, value in want.items():
+                if value is None:
+                    assert row[column] == "", column
+                else:
+                    assert row[column] != "", column
+        assert "None" not in {cell for row in rows
+                              for cell in row.values()}
 
     def test_query_rejects_a_negative_limit(self, tmp_path, capsys):
         """``--limit -1`` used to slice off the last row silently."""

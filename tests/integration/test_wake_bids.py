@@ -541,21 +541,24 @@ def test_cached_mechanism_wake_is_fresh_at_every_bid(monkeypatch,
 
 def test_cached_mechanism_wake_follows_mechanism_swap(monkeypatch):
     """``run_batch`` replaces each controller's mechanism with a
-    recording wrapper after construction; the cached wake must follow
-    the replacement at every bid of the batch's full runs."""
+    recording wrapper after construction, except in the last variant;
+    the cached wake must follow the replacement at every bid of the
+    batch's full runs."""
     checked = _check_cached_wake_at_bids(monkeypatch)
     configs = [tiny_config(name, instruction_limit=20_000, warmup=1_000)
-               for name in ("none", "chargecache")]
+               for name in ("none", "chargecache", "lldram")]
     org = Organization.from_config(configs[0].dram,
                                    configs[0].cache.line_bytes)
     telemetry = {}
     System.run_batch(configs, [iter(_mixed_phase_trace(org))],
                      max_mem_cycles=600_000, telemetry=telemetry)
-    assert telemetry["full_runs"] == 2
-    assert checked
-    assert all(isinstance(mech, RecordingMechanism)
-               for mech, _ in checked)
-    assert len({wake for _, wake in checked}) > 2
+    assert telemetry["full_runs"] == 3
+    recorded = [isinstance(mech, RecordingMechanism)
+                for mech, _ in checked]
+    assert recorded[0] and not recorded[-1]
+    assert recorded == sorted(recorded, reverse=True)
+    assert len({wake for mech, wake in checked
+                if isinstance(mech, RecordingMechanism)}) > 2
 
 
 class _MovingWake(DefaultTiming):
