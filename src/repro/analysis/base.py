@@ -1,13 +1,11 @@
-"""Checker framework core: findings, pragmas and parsed modules.
+"""Linter core: findings, pragmas and parsed modules.
 
-``repro lint`` (DESIGN.md section 9) guards invariants that no unit
-test can enforce globally — cache-key determinism, the registry's
-fork/replay contract, RunSpec key-material exhaustiveness and durable
-publication in the persistence modules.  This module holds the shared
-machinery: a :class:`Finding` (one ``file:line:rule: message``
-diagnostic), the per-line allowlist pragma grammar, and the
-:class:`Module`/:class:`Project` views of the parsed sources that
-every :class:`Checker` operates on.
+``repro lint`` (DESIGN.md section 9) guards the one invariant no unit
+test can enforce globally: every fingerprinted module computes its
+results deterministically.  This module holds the shared machinery: a
+:class:`Finding` (one ``file:line:rule: message`` diagnostic), the
+per-line allowlist pragma grammar, a parsed :class:`Module`, and the
+import-resolution helpers the determinism rule walks the AST with.
 
 Pragma grammar (justification is mandatory)::
 
@@ -26,7 +24,7 @@ import dataclasses
 import io
 import re
 import tokenize
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Matches any comment claiming to be a repro pragma; the body is then
 #: validated against :data:`ALLOW_RE` so typos are findings, not
@@ -121,28 +119,9 @@ class Module:
             for child in ast.iter_child_nodes(node):
                 child._repro_parent = node  # type: ignore[attr-defined]
 
-    @property
-    def parts(self) -> Tuple[str, ...]:
-        return tuple(self.relpath.replace("\\", "/").split("/"))
-
 
 def parent(node: ast.AST) -> Optional[ast.AST]:
     return getattr(node, "_repro_parent", None)
-
-
-def ancestors(node: ast.AST) -> Iterable[ast.AST]:
-    """The node's parents, innermost first."""
-    cursor = parent(node)
-    while cursor is not None:
-        yield cursor
-        cursor = parent(cursor)
-
-
-def enclosing_function(node: ast.AST) -> Optional[ast.AST]:
-    for anc in ancestors(node):
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return anc
-    return None
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -191,55 +170,3 @@ def resolve(node: ast.AST, imports: Dict[str, str]) -> Optional[str]:
     root, _, rest = dotted.partition(".")
     origin = imports.get(root, root)
     return f"{origin}.{rest}" if rest else origin
-
-
-class Project:
-    """Every linted module plus a project-wide class index.
-
-    The index maps a class name to its definitions (cross-module
-    references in this repo are unambiguous by name), which is what
-    lets the registry-contract checker resolve a factory's mechanism
-    class or a ``params=`` dataclass defined in another file.
-    """
-
-    def __init__(self, modules: List[Module]):
-        self.modules = list(modules)
-        self._classes: Optional[
-            Dict[str, List[Tuple[Module, ast.ClassDef]]]] = None
-
-    def classes(self) -> Dict[str, List[Tuple[Module, ast.ClassDef]]]:
-        if self._classes is None:
-            index: Dict[str, List[Tuple[Module, ast.ClassDef]]] = {}
-            for module in self.modules:
-                for node in ast.walk(module.tree):
-                    if isinstance(node, ast.ClassDef):
-                        index.setdefault(node.name, []).append(
-                            (module, node))
-            self._classes = index
-        return self._classes
-
-    def find_class(self, name: str) -> Optional[ast.ClassDef]:
-        entries = self.classes().get(name)
-        return entries[0][1] if entries else None
-
-
-class Checker:
-    """Base class: one named rule over the whole project.
-
-    Subclasses set :attr:`rule`/:attr:`description` and implement
-    :meth:`check`, yielding :class:`Finding`s.  Checkers see the whole
-    :class:`Project` so cross-module invariants (a params dataclass
-    defined far from its ``@register_mechanism`` site) stay checkable.
-    """
-
-    rule: str = ""
-    description: str = ""
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        raise NotImplementedError
-
-    def finding(self, module: Module, node: ast.AST,
-                message: str) -> Finding:
-        return Finding(file=module.relpath,
-                       line=getattr(node, "lineno", 1),
-                       rule=self.rule, message=message)

@@ -1,9 +1,8 @@
-"""``repro lint`` / ``python -m repro.analysis`` entry point.
+"""``repro lint`` entry point (``python -m repro lint``).
 
 Exit codes: 0 clean, 1 findings, 2 usage error.  ``--json PATH``
-writes the machine-readable report even when findings exist (CI
-uploads it as an artifact on failure), ``--json -`` prints it to
-stdout instead of the text report.
+also writes the machine-readable report, even when findings exist
+(CI uploads it as an artifact on failure).
 """
 
 from __future__ import annotations
@@ -27,21 +26,16 @@ def default_target() -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="AST-based invariant linter: cache-key "
-                    "determinism, registry fork/replay contract, "
-                    "RunSpec key-material exhaustiveness, "
-                    "fsync-before-rename in persistence modules.")
+        description="AST-based determinism linter: no clock reads, "
+                    "unseeded RNGs or set-order iteration in "
+                    "fingerprinted modules.")
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: the installed "
              "repro package)")
     parser.add_argument(
         "--json", metavar="PATH", default=None,
-        help="also write the JSON report to PATH ('-' for stdout, "
-             "replacing the text report)")
-    parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress the text report (exit status only)")
+        help="also write the JSON report to PATH")
     return parser
 
 
@@ -54,16 +48,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return 2
     report = run_lint(paths)
-    if args.json == "-":
-        print(render_json(report))
-    else:
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(render_json(report) + "\n")
-        if not args.quiet:
-            print(render_text(report))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(render_json(report) + "\n")
+    print(render_text(report))
     return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

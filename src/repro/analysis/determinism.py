@@ -33,14 +33,14 @@ import ast
 from typing import Dict, Iterable, Optional
 
 from repro.analysis.base import (
-    Checker,
     Finding,
     Module,
-    Project,
     import_map,
     parent,
     resolve,
 )
+
+RULE = "determinism"
 
 #: Fully-resolved names that read wall clocks or OS entropy.
 ENTROPY_SOURCES = frozenset({
@@ -69,96 +69,92 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-class DeterminismChecker(Checker):
-    rule = "determinism"
-    description = ("entropy sources and hash-order dependence in "
-                   "fingerprint-covered modules")
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        for module in project.modules:
-            yield from self._check_module(module)
-
-    # -- entropy / RNG -------------------------------------------------
-
-    def _check_module(self, module: Module) -> Iterable[Finding]:
-        imports = import_map(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                yield from self._check_reference(module, node, imports)
-            elif isinstance(node, ast.For):
-                yield from self._check_iteration(module, node.iter,
-                                                 "for loop")
-            elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                   ast.DictComp, ast.GeneratorExp)):
-                for gen in node.generators:
-                    yield from self._check_iteration(module, gen.iter,
-                                                     "comprehension")
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id in ("list", "tuple") \
-                    and len(node.args) == 1 \
-                    and _is_set_expr(node.args[0]):
-                yield self.finding(
-                    module, node,
-                    f"{node.func.id}() of a set depends on hash order, "
-                    f"which is randomized per process; sort it with "
-                    f"sorted(...) instead")
-
-    def _check_reference(self, module: Module, node: ast.AST,
-                         imports: Dict[str, str]
-                         ) -> Iterable[Finding]:
-        # Only the *maximal* dotted chain is checked, so time.time()
-        # yields one finding on the full chain, not one per segment.
-        if isinstance(parent(node), ast.Attribute):
-            return
-        name = resolve(node, imports)
-        if name is None:
-            return
-        if name in ENTROPY_SOURCES:
-            yield self.finding(
+def check(module: Module) -> Iterable[Finding]:
+    """Every determinism finding in ``module``, before pragmas."""
+    imports = import_map(module.tree)
+    for node in ast.walk(module.tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            yield from _check_reference(module, node, imports)
+        elif isinstance(node, ast.For):
+            yield from _check_iteration(module, node.iter, "for loop")
+        elif isinstance(node, (ast.ListComp, ast.SetComp,
+                               ast.DictComp, ast.GeneratorExp)):
+            for gen in node.generators:
+                yield from _check_iteration(module, gen.iter,
+                                            "comprehension")
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Name) \
+                and node.func.id in ("list", "tuple") \
+                and len(node.args) == 1 \
+                and _is_set_expr(node.args[0]):
+            yield _finding(
                 module, node,
-                f"{name} is nondeterministic; fingerprint-covered "
-                f"modules must compute results purely from "
-                f"(spec, sources)")
-            return
-        if name in SEEDED_CONSTRUCTORS:
-            call = self._call_of(node)
-            if call is not None and not call.args \
-                    and not call.keywords:
-                yield self.finding(
-                    module, node,
-                    f"{name}() without an explicit seed is "
-                    f"nondeterministic; pass a seed derived from the "
-                    f"spec")
-            return
-        if name.startswith("random.") and name not in RANDOM_EXEMPT:
-            yield self.finding(
-                module, node,
-                f"{name} uses the process-global unseeded RNG; use a "
-                f"random.Random(seed) instance derived from the spec")
-        elif name.startswith("numpy.random.") \
-                and name not in SEEDED_CONSTRUCTORS:
-            yield self.finding(
-                module, node,
-                f"{name} uses numpy's global RNG; use "
-                f"numpy.random.default_rng(seed) derived from the "
-                f"spec")
-
-    @staticmethod
-    def _call_of(node: ast.AST) -> Optional[ast.Call]:
-        """The Call whose func is ``node``, if that is its role."""
-        up = parent(node)
-        if isinstance(up, ast.Call) and up.func is node:
-            return up
-        return None
-
-    # -- set iteration -------------------------------------------------
-
-    def _check_iteration(self, module: Module, iter_expr: ast.AST,
-                         context: str) -> Iterable[Finding]:
-        if _is_set_expr(iter_expr):
-            yield self.finding(
-                module, iter_expr,
-                f"{context} iterates a set, whose order is randomized "
-                f"per process (PYTHONHASHSEED); iterate "
+                f"{node.func.id}() of a set depends on hash order, "
+                f"which is randomized per process; sort it with "
                 f"sorted(...) instead")
+
+
+def _finding(module: Module, node: ast.AST, message: str) -> Finding:
+    return Finding(file=module.relpath, line=getattr(node, "lineno", 1),
+                   rule=RULE, message=message)
+
+
+# -- entropy / RNG -----------------------------------------------------
+
+def _check_reference(module: Module, node: ast.AST,
+                     imports: Dict[str, str]) -> Iterable[Finding]:
+    # Only the *maximal* dotted chain is checked, so time.time()
+    # yields one finding on the full chain, not one per segment.
+    if isinstance(parent(node), ast.Attribute):
+        return
+    name = resolve(node, imports)
+    if name is None:
+        return
+    if name in ENTROPY_SOURCES:
+        yield _finding(
+            module, node,
+            f"{name} is nondeterministic; fingerprint-covered "
+            f"modules must compute results purely from "
+            f"(spec, sources)")
+        return
+    if name in SEEDED_CONSTRUCTORS:
+        call = _call_of(node)
+        if call is not None and not call.args and not call.keywords:
+            yield _finding(
+                module, node,
+                f"{name}() without an explicit seed is "
+                f"nondeterministic; pass a seed derived from the "
+                f"spec")
+        return
+    if name.startswith("random.") and name not in RANDOM_EXEMPT:
+        yield _finding(
+            module, node,
+            f"{name} uses the process-global unseeded RNG; use a "
+            f"random.Random(seed) instance derived from the spec")
+    elif name.startswith("numpy.random.") \
+            and name not in SEEDED_CONSTRUCTORS:
+        yield _finding(
+            module, node,
+            f"{name} uses numpy's global RNG; use "
+            f"numpy.random.default_rng(seed) derived from the "
+            f"spec")
+
+
+def _call_of(node: ast.AST) -> Optional[ast.Call]:
+    """The Call whose func is ``node``, if that is its role."""
+    up = parent(node)
+    if isinstance(up, ast.Call) and up.func is node:
+        return up
+    return None
+
+
+# -- set iteration -----------------------------------------------------
+
+def _check_iteration(module: Module, iter_expr: ast.AST,
+                     context: str) -> Iterable[Finding]:
+    if _is_set_expr(iter_expr):
+        yield _finding(
+            module, iter_expr,
+            f"{context} iterates a set, whose order is randomized "
+            f"per process (PYTHONHASHSEED); iterate "
+            f"sorted(...) instead")

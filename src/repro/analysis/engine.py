@@ -1,9 +1,8 @@
-"""Lint orchestration: discover files, run checkers, apply pragmas.
+"""Lint orchestration: discover files, run the rule, apply pragmas.
 
-The engine owns the rule registry (:data:`RULES`), walks the requested
-paths, parses every ``.py`` file once into a shared
-:class:`~repro.analysis.base.Project`, runs each checker over it, and
-then reconciles findings against ``# repro: allow(...)`` pragmas:
+The engine walks the requested paths, parses every ``.py`` file once,
+runs the ``determinism`` rule over each module, and then reconciles
+findings against ``# repro: allow(...)`` pragmas:
 
 * a finding is suppressed only by a *valid* pragma — same file, same
   line, same rule, with a written justification after ``--``;
@@ -13,7 +12,7 @@ then reconciles findings against ``# repro: allow(...)`` pragmas:
   finding, so allowances cannot outlive the code they excused.
 
 Files that fail to parse yield a single ``parse`` finding and are
-skipped by the checkers.
+skipped by the rule.
 """
 
 from __future__ import annotations
@@ -23,32 +22,13 @@ import dataclasses
 import os
 from typing import Dict, Iterable, List, Tuple
 
-from repro.analysis.base import (
-    Checker,
-    Finding,
-    Module,
-    Pragma,
-    Project,
-    scan_pragmas,
-)
-from repro.analysis.determinism import DeterminismChecker
-from repro.analysis.registry_contract import RegistryContractChecker
-from repro.analysis.service_concurrency import ServiceConcurrencyChecker
-from repro.analysis.spec_keys import SpecKeysChecker
+from repro.analysis import determinism
+from repro.analysis.base import Finding, Module, Pragma, scan_pragmas
 
-#: Rule name -> checker, in reporting order.  Adding a checker here is
-#: the single registration point (see DESIGN.md section 9).
-RULES: Tuple[Checker, ...] = (
-    DeterminismChecker(),
-    RegistryContractChecker(),
-    SpecKeysChecker(),
-    ServiceConcurrencyChecker(),
-)
-
-#: Rules a pragma may name: every checker rule (suppressible).  The
-#: synthetic ``parse``/``pragma`` rules are not suppressible — a file
-#: that cannot be tokenized cannot carry a trustworthy pragma either.
-KNOWN_RULES = tuple(checker.rule for checker in RULES)
+#: Rules a pragma may name.  The synthetic ``parse``/``pragma`` rules
+#: are not suppressible — a file that cannot be tokenized cannot carry
+#: a trustworthy pragma either.
+KNOWN_RULES = (determinism.RULE,)
 
 SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
@@ -165,10 +145,8 @@ def run_lint(paths: Iterable[str]) -> LintReport:
     """Lint ``paths`` (files or directories) and return the report."""
     files = iter_python_files(paths)
     modules, pragmas, findings = load_modules(files)
-    project = Project(modules)
-    raw: List[Finding] = []
-    for checker in RULES:
-        raw.extend(checker.check(project))
+    raw = [finding for module in modules
+           for finding in determinism.check(module)]
     findings.extend(_apply_pragmas(raw, pragmas))
     return LintReport(findings=sorted(set(findings)),
                       files_checked=len(files),

@@ -111,6 +111,10 @@ def register_mechanism(name: str, *, params: Optional[type] = None,
     ``order`` fixes this mechanism's position in canonical composition
     strings; mechanisms without an explicit order sort after all
     ordered ones, alphabetically.
+
+    ``params`` must define ``validate()``, which every parsed term
+    with inline values is checked by; the registered defaults are
+    validated here, once, so invalid defaults fail at import.
     """
     if not _NAME_RE.match(name):
         raise ValueError(
@@ -118,6 +122,17 @@ def register_mechanism(name: str, *, params: Optional[type] = None,
             f"[a-z][a-z0-9_-]* (it appears verbatim in spec strings)")
     alias_map = dict(aliases or {})
     if params is not None:
+        if not callable(getattr(params, "validate", None)):
+            raise ValueError(
+                f"mechanism {name!r}: params class {params.__name__} "
+                f"defines no validate(); the registry validates every "
+                f"parsed term with it")
+        try:
+            params().validate()
+        except ValueError as exc:
+            raise ValueError(
+                f"mechanism {name!r}: invalid default parameters: "
+                f"{exc}") from None
         field_names = {f.name for f in dataclasses.fields(params)}
         for alias, target in alias_map.items():
             if target not in field_names:
@@ -346,15 +361,12 @@ def _normalized_term(entry: RegisteredMechanism,
     kept = {key: value for key, value in overrides.items()
             if value != getattr(defaults, key)}
     if kept:
-        merged = dataclasses.replace(defaults, **kept)
-        validate = getattr(merged, "validate", None)
-        if validate is not None:
-            try:
-                validate()
-            except ValueError as exc:
-                raise ValueError(
-                    f"mechanism {entry.name!r}: invalid parameters "
-                    f"{kept!r}: {exc}") from None
+        try:
+            dataclasses.replace(defaults, **kept).validate()
+        except ValueError as exc:
+            raise ValueError(
+                f"mechanism {entry.name!r}: invalid parameters "
+                f"{kept!r}: {exc}") from None
     return MechanismTerm(name=entry.name,
                          params=tuple(sorted(kept.items())))
 

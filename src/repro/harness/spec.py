@@ -55,16 +55,16 @@ RUN_KINDS = ("single", "eight", "alone", "scenario", "trace")
 
 #: RunSpec fields that are deliberately *excluded* from cache-key
 #: material.  Each entry is a conscious decision with a reason (see
-#: the field's own docstring); ``repro lint``'s spec-keys rule and the
-#: import-time guard below force every new field to be classified
-#: here or in :data:`KEY_MATERIAL` — never silently.
+#: the field's own docstring); the import-time guard below forces
+#: every new field to be classified here or in :data:`KEY_MATERIAL` —
+#: never silently.
 LOCATION_ONLY = frozenset({"trace_path"})
 
 #: Every RunSpec field that IS cache-key material, in declaration
 #: order.  Together with :data:`LOCATION_ONLY` this partitions the
 #: dataclass exactly; :func:`_check_key_classification` refuses to
 #: import otherwise, so adding a field without deciding its cache-key
-#: role fails every test run, not just the linter.
+#: role fails every test run.
 KEY_MATERIAL = ("kind", "name", "mechanism", "scale", "enable_rltl",
                 "row_policy", "cc_entries", "cc_duration_ms",
                 "cc_unbounded", "idle_finished", "seed", "engine",
@@ -276,10 +276,10 @@ def _check_key_classification() -> None:
     """Refuse to import unless KEY_MATERIAL/LOCATION_ONLY exactly
     partition RunSpec's fields.
 
-    The spec-keys lint rule enforces the same invariant statically;
-    this guard makes it unskippable at runtime too — a new field that
-    nobody classified breaks every import of this module, so it can
-    never silently not affect cache keys.
+    A new field that nobody classified breaks every import of this
+    module, so it can never silently not affect cache keys.  That
+    :meth:`RunSpec.key_payload` skips only LOCATION_ONLY names is
+    tested for every run kind (``tests/harness/test_run_cache.py``).
     """
     declared = {f.name for f in fields(RunSpec)}
     material = set(KEY_MATERIAL)

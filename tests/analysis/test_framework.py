@@ -1,21 +1,25 @@
 """Framework-level behavior: pragmas, findings, reports, CLI."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.analysis.base import Finding, scan_pragmas
 from repro.analysis.cli import main as lint_main
-from repro.analysis.engine import (
-    KNOWN_RULES,
-    RULES,
-    iter_python_files,
-    run_lint,
-)
+from repro.analysis.engine import KNOWN_RULES, iter_python_files, run_lint
 from repro.analysis.report import render_json, render_text
-from tests.analysis.helpers import fixture
+
+
+@pytest.fixture
+def clock_read(tmp_path):
+    """A module with one determinism finding."""
+    mod = tmp_path / "clock.py"
+    mod.write_text("import time\nSTAMP = time.time()\n")
+    return str(mod)
 
 
 class TestFinding:
@@ -63,13 +67,8 @@ class TestPragmaParsing:
 
 
 class TestRuleRegistry:
-    def test_four_domain_rules_registered(self):
-        assert KNOWN_RULES == ("determinism", "registry-contract",
-                               "spec-keys", "service-concurrency")
-
-    def test_every_checker_names_itself(self):
-        for checker in RULES:
-            assert checker.rule and checker.description
+    def test_determinism_is_the_only_rule(self):
+        assert KNOWN_RULES == ("determinism",)
 
 
 class TestDiscoveryAndParse:
@@ -100,14 +99,14 @@ class TestReporters:
         text = render_text(report)
         assert text.endswith("0 findings in 1 files (0 pragmas)")
 
-    def test_json_report_shape(self):
-        report = run_lint([fixture("spec_missing.py")])
+    def test_json_report_shape(self, clock_read):
+        report = run_lint([clock_read])
         payload = json.loads(render_json(report))
         assert payload["schema"] == 1
         assert payload["ok"] is False
         assert payload["files_checked"] == 1
         assert {f["rule"] for f in payload["findings"]} == {
-            "spec-keys"}
+            "determinism"}
 
 
 class TestCLI:
@@ -117,33 +116,33 @@ class TestCLI:
         assert lint_main([str(clean)]) == 0
         assert "0 findings" in capsys.readouterr().out
 
-    def test_findings_exit_one(self, capsys):
-        assert lint_main([fixture("spec_missing.py")]) == 1
-        out = capsys.readouterr().out
-        assert "spec-keys" in out
+    def test_findings_exit_one(self, clock_read, capsys):
+        assert lint_main([clock_read]) == 1
+        assert "determinism" in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, capsys):
         assert lint_main(["/no/such/path.py"]) == 2
 
-    def test_json_artifact_written_even_with_findings(self, tmp_path):
+    def test_json_artifact_written_even_with_findings(self, clock_read,
+                                                      tmp_path):
         out = tmp_path / "findings.json"
-        code = lint_main([fixture("spec_missing.py"),
-                          "--json", str(out), "--quiet"])
-        assert code == 1
+        assert lint_main([clock_read, "--json", str(out)]) == 1
         payload = json.loads(out.read_text())
         assert payload["ok"] is False and payload["findings"]
 
-    def test_module_entry_point(self):
+    def test_python_m_repro_lint(self, clock_read, tmp_path):
+        """CI's spelling, run as a subprocess."""
+        out = tmp_path / "findings.json"
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis",
-             fixture("spec_missing.py"), "--quiet"],
-            capture_output=True, text=True)
-        assert proc.returncode == 1
-
-    def test_repro_lint_subcommand(self):
-        from repro.harness.cli import main as harness_main
-        assert harness_main(
-            ["lint", fixture("spec_missing.py"), "--quiet"]) == 1
+            [sys.executable, "-m", "repro", "lint", clock_read,
+             "--json", str(out)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1, proc.stderr
+        assert ":determinism: time.time" in proc.stdout
+        assert json.loads(out.read_text())["findings"]
 
 
 class TestPragmaDiscipline:

@@ -8,6 +8,7 @@ bit-identity and collapse telemetry.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import itertools
@@ -86,14 +87,16 @@ class TestTraceTape:
 # ----------------------------------------------------------------------
 
 def _drive(mechanism, events):
-    """Feed (kind, rank, bank, row, cycle) tuples; returns decisions."""
+    """Feed (kind, rank, bank, row, cycle[, core_id]) tuples, core 0
+    when none is given; returns decisions."""
     decisions = []
-    for kind, rank, bank, row, cycle in events:
+    for kind, rank, bank, row, cycle, *core in events:
+        core_id = core[0] if core else 0
         if kind == "A":
             decisions.append(
-                mechanism.on_activate(rank, bank, row, 0, cycle))
+                mechanism.on_activate(rank, bank, row, core_id, cycle))
         else:
-            mechanism.on_precharge(rank, bank, row, 0, cycle)
+            mechanism.on_precharge(rank, bank, row, core_id, cycle)
     return decisions
 
 
@@ -361,7 +364,96 @@ class TestPackedLog:
 # fork_state / supports_decision_replay protocol
 # ----------------------------------------------------------------------
 
+#: Inline parameters each mechanism's spec term may write, defaults
+#: among them.  ChargeCache's invalidation runs at ``time_scale=0.01``
+#: so the drawn cycle gaps reach its sweep.
+_TERM_PARAMS = {
+    "chargecache": {"entries": st.sampled_from((2, 16, 128)),
+                    "sharing": st.sampled_from(("per-core", "shared")),
+                    "unbounded": st.sampled_from(("false", "true")),
+                    "time_scale": st.just(0.01)},
+    "lldram": {"duration_ms": st.sampled_from((0.5, 1.0, 4.0, 16.0))},
+    "aldram": {"temperature": st.sampled_from((25, 55, 85, 100))},
+}
+
+#: Every registered mechanism, and ChargeCache composed with each other
+#: parameterized or replay-opted-out mechanism.
+_FORK_CASES = [(name,) for name in registry.mechanism_names()] + [
+    ("chargecache", "aldram"), ("chargecache", "lldram"),
+    ("chargecache", "nuat")]
+
+
+def _term(draw, name):
+    params = {key: draw(values)
+              for key, values in _TERM_PARAMS.get(name, {}).items()}
+    if not params:
+        return name
+    return name + "(" + ",".join(f"{k}={v}" for k, v in params.items()) \
+        + ")"
+
+
+def _acts_and_pres(draw, start):
+    """ACT/PRE events on rank 0 of few banks and rows, so a suffix
+    revisits what a prefix precharged, with rising cycles from
+    ``start``."""
+    events, cycle = [], start
+    for act, bank, row, core_id, gap in draw(st.lists(st.tuples(
+            st.booleans(), st.integers(0, 3), st.integers(0, 7),
+            st.integers(0, 1), st.integers(0, 20_000)),
+            min_size=1, max_size=40)):
+        cycle += gap
+        events.append(("A" if act else "P", 0, bank, row, cycle, core_id))
+    return events
+
+
 class TestForkProtocol:
+    @pytest.mark.parametrize("names", _FORK_CASES,
+                             ids=["+".join(c) for c in _FORK_CASES])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_a_fork_decides_like_a_fresh_build(self, names, data):
+        """The replay contract itself: after any prefix, a fork makes
+        the decisions a freshly built instance of the same spec makes
+        on any suffix."""
+        spec = "+".join(_term(data.draw, name) for name in names)
+        ctx = registry.default_context(num_cores=2)
+        mech = registry.build(spec, ctx)
+        prefix = _acts_and_pres(data.draw, 0)
+        _drive(mech, prefix)
+        forks = fork_for_replay(mech, 1)
+        if not mech.supports_decision_replay:
+            assert forks is None
+            return
+        suffix = _acts_and_pres(data.draw, prefix[-1][4])
+        assert _drive(forks[0], suffix) \
+            == _drive(registry.build(spec, ctx), suffix), spec
+
+    @pytest.mark.parametrize("spec", [
+        "aldram(temperature=55)", "lldram(duration_ms=16)",
+        "chargecache(duration_ms=16)"])
+    def test_a_fork_keeps_non_default_parameters(self, spec):
+        """A fork built from defaults (the base ``fork_state``) would
+        decide like the default term; it must decide like ``spec``."""
+        ctx = registry.default_context(num_cores=1)
+        mech, default = registry.build(spec, ctx), \
+            registry.build(spec.split("(")[0], ctx)
+        (fork,) = fork_for_replay(mech, 1)
+        decisions = _drive(fork, EVENTS)
+        assert decisions == _drive(registry.build(spec, ctx), EVENTS)
+        assert decisions != _drive(default, EVENTS)
+
+    def test_a_copy_of_a_used_chargecache_is_not_a_fork(self):
+        """Why forks start fresh: a copy keeps the prefix's inserted
+        rows and hits where a fresh build misses."""
+        ctx = registry.default_context(num_cores=1)
+        mech = registry.build("chargecache", ctx)
+        _drive(mech, EVENTS)
+        suffix = [("A", 0, 1, 7, 700)]
+        assert _drive(copy.deepcopy(mech), suffix) \
+            != _drive(registry.build("chargecache", ctx), suffix)
+        assert _drive(fork_for_replay(mech, 1)[0], suffix) \
+            == _drive(registry.build("chargecache", ctx), suffix)
+
     def test_chargecache_forks_fresh_state(self):
         mech = ChargeCache(TIMING, _TINY_CC, num_cores=1)
         _drive(mech, EVENTS)

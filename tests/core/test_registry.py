@@ -5,7 +5,7 @@ round-trip and normalization behaviour here is golden: changing it
 silently re-keys the persistent run cache.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -125,6 +125,8 @@ class TestParseNormalize:
         "nuat(bin_edges_ms=3)",  # tuple params have no inline syntax
         "lldram(entries=64)",    # dead knob: lldram hits on every ACT
         "lldram(sharing=shared)",
+        "aldram(temperature=-41)", "aldram(temperature=126)",
+        "lldram(duration_ms=0)", "chargecache(duration_ms=-1)",
         "+chargecache", "chargecache+",
     ])
     def test_invalid_specs_fail_eagerly(self, bad):
@@ -193,6 +195,41 @@ class TestRegistryCompleteness:
             registry.register_mechanism(
                 "alias-check", params=ChargeCacheConfig,
                 aliases={"nope": "missing_field"})
+
+    def test_params_without_validate_rejected(self):
+        @dataclass(frozen=True)
+        class Unchecked:
+            entries: int = 128
+
+        with pytest.raises(ValueError,
+                           match="'no-validate'.*no validate"):
+            registry.register_mechanism("no-validate", params=Unchecked)
+        assert "no-validate" not in registry.mechanism_names()
+
+    def test_non_callable_validate_rejected(self):
+        @dataclass(frozen=True)
+        class NotAMethod:
+            entries: int = 128
+            validate = None
+
+        with pytest.raises(ValueError,
+                           match="'inert-validate'.*no validate"):
+            registry.register_mechanism("inert-validate",
+                                        params=NotAMethod)
+        assert "inert-validate" not in registry.mechanism_names()
+
+    def test_invalid_defaults_rejected(self):
+        @dataclass(frozen=True)
+        class Checked:
+            entries: int = 0
+
+            def validate(self):
+                if self.entries < 1:
+                    raise ValueError("entries must be >= 1")
+
+        with pytest.raises(ValueError, match="'bad-defaults'.*entries"):
+            registry.register_mechanism("bad-defaults", params=Checked)
+        assert "bad-defaults" not in registry.mechanism_names()
 
 
 class TestBuild:

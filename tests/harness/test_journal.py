@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.harness.journal import SweepJournal
 
 from tests.helpers import journal_sources
@@ -41,6 +43,48 @@ class TestRecordAndLoad:
         journal = SweepJournal(path)
         journal.record("k2")
         assert [e["seq"] for e in journal.entries()] == [1, 2]
+
+
+class TestDurability:
+    def test_record_flushes_then_fsyncs_its_file(self, tmp_path,
+                                                 monkeypatch):
+        """Each checkpoint is on disk before ``record`` returns: the
+        journal's own file is fsynced, after its line was flushed."""
+        path = str(tmp_path / "j")
+        synced = []
+
+        def fsync(fd):
+            same_file = os.path.samestat(os.fstat(fd), os.stat(path))
+            with open(path, encoding="ascii") as fh:
+                synced.append((same_file, fh.read().splitlines()))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        journal = SweepJournal(path)
+        for done, key in enumerate(("k1", "k2"), start=1):
+            journal.record(key)
+            assert len(synced) == done, "record returned unsynced"
+            same_file, lines = synced[-1]
+            assert same_file
+            assert [json.loads(line)["key"] for line in lines] \
+                == ["k1", "k2"][:done], "fsync ran before the flush"
+        journal.close()
+
+    def test_failed_fsync_leaves_the_key_unrecorded(self, tmp_path,
+                                                    monkeypatch):
+        """A checkpoint that may not be on disk is not reported as
+        recorded, so the next ``record`` of the key tries again."""
+        journal = SweepJournal(str(tmp_path / "j"))
+
+        def failing_fsync(fd):
+            raise OSError(5, "I/O error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            journal.record("k1")
+        assert "k1" not in journal
+        monkeypatch.undo()
+        assert journal.record("k1")
+        journal.close()
 
 
 class TestCrashTolerance:

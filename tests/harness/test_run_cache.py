@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro.harness import cache
 from repro.harness import runner
+from repro.harness import spec as spec_module
 from repro.harness.cache import (
     RunCache,
     cache_key,
@@ -138,6 +139,77 @@ class TestCacheKey:
         assert fp == code_fingerprint()
         assert len(fp) == 64
         int(fp, 16)
+
+
+#: One spec of each run kind; a kind added to ``RUN_KINDS`` without an
+#: entry here fails the partition test below.
+KIND_SPECS = {
+    "single": RunSpec(kind="single", name="bzip2"),
+    "eight": RunSpec(kind="eight", name="w1", mechanism="chargecache"),
+    "alone": RunSpec(kind="alone", name="mcf"),
+    "scenario": RunSpec(kind="scenario", name="hmmer", scenario="c1-r2"),
+    "trace": RunSpec(kind="trace", name="ext", trace_sha256="a" * 64,
+                     trace_path="/data/a.trace"),
+}
+
+
+class TestKeyClassification:
+    """``KEY_MATERIAL`` and ``LOCATION_ONLY`` (harness/spec.py) split
+    RunSpec's fields, and ``key_payload`` keys exactly the former."""
+
+    def test_current_classification_partitions_exactly(self):
+        declared = {f.name for f in dataclasses.fields(RunSpec)}
+        material = set(spec_module.KEY_MATERIAL)
+        location = set(spec_module.LOCATION_ONLY)
+        assert material | location == declared
+        assert not material & location
+
+    @pytest.mark.parametrize("kind", spec_module.RUN_KINDS)
+    def test_key_payload_honors_the_partition(self, kind):
+        payload = KIND_SPECS[kind].key_payload()
+        assert set(payload) == set(spec_module.KEY_MATERIAL)
+        for name in spec_module.LOCATION_ONLY:
+            assert name not in payload
+
+    def test_guard_rejects_unclassified_field(self, monkeypatch):
+        monkeypatch.setattr(
+            spec_module, "KEY_MATERIAL",
+            tuple(n for n in spec_module.KEY_MATERIAL
+                  if n != "seed"))
+        with pytest.raises(AssertionError, match="seed"):
+            spec_module._check_key_classification()
+
+    def test_guard_rejects_a_new_runspec_field(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Grown(RunSpec):
+            warmup_policy: str = "fixed"
+
+        monkeypatch.setattr(spec_module, "RunSpec", Grown)
+        with pytest.raises(AssertionError, match="warmup_policy"):
+            spec_module._check_key_classification()
+
+    def test_guard_rejects_overlap(self, monkeypatch):
+        monkeypatch.setattr(
+            spec_module, "LOCATION_ONLY",
+            frozenset(spec_module.LOCATION_ONLY | {"seed"}))
+        with pytest.raises(AssertionError,
+                           match="both KEY_MATERIAL and "
+                                 "LOCATION_ONLY"):
+            spec_module._check_key_classification()
+
+    def test_guard_rejects_stale_name(self, monkeypatch):
+        monkeypatch.setattr(
+            spec_module, "KEY_MATERIAL",
+            spec_module.KEY_MATERIAL + ("no_such_field",))
+        with pytest.raises(AssertionError, match="no_such_field"):
+            spec_module._check_key_classification()
+
+    def test_guard_rejects_duplicates(self, monkeypatch):
+        monkeypatch.setattr(
+            spec_module, "KEY_MATERIAL",
+            spec_module.KEY_MATERIAL + ("seed",))
+        with pytest.raises(AssertionError, match="duplicates"):
+            spec_module._check_key_classification()
 
 
 class TestResultCodec:
