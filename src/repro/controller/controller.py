@@ -84,7 +84,12 @@ class MemoryController:
             refresh = RefreshScheduler(timing, num_ranks, rows_per_bank,
                                        enabled=refresh_enabled)
         self.refresh = refresh
-        self.mechanism = mechanism   # also sets the cached wake
+        self.mechanism = mechanism
+        #: ``mechanism.next_wake``, maintained: its value changes only
+        #: inside ``on_activate``, ``on_precharge`` and ``maintain``
+        #: (the :meth:`LatencyMechanism.next_wake` contract), and the
+        #: controller re-reads it after each of those calls.
+        self._mech_wake = mechanism.next_wake(0)
         self.rltl_probe = rltl_probe
         self.scheduler = make_scheduler(controller_config.scheduler)
         self.row_policy = make_row_policy(controller_config.row_policy)
@@ -117,24 +122,6 @@ class MemoryController:
         self._last_issue_cycle = -1
         self._issue_count = 0
         self._forward_count = 0
-
-    @property
-    def mechanism(self) -> LatencyMechanism:
-        """The channel's latency mechanism.
-
-        Assigning one (``System.run_batch`` wraps it in a recording
-        mechanism after construction) also refreshes the cached wake.
-        """
-        return self._mechanism
-
-    @mechanism.setter
-    def mechanism(self, mechanism: LatencyMechanism) -> None:
-        self._mechanism = mechanism
-        #: ``mechanism.next_wake``, maintained: its value changes only
-        #: inside ``on_activate``, ``on_precharge`` and ``maintain``
-        #: (the :meth:`LatencyMechanism.next_wake` contract), and the
-        #: controller re-reads it after each of those calls.
-        self._mech_wake = mechanism.next_wake(0)
 
     # ------------------------------------------------------------------
     # Request entry points (called by the cache hierarchy / system)
@@ -206,7 +193,7 @@ class MemoryController:
                 self.read_done(req)
 
         if cycle >= self._mech_wake:
-            mechanism = self._mechanism
+            mechanism = self.mechanism
             mechanism.maintain(cycle)
             self._mech_wake = mechanism.next_wake(cycle)
 
@@ -431,7 +418,7 @@ class MemoryController:
                 self._pre_gate = t
 
     def _issue_act(self, req: Request, cycle: int) -> None:
-        mechanism = self._mechanism
+        mechanism = self.mechanism
         timings = mechanism.on_activate(req.rank, req.bank, req.row,
                                         req.core_id, cycle)
         self._mech_wake = mechanism.next_wake(cycle)
@@ -450,7 +437,7 @@ class MemoryController:
     def _issue_pre(self, rank: int, bank: int, cycle: int) -> None:
         row = self.channel.issue_precharge(rank, bank, cycle)
         owner = self._act_owner.get((rank, bank), 0)
-        mechanism = self._mechanism
+        mechanism = self.mechanism
         mechanism.on_precharge(rank, bank, row, owner, cycle)
         self._mech_wake = mechanism.next_wake(cycle)
         self._pending_pre.discard((rank, bank))
@@ -503,7 +490,7 @@ class MemoryController:
     def reset_stats(self, cycle: int) -> None:
         self.stats.reset(cycle, self.channel.active_cycles_until(cycle),
                          self.channel.rank_active_cycles_until(cycle))
-        self._mechanism.reset_stats()
+        self.mechanism.reset_stats()
         self.read_q.reset_stats()
         self.write_q.reset_stats()
         if self.rltl_probe is not None:

@@ -92,9 +92,6 @@ class ALDRAM(LatencyMechanism):
         self.hits += 1
         return self.timings
 
-    def fork_state(self) -> "ALDRAM":
-        return ALDRAM(self.timing, self.temperature_c)
-
 
 @register_mechanism(
     "aldram", params=ALDRAMParams, order=40,

@@ -53,7 +53,6 @@ class ChargeCache(LatencyMechanism):
         super().__init__(timing)
         config.validate()
         self.config = config
-        self.num_cores = num_cores
         self.duration_cycles = max(
             1, timing.ms_to_cycles(
                 config.caching_duration_ms / config.time_scale))
@@ -155,17 +154,6 @@ class ChargeCache(LatencyMechanism):
         return NEVER
 
     # ------------------------------------------------------------------
-
-    def fork_state(self) -> "ChargeCache":
-        """Fresh tables/invalidators under this instance's config.
-
-        ChargeCache decisions are a pure function of the per-channel
-        ACT/PRE event stream and the cycle numbers (the IIC/EC sweep in
-        :class:`~repro.core.invalidation.PeriodicInvalidator` is
-        batch-exact in the cycle), so a fork replayed against the same
-        event log reproduces the same hit/miss sequence.
-        """
-        return ChargeCache(self.timing, self.config, self.num_cores)
 
     def reset_stats(self) -> None:
         super().reset_stats()

@@ -27,18 +27,15 @@ class LowLatencyDRAM(LatencyMechanism):
     def __init__(self, timing: TimingParameters,
                  params: Optional[LLDRAMParams] = None):
         super().__init__(timing)
-        self._params = params or LLDRAMParams()
+        params = params or LLDRAMParams()
         self.hit_timings = timing.reduced_by(*derated_reduction_cycles(
-            timing, self._params.caching_duration_ms))
+            timing, params.caching_duration_ms))
 
     def on_activate(self, rank: int, bank: int, row: int, core_id: int,
                     cycle: int) -> Optional[ReducedTimings]:
         self.lookups += 1
         self.hits += 1
         return self.hit_timings
-
-    def fork_state(self) -> "LowLatencyDRAM":
-        return LowLatencyDRAM(self.timing, self._params)
 
 
 #: Defaults mirrored from ChargeCacheConfig so a value that is an

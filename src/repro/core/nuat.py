@@ -30,12 +30,6 @@ class NUAT(LatencyMechanism):
 
     name = "nuat"
 
-    #: NUAT's decisions read the refresh scheduler's row ages — state
-    #: outside the ACT/PRE event stream — so replaying a recorded log
-    #: against a fresh instance cannot reproduce them.  The batch
-    #: evaluator must run NUAT variants in full.
-    supports_decision_replay = False
-
     def __init__(self, timing: TimingParameters, config: NUATConfig,
                  refresh: RefreshScheduler):
         super().__init__(timing)
@@ -73,11 +67,6 @@ class NUAT(LatencyMechanism):
     def reset_stats(self) -> None:
         super().reset_stats()
         self.bin_hits = [0] * len(self._bins)
-
-    def fork_state(self) -> "NUAT":
-        raise NotImplementedError(
-            "NUAT state is coupled to its channel's refresh scheduler; "
-            "it cannot be forked for decision replay")
 
 
 @register_mechanism(

@@ -29,16 +29,6 @@ class LatencyMechanism:
 
     name = "none"
 
-    #: True when this mechanism's activation decisions are a pure
-    #: function of the (ACT/PRE event stream, cycle numbers) it has
-    #: observed — i.e. replaying the same per-channel event log against
-    #: a fresh instance reproduces the same decisions.  The batch
-    #: evaluator (:meth:`repro.cpu.system.System.run_batch`) relies on
-    #: this to collapse variants by decision replay.  Mechanisms that
-    #: read state outside the event stream (NUAT consults the refresh
-    #: scheduler) must set this False.
-    supports_decision_replay = True
-
     def __init__(self, timing: TimingParameters):
         self.timing = timing
         self.lookups = 0
@@ -83,17 +73,6 @@ class LatencyMechanism:
         self.lookups = 0
         self.hits = 0
 
-    def fork_state(self) -> "LatencyMechanism":
-        """A fresh-state instance with this mechanism's configuration.
-
-        Used by the batch evaluator to materialize per-channel replay
-        instances without re-resolving the registry spec.  Stateful or
-        parameterized subclasses override this to carry their
-        configuration across; the base implementation covers
-        mechanisms whose only constructor argument is the timing.
-        """
-        return type(self)(self.timing)
-
     # ------------------------------------------------------------------
 
     @property
@@ -124,18 +103,6 @@ class CombinedMechanism(LatencyMechanism):
             raise ValueError("CombinedMechanism needs >= 2 mechanisms")
         self.mechanisms = tuple(mechanisms)
         self.name = "+".join(m.name for m in mechanisms)
-        self.supports_decision_replay = all(
-            m.supports_decision_replay for m in mechanisms)
-
-    @property
-    def first(self) -> LatencyMechanism:
-        """Historical two-way accessor (the canonical-order head)."""
-        return self.mechanisms[0]
-
-    @property
-    def second(self) -> LatencyMechanism:
-        """Historical two-way accessor."""
-        return self.mechanisms[1]
 
     def on_activate(self, rank, bank, row, core_id, cycle):
         self.lookups += 1
@@ -165,10 +132,6 @@ class CombinedMechanism(LatencyMechanism):
         super().reset_stats()
         for mechanism in self.mechanisms:
             mechanism.reset_stats()
-
-    def fork_state(self):
-        return CombinedMechanism(
-            self.timing, *(m.fork_state() for m in self.mechanisms))
 
 
 @register_mechanism("none", order=0,

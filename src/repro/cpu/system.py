@@ -39,7 +39,7 @@ from repro.controller.controller import MemoryController
 from repro.core import registry
 from repro.cpu.cache import SharedCache
 from repro.cpu.core import BLOCK_REJECT, Core
-from repro.cpu.trace import TraceRecord
+from repro.cpu.trace import TraceRecord, TraceTape
 from repro.dram.organization import Organization
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.standards import preset
@@ -269,45 +269,17 @@ class System:
                   max_mem_cycles: Optional[int] = None,
                   enable_rltl: bool = False,
                   rltl_time_scale: float = 1.0,
-                  enable_reuse: bool = False,
-                  telemetry: Optional[Dict] = None) -> List[RunResult]:
+                  enable_reuse: bool = False) -> List[RunResult]:
         """Run N mechanism variants of one workload off one trace tape.
 
         Every config must describe the *same* system except for its
         latency mechanism (checked via
         :func:`mechanism_invariant_config`); ``traces`` is consumed
         once into a :class:`~repro.cpu.trace.TraceTape` that all
-        variants replay.  Each result is bit-identical to the variant's
-        standalone serial run — the contract the harness's run cache
-        depends on — via two complementary paths:
-
-        * **Full run**: the variant is simulated normally (sharing only
-          the trace tape), with a
-          :class:`~repro.core.replay.RecordingMechanism` logging its
-          decision stream, except for the last variant, whose log no
-          later variant could replay.  Closed-loop timing feedback makes any
-          cross-variant computation sharing *after* the first diverging
-          mechanism decision unsound (a hit changes tRCD, the read
-          completes earlier, the core unblocks earlier, and every
-          downstream cycle shifts), so cycle 0 is the only state-fork
-          point — full runs share nothing downstream of the tape.
-        * **Decision-replay collapse**: before paying for a full run,
-          the variant's fresh mechanism state is replayed against every
-          witness log so far (:mod:`repro.core.replay`).  If its
-          decisions match some witness everywhere, its run would
-          retrace that witness's trajectory exactly, and the result is
-          the witness's with this variant's config attached.
-
-        Mechanisms whose decisions are not a pure function of the
-        event stream (``supports_decision_replay = False``, e.g. NUAT)
-        always take the full-run path.
-
-        Collapsed results share the witness's ``rltl``/``reuse`` probe
-        objects (their contents are identical by the argument above);
-        the scalar/list statistics are copied.
-
-        ``telemetry``, when given, receives ``{"full_runs": F,
-        "collapsed": C}`` for benchmarking and reporting.
+        variants replay.  Each variant runs in full on its own System
+        and shares nothing but the tape, so each result is
+        bit-identical to the variant's standalone serial run — the
+        contract the harness's run cache depends on.
         """
         configs = list(configs)
         if not configs:
@@ -319,56 +291,12 @@ class System:
                     "batch variants must differ only in mechanism-"
                     f"defining fields; {cfg.mechanism!r} variant "
                     "changes the shared platform")
-        from repro.core.replay import (
-            MechanismEventLog,
-            RecordingMechanism,
-            replay_decisions_match,
-        )
-        from repro.cpu.trace import TraceTape
-
         tape = TraceTape(traces)
-        witnesses: List = []  # (per-channel logs, RunResult)
-        results: List[RunResult] = []
-        full_runs = 0
-        last = len(configs) - 1
-        for index, cfg in enumerate(configs):
-            collapsed = None
-            if witnesses:
-                channels = cfg.dram.channels
-                mechanisms = _replay_mechanisms(cfg, channels)
-                if mechanisms is not None:
-                    for logs, witness_result in witnesses:
-                        if replay_decisions_match(logs, mechanisms):
-                            collapsed = _clone_result(witness_result, cfg)
-                            break
-                        # A failed replay leaves the fork's state
-                        # dirty; later witnesses need a clean one.
-                        mechanisms = _replay_mechanisms(cfg, channels)
-                        if mechanisms is None:  # pragma: no cover
-                            break
-            if collapsed is not None:
-                results.append(collapsed)
-                continue
-            system = cls(cfg, tape.readers(), enable_rltl=enable_rltl,
-                         rltl_time_scale=rltl_time_scale,
-                         enable_reuse=enable_reuse)
-            if index < last:
-                # The last variant's log could serve no later variant.
-                logs = [MechanismEventLog(system.organization,
-                                          cfg.processor.num_cores)
-                        for _ in system.controllers]
-                for controller, log in zip(system.controllers, logs):
-                    controller.mechanism = RecordingMechanism(
-                        controller.mechanism, log)
-            result = system.run(max_mem_cycles=max_mem_cycles)
-            full_runs += 1
-            if index < last:
-                witnesses.append((logs, result))
-            results.append(result)
-        if telemetry is not None:
-            telemetry["full_runs"] = full_runs
-            telemetry["collapsed"] = len(configs) - full_runs
-        return results
+        return [cls(cfg, tape.readers(), enable_rltl=enable_rltl,
+                    rltl_time_scale=rltl_time_scale,
+                    enable_reuse=enable_reuse).run(
+                        max_mem_cycles=max_mem_cycles)
+                for cfg in configs]
 
     def _step(self, mem: int, controllers: Sequence[MemoryController],
               bid: bool = False) -> bool:
@@ -686,44 +614,3 @@ class System:
             rltl=self.rltl_probe,
             reuse=self.reuse_probe,
         )
-
-
-# ----------------------------------------------------------------------
-# Batch-evaluator helpers
-# ----------------------------------------------------------------------
-
-def _replay_mechanisms(config: SimulationConfig, channels: int):
-    """Fresh per-channel mechanisms of ``config`` for decision replay.
-
-    Returns None when the configured mechanism cannot be replayed
-    (unsupported, or it demands per-channel context such as NUAT's
-    refresh scheduler) — the caller then runs the variant in full.
-    """
-    from repro.core.replay import fork_for_replay
-    try:
-        prototype = registry.build(
-            config.mechanism,
-            registry.MechanismContext(
-                timing=preset(config.dram.standard),
-                num_cores=config.processor.num_cores,
-                refresh_scheduler=None))
-    except ValueError:
-        return None
-    return fork_for_replay(prototype, channels)
-
-
-def _clone_result(witness: RunResult, config: SimulationConfig) -> RunResult:
-    """The witness's result re-labelled for a collapsed variant.
-
-    Mutable containers are copied so downstream consumers can never
-    alias two cached variants through one list/dict; the ``rltl`` and
-    ``reuse`` probe objects are shared deliberately (their contents are
-    identical for a collapsed variant, and they are excluded from the
-    cache codec's plain fields).
-    """
-    return replace(
-        witness, config=config,
-        instructions=list(witness.instructions),
-        core_cycles=list(witness.core_cycles),
-        ipcs=list(witness.ipcs),
-        extra=dict(witness.extra))

@@ -156,7 +156,7 @@ def _batch_groups(pending: Sequence[RunSpec]) -> List[List[RunSpec]]:
 
 
 def _group_id(spec: RunSpec) -> str:
-    """Short stable id naming ``spec``'s batch group in telemetry."""
+    """Short stable id naming ``spec``'s batch group in annotations."""
     signature = batch_signature(spec)
     return hashlib.sha256(signature.encode("ascii")).hexdigest()[:12]
 
@@ -188,7 +188,7 @@ def _run_unit(group: List[RunSpec]) -> List[SweepPoint]:
     group order.
 
     A group of one runs through ``runner.run_spec_ex``; a larger group
-    shares one trace replay through ``runner.run_spec_batch`` (looked
+    shares one trace tape through ``runner.run_spec_batch`` (looked
     up on the module, so wrappers installed there see the call), and
     each member reports an equal share of its wall time.  Any failure
     is raised as :class:`_WorkerError`, attributed to the group's
@@ -252,12 +252,12 @@ def execute_sweep(specs: Sequence[RunSpec],
 
     Pending specs that differ only in their mechanism fields (same
     :func:`~repro.harness.spec.batch_signature`) form one work unit
-    and run through one batched trace replay (``System.run_batch``)
-    instead of N independent simulations — bit-identical results,
-    cached under each spec's own key.  At ``jobs > 1`` units overlap
-    across workers; the variants inside a unit still share one
-    replay.  ``jobs`` and ``progress`` left None come from
-    ``runner.execution``.
+    and run through ``System.run_batch``: each variant runs in full,
+    and the unit reads its workload's traces once, onto one shared
+    trace tape — bit-identical results, cached under each spec's own
+    key.  At ``jobs > 1`` units overlap across workers; the variants
+    inside a unit still share one tape.  ``jobs`` and ``progress``
+    left None come from ``runner.execution``.
 
     **Resumable**: every computed point is persisted to the store as
     it lands, and the store is probed before anything runs, so a

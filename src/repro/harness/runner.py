@@ -530,16 +530,15 @@ def _execute_spec(spec: RunSpec) -> RunResult:
     return system.run(max_mem_cycles=spec.scale.max_mem_cycles)
 
 
-def run_spec_batch(specs: Iterable[RunSpec],
-                   telemetry: Optional[Dict] = None) -> List[RunResult]:
+def run_spec_batch(specs: Iterable[RunSpec]) -> List[RunResult]:
     """Simulate a batch group through one shared trace replay.
 
     Every spec must share one :func:`~repro.harness.spec.batch_signature`
     (same workload, seed, scale, engine, platform — different mechanism
     knobs only); otherwise ``ValueError`` is raised before any
-    simulation starts.  Results are bit-identical to :func:`run_spec`
-    on each spec individually (enforced by ``System.run_batch``'s
-    decision-replay contract) and are remembered in both cache layers
+    simulation starts.  Each spec runs in full; the group shares only
+    the trace tape, so results are bit-identical to :func:`run_spec` on
+    each spec individually.  They are remembered in both cache layers
     under each spec's own, unchanged cache key — a later run of any
     member is a plain cache hit.
     """
@@ -559,8 +558,7 @@ def run_spec_batch(specs: Iterable[RunSpec],
         configs, _spec_traces(specs[0], configs[0]),
         max_mem_cycles=specs[0].scale.max_mem_cycles,
         enable_rltl=enable_rltl,
-        rltl_time_scale=rltl_time_scale,
-        telemetry=telemetry)
+        rltl_time_scale=rltl_time_scale)
     for spec, result in zip(specs, results):
         remember(spec, result)
     return results

@@ -120,6 +120,7 @@ class ReferenceChargeCache(ChargeCache):
 
     def __init__(self, timing, config, num_cores):
         super().__init__(timing, config, num_cores)
+        self._num_cores = num_cores
         self._shared = config.sharing == "shared"
         if not self.unbounded:
             self.tables = [ReferenceHCRAC(config.entries,
@@ -135,7 +136,7 @@ class ReferenceChargeCache(ChargeCache):
             return 0
         if core_id < 0:
             return 0
-        return core_id % self.num_cores
+        return core_id % self._num_cores
 
     def on_activate(self, rank, bank, row, core_id, cycle):
         self.maintain(cycle)

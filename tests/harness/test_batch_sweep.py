@@ -47,8 +47,8 @@ def _fresh(tmp_path):
 
 
 #: Mechanism axes sampled by the property test: registry spec strings
-#: paired with the cc_* shorthand knobs, mixing replay-collapsible
-#: mechanisms, the replay-excluded one (nuat), and compositions.
+#: paired with the cc_* shorthand knobs, mixing capacity variants,
+#: the refresh-coupled one (nuat), and compositions.
 MECHANISM_AXIS = [
     ("none", {}),
     ("chargecache", {}),
@@ -96,33 +96,25 @@ def _assert_matches_serial_reference(sweep, specs, store):
 
 
 def _spy_batches(monkeypatch):
-    """Per ``System.run_batch`` call, its variant count, telemetry and
-    one ``(last variant, recorded)`` pair per full run: whether the
-    run simulated the batch's last config, and whether its mechanisms
-    were wrapped in a ``RecordingMechanism``."""
-    from repro.core.replay import RecordingMechanism
+    """Per ``System.run_batch`` call, its configs and the config of
+    each ``System.run`` it made."""
     from repro.cpu.system import System
     batches, active = [], []
     run_batch, run = System.run_batch.__func__, System.run
 
-    def spied_run_batch(cls, configs, *args, telemetry=None, **kwargs):
+    def spied_run_batch(cls, configs, *args, **kwargs):
         configs = list(configs)
-        batch = {"configs": configs, "runs": [],
-                 "telemetry": {} if telemetry is None else telemetry}
+        batch = {"configs": configs, "runs": []}
         batches.append(batch)
         active.append(batch)
         try:
-            return run_batch(cls, configs, *args,
-                             telemetry=batch["telemetry"], **kwargs)
+            return run_batch(cls, configs, *args, **kwargs)
         finally:
             active.pop()
 
     def spied_run(self, *args, **kwargs):
         if active:
-            active[-1]["runs"].append((
-                self.config is active[-1]["configs"][-1],
-                all(isinstance(c.mechanism, RecordingMechanism)
-                    for c in self.controllers)))
+            active[-1]["runs"].append(self.config)
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(System, "run_batch", classmethod(spied_run_batch))
@@ -139,15 +131,10 @@ def test_batched_sweep_is_bit_identical_to_serial(seed, tmp_path,
     batched = execute_sweep(specs, jobs=1)
     assert batches
     for batch in batches:
-        # Every full run is recorded but the last variant's, whose log
-        # no later variant could replay: N variants that all run in
-        # full wrap N - 1 mechanism sets.
-        runs = batch["runs"]
-        assert len(runs) == batch["telemetry"]["full_runs"]
-        assert all(recorded != last for last, recorded in runs)
-        if not batch["telemetry"]["collapsed"]:
-            assert sum(recorded for _, recorded in runs) \
-                == len(batch["configs"]) - 1
+        # Every variant runs in full, in order, on its own System.
+        runs, configs = batch["runs"], batch["configs"]
+        assert len(runs) == len(configs)
+        assert all(run is cfg for run, cfg in zip(runs, configs))
     _assert_matches_serial_reference(batched, specs,
                                      str(tmp_path / "serial"))
 
@@ -169,8 +156,8 @@ class TestParallelBatching:
     """Regression: batching must survive ``--jobs > 1``.
 
     Parallel sweeps used to fall back silently to one simulation per
-    point, losing the multi-variant collapse with zero telemetry; now
-    each batch group is the unit of pool distribution.
+    point, losing the shared trace tape; now each batch group is the
+    unit of pool distribution.
     """
 
     SPECS = [RunSpec(kind="single", name=name, mechanism=mech,
@@ -262,6 +249,28 @@ class TestGroupingGuard:
         b = RunSpec(mechanism="chargecache",
                     **{**self.BASE, field: value})
         assert batch_signature(a) != batch_signature(b)
+
+    @pytest.mark.parametrize("mechanism,knobs", [
+        ("chargecache", {}), ("nuat", {}), ("lldram", {}), ("aldram", {}),
+        ("chargecache+nuat", {}), ("chargecache+lldram", {}),
+        ("chargecache(entries=256)+nuat", {}),
+        ("aldram(temperature=55)", {}), ("lldram(duration_ms=16)", {}),
+        ("chargecache", {"cc_entries": 64}),
+        ("chargecache", {"cc_duration_ms": 16.0}),
+        ("chargecache", {"cc_unbounded": True})],
+        ids=lambda v: v if isinstance(v, str) else ",".join(v) or "defaults")
+    def test_every_mechanism_spec_shares_the_platform_group(
+            self, mechanism, knobs):
+        """Any spec string or ChargeCache knob joins the ``none`` point
+        of its platform, and the group it forms passes
+        ``System.run_batch``'s platform guard."""
+        from repro.cpu.system import mechanism_invariant_config
+        base = RunSpec(mechanism="none", **self.BASE)
+        spec = RunSpec(mechanism=mechanism, **knobs, **self.BASE)
+        assert batch_signature(spec) == batch_signature(base)
+        assert cache_key(spec) != cache_key(base)
+        assert mechanism_invariant_config(runner._spec_config(spec)) \
+            == mechanism_invariant_config(runner._spec_config(base))
 
     def test_signature_covers_every_non_mechanism_key_field(self):
         """Batch grouping never merges specs whose cache keys differ

@@ -9,8 +9,7 @@ at once: the LLC is dead by reference counting alone and a following
 part of the graph: both engines, the single-core open-row and
 eight-core closed-row platforms, a drained run (the scheduler's last
 snapshot names a served read), a truncated run (reads still parked,
-queued and in flight), and a batch with recording mechanisms, a
-collapsed variant and NUAT.
+queued and in flight), and a batch of capacity variants and NUAT.
 """
 
 from __future__ import annotations
@@ -112,9 +111,8 @@ def test_truncated_run_leaves_no_cyclic_garbage(engine):
 
 
 def test_batch_run_leaves_no_cyclic_garbage(monkeypatch):
-    """Full runs wrap each mechanism in a recording mechanism whose log
-    outlives the run as a witness; a capacity variant collapses onto
-    it, and NUAT always runs in full."""
+    """Every variant of a batch runs in full on its own System, and
+    each System's graph is freed as soon as its run ends."""
     llcs = []
     run = System.run
 
@@ -133,17 +131,14 @@ def test_batch_run_leaves_no_cyclic_garbage(monkeypatch):
                variant("nuat")]
     org = Organization.from_config(configs[0].dram,
                                    configs[0].cache.line_bytes)
-    telemetry = {}
     with _collector_off():
         results = System.run_batch(
             configs, [zipf_trace(org, 128 * 1024, 6.0, 3, alpha=1.8,
                                  write_fraction=0.2)],
-            max_mem_cycles=300_000, enable_rltl=True, enable_reuse=True,
-            telemetry=telemetry)
-        assert len(llcs) == telemetry["full_runs"] == 2
+            max_mem_cycles=300_000, enable_rltl=True, enable_reuse=True)
+        assert len(llcs) == 3
         assert all(llc() is None for llc in llcs)
         assert gc.collect() == 0
-    assert telemetry["collapsed"] == 1
     assert len(results) == 3
 
 

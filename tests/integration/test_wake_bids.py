@@ -41,7 +41,6 @@ from repro.controller.queues import RequestQueue
 from repro.controller.row_policy import OpenRowPolicy
 from repro.controller.scheduler import FRFCFSScheduler
 from repro.core import registry
-from repro.core.replay import RecordingMechanism
 from repro.core.timing_policy import DefaultTiming
 from repro.cpu.cache import SharedCache
 from repro.cpu.core import Core
@@ -539,28 +538,6 @@ def test_cached_mechanism_wake_is_fresh_at_every_bid(monkeypatch,
         assert len({wake for _, wake in checked}) > 2
 
 
-def test_cached_mechanism_wake_follows_mechanism_swap(monkeypatch):
-    """``run_batch`` replaces each controller's mechanism with a
-    recording wrapper after construction, except in the last variant;
-    the cached wake must follow the replacement at every bid of the
-    batch's full runs."""
-    checked = _check_cached_wake_at_bids(monkeypatch)
-    configs = [tiny_config(name, instruction_limit=20_000, warmup=1_000)
-               for name in ("none", "chargecache", "lldram")]
-    org = Organization.from_config(configs[0].dram,
-                                   configs[0].cache.line_bytes)
-    telemetry = {}
-    System.run_batch(configs, [iter(_mixed_phase_trace(org))],
-                     max_mem_cycles=600_000, telemetry=telemetry)
-    assert telemetry["full_runs"] == 3
-    recorded = [isinstance(mech, RecordingMechanism)
-                for mech, _ in checked]
-    assert recorded[0] and not recorded[-1]
-    assert recorded == sorted(recorded, reverse=True)
-    assert len({wake for mech, wake in checked
-                if isinstance(mech, RecordingMechanism)}) > 2
-
-
 class _MovingWake(DefaultTiming):
     """Moves its wake in every hook, as the ``next_wake`` contract
     allows (the built-in mechanisms never move it in ``on_activate``)."""
@@ -584,15 +561,17 @@ class _MovingWake(DefaultTiming):
 
 
 def test_cached_wake_follows_assignment_and_every_hook(monkeypatch):
-    """Assigning ``controller.mechanism`` re-reads the new mechanism's
-    wake, and so do ``on_activate``, ``on_precharge`` and
+    """The controller reads its mechanism's wake at construction, and
+    re-reads it after ``on_activate``, ``on_precharge`` and
     ``maintain``."""
     checked = _check_cached_wake_at_bids(monkeypatch)
+    monkeypatch.setattr(registry, "build",
+                        lambda spec, ctx: _MovingWake(ctx.timing))
     cfg = tiny_config("none", instruction_limit=20_000, warmup=1_000)
     org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
     system = System(cfg, [iter(_mixed_phase_trace(org))])
     controller = system.controllers[0]
-    controller.mechanism = _MovingWake(system.timing)
+    assert isinstance(controller.mechanism, _MovingWake)
     assert controller.next_event_cycle(0) == 1234
     system.run(max_mem_cycles=600_000)
     wakes = {wake for _, wake in checked}
