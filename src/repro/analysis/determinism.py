@@ -18,7 +18,8 @@ Flagged:
 * the process-global ``random`` module functions (``random.random``,
   ``random.randint``, ...) — a ``random.Random(seed)`` instance is the
   sanctioned spelling — and ``numpy.random`` convenience functions /
-  zero-argument (unseeded) generator constructors;
+  zero-argument (unseeded) generator constructors, the trace stream's
+  :class:`repro.workloads.rng.Generator` included;
 * direct iteration over a set (``for x in {...}``, comprehensions,
   ``list(set(...))``): string hashing is randomized per process, so
   the order is nondeterministic — ``sorted(...)`` first.
@@ -52,9 +53,9 @@ ENTROPY_SOURCES = frozenset({
 #: Seedable constructors: fine when called with an explicit seed
 #: argument, flagged when called bare.
 SEEDED_CONSTRUCTORS = frozenset({
-    "random.Random", "numpy.random.default_rng",
-    "numpy.random.Generator", "numpy.random.RandomState",
-    "numpy.random.SeedSequence",
+    "random.Random", "repro.workloads.rng.Generator",
+    "numpy.random.default_rng", "numpy.random.Generator",
+    "numpy.random.RandomState", "numpy.random.SeedSequence",
 })
 
 #: ``random`` module attributes that are not the global-RNG trap.
@@ -136,7 +137,7 @@ def _check_reference(module: Module, node: ast.AST,
         yield _finding(
             module, node,
             f"{name} uses numpy's global RNG; use "
-            f"numpy.random.default_rng(seed) derived from the "
+            f"repro.workloads.rng.Generator(seed) derived from the "
             f"spec")
 
 

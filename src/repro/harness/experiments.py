@@ -434,12 +434,13 @@ def _fig8(points: Points, modes: Sequence[str],
           workloads: Names, scale: Scale) -> Dict:
     """Average and maximum DRAM energy reduction of ChargeCache.
 
-    Multi-core runs use trace-loop methodology (cores that reach their
-    instruction limit keep executing), so the ChargeCache run performs
-    *more* work in its window than the baseline run.  The comparison is
-    therefore made on **energy per retired instruction**, which is
-    iso-work; for single-core runs this reduces to the plain energy
-    ratio (both runs retire exactly the instruction limit).
+    Every run uses the fixed-work methodology (``idle_finished=True``,
+    ``SimulationConfig.idle_finished_cores``): a core that reaches its
+    instruction limit stops issuing, and the run ends when the slowest
+    core does.  The energy window therefore includes the cycles in
+    which finished cores sit idle.  The comparison is made on **energy
+    per retired instruction** (``work_instructions``), so the two runs
+    are compared at equal work.
 
     Timing and IDD parameters resolve from each run's own config (its
     ``dram.standard``), so non-DDR3 configs are charged with their own

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Sequence
 
-import numpy as np
-
 from repro.cpu.trace import TraceRecord
+from repro.workloads.rng import Generator
 from repro.workloads.spec_like import WORKLOAD_NAMES, make_trace
 
 #: Seed fixing the composition of the 20 mixes.
@@ -21,11 +20,11 @@ MIX_NAMES = tuple(f"w{i}" for i in range(1, 21))
 
 
 def _compositions(num_cores: int = 8) -> Dict[str, List[str]]:
-    rng = np.random.default_rng(MIX_SEED)
+    rng = Generator(MIX_SEED)
     names = list(WORKLOAD_NAMES)
     mixes = {}
     for mix in MIX_NAMES:
-        picks = rng.integers(0, len(names), size=num_cores)
+        picks = rng.integers(0, len(names), num_cores)
         mixes[mix] = [names[i] for i in picks]
     return mixes
 

@@ -14,17 +14,22 @@ the three knobs the ChargeCache results are sensitive to:
   high reuse distance), zipfian row reuse (high RLTL) and dependent
   pointer chasing (serialised misses).
 
-Generators draw from a seeded ``numpy`` RNG in batches for speed and
-are fully reproducible.
+Each generator draws from its own seeded
+:class:`~repro.workloads.rng.Generator`, so a trace is a pure function
+of its arguments: the stream ``numpy.random.default_rng(seed)`` yields
+for the same draws, defined in :mod:`repro.workloads.rng` so no numpy
+install can change it.  Draws come in batches of :data:`_BATCH`
+records, except the store flags, which close every batch and so are
+drawn one record at a time as records are yielded: the order of draws
+is unchanged and records nobody reads cost no flag draws.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Iterator, List, Sequence
 
 from repro.cpu.trace import TraceRecord
+from repro.workloads.rng import Generator
 
 #: Records generated per RNG batch.
 _BATCH = 2048
@@ -36,20 +41,22 @@ def bounded_footprint_lines(org, footprint_bytes: int) -> int:
     return min(lines, org.total_lines)
 
 
-def _bubble_batch(rng: np.random.Generator, mean_bubbles: float,
-                  size: int) -> np.ndarray:
+def _bubble_batch(rng: Generator, mean_bubbles: float,
+                  size: int) -> List[int]:
     """Geometric bubble counts with the requested mean (>= 0)."""
     if mean_bubbles <= 0:
-        return np.zeros(size, dtype=np.int64)
+        return [0] * size
     p = 1.0 / (mean_bubbles + 1.0)
-    return rng.geometric(p, size=size).astype(np.int64) - 1
+    return [trials - 1 for trials in rng.geometric(p, size)]
 
 
-def _write_batch(rng: np.random.Generator, write_fraction: float,
-                 size: int) -> np.ndarray:
-    if write_fraction <= 0:
-        return np.zeros(size, dtype=bool)
-    return rng.random(size) < write_fraction
+def _is_write(rng: Generator, write_fraction: float) -> bool:
+    """One record's store flag, drawn as the record is yielded.
+
+    The flags are every batch's last draws, so drawing them one at a
+    time keeps the order of draws of a whole-batch ``random(_BATCH)``.
+    """
+    return write_fraction > 0 and rng.random() < write_fraction
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +89,7 @@ def stream_trace(org, footprint_bytes: int, mean_bubbles: float,
 
 def _stream_impl(org, footprint_bytes, mean_bubbles, seed, num_streams,
                  write_fraction, stride_lines):
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     total = bounded_footprint_lines(org, footprint_bytes)
     region = max(1, total // num_streams)
     # Offset regions by a whole-row stride so streams share banks.
@@ -93,12 +100,12 @@ def _stream_impl(org, footprint_bytes, mean_bubbles, seed, num_streams,
     stream = 0
     while True:
         bubbles = _bubble_batch(rng, mean_bubbles, _BATCH)
-        writes = _write_batch(rng, write_fraction, _BATCH)
         for i in range(_BATCH):
             line = (bases[stream] + positions[stream]) % org.total_lines
             positions[stream] = (positions[stream] + stride_lines) % region
             stream = (stream + 1) % num_streams
-            yield TraceRecord(int(bubbles[i]), line, bool(writes[i]))
+            yield TraceRecord(bubbles[i], line,
+                              _is_write(rng, write_fraction))
 
 
 # ----------------------------------------------------------------------
@@ -114,15 +121,14 @@ def random_trace(org, footprint_bytes: int, mean_bubbles: float,
     out for mcf/omnetpp, where ChargeCache trails LL-DRAM because the
     HCRAC cannot retain rows long enough.
     """
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     total = bounded_footprint_lines(org, footprint_bytes)
     while True:
-        lines = rng.integers(0, total, size=_BATCH)
+        lines = rng.integers(0, total, _BATCH)
         bubbles = _bubble_batch(rng, mean_bubbles, _BATCH)
-        writes = _write_batch(rng, write_fraction, _BATCH)
         for i in range(_BATCH):
-            yield TraceRecord(int(bubbles[i]), int(lines[i]),
-                              bool(writes[i]), dependent)
+            yield TraceRecord(bubbles[i], lines[i],
+                              _is_write(rng, write_fraction), dependent)
 
 
 def chase_trace(org, footprint_bytes: int, mean_bubbles: float,
@@ -157,25 +163,25 @@ def zipf_trace(org, footprint_bytes: int, mean_bubbles: float,
 
 def _zipf_impl(org, footprint_bytes, mean_bubbles, seed, alpha,
                write_fraction):
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     total = bounded_footprint_lines(org, footprint_bytes)
     lines_per_row = org.columns * org.channels * org.ranks
     num_rows = max(2, total // max(1, lines_per_row))
     # Spread hot ranks over banks with a multiplicative hash.
     spread = 0x9E3779B1
     while True:
-        ranks = rng.zipf(alpha, size=_BATCH)
-        cols = rng.integers(0, org.columns, size=_BATCH)
-        chans = rng.integers(0, org.channels, size=_BATCH)
+        ranks = rng.zipf(alpha, _BATCH)
+        cols = rng.integers(0, org.columns, _BATCH)
+        chans = rng.integers(0, org.channels, _BATCH)
         bubbles = _bubble_batch(rng, mean_bubbles, _BATCH)
-        writes = _write_batch(rng, write_fraction, _BATCH)
         for i in range(_BATCH):
-            row_id = (int(ranks[i]) * spread) % num_rows
+            row_id = (ranks[i] * spread) % num_rows
             bank = row_id % org.banks
             row = (row_id // org.banks) % org.rows
-            line = org.encode(int(chans[i]), row_id % org.ranks, bank, row,
-                              int(cols[i]))
-            yield TraceRecord(int(bubbles[i]), line, bool(writes[i]))
+            line = org.encode(chans[i], row_id % org.ranks, bank, row,
+                              cols[i])
+            yield TraceRecord(bubbles[i], line,
+                              _is_write(rng, write_fraction))
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +201,7 @@ def mixed_trace(children: Sequence[Iterator[TraceRecord]],
 
 
 def _mixed_impl(children, probabilities, seed):
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     while True:
-        picks = rng.choice(len(children), size=_BATCH, p=probabilities)
-        for i in range(_BATCH):
-            yield next(children[picks[i]])
+        for pick in rng.choice(len(children), _BATCH, p=probabilities):
+            yield next(children[pick])

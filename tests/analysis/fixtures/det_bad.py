@@ -78,3 +78,13 @@ def malformed() -> float:
 
 def unused_pragma() -> int:
     return 1  # repro: allow(determinism) -- nothing to suppress here
+
+
+def unseeded_trace_rng():
+    from repro.workloads.rng import Generator
+    return Generator()  # unseeded trace RNG
+
+
+def seeded_trace_rng(seed: int):
+    from repro.workloads import rng
+    return rng.Generator(seed)  # fine: explicit seed

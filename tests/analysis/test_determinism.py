@@ -29,8 +29,13 @@ class TestDeterminismFixture:
 
     def test_numpy_global_rng(self):
         assert (40, "numpy.random.rand uses numpy's global RNG; use "
-                    "numpy.random.default_rng(seed) derived from the "
-                    "spec") in self.determinism
+                    "repro.workloads.rng.Generator(seed) derived from "
+                    "the spec") in self.determinism
+
+    def test_unseeded_trace_rng(self):
+        assert (85, "repro.workloads.rng.Generator() without an "
+                    "explicit seed is nondeterministic; pass a seed "
+                    "derived from the spec") in self.determinism
 
     def test_set_iteration(self):
         order = ("iterates a set, whose order is randomized per "
@@ -46,8 +51,9 @@ class TestDeterminismFixture:
 
     def test_seeded_and_sorted_sites_are_clean(self):
         flagged_lines = {line for line, _ in self.determinism}
-        # random.Random(seed), default_rng(seed) and sorted({...})
-        assert not flagged_lines & {36, 44, 63}
+        # random.Random(seed), default_rng(seed), sorted({...}) and
+        # the trace RNG's Generator(seed)
+        assert not flagged_lines & {36, 44, 63, 90}
 
     def test_justified_pragma_suppresses_its_line(self):
         assert 67 not in {line for line, _ in self.determinism}
@@ -60,6 +66,6 @@ class TestDeterminismFixture:
                    for line, message in pragma)
 
     def test_exact_finding_count(self):
-        # Everything intended, nothing else: 9 bad sites + 3 sites
+        # Everything intended, nothing else: 10 bad sites + 3 sites
         # whose pragmas are invalid (unjustified/unknown/malformed).
-        assert len(self.determinism) == 12
+        assert len(self.determinism) == 13
