@@ -44,7 +44,3 @@ class AddressMapper:
         request.bank = (addr >> ba_shift) & ba_mask
         request.row = (addr >> ro_shift) & ro_mask
         request.column = (addr >> co_shift) & co_mask
-
-    @property
-    def lines_per_row(self) -> int:
-        return self.org.columns

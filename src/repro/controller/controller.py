@@ -41,12 +41,12 @@ class ControllerStats:
     __slots__ = ("reads", "writes", "read_row_hits", "write_row_hits",
                  "activations", "act_reduced", "precharges", "refreshes",
                  "forwards", "read_latency_sum", "read_count",
-                 "active_cycle_base", "rank_active_base", "start_cycle")
+                 "active_cycle_base", "rank_active_base")
 
     def __init__(self):
-        self.reset(0, 0, 0)
+        self.reset(0, 0)
 
-    def reset(self, cycle: int, active_cycle_base: int,
+    def reset(self, active_cycle_base: int,
               rank_active_base: int = 0) -> None:
         self.reads = 0
         self.writes = 0
@@ -61,7 +61,6 @@ class ControllerStats:
         self.read_count = 0
         self.active_cycle_base = active_cycle_base
         self.rank_active_base = rank_active_base
-        self.start_cycle = cycle
 
 
 class MemoryController:
@@ -121,7 +120,6 @@ class MemoryController:
         self._num_ranks = num_ranks
         self._last_issue_cycle = -1
         self._issue_count = 0
-        self._forward_count = 0
 
     # ------------------------------------------------------------------
     # Request entry points (called by the cache hierarchy / system)
@@ -137,7 +135,6 @@ class MemoryController:
             request.enqueue_cycle = cycle
             request.done_cycle = cycle + 1
             self.stats.forwards += 1
-            self._forward_count += 1
             heapq.heappush(self.read_events,
                            (cycle + 1, next(self._event_seq), request))
             return True
@@ -405,7 +402,6 @@ class MemoryController:
         else:  # pragma: no cover - scheduler never returns others
             raise RuntimeError(f"unexpected command {cmd}")
         # A RD or WR: the request leaves its queue.
-        req.issue_cycle = cycle
         req.done_cycle = done
         queue.remove(req)
         self._served = _STALE
@@ -425,10 +421,9 @@ class MemoryController:
         self.channel.issue_activate(req.rank, req.bank, req.row, cycle,
                                     timings)
         req.needed_act = True
-        req.act_was_hit = timings is not None
         self._act_owner[(req.rank, req.bank)] = req.core_id
         self.stats.activations += 1
-        if req.act_was_hit:
+        if timings is not None:
             self.stats.act_reduced += 1
         if self.rltl_probe is not None:
             self.rltl_probe.on_activate(self.index, req.rank, req.bank,
@@ -488,10 +483,8 @@ class MemoryController:
             - self.stats.rank_active_base
 
     def reset_stats(self, cycle: int) -> None:
-        self.stats.reset(cycle, self.channel.active_cycles_until(cycle),
+        self.stats.reset(self.channel.active_cycles_until(cycle),
                          self.channel.rank_active_cycles_until(cycle))
         self.mechanism.reset_stats()
-        self.read_q.reset_stats()
-        self.write_q.reset_stats()
         if self.rltl_probe is not None:
             self.rltl_probe.reset()

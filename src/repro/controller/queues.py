@@ -48,8 +48,6 @@ class RequestQueue:
         #: Bumped on every push/remove; lets the event engine cache
         #: earliest-ready computations between content changes.
         self.version = 0
-        #: Writes absorbed by a queued write to the same line.
-        self.coalesced = 0
 
     # ------------------------------------------------------------------
 
@@ -81,10 +79,7 @@ class RequestQueue:
     def coalesce_write(self, line_address: int) -> bool:
         """True if a queued write to ``line_address`` absorbed this one."""
         existing = self._by_line.get(line_address)
-        if existing is not None and existing.is_write:
-            self.coalesced += 1
-            return True
-        return False
+        return existing is not None and existing.is_write
 
     def find_line(self, line_address: int) -> Optional[Request]:
         return self._by_line.get(line_address)
@@ -103,7 +98,3 @@ class RequestQueue:
                     del entries[i]
                     break
         self.version += 1
-
-    def reset_stats(self) -> None:
-        """Zero the coalesce counter."""
-        self.coalesced = 0

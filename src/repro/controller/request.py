@@ -26,11 +26,9 @@ class Request:
         channel/rank/bank/row/column: decoded DRAM coordinates, filled
             in by the controller's address mapper at enqueue time.
         enqueue_cycle: bus cycle the request entered its queue.
-        issue_cycle: bus cycle its column command was issued (-1 before).
         done_cycle: bus cycle the data transfer completed (-1 before).
         needed_act: True when servicing required a row activation (i.e.
             this request was a row miss or conflict).
-        act_was_hit: True when its ACT used reduced timings.
 
     A READ's data arrival is reported through its controller's
     ``read_done`` hook; WRITEs are posted and complete at issue.
@@ -38,7 +36,7 @@ class Request:
 
     __slots__ = ("id", "line_address", "type", "core_id", "channel",
                  "rank", "bank", "row", "column", "enqueue_cycle",
-                 "issue_cycle", "done_cycle", "needed_act", "act_was_hit")
+                 "done_cycle", "needed_act")
 
     def __init__(self, line_address: int, type: RequestType,
                  core_id: int = 0):
@@ -52,10 +50,8 @@ class Request:
         self.row = -1
         self.column = -1
         self.enqueue_cycle = -1
-        self.issue_cycle = -1
         self.done_cycle = -1
         self.needed_act = False
-        self.act_was_hit = False
 
     # ------------------------------------------------------------------
 
@@ -66,13 +62,6 @@ class Request:
     @property
     def is_write(self) -> bool:
         return self.type is RequestType.WRITE
-
-    @property
-    def latency(self) -> int:
-        """Queueing + service latency in bus cycles (reads only)."""
-        if self.done_cycle < 0 or self.enqueue_cycle < 0:
-            return -1
-        return self.done_cycle - self.enqueue_cycle
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Request(#{self.id} {self.type.value} line={self.line_address:#x} "

@@ -95,8 +95,6 @@ class ALDRAM(LatencyMechanism):
 
 @register_mechanism(
     "aldram", params=ALDRAMParams, order=40,
-    aliases={"temperature": "temperature_c"},
-    description="temperature-adaptive device-wide timings "
-                "(Lee et al., HPCA 2015)")
+    aliases={"temperature": "temperature_c"})
 def _build_aldram(ctx: MechanismContext, overrides) -> ALDRAM:
     return ALDRAM(ctx.timing, ALDRAMParams(**overrides).temperature_c)

@@ -44,7 +44,11 @@ def row_key(rank: int, bank: int, row: int) -> int:
 
 
 class ChargeCache(LatencyMechanism):
-    """Memory-controller-side tracker of highly-charged rows."""
+    """Memory-controller-side tracker of highly-charged rows.
+
+    Its statistics are the base class's ``lookups`` and ``hits``:
+    inserts, evictions and invalidations change only the tables.
+    """
 
     name = "chargecache"
 
@@ -78,7 +82,6 @@ class ChargeCache(LatencyMechanism):
         #: Earliest next IIC wrap over all invalidators: :meth:`maintain`
         #: has nothing to do before it.
         self._next_wrap = self._earliest_wrap()
-        self.insertions = 0
 
     # ------------------------------------------------------------------
 
@@ -119,7 +122,6 @@ class ChargeCache(LatencyMechanism):
             table.insert(key, cycle)
         else:
             table.insert(key)
-        self.insertions += 1
 
     def maintain(self, cycle: int) -> None:
         """Advance the IIC/EC invalidation counters to ``cycle``."""
@@ -153,16 +155,6 @@ class ChargeCache(LatencyMechanism):
                 return self._next_wrap
         return NEVER
 
-    # ------------------------------------------------------------------
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.insertions = 0
-        for table in self.tables:
-            table.insertions = 0
-            table.evictions = 0
-            table.invalidations = 0
-
 
 # ----------------------------------------------------------------------
 # Registry binding
@@ -178,9 +170,7 @@ def chargecache_params(mechanism: str) -> ChargeCacheConfig:
 
 @register_mechanism(
     "chargecache", params=ChargeCacheConfig, order=10,
-    aliases={"duration_ms": "caching_duration_ms"},
-    description="reduced ACT timings for recently-precharged rows "
-                "(the paper's mechanism)")
+    aliases={"duration_ms": "caching_duration_ms"})
 def _build_chargecache(ctx: MechanismContext,
                        overrides: Dict[str, object]) -> ChargeCache:
     return ChargeCache(ctx.timing, ChargeCacheConfig(**overrides),

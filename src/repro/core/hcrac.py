@@ -48,10 +48,6 @@ class HCRAC:
         #: it on every wake computation, which must not pay an
         #: O(entries) scan.
         self.valid_count = 0
-        # Statistics.
-        self.insertions = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------
 
@@ -85,10 +81,8 @@ class HCRAC:
             self.valid_count += 1
         else:
             victim = stamps.index(min(stamps))
-            self.evictions += 1
         tags[victim] = tag
         stamps[victim] = self._use_counter
-        self.insertions += 1
 
     def invalidate_entry(self, entry_index: int) -> bool:
         """Invalidate the physical entry ``entry_index`` (IIC/EC sweep).
@@ -103,7 +97,6 @@ class HCRAC:
             return False
         self._tags[set_idx][way] = None
         self.valid_count -= 1
-        self.invalidations += 1
         return True
 
     def clear(self) -> None:
@@ -134,13 +127,9 @@ class UnboundedHCRAC:
             raise ValueError("duration must be >= 1 cycle")
         self.duration_cycles = duration_cycles
         self._inserted_at: Dict[int, int] = {}
-        self.insertions = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     def insert(self, key: int, cycle: int) -> None:
         self._inserted_at[key] = cycle
-        self.insertions += 1
 
     def lookup(self, key: int, cycle: int) -> bool:
         stamp = self._inserted_at.get(key)
@@ -149,7 +138,6 @@ class UnboundedHCRAC:
         if cycle - stamp > self.duration_cycles:
             # Lazy expiry: drop the stale entry.
             del self._inserted_at[key]
-            self.invalidations += 1
             return False
         return True
 

@@ -42,32 +42,25 @@ class PeriodicInvalidator:
         self.interval = max(1, duration_cycles // hcrac.entries)
         self.entry_counter = 0          # EC
         self._last_cycle = 0            # IIC is (cycle - last) % interval
-        self.sweeps = 0                 # completed full passes
 
-    def advance_to(self, cycle: int) -> int:
-        """Run the scheme up to ``cycle``; returns entries invalidated."""
+    def advance_to(self, cycle: int) -> None:
+        """Run the scheme up to ``cycle``."""
         if cycle < self._last_cycle:
             raise ValueError("cycle moved backwards")
         wraps = (cycle - self._last_cycle) // self.interval
         if wraps == 0:
-            return 0
+            return
         self._last_cycle += wraps * self.interval
-        cleared = 0
         k = self.hcrac.entries
         if wraps >= k:
             # One or more full sweeps elapsed: everything is stale.
             self.hcrac.clear()
-            self.sweeps += wraps // k
             wraps %= k
-            cleared = k
         for _ in range(wraps):
-            if self.hcrac.invalidate_entry(self.entry_counter):
-                cleared += 1
+            self.hcrac.invalidate_entry(self.entry_counter)
             self.entry_counter += 1
             if self.entry_counter == k:
                 self.entry_counter = 0
-                self.sweeps += 1
-        return cleared
 
     def next_wrap_cycle(self) -> int:
         """Cycle of the next IIC wrap (the next single-entry sweep step).

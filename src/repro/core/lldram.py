@@ -64,8 +64,6 @@ class LLDRAMParams:
 
 @register_mechanism(
     "lldram", params=LLDRAMParams, order=30,
-    aliases={"duration_ms": "caching_duration_ms"},
-    description="idealised low-latency DRAM: every ACT at "
-                "ChargeCache's hit timings")
+    aliases={"duration_ms": "caching_duration_ms"})
 def _build_lldram(ctx, overrides) -> LowLatencyDRAM:
     return LowLatencyDRAM(ctx.timing, LLDRAMParams(**overrides))

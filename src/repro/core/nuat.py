@@ -46,7 +46,6 @@ class NUAT(LatencyMechanism):
             else:
                 self._bins.append(
                     (edge_cycles, timing.reduced_by(trcd_red, tras_red)))
-        self.bin_hits = [0] * len(self._bins)
 
     # ------------------------------------------------------------------
 
@@ -55,24 +54,15 @@ class NUAT(LatencyMechanism):
         """Bin the row by refresh age; reduced timings for young rows."""
         self.lookups += 1
         age = self.refresh.row_refresh_age_cycles(rank, row, cycle)
-        for i, (edge, timings) in enumerate(self._bins):
+        for edge, timings in self._bins:
             if age <= edge:
                 if timings is not None:
                     self.hits += 1
-                    self.bin_hits[i] += 1
-                    return timings
-                return None
+                return timings
         return None
 
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.bin_hits = [0] * len(self._bins)
 
-
-@register_mechanism(
-    "nuat", params=NUATConfig, order=20,
-    description="refresh-age-binned activation timings "
-                "(Shin et al., HPCA 2014)")
+@register_mechanism("nuat", params=NUATConfig, order=20)
 def _build_nuat(ctx: MechanismContext, overrides) -> NUAT:
     if ctx.refresh_scheduler is None:
         raise ValueError(

@@ -73,7 +73,6 @@ class RegisteredMechanism:
     params_type: Optional[type]
     aliases: Mapping[str, str]
     order: int
-    description: str
 
     def defaults(self):
         """A params instance holding the registered defaults."""
@@ -99,8 +98,7 @@ _TERM_RE = re.compile(r"^\s*(?P<name>[^()\s]+)\s*(?:\((?P<params>.*)\))?\s*$",
 
 def register_mechanism(name: str, *, params: Optional[type] = None,
                        aliases: Optional[Mapping[str, str]] = None,
-                       order: int = _DEFAULT_ORDER,
-                       description: str = ""):
+                       order: int = _DEFAULT_ORDER):
     """Class/function decorator registering a mechanism factory.
 
     The decorated callable is invoked as ``factory(ctx, overrides)``
@@ -148,7 +146,7 @@ def register_mechanism(name: str, *, params: Optional[type] = None,
                 f"spec/cache-key material and must be unique)")
         _REGISTRY[name] = RegisteredMechanism(
             name=name, factory=factory, params_type=params,
-            aliases=alias_map, order=order, description=description)
+            aliases=alias_map, order=order)
         return factory
 
     return decorator

@@ -73,12 +73,6 @@ class LatencyMechanism:
         self.lookups = 0
         self.hits = 0
 
-    # ------------------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class DefaultTiming(LatencyMechanism):
     """Explicit alias of the baseline (every ACT at default timings)."""
@@ -134,8 +128,7 @@ class CombinedMechanism(LatencyMechanism):
             mechanism.reset_stats()
 
 
-@register_mechanism("none", order=0,
-                    description="unmodified baseline controller")
+@register_mechanism("none", order=0)
 def _build_none(ctx, overrides):
     del overrides
     return DefaultTiming(ctx.timing)

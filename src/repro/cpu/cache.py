@@ -81,8 +81,6 @@ class SharedCache:
         self.load_misses = 0
         self.store_hits = 0
         self.store_misses = 0
-        self.writebacks = 0
-        self.mshr_merges = 0
 
     # ------------------------------------------------------------------
     # Core-facing accesses (each computes its line's set and tag:
@@ -107,7 +105,6 @@ class SharedCache:
         waiters = self._mshrs.get(line_address)
         if waiters is not None:
             waiters.append((core_id, token))
-            self.mshr_merges += 1
             return True
         self._mshrs[line_address] = [(core_id, token)]
         request = Request(line_address, RequestType.READ, core_id)
@@ -168,7 +165,6 @@ class SharedCache:
         victim_line = victim_tag * self.num_sets + set_idx
         request = Request(victim_line, RequestType.WRITE, core_id)
         self.mapper.decode_into(request)
-        self.writebacks += 1
         self._send_write(request, must_park=True)
 
     # ------------------------------------------------------------------
@@ -217,10 +213,6 @@ class SharedCache:
     # Introspection
     # ------------------------------------------------------------------
 
-    def contains(self, line_address: int) -> bool:
-        return line_address // self.num_sets \
-            in self.sets[line_address % self.num_sets]
-
     def hit_rate(self) -> float:
         accesses = (self.load_hits + self.load_misses
                     + self.store_hits + self.store_misses)
@@ -232,5 +224,3 @@ class SharedCache:
         self.load_misses = 0
         self.store_hits = 0
         self.store_misses = 0
-        self.writebacks = 0
-        self.mshr_merges = 0

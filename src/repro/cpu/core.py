@@ -81,7 +81,6 @@ class Core:
         self._next_token = 0
         self.mshr_used = 0
         # Statistics.
-        self.stall_cycles = 0
         self.finished = False
         self.finish_cycle: Optional[int] = None
         self.stats_start_cycle = 0
@@ -268,7 +267,6 @@ class Core:
                 self.finish_cycle = self.now
         if self.now < target_cycle:
             # Blocked: only time passes.
-            self.stall_cycles += target_cycle - self.now
             self.now = target_cycle
 
     # ------------------------------------------------------------------
@@ -279,6 +277,5 @@ class Core:
         """Restart IPC accounting at ``cycle`` (end of warmup)."""
         self.stats_start_cycle = cycle
         self._stats_start_retired = self.retired
-        self.stall_cycles = 0
         self.finished = False
         self.finish_cycle = None

@@ -535,7 +535,6 @@ class System:
         idles = self.config.idle_finished_cores and self._warmed
         for core in cores:
             if core.now < cpu and not (idles and core.finished):
-                core.stall_cycles += cpu - core.now
                 core.now = cpu
 
     def _reset_stats(self, cpu_now: int, mem: int) -> None:

@@ -32,7 +32,6 @@ class RefreshScheduler:
     def __init__(self, timing: TimingParameters, num_ranks: int,
                  rows_per_bank: int, enabled: bool = True):
         self.timing = timing
-        self.num_ranks = num_ranks
         self.rows_per_bank = rows_per_bank
         self.enabled = enabled
 
@@ -50,7 +49,6 @@ class RefreshScheduler:
         #: Earliest due cycle over all ranks (``NEVER`` when disabled):
         #: the controller's O(1) "no refresh due yet" test.
         self.first_due = timing.tREFI if enabled else NEVER
-        self.refreshes_issued = [0] * num_ranks
 
     # ------------------------------------------------------------------
     # Scheduling queries
@@ -71,7 +69,6 @@ class RefreshScheduler:
         self._next_due[rank] += self.timing.tREFI
         if self.enabled:
             self.first_due = min(self._next_due)
-        self.refreshes_issued[rank] += 1
 
     # ------------------------------------------------------------------
     # Refresh-age queries (used by NUAT and the RLTL profiler)

@@ -1,27 +1,19 @@
 """Result tables: a small frame over run rows, and the store query.
 
-A :class:`Frame` is a table of per-run rows (spec axes + result
-metrics) with declarative filter/group/average verbs.  The figures do
-not use it — each figure's reducer looks its points up by spec (see
-:mod:`repro.harness.experiments`); the frame serves cross-sweep
-analytics over stored results:
-
-* rows are plain dicts (spec :meth:`~repro.harness.spec.RunSpec.axes`
-  columns plus :data:`METRIC_COLUMNS`),
-* arithmetic is plain ``sum(values) / len(values)`` over rows in
-  first-seen order,
-* :meth:`Frame.to_pandas` hands the same rows to pandas **when it is
-  installed** — the toolchain here has no hard pandas dependency, so
-  the import is gated and everything else works without it.
+A :class:`Frame` is a table of per-run rows with one verb,
+:meth:`Frame.where`.  Each row is a plain dict: the spec's
+:meth:`~repro.harness.spec.RunSpec.axes` columns plus
+:data:`METRIC_COLUMNS`.  The figures do not use it (each figure's
+reducer looks its points up by spec, see
+:mod:`repro.harness.experiments`).
 
 :func:`store_frame` builds one straight from a store directory,
-*without* executing anything: analytics over everything the store
-holds (the CLI's ``query`` command renders it).
+*without* executing anything: the CLI's ``query`` command renders it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cpu.system import RunResult
 from repro.harness import cache as run_cache
@@ -37,29 +29,18 @@ METRIC_COLUMNS = ("total_ipc", "row_hit_rate", "mechanism_hit_rate",
 class Frame:
     """A small in-memory table of result rows (see module doc).
 
-    ``rows`` is a sequence of plain dicts; ``columns`` defaults to the
-    union of row keys in first-seen order.  All derived frames share
-    the parent's row dicts (rows are treated as immutable records).
+    ``rows`` is a sequence of plain dicts; a derived frame shares its
+    parent's row dicts (rows are treated as immutable records).
     """
 
-    def __init__(self, rows: Iterable[Dict],
-                 columns: Optional[Sequence[str]] = None):
+    def __init__(self, rows: Iterable[Dict]):
         self.rows: List[Dict] = list(rows)
-        if columns is None:
-            seen: Dict[str, bool] = {}
-            for row in self.rows:
-                for name in row:
-                    seen[name] = True
-            columns = list(seen)
-        self.columns = list(columns)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __iter__(self):
         return iter(self.rows)
-
-    # -- relational verbs ----------------------------------------------
 
     def where(self, predicate: Optional[Callable[[Dict], bool]] = None,
               **equals) -> "Frame":
@@ -73,73 +54,7 @@ class Frame:
             if predicate is not None and not predicate(row):
                 continue
             out.append(row)
-        return Frame(out, self.columns)
-
-    def column(self, name: str) -> List:
-        return [row.get(name) for row in self.rows]
-
-    def mean(self, name: str) -> float:
-        """Plain ``sum/len`` over the column's non-absent values, in
-        row order — the figure loops' accumulation, verbatim."""
-        values = [row[name] for row in self.rows if name in row]
-        return sum(values) / len(values) if values else 0.0
-
-    def groupby(self, keys: Sequence[str]) -> "GroupBy":
-        return GroupBy(self, list(keys))
-
-    # -- exits ----------------------------------------------------------
-
-    def to_records(self) -> List[Dict]:
-        """Rows as ``{column: value}`` dicts in column order."""
-        return [{column: row.get(column) for column in self.columns}
-                for row in self.rows]
-
-    def to_pandas(self):
-        """The same table as a ``pandas.DataFrame``.
-
-        pandas is an optional dependency of this toolchain; the
-        import happens here and nowhere else, and a missing install
-        raises with a pointer to the pure-python equivalents.
-        """
-        try:
-            import pandas
-        except ImportError as exc:
-            raise RuntimeError(
-                "pandas is not installed; Frame.where/groupby/mean "
-                "cover the built-in aggregations without it"
-            ) from exc
-        return pandas.DataFrame(self.to_records(),
-                                columns=self.columns)
-
-
-class GroupBy:
-    """Deferred group-wise aggregation over a :class:`Frame`."""
-
-    def __init__(self, frame: Frame, keys: List[str]):
-        self.keys = keys
-        self._groups: Dict[tuple, List[Dict]] = {}
-        for row in frame.rows:
-            group = tuple(row.get(key) for key in keys)
-            self._groups.setdefault(group, []).append(row)
-
-    def __len__(self) -> int:
-        return len(self._groups)
-
-    def groups(self) -> Dict[tuple, Frame]:
-        """Group key tuple → member frame, first-seen group order."""
-        return {group: Frame(rows)
-                for group, rows in self._groups.items()}
-
-    def mean(self, *columns: str) -> Frame:
-        """One row per group: key columns plus each column's mean."""
-        out = []
-        for group, rows in self._groups.items():
-            row = dict(zip(self.keys, group))
-            member = Frame(rows)
-            for column in columns:
-                row[column] = member.mean(column)
-            out.append(row)
-        return Frame(out, self.keys + list(columns))
+        return Frame(out)
 
 
 # ----------------------------------------------------------------------

@@ -65,8 +65,10 @@ from repro.stats.reuse import RowReuseProfiler
 from repro.stats.rltl import RLTLProbe
 
 #: Bump whenever the envelope or RunResult JSON layout changes shape;
-#: old entries then read as misses instead of mis-parsing.
-SCHEMA_VERSION = 1
+#: old entries then read as misses instead of mis-parsing.  Version 2
+#: decodes only what this code writes: a version-1 envelope from older
+#: code is a miss, and ``gc`` reports it as stale.
+SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -169,23 +171,11 @@ def config_to_json(cfg: SimulationConfig) -> Dict:
     return dataclasses.asdict(cfg)
 
 
-def _known(block: type, data: Dict) -> Dict:
-    """``data`` without the keys ``block`` no longer has."""
-    names = {f.name for f in dataclasses.fields(block)}
-    return {key: value for key, value in data.items() if key in names}
-
-
 def config_from_json(data: Dict) -> SimulationConfig:
-    """Rebuild a stored config.  Keys the current config no longer has
-    (older envelopes carry an ``"execution"`` block, a ``"nuat"`` and a
-    ``"chargecache"`` block, ``"seed"``, ``"temperature_c"``,
-    ``dram.bus_freq_mhz`` and ``processor.retire_width``) are ignored,
-    so stores written by older code stay readable."""
     return SimulationConfig(
-        processor=ProcessorConfig(**_known(ProcessorConfig,
-                                           data["processor"])),
+        processor=ProcessorConfig(**data["processor"]),
         cache=CacheConfig(**data["cache"]),
-        dram=DRAMConfig(**_known(DRAMConfig, data["dram"])),
+        dram=DRAMConfig(**data["dram"]),
         controller=ControllerConfig(**data["controller"]),
         mechanism=data["mechanism"],
         instruction_limit=data["instruction_limit"],
@@ -218,9 +208,6 @@ def _rltl_to_json(probe: RLTLProbe) -> Dict:
 
 
 def _rltl_from_json(data: Dict) -> RLTLProbe:
-    """The probe of ``data``; keys it does not name (the
-    ``cold_activations`` and ``gap_sum_cycles`` of older envelopes) are
-    ignored."""
     probe = RLTLProbe(_CodecTiming(data["tck_ns"]),
                       intervals_ms=tuple(data["intervals_ms"]),
                       time_scale=data["time_scale"])
@@ -294,11 +281,11 @@ def result_to_json(result: RunResult) -> Dict:
 
 def result_from_json(data: Dict) -> RunResult:
     kwargs = {name: data[name] for name in _PLAIN_FIELDS}
-    rltl = data.get("rltl")
-    reuse = data.get("reuse")
+    rltl = data["rltl"]
+    reuse = data["reuse"]
     return RunResult(
         config=config_from_json(data["config"]),
-        extra=dict(data.get("extra") or {}),
+        extra=dict(data["extra"]),
         rltl=_rltl_from_json(rltl) if rltl else None,
         reuse=_reuse_from_json(reuse) if reuse else None,
         **kwargs,
@@ -329,15 +316,12 @@ class RunCache:
 
     Thread- and process-safe by construction: reads never lock (a
     corrupt or in-flight file is a miss) and writes are atomic renames.
-    ``hits``/``misses``/``stores``/``failed_puts`` count this
-    instance's traffic for progress reporting.
+    ``failed_puts`` counts this instance's failed writes, so only the
+    first one warns.
     """
 
     def __init__(self, root: Optional[str] = None):
         self.root = os.path.abspath(root or default_cache_dir())
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
         self.failed_puts = 0
 
     def path_for(self, key: str) -> str:
@@ -346,17 +330,12 @@ class RunCache:
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or None (any failure = miss)."""
         envelope = self.get_envelope(key)
-        result = None
-        if envelope is not None:
-            try:
-                result = result_from_json(envelope["result"])
-            except (ValueError, KeyError, TypeError, AttributeError):
-                pass
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
+        if envelope is None:
+            return None
+        try:
+            return result_from_json(envelope["result"])
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return None
 
     def get_envelope(self, key: str) -> Optional[Dict]:
         """The raw envelope dict for ``key``, or None (failure = miss).
@@ -408,11 +387,7 @@ class RunCache:
             except OSError:
                 pass
             raise
-        self.stores += 1
         return path
-
-    def contains(self, key: str) -> bool:
-        return os.path.exists(self.path_for(key))
 
     def _directory_now(self) -> float:
         """"Now" according to the cache directory's own clock.

@@ -62,10 +62,6 @@ class SweepPoint:
     #: ``System.run_batch``; the id never feeds cache keys.
     batch_group: Optional[str] = None
 
-    @property
-    def cached(self) -> bool:
-        return self.source != "computed"
-
 
 class SweepError(RuntimeError):
     """A sweep point failed; carries the offending spec."""
@@ -83,10 +79,6 @@ class Sweep:
     def __init__(self, points: List[SweepPoint], jobs: int):
         self.points = points
         self.jobs = jobs
-
-    @property
-    def results(self) -> List[RunResult]:
-        return [p.result for p in self.points]
 
     def _unique_points(self) -> List[SweepPoint]:
         """One point per distinct spec (duplicates execute only once)."""

@@ -63,7 +63,6 @@ class Scenario:
     ranks_per_channel: int = 1
     standard: str = "DDR3-1600"
     row_policy: str = "open"
-    description: str = ""
 
     def validate(self) -> None:
         if not self.name or any(c.isspace() for c in self.name):
@@ -156,7 +155,6 @@ def _scaling_platform(cores: int, ranks: int) -> Scenario:
         ranks_per_channel=ranks,
         standard="DDR3-1600",
         row_policy="open" if cores == 1 else "closed",
-        description=f"{cores}-core DDR3-1600, {ranks} rank(s)/channel",
     )
 
 
@@ -179,7 +177,6 @@ for _std in sorted(PRESETS):
             ranks_per_channel=1,
             standard=_std,
             row_policy="open" if _cores == 1 else "closed",
-            description=f"{_cores}-core {_std}",
         ))
 
 for _scen in _CURATED:

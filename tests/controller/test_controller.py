@@ -114,13 +114,13 @@ class TestReadLatency:
             run_until(mc, lambda: d2, start=r1.done_cycle)
             r3, d3 = read_at(mc, 3, row=7, cycle=r2.done_cycle)
             run_until(mc, lambda: d3, start=r2.done_cycle)
-            return r3.done_cycle - r3.enqueue_cycle, r3
+            return r3.done_cycle - r3.enqueue_cycle, mc
 
-        base_latency, base_req = conflict_latency(DefaultTiming(T))
+        base_latency, base_mc = conflict_latency(DefaultTiming(T))
         cc = ChargeCache(T, ChargeCacheConfig(), num_cores=1)
-        cc_latency, cc_req = conflict_latency(cc)
-        assert cc_req.act_was_hit
-        assert not base_req.act_was_hit
+        cc_latency, cc_mc = conflict_latency(cc)
+        assert cc_mc.stats.act_reduced == 1
+        assert base_mc.stats.act_reduced == 0
         assert base_latency - cc_latency == 4  # tRCD reduction
 
 
@@ -137,7 +137,7 @@ class TestWrites:
         w2.channel, w2.rank, w2.bank, w2.row, w2.column = 0, 0, 0, 0, 0
         mc.enqueue_write(w2, 0)
         assert len(mc.write_q) == 1
-        assert mc.write_q.coalesced == 1
+        assert w2 not in mc.write_q.items
 
     def test_read_forwarded_from_write_queue(self):
         mc = make_controller()
@@ -210,7 +210,7 @@ class TestMechanismWiring:
         run_until(mc, lambda: d1)
         r2, d2 = read_at(mc, 2, row=8, cycle=r1.done_cycle)
         run_until(mc, lambda: d2, start=r1.done_cycle)
-        assert cc.insertions == 1  # row 7 inserted when precharged
+        assert len(cc.tables[0]) == 1  # row 7 inserted when precharged
         r3, d3 = read_at(mc, 3, row=7, cycle=r2.done_cycle)
         run_until(mc, lambda: d3, start=r2.done_cycle)
         assert cc.hits == 1

@@ -50,7 +50,7 @@ class TestIndexing:
         q = RequestQueue(8)
         q.push(write_request(7), 0)
         assert q.coalesce_write(7)
-        assert q.coalesced == 1
+        assert len(q) == 1
         assert not q.coalesce_write(8)
 
     def test_read_does_not_coalesce(self):

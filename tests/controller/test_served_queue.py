@@ -50,7 +50,7 @@ def test_drain_latch_samples_lengths_at_ticks():
     mc.tick(cycle + 1)
     assert mc._drain_writes
     assert mc._served is mc.write_q
-    assert read.issue_cycle < 0
+    assert read in mc.read_q.items
 
 
 class _ReselectEveryCall(MemoryController):

@@ -37,13 +37,13 @@ class TestMechanism:
     def test_hot_device_never_hits(self):
         mech = ALDRAM(DDR3_1600, temperature_c=85.0)
         assert mech.on_activate(0, 0, 1, 0, 0) is None
-        assert mech.hit_rate == 0.0
+        assert mech.hits == 0
 
     def test_cool_device_always_hits(self):
         mech = ALDRAM(DDR3_1600, temperature_c=55.0)
         timings = mech.on_activate(0, 0, 1, 0, 0)
         assert timings is not None
-        assert mech.hit_rate == 1.0
+        assert mech.hits == mech.lookups == 1
 
     def test_aldram_weaker_than_chargecache_hit(self):
         """A ChargeCache hit row (1 ms old) is always at least as

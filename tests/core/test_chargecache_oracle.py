@@ -43,9 +43,6 @@ class ReferenceHCRAC:
             [0] * associativity for _ in range(self.num_sets)]
         self._use_counter = 0
         self._valid = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     def _index(self, key: int) -> Tuple[int, int]:
         set_idx = key & (self.num_sets - 1)
@@ -79,12 +76,10 @@ class ReferenceHCRAC:
                 break
         if victim is None:
             victim = min(range(self.associativity), key=lambda w: stamps[w])
-            self.evictions += 1
         else:
             self._valid += 1
         tags[victim] = tag
         stamps[victim] = self._use_counter
-        self.insertions += 1
 
     def invalidate_entry(self, entry_index: int) -> bool:
         if not 0 <= entry_index < self.entries:
@@ -94,7 +89,6 @@ class ReferenceHCRAC:
             return False
         self._tags[set_idx][way] = None
         self._valid -= 1
-        self.invalidations += 1
         return True
 
     def clear(self) -> None:
@@ -161,7 +155,6 @@ class ReferenceChargeCache(ChargeCache):
             table.insert(key, cycle)
         else:
             table.insert(key)
-        self.insertions += 1
 
     def next_wake(self, cycle):
         del cycle
@@ -172,19 +165,17 @@ class ReferenceChargeCache(ChargeCache):
 
 
 def table_state(table) -> tuple:
-    counters = (table.insertions, table.evictions, table.invalidations,
-                len(table))
     if isinstance(table, (HCRAC, ReferenceHCRAC)):
-        return (counters, table.valid_count, table._use_counter,
+        return (len(table), table.valid_count, table._use_counter,
                 table._tags, table._stamp)
-    return counters, dict(table._inserted_at)
+    return len(table), dict(table._inserted_at)
 
 
 def mechanism_state(mech) -> tuple:
     invalidators = [None if inv is None else
-                    (inv.entry_counter, inv._last_cycle, inv.sweeps)
+                    (inv.entry_counter, inv._last_cycle)
                     for inv in mech.invalidators]
-    return (mech.lookups, mech.hits, mech.insertions, mech._next_wrap,
+    return (mech.lookups, mech.hits, mech._next_wrap,
             invalidators, [table_state(t) for t in mech.tables])
 
 

@@ -68,11 +68,12 @@ class TestLRU:
         assert cache.lookup(0, touch=False)
         assert not cache.lookup(2, touch=False)
 
-    def test_eviction_counter(self):
+    def test_evicted_key_misses(self):
         cache = HCRAC(entries=2, associativity=2)
         for key in range(3):
             cache.insert(key * 2)  # all map to set 0
-        assert cache.evictions == 1
+        assert len(cache) == 2
+        assert not cache.lookup(0, touch=False)
 
 
 class TestInvalidation:
@@ -145,14 +146,13 @@ class TestUnbounded:
         cache.insert(1, 0)
         cache.lookup(1, 500)
         assert len(cache) == 0
-        assert cache.invalidations == 1
 
     def test_no_capacity_evictions(self):
         cache = UnboundedHCRAC(10 ** 9)
         for key in range(10_000):
             cache.insert(key, 0)
         assert len(cache) == 10_000
-        assert cache.evictions == 0
+        assert all(cache.lookup(key, 0) for key in range(10_000))
 
     def test_bad_duration(self):
         with pytest.raises(ValueError):

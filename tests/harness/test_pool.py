@@ -64,7 +64,8 @@ class TestDeterminism:
         runner.clear_caches()
         parallel = execute_sweep(SWEEP, jobs=4)
         assert [p.spec for p in parallel.points] == SWEEP
-        for ser, par in zip(serial.results, parallel.results):
+        for ser, par in zip((p.result for p in serial.points),
+                            (p.result for p in parallel.points)):
             assert par.ipcs == ser.ipcs
             assert par.mem_cycles == ser.mem_cycles
             assert par.instructions == ser.instructions
@@ -146,7 +147,8 @@ class TestSerialParallelEquivalenceViaCodec:
         runner.clear_memo()
         disk = execute_sweep(SWEEP[:2], jobs=1)
         assert all(p.source == "disk" for p in disk.points)
-        for a, b in zip(parallel.results, disk.results):
+        for a, b in zip((p.result for p in parallel.points),
+                        (p.result for p in disk.points)):
             assert a.ipcs == b.ipcs
             assert a.mem_cycles == b.mem_cycles
             assert a.config == b.config

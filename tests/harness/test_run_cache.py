@@ -213,39 +213,6 @@ class TestKeyClassification:
 
 
 class TestResultCodec:
-    def test_config_from_older_envelopes(self):
-        """Envelopes written before the run settings had one source
-        carry keys the config no longer has; they read back as the
-        same config."""
-        cfg = runner.build_config("ddr4-2400-c1", "chargecache+nuat")
-        data = json.loads(json.dumps(cache.config_to_json(cfg)))
-        data.update(seed=1, temperature_c=85.0,
-                    nuat={"bin_edges_ms": [6.0, 16.0, 32.0, 48.0, 64.0]},
-                    chargecache={"entries": 128, "associativity": 2,
-                                 "caching_duration_ms": 1.0,
-                                 "trcd_reduction_cycles": 6,
-                                 "tras_reduction_cycles": 12,
-                                 "sharing": "per-core", "unbounded": False,
-                                 "time_scale": 8.0})
-        data["dram"]["bus_freq_mhz"] = 1200.0
-        data["processor"]["retire_width"] = 4
-        assert cache.config_from_json(data) == cfg
-
-    def test_rltl_from_older_envelopes(self):
-        """Envelopes written while the RLTL probe still kept
-        ``cold_activations`` and ``gap_sum_cycles`` read back as the
-        same probe."""
-        from repro.dram.timing import DDR3_1600
-        from repro.stats.rltl import RLTLProbe
-        probe = RLTLProbe(DDR3_1600, time_scale=64.0)
-        probe.on_precharge(0, 0, 0, 5, 0)
-        probe.on_activate(0, 0, 0, 5, 100)
-        probe.on_activate(0, 0, 0, 6, 200)
-        data = json.loads(json.dumps(cache._rltl_to_json(probe)))
-        data.update(cold_activations=1, gap_sum_cycles=100)
-        restored = cache._rltl_from_json(data)
-        assert cache._rltl_to_json(restored) == cache._rltl_to_json(probe)
-
     def test_round_trip_fidelity(self, bound_cache):
         fresh = runner.run_spec(SPEC)
         assert fresh.rltl is not None
@@ -284,6 +251,21 @@ class TestResultCodec:
         assert restored.median_reuse_distance() == \
             profiler.median_reuse_distance()
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("dram", "bus_freq_mhz", 800.0),
+        ("processor", "retire_width", 4),
+    ])
+    def test_config_rejects_a_field_it_does_not_write(self, block, field,
+                                                      value):
+        """The decoder reads only what ``config_to_json`` writes: a
+        field older code wrote is an error, not silently dropped."""
+        cfg = runner.build_config("ddr4-2400-c1", "chargecache+nuat")
+        data = json.loads(json.dumps(cache.config_to_json(cfg)))
+        assert cache.config_from_json(data) == cfg
+        data[block][field] = value
+        with pytest.raises(TypeError, match=field):
+            cache.config_from_json(data)
+
 
 class TestRunCacheStore:
     def test_persists_across_instances(self, tmp_path):
@@ -299,27 +281,40 @@ class TestRunCacheStore:
         assert key in again.keys()
         assert len(again) == 1
 
-    def test_envelope_with_legacy_execution_block_still_reads(
-            self, tmp_path):
-        """Envelopes written while ``SimulationConfig`` still carried an
-        ``execution`` block decode, and ``query`` still lists them."""
+    def test_schema_one_envelope_is_a_miss_everywhere(self, tmp_path,
+                                                      capsys):
+        """An envelope written by older code (schema 1, with the
+        ``execution`` block and ``dram.bus_freq_mhz`` that code wrote)
+        is a miss for ``get``, absent from ``store_frame`` and
+        ``query``, and stale for ``cache gc``."""
+        from repro.harness import cli
         from repro.harness.aggregate import store_frame
         store = RunCache(str(tmp_path))
-        result = runner._execute_spec(SPEC)
-        key = cache_key(SPEC)
-        store.put(key, SPEC, result)
-        with open(store.path_for(key)) as fh:
+        current_key = cache_key(SPEC)
+        store.put(current_key, SPEC, runner._execute_spec(SPEC))
+        with open(store.path_for(current_key)) as fh:
             envelope = json.load(fh)
-        envelope["result"]["config"]["execution"] = {
-            "jobs": None, "cache_dir": None, "use_run_cache": True}
-        with open(store.path_for(key), "w") as fh:
+        old_key = "1" * 64
+        envelope.update(schema=1, key=old_key)
+        config = envelope["result"]["config"]
+        config["execution"] = {"jobs": None, "cache_dir": None,
+                               "use_run_cache": True}
+        config["dram"]["bus_freq_mhz"] = 800.0
+        with open(store.path_for(old_key), "w") as fh:
             json.dump(envelope, fh)
-        restored = result_from_json(envelope["result"])
-        assert restored.config == result.config
-        assert restored.ipcs == result.ipcs
-        rows = store_frame(store).rows
-        assert [row["key"] for row in rows] == [key]
-        assert rows[0]["total_ipc"] == result.total_ipc
+        assert store.keys() == sorted([current_key, old_key])
+
+        assert store.get(old_key) is None
+        assert [row["key"] for row in store_frame(store)] == [current_key]
+        capsys.readouterr()
+        assert cli.main(["query", "--cache-dir", store.root,
+                         "--csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2  # header, 1 row
+        assert cli.main(["cache", "gc", "--dry-run",
+                         "--cache-dir", store.root]) == 0
+        stale = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("stale ")]
+        assert stale == [f"stale {old_key}  (schema 1 != 2)"]
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         store = RunCache(str(tmp_path))
@@ -328,7 +323,6 @@ class TestRunCacheStore:
         with open(store.path_for(key), "w") as fh:
             fh.write("{not json at all")
         assert store.get(key) is None
-        assert store.misses == 1
 
     def test_non_object_json_is_a_miss(self, tmp_path):
         store = RunCache(str(tmp_path))
@@ -360,6 +354,20 @@ class TestRunCacheStore:
         envelope["schema"] = cache.SCHEMA_VERSION + 1
         with open(path, "w") as fh:
             json.dump(envelope, fh)
+        assert store.get(key) is None
+
+    def test_undecodable_current_envelope_is_a_miss(self, tmp_path):
+        """A current-schema envelope whose config the strict decoder
+        rejects is a miss for ``get``, not an exception."""
+        store = RunCache(str(tmp_path))
+        key = cache_key(SPEC)
+        path = store.put(key, SPEC, runner._execute_spec(SPEC))
+        with open(path) as fh:
+            envelope = json.load(fh)
+        envelope["result"]["config"]["dram"]["bus_freq_mhz"] = 800.0
+        with open(path, "w") as fh:
+            json.dump(envelope, fh)
+        assert store.get_envelope(key) is not None
         assert store.get(key) is None
 
     def test_missing_entry_is_a_miss(self, tmp_path):

@@ -207,7 +207,7 @@ def _drive_and_audit_bids(num_ranks: int, timing, seed: int,
     rng = np.random.default_rng(seed)
 
     def observable_state():
-        return (controller._issue_count, controller._forward_count,
+        return (controller._issue_count, controller.stats.forwards,
                 len(controller.read_events))
 
     bid = 1

@@ -1,30 +1,45 @@
-"""Ratchet: every public def, class and property in ``src/repro`` is
-reached from outside the test suite.
+"""Ratchet: everything ``src/repro`` defines is reached from outside
+the test suite.
 
-A name only tests call is surface the program carries for its tests
-alone.  This scan finds each public function, class, method and
-property defined under ``src/repro`` and looks for its name as an
-identifier in the code that is not a test: ``src`` itself,
-``benchmarks``, ``examples``, ``perfbench``, the CI workflow and the
-README.  Rules:
+A name only tests reach is surface the program carries for its tests
+alone.  The non-test code is ``src`` itself, ``benchmarks``,
+``examples``, ``perfbench``, the CI workflow and the README.  Three
+checks scan it:
 
-* A name's own definition, docstrings and comments are not uses.
-* Package ``__init__`` re-exports are not uses.
-* A name inside a non-docstring string literal is a use (the perfbench
-  tracer and ``getattr`` reach methods by name).
-* A def under a registering decorator (anything but ``property``,
-  ``staticmethod``, ``classmethod``, ``setter``, ``dataclass`` and the
-  like) is used: the registry calls it.
+* **Defs.**  Each public function, class, method and property defined
+  under ``src/repro`` must appear as an identifier in the non-test
+  code.  A name's own definition, docstrings and comments are not
+  uses, nor are package ``__init__`` re-exports.  A name inside a
+  non-docstring string literal is a use (the perfbench tracer and
+  ``getattr`` reach methods by name).  A def under a registering
+  decorator (anything but ``property``, ``staticmethod``,
+  ``classmethod``, ``setter``, ``dataclass`` and the like) is used:
+  the registry calls it.
+* **Methods.**  A public method or property must be reached as
+  ``.<name>`` or as a ``"<name>"`` string (``"Class.name"`` and
+  ``"module:Class"`` paths count per part).  A bare identifier does
+  not count, so a method named like a common local variable
+  (``mean``, ``column``) is not kept alive by that variable.
+* **Attributes.**  Each ``self.<attr>`` assigned under ``src/repro``
+  must be read somewhere in the non-test Python: loaded as
+  ``.<attr>`` or named in a string.  Writes do not count: neither
+  ``x.attr = ...``, ``x.attr += ...`` nor ``x.attr[i] = ...``, nor
+  the strings of a ``__slots__``.  Attributes are matched by name, so
+  a counter that shares its name with a read attribute of another
+  class (``hits``) is not caught.
 
 A name that fails must either gain a use outside ``tests/``, be
 deleted (an oracle moves into its test), or go on :data:`ALLOWED`
-with the reason it stays.  A stale :data:`ALLOWED` entry fails too.
+with the reader or test that keeps it.  A stale :data:`ALLOWED` entry
+fails too.
 """
 
 import ast
 import functools
 import os
 import re
+
+import pytest
 
 import repro
 
@@ -51,6 +66,19 @@ ALLOWED = {
     "eight_core_config": "Table 1's eight-core system, the library "
                          "pair of single_core_config (which "
                          "examples/quickstart.py uses)",
+    "_issue_count": "MemoryController's issued-command count: the "
+                    "exact command budgets of tests/integration/"
+                    "test_wake_bids.py and the action audit of "
+                    "test_scenario_matrix.py",
+    "snapshots": "FRFCFSScheduler's readiness-snapshot count: an exact "
+                 "budget in tests/integration/test_wake_bids.py",
+    "forwards": "ControllerStats' write-queue forwards: the read "
+                "conservation check of tests/controller/"
+                "test_controller_fuzz.py (RD issued + forwards == "
+                "reads enqueued)",
+    "line_no": "TraceFormatError's line number: error information "
+               "for callers that catch it (tests/workloads/"
+               "test_ingest_formats.py)",
 }
 
 #: Decorators that do not register the decorated callable anywhere.
@@ -59,6 +87,11 @@ _PLAIN_DECORATORS = frozenset({
     "abstractmethod", "contextmanager", "cached_property", "lru_cache",
 })
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: A string that names code: ``"name"``, ``"Class.name"``,
+#: ``"module:Class"``.
+_NAME_PATH = re.compile(r"[A-Za-z_][\w.:]*")
+#: ``.name`` and ``"name"`` in text (the README, the CI workflow).
+_TEXT_MEMBER = re.compile(r"\.([A-Za-z_]\w*)|\"([A-Za-z_][\w.:]*)\"")
 
 
 def _decorator_name(node) -> str:
@@ -148,6 +181,89 @@ def _scan():
             frozenset(defined))
 
 
+def _members(tree):
+    """(public method names, ``self.<attr>`` names assigned) of the
+    classes in ``tree``."""
+    methods, assigned = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)) \
+                        and not child.name.startswith("_") \
+                        and all(_decorator_name(d) in _PLAIN_DECORATORS
+                                for d in child.decorator_list):
+                    methods.add(child.name)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "self" \
+                and isinstance(node.ctx, ast.Store):
+            assigned.add(node.attr)
+    return methods, assigned
+
+
+def _member_uses(tree, reached, read):
+    """Add to ``reached`` every ``.name`` and name-path string, and to
+    ``read`` every attribute load that is not the base of a subscript
+    write, plus the same strings (``__slots__`` excluded)."""
+    docs = {id(node) for node in _docstrings(tree)}
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign,
+                             ast.Delete)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                if isinstance(target, ast.Subscript):
+                    skip.add(id(target.value))
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in node.targets):
+                skip.update(id(n) for n in ast.walk(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            reached.add(node.attr)
+            if isinstance(node.ctx, ast.Load) and id(node) not in skip:
+                read.add(node.attr)
+        elif isinstance(node, ast.Constant) and \
+                isinstance(node.value, str) and id(node) not in docs \
+                and id(node) not in skip \
+                and _NAME_PATH.fullmatch(node.value):
+            parts = re.split(r"[.:]", node.value)
+            reached.update(parts)
+            read.update(parts)
+
+
+def _text_members(text, reached):
+    for attr, string in _TEXT_MEMBER.findall(text):
+        reached.update([attr] if attr else re.split(r"[.:]", string))
+
+
+@functools.lru_cache(maxsize=None)
+def _member_scan():
+    """(unreached methods, write-only attributes)."""
+    methods, assigned, reached, read = set(), set(), set(), set()
+    for top in (SRC, os.path.join(ROOT, "benchmarks"),
+                os.path.join(ROOT, "examples"),
+                os.path.join(ROOT, "perfbench")):
+        for path in _files(top, (".py", ".json", ".md", ".yml", ".txt")):
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            if not path.endswith(".py"):
+                _text_members(text, reached)
+                continue
+            tree = ast.parse(text, path)
+            if top == SRC:
+                found_methods, found_assigned = _members(tree)
+                methods |= found_methods
+                assigned |= found_assigned
+            _member_uses(tree, reached, read)
+    for path in (os.path.join(ROOT, ".github", "workflows", "ci.yml"),
+                 os.path.join(ROOT, "README.md")):
+        with open(path, encoding="utf-8") as fh:
+            _text_members(fh.read(), reached)
+    return frozenset(methods - reached), frozenset(assigned - read)
+
+
 def test_no_public_name_is_reached_only_from_tests():
     unused, _ = _scan()
     unexplained = sorted(unused - set(ALLOWED))
@@ -157,9 +273,87 @@ def test_no_public_name_is_reached_only_from_tests():
         f"with a reason): {unexplained}")
 
 
+def test_no_method_is_reached_only_from_tests():
+    unreached, _ = _member_scan()
+    unexplained = sorted(unreached - set(ALLOWED))
+    assert not unexplained, (
+        "public methods in src/repro that no non-test file reaches as "
+        "`.name` or `\"name\"` (delete them, or add them to ALLOWED with "
+        f"the reader or test that keeps them): {unexplained}")
+
+
+def test_no_attribute_is_written_only():
+    _, write_only = _member_scan()
+    unexplained = sorted(write_only - set(ALLOWED))
+    assert not unexplained, (
+        "self.<attr> assigned in src/repro and never read outside "
+        "tests/ (delete the state, or add it to ALLOWED with the "
+        f"reader or test that keeps it): {unexplained}")
+
+
 def test_allowlist_is_current_and_explained():
-    unused, defined = _scan()
-    stale = sorted(name for name in ALLOWED
-                   if name not in defined or name not in unused)
+    unused, _ = _scan()
+    unreached, write_only = _member_scan()
+    stale = sorted(set(ALLOWED) - (unused | unreached | write_only))
     assert not stale, f"ALLOWED entries now used or gone: {stale}"
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+# ----------------------------------------------------------------------
+# The member scan's own rules, on hand-written modules
+# ----------------------------------------------------------------------
+
+_COUNTER = '''
+class Counter:
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+'''
+
+_TABLE = '''
+class Table:
+    def mean(self):
+        return 0.0
+'''
+
+
+def _verdict(source):
+    """(unreached methods, write-only attributes) of one module."""
+    tree = ast.parse(source)
+    methods, assigned = _members(tree)
+    reached, read = set(), set()
+    _member_uses(tree, reached, read)
+    return methods - reached, assigned - read
+
+
+@pytest.mark.parametrize("use", [
+    "c.n = 5",
+    "c.n += 1",
+    "c.n[0] = 1",
+    "del c.n[0]",
+    'def f(c):\n    """n"""',
+], ids=["assign", "augassign", "subscript-store", "subscript-delete",
+        "docstring"])
+def test_writes_slots_and_docstrings_are_not_reads(use):
+    assert _verdict(_COUNTER + use + "\n")[1] == {"n"}
+
+
+@pytest.mark.parametrize("use", [
+    "print(c.n)",
+    "x = c.n[0]",
+    'getattr(c, "n")',
+    'PATH = "Counter.n"',
+], ids=["load", "subscript-load", "getattr-string", "dotted-string"])
+def test_loads_and_name_strings_are_reads(use):
+    assert _verdict(_COUNTER + use + "\n")[1] == set()
+
+
+@pytest.mark.parametrize("use, unreached", [
+    ("mean = 1.0\nprint(mean)", {"mean"}),
+    ('def f(t):\n    """mean"""', {"mean"}),
+    ("t.mean()", set()),
+    ('HOOK = "repro.table:Table.mean"', set()),
+], ids=["bare-identifier", "docstring", "attribute", "name-path"])
+def test_a_method_is_reached_only_as_attribute_or_name(use, unreached):
+    assert _verdict(_TABLE + use + "\n")[0] == unreached
