@@ -40,7 +40,6 @@ from repro.config import (
     eight_core_config,
 )
 from repro.core.registry import (
-    canonical_spec,
     mechanism_names,
     parse_mechanism_spec,
     register_mechanism,
@@ -66,7 +65,6 @@ __all__ = [
     "NUATConfig",
     "single_core_config",
     "eight_core_config",
-    "canonical_spec",
     "mechanism_names",
     "parse_mechanism_spec",
     "register_mechanism",

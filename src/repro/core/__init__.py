@@ -12,7 +12,6 @@ mechanisms it is evaluated against.
 from repro.core.registry import (
     MechanismContext,
     MechanismSpec,
-    canonical_spec,
     mechanism_names,
     parse_mechanism_spec,
     register_mechanism,
@@ -34,7 +33,6 @@ __all__ = [
     "MechanismContext",
     "MechanismSpec",
     "build_mechanism_spec",
-    "canonical_spec",
     "mechanism_names",
     "parse_mechanism_spec",
     "register_mechanism",

@@ -443,21 +443,29 @@ def fill_params(text: Union[str, MechanismSpec], name: str,
         _normalized_term(registered(name), values)).canonical()
 
 
-def canonical_spec(text: Union[str, MechanismSpec]) -> str:
-    """The canonical string form of any valid spec."""
-    return parse_mechanism_spec(text).canonical()
-
-
 # ----------------------------------------------------------------------
 # Harness shorthand normalization
 # ----------------------------------------------------------------------
+
+def refuse_time_scale(mechanism: str) -> None:
+    """Raise if ``mechanism`` writes a chargecache ``time_scale``.
+
+    That parameter belongs to the run's scale (``Scale.cc_time_scale``,
+    which the harness writes into the built config), so a spec may not
+    write it, not even at its default.
+    """
+    if "time_scale" in written_params(mechanism).get("chargecache", {}):
+        raise ValueError(
+            f"chargecache time_scale is set by the run scale "
+            f"(cc_time_scale); spec {mechanism!r} may not write it")
+
 
 def extract_run_params(mechanism: str,
                        cc_entries: Optional[int] = None,
                        cc_duration_ms: Optional[float] = None,
                        cc_unbounded: bool = False
                        ) -> Tuple[str, Optional[int], Optional[float], bool]:
-    """Normalize a spec plus legacy ChargeCache shorthand knobs.
+    """Normalize a spec plus the ChargeCache shorthand knobs.
 
     Returns ``(canonical_mechanism, cc_entries, cc_duration_ms,
     cc_unbounded)`` where inline ``entries``/``duration_ms``/
@@ -470,10 +478,9 @@ def extract_run_params(mechanism: str,
     contradicts an inline parameter raises ``ValueError`` — except
     when the inline value equals the registered default, which (being
     an identity, already dropped at parse time) yields to the
-    shorthand.  A shorthand argument no term can read raises too:
-    ``cc_entries``/``cc_unbounded`` without a chargecache term, or
-    ``cc_duration_ms`` without a chargecache or lldram term, would
-    key a distinct run that simulates the same as the bare spec.
+    shorthand.  A shorthand argument without a chargecache term to
+    read it raises too: it would key a distinct run that simulates
+    the same as the bare spec.
 
     When the term also carries parameters *without* a shorthand home
     (``associativity``, ``sharing``, ...), nothing is folded: the
@@ -484,21 +491,10 @@ def extract_run_params(mechanism: str,
     would re-validate each half against the registered defaults and
     reject a perfectly valid spec.
 
-    An lldram term's inline ``duration_ms`` folds the same way — but
-    only when no chargecache term competes for the shorthand fields.
-    In the degenerate ``chargecache+lldram`` composition an inline
-    lldram duration therefore stays inline (distinct cache key from the
-    keyword spelling; behaviour identical either way).
-
-    A chargecache ``time_scale`` belongs to the run's scale
-    (``Scale.cc_time_scale``, which the harness writes into the built
-    config), so a spec that writes one raises, even at its default.
+    A chargecache ``time_scale`` raises (:func:`refuse_time_scale`).
     """
     spec = parse_mechanism_spec(mechanism)
-    if "time_scale" in written_params(mechanism).get("chargecache", {}):
-        raise ValueError(
-            f"chargecache time_scale is set by the run scale "
-            f"(cc_time_scale); spec {mechanism!r} may not write it")
+    refuse_time_scale(mechanism)
     # Coerce the shorthand through the field types the spec grammar
     # uses, so cc_duration_ms=4 and duration_ms=4.0 spellings of one
     # run cannot hash apart.
@@ -511,34 +507,11 @@ def extract_run_params(mechanism: str,
                  "unbounded": cc_unbounded or None}
     term = spec.term("chargecache")
     if term is None:
-        lterm = spec.term("lldram")
-        if cc_entries is not None or cc_unbounded:
+        if any(value is not None for value in shorthand.values()):
             raise ValueError(
-                f"cc_entries/cc_unbounded size a chargecache term; "
-                f"spec {spec.canonical()!r} has none")
-        if cc_duration_ms is not None and lterm is None:
-            raise ValueError(
-                f"cc_duration_ms sets the caching duration of a "
-                f"chargecache or lldram term; spec "
-                f"{spec.canonical()!r} has neither")
-        if cc_duration_ms == registered("lldram").defaults() \
-                .caching_duration_ms:
-            cc_duration_ms = None
-        if lterm is not None:
-            inline = lterm.overrides.get("caching_duration_ms")
-            if inline is not None:
-                if cc_duration_ms is not None and inline != cc_duration_ms:
-                    raise ValueError(
-                        f"lldram parameter 'caching_duration_ms' given "
-                        f"twice with conflicting values: {inline!r} "
-                        f"inline vs {cc_duration_ms!r} via keyword/spec "
-                        f"field")
-                # Fold into the shorthand home so "lldram(duration_ms=4)"
-                # and ("lldram", cc_duration_ms=4) are one run, one
-                # cache key.
-                cc_duration_ms = inline
-                spec = spec.replace_term(MechanismTerm(name="lldram"))
-        return spec.canonical(), None, cc_duration_ms, False
+                f"cc_entries/cc_duration_ms/cc_unbounded set a "
+                f"chargecache term; spec {spec.canonical()!r} has none")
+        return spec.canonical(), None, None, False
 
     entry = registered("chargecache")
     overrides = term.overrides
@@ -564,18 +537,6 @@ def extract_run_params(mechanism: str,
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-
-def default_context(timing=None, num_cores: int = 1) -> MechanismContext:
-    """A context sufficient to build any registered mechanism with its
-    defaults (used by the registry-completeness guard and the shim
-    coverage check in CI)."""
-    from repro.dram.refresh import RefreshScheduler
-    from repro.dram.timing import DDR3_1600
-    timing = timing if timing is not None else DDR3_1600
-    refresh = RefreshScheduler(timing, 1, 64 * 1024)
-    return MechanismContext(timing=timing, num_cores=num_cores,
-                            refresh_scheduler=refresh)
-
 
 def build(spec: Union[str, MechanismSpec], ctx: MechanismContext):
     """Instantiate a mechanism spec against a context.

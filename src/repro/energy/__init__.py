@@ -8,7 +8,6 @@
 """
 
 from repro.energy.drampower import (
-    DDR3PowerParameters,
     EnergyBreakdown,
     PowerParameters,
     access_rate_for_run,
@@ -27,7 +26,6 @@ from repro.energy.mcpat import (
 )
 
 __all__ = [
-    "DDR3PowerParameters",
     "EnergyBreakdown",
     "PowerParameters",
     "access_rate_for_run",

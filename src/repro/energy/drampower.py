@@ -86,11 +86,6 @@ class PowerParameters:
                 f"IDD2N ({self.idd2n_ma} mA)")
 
 
-#: Backward-compatible alias: the original model was DDR3-only and the
-#: class defaults still describe that device.
-DDR3PowerParameters = PowerParameters
-
-
 @dataclass
 class EnergyBreakdown:
     """Per-component DRAM energy for one run, in picojoules."""

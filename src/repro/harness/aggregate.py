@@ -17,6 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cpu.system import RunResult
 from repro.harness import cache as run_cache
+from repro.harness import scenarios
 from repro.harness.spec import RunSpec, spec_from_payload
 
 #: Scalar result metrics surfaced as frame columns.
@@ -70,15 +71,9 @@ def point_row(spec: RunSpec, result: RunResult) -> Dict:
 
 
 def spec_standard(spec: RunSpec) -> str:
-    """The DRAM standard ``spec`` resolves to (a queryable axis).
-
-    Scenario runs carry it in the scenario registry; the paper's fixed
-    single/eight/alone platforms are all DDR3-1600.
-    """
-    if spec.kind == "scenario":
-        from repro.harness import scenarios
-        return scenarios.scenario(spec.scenario).standard
-    return "DDR3-1600"
+    """The DRAM standard of the platform ``spec`` runs on (a queryable
+    axis)."""
+    return scenarios.platform(spec.scenario or spec.kind).standard
 
 
 def store_frame(source, **filters) -> Frame:

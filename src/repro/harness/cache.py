@@ -17,11 +17,11 @@ simply unreachable under the new fingerprint.  :meth:`RunCache.gc`
 pruning every envelope whose recorded fingerprint no longer matches
 the current sources; ``RunCache.clear`` wipes the directory outright.
 
-The spec payload hashed into the key is canonical
-(:meth:`~repro.harness.spec.RunSpec.key_payload` normalizes the
-mechanism through :mod:`repro.core.registry`), so order-permuted
-compositions — ``"nuat+chargecache"`` vs ``"chargecache+nuat"`` — and
-parameterized spellings of one run share a single entry.
+The spec payload hashed into the key is canonical (a
+:class:`~repro.harness.spec.RunSpec` normalizes itself when built), so
+order-permuted compositions — ``"nuat+chargecache"`` vs
+``"chargecache+nuat"`` — and parameterized spellings of one run share
+a single entry.
 
 Layout (DESIGN.md section 4)::
 

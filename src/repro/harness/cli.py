@@ -457,25 +457,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parse_mechanism_spec(spec)
             except ValueError as exc:
                 parser.error(f"--mechanisms: {exc}")  # usage + exit 2
-        aware = [name for name in sorted(figures)
-                 if "mechanisms" in figures[name].params]
-        if args.experiment not in aware + ["all"]:
-            print(f"warning: --mechanisms is ignored by "
-                  f"{args.experiment} (honoured by: "
-                  f"{', '.join(aware)})", file=sys.stderr)
-    if args.workloads is not None and args.experiment != "all" \
-            and not figures[args.experiment].modes:
-        aware = [name for name in sorted(figures) if figures[name].modes]
-        print(f"warning: --workloads is ignored by {args.experiment} "
-              f"(honoured by: {', '.join(aware)})", file=sys.stderr)
     if args.traces is not None:
         import os
         for path in args.traces:
             if not os.path.isfile(path):
                 parser.error(f"--traces: no such file: {path}")
-        if args.experiment not in ("calibrate", "all"):
-            print(f"warning: --traces is ignored by {args.experiment} "
-                  f"(honoured by: calibrate)", file=sys.stderr)
+    # --mechanisms and --traces override the entries' own params of
+    # the same name.
+    overrides = {"mechanisms": args.mechanisms, "traces": args.traces}
+    for key, value in overrides.items():
+        aware = [name for name in sorted(figures)
+                 if key in figures[name].params]
+        if value is not None and args.experiment not in aware + ["all"]:
+            print(f"warning: --{key} is ignored by {args.experiment} "
+                  f"(honoured by: {', '.join(aware)})", file=sys.stderr)
+    if args.workloads is not None and args.experiment != "all" \
+            and not figures[args.experiment].modes:
+        aware = [name for name in sorted(figures) if figures[name].modes]
+        print(f"warning: --workloads is ignored by {args.experiment} "
+              f"(honoured by: {', '.join(aware)})", file=sys.stderr)
     # Each entry runs on the part of --workloads its modes know; a
     # name no entry knows is a usage error.
     plan = {name: experiments.workloads_for(name, args.workloads)
@@ -492,8 +492,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # One whole value per call, defaults included, so in-process calls
     # never inherit an earlier call's flags (tests drive main()
     # repeatedly).
-    runner.set_execution(_execution(args, use_run_cache=not args.no_cache,
-                                    calibration_traces=args.traces))
+    runner.set_execution(_execution(args, use_run_cache=not args.no_cache))
     scale = _scale(args)
 
     if args.experiment == "all":
@@ -502,7 +501,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # sweeps below then hit the memo and fork nothing, so workers
         # never idle between figures.
         shared = experiments.prefetch_experiments(list(plan), args.workloads,
-                                                  scale, args.mechanisms)
+                                                  scale, **overrides)
         from repro.harness.report import render_cache_annotation
         note = render_cache_annotation(shared.annotation())
         if note:
@@ -511,7 +510,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, workloads in plan.items():
         result = experiments.run(
             name, workloads, scale,
-            **experiments.mechanism_params(name, args.mechanisms))
+            **experiments.override_params(name, **overrides))
         results[name] = result
         print(render_experiment(result))
         print()

@@ -814,17 +814,10 @@ def bundled_fixture_traces() -> List[str]:
     return []
 
 
-def calibration_traces() -> List[str]:
-    """The trace files the next ``calibrate`` will replay:
-    ``runner.execution.calibration_traces`` (the CLI's ``--traces``),
-    else the bundled fixtures.  The entry's sweep and its reducer both
-    read it, so they always agree on the trace set."""
-    paths = runner.execution.calibration_traces
-    return list(paths) if paths is not None else bundled_fixture_traces()
-
-
-def _calibrate_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
-    """Baseline + ChargeCache replay of every calibration trace.
+def _calibrate_specs(workloads: Names, scale: Scale,
+                     traces: Optional[Sequence[str]]) -> List[RunSpec]:
+    """Baseline + ChargeCache replay of every calibration trace
+    (``traces``, None = the bundled fixtures).
 
     The synthetic-workload half of ``calibrate`` is a pure trace-level
     analysis (no simulation), so only the trace replays appear in the
@@ -832,8 +825,14 @@ def _calibrate_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
     """
     del workloads
     return [trace_spec(path, mech, scale)
-            for path in calibration_traces()
+            for path in _trace_paths(traces)
             for mech in ("none", "chargecache")]
+
+
+def _trace_paths(traces: Optional[Sequence[str]]) -> List[str]:
+    """The trace files ``calibrate`` replays: ``traces`` (the CLI's
+    ``--traces``), else the bundled fixtures."""
+    return list(traces) if traces is not None else bundled_fixture_traces()
 
 
 #: Uniform calibrate-row key set (CSV columns come from the first row).
@@ -851,7 +850,8 @@ def _calibrate_row(**values) -> Dict:
     return row
 
 
-def _calibrate(points: Points, workloads: Names, scale: Scale) -> Dict:
+def _calibrate(points: Points, workloads: Names, scale: Scale,
+               traces: Optional[Sequence[str]]) -> Dict:
     """Workload fingerprint calibration (DESIGN.md section 2).
 
     Two halves, one table:
@@ -865,7 +865,7 @@ def _calibrate(points: Points, workloads: Names, scale: Scale) -> Dict:
       .REFERENCE_FINGERPRINTS` mean the same thing at every ``--scale``)
       and reported as signed deltas with an ok/drift status.
     * **trace rows** — each calibration trace (bundled golden fixtures
-      by default, ``Execution.calibration_traces`` to override) is
+      by default, the ``traces`` parameter to override) is
       fingerprinted the same way *and* replayed through the full
       simulator (baseline + ChargeCache, at ``scale``), so the
       trace-level model and the simulated system sit side by side.
@@ -883,7 +883,7 @@ def _calibrate(points: Points, workloads: Names, scale: Scale) -> Dict:
     )
     names = list(workloads) if workloads is not None \
         else list(WORKLOAD_NAMES)
-    traces = calibration_traces()
+    traces = _trace_paths(traces)
     rows = []
     for name in names:
         fp = fingerprint_workload(name)
@@ -1008,7 +1008,8 @@ FIGURES: Dict[str, Figure] = {
     "sec63": Figure(_sec63, _sec63_specs, {"mix": "w1"}),
     "table1": Figure(_table1),
     "table2": Figure(_table2),
-    "calibrate": Figure(_calibrate, _calibrate_specs, {}, ("single",)),
+    "calibrate": Figure(_calibrate, _calibrate_specs, {"traces": None},
+                        ("single",)),
     "scaling": Figure(_scaling, _scaling_specs, {}, BOTH_MODES),
     "standards": Figure(_standards, _standards_specs, {}, BOTH_MODES),
     "energy": Figure(_energy, _energy_specs, {}, BOTH_MODES),
@@ -1029,22 +1030,22 @@ def workloads_for(name: str, workloads: Names) -> Optional[List[str]]:
             if any(w in _mode_names(mode) for mode in modes)]
 
 
-def mechanism_params(name: str,
-                     mechanisms: Optional[Sequence[str]]) -> Dict:
-    """What a custom mechanism set overrides on entry ``name``: its
-    ``mechanisms`` if it compares mechanisms, else nothing."""
-    if mechanisms is None or "mechanisms" not in FIGURES[name].params:
-        return {}
-    return {"mechanisms": tuple(mechanisms)}
+def override_params(name: str, **overrides) -> Dict:
+    """What command-line overrides change on entry ``name``: each
+    override given (not None) that the entry declares among its
+    params, as a tuple — ``mechanisms`` on the entries that compare
+    mechanisms, ``traces`` on ``calibrate``."""
+    params = FIGURES[name].params
+    return {key: tuple(value) for key, value in overrides.items()
+            if value is not None and key in params}
 
 
 def declared_specs(names: Sequence[str], workloads: Names = None,
                    scale: Optional[Scale] = None,
-                   mechanisms: Optional[Sequence[str]] = None
-                   ) -> List[RunSpec]:
+                   **overrides) -> List[RunSpec]:
     """The deduplicated union of the named entries' sweeps, each over
     its :func:`workloads_for` part of ``workloads`` and with
-    ``mechanisms`` swapped in where :func:`mechanism_params` says."""
+    ``overrides`` swapped in where :func:`override_params` says."""
     scale = scale or current_scale()
     specs: List[RunSpec] = []
     for name in names:
@@ -1052,15 +1053,14 @@ def declared_specs(names: Sequence[str], workloads: Names = None,
         mine = workloads_for(name, workloads)
         if figure.sweep is None or mine == []:
             continue
-        params = {**figure.params, **mechanism_params(name, mechanisms)}
+        params = {**figure.params, **override_params(name, **overrides)}
         specs += figure.sweep(workloads=mine, scale=scale, **params)
     return dedupe_specs(specs)
 
 
 def prefetch_experiments(names: Sequence[str], workloads: Names = None,
                          scale: Optional[Scale] = None,
-                         mechanisms: Optional[Sequence[str]] = None
-                         ) -> pool.Sweep:
+                         **overrides) -> pool.Sweep:
     """Execute the named entries' :func:`declared_specs` through ONE
     shared pool.
 
@@ -1070,4 +1070,4 @@ def prefetch_experiments(names: Sequence[str], workloads: Names = None,
     afterwards find every point in the runner memo and fork nothing.
     """
     return pool.execute_sweep(
-        declared_specs(names, workloads, scale, mechanisms))
+        declared_specs(names, workloads, scale, **overrides))

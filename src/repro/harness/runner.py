@@ -6,9 +6,8 @@ Centralises:
   simulator cannot.  :class:`Scale` (see :mod:`repro.harness.spec`)
   holds the instruction budgets and the time-scale used for RLTL
   intervals and ChargeCache invalidation pacing (see DESIGN.md).  The
-  environment variables ``REPRO_SCALE`` (float multiplier on
-  instruction budgets) and ``REPRO_FULL=1`` (8x budgets) adjust every
-  experiment uniformly.
+  environment variable ``REPRO_SCALE`` (float multiplier on
+  instruction budgets) adjusts every experiment uniformly.
 * **Config construction** - one builder, :func:`build_config`, for
   every platform of :mod:`repro.harness.scenarios`; the paper's
   single-core (1 channel, open-row) and eight-core (2 channels,
@@ -21,7 +20,7 @@ Centralises:
   recomputed by every experiment; the persistent layer extends the
   same guarantee across processes, pool workers and CI reruns.
 * **Execution** - how runs execute (pool width, store, engine,
-  progress, calibration traces) is one frozen
+  progress) is one frozen
   :class:`Execution` value, :data:`execution`.  Entry points install a
   whole value with :func:`set_execution`; tests and embedders scope
   changes with :func:`executing`.
@@ -54,7 +53,7 @@ from repro.harness.spec import (  # noqa: F401  (re-exported API)
     Scale,
     current_scale,
 )
-from repro.workloads.mixes import MIX_NAMES, make_mix_traces, mix_composition
+from repro.workloads.mixes import make_mix_traces, mix_composition
 # The benchmark tracer wraps both trace builders by their names here.
 from repro.workloads.spec_like import make_trace  # noqa: F401
 
@@ -75,8 +74,6 @@ class Execution:
       ``REPRO_NO_CACHE=1`` disables it regardless.
     * ``engine`` - simulation engine of specs built without one.
     * ``progress`` - per-point sweep callback ``(done, total, point)``.
-    * ``calibration_traces`` - trace files ``calibrate`` replays
-      (``None`` = the bundled golden fixtures).
     """
 
     jobs: Optional[int] = None
@@ -84,7 +81,6 @@ class Execution:
     use_run_cache: bool = True
     engine: str = DEFAULT_ENGINE
     progress: Optional[Callable] = None
-    calibration_traces: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.jobs is not None and self.jobs < 0:
@@ -92,9 +88,6 @@ class Execution:
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if self.calibration_traces is not None:
-            object.__setattr__(self, "calibration_traces",
-                               tuple(self.calibration_traces))
 
 
 #: The current execution; replace it whole with :func:`set_execution`.
@@ -153,9 +146,6 @@ def _resolve_engine(engine: Optional[str]) -> str:
 
 def build_config(platform: str, mechanism: str,
                  scale: Optional[Scale] = None, *,
-                 cc_entries: Optional[int] = None,
-                 cc_duration_ms: Optional[float] = None,
-                 cc_unbounded: bool = False,
                  row_policy: Optional[str] = None,
                  engine: Optional[str] = None) -> SimulationConfig:
     """A validated configuration for one run on ``platform``.
@@ -171,28 +161,18 @@ def build_config(platform: str, mechanism: str,
 
     ``mechanism`` is a registry spec: plain names, ``+``-compositions
     and inline parameter overrides (``"chargecache(entries=256)+nuat"``)
-    are all accepted and normalized.  The ChargeCache keyword knobs
-    cover the capacity (Fig. 9/10) and caching-duration (Fig. 11)
-    sweeps and are interchangeable with the equivalent inline
-    parameters.  The config's mechanism spec is the one home of the
-    run's mechanism parameters: it gets the knobs written back inline
-    where the spec does not write its own value, and a chargecache
-    term gets ``time_scale=scale.cc_time_scale``, which the spec may
-    not write.  The duration selects the paper's Table 2 derating on
-    the standard (:func:`repro.dram.standards.derated_reduction_cycles`).
+    are all accepted.  The config's mechanism spec is the one home of
+    the run's mechanism parameters: a chargecache term gets
+    ``time_scale=scale.cc_time_scale``, which the spec may not write.
+    A term's duration selects the paper's Table 2 derating on the
+    standard (:func:`repro.dram.standards.derated_reduction_cycles`).
     """
     from repro.core import registry
-    mechanism, cc_entries, cc_duration_ms, cc_unbounded = \
-        registry.extract_run_params(mechanism, cc_entries,
-                                    cc_duration_ms, cc_unbounded)
+    registry.refuse_time_scale(mechanism)
     scen = scenarios.platform(platform)
     scale = scale or current_scale()
     mechanism = registry.fill_params(mechanism, "chargecache", {
-        "entries": cc_entries, "caching_duration_ms": cc_duration_ms,
-        "unbounded": cc_unbounded or None,
         "time_scale": scale.cc_time_scale})
-    mechanism = registry.fill_params(
-        mechanism, "lldram", {"caching_duration_ms": cc_duration_ms})
     cfg = SimulationConfig(
         processor=ProcessorConfig(num_cores=scen.num_cores),
         dram=DRAMConfig(channels=scen.channels,
@@ -212,57 +192,19 @@ def build_config(platform: str, mechanism: str,
 
 
 # ----------------------------------------------------------------------
-# Spec construction (normalisation lives here so that experiments,
-# the pool and direct run_spec calls all produce byte-identical keys)
+# Spec construction (a RunSpec normalizes itself; the constructors only
+# fill in the ambient scale and engine)
 # ----------------------------------------------------------------------
 
 def _build_spec(kind: str, name: str, mechanism: str,
                 scale: Optional[Scale], engine: Optional[str],
                 **kwargs) -> RunSpec:
-    """Normalise scale/engine/mechanism into a concrete spec (single
-    source of truth, so every entry path produces byte-identical cache
-    keys).
-
-    The mechanism spec is canonicalized through the registry: terms
-    sorted into canonical order, inline chargecache
-    ``entries``/``duration_ms``/``unbounded`` parameters folded into
-    the dedicated RunSpec fields (merging with — and conflict-checked
-    against — the legacy ``cc_*`` keyword arguments), so
-    ``"nuat+chargecache(entries=256)"`` and ``("chargecache+nuat",
-    cc_entries=256)`` are one spec, one memo entry, one cache key.
-
-    The platform is canonicalized too, so one simulation has one
-    spec: a scenario point on the paper's single-core platform is the
-    "single" spec of its one application, one on the eight-core
-    platform running a mix is the "eight" spec, and a ``row_policy``
-    equal to the platform's own is dropped.  A scenario point naming
-    an unknown scenario or workload fails here, at declaration time,
-    not inside a pool worker mid-sweep.
-    """
-    from repro.core import registry
-    mechanism, cc_entries, cc_duration_ms, cc_unbounded = \
-        registry.extract_run_params(mechanism,
-                                    kwargs.pop("cc_entries", None),
-                                    kwargs.pop("cc_duration_ms", None),
-                                    kwargs.pop("cc_unbounded", False))
-    scen = kwargs.get("scenario")
-    if kind == "scenario":
-        apps = scenarios.scenario_workload_names(
-            scenarios.scenario(scen), name)
-        if scen == scenarios.KIND_PLATFORMS["single"]:
-            kind, name, scen = "single", apps[0], None
-        elif scen == scenarios.KIND_PLATFORMS["eight"] \
-                and name in MIX_NAMES:
-            kind, scen = "eight", None
-        kwargs["scenario"] = scen
-    if kwargs.get("row_policy") == \
-            scenarios.platform(scen or kind).row_policy:
-        kwargs["row_policy"] = None
+    """A spec with the ambient defaults filled in: the current scale
+    and the execution's engine.  Every spec constructor funnels
+    through here; :class:`RunSpec` itself canonicalizes the rest."""
     return RunSpec(kind=kind, name=name, mechanism=mechanism,
                    scale=scale or current_scale(),
-                   engine=_resolve_engine(engine),
-                   cc_entries=cc_entries, cc_duration_ms=cc_duration_ms,
-                   cc_unbounded=cc_unbounded, **kwargs)
+                   engine=_resolve_engine(engine), **kwargs)
 
 
 def workload_spec(name: str, mechanism: str = "none",
@@ -450,12 +392,15 @@ def run_spec(spec: RunSpec) -> RunResult:
 
 def _spec_config(spec: RunSpec) -> SimulationConfig:
     """The :class:`SimulationConfig` one spec resolves to: its
-    platform's :func:`build_config`, cut to one core for an alone run
-    (which keeps the eight-core instruction budget)."""
-    cfg = build_config(spec.scenario or spec.kind, spec.mechanism,
-                       spec.scale, cc_entries=spec.cc_entries,
-                       cc_duration_ms=spec.cc_duration_ms,
-                       cc_unbounded=spec.cc_unbounded,
+    platform's :func:`build_config` with the spec's ``cc_*`` fields
+    written inline into its chargecache term, cut to one core for an
+    alone run (which keeps the eight-core instruction budget)."""
+    from repro.core import registry
+    mechanism = registry.fill_params(spec.mechanism, "chargecache", {
+        "entries": spec.cc_entries,
+        "caching_duration_ms": spec.cc_duration_ms,
+        "unbounded": spec.cc_unbounded or None})
+    cfg = build_config(spec.scenario or spec.kind, mechanism, spec.scale,
                        row_policy=spec.row_policy, engine=spec.engine)
     if spec.kind == "alone":
         cfg = replace(cfg, processor=replace(cfg.processor, num_cores=1))
@@ -510,23 +455,12 @@ def _load_trace_records(spec: RunSpec, org: Organization):
     return looped(records)
 
 
-def _spec_rltl(spec: RunSpec) -> Tuple[bool, float]:
-    """(enable_rltl, rltl_time_scale) exactly as each kind always ran:
-    alone runs never attach the probe and keep System's default
-    time-scale, so refactoring must not silently change their keys'
-    results."""
-    if spec.kind == "alone":
-        return False, 1.0
-    return spec.enable_rltl, spec.scale.time_scale
-
-
 def _execute_spec(spec: RunSpec) -> RunResult:
     """Actually simulate one spec (no caching)."""
     cfg = _spec_config(spec)
-    enable_rltl, rltl_time_scale = _spec_rltl(spec)
     system = System(cfg, _spec_traces(spec, cfg),
-                    enable_rltl=enable_rltl,
-                    rltl_time_scale=rltl_time_scale)
+                    enable_rltl=spec.enable_rltl,
+                    rltl_time_scale=spec.scale.time_scale)
     return system.run(max_mem_cycles=spec.scale.max_mem_cycles)
 
 
@@ -553,12 +487,11 @@ def run_spec_batch(specs: Iterable[RunSpec]) -> List[RunResult]:
                 f"specs {specs[0].label()!r} and {spec.label()!r} "
                 "differ outside their mechanism fields")
     configs = [_spec_config(spec) for spec in specs]
-    enable_rltl, rltl_time_scale = _spec_rltl(specs[0])
     results = System.run_batch(
         configs, _spec_traces(specs[0], configs[0]),
         max_mem_cycles=specs[0].scale.max_mem_cycles,
-        enable_rltl=enable_rltl,
-        rltl_time_scale=rltl_time_scale)
+        enable_rltl=specs[0].enable_rltl,
+        rltl_time_scale=specs[0].scale.time_scale)
     for spec, result in zip(specs, results):
         remember(spec, result)
     return results

@@ -101,8 +101,6 @@ class Scale:
 def current_scale() -> Scale:
     """The scale selected by environment variables."""
     scale = Scale()
-    if os.environ.get("REPRO_FULL", "") == "1":
-        scale = scale.scaled(8.0)
     factor = os.environ.get("REPRO_SCALE")
     if factor:
         try:
@@ -130,13 +128,16 @@ class RunSpec:
     ``mechanism`` is a registry spec
     (:func:`repro.core.registry.parse_mechanism_spec`): any
     ``+``-composition of registered mechanisms with inline parameter
-    overrides, validated eagerly here.  The sanctioned constructors in
-    :mod:`repro.harness.runner` store it pre-canonicalized (terms
-    sorted, chargecache's ``entries``/``duration_ms``/``unbounded``
-    folded into the dedicated ``cc_*`` fields below); directly-built
-    specs are canonicalized at cache-key time by :meth:`key_payload`,
-    so order-permuted or inline-parameterized spellings of the same
-    run share one persistent cache entry either way.
+    overrides.
+
+    A spec is canonical once built: :meth:`__post_init__` validates it
+    and stores the one spelling of its simulation, so equal specs are
+    equal simulations and share one memo entry and one cache key.  It
+    sorts the mechanism's terms and folds chargecache's
+    ``entries``/``duration_ms``/``unbounded`` into the ``cc_*`` fields
+    below, turns a ``c1-r1`` point into the "single" spec of its one
+    application and a ``c8-r1`` point on a mix into the "eight" spec,
+    and drops a ``row_policy`` equal to the platform's own.
     """
 
     kind: str
@@ -188,51 +189,59 @@ class RunSpec:
             raise ValueError(
                 f"trace_sha256/trace_path are only meaningful for "
                 f"kind='trace', not kind={self.kind!r}")
-        # Eager mechanism validation: a typo, bad parameter, or an
-        # inline/shorthand conflict fails at declaration time, not
-        # inside a pool worker mid-sweep (or at cache-key time).
+        # Validated here, at declaration time, not inside a pool worker
+        # mid-sweep: a mechanism typo, an unknown scenario or workload.
         from repro.core.registry import extract_run_params
-        canonical = extract_run_params(self.mechanism, self.cc_entries,
-                                       self.cc_duration_ms,
-                                       self.cc_unbounded)
-        if self.kind == "alone" and (
-                canonical != ("none", None, None, False)
-                or self.idle_finished):
+        from repro.harness import scenarios
+        from repro.workloads.mixes import MIX_NAMES
+        mechanism, cc_entries, cc_duration_ms, cc_unbounded = \
+            extract_run_params(self.mechanism, self.cc_entries,
+                               self.cc_duration_ms, self.cc_unbounded)
+        kind, name, scen = self.kind, self.name, self.scenario
+        if kind == "scenario":
+            apps = scenarios.scenario_workload_names(
+                scenarios.scenario(scen), name)
+            if scen == scenarios.KIND_PLATFORMS["single"]:
+                kind, name, scen = "single", apps[0], None
+            elif scen == scenarios.KIND_PLATFORMS["eight"] \
+                    and name in MIX_NAMES:
+                kind, scen = "eight", None
+        row_policy = self.row_policy
+        if row_policy == scenarios.platform(scen or kind).row_policy:
+            row_policy = None
+        if kind == "alone" and (
+                (mechanism, cc_entries, cc_duration_ms, cc_unbounded)
+                != ("none", None, None, False)
+                or self.idle_finished or self.enable_rltl):
             raise ValueError(
                 "alone runs are the baseline weighted-speedup "
                 "denominator: mechanism must be 'none' and "
-                f"idle_finished False, got {self.label()!r}")
+                "idle_finished and enable_rltl False, got "
+                f"{self.label()!r}")
+        for attr, value in (("kind", kind), ("name", name),
+                            ("scenario", scen), ("row_policy", row_policy),
+                            ("mechanism", mechanism),
+                            ("cc_entries", cc_entries),
+                            ("cc_duration_ms", cc_duration_ms),
+                            ("cc_unbounded", cc_unbounded)):
+            object.__setattr__(self, attr, value)
 
     def key_payload(self) -> Dict:
         """JSON-stable dict of every field that defines this run.
 
         This is the *only* sanctioned serialization for cache-key
-        hashing: plain types, field-name keys, scale inlined, and the
-        mechanism normalized to its canonical form (terms in canonical
-        order, chargecache shorthand folded into the ``cc_*`` entries)
-        so every spelling of the same run hashes identically.  Any new
-        RunSpec field automatically lands here (and therefore changes
-        keys), which is the safe failure mode.
+        hashing: plain types, field-name keys and the scale inlined.
+        The fields are canonical already (:meth:`__post_init__`), so
+        every spelling of one run hashes identically.  Any new RunSpec
+        field automatically lands here (and therefore changes keys),
+        which is the safe failure mode.  LOCATION_ONLY fields
+        (``trace_path``) are where bytes happen to live, not what they
+        are; ``trace_sha256`` already commits to the content.
         """
-        from repro.core.registry import extract_run_params
-        payload = {}
-        for f in fields(self):
-            # LOCATION_ONLY fields (trace_path) are where bytes happen
-            # to live, not what they are; trace_sha256 already commits
-            # to the content.  Keying the path would split identical
-            # runs across keys and miss-cache a file that merely
-            # moved.
-            if f.name in LOCATION_ONLY:
-                continue
-            value = getattr(self, f.name)
-            if f.name == "scale":
-                value = {sf.name: getattr(value, sf.name)
-                         for sf in fields(Scale)}
-            payload[f.name] = value
-        (payload["mechanism"], payload["cc_entries"],
-         payload["cc_duration_ms"], payload["cc_unbounded"]) = \
-            extract_run_params(self.mechanism, self.cc_entries,
-                               self.cc_duration_ms, self.cc_unbounded)
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in LOCATION_ONLY}
+        payload["scale"] = {f.name: getattr(self.scale, f.name)
+                            for f in fields(Scale)}
         return payload
 
     def axes(self) -> Dict:
@@ -318,7 +327,8 @@ def spec_from_payload(payload: Dict) -> RunSpec:
     fields are rejected eagerly so a malformed payload fails loudly,
     not inside a pool worker.
     Round-trip is exact: ``spec_from_payload(s.key_payload())`` equals
-    the canonicalized ``s`` and hashes to the same cache key.
+    ``s`` (a trace spec's location-only ``trace_path`` aside) and
+    hashes to the same cache key.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"spec payload must be an object, "

@@ -24,13 +24,17 @@ from repro.core.timing_policy import CombinedMechanism, DefaultTiming
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.standards import derated_reduction_cycles, preset
 from repro.dram.timing import DDR3_1600
+from tests.helpers import default_context
 
 #: The pre-registry fixed mechanism menu.  Cache keys computed before
 #: the registry existed used these spellings, so each must keep
-#: normalizing to itself (CI's examples-and-registry-smoke job checks
-#: the same tuple).
+#: normalizing to itself.
 PRE_REGISTRY_NAMES = ("none", "chargecache", "nuat", "chargecache+nuat",
                       "lldram", "aldram", "chargecache+aldram")
+
+
+def _canonical(spec):
+    return registry.parse_mechanism_spec(spec).canonical()
 
 
 @pytest.fixture
@@ -71,7 +75,7 @@ class TestParseNormalize:
 
     @pytest.mark.parametrize("text,canonical", GOLDEN)
     def test_canonical_golden(self, text, canonical):
-        assert registry.canonical_spec(text) == canonical
+        assert _canonical(text) == canonical
 
     @pytest.mark.parametrize("text,canonical", GOLDEN)
     def test_canonical_round_trips(self, text, canonical):
@@ -91,27 +95,27 @@ class TestParseNormalize:
         spec = registry.MechanismSpec((
             registry.MechanismTerm("nuat"),
             registry.MechanismTerm("chargecache", (("entries", 128),))))
-        assert registry.canonical_spec(spec) == "chargecache+nuat"
-        assert registry.canonical_spec(registry.MechanismSpec((
+        assert _canonical(spec) == "chargecache+nuat"
+        assert _canonical(registry.MechanismSpec((
             registry.MechanismTerm("chargecache", (("entries", 256),)),
         ))) == "chargecache(entries=256)"
         with pytest.raises(ValueError, match="twice"):
-            registry.canonical_spec(registry.MechanismSpec((
+            _canonical(registry.MechanismSpec((
                 registry.MechanismTerm("nuat"),
                 registry.MechanismTerm("nuat"))))
         with pytest.raises(ValueError, match="'none'"):
-            registry.canonical_spec(registry.MechanismSpec((
+            _canonical(registry.MechanismSpec((
                 registry.MechanismTerm("none"),
                 registry.MechanismTerm("nuat"))))
         with pytest.raises(ValueError):
-            registry.canonical_spec(registry.MechanismSpec((
+            _canonical(registry.MechanismSpec((
                 registry.MechanismTerm("chargecache",
                                        (("entries", 0),)),)))
 
     def test_permutations_one_canonical(self):
         import itertools
         names = ("chargecache(entries=64)", "nuat", "aldram")
-        forms = {registry.canonical_spec("+".join(p))
+        forms = {_canonical("+".join(p))
                  for p in itertools.permutations(names)}
         assert len(forms) == 1
 
@@ -159,7 +163,7 @@ class TestParseNormalize:
 
 class TestRegistryCompleteness:
     def test_every_registered_name_constructible_with_defaults(self):
-        ctx = registry.default_context()
+        ctx = default_context()
         for name in registry.mechanism_names():
             mech = registry.build(name, ctx)
             assert mech.name == name
@@ -168,11 +172,11 @@ class TestRegistryCompleteness:
             assert mech.lookups == 1
 
     def test_mechanisms_era_names_resolve_through_registry(self):
-        """CI guard twin: every pre-registry plain name must parse,
-        normalize to itself, and build — shim coverage cannot rot."""
-        ctx = registry.default_context()
+        """Every pre-registry plain name must parse, normalize to
+        itself, and build — shim coverage cannot rot."""
+        ctx = default_context()
         for name in PRE_REGISTRY_NAMES:
-            assert registry.canonical_spec(name) == name
+            assert _canonical(name) == name
             mech = registry.build(name, ctx)
             assert mech.name == name
 
@@ -405,8 +409,10 @@ class TestExtractRunParams:
             ("chargecache(associativity=3,entries=3)", None, None, False)
 
     def test_without_chargecache_term_passthrough(self):
-        assert registry.extract_run_params("lldram", cc_duration_ms=16.0) \
-            == ("lldram", None, 16.0, False)
+        assert registry.extract_run_params("lldram(duration_ms=16)") \
+            == ("lldram(caching_duration_ms=16.0)", None, None, False)
+        with pytest.raises(ValueError, match="chargecache term"):
+            registry.extract_run_params("lldram", cc_duration_ms=16.0)
 
     def test_shorthand_values_coerced_to_grammar_types(self):
         """cc_duration_ms=4 (int) and duration_ms=4.0 inline are one
@@ -417,14 +423,12 @@ class TestExtractRunParams:
         assert registry.extract_run_params(
             "chargecache(duration_ms=4)", cc_duration_ms=4)[2] == 4.0
 
-    def test_lldram_duration_folds_to_the_shorthand_home(self):
-        """Both spellings of an LL-DRAM duration are one run and must
-        land on one cache key; conflicts raise like chargecache's."""
+    def test_lldram_duration_stays_inline(self):
+        """The cc_* fields are chargecache's alone: an LL-DRAM
+        duration has one spelling, inline, and the keyword raises."""
         assert registry.extract_run_params("lldram(duration_ms=4)") == \
-            ("lldram", None, 4.0, False)
-        assert registry.extract_run_params("lldram(duration_ms=4)") == \
-            registry.extract_run_params("lldram", cc_duration_ms=4.0)
-        with pytest.raises(ValueError, match="conflicting"):
+            ("lldram(caching_duration_ms=4.0)", None, None, False)
+        with pytest.raises(ValueError, match="chargecache term"):
             registry.extract_run_params("lldram(duration_ms=4)",
                                         cc_duration_ms=8.0)
 

@@ -24,6 +24,7 @@ from repro.harness.scenarios import scenario_names
 from repro.workloads.synthetic import zipf_trace
 
 from tests.conftest import tiny_config
+from tests.helpers import default_context
 
 
 # ----------------------------------------------------------------------
@@ -317,5 +318,5 @@ class TestReplayStubs:
     def test_fork_for_replay_forks_nothing(self):
         assert "fork_for_replay" in vars(replay)
         mech = registry.build("chargecache",
-                              registry.default_context(num_cores=1))
+                              default_context(num_cores=1))
         assert replay.fork_for_replay(mech, 2) is None

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.energy.drampower import (
-    DDR3PowerParameters,
     PowerParameters,
     access_rate_for_run,
     energy_components,
@@ -17,7 +16,7 @@ from repro.energy.drampower import (
 from repro.dram.standards import PROFILES, profile
 from repro.dram.timing import DDR3_1600
 
-P = DDR3PowerParameters()
+P = PowerParameters()
 
 
 def components(**kwargs):
@@ -103,7 +102,7 @@ class TestStandardPresets:
     def test_ddr3_preset_is_the_legacy_default(self):
         """The pre-profile model hardcoded these values; the DDR3
         profile must keep producing bit-identical energies."""
-        assert profile("DDR3-1600").power == DDR3PowerParameters()
+        assert profile("DDR3-1600").power == PowerParameters()
 
 
 def _billed_as(run, prof):
@@ -148,7 +147,7 @@ class TestRunResolution:
             run.mem_cycles * prof.timing.tCK_ns * 1e-9)
 
     def test_ddr3_resolution_matches_legacy_explicit_call(self):
-        """Pre-change callers passed DDR3_1600 + DDR3PowerParameters()
+        """Pre-change callers passed DDR3_1600 + PowerParameters()
         explicitly; resolving from a DDR3 config must be bit-identical
         (fig8's DDR3 numbers cannot move)."""
         from repro.config import eight_core_config
@@ -159,7 +158,7 @@ class TestRunResolution:
             writes=run.writes, refreshes=run.refreshes,
             rank_active_cycles=run.rank_active_cycles,
             total_rank_cycles=2 * run.mem_cycles,
-            timing=DDR3_1600, power=DDR3PowerParameters())
+            timing=DDR3_1600, power=PowerParameters())
         assert asdict(resolved) == asdict(legacy)
 
     def test_access_rate_uses_own_clock(self):
@@ -180,7 +179,7 @@ class TestValidation:
             components(rank_active_cycles=20_000)
 
     def test_bad_power_parameters_rejected(self):
-        bad = DDR3PowerParameters(idd3n_ma=10.0, idd2n_ma=32.0)
+        bad = PowerParameters(idd3n_ma=10.0, idd2n_ma=32.0)
         with pytest.raises(ValueError):
             components(power=bad)
 

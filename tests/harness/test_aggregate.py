@@ -76,6 +76,17 @@ class TestStoreFrame:
         assert len(aggregate.store_frame(str(tmp_path / "cache"),
                                          standard="DDR4-2400")) == 0
 
+    @pytest.mark.parametrize("spec", [
+        RunSpec(kind="single", name="mcf"),
+        RunSpec(kind="alone", name="mcf"),
+        RunSpec(kind="eight", name="w1"),
+        RunSpec(kind="scenario", name="mcf", scenario="ddr4-2400-c1"),
+        RunSpec(kind="scenario", name="w1", scenario="gddr5-4000-c8")],
+        ids=lambda spec: spec.label())
+    def test_standard_is_the_platform_standard(self, spec):
+        assert aggregate.spec_standard(spec) == \
+            runner._spec_config(spec).dram.standard
+
     def test_corrupt_envelopes_skipped(self, tmp_path):
         pool.execute_sweep(SWEEP[:1])
         disk = runner.active_disk_cache()

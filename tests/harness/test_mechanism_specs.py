@@ -19,9 +19,11 @@ from repro.harness.runner import (
     clear_memo,
     run_spec,
     run_spec_ex,
+    scenario_spec,
     workload_spec,
 )
 from repro.harness.spec import RunSpec
+from tests.helpers import default_context
 
 TINY = Scale(single_core_instructions=2000, multi_core_instructions=1000,
              warmup_cpu_cycles=1000, max_mem_cycles=300_000)
@@ -91,8 +93,8 @@ class TestEndToEnd:
     def test_build_config_accepts_inline_params(self):
         via_spec = build_config("single", "chargecache(entries=256)+nuat",
                                 TINY)
-        via_kwargs = build_config("single", "chargecache+nuat", TINY,
-                                  cc_entries=256)
+        via_kwargs = runner._spec_config(workload_spec(
+            "mcf", "chargecache+nuat", TINY, cc_entries=256))
         assert via_spec == via_kwargs
         # The folded capacity and the scale's time-scale are written
         # back inline: the spec is the mechanism's one input.
@@ -102,13 +104,13 @@ class TestEndToEnd:
     def test_build_config_inline_duration_derives_reductions(self):
         via_spec = build_config("single", "chargecache(duration_ms=16)",
                                 TINY)
-        via_kwargs = build_config("single", "chargecache", TINY,
-                                  cc_duration_ms=16.0)
+        via_kwargs = runner._spec_config(workload_spec(
+            "mcf", "chargecache", TINY, cc_duration_ms=16.0))
         assert via_spec == via_kwargs
         assert chargecache_params(via_spec.mechanism) \
             .caching_duration_ms == 16.0
         mech = registry.build(via_spec.mechanism,
-                              registry.default_context())
+                              default_context())
         assert mech.hit_timings.trcd > DDR3_1600.tRCD - 4
 
     def test_coupled_inline_params_run_through_the_harness(self):
@@ -127,8 +129,8 @@ class TestEndToEnd:
 
     def test_scenario_build_config_accepts_inline_params(self):
         via_spec = build_config("c8-r2", "chargecache(entries=64)", TINY)
-        via_kwargs = build_config("c8-r2", "chargecache", TINY,
-                                  cc_entries=64)
+        via_kwargs = runner._spec_config(scenario_spec(
+            "c8-r2", "w1", "chargecache", TINY, cc_entries=64))
         assert via_spec == via_kwargs
         assert chargecache_params(via_spec.mechanism).entries == 64
 

@@ -21,6 +21,7 @@ from repro.harness.runner import (
     workload_spec,
 )
 from repro.harness.spec import RunSpec
+from tests.helpers import default_context
 
 TINY = Scale(single_core_instructions=2000, multi_core_instructions=1000,
              warmup_cpu_cycles=1000, max_mem_cycles=300_000)
@@ -59,11 +60,6 @@ class TestScale:
         assert current_scale().single_core_instructions == \
             2 * Scale().single_core_instructions
 
-    def test_env_full(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert current_scale().single_core_instructions == \
-            8 * Scale().single_core_instructions
-
 
 class TestBuildConfig:
     def test_single_mode(self):
@@ -82,19 +78,21 @@ class TestBuildConfig:
             build_config("dual", "none", TINY)
 
     def test_duration_selects_reductions(self):
-        cfg1 = build_config("single", "chargecache", TINY,
-                            cc_duration_ms=1.0)
-        cfg16 = build_config("single", "chargecache", TINY,
-                             cc_duration_ms=16.0)
-        ctx = registry.default_context()
+        cfg1 = build_config("single", "chargecache(duration_ms=1)", TINY)
+        cfg16 = build_config("single", "chargecache(duration_ms=16)",
+                             TINY)
+        ctx = default_context()
         assert registry.build(cfg1.mechanism, ctx).hit_timings == \
             DDR3_1600.reduced_by(4, 8)
         assert registry.build(cfg16.mechanism, ctx).hit_timings.trcd > \
             DDR3_1600.tRCD - 4
 
     def test_capacity_override(self):
-        cfg = build_config("single", "chargecache", TINY, cc_entries=512)
+        cfg = build_config("single", "chargecache(entries=512)", TINY)
         assert chargecache_params(cfg.mechanism).entries == 512
+        assert runner._spec_config(workload_spec(
+            "mcf", "chargecache", TINY, cc_entries=512)).mechanism == \
+            cfg.mechanism
 
     def test_row_policy_override(self):
         cfg = build_config("single", "none", TINY, row_policy="closed")
@@ -106,14 +104,26 @@ class TestBuildConfig:
     @pytest.mark.parametrize("mechanism", [
         "none", "chargecache", "nuat", "lldram", "chargecache+nuat"])
     def test_paper_kinds_are_their_scenarios(self, mechanism, knobs):
-        for kind, scen in (("single", "c1-r1"), ("eight", "c8-r1")):
+        """A paper kind and its scenario spelling are one spec and one
+        config, whose chargecache term carries the spec's knobs."""
+        for kind, scen, name in (("single", "c1-r1", "mcf"),
+                                 ("eight", "c8-r1", "w1")):
+            fields = dict(name=name, mechanism=mechanism, scale=TINY,
+                          **knobs)
             try:
-                expected = build_config(scen, mechanism, TINY, **knobs)
+                spec = RunSpec(kind=kind, **fields)
             except ValueError:  # a knob no term of the spec reads
                 with pytest.raises(ValueError, match="term"):
-                    build_config(kind, mechanism, TINY, **knobs)
+                    RunSpec(kind="scenario", scenario=scen, **fields)
                 continue
-            assert build_config(kind, mechanism, TINY, **knobs) == expected
+            assert RunSpec(kind="scenario", scenario=scen, **fields) \
+                == spec
+            inline = registry.fill_params(mechanism, "chargecache", {
+                "entries": knobs.get("cc_entries"),
+                "caching_duration_ms": knobs.get("cc_duration_ms"),
+                "unbounded": knobs.get("cc_unbounded")})
+            assert runner._spec_config(spec) == build_config(
+                scen, inline, TINY, row_policy=knobs.get("row_policy"))
 
     def test_alone_is_one_core_of_the_eight_core_platform(self):
         cfg = runner._spec_config(alone_spec("mcf", TINY))
@@ -152,7 +162,8 @@ class TestSpecBuilders:
 
     @pytest.mark.parametrize("fields", [
         {"mechanism": "chargecache"}, {"mechanism": "nuat"},
-        {"cc_entries": 256}, {"idle_finished": True}])
+        {"cc_entries": 256}, {"idle_finished": True},
+        {"enable_rltl": True}])
     def test_alone_spec_rejects_what_it_would_ignore(self, fields):
         with pytest.raises(ValueError, match="alone runs|chargecache term"):
             RunSpec(kind="alone", name="mcf", **fields)
@@ -160,7 +171,8 @@ class TestSpecBuilders:
     @pytest.mark.parametrize("mechanism,fields", [
         ("nuat", {"cc_entries": 64}), ("none", {"cc_unbounded": True}),
         ("lldram", {"cc_entries": 64}), ("nuat", {"cc_duration_ms": 4.0}),
-        ("aldram", {"cc_duration_ms": 1.0})])
+        ("aldram", {"cc_duration_ms": 1.0}),
+        ("lldram", {"cc_duration_ms": 4.0})])
     def test_shorthand_no_term_reads_is_rejected(self, mechanism, fields):
         """A cc_* field without a term that reads it would key its own
         run of the same simulation as the bare spec."""
@@ -171,10 +183,11 @@ class TestSpecBuilders:
             workload_spec("mcf", mechanism, **fields)
 
     def test_shorthand_a_term_reads_is_kept(self):
-        assert workload_spec("mcf", "lldram", cc_duration_ms=4.0) \
-            .cc_duration_ms == 4.0
         assert workload_spec("mcf", "nuat+chargecache", cc_entries=64) \
             .cc_entries == 64
+        # An LL-DRAM duration has one spelling: inline.
+        assert workload_spec("mcf", "lldram(duration_ms=4)").mechanism \
+            == "lldram(caching_duration_ms=4.0)"
 
     def test_spec_may_not_write_the_scale_time_scale(self):
         """build_config writes scale.cc_time_scale; an inline value,
@@ -238,8 +251,6 @@ class TestExecution:
             runner.Execution(jobs=-1)
         with pytest.raises(ValueError, match="unknown engine"):
             runner.Execution(engine="warp")
-        assert runner.Execution(calibration_traces=["a"]) \
-            .calibration_traces == ("a",)
 
     def test_executing_restores_even_on_error(self):
         before = runner.execution

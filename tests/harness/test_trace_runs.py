@@ -9,7 +9,6 @@ same trace is answered entirely from the persistent cache.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
@@ -163,17 +162,10 @@ class TestTimeScaleSync:
         assert ingest_ts == harness_ts
 
 
-def _calibrate_with(paths):
-    """Point ``calibrate`` at ``paths`` (the autouse fixture's
-    ``executing`` scope restores the previous execution)."""
-    runner.set_execution(
-        dataclasses.replace(runner.execution, calibration_traces=paths))
-
-
 class TestCalibrate:
     def test_end_to_end(self, trace_path):
-        _calibrate_with([trace_path])
-        result = experiments.run("calibrate", ["libquantum", "hmmer"], TINY)
+        result = experiments.run("calibrate", ["libquantum", "hmmer"], TINY,
+                                 traces=[trace_path])
         assert result["id"] == "calibrate"
         rows = {(r["workload"], r["kind"]): r for r in result["rows"]}
         assert set(rows) == {("libquantum", "synthetic"),
@@ -193,33 +185,34 @@ class TestCalibrate:
     def test_workload_without_reference_reports_no_ref(self,
                                                        monkeypatch):
         from repro.workloads.ingest import reference
-        _calibrate_with([])
         monkeypatch.delitem(reference.REFERENCE_FINGERPRINTS, "hmmer")
-        rows = experiments.run("calibrate", ["hmmer"], TINY)["rows"]
+        rows = experiments.run("calibrate", ["hmmer"], TINY,
+                               traces=[])["rows"]
         assert rows[0]["status"] == "no-ref"
         assert rows[0]["ref_rltl_1ms"] == ""
         assert rows[0]["rltl_1ms"] > 0.9    # still measured
 
     def test_declaration_covers_the_experiment(self, trace_path):
-        _calibrate_with([trace_path])
         runner.clear_memo()
-        experiments.prefetch_experiments(["calibrate"], ["hmmer"], TINY)
-        result = experiments.run("calibrate", ["hmmer"], TINY)
+        experiments.prefetch_experiments(["calibrate"], ["hmmer"], TINY,
+                                         traces=[trace_path])
+        result = experiments.run("calibrate", ["hmmer"], TINY,
+                                 traces=[trace_path])
         assert result["cache"]["computed"] == 0
 
     def test_fingerprints_ignore_scale(self, trace_path):
         # Synthetic fingerprints are pinned to the reference
         # provenance point, so deltas mean the same at every --scale.
-        _calibrate_with([])
-        small = experiments.run("calibrate", ["mcf"], TINY)
-        other = experiments.run("calibrate", ["mcf"], TINY.scaled(2.0))
+        small = experiments.run("calibrate", ["mcf"], TINY, traces=[])
+        other = experiments.run("calibrate", ["mcf"], TINY.scaled(2.0),
+                                traces=[])
         assert small["rows"][0] == other["rows"][0]
 
     def test_renders_and_exports(self, trace_path, tmp_path):
         from repro.harness.export import export_csv
         from repro.harness.report import render_experiment
-        _calibrate_with([trace_path])
-        result = experiments.run("calibrate", ["hmmer"], TINY)
+        result = experiments.run("calibrate", ["hmmer"], TINY,
+                                 traces=[trace_path])
         text = render_experiment(result)
         assert "calibrate: fingerprints @" in text
         assert "avg 1ms-RLTL" in text

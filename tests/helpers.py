@@ -11,6 +11,8 @@ small deterministic trace, write it, ingest it" dance out of the
 ingestion, fingerprint and harness tests; :func:`tiny_internal` is the
 same idea for the simulator's internal record type.
 :func:`journal_sources` reads a sweep journal's checkpoints back.
+:func:`default_context` is a mechanism context sufficient to build any
+registered mechanism with its defaults.
 """
 
 from __future__ import annotations
@@ -18,10 +20,22 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.core.registry import MechanismContext
 from repro.cpu.trace import TraceRecord
 from repro.dram.commands import Command, IssuedCommand
-from repro.dram.timing import TimingParameters
+from repro.dram.refresh import RefreshScheduler
+from repro.dram.timing import DDR3_1600, TimingParameters
 from repro.workloads.ingest import MemTraceRecord, write_mem_trace
+
+
+def default_context(timing: Optional[TimingParameters] = None,
+                    num_cores: int = 1) -> MechanismContext:
+    """A context sufficient to build any registered mechanism with its
+    defaults (one rank of DDR3-1600 unless ``timing`` says otherwise)."""
+    timing = timing if timing is not None else DDR3_1600
+    refresh = RefreshScheduler(timing, 1, 64 * 1024)
+    return MechanismContext(timing=timing, num_cores=num_cores,
+                            refresh_scheduler=refresh)
 
 
 def tiny_trace(n: int = 32, *, gap: int = 4, start: int = 0x1000,

@@ -7,9 +7,10 @@ alone.  The non-test code is ``src`` itself, ``benchmarks``,
 checks scan it:
 
 * **Defs.**  Each public function, class, method and property defined
-  under ``src/repro`` must appear as an identifier in the non-test
-  code.  A name's own definition, docstrings and comments are not
-  uses, nor are package ``__init__`` re-exports.  A name inside a
+  under ``src/repro``, and each public name a module assigns at its
+  top level (constants, aliases), must appear as an identifier in the
+  non-test code.  A name's own definition, docstrings and comments
+  are not uses, nor are package ``__init__`` re-exports.  A name inside a
   non-docstring string literal is a use (the perfbench tracer and
   ``getattr`` reach methods by name).  A def under a registering
   decorator (anything but ``property``, ``staticmethod``,
@@ -101,9 +102,25 @@ def _decorator_name(node) -> str:
     return getattr(target, "id", "")
 
 
+def _module_assignments(tree):
+    """The ``Name`` nodes a module's top-level statements assign."""
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Store):
+                    yield node
+
+
 def _definitions(tree):
     """(name, registered) for each public def/class, recursing into
-    class bodies (not function bodies)."""
+    class bodies (not function bodies), and for each public name the
+    module assigns at its top level."""
+    for node in _module_assignments(tree):
+        if not node.id.startswith("_"):
+            yield node.id, False
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -131,9 +148,11 @@ def _docstrings(tree):
 
 def _python_uses(tree, uses):
     docs = {id(node) for node in _docstrings(tree)}
+    assigned = {id(node) for node in _module_assignments(tree)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            uses.add(node.id)
+            if id(node) not in assigned:
+                uses.add(node.id)
         elif isinstance(node, ast.Attribute):
             uses.add(node.attr)
         elif isinstance(node, ast.alias):
