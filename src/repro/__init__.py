@@ -26,63 +26,60 @@ Subpackages:
 * :mod:`repro.energy` - DRAM energy and controller area/power models.
 * :mod:`repro.stats` - metrics and the RLTL profiler.
 * :mod:`repro.harness` - per-figure/table experiment drivers.
+
+Each subpackage exports nothing: import a name from the module that
+defines it.  The names of the quick tour above, and the rest of
+:data:`__all__`, resolve on first use (PEP 562), so ``import repro``
+loads no simulator module a run does not use.
 """
 
-from repro.config import (
-    SimulationConfig,
-    ProcessorConfig,
-    CacheConfig,
-    DRAMConfig,
-    ControllerConfig,
-    ChargeCacheConfig,
-    NUATConfig,
-    single_core_config,
-    eight_core_config,
-)
-from repro.core.registry import (
-    mechanism_names,
-    parse_mechanism_spec,
-    register_mechanism,
-)
-from repro.cpu.system import System, RunResult
-from repro.dram.organization import Organization
-from repro.dram.standards import StandardProfile, profile, profile_for_config
-from repro.dram.timing import DDR3_1600, TimingParameters
-from repro.energy.drampower import PowerParameters, energy_for_run
-from repro.energy.mcpat import hcrac_overhead, overhead_for_config
-from repro.workloads.spec_like import make_trace, WORKLOAD_NAMES
-from repro.workloads.mixes import make_mix_traces, MIX_NAMES
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimulationConfig",
-    "ProcessorConfig",
-    "CacheConfig",
-    "DRAMConfig",
-    "ControllerConfig",
-    "ChargeCacheConfig",
-    "NUATConfig",
-    "single_core_config",
-    "eight_core_config",
-    "mechanism_names",
-    "parse_mechanism_spec",
-    "register_mechanism",
-    "System",
-    "RunResult",
-    "Organization",
-    "DDR3_1600",
-    "TimingParameters",
-    "StandardProfile",
-    "profile",
-    "profile_for_config",
-    "PowerParameters",
-    "energy_for_run",
-    "hcrac_overhead",
-    "overhead_for_config",
-    "make_trace",
-    "WORKLOAD_NAMES",
-    "make_mix_traces",
-    "MIX_NAMES",
-    "__version__",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "SimulationConfig": "repro.config",
+    "ProcessorConfig": "repro.config",
+    "CacheConfig": "repro.config",
+    "DRAMConfig": "repro.config",
+    "ControllerConfig": "repro.config",
+    "ChargeCacheConfig": "repro.config",
+    "NUATConfig": "repro.config",
+    "single_core_config": "repro.config",
+    "eight_core_config": "repro.config",
+    "mechanism_names": "repro.core.registry",
+    "parse_mechanism_spec": "repro.core.registry",
+    "register_mechanism": "repro.core.registry",
+    "System": "repro.cpu.system",
+    "RunResult": "repro.cpu.system",
+    "Organization": "repro.dram.organization",
+    "DDR3_1600": "repro.dram.timing",
+    "TimingParameters": "repro.dram.timing",
+    "StandardProfile": "repro.dram.standards",
+    "profile": "repro.dram.standards",
+    "profile_for_config": "repro.dram.standards",
+    "PowerParameters": "repro.energy.drampower",
+    "energy_for_run": "repro.energy.drampower",
+    "hcrac_overhead": "repro.energy.mcpat",
+    "overhead_for_config": "repro.energy.mcpat",
+    "make_trace": "repro.workloads.spec_like",
+    "WORKLOAD_NAMES": "repro.workloads.spec_like",
+    "make_mix_traces": "repro.workloads.mixes",
+    "MIX_NAMES": "repro.workloads.mixes",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

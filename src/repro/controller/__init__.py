@@ -1,24 +1,3 @@
 """Memory controller: request queues, scheduling, row-buffer policies
 and the command-issue engine that hosts the latency mechanisms.
 """
-
-from repro.controller.request import Request, RequestType
-from repro.controller.queues import RequestQueue
-from repro.controller.address_mapping import AddressMapper
-from repro.controller.row_policy import OpenRowPolicy, ClosedRowPolicy, make_row_policy
-from repro.controller.scheduler import FRFCFSScheduler, FCFSScheduler, make_scheduler
-from repro.controller.controller import MemoryController
-
-__all__ = [
-    "Request",
-    "RequestType",
-    "RequestQueue",
-    "AddressMapper",
-    "OpenRowPolicy",
-    "ClosedRowPolicy",
-    "make_row_policy",
-    "FRFCFSScheduler",
-    "FCFSScheduler",
-    "make_scheduler",
-    "MemoryController",
-]

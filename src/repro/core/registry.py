@@ -41,6 +41,7 @@ existed stay valid (see DESIGN.md section 6).
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -80,16 +81,19 @@ class RegisteredMechanism:
 
 
 _REGISTRY: Dict[str, RegisteredMechanism] = {}
-_BUILTINS_LOADED = False
 
-#: Modules whose import registers the built-in mechanisms.
-_BUILTIN_MODULES = (
-    "repro.core.timing_policy",   # "none"
-    "repro.core.chargecache",
-    "repro.core.nuat",
-    "repro.core.lldram",
-    "repro.core.aldram",
-)
+#: Built-in mechanism name -> the module whose import registers it.
+#: A name's module is imported on its first lookup, so a run loads only
+#: the mechanisms its spec names (AL-DRAM's circuit model stays out of
+#: a ChargeCache run); canonical order comes from each registration's
+#: ``order``, never from which modules happen to be loaded.
+_BUILTIN_MODULES = {
+    "none": "repro.core.timing_policy",
+    "chargecache": "repro.core.chargecache",
+    "nuat": "repro.core.nuat",
+    "lldram": "repro.core.lldram",
+    "aldram": "repro.core.aldram",
+}
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_\-]*$")
 _TERM_RE = re.compile(r"^\s*(?P<name>[^()\s]+)\s*(?:\((?P<params>.*)\))?\s*$",
@@ -152,30 +156,23 @@ def register_mechanism(name: str, *, params: Optional[type] = None,
     return decorator
 
 
-def _load_builtins() -> None:
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    import importlib
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-    _BUILTINS_LOADED = True
-
-
 def registered(name: str) -> RegisteredMechanism:
     """Look a mechanism up by its registered name."""
-    _load_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    entry = _REGISTRY.get(name)
+    if entry is None and name in _BUILTIN_MODULES:
+        importlib.import_module(_BUILTIN_MODULES[name])
+        entry = _REGISTRY.get(name)
+    if entry is None:
         raise ValueError(
             f"unknown mechanism {name!r}; registered: "
-            f"{mechanism_names()}") from None
+            f"{mechanism_names()}")
+    return entry
 
 
 def mechanism_names() -> List[str]:
     """Registered mechanism names in canonical composition order."""
-    _load_builtins()
+    for module in _BUILTIN_MODULES.values():
+        importlib.import_module(module)
     return [entry.name for entry in
             sorted(_REGISTRY.values(), key=lambda e: (e.order, e.name))]
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.controller.address_mapping import AddressMapper
@@ -45,9 +45,10 @@ from repro.dram.refresh import RefreshScheduler
 from repro.dram.standards import preset
 from repro.dram.timing import NEVER
 from repro.stats.metrics import ipc
-from repro.stats.probes import CompositeProbe
-from repro.stats.reuse import RowReuseProfiler
-from repro.stats.rltl import RLTLProbe
+
+if TYPE_CHECKING:
+    from repro.stats.reuse import RowReuseProfiler
+    from repro.stats.rltl import RLTLProbe
 
 
 @dataclass
@@ -132,11 +133,16 @@ class System:
         self.mapper = AddressMapper(self.organization)
         self.ratio = config.cpu_cycles_per_mem_cycle
 
+        # The probes are imported only by the runs that enable them.
         self.rltl_probe = None
         if enable_rltl:
+            from repro.stats.rltl import RLTLProbe
             self.rltl_probe = RLTLProbe(self.timing,
                                         time_scale=rltl_time_scale)
-        self.reuse_probe = RowReuseProfiler() if enable_reuse else None
+        self.reuse_probe = None
+        if enable_reuse:
+            from repro.stats.reuse import RowReuseProfiler
+            self.reuse_probe = RowReuseProfiler()
         probes = [p for p in (self.rltl_probe, self.reuse_probe)
                   if p is not None]
         if not probes:
@@ -144,6 +150,7 @@ class System:
         elif len(probes) == 1:
             controller_probe = probes[0]
         else:
+            from repro.stats.probes import CompositeProbe
             controller_probe = CompositeProbe(probes)
 
         self.controllers: List[MemoryController] = []

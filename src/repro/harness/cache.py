@@ -50,7 +50,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.config import (
     CacheConfig,
@@ -61,8 +61,10 @@ from repro.config import (
 )
 from repro.cpu.system import RunResult
 from repro.harness.spec import RunSpec
-from repro.stats.reuse import RowReuseProfiler
-from repro.stats.rltl import RLTLProbe
+
+if TYPE_CHECKING:
+    from repro.stats.reuse import RowReuseProfiler
+    from repro.stats.rltl import RLTLProbe
 
 #: Bump whenever the envelope or RunResult JSON layout changes shape;
 #: old entries then read as misses instead of mis-parsing.  Version 2
@@ -208,6 +210,7 @@ def _rltl_to_json(probe: RLTLProbe) -> Dict:
 
 
 def _rltl_from_json(data: Dict) -> RLTLProbe:
+    from repro.stats.rltl import RLTLProbe
     probe = RLTLProbe(_CodecTiming(data["tck_ns"]),
                       intervals_ms=tuple(data["intervals_ms"]),
                       time_scale=data["time_scale"])
@@ -228,6 +231,7 @@ def _reuse_to_json(profiler: RowReuseProfiler) -> Dict:
 
 
 def _reuse_from_json(data: Dict) -> RowReuseProfiler:
+    from repro.stats.reuse import RowReuseProfiler
     profiler = RowReuseProfiler()
     for key in data["stack"]:
         profiler._stack[tuple(key)] = None

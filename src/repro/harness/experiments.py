@@ -26,17 +26,9 @@ from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from repro.circuit.latency_tables import (
-    BASELINE_TIMINGS_NS,
-    DURATION_TABLE_NS,
-    reductions_for_duration_ms,
-)
-from repro.circuit.spice import bitline_transient, derive_timing_table
 from repro.core.chargecache import chargecache_params
 from repro.cpu.system import RunResult
 from repro.dram.timing import DDR3_1600
-from repro.energy.drampower import access_rate_for_run, energy_for_run
-from repro.energy.mcpat import hcrac_overhead, overhead_for_config
 from repro.dram.standards import (derated_reduction_cycles, preset,
                                   reduction_cycles_for)
 from repro.harness import pool, runner, scenarios
@@ -294,6 +286,7 @@ def _fig4(points: Points, mode: str, workloads: Names,
 
 def _fig6(partial_age_ms: float, samples: int) -> Dict:
     """Bitline voltage vs time for fully vs partially charged cells."""
+    from repro.circuit.spice import bitline_transient
     full = bitline_transient(0.0, t_end_ns=45.0)
     partial = bitline_transient(partial_age_ms, t_end_ns=45.0)
 
@@ -328,6 +321,12 @@ def _fig6(partial_age_ms: float, samples: int) -> Dict:
 
 def _table2() -> Dict:
     """Published vs model-derived duration->timing table."""
+    from repro.circuit.latency_tables import (
+        BASELINE_TIMINGS_NS,
+        DURATION_TABLE_NS,
+        reductions_for_duration_ms,
+    )
+    from repro.circuit.spice import derive_timing_table
     model = derive_timing_table(tuple(DURATION_TABLE_NS))
     rows = [{
         "duration_ms": "baseline",
@@ -416,6 +415,8 @@ def _energy_reduction(base, cc, e_base=None) -> Optional[float]:
     ``e_base`` lets a caller that already holds the baseline breakdown
     skip recomputing it.
     """
+    from repro.energy.drampower import access_rate_for_run, energy_for_run
+    from repro.energy.mcpat import overhead_for_config
     overhead = overhead_for_config(cc.config)
     rate = access_rate_for_run(cc)
     if e_base is None:
@@ -562,6 +563,7 @@ def _fig11(points: Points, modes: Sequence[str], workloads: Names,
     weaken the timing reductions (Table 2 derating) - the paper finds
     1 ms the sweet spot.
     """
+    from repro.circuit.latency_tables import reductions_for_duration_ms
     rows = []
     for mode in modes:
         names = _names_for(mode, workloads, modes)
@@ -601,6 +603,8 @@ def _sec63(points: Points, workloads: Names, scale: Scale, mix: str) -> Dict:
     coincide, but a scaled or re-parameterized run no longer silently
     mixes paper-config storage with measured access rates.
     """
+    from repro.energy.drampower import access_rate_for_run
+    from repro.energy.mcpat import hcrac_overhead, overhead_for_config
     del workloads
     overhead = hcrac_overhead()  # paper's 8-core, 2-channel, 128-entry
     result = points[mix_spec(mix, "chargecache", scale)]
@@ -754,6 +758,7 @@ def _energy(points: Points, workloads: Names, scale: Scale) -> Dict:
     rows reproduce Figure 8's energy model exactly while the other
     standards get theirs rather than DDR3's.
     """
+    from repro.energy.drampower import energy_for_run
     names = _scenario_names_for(workloads)
     rows = []
     for scen_name in scenarios.STANDARD_SCENARIOS:

@@ -164,11 +164,13 @@ class RunSpec:
     trace_sha256: Optional[str] = None
     #: Where the trace file currently lives (kind "trace" only).
     #: Execution state, NOT identity: :meth:`key_payload` excludes it,
-    #: and the runner re-hashes the file at execution time to prove it
-    #: still matches ``trace_sha256``.  ``None`` is legal - a spec
-    #: rebuilt from a wire payload knows its content hash but not a
-    #: local path, and can still be answered from the cache.
-    trace_path: Optional[str] = None
+    #: equality and hashing ignore it (so two paths to the same bytes
+    #: are one sweep point), and the runner re-hashes the file at
+    #: execution time to prove it still matches ``trace_sha256``.
+    #: ``None`` is legal - a spec rebuilt from a wire payload knows its
+    #: content hash but not a local path, and can still be answered
+    #: from the cache.
+    trace_path: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in RUN_KINDS:
@@ -327,8 +329,8 @@ def spec_from_payload(payload: Dict) -> RunSpec:
     fields are rejected eagerly so a malformed payload fails loudly,
     not inside a pool worker.
     Round-trip is exact: ``spec_from_payload(s.key_payload())`` equals
-    ``s`` (a trace spec's location-only ``trace_path`` aside) and
-    hashes to the same cache key.
+    ``s`` (a trace spec's location-only ``trace_path``, which equality
+    ignores, comes back ``None``) and hashes to the same cache key.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"spec payload must be an object, "

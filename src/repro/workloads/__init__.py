@@ -1,51 +1,3 @@
 """Workloads: synthetic trace generators, SPEC/TPC/STREAM-like
 profiles and the paper's multiprogrammed 8-core mixes.
 """
-
-from repro.workloads.synthetic import (
-    stream_trace,
-    random_trace,
-    chase_trace,
-    zipf_trace,
-    mixed_trace,
-    bounded_footprint_lines,
-)
-from repro.workloads.spec_like import (
-    WORKLOAD_NAMES,
-    WorkloadProfile,
-    get_profile,
-    make_trace,
-)
-from repro.workloads.mixes import MIX_NAMES, mix_composition, make_mix_traces
-from repro.workloads.ingest import (
-    TraceFormatError,
-    WorkloadFingerprint,
-    fingerprint_file,
-    fingerprint_records,
-    fingerprint_workload,
-    ingest_trace_file,
-    trace_file_sha256,
-)
-
-__all__ = [
-    "stream_trace",
-    "random_trace",
-    "chase_trace",
-    "zipf_trace",
-    "mixed_trace",
-    "bounded_footprint_lines",
-    "WORKLOAD_NAMES",
-    "WorkloadProfile",
-    "get_profile",
-    "make_trace",
-    "MIX_NAMES",
-    "mix_composition",
-    "make_mix_traces",
-    "TraceFormatError",
-    "WorkloadFingerprint",
-    "fingerprint_file",
-    "fingerprint_records",
-    "fingerprint_workload",
-    "ingest_trace_file",
-    "trace_file_sha256",
-]

@@ -182,6 +182,24 @@ class TestCalibrate:
         # 1 trace x (baseline + chargecache)
         assert result["cache"]["points"] == 2
 
+    def test_two_paths_to_one_file_are_one_point(self, trace_path,
+                                                 tmp_path):
+        # The path is where the bytes live, not what they are: two
+        # copies of one file are one spec, one sweep point and one run.
+        copy = tmp_path / "elsewhere" / os.path.basename(trace_path)
+        copy.parent.mkdir()
+        copy.write_bytes(open(trace_path, "rb").read())
+        spec = trace_spec(trace_path, "none", TINY)
+        moved = trace_spec(str(copy), "none", TINY)
+        assert moved.trace_path != spec.trace_path
+        assert moved == spec and hash(moved) == hash(spec)
+        assert spec_from_payload(spec.key_payload()) == spec
+        result = experiments.run("calibrate", ["hmmer"], TINY,
+                                 traces=[trace_path, str(copy)])
+        # 1 trace x (baseline + chargecache), however many paths
+        assert result["cache"]["points"] == 2
+        assert result["cache"]["computed"] == 2
+
     def test_workload_without_reference_reports_no_ref(self,
                                                        monkeypatch):
         from repro.workloads.ingest import reference
