@@ -13,19 +13,20 @@ Design notes:
   request (full read queue), the miss parks in a retry list that is
   drained every memory cycle.
 
-LRU is implemented with a plain ``dict`` per set, whose insertion
-order is the LRU order: an access re-inserts its tag at the end
-(``lru[tag] = lru.pop(tag)``) and an eviction takes the first tag
-(``next(iter(lru))``).  That is exact, and a small ``dict`` takes
-about 40% less memory than an ``OrderedDict``.  A set is created the
-first time its index is looked up, so building a cache costs nothing
-per set and a run pays only for the sets it touches.
+LRU is implemented with a plain ``list`` of tags per set, oldest
+first: a hit moves its tag to the end (unless it is already last) and
+a fill evicts the first tag (``lru.pop(0)``).  Dirty lines are one
+cache-wide ``set`` of line addresses: a store hit adds its line and
+an eviction writes its victim back if it takes it out of the set.  A
+lookup scans at most ``associativity`` ints in C.  A set is created
+the first time its index is looked up, so building a cache costs
+nothing per set and a run pays only for the sets it touches.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, DefaultDict, Dict, List, Tuple
+from typing import Callable, DefaultDict, Dict, List, Set, Tuple
 
 from repro.controller.request import Request, RequestType
 
@@ -64,10 +65,12 @@ class SharedCache:
 
         self.num_sets = cache_config.num_sets
         self.assoc = cache_config.associativity
-        #: ``set index -> {tag: dirty flag}`` in LRU order (oldest
-        #: first), holding only the sets looked up so far; read-only
-        #: outside the cache.
-        self.sets: DefaultDict[int, Dict[int, bool]] = defaultdict(dict)
+        #: ``set index -> [tag, ...]`` in LRU order (oldest first),
+        #: holding only the sets looked up so far; read-only outside
+        #: the cache.
+        self.sets: DefaultDict[int, List[int]] = defaultdict(list)
+        #: Line addresses of the resident lines store hits dirtied.
+        self.dirty: Set[int] = set()
         #: MSHRs: line -> the (core_id, token) loads awaiting it.
         self._mshrs: Dict[int, List[Tuple[int, int]]] = {}
         #: Parked requests the controllers refused, retried every
@@ -100,7 +103,9 @@ class SharedCache:
         lru = self.sets[line_address % self.num_sets]
         tag = line_address // self.num_sets
         if tag in lru:
-            lru[tag] = lru.pop(tag)
+            if lru[-1] != tag:
+                lru.remove(tag)
+                lru.append(tag)
             self.load_hits += 1
             self.hit_notify(core_id, token, self.config.hit_latency_cycles)
             return True
@@ -122,8 +127,10 @@ class SharedCache:
         lru = self.sets[line_address % self.num_sets]
         tag = line_address // self.num_sets
         if tag in lru:
-            del lru[tag]
-            lru[tag] = True  # dirty, and now most recently used
+            if lru[-1] != tag:
+                lru.remove(tag)
+                lru.append(tag)
+            self.dirty.add(line_address)
             self.store_hits += 1
             return True
         self.store_misses += 1
@@ -141,22 +148,21 @@ class SharedCache:
         waiters = self._mshrs.pop(line_address, None)
         if waiters is None:
             return  # e.g. a probe request not tracked by an MSHR
-        lru = self.sets[line_address % self.num_sets]
+        set_idx = line_address % self.num_sets
+        lru = self.sets[set_idx]
         tag = line_address // self.num_sets
         if tag not in lru:
             if len(lru) >= self.assoc:
-                victim_tag = next(iter(lru))
-                dirty = lru.pop(victim_tag)
-                if dirty:
-                    self._writeback(line_address, victim_tag,
-                                    request.core_id)
-            lru[tag] = False
+                victim_line = lru.pop(0) * self.num_sets + set_idx
+                if victim_line in self.dirty:
+                    self.dirty.discard(victim_line)
+                    self._writeback(victim_line, request.core_id)
+            lru.append(tag)
         notify = self.load_notify
         for core_id, token in waiters:
             notify(core_id, token)
 
-    def _writeback(self, incoming_line: int, victim_tag: int,
-                   core_id: int) -> None:
+    def _writeback(self, victim_line: int, core_id: int) -> None:
         """Write a dirty victim back to DRAM.
 
         The writeback is attributed to the core whose fill evicted the
@@ -165,8 +171,6 @@ class SharedCache:
         channel's writeback activations instead of funnelling them all
         into core 0's table.
         """
-        set_idx = incoming_line % self.num_sets
-        victim_line = victim_tag * self.num_sets + set_idx
         request = Request(victim_line, RequestType.WRITE, core_id)
         self.mapper.decode_into(request)
         self._send_write(request, must_park=True)

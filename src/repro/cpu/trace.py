@@ -14,6 +14,7 @@ External trace files enter through :mod:`repro.workloads.ingest`.
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 
@@ -47,6 +48,11 @@ def looped(trace: Sequence[TraceRecord]) -> Iterator[TraceRecord]:
     return itertools.cycle(trace)
 
 
+#: A tape flag byte's ``is_write`` and ``dependent``.
+_IS_WRITE = (False, True, False, True)
+_DEPENDENT = (False, False, True, True)
+
+
 class TraceTape:
     """Record-once, replay-many view over per-core trace iterators.
 
@@ -59,27 +65,44 @@ class TraceTape:
     counts (a faster variant finishes the instruction budget with
     fewer trace records in flight) each see exactly the records they
     ask for, in the source's order.
+
+    Each core's records are kept as columns: ``bubbles`` and
+    ``line_address`` in two ``array('q')``, the flags in a
+    ``bytearray`` (bit 0 ``is_write``, bit 1 ``dependent``).  The
+    reader that extends the tape yields the source's record; a
+    reader replaying it rebuilds an equal record from the columns.
     """
 
     def __init__(self, sources: Sequence[Iterator[TraceRecord]]):
         self._sources = [iter(source) for source in sources]
-        self._records: List[List[TraceRecord]] = [[] for _ in sources]
+        #: Per core: the (bubbles, line addresses, flags) columns.
+        self._columns: List[Tuple[array, array, bytearray]] = [
+            (array("q"), array("q"), bytearray()) for _ in sources]
 
     def __len__(self) -> int:
         return len(self._sources)
 
     def reader(self, core_id: int) -> Iterator[TraceRecord]:
         """A fresh iterator over core ``core_id``'s trace from the top."""
-        records = self._records[core_id]
+        bubbles, lines, flags = self._columns[core_id]
         source = self._sources[core_id]
+        new = tuple.__new__  # skips TraceRecord's Python-level __new__
         i = 0
         while True:
-            if i >= len(records):
+            if i < len(flags):
+                flag = flags[i]
+                yield new(TraceRecord, (bubbles[i], lines[i], _IS_WRITE[flag],
+                                        _DEPENDENT[flag]))
+            else:
                 try:
-                    records.append(next(source))
+                    record = next(source)
                 except StopIteration:
                     return
-            yield records[i]
+                bubbles.append(record[0])
+                lines.append(record[1])
+                flags.append((1 if record[2] else 0)
+                             | (2 if record[3] else 0))
+                yield record
             i += 1
 
     def readers(self) -> List[Iterator[TraceRecord]]:

@@ -904,9 +904,13 @@ def _calibrate(points: Points, workloads: Names, scale: Scale,
                 workload=name, kind="synthetic",
                 **fingerprint_delta(fp, ref)))
     synthetic = list(rows)
+    # Two paths to the same bytes are one spec: one row, first path.
+    firsts: Dict[RunSpec, str] = {}
     for path in traces:
+        firsts.setdefault(trace_spec(path, "none", scale), path)
+    for base_spec, path in firsts.items():
         fp = fingerprint_file(path)
-        base = points[trace_spec(path, "none", scale)]
+        base = points[base_spec]
         cc = points[trace_spec(path, "chargecache", scale)]
         rows.append(_calibrate_row(
             workload=fp.name, kind="trace",
@@ -925,7 +929,7 @@ def _calibrate(points: Points, workloads: Names, scale: Scale,
         "paper_avg_rltl_1ms": PAPER_AVG_RLTL_1MS,
         "drift": [r["workload"] for r in synthetic
                   if r["status"] == "drift"],
-        "traces": list(traces),
+        "traces": list(firsts.values()),
         "rows": rows,
     }
 

@@ -33,6 +33,7 @@ The pieces, each in numpy's order of draws:
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from itertools import accumulate
 from typing import List, Optional, Sequence, Union
@@ -122,8 +123,9 @@ class Generator:
     """``numpy.random.default_rng(seed)`` for the draws traces make.
 
     Each method takes numpy's arguments and makes numpy's draws in
-    numpy's order, returning ``size`` values as a list; ``random()``
-    with no size returns one float.
+    numpy's order, returning ``size`` values as an ``array``: typecode
+    ``'d'`` for ``random``, ``'q'`` for the integer draws.
+    ``random()`` with no size returns one float.
     """
 
     __slots__ = ("_state", "_inc", "_half")
@@ -160,14 +162,17 @@ class Generator:
     # -- distributions -------------------------------------------------
 
     def random(self, size: Optional[int] = None
-               ) -> Union[float, List[float]]:
+               ) -> Union[float, array[float]]:
         """Uniform floats in [0, 1)."""
         if size is None:
             return (self._next64() >> 11) * _TO_UNIT
         next64 = self._next64
-        return [(next64() >> 11) * _TO_UNIT for _ in range(size)]
+        values = array("d", (0.0,)) * size
+        for i in range(size):
+            values[i] = (next64() >> 11) * _TO_UNIT
+        return values
 
-    def integers(self, low: int, high: int, size: int) -> List[int]:
+    def integers(self, low: int, high: int, size: int) -> array[int]:
         """Uniform ints in [low, high): Lemire's method on 32-bit draws.
 
         A one-value range draws nothing, as in numpy.
@@ -176,15 +181,15 @@ class Generator:
         if not 0 < span <= 1 << 32:
             raise ValueError("need 0 < high - low <= 2**32")
         if span == 1:
-            return [low] * size
+            return array("q", (low,)) * size
         threshold = ((1 << 32) - span) % span
         next32 = self._next32
-        values = []
-        for _ in range(size):
+        values = array("q", (0,)) * size
+        for i in range(size):
             scaled = next32() * span
             while (scaled & _MASK32) < threshold:
                 scaled = next32() * span
-            values.append(low + (scaled >> 32))
+            values[i] = low + (scaled >> 32)
         return values
 
     def _exponential(self) -> float:
@@ -202,7 +207,7 @@ class Generator:
                     + _FE[layer] < math.exp(-x)):
                 return x
 
-    def geometric(self, p: float, size: int) -> List[int]:
+    def geometric(self, p: float, size: int) -> array[int]:
         """Trials up to the first success, each succeeding with ``p``.
 
         A sequential search on one ``random`` draw for p >= 1/3, else
@@ -210,39 +215,40 @@ class Generator:
         """
         if not 0.0 < p <= 1.0:
             raise ValueError("p must be in (0, 1]")
-        values = []
+        values = array("q", (0,)) * size
         if p >= _GEOMETRIC_SEARCH_MIN_P:
             q = 1.0 - p
-            for _ in range(size):
+            for i in range(size):
                 u = self.random()
                 trials, total, prod = 1, p, p
                 while u > total:
                     prod *= q
                     total += prod
                     trials += 1
-                values.append(trials)
+                values[i] = trials
         else:
             log_q = math.log1p(-p)
             exponential = self._exponential
-            for _ in range(size):
+            for i in range(size):
                 z = -exponential() / log_q
-                values.append(_INT64_MAX if z >= _INT64_MAX_FLOAT
-                              else math.ceil(z))
+                values[i] = (_INT64_MAX if z >= _INT64_MAX_FLOAT
+                             else math.ceil(z))
         return values
 
-    def zipf(self, a: float, size: int) -> List[int]:
+    def zipf(self, a: float, size: int) -> array[int]:
         """Zipf(a) ints >= 1 by rejection, truncated to int64."""
         if not a > 1.0:
             raise ValueError("a must be > 1")
         if a >= 1025:
-            return [1] * size
+            return array("q", (1,)) * size
         am1 = a - 1.0
         exponent = -1.0 / am1
         b = math.pow(2.0, am1)
         u_min = math.pow(_INT64_MAX_FLOAT, -am1)
         random = self.random
-        values = []
-        while len(values) < size:
+        values = array("q", (0,)) * size
+        i = 0
+        while i < size:
             u01 = random()
             u = u01 * u_min + (1 - u01)
             v = random()
@@ -251,17 +257,19 @@ class Generator:
                 continue
             t = math.pow(1.0 + 1.0 / x, am1)
             if v * x * (t - 1.0) / (b - 1.0) <= t / b:
-                values.append(x)
+                values[i] = x
+                i += 1
         return values
 
-    def choice(self, a: int, size: int, p: Sequence[float]) -> List[int]:
+    def choice(self, a: int, size: int,
+               p: Sequence[float]) -> array[int]:
         """Indices in ``range(a)`` drawn with probabilities ``p``."""
         if len(p) != a:
             raise ValueError("need one probability per index")
         cdf = list(accumulate(p))
         total = cdf[-1]
         cdf = [c / total for c in cdf]
-        return [bisect_right(cdf, u) for u in self.random(size)]
+        return array("q", [bisect_right(cdf, u) for u in self.random(size)])
 
 
 # The exponential ziggurat's tables, ``ke_double``, ``we_double`` and

@@ -19,14 +19,16 @@ Each generator draws from its own seeded
 of its arguments: the stream ``numpy.random.default_rng(seed)`` yields
 for the same draws, defined in :mod:`repro.workloads.rng` so no numpy
 install can change it.  Draws come in batches of :data:`_BATCH`
-records, except the store flags, which close every batch and so are
-drawn one record at a time as records are yielded: the order of draws
-is unchanged and records nobody reads cost no flag draws.
+records, each batch column an ``array('q')``, except the store flags,
+which close every batch and so are drawn one record at a time as
+records are yielded: the order of draws is unchanged and records
+nobody reads cost no flag draws.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from array import array
+from typing import Iterator, Sequence
 
 from repro.cpu.trace import TraceRecord
 from repro.workloads.rng import Generator
@@ -42,12 +44,15 @@ def bounded_footprint_lines(org, footprint_bytes: int) -> int:
 
 
 def _bubble_batch(rng: Generator, mean_bubbles: float,
-                  size: int) -> List[int]:
+                  size: int) -> array[int]:
     """Geometric bubble counts with the requested mean (>= 0)."""
     if mean_bubbles <= 0:
-        return [0] * size
+        return array("q", (0,)) * size
     p = 1.0 / (mean_bubbles + 1.0)
-    return [trials - 1 for trials in rng.geometric(p, size)]
+    bubbles = rng.geometric(p, size)
+    for i in range(size):
+        bubbles[i] -= 1
+    return bubbles
 
 
 def _is_write(rng: Generator, write_fraction: float) -> bool:

@@ -11,8 +11,10 @@ and scenario platform.  Also pins the two inert names left in
 from __future__ import annotations
 
 import dataclasses
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.controller.controller import MemoryController
 from repro.core import registry, replay
@@ -87,6 +89,54 @@ class TestTraceTape:
         assert next(first) == self.RECORDS[0]
         assert next(first) == self.RECORDS[1]
         assert list(tape.reader(0)) == self.RECORDS
+
+    @given(data=st.data(), sources=st.lists(
+        st.lists(st.builds(TraceRecord, st.integers(0, 1 << 40),
+                           st.integers(0, 1 << 57), st.booleans(),
+                           st.booleans()), max_size=12),
+        min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_any_interleaving_of_readers_replays_the_source(self, data,
+                                                            sources):
+        """1-4 readers per core, advanced in any order, each yield
+        exactly the source's records: equal values, ``bool`` flags,
+        ``TraceRecord`` fields."""
+        tape = TraceTape([iter(records) for records in sources])
+        readers = [(core, tape.reader(core))
+                   for core in range(len(sources))
+                   for _ in range(data.draw(st.integers(1, 4)))]
+        seen = [[] for _ in readers]
+        steps = data.draw(st.lists(st.integers(0, len(readers) - 1),
+                                   max_size=60))
+        for which in steps + [i for i in range(len(readers))
+                              for _ in range(13)]:
+            record = next(readers[which][1], None)
+            if record is not None:
+                seen[which].append(record)
+        for (core, _), records in zip(readers, seen):
+            assert records == sources[core]
+            for record, source in zip(records, sources[core]):
+                assert type(record) is TraceRecord
+                assert [type(value) for value in record] \
+                    == [int, int, bool, bool]
+                assert record._asdict() == source._asdict()
+
+    def test_the_tape_keeps_only_typed_columns(self):
+        """The tape holds its records as two ``array('q')`` and a
+        ``bytearray`` per core, never as record objects."""
+        tape = TraceTape([iter(self.RECORDS), iter(self.RECORDS[:2])])
+        for reader in tape.readers() + tape.readers():
+            list(reader)
+        assert set(vars(tape)) == {"_sources", "_columns"}
+        for (bubbles, lines, flags), records in zip(
+                tape._columns, (self.RECORDS, self.RECORDS[:2])):
+            assert (type(bubbles), bubbles.typecode) == (array, "q")
+            assert (type(lines), lines.typecode) == (array, "q")
+            assert type(flags) is bytearray
+            assert list(zip(bubbles, lines)) \
+                == [(r.bubbles, r.line_address) for r in records]
+            assert list(flags) == [r.is_write | r.dependent << 1
+                                   for r in records]
 
 
 # ----------------------------------------------------------------------

@@ -199,6 +199,9 @@ class TestCalibrate:
         # 1 trace x (baseline + chargecache), however many paths
         assert result["cache"]["points"] == 2
         assert result["cache"]["computed"] == 2
+        # ... and one table row, under the first path listed.
+        assert [r["kind"] for r in result["rows"]].count("trace") == 1
+        assert result["traces"] == [trace_path]
 
     def test_workload_without_reference_reports_no_ref(self,
                                                        monkeypatch):

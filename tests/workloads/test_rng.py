@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+from array import array
 from types import SimpleNamespace
 from typing import Dict, Iterator, List, Sequence
 
@@ -60,7 +61,13 @@ def _numpy_version() -> str:
 
 
 def _same(ours, theirs, what: str) -> None:
-    """Assert equality, naming numpy's version on a mismatch."""
+    """Assert equality, naming numpy's version on a mismatch.
+
+    An ``array`` result of the port becomes a list, so it compares
+    value by value, exactly, with numpy's ``tolist()``.
+    """
+    if isinstance(ours, array):
+        ours = list(ours)
     if hasattr(theirs, "tolist"):
         theirs = theirs.tolist()
     assert ours == theirs, (
@@ -284,6 +291,23 @@ def test_seeding_and_raw_words(seed):
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         Generator(-1)
+
+
+@pytest.mark.parametrize("draw, typecode", [
+    (lambda rng: rng.random(5), "d"),
+    (lambda rng: rng.integers(0, 22, 5), "q"),
+    (lambda rng: rng.integers(7, 8, 5), "q"),          # draws nothing
+    (lambda rng: rng.geometric(0.5, 5), "q"),          # search
+    (lambda rng: rng.geometric(0.05, 5), "q"),         # inversion
+    (lambda rng: rng.zipf(1.3, 5), "q"),
+    (lambda rng: rng.zipf(2000.0, 5), "q"),            # all ones
+    (lambda rng: rng.choice(3, 5, p=[0.5, 0.25, 0.25]), "q"),
+])
+def test_sized_draws_are_typed_arrays(draw, typecode):
+    values = draw(Generator(1))
+    assert type(values) is array
+    assert values.typecode == typecode
+    assert len(values) == 5
 
 
 # ----------------------------------------------------------------------
