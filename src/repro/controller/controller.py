@@ -7,8 +7,9 @@ Responsibilities (paper Table 1 configuration):
 * FR-FCFS scheduling with watermark-based write draining.
 * Open-row / closed-row buffer management.
 * Refresh: one REF per rank every tREFI, preceded by precharging.
-* Hosting the latency mechanism: lookup on ACT, insert on PRE, and
-  periodic invalidation maintenance (ChargeCache).
+* Hosting the latency mechanism: it is consulted on each ACT (lookup)
+  and each PRE (insert) and nowhere else; ChargeCache catches its
+  invalidation sweep up inside those two hooks.
 """
 
 from __future__ import annotations
@@ -84,11 +85,6 @@ class MemoryController:
                                        enabled=refresh_enabled)
         self.refresh = refresh
         self.mechanism = mechanism
-        #: ``mechanism.next_wake``, maintained: its value changes only
-        #: inside ``on_activate``, ``on_precharge`` and ``maintain``
-        #: (the :meth:`LatencyMechanism.next_wake` contract), and the
-        #: controller re-reads it after each of those calls.
-        self._mech_wake = mechanism.next_wake(0)
         self.rltl_probe = rltl_probe
         self.scheduler = make_scheduler(controller_config.scheduler)
         self.row_policy = make_row_policy(controller_config.row_policy)
@@ -176,10 +172,8 @@ class MemoryController:
         The dense engine calls this every cycle; the event engine only
         at cycles :meth:`next_event_cycle` reported.  Both produce the
         same command stream because nothing here depends on *how* the
-        clock reached ``cycle``: completions pop by timestamp,
-        mechanism maintenance is batch-exact (so it runs only once the
-        mechanism's cached wake is due), and scheduling reads only
-        current queue/bank state.
+        clock reached ``cycle``: completions pop by timestamp, and
+        scheduling reads only current queue/bank state.
         """
         events = self.read_events
         while events and events[0][0] <= cycle:
@@ -188,11 +182,6 @@ class MemoryController:
             self.stats.read_count += 1
             if self.read_done is not None:
                 self.read_done(req)
-
-        if cycle >= self._mech_wake:
-            mechanism = self.mechanism
-            mechanism.maintain(cycle)
-            self._mech_wake = mechanism.next_wake(cycle)
 
         if cycle < self.refresh.first_due:
             blocked: Optional[Sequence[int]] = ()
@@ -221,14 +210,13 @@ class MemoryController:
         lower bound (never an overestimate) on the next cycle where
         :meth:`tick` would do anything - fire a read completion, make
         refresh progress, issue a scheduled command or a pending
-        precharge, or run a mechanism sweep.  The bound is valid until
-        the next visited cycle, because every state change (enqueue,
-        issue, completion) happens at visited cycles and the engine
-        recomputes after each one.  Each term is computed exactly from
-        the current state, also on a cycle that just issued: the
-        scheduler term comes from the readiness snapshot, which costs
-        one rebuild per state change and which the next :meth:`tick`
-        reuses.
+        precharge.  The bound is valid until the next visited cycle,
+        because every state change (enqueue, issue, completion) happens
+        at visited cycles and the engine recomputes after each one.
+        Each term is computed exactly from the current state, also on a
+        cycle that just issued: the scheduler term comes from the
+        readiness snapshot, which costs one rebuild per state change
+        and which the next :meth:`tick` reuses.
 
         Multi-rank channels: the refresh loop, the scheduler bound and
         the pending-PRE scan below each iterate every rank, so the bid
@@ -299,9 +287,6 @@ class MemoryController:
                 if t < nxt:
                     nxt = t
 
-        t = self._mech_wake
-        if t < nxt:
-            nxt = t
         return nxt if nxt > cycle else soon
 
     # ------------------------------------------------------------------
@@ -414,10 +399,8 @@ class MemoryController:
                 self._pre_gate = t
 
     def _issue_act(self, req: Request, cycle: int) -> None:
-        mechanism = self.mechanism
-        timings = mechanism.on_activate(req.rank, req.bank, req.row,
-                                        req.core_id, cycle)
-        self._mech_wake = mechanism.next_wake(cycle)
+        timings = self.mechanism.on_activate(req.rank, req.bank, req.row,
+                                             req.core_id, cycle)
         self.channel.issue_activate(req.rank, req.bank, req.row, cycle,
                                     timings)
         req.needed_act = True
@@ -432,9 +415,7 @@ class MemoryController:
     def _issue_pre(self, rank: int, bank: int, cycle: int) -> None:
         row = self.channel.issue_precharge(rank, bank, cycle)
         owner = self._act_owner.get((rank, bank), 0)
-        mechanism = self.mechanism
-        mechanism.on_precharge(rank, bank, row, owner, cycle)
-        self._mech_wake = mechanism.next_wake(cycle)
+        self.mechanism.on_precharge(rank, bank, row, owner, cycle)
         self._pending_pre.discard((rank, bank))
         self.stats.precharges += 1
         if self.rltl_probe is not None:

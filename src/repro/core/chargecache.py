@@ -12,7 +12,10 @@ Operation per memory channel:
    by default - the paper's 1 ms caching-duration numbers).
 3. **Invalidate** - the IIC/EC two-counter scheme sweeps each HCRAC once
    per caching duration so that no valid entry can refer to a row that
-   has leaked below the reduced-timing charge level.
+   has leaked below the reduced-timing charge level.  The sweep is
+   caught up at the start of each lookup and insert, the only places
+   that read or write the tables; the catch-up is batch-exact, so each
+   hook sees the tables the hardware sweep would have left.
 
 A ``sharing="shared"`` mode keeps a single table per channel (paper
 footnote 2 - left as future work there, implemented here).
@@ -79,8 +82,8 @@ class ChargeCache(LatencyMechanism):
             self.invalidators = [
                 PeriodicInvalidator(table, sweep_cycles)
                 for table in self.tables]
-        #: Earliest next IIC wrap over all invalidators: :meth:`maintain`
-        #: has nothing to do before it.
+        #: Earliest next IIC wrap over all invalidators: the sweep has
+        #: nothing to catch up before it.
         self._next_wrap = self._earliest_wrap()
 
     # ------------------------------------------------------------------
@@ -93,7 +96,7 @@ class ChargeCache(LatencyMechanism):
         id) is probed with the :func:`row_key` of the row, inline.
         """
         if cycle >= self._next_wrap:
-            self.maintain(cycle)
+            self._catch_up(cycle)
         self.lookups += 1
         key = ((rank << 6) | bank) << 32 | row
         table = self.tables[core_id % self._num_tables
@@ -114,7 +117,7 @@ class ChargeCache(LatencyMechanism):
         Table and key as in :meth:`on_activate`.
         """
         if cycle >= self._next_wrap:
-            self.maintain(cycle)
+            self._catch_up(cycle)
         key = ((rank << 6) | bank) << 32 | row
         table = self.tables[core_id % self._num_tables
                             if core_id >= 0 else 0]
@@ -123,37 +126,17 @@ class ChargeCache(LatencyMechanism):
         else:
             table.insert(key)
 
-    def maintain(self, cycle: int) -> None:
-        """Advance the IIC/EC invalidation counters to ``cycle``."""
-        if cycle < self._next_wrap:
-            return  # no IIC wraps yet: advancing would be a no-op
+    def _catch_up(self, cycle: int) -> None:
+        """Advance the IIC/EC invalidation counters to ``cycle`` (a wrap
+        is due: ``cycle >= _next_wrap``)."""
         for invalidator in self.invalidators:
             invalidator.advance_to(cycle)
         self._next_wrap = self._earliest_wrap()
 
     def _earliest_wrap(self) -> int:
         if self.unbounded:
-            return NEVER
-        return min(inv.next_wrap_cycle() for inv in self.invalidators)
-
-    def next_wake(self, cycle: int) -> int:
-        """Next IIC wrap across all tables (event-engine wake-up).
-
-        Registering the sweep deadline keeps invalidations happening at
-        the hardware scheme's absolute cycles even when the controller
-        is otherwise idle.  Tables with no valid entries have nothing
-        to invalidate, so they demand no wake-up.
-        """
-        del cycle
-        if self.unbounded:
             return NEVER  # no sweep: entries expire lazily by age
-        for table in self.tables:
-            if table.valid_count:
-                # The earliest wrap over all tables.  The invalidators
-                # share one interval and every maintain call, so it is
-                # also this table's next wrap.
-                return self._next_wrap
-        return NEVER
+        return min(inv.next_wrap_cycle() for inv in self.invalidators)
 
 
 # ----------------------------------------------------------------------

@@ -44,10 +44,6 @@ class HCRAC:
         self._stamp: List[List[int]] = [
             [0] * associativity for _ in range(self.num_sets)]
         self._use_counter = 0
-        #: Number of valid entries, maintained: the event engine reads
-        #: it on every wake computation, which must not pay an
-        #: O(entries) scan.
-        self.valid_count = 0
 
     # ------------------------------------------------------------------
 
@@ -78,7 +74,6 @@ class HCRAC:
         # (stamps of valid ways are distinct).
         if None in tags:
             victim = tags.index(None)
-            self.valid_count += 1
         else:
             victim = stamps.index(min(stamps))
         tags[victim] = tag
@@ -96,14 +91,12 @@ class HCRAC:
         if self._tags[set_idx][way] is None:
             return False
         self._tags[set_idx][way] = None
-        self.valid_count -= 1
         return True
 
     def clear(self) -> None:
         for set_idx in range(self.num_sets):
             for way in range(self.associativity):
                 self._tags[set_idx][way] = None
-        self.valid_count = 0
 
     # ------------------------------------------------------------------
 
@@ -111,7 +104,8 @@ class HCRAC:
         return self.lookup(key, touch=False)
 
     def __len__(self) -> int:
-        return self.valid_count
+        """The number of valid entries, counted from the tags."""
+        return sum(tag is not None for tags in self._tags for tag in tags)
 
 
 class UnboundedHCRAC:

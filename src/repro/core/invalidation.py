@@ -28,7 +28,8 @@ class PeriodicInvalidator:
     Instead of literally incrementing a counter every cycle (wasteful in
     a Python simulator), :meth:`advance_to` computes how many IIC wraps
     occurred since the last call and performs that many entry
-    invalidations - behaviourally identical to the hardware scheme.
+    invalidations - behaviourally identical to the hardware scheme.  A
+    gap of a full sweep or more clears the table at once.
     """
 
     def __init__(self, hcrac: HCRAC, duration_cycles: int):
@@ -65,14 +66,10 @@ class PeriodicInvalidator:
     def next_wrap_cycle(self) -> int:
         """Cycle of the next IIC wrap (the next single-entry sweep step).
 
-        Event-engine wake-up hook: :meth:`advance_to` is batch-exact,
-        so correctness never requires being called at the wrap itself,
-        but registering the wrap keeps the sweep running on schedule
-        (entries are invalidated at the same absolute cycles the
-        hardware scheme would) instead of only at command boundaries.
+        ChargeCache's hooks call :meth:`advance_to` only once a lookup
+        or insert reaches this cycle.  That is exact because
+        :meth:`advance_to` is batch-exact: however many wraps one call
+        covers, the table ends as the hardware scheme, stepping at
+        every wrap, would leave it.
         """
         return self._last_cycle + self.interval
-
-    def reset(self, cycle: int = 0) -> None:
-        self._last_cycle = cycle
-        self.entry_counter = 0

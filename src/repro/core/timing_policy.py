@@ -8,9 +8,12 @@ the memory controller may use.  The controller calls:
   defaults).
 * :meth:`LatencyMechanism.on_precharge` when it issues a PRE - this is
   where ChargeCache learns about highly-charged rows.
-* :meth:`LatencyMechanism.maintain` on a controller tick once the
-  clock reaches :meth:`LatencyMechanism.next_wake`, used by
-  ChargeCache's periodic invalidation counters.
+
+These two hooks are the whole contract: the controller consults a
+mechanism at nothing but ACT and PRE.  A mechanism with time-driven
+state (ChargeCache's periodic invalidation counters) catches it up
+inside its hooks, which is exact as long as the catch-up is
+batch-exact: no hook can observe the state between two of them.
 
 Mechanisms are instantiated per memory channel, matching the paper's
 per-channel replication.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.registry import register_mechanism
-from repro.dram.timing import NEVER, ReducedTimings, TimingParameters
+from repro.dram.timing import ReducedTimings, TimingParameters
 
 
 class LatencyMechanism:
@@ -45,29 +48,6 @@ class LatencyMechanism:
     def on_precharge(self, rank: int, bank: int, row: int, core_id: int,
                      cycle: int) -> None:
         """Observe a PRE command (row closes, cells fully charged)."""
-
-    def maintain(self, cycle: int) -> None:
-        """Perform periodic housekeeping up to ``cycle``."""
-
-    def next_wake(self, cycle: int) -> int:
-        """Earliest cycle at which this mechanism next needs a
-        :meth:`maintain` call.
-
-        The event engine no longer polls :meth:`maintain` every cycle,
-        so a mechanism with time-driven state registers its next
-        deadline here instead of relying on being ticked.  ``NEVER``
-        (the default) means the mechanism is purely reactive - its
-        housekeeping is batch-exact and can run lazily at the next
-        command boundary.
-
-        Contract: the value may change only inside :meth:`on_activate`,
-        :meth:`on_precharge` and :meth:`maintain`; between those calls
-        it is the same for every ``cycle``.  The memory controller
-        caches it after each of them and calls :meth:`maintain` only
-        once the clock reaches the cached cycle.
-        """
-        del cycle
-        return NEVER
 
     def reset_stats(self) -> None:
         self.lookups = 0
@@ -113,14 +93,6 @@ class CombinedMechanism(LatencyMechanism):
     def on_precharge(self, rank, bank, row, core_id, cycle):
         for mechanism in self.mechanisms:
             mechanism.on_precharge(rank, bank, row, core_id, cycle)
-
-    def maintain(self, cycle):
-        for mechanism in self.mechanisms:
-            mechanism.maintain(cycle)
-
-    def next_wake(self, cycle):
-        return min(mechanism.next_wake(cycle)
-                   for mechanism in self.mechanisms)
 
     def reset_stats(self):
         super().reset_stats()

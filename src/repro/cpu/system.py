@@ -15,9 +15,9 @@ Two clock engines share the per-cycle body (:meth:`System._step`):
 * **dense** ticks every bus cycle - the reference implementation.
 * **event** (default) asks every component for its next wake-up - the
   earliest ready command from the per-bank timing state, the next
-  refresh due, the next read completion, the next mechanism sweep, the
-  next core memory access or instruction-limit crossing - and advances
-  ``mem_cycle`` straight to the minimum.  Because every wake-up is a
+  refresh due, the next read completion, the next core memory access
+  or instruction-limit crossing - and advances ``mem_cycle`` straight
+  to the minimum.  Because every wake-up is a
   *lower bound* on the component's next observable action and all
   state changes happen at visited cycles, the visited set is a
   superset of the dense engine's action cycles and the two engines

@@ -55,6 +55,8 @@ class SweepPoint:
     result: RunResult
     #: "memory" | "disk" | "computed" — which layer served the run.
     source: str
+    #: Wall time of the unit that computed the point, on the unit's
+    #: first point; 0.0 on a batch group's other points and on recalls.
     seconds: float = 0.0
     #: Short id of the batch group this point was computed in, or None
     #: when it ran on its own (cache hits and groups of one).  Points
@@ -181,10 +183,11 @@ def _run_unit(group: List[RunSpec]) -> List[SweepPoint]:
 
     A group of one runs through ``runner.run_spec_ex``; a larger group
     shares one trace tape through ``runner.run_spec_batch`` (looked
-    up on the module, so wrappers installed there see the call), and
-    each member reports an equal share of its wall time.  Any failure
-    is raised as :class:`_WorkerError`, attributed to the group's
-    first spec.
+    up on the module, so wrappers installed there see the call).  The
+    group's wall time is measured once, for the whole group, so its
+    first point carries it and the others 0.0: no member's own time
+    is known.  Any failure is raised as :class:`_WorkerError`,
+    attributed to the group's first spec.
     """
     started = time.perf_counter()
     try:
@@ -197,9 +200,10 @@ def _run_unit(group: List[RunSpec]) -> List[SweepPoint]:
                         for result in runner.run_spec_batch(group)]
     except Exception as exc:
         raise _WorkerError(_picklable(exc)) from None
-    share = (time.perf_counter() - started) / len(group)
-    return [SweepPoint(spec, result, source, share, gid)
-            for spec, (result, source) in zip(group, outcomes)]
+    times = [time.perf_counter() - started] + [0.0] * (len(group) - 1)
+    return [SweepPoint(spec, result, source, seconds, gid)
+            for spec, (result, source), seconds in zip(group, outcomes,
+                                                       times)]
 
 
 def _unit_result(group: List[RunSpec], outcome: Callable[[], list]

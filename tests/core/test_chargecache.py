@@ -74,12 +74,19 @@ class TestInvalidation:
         assert scaled.duration_cycles * 64 == pytest.approx(
             plain.duration_cycles, rel=0.01)
 
-    def test_maintain_idempotent(self):
+    def test_hooks_catch_the_sweep_up_once(self):
+        """The first hook at or past an IIC wrap runs the sweep up to
+        its cycle; a second hook at the same cycle finds nothing due."""
         cc = make_cc()
         cc.on_precharge(0, 0, 100, 0, 0)
-        cc.maintain(10)
-        cc.maintain(10)
-        assert cc.on_activate(0, 0, 100, 0, 11) is not None
+        invalidator = cc.invalidators[0]
+        cycle = 3 * invalidator.interval
+        for _ in range(2):
+            # Row 100 sits in set 36 (entries 72-73): not yet swept.
+            assert cc.on_activate(0, 0, 100, 0, cycle) is not None
+            assert invalidator.entry_counter == 3
+            assert invalidator.next_wrap_cycle() == \
+                cycle + invalidator.interval
 
 
 class TestCapacity:

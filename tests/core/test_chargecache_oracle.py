@@ -3,18 +3,18 @@ helper formulation.
 
 ``HCRAC.lookup``/``insert`` take the set and tag from a precomputed
 mask and shift and find the LRU victim with ``list.index``;
-``ChargeCache.on_activate``/``on_precharge`` call ``maintain`` only when
-an IIC wrap is due, pack the row key and pick the table inline, and
-``next_wake`` reads the maintained valid count.  The references below
-keep the earlier formulation verbatim as an oracle: ``HCRAC._index``,
-eviction by ``min(key=...)``, ``ChargeCache._table_index``, an
-unconditional ``maintain`` and :func:`row_key`.
+``ChargeCache.on_activate``/``on_precharge`` catch the invalidation
+sweep up only when an IIC wrap is due, and pack the row key and pick
+the table inline.  The references below keep the earlier formulation
+verbatim as an oracle: ``HCRAC._index``, eviction by ``min(key=...)``,
+a maintained valid-entry count, ``ChargeCache._table_index``, a
+sweep catch-up on every hook and :func:`row_key`.
 
 Hypothesis drives both with identical random ACT/PRE streams (random
 keys, core ids and cycle gaps that cross IIC wraps and whole sweeps) on
 64-2048 entries, associativity 1, 2 and 4, shared and per-core tables,
 and unbounded tables.  After every event the decisions, every table's
-tags, LRU stamps and counters, the invalidators and the wake must agree.
+tags, LRU stamps and counters, and the invalidators must agree.
 """
 
 from __future__ import annotations
@@ -97,20 +97,16 @@ class ReferenceHCRAC:
                 self._tags[set_idx][way] = None
         self._valid = 0
 
-    @property
-    def valid_count(self) -> int:
-        return self._valid
-
     def __contains__(self, key: int) -> bool:
         return self.lookup(key, touch=False)
 
     def __len__(self) -> int:
-        return self.valid_count
+        return self._valid
 
 
 class ReferenceChargeCache(ChargeCache):
     """ChargeCache over reference tables with the helper hooks
-    (``maintain`` and ``_earliest_wrap`` are inherited unchanged)."""
+    (``_catch_up`` and ``_earliest_wrap`` are inherited unchanged)."""
 
     def __init__(self, timing, config, num_cores):
         super().__init__(timing, config, num_cores)
@@ -133,7 +129,8 @@ class ReferenceChargeCache(ChargeCache):
         return core_id % self._num_cores
 
     def on_activate(self, rank, bank, row, core_id, cycle):
-        self.maintain(cycle)
+        if not self.unbounded:
+            self._catch_up(cycle)
         self.lookups += 1
         key = row_key(rank, bank, row)
         idx = self._table_index(core_id)
@@ -148,7 +145,8 @@ class ReferenceChargeCache(ChargeCache):
         return None
 
     def on_precharge(self, rank, bank, row, core_id, cycle):
-        self.maintain(cycle)
+        if not self.unbounded:
+            self._catch_up(cycle)
         key = row_key(rank, bank, row)
         table = self.tables[self._table_index(core_id)]
         if self.unbounded:
@@ -156,18 +154,10 @@ class ReferenceChargeCache(ChargeCache):
         else:
             table.insert(key)
 
-    def next_wake(self, cycle):
-        del cycle
-        for table in self.tables:
-            if len(table):
-                return self._next_wrap
-        return super(ChargeCache, self).next_wake(0)
-
 
 def table_state(table) -> tuple:
     if isinstance(table, (HCRAC, ReferenceHCRAC)):
-        return (len(table), table.valid_count, table._use_counter,
-                table._tags, table._stamp)
+        return (len(table), table._use_counter, table._tags, table._stamp)
     return len(table), dict(table._inserted_at)
 
 
@@ -221,14 +211,7 @@ def test_one_call_decisions_match_helpers(entries, associativity, sharing,
         else:
             mech.on_precharge(rank, bank, row, core_id, cycle)
             reference.on_precharge(rank, bank, row, core_id, cycle)
-        assert mech.next_wake(cycle) == reference.next_wake(cycle)
         assert mechanism_state(mech) == mechanism_state(reference)
-    # A controller's due tick: maintain, then the wake.
-    cycle += 5000
-    mech.maintain(cycle)
-    reference.maintain(cycle)
-    assert mech.next_wake(cycle) == reference.next_wake(cycle)
-    assert mechanism_state(mech) == mechanism_state(reference)
 
 
 @given(entries=st.sampled_from((64, 256, 2048)),

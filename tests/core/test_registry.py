@@ -302,7 +302,6 @@ def _stimulus(mech, rows=64, cycles_per_step=50):
             mech.on_precharge(0, bank, row, 0, cycle)
         else:
             offers.append(mech.on_activate(0, bank, row, 0, cycle))
-        mech.maintain(cycle)
     return offers, mech.lookups, mech.hits
 
 
@@ -335,7 +334,7 @@ class TestNWayComposition:
         assert flat_offers == nested_offers
         assert flat_lookups == 266 and flat_hits == 266  # lldram: all hit
 
-    def test_three_way_next_wake_and_reset(self, refresh):
+    def test_three_way_reset(self, refresh):
         mech = registry.build(
             "chargecache+nuat+aldram",
             registry.MechanismContext(timing=DDR3_1600, num_cores=1,
@@ -343,8 +342,6 @@ class TestNWayComposition:
         assert isinstance(mech, CombinedMechanism)
         assert len(mech.mechanisms) == 3
         mech.on_precharge(0, 0, 5, 0, 10)
-        wake = mech.next_wake(10)
-        assert wake == min(m.next_wake(10) for m in mech.mechanisms)
         mech.on_activate(0, 0, 5, 0, 20)
         mech.reset_stats()
         assert mech.lookups == 0

@@ -152,6 +152,22 @@ def test_batched_points_warm_a_serial_rerun():
     assert warm.counts()["batched"] == 0
 
 
+def test_batch_group_time_is_carried_by_its_first_point():
+    """A batch group's wall time is measured once, for the whole group:
+    its first point carries it and the other members 0.0, instead of
+    each reporting an invented equal share."""
+    specs = [RunSpec(kind="single", name="hmmer", mechanism=mech,
+                     scale=TINY, engine="event", cc_entries=entries)
+             for mech, entries in (("none", None), ("chargecache", 64),
+                                   ("chargecache", 256), ("lldram", None),
+                                   ("nuat", None))]
+    sweep = execute_sweep(specs, jobs=1)
+    assert sweep.counts()["batched"] == 5
+    assert len({point.batch_group for point in sweep.points}) == 1
+    assert [point.seconds > 0 for point in sweep.points] == \
+        [True, False, False, False, False]
+
+
 class TestParallelBatching:
     """Regression: batching must survive ``--jobs > 1``.
 

@@ -11,12 +11,15 @@ is a correctness bug, not noise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
 from repro.controller.controller import MemoryController
+from repro.core.hcrac import HCRAC
 from repro.cpu.system import RunResult, System
+from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.workloads.synthetic import random_trace, stream_trace, zipf_trace
 
@@ -131,6 +134,52 @@ def test_tiny_queue_retry_pressure_parity():
     cfg = replace(cfg, controller=ControllerConfig(read_queue_size=2,
                                                    write_queue_size=2))
     assert_parity(cfg, "random", max_mem_cycles=900_000)
+
+
+def _idle_gap_traces(cfg, idle_bubbles: int):
+    """Per core, six bursts of the same 60 zipf accesses, each followed
+    by ``idle_bubbles`` instructions that touch no memory."""
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    traces = []
+    for core in range(cfg.processor.num_cores):
+        burst = list(itertools.islice(
+            zipf_trace(org, 1 << 20, 4.0, seed=core + 1,
+                       write_fraction=0.2), 60))
+        idle = TraceRecord(idle_bubbles, burst[0].line_address, False)
+        traces.append(iter((burst + [idle]) * 6))
+    return traces
+
+
+@pytest.mark.parametrize("sharing", ("per-core", "shared"))
+def test_chargecache_idle_gaps_longer_than_a_sweep_parity(monkeypatch,
+                                                          sharing):
+    """ChargeCache catches its IIC/EC sweep up only at ACT and PRE.
+    After an idle stretch longer than one full sweep, both engines
+    catch up through ``PeriodicInvalidator.advance_to``'s
+    ``wraps >= entries`` path, which clears a table at once; it must
+    leave every result as the dense engine's.  The test checks that
+    both runs take that path on tables that still hold entries."""
+    cleared = {}
+    clear = HCRAC.clear
+
+    def counted_clear(self):
+        if len(self):
+            cleared[engine] = cleared.get(engine, 0) + 1
+        clear(self)
+
+    monkeypatch.setattr(HCRAC, "clear", counted_clear)
+    cfg = tiny_config("chargecache", num_cores=2, sharing=sharing,
+                      instruction_limit=200_000, warmup=1000)
+    results = {}
+    for engine in ("dense", "event"):
+        system = System(replace(cfg, engine=engine),
+                        _idle_gap_traces(cfg, idle_bubbles=40_000))
+        results[engine] = system.run(max_mem_cycles=600_000)
+    for field in PARITY_FIELDS:
+        assert getattr(results["event"], field) == \
+            getattr(results["dense"], field), field
+    assert cleared["event"] == cleared["dense"] > 0
+    assert results["event"].mechanism_hits > 0
 
 
 def test_event_engine_is_default():

@@ -3,10 +3,9 @@
 After every visited cycle, including one where a command issued,
 :meth:`MemoryController.next_event_cycle` bids the exact next cycle
 the controller can act at (read-event head, refresh deadlines, the
-FR-FCFS readiness snapshot's ready bound, pending precharges,
-mechanism wake).  The snapshot is rebuilt only when the controller
-state changed, so the exact bid costs about one snapshot per issued
-command.  These tests pin the properties the bid must keep:
+FR-FCFS readiness snapshot's ready bound, pending precharges).  The
+snapshot is rebuilt only when the controller state changed, so the
+exact bid costs about one snapshot per issued command.  These tests pin the properties the bid must keep:
 
 * **Soundness** — every counter of an event-engine run stays
   bit-identical to the dense tick-per-cycle reference, on workloads
@@ -21,11 +20,12 @@ command.  These tests pin the properties the bid must keep:
   snapshots per issued command; rescanning an unchanged controller
   state busts the snapshot budget.
 * **Cost per visit** — a visit steps only the side that is due
-  (controllers, or cores and LLC), each tick or bid asks the scheduler
-  once, the controller's cached mechanism wake equals a fresh
-  ``next_wake`` at every bid, the core bids ``_step`` takes are the
-  ones an after-the-step walk would take, the LLC is ticked only with
-  parked requests, and an open-row channel never asks its row policy.
+  (controllers, or cores and LLC), no controller tick is idle (each
+  issues a command, fires a read completion or meets a refresh due
+  date, under every mechanism), each tick or bid asks the scheduler
+  once, the core bids ``_step`` takes are the ones an after-the-step
+  walk would take, the LLC is ticked only with parked requests, and an
+  open-row channel never asks its row policy.
 * **Cost per run** — the LLC creates only the sets a run looks up.
 """
 
@@ -41,14 +41,13 @@ from repro.controller.queues import RequestQueue
 from repro.controller.row_policy import OpenRowPolicy
 from repro.controller.scheduler import FRFCFSScheduler
 from repro.core import registry
-from repro.core.timing_policy import DefaultTiming
 from repro.cpu.cache import SharedCache
 from repro.cpu.core import Core
 from repro.cpu.system import System
 from repro.cpu.trace import TraceRecord
 from repro.dram.channel import Channel
 from repro.dram.organization import Organization
-from repro.dram.timing import NEVER, TimingParameters
+from repro.dram.timing import TimingParameters
 from repro.harness.runner import build_config
 from repro.workloads.synthetic import random_trace, zipf_trace
 
@@ -203,13 +202,14 @@ def test_mixed_phase_exact_bid_visit_budget():
     """The controller's bid is exact, also right after an issue.
 
     Visited cycles per issued command on the fixed mixed-phase run, an
-    exact count: 1.80 with the exact bid; 2.18 with the earlier cheaper
+    exact count: 1.43 with the exact bid.  Waking the controller for
+    every ChargeCache IIC wrap measured 1.80; the earlier cheaper
     post-issue lower bound, whose underestimates each cost a visited
-    cycle that does nothing.
+    cycle that does nothing, measured 2.18 on top of those wake-ups.
     """
     system, commands = _mixed_phase_event_run()
     per_command = system.visited_cycles / commands
-    assert per_command <= 1.9, (
+    assert per_command <= 1.5, (
         f"{per_command:.2f} visited cycles per command — the wake bid "
         "underestimates the controller's next action")
 
@@ -279,9 +279,9 @@ def test_mixed_phase_scheduler_views_stay_on_the_path(monkeypatch):
     """The controller asks the scheduler through ``choose`` and
     ``next_ready_cycle``, once per tick or bid that reaches it.
 
-    Exact counts on the fixed mixed-phase run: of the 880 ticks, 741
-    reach the scheduler (the other 139 find both queues empty), and of
-    the 946 controller bids, 715 reach it (the others return first,
+    Exact counts on the fixed mixed-phase run: of the 681 ticks, 643
+    reach the scheduler (the other 38 find both queues empty), and of
+    the 753 controller bids, 627 reach it (the others return first,
     because a read completion or refresh already bids the next cycle,
     or find both queues empty).  No tick or bid asks twice,
     so every call has its own cycle, and the engine bids at most once
@@ -300,10 +300,10 @@ def test_mixed_phase_scheduler_views_stay_on_the_path(monkeypatch):
                          (MemoryController, "next_event_cycle"))
     system, commands = _mixed_phase_event_run()
     assert len(system.controllers) == 1
-    assert calls == {"MemoryController.tick": 880,
-                     "MemoryController.next_event_cycle": 946}
-    assert len(cycles["choose"]) == 741
-    assert len(cycles["next_ready_cycle"]) == 715
+    assert calls == {"MemoryController.tick": 681,
+                     "MemoryController.next_event_cycle": 753}
+    assert len(cycles["choose"]) == 643
+    assert len(cycles["next_ready_cycle"]) == 627
     for seen in cycles.values():
         assert len(set(seen)) == len(seen)
     assert calls["MemoryController.next_event_cycle"] \
@@ -339,22 +339,57 @@ def test_mixed_phase_llc_holds_exactly_the_touched_sets(monkeypatch):
 def test_mixed_phase_visit_kind_budgets(monkeypatch):
     """Each visit steps only the side that is due.
 
-    Exact call counts on the fixed mixed-phase run (946 visited
+    Exact call counts on the fixed mixed-phase run (753 visited
     cycles).  A controller-only visit ticks the controllers and skips
     the cores, the LLC and the core bids; a core-only visit skips the
     controller ticks; and cores blocked on a load are not asked for a
     bid (``_step`` asks the others right after stepping them).
-    Stepping both sides on every visit measures 946 ticks, 638
-    ``Core.run_until`` calls and 579 core bids.
+    Stepping both sides on every visit measured 946 ticks, 638
+    ``Core.run_until`` calls and 579 core bids, when the controller
+    still woke for every ChargeCache IIC wrap (946 visits).
     """
     calls = _count_calls(monkeypatch, (MemoryController, "tick"),
                          (Core, "run_until"),
                          (Core, "next_event_cpu_cycle"))
     system, commands = _mixed_phase_event_run()
-    assert system.visited_cycles <= 946
-    assert calls == {"MemoryController.tick": 880,
+    assert system.visited_cycles <= 753
+    assert calls == {"MemoryController.tick": 681,
                      "Core.run_until": 375,
                      "Core.next_event_cpu_cycle": 123}
+
+
+@pytest.mark.parametrize("mechanism", (
+    *registry.mechanism_names(), "chargecache(unbounded=true)",
+    "chargecache+nuat"))
+def test_no_controller_tick_is_idle(monkeypatch, mechanism):
+    """Every controller tick of the fixed mixed-phase event run acts:
+    it issues a command, fires a read completion or lands on a rank's
+    refresh due date (where the rank starts blocking the scheduler).
+
+    The controller consults its mechanism only at ACT and PRE, so a
+    mechanism adds no ticks of its own.  Waking the controller for
+    every ChargeCache IIC wrap, to run the sweep on schedule, made 185
+    of the run's 880 ticks idle by this rule.
+    """
+    idle = []
+    ticks = 0
+    tick = MemoryController.tick
+
+    def checked_tick(self, cycle):
+        nonlocal ticks
+        ticks += 1
+        issued = self._issue_count
+        fires = bool(self.read_events) and self.read_events[0][0] <= cycle
+        refresh_due = any(self.refresh.next_due(rank) == cycle
+                          for rank in range(self._num_ranks))
+        tick(self, cycle)
+        if not (fires or refresh_due or self._issue_count > issued):
+            idle.append(cycle)
+
+    monkeypatch.setattr(MemoryController, "tick", checked_tick)
+    _mixed_phase_event_run(mechanism)
+    assert ticks > 0
+    assert idle == []
 
 
 def test_mixed_phase_core_llc_and_row_policy_budgets(monkeypatch):
@@ -503,76 +538,3 @@ def test_blocked_cores_are_caught_up_before_the_warmup_reset(monkeypatch,
                               warmup=2000), engine=engine)
     System(cfg, _traces(cfg, "zipf")).run(max_mem_cycles=600_000)
     assert at_reset == [[0] * 8]
-
-
-def _check_cached_wake_at_bids(monkeypatch):
-    """Make every controller bid assert that the cached mechanism
-    wake equals a fresh ``next_wake``; returns the checked
-    ``(mechanism, wake)`` pairs."""
-    checked = []
-    bid = MemoryController.next_event_cycle
-
-    def checked_bid(self, cycle):
-        fresh = self.mechanism.next_wake(cycle)
-        assert self._mech_wake == fresh, (cycle, self._mech_wake, fresh)
-        checked.append((self.mechanism, fresh))
-        return bid(self, cycle)
-
-    monkeypatch.setattr(MemoryController, "next_event_cycle", checked_bid)
-    return checked
-
-
-@pytest.mark.parametrize("mechanism", (
-    *registry.mechanism_names(), "chargecache(unbounded=true)",
-    "chargecache+nuat"))
-def test_cached_mechanism_wake_is_fresh_at_every_bid(monkeypatch,
-                                                     mechanism):
-    """The controller caches ``next_wake`` after ``on_activate``,
-    ``on_precharge`` and ``maintain``, the only calls that may change
-    it (the :meth:`LatencyMechanism.next_wake` contract)."""
-    checked = _check_cached_wake_at_bids(monkeypatch)
-    _mixed_phase_event_run(mechanism)
-    assert checked
-    if mechanism in ("chargecache", "chargecache+nuat"):
-        # The run moves the wake: HCRAC fills and sweeps happen.
-        assert len({wake for _, wake in checked}) > 2
-
-
-class _MovingWake(DefaultTiming):
-    """Moves its wake in every hook, as the ``next_wake`` contract
-    allows (the built-in mechanisms never move it in ``on_activate``)."""
-
-    def __init__(self, timing):
-        super().__init__(timing)
-        self.wake = 1234
-
-    def on_activate(self, rank, bank, row, core_id, cycle):
-        self.wake = cycle + 1000
-        return super().on_activate(rank, bank, row, core_id, cycle)
-
-    def on_precharge(self, rank, bank, row, core_id, cycle):
-        self.wake = cycle + 3
-
-    def maintain(self, cycle):
-        self.wake = NEVER
-
-    def next_wake(self, cycle):
-        return self.wake
-
-
-def test_cached_wake_follows_assignment_and_every_hook(monkeypatch):
-    """The controller reads its mechanism's wake at construction, and
-    re-reads it after ``on_activate``, ``on_precharge`` and
-    ``maintain``."""
-    checked = _check_cached_wake_at_bids(monkeypatch)
-    monkeypatch.setattr(registry, "build",
-                        lambda spec, ctx: _MovingWake(ctx.timing))
-    cfg = tiny_config("none", instruction_limit=20_000, warmup=1_000)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
-    system = System(cfg, [iter(_mixed_phase_trace(org))])
-    controller = system.controllers[0]
-    assert isinstance(controller.mechanism, _MovingWake)
-    assert controller.next_event_cycle(0) == 1234
-    system.run(max_mem_cycles=600_000)
-    wakes = {wake for _, wake in checked}
-    assert NEVER in wakes and len(wakes) > 100
