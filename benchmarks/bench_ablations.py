@@ -24,7 +24,7 @@ from repro.workloads.mixes import make_mix_traces, mix_composition
 
 def _run_with_cc(scale, mix, mechanism):
     cfg = build_config("eight", mechanism, scale)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     system = System(cfg, make_mix_traces(mix_composition(mix), org, seed=1))
     return system.run(max_mem_cycles=scale.max_mem_cycles)
 
@@ -35,7 +35,7 @@ def test_ablation_frfcfs_vs_fcfs(benchmark, scale):
         cfg = build_config("single", "none", scale)
         cfg = replace(cfg, controller=replace(cfg.controller,
                                               scheduler="fcfs"))
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         from repro.workloads.spec_like import make_trace
         system = System(cfg, [make_trace("libquantum", org, seed=1)])
         fcfs = system.run(max_mem_cycles=scale.max_mem_cycles)

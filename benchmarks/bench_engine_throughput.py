@@ -81,7 +81,7 @@ def _build(engine: str, bubbles: float, footprint: int,
         warmup_cpu_cycles=1000,
         engine=engine,
     )
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     trace = random_trace(org, footprint, bubbles, seed=1,
                          write_fraction=0.2)
     return System(cfg, [trace])
@@ -135,7 +135,7 @@ def _batch_configs() -> list:
 
 
 def _batch_trace(cfg: SimulationConfig):
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     # Hot-row-set zipf: ChargeCache's motivating access pattern, and
     # the shape (one workload, many table variants) of Figures 9-11.
     return zipf_trace(org, 128 * 1024, 6.0, seed=7, alpha=1.8,

@@ -33,7 +33,7 @@ PLATFORMS = {"DDR4-2400": "ddr4-2400-c1", "LPDDR3-1600": "lpddr3-1600-c1"}
 
 def _run(scale, mechanism, platform="single"):
     cfg = build_config(platform, mechanism, scale)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     system = System(cfg, [make_trace(WORKLOAD, org, seed=1)])
     return system.run(max_mem_cycles=scale.max_mem_cycles)
 

@@ -11,6 +11,13 @@ The defaults mirror Table 1 of the paper (HPCA 2016):
   8 banks/rank, 64K rows/bank, 8 KB row buffer.
 * ChargeCache: 128 entries/core, 2-way, LRU, 1 ms caching duration,
   tRCD/tRAS reduced by 4/8 bus cycles on a hit.
+
+Table 1 fixes one system; the paper's figures vary only the cores,
+channels, ranks, row policy, standard, mechanism and budgets.  What no
+figure varies is a module constant below (clock, issue width, window,
+MSHRs, line size, LLC hit latency, banks, row buffer, write-drain
+watermarks), not a configuration field, and the address mapping is
+the one :class:`repro.dram.organization.Organization` implements.
 """
 
 from __future__ import annotations
@@ -19,6 +26,25 @@ from dataclasses import dataclass, field, replace
 
 #: CPU clock frequency used throughout the paper's evaluation (Table 1).
 DEFAULT_CPU_FREQ_GHZ = 4.0
+#: Instructions a core dispatches per CPU cycle (Table 1).
+ISSUE_WIDTH = 3
+#: Instruction-window entries per core (Table 1).
+WINDOW_SIZE = 128
+#: Outstanding LLC load misses per core (Table 1).
+MSHRS_PER_CORE = 8
+#: Cache-line (and DRAM column) size in bytes (Table 1).
+LINE_BYTES = 64
+#: LLC hit latency in CPU cycles, a typical L3 lookup.
+LLC_HIT_LATENCY_CYCLES = 24
+#: Banks per DRAM rank (Table 1).
+BANKS_PER_RANK = 8
+#: DRAM row-buffer size in bytes (Table 1): 128 lines per row.
+ROW_BUFFER_BYTES = 8 * 1024
+#: A controller starts draining writes once its write queue holds this
+#: fraction of its entries...
+WRITE_HIGH_WATERMARK = 0.8
+#: ... and stops once it is down to this fraction.
+WRITE_LOW_WATERMARK = 0.2
 
 #: Known row-buffer management policies (Section 3 of the paper).
 ROW_POLICIES = ("open", "closed")
@@ -39,20 +65,10 @@ class ProcessorConfig:
     """Core pipeline parameters (Table 1, "Processor" row)."""
 
     num_cores: int = 1
-    freq_ghz: float = DEFAULT_CPU_FREQ_GHZ
-    issue_width: int = 3
-    window_size: int = 128
-    mshrs_per_core: int = 8
 
     def validate(self) -> None:
         if self.num_cores < 1:
             raise ValueError("num_cores must be >= 1")
-        if self.issue_width < 1:
-            raise ValueError("issue_width must be >= 1")
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if self.mshrs_per_core < 1:
-            raise ValueError("mshrs_per_core must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -61,20 +77,18 @@ class CacheConfig:
 
     size_bytes: int = 4 * 1024 * 1024
     associativity: int = 16
-    line_bytes: int = 64
-    hit_latency_cycles: int = 24  # CPU cycles, typical L3 lookup latency
 
     @property
     def num_sets(self) -> int:
-        sets = self.size_bytes // (self.associativity * self.line_bytes)
+        sets = self.size_bytes // (self.associativity * LINE_BYTES)
         return max(1, sets)
 
     def validate(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError("cache size must be positive")
-        if self.line_bytes & (self.line_bytes - 1):
-            raise ValueError("line size must be a power of two")
-        if self.size_bytes % (self.associativity * self.line_bytes):
+        if self.associativity < 1:
+            raise ValueError("associativity must be >= 1")
+        if self.size_bytes % (self.associativity * LINE_BYTES):
             raise ValueError("size must be divisible by assoc * line size")
 
 
@@ -96,19 +110,13 @@ class DRAMConfig:
 
     channels: int = 1
     ranks_per_channel: int = 1
-    banks_per_rank: int = 8
     rows_per_bank: int = 64 * 1024
-    row_buffer_bytes: int = 8 * 1024
-    address_mapping: str = "RoBaRaCoCh"
     standard: str = DEFAULT_STANDARD
 
     def validate(self) -> None:
-        for name in ("channels", "ranks_per_channel", "banks_per_rank",
-                     "rows_per_bank"):
+        for name in ("channels", "ranks_per_channel", "rows_per_bank"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.row_buffer_bytes % 64:
-            raise ValueError("row buffer must be a multiple of 64 B lines")
         from repro.dram.standards import PRESETS
         if self.standard not in PRESETS:
             raise ValueError(
@@ -124,18 +132,12 @@ class ControllerConfig:
     write_queue_size: int = 64
     scheduler: str = "frfcfs"  # or "fcfs"
     row_policy: str = "open"   # or "closed"
-    #: Write drain starts above this occupancy fraction.
-    write_high_watermark: float = 0.8
-    #: Write drain stops below this occupancy fraction.
-    write_low_watermark: float = 0.2
 
     def validate(self) -> None:
         if self.scheduler not in ("frfcfs", "fcfs"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.row_policy not in ROW_POLICIES:
             raise ValueError(f"unknown row policy {self.row_policy!r}")
-        if not 0.0 < self.write_low_watermark < self.write_high_watermark <= 1.0:
-            raise ValueError("watermarks must satisfy 0 < low < high <= 1")
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,7 @@ class SimulationConfig:
     def cpu_cycles_per_mem_cycle(self) -> int:
         """CPU cycles per bus cycle of the configured standard."""
         from repro.dram.standards import preset
-        ratio = self.processor.freq_ghz * 1000.0 / \
+        ratio = DEFAULT_CPU_FREQ_GHZ * 1000.0 / \
             preset(self.dram.standard).freq_mhz
         return max(1, round(ratio))
 

@@ -18,6 +18,7 @@ import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.config import WRITE_HIGH_WATERMARK, WRITE_LOW_WATERMARK
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Request
 from repro.controller.row_policy import make_row_policy
@@ -94,9 +95,9 @@ class MemoryController:
         #: The queue :meth:`_select_queue` last picked, or ``_STALE``
         #: once a push or removal changed a queue length since.
         self._served = _STALE
-        self._wq_high = int(controller_config.write_high_watermark
+        self._wq_high = int(WRITE_HIGH_WATERMARK
                             * controller_config.write_queue_size)
-        self._wq_low = int(controller_config.write_low_watermark
+        self._wq_low = int(WRITE_LOW_WATERMARK
                            * controller_config.write_queue_size)
         self._pending_pre: Set[Tuple[int, int]] = set()
         #: A lower bound on ``next_pre`` over ``_pending_pre``'s banks

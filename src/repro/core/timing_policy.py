@@ -54,12 +54,6 @@ class LatencyMechanism:
         self.hits = 0
 
 
-class DefaultTiming(LatencyMechanism):
-    """Explicit alias of the baseline (every ACT at default timings)."""
-
-    name = "none"
-
-
 class CombinedMechanism(LatencyMechanism):
     """N-way composition of mechanisms (paper's ChargeCache + NUAT).
 
@@ -103,4 +97,4 @@ class CombinedMechanism(LatencyMechanism):
 @register_mechanism("none", order=0)
 def _build_none(ctx, overrides):
     del overrides
-    return DefaultTiming(ctx.timing)
+    return LatencyMechanism(ctx.timing)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, DefaultDict, Dict, List, Set, Tuple
 
+from repro.config import LLC_HIT_LATENCY_CYCLES
 from repro.controller.request import Request, RequestType
 
 
@@ -41,7 +42,9 @@ class SharedCache:
         """
         Args:
             cache_config: a :class:`repro.config.CacheConfig`.
-            mapper: the system's :class:`AddressMapper`.
+            mapper: the system's
+                :class:`~repro.dram.organization.Organization`, whose
+                ``decode_into`` gives each request its DRAM coordinates.
             controllers: list of per-channel memory controllers; each
                 reports read completions to this cache's fill
                 (their ``read_done`` hook).
@@ -54,7 +57,6 @@ class SharedCache:
                 cycle, used to timestamp controller requests.
         """
         cache_config.validate()
-        self.config = cache_config
         self.mapper = mapper
         self.controllers = controllers
         for controller in controllers:
@@ -107,7 +109,7 @@ class SharedCache:
                 lru.remove(tag)
                 lru.append(tag)
             self.load_hits += 1
-            self.hit_notify(core_id, token, self.config.hit_latency_cycles)
+            self.hit_notify(core_id, token, LLC_HIT_LATENCY_CYCLES)
             return True
         self.load_misses += 1
         waiters = self._mshrs.get(line_address)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterator, Optional
 
+from repro.config import ISSUE_WIDTH, MSHRS_PER_CORE, WINDOW_SIZE
 from repro.cpu.trace import TraceRecord
 
 #: Reasons a core may be unable to dispatch.
@@ -44,7 +45,8 @@ class Core:
             hierarchy.  ``token`` identifies the load for the later
             :meth:`on_load_complete` call.  A False return means the
             hierarchy cannot accept the access this cycle.
-        issue_width / window_size / mshrs: Table 1 parameters.
+        issue_width / window_size / mshrs: Table 1's values; tests
+            pass others to reach the window and MSHR limits quickly.
         instruction_limit: retire target after which the core is
             *finished* (it keeps executing to preserve memory pressure
             in multi-core runs, but its IPC is frozen).
@@ -52,8 +54,10 @@ class Core:
 
     def __init__(self, core_id: int, trace: Iterator[TraceRecord],
                  issue: Callable[[int, int, bool, int], bool],
-                 issue_width: int = 3, window_size: int = 128,
-                 mshrs: int = 8, instruction_limit: int = 100_000):
+                 issue_width: int = ISSUE_WIDTH,
+                 window_size: int = WINDOW_SIZE,
+                 mshrs: int = MSHRS_PER_CORE,
+                 instruction_limit: int = 100_000):
         self.core_id = core_id
         self.trace = iter(trace)
         self.issue = issue

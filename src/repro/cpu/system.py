@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.config import SimulationConfig
-from repro.controller.address_mapping import AddressMapper
 from repro.controller.controller import MemoryController
 from repro.core import registry
 from repro.cpu.cache import SharedCache
@@ -128,9 +127,7 @@ class System:
                 f"need {config.processor.num_cores} traces, got {len(traces)}")
         self.config = config
         self.timing = preset(config.dram.standard)
-        self.organization = Organization.from_config(
-            config.dram, config.cache.line_bytes)
-        self.mapper = AddressMapper(self.organization)
+        self.organization = Organization.from_config(config.dram)
         self.ratio = config.cpu_cycles_per_mem_cycle
 
         # The probes are imported only by the runs that enable them.
@@ -190,18 +187,15 @@ class System:
         self._event_seq = 0
         self._warmed = config.warmup_cpu_cycles == 0
 
-        self.llc = SharedCache(config.cache, self.mapper, self.controllers,
+        self.llc = SharedCache(config.cache, self.organization,
+                               self.controllers,
                                hit_notify=self._schedule_hit,
                                load_notify=self._load_done,
                                current_mem_cycle=lambda: self.mem_cycle)
 
-        proc = config.processor
         self.cores: List[Core] = []
-        for core_id in range(proc.num_cores):
+        for core_id in range(config.processor.num_cores):
             core = Core(core_id, traces[core_id], issue=self._core_issue,
-                        issue_width=proc.issue_width,
-                        window_size=proc.window_size,
-                        mshrs=proc.mshrs_per_core,
                         instruction_limit=config.instruction_limit)
             self.cores.append(core)
 

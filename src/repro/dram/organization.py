@@ -4,25 +4,24 @@ The organization mirrors Table 1 of the paper: 1-2 channels, 1 rank per
 channel, 8 banks per rank, 64K rows per bank and an 8 KB row buffer
 (128 cache lines of 64 B per row).
 
-Address mapping follows Ramulator's conventions.  The default,
-``RoBaRaCoCh``, orders the physical-address bit fields (MSB to LSB) as
+Addresses map as Ramulator's ``RoBaRaCoCh``: the physical-address bit
+fields (MSB to LSB) are
 
     row | bank | rank | column | channel
 
 so consecutive cache lines interleave across channels first, then walk
-the columns of one row - the layout the paper's baseline uses.
+the columns of one row - the layout the paper's baseline uses.  It is
+the only mapping: no figure varies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Supported address mappings.  Field order is MSB -> LSB.
-_MAPPINGS = {
-    "RoBaRaCoCh": ("row", "bank", "rank", "column", "channel"),
-    "RoRaBaChCo": ("row", "rank", "bank", "channel", "column"),
-    "ChRaBaRoCo": ("channel", "rank", "bank", "row", "column"),
-}
+from repro.config import BANKS_PER_RANK, LINE_BYTES, ROW_BUFFER_BYTES
+
+#: The address fields, LSB -> MSB.
+_FIELDS = ("channel", "column", "rank", "bank", "row")
 
 
 def _log2(value: int, what: str) -> int:
@@ -49,37 +48,32 @@ class Organization:
     is exercised heavily, so the bit offsets are precomputed once.
     """
 
-    def __init__(self, channels: int = 1, ranks: int = 1, banks: int = 8,
-                 rows: int = 64 * 1024, columns: int = 128,
-                 line_bytes: int = 64, mapping: str = "RoBaRaCoCh"):
-        if mapping not in _MAPPINGS:
-            raise ValueError(
-                f"unknown mapping {mapping!r}; expected one of {sorted(_MAPPINGS)}")
+    def __init__(self, channels: int = 1, ranks: int = 1,
+                 banks: int = BANKS_PER_RANK, rows: int = 64 * 1024,
+                 columns: int = ROW_BUFFER_BYTES // LINE_BYTES):
         self.channels = channels
         self.ranks = ranks
         self.banks = banks
         self.rows = rows
         self.columns = columns
-        self.line_bytes = line_bytes
-        self.mapping = mapping
 
-        self._bits = {
-            "channel": _log2(channels, "channels"),
-            "rank": _log2(ranks, "ranks"),
-            "bank": _log2(banks, "banks"),
-            "row": _log2(rows, "rows"),
-            "column": _log2(columns, "columns"),
-        }
+        sizes = {"channel": channels, "rank": ranks, "bank": banks,
+                 "row": rows, "column": columns}
         # Precompute (shift, mask) for each field, walking LSB -> MSB.
         shift = 0
-        #: Field name -> ``(shift, mask)`` of its bits in a line
-        #: address (read-only; :class:`AddressMapper` decodes from it).
+        #: Field name -> ``(shift, mask)`` of its bits in a line address.
         self.layout = {}
-        for name in reversed(_MAPPINGS[mapping]):
-            width = self._bits[name]
+        for name in _FIELDS:
+            width = _log2(sizes[name], name + "s")
             self.layout[name] = (shift, (1 << width) - 1)
             shift += width
         self.address_bits = shift
+        # decode_into's constants, unpacked in one step per call: the
+        # wrap mask, then (shift, mask) per field in Request order.
+        fields = [self.total_lines - 1]
+        for name in ("channel", "rank", "bank", "row", "column"):
+            fields.extend(self.layout[name])
+        self._decode_fields = tuple(fields)
 
     # ------------------------------------------------------------------
 
@@ -100,6 +94,22 @@ class Organization:
             fields[name] = (addr >> shift) & mask
         return DecodedAddress(**fields)
 
+    def decode_into(self, request) -> None:
+        """Fill a request's channel/rank/bank/row/column fields.
+
+        Same result as :meth:`decode` (addresses past capacity wrap),
+        written straight into the request: it runs once per LLC miss
+        and writeback, so it builds no :class:`DecodedAddress`.
+        """
+        (wrap, ch_shift, ch_mask, ra_shift, ra_mask, ba_shift, ba_mask,
+         ro_shift, ro_mask, co_shift, co_mask) = self._decode_fields
+        addr = request.line_address & wrap
+        request.channel = (addr >> ch_shift) & ch_mask
+        request.rank = (addr >> ra_shift) & ra_mask
+        request.bank = (addr >> ba_shift) & ba_mask
+        request.row = (addr >> ro_shift) & ro_mask
+        request.column = (addr >> co_shift) & co_mask
+
     def encode(self, channel: int, rank: int, bank: int, row: int,
                column: int) -> int:
         """Inverse of :meth:`decode`; returns a cache-line address."""
@@ -119,17 +129,12 @@ class Organization:
             + decoded.bank
 
     @classmethod
-    def from_config(cls, dram_cfg, line_bytes: int = 64) -> "Organization":
+    def from_config(cls, dram_cfg) -> "Organization":
         """Build an organization from a :class:`repro.config.DRAMConfig`."""
         return cls(channels=dram_cfg.channels,
                    ranks=dram_cfg.ranks_per_channel,
-                   banks=dram_cfg.banks_per_rank,
-                   rows=dram_cfg.rows_per_bank,
-                   columns=dram_cfg.row_buffer_bytes // line_bytes,
-                   line_bytes=line_bytes,
-                   mapping=dram_cfg.address_mapping)
+                   rows=dram_cfg.rows_per_bank)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Organization({self.channels}ch x {self.ranks}ra x "
-                f"{self.banks}ba x {self.rows}rows x {self.columns}cols, "
-                f"mapping={self.mapping})")
+                f"{self.banks}ba x {self.rows}rows x {self.columns}cols)")

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.config import BANKS_PER_RANK
+
 #: Calibrated 22 nm constants (see module docstring).
 AREA_UM2_PER_BIT_22NM = 0.022e6 / 43008        # ~0.5116 um^2/bit
 LEAKAGE_W_PER_BIT_22NM = 0.127e-3 / 43008      # ~2.95 nW/bit
@@ -132,6 +134,6 @@ def overhead_for_config(config) -> HCRACOverhead:
         entries=params.entries,
         associativity=params.associativity,
         ranks=config.dram.ranks_per_channel,
-        banks=config.dram.banks_per_rank,
+        banks=BANKS_PER_RANK,
         rows=config.dram.rows_per_bank,
     )

@@ -67,10 +67,10 @@ if TYPE_CHECKING:
     from repro.stats.rltl import RLTLProbe
 
 #: Bump whenever the envelope or RunResult JSON layout changes shape;
-#: old entries then read as misses instead of mis-parsing.  Version 2
-#: decodes only what this code writes: a version-1 envelope from older
-#: code is a miss, and ``gc`` reports it as stale.
-SCHEMA_VERSION = 2
+#: old entries then read as misses instead of mis-parsing.  The decoder
+#: reads only what this code writes: an envelope of an older version is
+#: a miss, and ``gc`` reports it as stale.
+SCHEMA_VERSION = 3
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

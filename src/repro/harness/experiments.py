@@ -26,6 +26,9 @@ from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from repro.config import (BANKS_PER_RANK, DEFAULT_CPU_FREQ_GHZ,
+                          ISSUE_WIDTH, LINE_BYTES, MSHRS_PER_CORE,
+                          ROW_BUFFER_BYTES, WINDOW_SIZE)
 from repro.core.chargecache import chargecache_params
 from repro.cpu.system import RunResult
 from repro.dram.timing import DDR3_1600
@@ -952,15 +955,15 @@ def _table1() -> Dict:
         "processor": {
             "cores": [single.processor.num_cores,
                       eight.processor.num_cores],
-            "freq_ghz": single.processor.freq_ghz,
-            "issue_width": single.processor.issue_width,
-            "mshrs_per_core": single.processor.mshrs_per_core,
-            "window": single.processor.window_size,
+            "freq_ghz": DEFAULT_CPU_FREQ_GHZ,
+            "issue_width": ISSUE_WIDTH,
+            "mshrs_per_core": MSHRS_PER_CORE,
+            "window": WINDOW_SIZE,
         },
         "llc": {
             "size_bytes": single.cache.size_bytes,
             "associativity": single.cache.associativity,
-            "line_bytes": single.cache.line_bytes,
+            "line_bytes": LINE_BYTES,
         },
         "controller": {
             "queue_entries": single.controller.read_queue_size,
@@ -973,9 +976,9 @@ def _table1() -> Dict:
             "bus_mhz": t.freq_mhz,
             "channels": [single.dram.channels, eight.dram.channels],
             "ranks": single.dram.ranks_per_channel,
-            "banks": single.dram.banks_per_rank,
+            "banks": BANKS_PER_RANK,
             "rows": single.dram.rows_per_bank,
-            "row_buffer_bytes": single.dram.row_buffer_bytes,
+            "row_buffer_bytes": ROW_BUFFER_BYTES,
             "trcd_cycles": t.tRCD,
             "tras_cycles": t.tRAS,
         },

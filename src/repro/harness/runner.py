@@ -427,7 +427,7 @@ def _spec_traces(spec: RunSpec, cfg: SimulationConfig) -> list:
     produces the identical trace set; the batch path builds it once
     from the group's first spec.
     """
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     if spec.kind == "trace":
         return [_load_trace_records(spec, org)]
     return make_mix_traces(_spec_apps(spec), org, seed=spec.seed)

@@ -7,10 +7,9 @@ the two against a concrete DRAM :class:`~repro.dram.organization.
 Organization`:
 
 * **Addresses**: byte address -> cache-line address (``>> log2(line)``),
-  then wrapped through the organization's configured address mapping
-  (``encode(decode(line))``), so an ingested request lands on exactly
-  the channel/rank/bank/row the simulated platform would decode it to.
-  Addresses beyond the modelled capacity wrap, like every other
+  wrapped to the organization's capacity, so an ingested request lands
+  on exactly the channel/rank/bank/row the simulated platform decodes
+  it to.  Addresses beyond the modelled capacity wrap, like every other
   workload source.
 * **Time**: the cycle gap between consecutive accesses becomes the
   record's ``bubbles`` (non-memory instructions before the access)
@@ -30,6 +29,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, List, Optional
 
+from repro.config import LINE_BYTES
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.workloads.ingest.formats import (
@@ -49,12 +49,8 @@ def trace_file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _line_shift(org: Organization) -> int:
-    shift = org.line_bytes.bit_length() - 1
-    if 1 << shift != org.line_bytes:
-        raise ValueError(f"line_bytes must be a power of two, "
-                         f"got {org.line_bytes}")
-    return shift
+#: Byte address -> cache-line address shift.
+_LINE_SHIFT = LINE_BYTES.bit_length() - 1
 
 
 def normalize_records(records: Iterable[MemTraceRecord],
@@ -65,7 +61,6 @@ def normalize_records(records: Iterable[MemTraceRecord],
     request stream for one DRAM organization."""
     if cycles_per_instruction <= 0:
         raise ValueError("cycles_per_instruction must be positive")
-    shift = _line_shift(org)
     mask = org.total_lines - 1
     out: List[TraceRecord] = []
     prev_cycle = 0
@@ -73,7 +68,7 @@ def normalize_records(records: Iterable[MemTraceRecord],
         gap = rec.cycle - prev_cycle
         bubbles = max(0, round(gap / cycles_per_instruction) - 1)
         prev_cycle = rec.cycle
-        out.append(TraceRecord(bubbles, (rec.address >> shift) & mask,
+        out.append(TraceRecord(bubbles, (rec.address >> _LINE_SHIFT) & mask,
                                rec.is_write))
     return out
 
@@ -88,14 +83,13 @@ def denormalize_records(records: Iterable[TraceRecord],
     cannot express them."""
     if cycles_per_instruction <= 0:
         raise ValueError("cycles_per_instruction must be positive")
-    shift = _line_shift(org)
     mask = org.total_lines - 1
     out: List[MemTraceRecord] = []
     cycle = 0
     for rec in records:
         cycle += max(1, round((rec.bubbles + 1) * cycles_per_instruction))
         out.append(MemTraceRecord(cycle,
-                                  (rec.line_address & mask) << shift,
+                                  (rec.line_address & mask) << _LINE_SHIFT,
                                   rec.is_write))
     return out
 

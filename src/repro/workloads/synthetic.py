@@ -30,6 +30,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, Sequence
 
+from repro.config import LINE_BYTES
 from repro.cpu.trace import TraceRecord
 from repro.workloads.rng import Generator
 
@@ -39,7 +40,7 @@ _BATCH = 2048
 
 def bounded_footprint_lines(org, footprint_bytes: int) -> int:
     """Clamp a byte footprint to the organization's capacity, in lines."""
-    lines = max(1, footprint_bytes // org.line_bytes)
+    lines = max(1, footprint_bytes // LINE_BYTES)
     return min(lines, org.total_lines)
 
 

@@ -12,7 +12,7 @@ from repro.config import ChargeCacheConfig, ControllerConfig
 from repro.controller.controller import MemoryController
 from repro.controller.request import Request, RequestType
 from repro.core.chargecache import ChargeCache
-from repro.core.timing_policy import DefaultTiming
+from repro.core.timing_policy import LatencyMechanism
 from repro.dram.timing import DDR3_1600
 
 T = DDR3_1600
@@ -29,7 +29,7 @@ def _read_done(request):
 def make_controller(row_policy="open", mechanism=None, refresh=False,
                     scheduler="frfcfs"):
     cfg = ControllerConfig(row_policy=row_policy, scheduler=scheduler)
-    mech = mechanism or DefaultTiming(T)
+    mech = mechanism or LatencyMechanism(T)
     mc = MemoryController(0, T, num_ranks=1, num_banks=8,
                           rows_per_bank=4096, controller_config=cfg,
                           mechanism=mech, refresh_enabled=refresh,
@@ -116,7 +116,7 @@ class TestReadLatency:
             run_until(mc, lambda: d3, start=r2.done_cycle)
             return r3.done_cycle - r3.enqueue_cycle, mc
 
-        base_latency, base_mc = conflict_latency(DefaultTiming(T))
+        base_latency, base_mc = conflict_latency(LatencyMechanism(T))
         cc = ChargeCache(T, ChargeCacheConfig(), num_cores=1)
         cc_latency, cc_mc = conflict_latency(cc)
         assert cc_mc.stats.act_reduced == 1

@@ -20,7 +20,7 @@ from repro.config import ChargeCacheConfig, ControllerConfig
 from repro.controller.controller import MemoryController
 from repro.controller.request import Request, RequestType
 from repro.core.chargecache import ChargeCache
-from repro.core.timing_policy import DefaultTiming
+from repro.core.timing_policy import LatencyMechanism
 from repro.dram.commands import Command
 from repro.dram.timing import DDR3_1600
 
@@ -82,7 +82,7 @@ class TestFuzzedStreams:
     @given(st.lists(op_strategy, min_size=1, max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_baseline_liveness_and_legality(self, ops):
-        mc = _build(DefaultTiming(T))
+        mc = _build(LatencyMechanism(T))
         completed, reads, writes, _ = _drive(mc, ops)
         assert len(completed) == reads, "every accepted read completes"
         check_command_log(mc.channel.command_log, T)
@@ -100,7 +100,7 @@ class TestFuzzedStreams:
     @given(st.lists(op_strategy, min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_closed_row_policy_legality(self, ops):
-        mc = _build(DefaultTiming(T), row_policy="closed")
+        mc = _build(LatencyMechanism(T), row_policy="closed")
         completed, reads, writes, _ = _drive(mc, ops)
         assert len(completed) == reads
         check_command_log(mc.channel.command_log, T)
@@ -108,7 +108,7 @@ class TestFuzzedStreams:
     @given(st.lists(op_strategy, min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_column_command_conservation(self, ops):
-        mc = _build(DefaultTiming(T))
+        mc = _build(LatencyMechanism(T))
         completed, reads, writes, _ = _drive(mc, ops)
         issued = Counter(c.command for c in mc.channel.command_log)
         # Forwarded reads never issue a DRAM RD.
@@ -127,7 +127,7 @@ class TestFuzzedStreams:
         which requests win FR-FCFS arbitration and insert one extra
         read/write turnaround into the tail of the stream.
         """
-        mc_base = _build(DefaultTiming(T))
+        mc_base = _build(LatencyMechanism(T))
         _, _, _, end_base = _drive(mc_base, ops)
         cc = ChargeCache(T, ChargeCacheConfig(time_scale=1024.0), 1)
         mc_cc = _build(cc)

@@ -23,7 +23,7 @@ from repro.controller.controller import MemoryController
 from repro.controller.queues import RequestQueue
 from repro.controller.request import read_request, write_request
 from repro.controller.row_policy import ClosedRowPolicy
-from repro.core.timing_policy import DefaultTiming
+from repro.core.timing_policy import LatencyMechanism
 from repro.dram.timing import DDR3_1600
 
 RANKS, BANKS, ROWS = 2, 3, 3
@@ -94,7 +94,7 @@ def reference_issue_pending_pre(controller, cycle, blocked):
 def _controller(history, banks, next_cmd):
     controller = MemoryController(
         0, DDR3_1600, RANKS, BANKS, 64, ControllerConfig(
-            row_policy="closed"), DefaultTiming(DDR3_1600),
+            row_policy="closed"), LatencyMechanism(DDR3_1600),
         refresh_enabled=False, log_commands=True)
     # The same adds and discards give the same set layout, and so the
     # same iteration order, in both controllers.

@@ -16,7 +16,7 @@ from repro.config import ControllerConfig
 from repro.controller import controller as controller_module
 from repro.controller.controller import MemoryController
 from repro.controller.request import Request, RequestType
-from repro.core.timing_policy import DefaultTiming
+from repro.core.timing_policy import LatencyMechanism
 from repro.dram.timing import DDR3_1600
 
 from tests.controller.test_controller import make_controller, write_at
@@ -70,7 +70,7 @@ def _small_controller(cls):
     watermarks (high 6, low 1) often."""
     cfg = ControllerConfig(read_queue_size=8, write_queue_size=8)
     return cls(0, DDR3_1600, num_ranks=1, num_banks=4, rows_per_bank=64,
-               controller_config=cfg, mechanism=DefaultTiming(DDR3_1600),
+               controller_config=cfg, mechanism=LatencyMechanism(DDR3_1600),
                refresh_enabled=False, log_commands=True)
 
 

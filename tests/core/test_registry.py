@@ -20,7 +20,7 @@ from repro.core.chargecache import ChargeCache
 from repro.core.nuat import NUAT
 from repro.core.lldram import LowLatencyDRAM
 from repro.core.aldram import ALDRAM
-from repro.core.timing_policy import CombinedMechanism, DefaultTiming
+from repro.core.timing_policy import CombinedMechanism, LatencyMechanism
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.standards import derated_reduction_cycles, preset
 from repro.dram.timing import DDR3_1600
@@ -238,7 +238,7 @@ class TestRegistryCompleteness:
 
 class TestBuild:
     def test_plain_types(self, ctx):
-        assert isinstance(registry.build("none", ctx), DefaultTiming)
+        assert type(registry.build("none", ctx)) is LatencyMechanism
         assert isinstance(registry.build("chargecache", ctx), ChargeCache)
         assert isinstance(registry.build("nuat", ctx), NUAT)
         assert isinstance(registry.build("lldram", ctx), LowLatencyDRAM)
@@ -349,7 +349,7 @@ class TestNWayComposition:
 
     def test_combined_requires_two_parts(self):
         with pytest.raises(ValueError):
-            CombinedMechanism(DDR3_1600, DefaultTiming(DDR3_1600))
+            CombinedMechanism(DDR3_1600, LatencyMechanism(DDR3_1600))
 
 
 class TestExtractRunParams:

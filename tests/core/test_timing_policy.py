@@ -7,7 +7,7 @@ from repro.core.chargecache import ChargeCache
 from repro.core.lldram import LowLatencyDRAM
 from repro.core.nuat import NUAT
 from repro.core import registry
-from repro.core.timing_policy import CombinedMechanism, DefaultTiming
+from repro.core.timing_policy import CombinedMechanism, LatencyMechanism
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import DDR3_1600
 
@@ -24,7 +24,7 @@ def _context(refresh):
 
 class TestDefaultTiming:
     def test_always_misses(self):
-        mech = DefaultTiming(DDR3_1600)
+        mech = LatencyMechanism(DDR3_1600)
         for cycle in range(5):
             assert mech.on_activate(0, 0, cycle, 0, cycle) is None
         assert mech.lookups == 5
@@ -91,7 +91,7 @@ class TestCombined:
 
 class TestFactory:
     @pytest.mark.parametrize("name,expected", [
-        ("none", DefaultTiming),
+        ("none", LatencyMechanism),
         ("chargecache", ChargeCache),
         ("nuat", NUAT),
         ("chargecache+nuat", CombinedMechanism),

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import CacheConfig
-from repro.controller.address_mapping import AddressMapper
 from repro.cpu.cache import SharedCache
 from repro.dram.organization import Organization
 
@@ -38,14 +37,12 @@ class Harness:
     def __init__(self, accept=True, size_bytes=4096, assoc=2):
         self.org = Organization(channels=1, ranks=1, banks=4, rows=64,
                                 columns=8)
-        self.mapper = AddressMapper(self.org)
         self.controller = FakeController(accept)
         self.hits = []
         self.completions = []
         self.cache = SharedCache(
-            CacheConfig(size_bytes=size_bytes, associativity=assoc,
-                        line_bytes=64),
-            self.mapper, [self.controller],
+            CacheConfig(size_bytes=size_bytes, associativity=assoc),
+            self.org, [self.controller],
             hit_notify=lambda c, t, d: self.hits.append((c, t, d)),
             load_notify=lambda c, t: self.completions.append((c, t)),
             current_mem_cycle=lambda: 0)

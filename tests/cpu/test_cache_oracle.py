@@ -22,8 +22,7 @@ from typing import DefaultDict, Dict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CacheConfig
-from repro.controller.address_mapping import AddressMapper
+from repro.config import LLC_HIT_LATENCY_CYCLES, CacheConfig
 from repro.controller.request import Request, RequestType
 from repro.cpu.cache import SharedCache
 from repro.dram.organization import Organization
@@ -43,7 +42,7 @@ class ReferenceSharedCache(SharedCache):
         if tag in lru:
             lru[tag] = lru.pop(tag)
             self.load_hits += 1
-            self.hit_notify(core_id, token, self.config.hit_latency_cycles)
+            self.hit_notify(core_id, token, LLC_HIT_LATENCY_CYCLES)
             return True
         self.load_misses += 1
         waiters = self._mshrs.get(line_address)
@@ -132,9 +131,8 @@ class Side:
         self.controller = Controller()
         self.events = []
         self.cache = cls(
-            CacheConfig(size_bytes=64 * sets * ways, associativity=ways,
-                        line_bytes=64),
-            AddressMapper(org), [self.controller],
+            CacheConfig(size_bytes=64 * sets * ways, associativity=ways),
+            org, [self.controller],
             hit_notify=lambda c, t, d: self.events.append(("hit", c, t)),
             load_notify=lambda c, t: self.events.append(("done", c, t)),
             current_mem_cycle=lambda: 0)

@@ -156,7 +156,7 @@ def _variant(mechanism, **cc_kwargs):
 
 
 def _trace(cfg, seed=3, footprint=128 * 1024):
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     return zipf_trace(org, footprint, 6.0, seed, alpha=1.8,
                       write_fraction=0.2)
 

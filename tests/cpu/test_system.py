@@ -13,7 +13,7 @@ def small_system(mechanism="none", num_cores=1, pattern="stream",
                  **cfg_kwargs):
     cfg = tiny_config(mechanism=mechanism, num_cores=num_cores,
                       **cfg_kwargs)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     traces = []
     for core in range(num_cores):
         if pattern == "stream":
@@ -102,7 +102,7 @@ class TestAccountingInvariants:
 
     def test_trace_count_mismatch_rejected(self):
         cfg = tiny_config(num_cores=2)
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         with pytest.raises(ValueError):
             System(cfg, [stream_trace(org, 1 << 20, 10.0, seed=1)])
 
@@ -110,7 +110,7 @@ class TestAccountingInvariants:
 class TestRLTLProbeIntegration:
     def test_probe_counts_activations(self):
         cfg = tiny_config(mechanism="none", instruction_limit=3000)
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         system = System(cfg, [random_trace(org, 1 << 21, 10.0, seed=3)],
                         enable_rltl=True, rltl_time_scale=512.0)
         result = system.run(max_mem_cycles=400_000)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import BANKS_PER_RANK
 from repro.cpu.system import System
 from repro.dram.commands import Command, IssuedCommand
 from repro.dram.organization import Organization
@@ -14,7 +15,7 @@ from tests.conftest import tiny_config
 def logged_run():
     """One short logged run long enough to span several refreshes."""
     cfg = tiny_config(instruction_limit=20_000)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     system = System(cfg, [random_trace(org, 1 << 22, 30.0, 1,
                                        write_fraction=0.2)],
                     log_commands=True)
@@ -31,7 +32,7 @@ class TestCommandProperties:
         for c in log:
             if c.command in (Command.ACT, Command.PRE, Command.RD,
                              Command.WR):
-                assert 0 <= c.bank < cfg.dram.banks_per_rank, c
+                assert 0 <= c.bank < BANKS_PER_RANK, c
                 seen.add(c.command)
                 if c.command in (Command.ACT, Command.PRE):
                     assert c.row >= 0, c

@@ -5,24 +5,28 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import DRAMConfig
+from repro.config import LINE_BYTES, DRAMConfig
+from repro.controller.request import Request, RequestType
 from repro.dram.organization import Organization
+
+#: Geometries with every field at least one bit wide, plus the paper's.
+GEOMETRIES = (
+    dict(channels=2, ranks=2, banks=8, rows=1 << 10, columns=128),
+    dict(channels=1, ranks=1, banks=8, rows=1 << 16, columns=128),
+    dict(channels=4, ranks=2, banks=16, rows=1 << 6, columns=8),
+)
 
 
 class TestConstruction:
     def test_paper_geometry(self, paper_org):
         banks = paper_org.channels * paper_org.ranks * paper_org.banks
         assert banks == 8
-        capacity = paper_org.total_lines * paper_org.line_bytes
+        capacity = paper_org.total_lines * LINE_BYTES
         assert capacity == 4 * 1024 ** 3  # 4 GB
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             Organization(banks=3)
-
-    def test_unknown_mapping_rejected(self):
-        with pytest.raises(ValueError):
-            Organization(mapping="nope")
 
     def test_from_config(self):
         org = Organization.from_config(DRAMConfig(channels=2))
@@ -62,6 +66,22 @@ class TestCodec:
         d = org.decode(line)
         assert org.encode(*astuple(d)) == wrapped
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES,
+                             ids=lambda g: "x".join(map(str, g.values())))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decode_into_matches_decode(self, geometry, data):
+        """The controller's in-place request decoder against the
+        reference codec."""
+        org = Organization(**geometry)
+        # Up to four times the capacity: addresses past it wrap.
+        line = data.draw(st.integers(0, 4 * org.total_lines - 1))
+        request = Request(line, RequestType.READ)
+        org.decode_into(request)
+        got = (request.channel, request.rank, request.bank, request.row,
+               request.column)
+        assert got == astuple(org.decode(line))
+
 
 class TestMappingProperties:
     def test_robaracoch_consecutive_lines_interleave_channels(self):
@@ -81,14 +101,6 @@ class TestMappingProperties:
         stride = org.encode(0, 0, 0, 1, 0)
         a, b = org.decode(0), org.decode(stride)
         assert a.bank == b.bank and b.row == a.row + 1
-
-    def test_chrabaroco_mapping(self):
-        org = Organization(channels=2, banks=8, rows=1 << 16, columns=128,
-                           mapping="ChRaBaRoCo")
-        # Consecutive lines walk columns first under this mapping.
-        a, b = org.decode(0), org.decode(1)
-        assert a.channel == b.channel
-        assert b.column == a.column + 1
 
     def test_bank_index_unique(self, small_org):
         seen = set()

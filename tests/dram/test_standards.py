@@ -73,7 +73,7 @@ class TestEndToEnd:
     def test_chargecache_runs_on_other_standards(self, name):
         cfg = tiny_config(mechanism="chargecache", standard=name,
                           instruction_limit=2000)
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         system = System(cfg, [stream_trace(org, 1 << 21, 8.0, seed=1,
                                            num_streams=2)])
         assert system.timing is preset(name)

@@ -255,6 +255,7 @@ class TestResultCodec:
     @pytest.mark.parametrize("block, field, value", [
         ("dram", "bus_freq_mhz", 800.0),
         ("processor", "retire_width", 4),
+        ("dram", "address_mapping", "RoBaRaCoCh"),
     ])
     def test_config_rejects_a_field_it_does_not_write(self, block, field,
                                                       value):
@@ -282,12 +283,14 @@ class TestRunCacheStore:
         assert key in again.keys()
         assert len(again) == 1
 
+    @pytest.mark.parametrize("schema", [1, 2])
     def test_schema_one_envelope_is_a_miss_everywhere(self, tmp_path,
-                                                      capsys):
-        """An envelope written by older code (schema 1, with the
-        ``execution`` block and ``dram.bus_freq_mhz`` that code wrote)
-        is a miss for ``get``, absent from ``store_frame`` and
-        ``query``, and stale for ``cache gc``."""
+                                                      capsys, schema):
+        """An envelope written by older code is a miss for ``get``,
+        absent from ``store_frame`` and ``query``, and stale for
+        ``cache gc``: schema 1, with the ``execution`` block and
+        ``dram.bus_freq_mhz`` that code wrote, and schema 2, which
+        wrote Table 1's constants as config fields."""
         from repro.harness import cli
         from repro.harness.aggregate import store_frame
         store = RunCache(str(tmp_path))
@@ -295,12 +298,20 @@ class TestRunCacheStore:
         store.put(current_key, SPEC, runner._execute_spec(SPEC))
         with open(store.path_for(current_key)) as fh:
             envelope = json.load(fh)
-        old_key = "1" * 64
-        envelope.update(schema=1, key=old_key)
+        old_key = str(schema) * 64
+        envelope.update(schema=schema, key=old_key)
         config = envelope["result"]["config"]
-        config["execution"] = {"jobs": None, "cache_dir": None,
-                               "use_run_cache": True}
-        config["dram"]["bus_freq_mhz"] = 800.0
+        config["processor"].update(freq_ghz=4.0, issue_width=3,
+                                   window_size=128, mshrs_per_core=8)
+        config["cache"].update(line_bytes=64, hit_latency_cycles=24)
+        config["dram"].update(banks_per_rank=8, row_buffer_bytes=8192,
+                              address_mapping="RoBaRaCoCh")
+        config["controller"].update(write_high_watermark=0.8,
+                                    write_low_watermark=0.2)
+        if schema == 1:
+            config["execution"] = {"jobs": None, "cache_dir": None,
+                                   "use_run_cache": True}
+            config["dram"]["bus_freq_mhz"] = 800.0
         with open(store.path_for(old_key), "w") as fh:
             json.dump(envelope, fh)
         assert store.keys() == sorted([current_key, old_key])
@@ -315,7 +326,7 @@ class TestRunCacheStore:
                          "--cache-dir", store.root]) == 0
         stale = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("stale ")]
-        assert stale == [f"stale {old_key}  (schema 1 != 2)"]
+        assert stale == [f"stale {old_key}  (schema {schema} != 3)"]
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         store = RunCache(str(tmp_path))

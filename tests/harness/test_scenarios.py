@@ -196,7 +196,7 @@ class TestWorkloads:
     def test_traces_match_core_count(self):
         from repro.dram.organization import Organization
         cfg = build_config("c2-r2", "none", TINY)
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         traces = make_mix_traces(
             scenario_workload_names(scenario("c2-r2"), "w1"), org)
         assert len(traces) == 2

@@ -18,7 +18,7 @@ def run_logged(mechanism, pattern, num_cores=1, row_policy="open",
     cfg = tiny_config(mechanism=mechanism, num_cores=num_cores,
                       channels=channels, ranks=ranks,
                       instruction_limit=limit, row_policy=row_policy)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     traces = []
     for core in range(num_cores):
         seed = seed_base + core + 1
@@ -60,7 +60,7 @@ def test_multi_core_closed_row_command_stream_legal(mechanism):
 
 def test_refresh_commands_present_and_legal():
     cfg = tiny_config(instruction_limit=30_000)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     system = System(cfg, [random_trace(org, 1 << 22, 30.0, 1)],
                     log_commands=True)
     result = system.run(max_mem_cycles=900_000)
@@ -108,7 +108,7 @@ class TestMultiRankLegality:
         the controller must issue refreshes for rank 1, not just rank
         0, on a multi-rank channel."""
         cfg = tiny_config(instruction_limit=30_000, ranks=2)
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         system = System(cfg, [random_trace(org, 1 << 22, 30.0, 1)],
                         log_commands=True)
         result = system.run(max_mem_cycles=900_000)

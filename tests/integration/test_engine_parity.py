@@ -39,7 +39,7 @@ MECHANISMS = ("none", "chargecache", "nuat", "lldram")
 
 
 def _traces(cfg, pattern: str):
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     traces = []
     for core in range(cfg.processor.num_cores):
         seed = core + 1
@@ -139,7 +139,7 @@ def test_tiny_queue_retry_pressure_parity():
 def _idle_gap_traces(cfg, idle_bubbles: int):
     """Per core, six bursts of the same 60 zipf accesses, each followed
     by ``idle_bubbles`` instructions that touch no memory."""
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     traces = []
     for core in range(cfg.processor.num_cores):
         burst = list(itertools.islice(
@@ -215,7 +215,7 @@ def _scenario_parity_run(scenario_name, mechanism, engine):
                   multi_core_instructions=900,
                   warmup_cpu_cycles=1000, max_mem_cycles=500_000)
     cfg = build_config(scenario_name, mechanism, scale, engine=engine)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     scen = scenarios.scenario(scenario_name)
     traces = make_mix_traces(scenarios.scenario_workload_names(scen, "w1"),
                              org)

@@ -43,7 +43,7 @@ def _collector_off():
 
 
 def _traces(cfg, bubbles=8.0, write_fraction=0.25):
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     return [random_trace(org, 1 << 21, bubbles, seed=core + 1,
                          write_fraction=write_fraction)
             for core in range(cfg.processor.num_cores)]
@@ -129,8 +129,7 @@ def test_batch_run_leaves_no_cyclic_garbage(monkeypatch):
     configs = [variant("chargecache", entries=64),
                variant("chargecache", entries=256),
                variant("nuat")]
-    org = Organization.from_config(configs[0].dram,
-                                   configs[0].cache.line_bytes)
+    org = Organization.from_config(configs[0].dram)
     with _collector_off():
         results = System.run_batch(
             configs, [zipf_trace(org, 128 * 1024, 6.0, 3, alpha=1.8,

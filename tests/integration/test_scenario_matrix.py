@@ -32,9 +32,8 @@ import pytest
 from repro.config import ControllerConfig
 from repro.controller.controller import MemoryController
 from repro.controller.request import Request, RequestType
-from repro.controller.address_mapping import AddressMapper
 from repro.core.chargecache import chargecache_params
-from repro.core.timing_policy import DefaultTiming
+from repro.core.timing_policy import LatencyMechanism
 from repro.cpu.system import System
 from repro.dram.commands import Command
 from repro.dram.organization import Organization
@@ -67,7 +66,7 @@ CONFORMANCE_AXES = {
 
 def _run_scenario_logged(name: str, mechanism: str = "chargecache"):
     cfg = build_config(name, mechanism, TINY)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     scen = scenarios.scenario(name)
     traces = make_mix_traces(scenarios.scenario_workload_names(scen, "w1"),
                              org)
@@ -131,7 +130,7 @@ class TestTimingGradeReachesEngine:
         for standard in ("DDR3-1600", "LPDDR3-1600"):
             cfg = tiny_config(standard=standard,
                               instruction_limit=10 ** 7, warmup=0)
-            org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+            org = Organization.from_config(cfg.dram)
             system = System(cfg, [random_trace(org, 1 << 22, 30.0, 1)])
             result = system.run(max_mem_cycles=40_000)
             assert result.truncated  # fixed window, not run length
@@ -198,12 +197,11 @@ def _drive_and_audit_bids(num_ranks: int, timing, seed: int,
     """
     org = Organization(channels=1, ranks=num_ranks, banks=4, rows=256,
                        columns=8)
-    mapper = AddressMapper(org)
     controller = MemoryController(
         0, timing, num_ranks, org.banks, org.rows,
         ControllerConfig(row_policy=row_policy, read_queue_size=8,
                          write_queue_size=8),
-        DefaultTiming(timing))
+        LatencyMechanism(timing))
     rng = np.random.default_rng(seed)
 
     def observable_state():
@@ -216,7 +214,7 @@ def _drive_and_audit_bids(num_ranks: int, timing, seed: int,
         enqueued = False
         if rng.random() < 0.08:
             request = _random_request(rng, org)
-            mapper.decode_into(request)
+            org.decode_into(request)
             if request.type is RequestType.READ:
                 enqueued = controller.enqueue_read(request, cycle)
             else:

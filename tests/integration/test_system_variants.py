@@ -1,12 +1,9 @@
 """Integration tests for system configuration variants: channel
-counts, address mappings, queue pressure and probe combinations.
+counts, queue pressure and probe combinations.
 """
 
 from dataclasses import replace
 
-import pytest
-
-from repro.config import DRAMConfig
 from repro.cpu.system import System
 from repro.dram.organization import Organization
 from repro.workloads.synthetic import random_trace, stream_trace
@@ -16,7 +13,7 @@ from tests.helpers import check_command_log
 
 
 def build_system(cfg, pattern="random", seed=1, **system_kwargs):
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     traces = []
     for core in range(cfg.processor.num_cores):
         if pattern == "stream":
@@ -60,39 +57,6 @@ class TestMultiChannel:
         assert result.mechanism_lookups == sum(lookups)
 
 
-class TestAddressMappings:
-    @pytest.mark.parametrize("mapping", ["RoBaRaCoCh", "RoRaBaChCo",
-                                         "ChRaBaRoCo"])
-    def test_all_mappings_run_and_stay_legal(self, mapping):
-        cfg = tiny_config(instruction_limit=2500)
-        cfg = replace(cfg, dram=DRAMConfig(channels=1, rows_per_bank=4096,
-                                           address_mapping=mapping))
-        system = build_system(cfg, log_commands=True)
-        result = system.run(max_mem_cycles=600_000)
-        assert not result.truncated
-        check_command_log(system.controllers[0].channel.command_log,
-                          system.timing)
-
-    def test_mapping_changes_row_locality(self):
-        """Row-bits-high vs row-bits-low mappings shift the row hit
-        rate for a streaming pattern.  (With one channel and one rank,
-        RoBaRaCoCh and RoRaBaChCo collapse to the same layout, so the
-        contrast case is ChRaBaRoCo, which walks rows before banks.)"""
-        rates = {}
-        for mapping in ("RoBaRaCoCh", "ChRaBaRoCo"):
-            # 6000 instructions: at ~3000 the two mappings' hit counts
-            # coincide exactly on this tiny footprint; the layouts only
-            # separate once the streams wrap into new rows.
-            cfg = tiny_config(instruction_limit=6000)
-            cfg = replace(cfg, dram=DRAMConfig(
-                channels=1, rows_per_bank=4096, address_mapping=mapping))
-            system = build_system(cfg, pattern="stream")
-            result = system.run(max_mem_cycles=600_000)
-            rates[mapping] = result.row_hit_rate
-        assert rates["RoBaRaCoCh"] != pytest.approx(
-            rates["ChRaBaRoCo"], abs=1e-6)
-
-
 class TestQueuePressure:
     def test_tiny_queues_still_drain(self):
         cfg = tiny_config(instruction_limit=2500)
@@ -106,7 +70,7 @@ class TestQueuePressure:
 
     def test_heavy_write_stream_drains(self):
         cfg = tiny_config(instruction_limit=2500)
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         system = System(cfg, [stream_trace(org, 1 << 21, 4.0, seed=1,
                                            num_streams=2,
                                            write_fraction=0.9)])

@@ -78,7 +78,7 @@ def _mixed_phase_trace(org, seed: int = 1):
 def test_mixed_phase_parity(mechanism):
     cfg = tiny_config(mechanism, instruction_limit=20_000,
                       warmup=1_000)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     results = {}
     for engine in ("dense", "event"):
         system = System(replace(cfg, engine=engine),
@@ -100,7 +100,7 @@ def test_mixed_phase_visit_budget():
     """
     cfg = tiny_config("chargecache", instruction_limit=20_000,
                       warmup=1_000)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
 
     dense_system = System(replace(cfg, engine="dense"),
                           [iter(_mixed_phase_trace(org))])
@@ -137,7 +137,7 @@ def test_mixed_phase_earliest_call_budget(monkeypatch):
     """
     cfg = tiny_config("chargecache", instruction_limit=20_000,
                       warmup=1_000)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     calls = 0
     earliest = Channel.earliest
 
@@ -163,7 +163,7 @@ def _mixed_phase_event_system(mechanism: str = "chargecache"):
     """The fixed mixed-phase event system, not yet run."""
     cfg = tiny_config(mechanism, instruction_limit=20_000,
                       warmup=1_000)
-    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    org = Organization.from_config(cfg.dram)
     return System(replace(cfg, engine="event"),
                   [iter(_mixed_phase_trace(org))])
 
@@ -236,7 +236,7 @@ def test_mixed_phase_hot_path_call_budget(monkeypatch):
 
     On the fixed mixed-phase run, the controller reads queue lengths
     off ``RequestQueue.items``, the LLC decodes miss addresses with
-    ``AddressMapper.decode_into``'s precomputed shifts, and a non-hit
+    ``Organization.decode_into``'s precomputed shifts, and a non-hit
     ACT reuses the channel's default ``ReducedTimings``, so none of
     these helpers is called from Python during the run.  The FR-FCFS
     snapshot computes its gates inline and the engine reads the LLC's

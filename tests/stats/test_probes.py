@@ -53,7 +53,7 @@ class TestCompositeProbe:
 class TestSystemWiring:
     def _run(self, **kwargs):
         cfg = tiny_config(instruction_limit=2500)
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         system = System(cfg, [zipf_trace(org, 1 << 21, 8.0, seed=2)],
                         **kwargs)
         return system.run(max_mem_cycles=400_000)
@@ -77,7 +77,7 @@ class TestSystemWiring:
         """Fully-associative LRU prediction upper-bounds the measured
         2-way, periodically-invalidated HCRAC at equal capacity."""
         cfg = tiny_config(mechanism="chargecache", instruction_limit=4000)
-        org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+        org = Organization.from_config(cfg.dram)
         system = System(cfg, [zipf_trace(org, 1 << 21, 8.0, seed=2)],
                         enable_reuse=True)
         result = system.run(max_mem_cycles=400_000)

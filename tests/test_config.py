@@ -5,6 +5,13 @@ from dataclasses import replace
 import pytest
 
 from repro.config import (
+    BANKS_PER_RANK,
+    DEFAULT_CPU_FREQ_GHZ,
+    ISSUE_WIDTH,
+    LINE_BYTES,
+    MSHRS_PER_CORE,
+    ROW_BUFFER_BYTES,
+    WINDOW_SIZE,
     CacheConfig,
     ChargeCacheConfig,
     ControllerConfig,
@@ -32,23 +39,22 @@ class TestPaperDefaults:
         assert cfg.controller.row_policy == "closed"
 
     def test_processor_row(self):
-        p = ProcessorConfig()
-        assert (p.freq_ghz, p.issue_width, p.mshrs_per_core,
-                p.window_size) == (4.0, 3, 8, 128)
+        assert (DEFAULT_CPU_FREQ_GHZ, ISSUE_WIDTH, MSHRS_PER_CORE,
+                WINDOW_SIZE) == (4.0, 3, 8, 128)
 
     def test_llc_row(self):
         c = CacheConfig()
         assert c.size_bytes == 4 * 1024 * 1024
         assert c.associativity == 16
-        assert c.line_bytes == 64
+        assert LINE_BYTES == 64
         assert c.num_sets == 4096
 
     def test_dram_row(self):
         d = DRAMConfig()
-        assert d.banks_per_rank == 8
+        assert BANKS_PER_RANK == 8
         assert d.rows_per_bank == 64 * 1024
-        assert d.row_buffer_bytes == 8 * 1024
-        assert d.row_buffer_bytes // 64 == 128  # 64 B columns per row
+        assert ROW_BUFFER_BYTES == 8 * 1024
+        assert ROW_BUFFER_BYTES // LINE_BYTES == 128  # columns per row
 
     def test_chargecache_row(self):
         cc = ChargeCacheConfig()
@@ -76,21 +82,21 @@ class TestValidation:
     def test_bad_processor(self):
         with pytest.raises(ValueError):
             ProcessorConfig(num_cores=0).validate()
-        with pytest.raises(ValueError):
-            ProcessorConfig(window_size=0).validate()
 
     def test_bad_cache(self):
         with pytest.raises(ValueError):
-            CacheConfig(line_bytes=48).validate()
-        with pytest.raises(ValueError):
             CacheConfig(size_bytes=1000).validate()
+
+    @pytest.mark.parametrize("associativity", [0, -1])
+    def test_associativity_below_one_rejected(self, associativity):
+        # Unchecked, 0 divides by zero in the divisibility check and -1
+        # passes it, then fails mid-run on an empty LRU list.
+        with pytest.raises(ValueError, match="associativity"):
+            CacheConfig(associativity=associativity).validate()
 
     def test_bad_controller(self):
         with pytest.raises(ValueError):
             ControllerConfig(scheduler="magic").validate()
-        with pytest.raises(ValueError):
-            ControllerConfig(write_low_watermark=0.9,
-                             write_high_watermark=0.5).validate()
 
     def test_bad_chargecache(self):
         with pytest.raises(ValueError):

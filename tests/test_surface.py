@@ -33,9 +33,17 @@ A name that fails must either gain a use outside ``tests/``, be
 deleted (an oracle moves into its test), or go on :data:`ALLOWED`
 with the reader or test that keeps it.  A stale :data:`ALLOWED` entry
 fails too.
+
+A fourth check holds the run configuration to what is varied: each
+leaf field of :class:`repro.config.SimulationConfig` and its blocks
+must be passed by keyword to a ``*Config``/``*_config`` constructor or
+``replace`` somewhere in the non-test Python.  A value nothing sets is
+a constant (Table 1's are module constants of ``repro.config``), or
+goes on :data:`TEST_ONLY_KNOBS` with the tests that set it.
 """
 
 import ast
+import dataclasses
 import functools
 import os
 import re
@@ -43,6 +51,7 @@ import re
 import pytest
 
 import repro
+from repro.config import SimulationConfig
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__))
 ROOT = os.path.dirname(os.path.dirname(SRC))
@@ -80,6 +89,19 @@ ALLOWED = {
     "line_no": "TraceFormatError's line number: error information "
                "for callers that catch it (tests/workloads/"
                "test_ingest_formats.py)",
+}
+
+#: Configuration fields only tests set, each with the tests that do.
+TEST_ONLY_KNOBS = {
+    "read_queue_size": "short read queues keep the LLC retry lists "
+                       "full (tests/integration/test_engine_parity.py::"
+                       "test_tiny_queue_retry_pressure_parity, "
+                       "test_wake_bids.py, test_system_variants.py::"
+                       "test_tiny_queues_still_drain)",
+    "write_queue_size": "short write queues reach write drain and the "
+                        "full-write-queue retries (tests/controller/"
+                        "test_served_queue.py, tests/integration/"
+                        "test_scenario_matrix.py, test_engine_parity.py)",
 }
 
 #: Decorators that do not register the decorated callable anywhere.
@@ -316,6 +338,52 @@ def test_allowlist_is_current_and_explained():
     stale = sorted(set(ALLOWED) - (unused | unreached | write_only))
     assert not stale, f"ALLOWED entries now used or gone: {stale}"
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def _config_leaves(cls=SimulationConfig):
+    """Names of the leaf fields of ``cls`` and its dataclass blocks."""
+    for f in dataclasses.fields(cls):
+        default = f.default_factory() if callable(f.default_factory) \
+            else f.default
+        if dataclasses.is_dataclass(default):
+            yield from _config_leaves(type(default))
+        else:
+            yield f.name
+
+
+def _configured_keywords():
+    """Keywords passed to ``*Config(...)``, ``*_config(...)`` and
+    ``replace(...)`` calls in ``src``, ``benchmarks``, ``examples`` and
+    ``perfbench``."""
+    keywords = set()
+    for top in (SRC, os.path.join(ROOT, "benchmarks"),
+                os.path.join(ROOT, "examples"),
+                os.path.join(ROOT, "perfbench")):
+        for path in _files(top, (".py",)):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func.attr \
+                    if isinstance(node.func, ast.Attribute) \
+                    else getattr(node.func, "id", "")
+                if callee == "replace" or callee.endswith(
+                        ("Config", "_config")):
+                    keywords.update(kw.arg for kw in node.keywords
+                                    if kw.arg)
+    return keywords
+
+
+def test_every_config_field_is_set_outside_tests():
+    leaves = set(_config_leaves())
+    unset = sorted(leaves - _configured_keywords() - set(TEST_ONLY_KNOBS))
+    assert not unset, (
+        "SimulationConfig fields that no non-test code sets (make them "
+        "constants in repro.config, or add them to TEST_ONLY_KNOBS with "
+        f"the tests that set them): {unset}")
+    stale = sorted(set(TEST_ONLY_KNOBS) - (leaves - _configured_keywords()))
+    assert not stale, f"TEST_ONLY_KNOBS entries now set or gone: {stale}"
 
 
 # ----------------------------------------------------------------------

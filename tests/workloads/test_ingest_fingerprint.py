@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import LINE_BYTES
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.workloads.ingest import (
@@ -53,7 +54,7 @@ class TestNormalization:
                             TraceRecord(19, 0, False)]
 
     def test_addresses_wrap_to_modelled_capacity(self):
-        capacity_bytes = ONE_BANK.total_lines * ONE_BANK.line_bytes
+        capacity_bytes = ONE_BANK.total_lines * LINE_BYTES
         records = [MemTraceRecord(1, capacity_bytes + 0x40, False)]
         internal = normalize_records(records, ONE_BANK)
         assert internal[0].line_address == 1
@@ -208,10 +209,8 @@ class TestReferenceTable:
 _orgs = st.sampled_from([
     Organization(),                                     # paper default
     Organization(banks=4, rows=256, columns=16),
-    Organization(channels=2, ranks=2, banks=8, rows=128, columns=32,
-                 mapping="RoRaBaChCo"),
-    Organization(channels=2, ranks=1, banks=4, rows=64, columns=16,
-                 mapping="ChRaBaRoCo"),
+    Organization(channels=2, ranks=2, banks=8, rows=128, columns=32),
+    Organization(channels=2, ranks=1, banks=4, rows=64, columns=16),
 ])
 
 
@@ -249,7 +248,7 @@ class TestCodecProperties:
     def test_reingest_preserves_fingerprint(self, tmp_path_factory,
                                             records, org):
         """write -> ingest -> denormalize -> write -> ingest must give
-        the identical internal stream and fingerprint on any mapping."""
+        the identical internal stream and fingerprint on any geometry."""
         tmp = tmp_path_factory.mktemp("fp")
         path = str(tmp / "t.trace")
         write_mem_trace(path, records)
