@@ -255,7 +255,19 @@ class TestResultCodec:
     @pytest.mark.parametrize("block, field, value", [
         ("dram", "bus_freq_mhz", 800.0),
         ("processor", "retire_width", 4),
+        # The Table 1 values schema 2 wrote as fields and that are now
+        # constants.
+        ("processor", "freq_ghz", 4.0),
+        ("processor", "issue_width", 3),
+        ("processor", "window_size", 128),
+        ("processor", "mshrs_per_core", 8),
+        ("cache", "line_bytes", 64),
+        ("cache", "hit_latency_cycles", 24),
+        ("dram", "banks_per_rank", 8),
+        ("dram", "row_buffer_bytes", 8 * 1024),
         ("dram", "address_mapping", "RoBaRaCoCh"),
+        ("controller", "write_high_watermark", 0.8),
+        ("controller", "write_low_watermark", 0.2),
     ])
     def test_config_rejects_a_field_it_does_not_write(self, block, field,
                                                       value):
