@@ -1,7 +1,5 @@
 """Ablations of design choices the paper discusses but does not sweep.
 
-* **FR-FCFS vs FCFS** (Table 1 picks FR-FCFS): row-hit-first
-  scheduling should beat strict FCFS.
 * **HCRAC associativity** (Section 6.4: "increasing the associativity
   from two to full improved the hit rate by only 2%"): going from
   2-way to 8-way should barely move the hit rate.
@@ -9,16 +7,16 @@
   future work): a shared table of equal total capacity should be at
   least as good for multiprogrammed mixes, since insertions from one
   core can serve another's activations.
-"""
 
-from dataclasses import replace
+The scheduler is not ablated: Table 1 fixes FR-FCFS and the controller
+has no other policy.
+"""
 
 from conftest import run_once
 
 from repro.cpu.system import System
 from repro.dram.organization import Organization
-from repro.harness.runner import (build_config, mix_spec, run_spec,
-                                  workload_spec)
+from repro.harness.runner import build_config, mix_spec, run_spec
 from repro.workloads.mixes import make_mix_traces, mix_composition
 
 
@@ -27,26 +25,6 @@ def _run_with_cc(scale, mix, mechanism):
     org = Organization.from_config(cfg.dram)
     system = System(cfg, make_mix_traces(mix_composition(mix), org, seed=1))
     return system.run(max_mem_cycles=scale.max_mem_cycles)
-
-
-def test_ablation_frfcfs_vs_fcfs(benchmark, scale):
-    def run():
-        frfcfs = run_spec(workload_spec("libquantum", "none", scale))
-        cfg = build_config("single", "none", scale)
-        cfg = replace(cfg, controller=replace(cfg.controller,
-                                              scheduler="fcfs"))
-        org = Organization.from_config(cfg.dram)
-        from repro.workloads.spec_like import make_trace
-        system = System(cfg, [make_trace("libquantum", org, seed=1)])
-        fcfs = system.run(max_mem_cycles=scale.max_mem_cycles)
-        return frfcfs.total_ipc, fcfs.total_ipc
-
-    frfcfs_ipc, fcfs_ipc = run_once(benchmark, run)
-    benchmark.extra_info["frfcfs_ipc"] = frfcfs_ipc
-    benchmark.extra_info["fcfs_ipc"] = fcfs_ipc
-    print(f"\nablation scheduler: FR-FCFS {frfcfs_ipc:.3f} IPC vs "
-          f"FCFS {fcfs_ipc:.3f} IPC")
-    assert frfcfs_ipc >= fcfs_ipc
 
 
 def test_ablation_associativity(benchmark, scale):

@@ -16,8 +16,10 @@ Table 1 fixes one system; the paper's figures vary only the cores,
 channels, ranks, row policy, standard, mechanism and budgets.  What no
 figure varies is a module constant below (clock, issue width, window,
 MSHRs, line size, LLC hit latency, banks, row buffer, write-drain
-watermarks), not a configuration field, and the address mapping is
-the one :class:`repro.dram.organization.Organization` implements.
+watermarks), not a configuration field; the address mapping is the
+one :class:`repro.dram.organization.Organization` implements, and the
+scheduler the FR-FCFS every controller builds
+(:class:`repro.controller.scheduler.FRFCFSScheduler`).
 """
 
 from __future__ import annotations
@@ -115,8 +117,13 @@ class DRAMConfig:
 
     def validate(self) -> None:
         for name in ("channels", "ranks_per_channel", "rows_per_bank"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            # The address mapping splits a line address into bit fields.
+            if value & (value - 1):
+                raise ValueError(
+                    f"{name} must be a power of two, got {value}")
         from repro.dram.standards import PRESETS
         if self.standard not in PRESETS:
             raise ValueError(
@@ -130,12 +137,9 @@ class ControllerConfig:
 
     read_queue_size: int = 64
     write_queue_size: int = 64
-    scheduler: str = "frfcfs"  # or "fcfs"
     row_policy: str = "open"   # or "closed"
 
     def validate(self) -> None:
-        if self.scheduler not in ("frfcfs", "fcfs"):
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.row_policy not in ROW_POLICIES:
             raise ValueError(f"unknown row policy {self.row_policy!r}")
 

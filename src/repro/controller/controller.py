@@ -22,7 +22,7 @@ from repro.config import WRITE_HIGH_WATERMARK, WRITE_LOW_WATERMARK
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Request
 from repro.controller.row_policy import make_row_policy
-from repro.controller.scheduler import Candidate, make_scheduler
+from repro.controller.scheduler import Candidate, FRFCFSScheduler
 from repro.core.timing_policy import LatencyMechanism
 from repro.dram.channel import Channel
 from repro.dram.commands import Command
@@ -41,7 +41,7 @@ class ControllerStats:
     """Post-warmup event counters for one channel."""
 
     __slots__ = ("reads", "writes", "read_row_hits", "write_row_hits",
-                 "activations", "act_reduced", "precharges", "refreshes",
+                 "activations", "act_reduced", "refreshes",
                  "forwards", "read_latency_sum", "read_count",
                  "active_cycle_base", "rank_active_base")
 
@@ -56,7 +56,6 @@ class ControllerStats:
         self.write_row_hits = 0
         self.activations = 0
         self.act_reduced = 0
-        self.precharges = 0
         self.refreshes = 0
         self.forwards = 0
         self.read_latency_sum = 0
@@ -87,7 +86,7 @@ class MemoryController:
         self.refresh = refresh
         self.mechanism = mechanism
         self.rltl_probe = rltl_probe
-        self.scheduler = make_scheduler(controller_config.scheduler)
+        self.scheduler = FRFCFSScheduler()
         self.row_policy = make_row_policy(controller_config.row_policy)
         self.read_q = RequestQueue(controller_config.read_queue_size)
         self.write_q = RequestQueue(controller_config.write_queue_size)
@@ -418,7 +417,6 @@ class MemoryController:
         owner = self._act_owner.get((rank, bank), 0)
         self.mechanism.on_precharge(rank, bank, row, owner, cycle)
         self._pending_pre.discard((rank, bank))
-        self.stats.precharges += 1
         if self.rltl_probe is not None:
             self.rltl_probe.on_precharge(self.index, rank, bank, row, cycle)
 

@@ -23,8 +23,8 @@ class Request:
         line_address: cache-line address (byte address >> 6).
         type: read or write.
         core_id: issuing core (writebacks inherit the evicting core).
-        channel/rank/bank/row/column: decoded DRAM coordinates, filled
-            in by the controller's address mapper at enqueue time.
+        channel/rank/bank/row: decoded DRAM coordinates, filled in by
+            the system's address mapper before the request is queued.
         enqueue_cycle: bus cycle the request entered its queue.
         done_cycle: bus cycle the data transfer completed (-1 before).
         needed_act: True when servicing required a row activation (i.e.
@@ -35,7 +35,7 @@ class Request:
     """
 
     __slots__ = ("id", "line_address", "type", "core_id", "channel",
-                 "rank", "bank", "row", "column", "enqueue_cycle",
+                 "rank", "bank", "row", "enqueue_cycle",
                  "done_cycle", "needed_act")
 
     def __init__(self, line_address: int, type: RequestType,
@@ -48,16 +48,11 @@ class Request:
         self.rank = -1
         self.bank = -1
         self.row = -1
-        self.column = -1
         self.enqueue_cycle = -1
         self.done_cycle = -1
         self.needed_act = False
 
     # ------------------------------------------------------------------
-
-    @property
-    def is_read(self) -> bool:
-        return self.type is RequestType.READ
 
     @property
     def is_write(self) -> bool:

@@ -1,22 +1,19 @@
-"""Request schedulers.
+"""The memory controller's request scheduler: FR-FCFS.
 
 **FR-FCFS** (first-ready, first-come-first-served; Rixner et al. [79],
-Zuravleff & Robinson [101]) is the paper's baseline policy: among
+Zuravleff & Robinson [101]) is the policy Table 1 fixes: among
 requests whose next required command can issue *now*, column commands
 to already-open rows (row hits) win; ties break by age.
 
-**FCFS** serves strictly in arrival order and is provided as a
-reference point for tests and ablations.
-
-A scheduler's decision is a :data:`Candidate`, ``(earliest_issue_cycle,
-queue_seq, request, command)``, naming the request and the command to
-issue on its behalf this cycle (``None`` when nothing can issue).
-``choose`` returns it and ``next_ready_cycle`` the earliest cycle at
-which anything could issue; ``scan`` returns both.  All three are views
-of one computation, so the controller's decision and its wake-up bid
-cannot disagree.  FR-FCFS derives them from one readiness snapshot per
-controller state (see :class:`FRFCFSScheduler`) and hands out the
-snapshot's own candidate, so no decision object is built per command.
+A decision is a :data:`Candidate`, ``(earliest_issue_cycle, queue_seq,
+request, command)``, naming the request and the command to issue on
+its behalf this cycle (``None`` when nothing can issue).  ``choose``
+returns it and ``next_ready_cycle`` the earliest cycle at which
+anything could issue.  Both are views of one readiness snapshot per
+controller state (see :class:`FRFCFSScheduler`), so the controller's
+decision and its wake-up bid cannot disagree, and ``choose`` hands out
+the snapshot's own candidate, so no decision object is built per
+command.
 """
 
 from __future__ import annotations
@@ -41,16 +38,6 @@ _READ = RequestType.READ
 _UNBLOCKED: FrozenSet[int] = frozenset()
 
 
-def required_command(request: Request, channel: Channel) -> Command:
-    """The next command this request needs, given current bank state."""
-    bank = channel.bank(request.rank, request.bank)
-    if bank.open_row is None:
-        return Command.ACT
-    if bank.open_row != request.row:
-        return Command.PRE
-    return Command.RD if request.is_read else Command.WR
-
-
 class FRFCFSScheduler:
     """First-ready FCFS over one request queue.
 
@@ -66,8 +53,18 @@ class FRFCFSScheduler:
     ``queue.version``, and every bank, rank or channel timing register
     changes only inside a ``Channel.issue_*`` call, each of which
     claims the command bus and so strictly advances ``next_cmd``.
+
+    Ranks in ``blocked_ranks`` are reserved for refresh; no new command
+    is scheduled to them.  Each other bank with queued requests offers
+    its candidates: ACT for its oldest request when closed; when open,
+    the column command for its oldest row hit and PRE for its oldest
+    conflict.  Commands to one bank share timing state, so the oldest
+    candidate of each kind speaks for the rest.  The queue must be
+    homogeneous (all reads or all writes), as the controller's
+    per-direction queues are.
     """
 
+    #: The policy's Table 1 name (the ``table1`` experiment echoes it).
     name = "frfcfs"
 
     def __init__(self):
@@ -80,31 +77,6 @@ class FRFCFSScheduler:
         self._hits: List[Candidate] = []
         self._rows: List[Candidate] = []
         self._ready = NEVER
-
-    def scan(self, queue, channel: Channel, cycle: int, blocked_ranks=()
-             ) -> Tuple[Optional[Candidate], int]:
-        """``(decision, earliest_ready)`` for ``cycle``.
-
-        ``blocked_ranks`` lists ranks currently reserved for refresh; no
-        new command is scheduled to them.  Each other bank with queued
-        requests offers its candidates: ACT for its oldest request when
-        closed; when open, the column command for its oldest row hit and
-        PRE for its oldest conflict.  Commands to one bank share timing
-        state, so the oldest candidate of each kind speaks for the rest.
-
-        ``decision`` is the ready row hit that arrived first, else the
-        ready ACT or PRE that arrived first, else None: exactly the
-        classic two-pass "oldest ready hit, then oldest ready request"
-        rule.  ``earliest_ready`` is the minimum earliest-issue cycle
-        over all candidates, so no cycle before it can produce a
-        decision; it is exact until the controller state changes (a
-        command issue or a queue push/removal).
-
-        The queue must be homogeneous (all reads or all writes), as the
-        controller's per-direction queues are.
-        """
-        return self.choose(queue, channel, cycle, blocked_ranks), \
-            self._ready
 
     def _snapshot(self, queue, channel: Channel, blocked) -> None:
         """One walk over the queued banks: every candidate and its
@@ -189,8 +161,10 @@ class FRFCFSScheduler:
 
     def choose(self, queue, channel: Channel, cycle: int,
                blocked_ranks=()) -> Optional[Candidate]:
-        """The candidate to issue at ``cycle`` (the oldest ready hit,
-        else the oldest ready ACT/PRE), or None.
+        """The candidate to issue at ``cycle``, or None: the ready row
+        hit that arrived first, else the ready ACT or PRE that arrived
+        first.  This is exactly the classic two-pass "oldest ready hit,
+        then oldest ready request" rule.
 
         The snapshot key check is inlined here and in
         :meth:`next_ready_cycle`: each runs once per controller tick or
@@ -215,7 +189,10 @@ class FRFCFSScheduler:
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
                          blocked_ranks=()) -> int:
-        """Earliest cycle at which :meth:`choose` could return non-None."""
+        """Earliest cycle at which :meth:`choose` could return non-None:
+        the minimum earliest-issue cycle over all candidates.  It is
+        exact until the controller state changes (a command issue or a
+        queue push/removal)."""
         blocked = frozenset(blocked_ranks) if blocked_ranks else _UNBLOCKED
         if (queue.version != self._version
                 or channel.next_cmd != self._next_cmd
@@ -223,38 +200,3 @@ class FRFCFSScheduler:
                 or blocked != self._blocked):
             self._snapshot(queue, channel, blocked)
         return self._ready
-
-
-class FCFSScheduler:
-    """Strict in-order service of the oldest request."""
-
-    name = "fcfs"
-
-    def scan(self, queue, channel: Channel, cycle: int, blocked_ranks=()
-             ) -> Tuple[Optional[Candidate], int]:
-        """Only the oldest unblocked request counts (head-of-line
-        blocking): its command if ready, and when it will be.  Its
-        ``queue_seq`` is 0: FCFS never compares ages."""
-        for req in queue:
-            if req.rank in blocked_ranks:
-                continue
-            cmd = required_command(req, channel)
-            t = channel.earliest(cmd, req.rank, req.bank)
-            return ((t, 0, req, cmd) if t <= cycle else None), t
-        return None, NEVER
-
-    def choose(self, queue, channel: Channel, cycle: int,
-               blocked_ranks=()) -> Optional[Candidate]:
-        return self.scan(queue, channel, cycle, blocked_ranks)[0]
-
-    def next_ready_cycle(self, queue, channel: Channel, cycle: int,
-                         blocked_ranks=()) -> int:
-        return self.scan(queue, channel, cycle, blocked_ranks)[1]
-
-
-def make_scheduler(name: str):
-    if name == "frfcfs":
-        return FRFCFSScheduler()
-    if name == "fcfs":
-        return FCFSScheduler()
-    raise ValueError(f"unknown scheduler {name!r}")

@@ -38,7 +38,6 @@ class PeriodicInvalidator:
                 "caching duration shorter than one invalidation sweep; "
                 f"need >= {hcrac.entries} cycles, got {duration_cycles}")
         self.hcrac = hcrac
-        self.duration_cycles = duration_cycles
         #: IIC wrap period: C / k cycles per entry.
         self.interval = max(1, duration_cycles // hcrac.entries)
         self.entry_counter = 0          # EC

@@ -18,15 +18,16 @@ first: a hit moves its tag to the end (unless it is already last) and
 a fill evicts the first tag (``lru.pop(0)``).  Dirty lines are one
 cache-wide ``set`` of line addresses: a store hit adds its line and
 an eviction writes its victim back if it takes it out of the set.  A
-lookup scans at most ``associativity`` ints in C.  A set is created
-the first time its index is looked up, so building a cache costs
-nothing per set and a run pays only for the sets it touches.
+lookup scans at most ``associativity`` ints in C.  The sets are one
+preallocated table whose slot stays ``None`` until a fill installs a
+line there, so building a cache costs one list and a run holds a tag
+list only for the sets it filled: a miss to an empty set creates
+nothing.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, DefaultDict, Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import LLC_HIT_LATENCY_CYCLES
 from repro.controller.request import Request, RequestType
@@ -67,10 +68,10 @@ class SharedCache:
 
         self.num_sets = cache_config.num_sets
         self.assoc = cache_config.associativity
-        #: ``set index -> [tag, ...]`` in LRU order (oldest first),
-        #: holding only the sets looked up so far; read-only outside
-        #: the cache.
-        self.sets: DefaultDict[int, List[int]] = defaultdict(list)
+        #: ``sets[index]``: the set's tags in LRU order (oldest first),
+        #: or None until a fill installs its first line; read-only
+        #: outside the cache.
+        self.sets: List[Optional[List[int]]] = [None] * self.num_sets
         #: Line addresses of the resident lines store hits dirtied.
         self.dirty: Set[int] = set()
         #: MSHRs: line -> the (core_id, token) loads awaiting it.
@@ -104,7 +105,7 @@ class SharedCache:
         """
         lru = self.sets[line_address % self.num_sets]
         tag = line_address // self.num_sets
-        if tag in lru:
+        if lru is not None and tag in lru:
             if lru[-1] != tag:
                 lru.remove(tag)
                 lru.append(tag)
@@ -128,7 +129,7 @@ class SharedCache:
         """Handle a store; returns False if the write must be retried."""
         lru = self.sets[line_address % self.num_sets]
         tag = line_address // self.num_sets
-        if tag in lru:
+        if lru is not None and tag in lru:
             if lru[-1] != tag:
                 lru.remove(tag)
                 lru.append(tag)
@@ -153,7 +154,9 @@ class SharedCache:
         set_idx = line_address % self.num_sets
         lru = self.sets[set_idx]
         tag = line_address // self.num_sets
-        if tag not in lru:
+        if lru is None:
+            self.sets[set_idx] = [tag]
+        elif tag not in lru:
             if len(lru) >= self.assoc:
                 victim_line = lru.pop(0) * self.num_sets + set_idx
                 if victim_line in self.dirty:

@@ -71,7 +71,7 @@ class Organization:
         # decode_into's constants, unpacked in one step per call: the
         # wrap mask, then (shift, mask) per field in Request order.
         fields = [self.total_lines - 1]
-        for name in ("channel", "rank", "bank", "row", "column"):
+        for name in ("channel", "rank", "bank", "row"):
             fields.extend(self.layout[name])
         self._decode_fields = tuple(fields)
 
@@ -95,20 +95,20 @@ class Organization:
         return DecodedAddress(**fields)
 
     def decode_into(self, request) -> None:
-        """Fill a request's channel/rank/bank/row/column fields.
+        """Fill a request's channel/rank/bank/row fields.
 
         Same result as :meth:`decode` (addresses past capacity wrap),
         written straight into the request: it runs once per LLC miss
-        and writeback, so it builds no :class:`DecodedAddress`.
+        and writeback, so it builds no :class:`DecodedAddress`.  The
+        column is not written: nothing downstream of the LLC reads it.
         """
         (wrap, ch_shift, ch_mask, ra_shift, ra_mask, ba_shift, ba_mask,
-         ro_shift, ro_mask, co_shift, co_mask) = self._decode_fields
+         ro_shift, ro_mask) = self._decode_fields
         addr = request.line_address & wrap
         request.channel = (addr >> ch_shift) & ch_mask
         request.rank = (addr >> ra_shift) & ra_mask
         request.bank = (addr >> ba_shift) & ba_mask
         request.row = (addr >> ro_shift) & ro_mask
-        request.column = (addr >> co_shift) & co_mask
 
     def encode(self, channel: int, rank: int, bank: int, row: int,
                column: int) -> int:

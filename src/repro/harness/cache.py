@@ -70,7 +70,7 @@ if TYPE_CHECKING:
 #: old entries then read as misses instead of mis-parsing.  The decoder
 #: reads only what this code writes: an envelope of an older version is
 #: a miss, and ``gc`` reports it as stale.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

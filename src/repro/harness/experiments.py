@@ -29,6 +29,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 from repro.config import (BANKS_PER_RANK, DEFAULT_CPU_FREQ_GHZ,
                           ISSUE_WIDTH, LINE_BYTES, MSHRS_PER_CORE,
                           ROW_BUFFER_BYTES, WINDOW_SIZE)
+from repro.controller.scheduler import FRFCFSScheduler
 from repro.core.chargecache import chargecache_params
 from repro.cpu.system import RunResult
 from repro.dram.timing import DDR3_1600
@@ -967,7 +968,7 @@ def _table1() -> Dict:
         },
         "controller": {
             "queue_entries": single.controller.read_queue_size,
-            "scheduler": single.controller.scheduler,
+            "scheduler": FRFCFSScheduler.name,
             "row_policy": [single.controller.row_policy,
                            eight.controller.row_policy],
         },

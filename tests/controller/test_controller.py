@@ -13,6 +13,7 @@ from repro.controller.controller import MemoryController
 from repro.controller.request import Request, RequestType
 from repro.core.chargecache import ChargeCache
 from repro.core.timing_policy import LatencyMechanism
+from repro.dram.commands import Command
 from repro.dram.timing import DDR3_1600
 
 T = DDR3_1600
@@ -26,9 +27,8 @@ def _read_done(request):
     _DONE.pop(request.id).append(request)
 
 
-def make_controller(row_policy="open", mechanism=None, refresh=False,
-                    scheduler="frfcfs"):
-    cfg = ControllerConfig(row_policy=row_policy, scheduler=scheduler)
+def make_controller(row_policy="open", mechanism=None, refresh=False):
+    cfg = ControllerConfig(row_policy=row_policy)
     mech = mechanism or LatencyMechanism(T)
     mc = MemoryController(0, T, num_ranks=1, num_banks=8,
                           rows_per_bank=4096, controller_config=cfg,
@@ -38,22 +38,26 @@ def make_controller(row_policy="open", mechanism=None, refresh=False,
     return mc
 
 
-def read_at(mc, line, rank=0, bank=0, row=0, col=0, cycle=0, core=0):
+def read_at(mc, line, rank=0, bank=0, row=0, cycle=0, core=0):
     done = []
     req = Request(line, RequestType.READ, core)
     _DONE[req.id] = done
-    req.channel, req.rank, req.bank, req.row, req.column = \
-        0, rank, bank, row, col
+    req.channel, req.rank, req.bank, req.row = 0, rank, bank, row
     assert mc.enqueue_read(req, cycle)
     return req, done
 
 
-def write_at(mc, line, rank=0, bank=0, row=0, col=0, cycle=0, core=0):
+def write_at(mc, line, rank=0, bank=0, row=0, cycle=0, core=0):
     req = Request(line, RequestType.WRITE, core)
-    req.channel, req.rank, req.bank, req.row, req.column = \
-        0, rank, bank, row, col
+    req.channel, req.rank, req.bank, req.row = 0, rank, bank, row
     assert mc.enqueue_write(req, cycle)
     return req
+
+def precharges(mc):
+    """PREs the controller has issued, counted from its command log."""
+    return sum(issued.command is Command.PRE
+               for issued in mc.channel.command_log)
+
 
 def run_until(mc, predicate, start=1, limit=5000):
     cycle = start
@@ -82,7 +86,7 @@ class TestReadLatency:
         mc = make_controller()
         req1, done1 = read_at(mc, line=1, row=7)
         run_until(mc, lambda: done1)
-        req2, done2 = read_at(mc, line=2, row=7, col=1,
+        req2, done2 = read_at(mc, line=2, row=7,
                               cycle=req1.done_cycle)
         run_until(mc, lambda: done2, start=req1.done_cycle)
         assert not req2.needed_act
@@ -134,7 +138,7 @@ class TestWrites:
         mc = make_controller()
         write_at(mc, line=1)
         w2 = Request(1, RequestType.WRITE, 0)
-        w2.channel, w2.rank, w2.bank, w2.row, w2.column = 0, 0, 0, 0, 0
+        w2.channel, w2.rank, w2.bank, w2.row = 0, 0, 0, 0
         mc.enqueue_write(w2, 0)
         assert len(mc.write_q) == 1
         assert w2 not in mc.write_q.items
@@ -164,18 +168,18 @@ class TestRowPolicies:
         run_until(mc, lambda: done)
         mc.tick(req.done_cycle + 1)
         assert mc.channel.bank(0, 0).open_row == 5
-        assert mc.stats.precharges == 0
+        assert precharges(mc) == 0
 
     def test_closed_policy_precharges_idle_row(self):
         mc = make_controller(row_policy="closed")
         req, done = read_at(mc, 1, row=5)
-        run_until(mc, lambda: mc.stats.precharges == 1)
+        run_until(mc, lambda: precharges(mc) == 1)
         assert mc.channel.bank(0, 0).open_row is None
 
     def test_closed_policy_waits_for_queued_hits(self):
         mc = make_controller(row_policy="closed")
-        read_at(mc, 1, row=5, col=0)
-        read_at(mc, 2, row=5, col=1)
+        read_at(mc, 1, row=5)
+        read_at(mc, 2, row=5)
         run_until(mc, lambda: mc.stats.reads == 2)
         # Both hits serviced from one activation.
         assert mc.stats.activations == 1
@@ -192,7 +196,7 @@ class TestRefresh:
         run_until(mc, lambda: done)
         run_until(mc, lambda: mc.stats.refreshes == 1,
                   start=req.done_cycle, limit=T.tREFI + 500)
-        assert mc.stats.precharges >= 1
+        assert precharges(mc) >= 1
 
     def test_reads_resume_after_refresh(self):
         mc = make_controller(refresh=True)
@@ -236,9 +240,8 @@ class TestErrors:
         mc = make_controller()
         for i in range(64):
             req = Request(i, RequestType.READ, 0)
-            req.channel, req.rank, req.bank, req.row, req.column = \
-                0, 0, i % 8, i, 0
+            req.channel, req.rank, req.bank, req.row = 0, 0, i % 8, i
             assert mc.enqueue_read(req, 0)
         req = Request(999, RequestType.READ, 0)
-        req.channel, req.rank, req.bank, req.row, req.column = 0, 0, 0, 9, 0
+        req.channel, req.rank, req.bank, req.row = 0, 0, 0, 9
         assert not mc.enqueue_read(req, 0)

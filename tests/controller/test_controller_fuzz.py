@@ -62,8 +62,7 @@ def _drive(mc, ops):
             req = Request(line, RequestType.WRITE, 0)
         else:
             req = Request(line, RequestType.READ, 0)
-        req.channel, req.rank, req.bank, req.row, req.column = \
-            0, 0, bank, row, col
+        req.channel, req.rank, req.bank, req.row = 0, 0, bank, row
         if is_write:
             if mc.enqueue_write(req, cycle):
                 accepted_writes += 1

@@ -1,14 +1,10 @@
-"""Unit tests for FR-FCFS and FCFS scheduling."""
+"""Unit tests for FR-FCFS scheduling."""
 
 import pytest
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import read_request, write_request
-from repro.controller.scheduler import (
-    FCFSScheduler,
-    FRFCFSScheduler,
-    make_scheduler,
-)
+from repro.controller.scheduler import FRFCFSScheduler
 from repro.dram.channel import Channel
 from repro.dram.commands import Command
 from repro.dram.timing import DDR3_1600
@@ -77,26 +73,3 @@ class TestFRFCFS:
         q.push(req, 0)
         _, _, _, cmd = FRFCFSScheduler().choose(q, channel, DDR3_1600.tRCD)
         assert cmd is Command.WR
-
-
-class TestFCFS:
-    def test_head_of_line_blocking(self, channel):
-        channel.issue_activate(0, 0, 5, 0)
-        # Head conflicts (can't PRE yet); a younger row hit exists but
-        # FCFS refuses to reorder.
-        q = queued((0, 0, 9), (0, 0, 5))
-        assert FCFSScheduler().choose(q, channel, DDR3_1600.tRCD) is None
-
-    def test_serves_head_when_ready(self, channel):
-        q = queued((0, 3, 2))
-        _, _, req, cmd = FCFSScheduler().choose(q, channel, 0)
-        assert cmd is Command.ACT
-        assert req.bank == 3
-
-
-class TestFactory:
-    def test_make(self):
-        assert isinstance(make_scheduler("frfcfs"), FRFCFSScheduler)
-        assert isinstance(make_scheduler("fcfs"), FCFSScheduler)
-        with pytest.raises(ValueError):
-            make_scheduler("lottery")

@@ -30,7 +30,8 @@ class FakeController:
 
 def cached(cache, line):
     """True when ``line`` is resident in ``cache``."""
-    return line // cache.num_sets in cache.sets[line % cache.num_sets]
+    lru = cache.sets[line % cache.num_sets]
+    return lru is not None and line // cache.num_sets in lru
 
 
 class Harness:

@@ -170,17 +170,20 @@ def _lines(requests):
 
 
 def reference_state(side):
+    """The reference creates a set on lookup, the LLC on its first
+    fill: compare the sets that hold lines."""
     sets = side.cache.sets
     num_sets = side.cache.num_sets
     return side.state(
-        {idx: list(lru) for idx, lru in sets.items()},
+        {idx: list(lru) for idx, lru in sets.items() if lru},
         {tag * num_sets + idx for idx, lru in sets.items()
          for tag, dirty in lru.items() if dirty})
 
 
 def list_state(side):
     return side.state({idx: list(lru) for idx, lru in
-                       side.cache.sets.items()}, set(side.cache.dirty))
+                       enumerate(side.cache.sets) if lru is not None},
+                      set(side.cache.dirty))
 
 
 op = st.tuples(st.sampled_from(("load", "load", "load", "store", "fill",

@@ -268,6 +268,8 @@ class TestResultCodec:
         ("dram", "address_mapping", "RoBaRaCoCh"),
         ("controller", "write_high_watermark", 0.8),
         ("controller", "write_low_watermark", 0.2),
+        # The scheduler knob schema 3 wrote; FR-FCFS is the only policy.
+        ("controller", "scheduler", "frfcfs"),
     ])
     def test_config_rejects_a_field_it_does_not_write(self, block, field,
                                                       value):
@@ -295,14 +297,15 @@ class TestRunCacheStore:
         assert key in again.keys()
         assert len(again) == 1
 
-    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize("schema", [1, 2, 3])
     def test_schema_one_envelope_is_a_miss_everywhere(self, tmp_path,
                                                       capsys, schema):
         """An envelope written by older code is a miss for ``get``,
         absent from ``store_frame`` and ``query``, and stale for
         ``cache gc``: schema 1, with the ``execution`` block and
-        ``dram.bus_freq_mhz`` that code wrote, and schema 2, which
-        wrote Table 1's constants as config fields."""
+        ``dram.bus_freq_mhz`` that code wrote, schema 2, which wrote
+        Table 1's constants as config fields, and schema 3, which
+        still wrote the ``controller.scheduler`` knob."""
         from repro.harness import cli
         from repro.harness.aggregate import store_frame
         store = RunCache(str(tmp_path))
@@ -313,13 +316,15 @@ class TestRunCacheStore:
         old_key = str(schema) * 64
         envelope.update(schema=schema, key=old_key)
         config = envelope["result"]["config"]
-        config["processor"].update(freq_ghz=4.0, issue_width=3,
-                                   window_size=128, mshrs_per_core=8)
-        config["cache"].update(line_bytes=64, hit_latency_cycles=24)
-        config["dram"].update(banks_per_rank=8, row_buffer_bytes=8192,
-                              address_mapping="RoBaRaCoCh")
-        config["controller"].update(write_high_watermark=0.8,
-                                    write_low_watermark=0.2)
+        config["controller"]["scheduler"] = "frfcfs"
+        if schema <= 2:
+            config["processor"].update(freq_ghz=4.0, issue_width=3,
+                                       window_size=128, mshrs_per_core=8)
+            config["cache"].update(line_bytes=64, hit_latency_cycles=24)
+            config["dram"].update(banks_per_rank=8, row_buffer_bytes=8192,
+                                  address_mapping="RoBaRaCoCh")
+            config["controller"].update(write_high_watermark=0.8,
+                                        write_low_watermark=0.2)
         if schema == 1:
             config["execution"] = {"jobs": None, "cache_dir": None,
                                    "use_run_cache": True}
@@ -338,7 +343,8 @@ class TestRunCacheStore:
                          "--cache-dir", store.root]) == 0
         stale = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("stale ")]
-        assert stale == [f"stale {old_key}  (schema {schema} != 3)"]
+        assert stale == [f"stale {old_key}  "
+                         f"(schema {schema} != {cache.SCHEMA_VERSION})"]
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         store = RunCache(str(tmp_path))

@@ -311,29 +311,31 @@ def test_mixed_phase_scheduler_views_stay_on_the_path(monkeypatch):
 
 
 def test_paper_system_builds_no_llc_sets():
-    """LLC sets are created on first lookup: a freshly built paper
+    """LLC sets are created by their first fill: a freshly built paper
     single-core system (4 MB LLC, 4,096 sets) holds none."""
     system = System(build_config("single", "chargecache"), [iter(())])
     assert system.llc.num_sets == 4096
-    assert len(system.llc.sets) == 0
+    assert system.llc.sets == [None] * 4096
 
 
-def test_mixed_phase_llc_holds_exactly_the_touched_sets(monkeypatch):
+def test_mixed_phase_llc_holds_exactly_the_filled_sets(monkeypatch):
     """After the fixed mixed-phase run, the LLC holds a set for exactly
-    the set indices the cores' loads and stores looked up (fills and
-    writebacks reuse them): 154 of its 256."""
-    touched = set()
-    for name in ("access_load", "access_store"):
-        def record(self, core_id, line_address, *args,
-                   _original=getattr(SharedCache, name), **kwargs):
-            touched.add(line_address % self.num_sets)
-            return _original(self, core_id, line_address, *args,
-                             **kwargs)
+    the set indices a fill installed a line in: 130 of its 256.  The
+    cores' loads and stores look up 154; the other 24 saw only misses
+    (store misses and loads still in flight at the end), which create
+    no set."""
+    filled = set()
 
-        monkeypatch.setattr(SharedCache, name, record)
+    def record(self, request, _original=SharedCache._fill):
+        if request.line_address in self._mshrs:
+            filled.add(request.line_address % self.num_sets)
+        return _original(self, request)
+
+    monkeypatch.setattr(SharedCache, "_fill", record)
     system, commands = _mixed_phase_event_run()
-    assert set(system.llc.sets) == touched
-    assert len(touched) == 154 < system.llc.num_sets
+    assert {index for index, lru in enumerate(system.llc.sets)
+            if lru is not None} == filled
+    assert len(filled) == 130 < system.llc.num_sets
 
 
 def test_mixed_phase_visit_kind_budgets(monkeypatch):

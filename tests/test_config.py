@@ -94,9 +94,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="associativity"):
             CacheConfig(associativity=associativity).validate()
 
-    def test_bad_controller(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(scheduler="magic").validate()
+    def test_scheduler_is_not_a_field(self):
+        # Table 1 fixes FR-FCFS: the controller builds it, no knob names it.
+        with pytest.raises(TypeError, match="scheduler"):
+            ControllerConfig(scheduler="fcfs")
+
+    @pytest.mark.parametrize("field, value", [
+        ("channels", 3),
+        ("ranks_per_channel", 3),
+        ("rows_per_bank", 3000),
+    ])
+    def test_dram_geometry_must_be_a_power_of_two(self, field, value):
+        # The address codec splits a line address into bit fields, so a
+        # geometry that is not a power of two has no mapping.
+        with pytest.raises(ValueError, match=f"{field} must be a power "
+                                             f"of two, got {value}"):
+            DRAMConfig(**{field: value}).validate()
 
     def test_bad_chargecache(self):
         with pytest.raises(ValueError):

@@ -25,9 +25,14 @@ checks scan it:
   must be read somewhere in the non-test Python: loaded as
   ``.<attr>`` or named in a string.  Writes do not count: neither
   ``x.attr = ...``, ``x.attr += ...`` nor ``x.attr[i] = ...``, nor
-  the strings of a ``__slots__``.  Attributes are matched by name, so
-  a counter that shares its name with a read attribute of another
-  class (``hits``) is not caught.
+  the strings of a ``__slots__``.  A ``self.<attr>`` load reads the
+  attribute only of the classes related to its own by inheritance
+  (matched by class name): those one instance can belong to together
+  with it, that is its ancestors, its descendants and their other
+  bases.  So a class's own ``self.duration`` does not keep another
+  class's alive.  Any other load is matched by name, so a counter that shares
+  its name with an attribute some other object reads (``hits``) is
+  not caught.
 
 A name that fails must either gain a use outside ``tests/``, be
 deleted (an oracle moves into its test), or go on :data:`ALLOWED`
@@ -222,11 +227,26 @@ def _scan():
             frozenset(defined))
 
 
+def _with_class(tree):
+    """``(node, name of the innermost enclosing class or None)`` for
+    every node of ``tree``."""
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        yield node, owner
+        inner = node.name if isinstance(node, ast.ClassDef) else owner
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
+def _is_self(node) -> bool:
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
 def _members(tree):
-    """(public method names, ``self.<attr>`` names assigned) of the
-    classes in ``tree``."""
+    """(public method names, ``(class, attr)`` for each ``self.<attr>``
+    assigned) of the classes in ``tree``."""
     methods, assigned = set(), set()
-    for node in ast.walk(tree):
+    for node, owner in _with_class(tree):
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 if isinstance(child, (ast.FunctionDef,
@@ -235,18 +255,65 @@ def _members(tree):
                         and all(_decorator_name(d) in _PLAIN_DECORATORS
                                 for d in child.decorator_list):
                     methods.add(child.name)
-        elif isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "self" \
+        elif isinstance(node, ast.Attribute) and _is_self(node) \
                 and isinstance(node.ctx, ast.Store):
-            assigned.add(node.attr)
+            assigned.add((owner, node.attr))
     return methods, assigned
 
 
-def _member_uses(tree, reached, read):
-    """Add to ``reached`` every ``.name`` and name-path string, and to
-    ``read`` every attribute load that is not the base of a subscript
-    write, plus the same strings (``__slots__`` excluded)."""
+class _Uses:
+    """What the non-test code reaches and reads."""
+
+    def __init__(self):
+        #: ``.name`` and name-path parts: reaches a method.
+        self.reached = set()
+        #: Attribute names loaded off anything but ``self``, and
+        #: name-path parts: reads every class's attribute of that name.
+        self.read = set()
+        #: ``(class, attr)`` of each ``self.<attr>`` load in a class.
+        self.self_read = set()
+        #: Class name -> the names of its bases.
+        self.bases = {}
+
+    def _lineage(self, cls):
+        """``cls`` and its ancestors."""
+        seen, todo = {cls}, [cls]
+        while todo:
+            for base in self.bases.get(todo.pop(), ()):
+                if base not in seen:
+                    seen.add(base)
+                    todo.append(base)
+        return seen
+
+    def related(self, cls):
+        """The classes whose ``self.<attr>`` can be ``cls``'s: each
+        class that ``cls`` or one of its descendants inherits from
+        (ancestors, descendants and the mixins of descendants)."""
+        family = set()
+        for name in set(self.bases) | {cls}:
+            lineage = self._lineage(name)
+            if cls in lineage:
+                family |= lineage
+        return family
+
+    def write_only(self, assigned):
+        """Attribute names of ``assigned`` pairs that nothing reads."""
+        return {attr for cls, attr in assigned
+                if attr not in self.read
+                and not any((owner, attr) in self.self_read
+                            for owner in self.related(cls))}
+
+
+def _base_name(node) -> str:
+    return node.attr if isinstance(node, ast.Attribute) \
+        else getattr(node, "id", "")
+
+
+def _member_uses(tree, uses):
+    """Add to ``uses`` every ``.name`` and name-path string reached,
+    every attribute load that is not the base of a subscript write
+    (``self.<attr>`` loads per enclosing class), the same strings
+    (``__slots__`` excluded) and each class's bases."""
     docs = {id(node) for node in _docstrings(tree)}
     skip = set()
     for node in ast.walk(tree):
@@ -260,18 +327,24 @@ def _member_uses(tree, reached, read):
                     isinstance(t, ast.Name) and t.id == "__slots__"
                     for t in node.targets):
                 skip.update(id(n) for n in ast.walk(node.value))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            reached.add(node.attr)
+    for node, owner in _with_class(tree):
+        if isinstance(node, ast.ClassDef):
+            uses.bases.setdefault(node.name, set()).update(
+                _base_name(base) for base in node.bases)
+        elif isinstance(node, ast.Attribute):
+            uses.reached.add(node.attr)
             if isinstance(node.ctx, ast.Load) and id(node) not in skip:
-                read.add(node.attr)
+                if owner is not None and _is_self(node):
+                    uses.self_read.add((owner, node.attr))
+                else:
+                    uses.read.add(node.attr)
         elif isinstance(node, ast.Constant) and \
                 isinstance(node.value, str) and id(node) not in docs \
                 and id(node) not in skip \
                 and _NAME_PATH.fullmatch(node.value):
             parts = re.split(r"[.:]", node.value)
-            reached.update(parts)
-            read.update(parts)
+            uses.reached.update(parts)
+            uses.read.update(parts)
 
 
 def _text_members(text, reached):
@@ -282,7 +355,7 @@ def _text_members(text, reached):
 @functools.lru_cache(maxsize=None)
 def _member_scan():
     """(unreached methods, write-only attributes)."""
-    methods, assigned, reached, read = set(), set(), set(), set()
+    methods, assigned, uses = set(), set(), _Uses()
     for top in (SRC, os.path.join(ROOT, "benchmarks"),
                 os.path.join(ROOT, "examples"),
                 os.path.join(ROOT, "perfbench")):
@@ -290,19 +363,20 @@ def _member_scan():
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             if not path.endswith(".py"):
-                _text_members(text, reached)
+                _text_members(text, uses.reached)
                 continue
             tree = ast.parse(text, path)
             if top == SRC:
                 found_methods, found_assigned = _members(tree)
                 methods |= found_methods
                 assigned |= found_assigned
-            _member_uses(tree, reached, read)
+            _member_uses(tree, uses)
     for path in (os.path.join(ROOT, ".github", "workflows", "ci.yml"),
                  os.path.join(ROOT, "README.md")):
         with open(path, encoding="utf-8") as fh:
-            _text_members(fh.read(), reached)
-    return frozenset(methods - reached), frozenset(assigned - read)
+            _text_members(fh.read(), uses.reached)
+    return (frozenset(methods - uses.reached),
+            frozenset(uses.write_only(assigned)))
 
 
 def test_no_public_name_is_reached_only_from_tests():
@@ -409,9 +483,9 @@ def _verdict(source):
     """(unreached methods, write-only attributes) of one module."""
     tree = ast.parse(source)
     methods, assigned = _members(tree)
-    reached, read = set(), set()
-    _member_uses(tree, reached, read)
-    return methods - reached, assigned - read
+    uses = _Uses()
+    _member_uses(tree, uses)
+    return methods - uses.reached, uses.write_only(assigned)
 
 
 @pytest.mark.parametrize("use", [
@@ -444,3 +518,38 @@ def test_loads_and_name_strings_are_reads(use):
 ], ids=["bare-identifier", "docstring", "attribute", "name-path"])
 def test_a_method_is_reached_only_as_attribute_or_name(use, unreached):
     assert _verdict(_TABLE + use + "\n")[0] == unreached
+
+
+_PERIODS = '''
+class Base:
+    def __init__(self):
+        self.period = 1
+
+class Sweep(Base):
+    pass
+
+class Timer:
+    def __init__(self):
+        self.period = 2
+
+    def wait(self):
+        return self.period
+'''
+
+
+@pytest.mark.parametrize("use, write_only", [
+    ("", {"period"}),
+    ("class Late(Sweep):\n    def f(self):\n        return self.period",
+     set()),
+    ("class Root:\n    def f(self):\n        return self.period\n"
+     "class Base(Root):\n    pass", set()),
+    ("class Mixin:\n    def f(self):\n        return self.period\n"
+     "class Both(Mixin, Base):\n    pass", set()),
+    ("def f(timer):\n    return timer.period", set()),
+], ids=["other-class-self-load", "descendant-self-load",
+        "ancestor-self-load", "mixin-self-load", "non-self-load"])
+def test_a_self_load_reads_only_its_class_family(use, write_only):
+    # Base.period is written only: Timer's self.period is its own, but
+    # the self.period of a class an instance of Base can also be, or
+    # any x.period, reads it.
+    assert _verdict(_PERIODS + use + "\n")[1] == write_only
