@@ -42,7 +42,7 @@ WORKLOAD = "libquantum"
 INSTRUCTIONS = 40_000
 
 #: The paper's configuration, spelled as a parameterized spec (these
-#: values are the registered defaults, so this normalizes to plain
+#: values are the defaults, so this normalizes to plain
 #: "chargecache" — same run, same cache entry).
 MECHANISM = "chargecache(entries=128,duration_ms=1)"
 

@@ -16,7 +16,7 @@ Public API quick tour::
 Subpackages:
 
 * :mod:`repro.core` - ChargeCache, NUAT, LL-DRAM, AL-DRAM mechanisms
-  and the mechanism registry/spec mini-language
+  and the mechanism table/spec mini-language
   (``cfg = single_core_config(mechanism="chargecache(entries=256)+nuat")``).
 * :mod:`repro.dram` - DDR3 device timing model.
 * :mod:`repro.controller` - FR-FCFS memory controller.
@@ -50,7 +50,6 @@ _EXPORTS = {
     "eight_core_config": "repro.config",
     "mechanism_names": "repro.core.registry",
     "parse_mechanism_spec": "repro.core.registry",
-    "register_mechanism": "repro.core.registry",
     "System": "repro.cpu.system",
     "RunResult": "repro.cpu.system",
     "Organization": "repro.dram.organization",

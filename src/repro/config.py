@@ -236,7 +236,7 @@ class SimulationConfig:
         self.dram.validate()
         self.controller.validate()
         # The mechanism is a registry spec, not a fixed menu: any
-        # +-composition of registered mechanisms with inline parameter
+        # +-composition of the built-in mechanisms with inline parameter
         # overrides is legal (parse errors carry the details).
         from repro.core.registry import parse_mechanism_spec
         parse_mechanism_spec(self.mechanism)

@@ -35,7 +35,7 @@ from repro.circuit.temperature import (
     WORST_CASE_TEMPERATURE_C,
     cell_model_at,
 )
-from repro.core.registry import MechanismContext, register_mechanism
+from repro.core.registry import MechanismContext
 from repro.core.timing_policy import LatencyMechanism
 from repro.dram.timing import ReducedTimings, TimingParameters
 
@@ -93,8 +93,5 @@ class ALDRAM(LatencyMechanism):
         return self.timings
 
 
-@register_mechanism(
-    "aldram", params=ALDRAMParams, order=40,
-    aliases={"temperature": "temperature_c"})
 def _build_aldram(ctx: MechanismContext, overrides) -> ALDRAM:
     return ALDRAM(ctx.timing, ALDRAMParams(**overrides).temperature_c)

@@ -28,8 +28,7 @@ from typing import Dict, List, Optional
 from repro.config import ChargeCacheConfig
 from repro.core.hcrac import HCRAC, UnboundedHCRAC
 from repro.core.invalidation import PeriodicInvalidator
-from repro.core.registry import (MechanismContext, parse_mechanism_spec,
-                                 register_mechanism)
+from repro.core.registry import MechanismContext, parse_mechanism_spec
 from repro.core.timing_policy import LatencyMechanism
 from repro.dram.standards import derated_reduction_cycles
 from repro.dram.timing import NEVER, ReducedTimings, TimingParameters
@@ -145,15 +144,12 @@ class ChargeCache(LatencyMechanism):
 
 def chargecache_params(mechanism: str) -> ChargeCacheConfig:
     """The ChargeCache parameters a mechanism spec runs with: the
-    registered defaults plus its ``chargecache`` term's inline values
+    defaults plus its ``chargecache`` term's inline values
     (the defaults alone when the spec has no such term)."""
     term = parse_mechanism_spec(mechanism).term("chargecache")
     return ChargeCacheConfig(**(term.overrides if term is not None else {}))
 
 
-@register_mechanism(
-    "chargecache", params=ChargeCacheConfig, order=10,
-    aliases={"duration_ms": "caching_duration_ms"})
 def _build_chargecache(ctx: MechanismContext,
                        overrides: Dict[str, object]) -> ChargeCache:
     return ChargeCache(ctx.timing, ChargeCacheConfig(**overrides),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import ChargeCacheConfig
-from repro.core.registry import register_mechanism
 from repro.core.timing_policy import LatencyMechanism
 from repro.dram.standards import derated_reduction_cycles
 from repro.dram.timing import ReducedTimings, TimingParameters
@@ -62,8 +61,5 @@ class LLDRAMParams:
             .validate()
 
 
-@register_mechanism(
-    "lldram", params=LLDRAMParams, order=30,
-    aliases={"duration_ms": "caching_duration_ms"})
 def _build_lldram(ctx, overrides) -> LowLatencyDRAM:
     return LowLatencyDRAM(ctx.timing, LLDRAMParams(**overrides))

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.config import NUATConfig
 from repro.circuit.latency_tables import nuat_bin_reductions
-from repro.core.registry import MechanismContext, register_mechanism
+from repro.core.registry import MechanismContext
 from repro.core.timing_policy import LatencyMechanism
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import ReducedTimings, TimingParameters
@@ -62,7 +62,6 @@ class NUAT(LatencyMechanism):
         return None
 
 
-@register_mechanism("nuat", params=NUATConfig, order=20)
 def _build_nuat(ctx: MechanismContext, overrides) -> NUAT:
     if ctx.refresh_scheduler is None:
         raise ValueError(

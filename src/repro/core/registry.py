@@ -1,16 +1,17 @@
-"""Composable latency-mechanism registry and spec mini-language.
+"""The latency-mechanism table and spec mini-language.
 
 The paper evaluates ChargeCache alongside and combined with NUAT,
 LL-DRAM and AL-DRAM, and its capacity/duration sweeps are really a
 family of *parameterized* mechanism variants.  This module makes that
 family the public API:
 
-* **Registry** - every mechanism registers itself once with
-  :func:`register_mechanism` (name, params dataclass, factory).  The
-  registry is the single source of truth for which mechanisms exist;
-  nothing else hardcodes the menu.
+* **Table** - :data:`_MECHANISMS` lists the five built-in mechanisms
+  in canonical composition order, each with the module that defines
+  it, its factory and params dataclass there, and its parameter
+  aliases.  It is the single source of truth for which mechanisms
+  exist; nothing else hardcodes the menu.
 * **Spec mini-language** - :func:`parse_mechanism_spec` accepts any
-  ``+``-composition of registered mechanisms with inline parameter
+  ``+``-composition of the mechanisms with inline parameter
   overrides::
 
       "chargecache(entries=256,duration_ms=0.5)+nuat"
@@ -19,14 +20,14 @@ family the public API:
   type or out-of-range value all fail at parse time, not inside a pool
   worker mid-sweep).
 * **Canonical form** - :meth:`MechanismSpec.canonical` normalizes a
-  spec to one string per distinct behaviour: terms sorted into a fixed
-  mechanism order, parameter aliases resolved, values that equal the
-  registered defaults dropped.  ``"nuat+chargecache"`` and
-  ``"chargecache+nuat"`` normalize identically, which is what lets the
-  run cache (:mod:`repro.harness.cache`) serve both from one entry.
+  spec to one string per distinct behaviour: terms sorted into table
+  order, parameter aliases resolved, values that equal the params
+  defaults dropped.  ``"nuat+chargecache"`` and ``"chargecache+nuat"``
+  normalize identically, which is what lets the run cache
+  (:mod:`repro.harness.cache`) serve both from one entry.
 * **Construction** - :func:`build` instantiates a spec against a
   :class:`MechanismContext` (channel timing, core count, refresh
-  scheduler); each term's parameters are its registered defaults plus
+  scheduler); each term's parameters are its params defaults plus
   its inline values, nothing else.  Compositions build an N-way
   :class:`~repro.core.timing_policy.CombinedMechanism` whose two-way
   behaviour is bit-identical to the historical hardcoded pairs.
@@ -42,17 +43,10 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
-
-#: Canonical ordering for the built-in mechanisms.  Composition order
-#: is observable only through per-mechanism stats (the combined result
-#: is a commutative min), but a *stable* order is what makes canonical
-#: strings deterministic across processes and import orders - they are
-#: cache-key material.  Unregistered-in-this-table mechanisms sort
-#: after the builtins, alphabetically.
-_DEFAULT_ORDER = 1000
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -66,115 +60,82 @@ class MechanismContext:
 
 
 @dataclass(frozen=True)
-class RegisteredMechanism:
-    """One registry entry: name, factory and parameter schema."""
+class Mechanism:
+    """One built-in mechanism: its spec name, the module that defines
+    it, the names there of its factory and params dataclass, and the
+    alternate spellings of its parameters (alias -> params field).
+
+    The factory is called as ``factory(ctx, overrides)`` with a
+    :class:`MechanismContext` and the coerced inline values under
+    their field names.  The params dataclass defines ``validate()``,
+    which checks every parsed term with inline values.
+    """
 
     name: str
-    factory: Callable[[MechanismContext, Dict[str, object]], object]
-    params_type: Optional[type]
-    aliases: Mapping[str, str]
-    order: int
+    module: str
+    factory: str
+    params: Optional[str] = None
+    aliases: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def params_type(self) -> Optional[type]:
+        if self.params is None:
+            return None
+        return getattr(importlib.import_module(self.module), self.params)
 
     def defaults(self):
-        """A params instance holding the registered defaults."""
-        return self.params_type() if self.params_type is not None else None
+        """A params instance holding the defaults."""
+        params_type = self.params_type
+        return params_type() if params_type is not None else None
+
+    def build(self, ctx: MechanismContext,
+              overrides: Dict[str, object]) -> object:
+        factory = getattr(importlib.import_module(self.module),
+                          self.factory)
+        return factory(ctx, overrides)
 
 
-_REGISTRY: Dict[str, RegisteredMechanism] = {}
+#: The built-in mechanisms in canonical composition order.  Composition
+#: order is observable only through per-mechanism stats (the combined
+#: result is a commutative min), but a *stable* order is what makes
+#: canonical strings deterministic across processes - they are
+#: cache-key material.  A name's module is imported on its first
+#: lookup, so a run loads only the mechanisms its spec names (AL-DRAM's
+#: circuit model stays out of a ChargeCache run).
+_MECHANISMS: Dict[str, Mechanism] = {m.name: m for m in (
+    Mechanism("none", "repro.core.timing_policy", "_build_none"),
+    Mechanism("chargecache", "repro.core.chargecache", "_build_chargecache",
+              "ChargeCacheConfig", {"duration_ms": "caching_duration_ms"}),
+    Mechanism("nuat", "repro.core.nuat", "_build_nuat", "NUATConfig"),
+    Mechanism("lldram", "repro.core.lldram", "_build_lldram",
+              "LLDRAMParams", {"duration_ms": "caching_duration_ms"}),
+    Mechanism("aldram", "repro.core.aldram", "_build_aldram",
+              "ALDRAMParams", {"temperature": "temperature_c"}),
+)}
 
-#: Built-in mechanism name -> the module whose import registers it.
-#: A name's module is imported on its first lookup, so a run loads only
-#: the mechanisms its spec names (AL-DRAM's circuit model stays out of
-#: a ChargeCache run); canonical order comes from each registration's
-#: ``order``, never from which modules happen to be loaded.
-_BUILTIN_MODULES = {
-    "none": "repro.core.timing_policy",
-    "chargecache": "repro.core.chargecache",
-    "nuat": "repro.core.nuat",
-    "lldram": "repro.core.lldram",
-    "aldram": "repro.core.aldram",
-}
+_ORDER = {name: index for index, name in enumerate(_MECHANISMS)}
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_\-]*$")
 _TERM_RE = re.compile(r"^\s*(?P<name>[^()\s]+)\s*(?:\((?P<params>.*)\))?\s*$",
                       re.DOTALL)
 
 
-def register_mechanism(name: str, *, params: Optional[type] = None,
-                       aliases: Optional[Mapping[str, str]] = None,
-                       order: int = _DEFAULT_ORDER):
-    """Class/function decorator registering a mechanism factory.
-
-    The decorated callable is invoked as ``factory(ctx, overrides)``
-    where ``ctx`` is a :class:`MechanismContext` and ``overrides`` maps
-    canonical parameter names (fields of ``params``) to already-coerced
-    values from the spec string.  ``aliases`` maps alternate spellings
-    to canonical field names (``duration_ms`` -> ``caching_duration_ms``).
-    ``order`` fixes this mechanism's position in canonical composition
-    strings; mechanisms without an explicit order sort after all
-    ordered ones, alphabetically.
-
-    ``params`` must define ``validate()``, which every parsed term
-    with inline values is checked by; the registered defaults are
-    validated here, once, so invalid defaults fail at import.
-    """
-    if not _NAME_RE.match(name):
-        raise ValueError(
-            f"mechanism name {name!r} must be lowercase "
-            f"[a-z][a-z0-9_-]* (it appears verbatim in spec strings)")
-    alias_map = dict(aliases or {})
-    if params is not None:
-        if not callable(getattr(params, "validate", None)):
-            raise ValueError(
-                f"mechanism {name!r}: params class {params.__name__} "
-                f"defines no validate(); the registry validates every "
-                f"parsed term with it")
-        try:
-            params().validate()
-        except ValueError as exc:
-            raise ValueError(
-                f"mechanism {name!r}: invalid default parameters: "
-                f"{exc}") from None
-        field_names = {f.name for f in dataclasses.fields(params)}
-        for alias, target in alias_map.items():
-            if target not in field_names:
-                raise ValueError(
-                    f"mechanism {name!r}: alias {alias!r} targets "
-                    f"unknown field {target!r}")
-
-    def decorator(factory):
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing.factory is not factory:
-            raise ValueError(
-                f"mechanism {name!r} already registered (names are "
-                f"spec/cache-key material and must be unique)")
-        _REGISTRY[name] = RegisteredMechanism(
-            name=name, factory=factory, params_type=params,
-            aliases=alias_map, order=order)
-        return factory
-
-    return decorator
-
-
-def registered(name: str) -> RegisteredMechanism:
-    """Look a mechanism up by its registered name."""
-    entry = _REGISTRY.get(name)
-    if entry is None and name in _BUILTIN_MODULES:
-        importlib.import_module(_BUILTIN_MODULES[name])
-        entry = _REGISTRY.get(name)
+def registered(name: str) -> Mechanism:
+    """Look a mechanism up by its name, importing its module."""
+    entry = _MECHANISMS.get(name)
     if entry is None:
         raise ValueError(
             f"unknown mechanism {name!r}; registered: "
             f"{mechanism_names()}")
+    importlib.import_module(entry.module)
     return entry
 
 
 def mechanism_names() -> List[str]:
-    """Registered mechanism names in canonical composition order."""
-    for module in _BUILTIN_MODULES.values():
-        importlib.import_module(module)
-    return [entry.name for entry in
-            sorted(_REGISTRY.values(), key=lambda e: (e.order, e.name))]
+    """The mechanism names in canonical composition order; imports
+    every mechanism's module."""
+    for entry in _MECHANISMS.values():
+        importlib.import_module(entry.module)
+    return list(_MECHANISMS)
 
 
 # ----------------------------------------------------------------------
@@ -262,11 +223,16 @@ def _coerce_value(name: str, key: str, text: str, default: object):
                 f"integer, got {text!r}") from None
     if isinstance(default, float):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ValueError(
                 f"mechanism {name!r}: parameter {key!r} expects a "
                 f"number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(
+                f"mechanism {name!r}: parameter {key!r} must be "
+                f"finite, got {text!r}")
+        return value
     if isinstance(default, str):
         return text
     raise ValueError(
@@ -303,7 +269,7 @@ def _parse_term(raw: str, spec_text: str) -> MechanismTerm:
 
 
 def _written_term(raw: str, spec_text: str
-                  ) -> Tuple[RegisteredMechanism, Dict[str, object]]:
+                  ) -> Tuple[Mechanism, Dict[str, object]]:
     """A term's mechanism and the coerced parameters it spells out
     (canonical names, defaults still included)."""
     match = _TERM_RE.match(raw)
@@ -349,7 +315,7 @@ def _written_term(raw: str, spec_text: str
     return entry, overrides
 
 
-def _normalized_term(entry: RegisteredMechanism,
+def _normalized_term(entry: Mechanism,
                      overrides: Dict[str, object]) -> MechanismTerm:
     """Drop overrides equal to the defaults; validate what remains."""
     defaults = entry.defaults()
@@ -366,7 +332,7 @@ def _normalized_term(entry: RegisteredMechanism,
                          params=tuple(sorted(kept.items())))
 
 
-def parse_mechanism_spec(text: Union[str, MechanismSpec]) -> MechanismSpec:
+def parse_mechanism_spec(text: str) -> MechanismSpec:
     """Parse and eagerly validate a mechanism spec string.
 
     Returns a :class:`MechanismSpec` whose terms are in canonical
@@ -374,37 +340,22 @@ def parse_mechanism_spec(text: Union[str, MechanismSpec]) -> MechanismSpec:
     ``parse_mechanism_spec(s).canonical()`` is the one string that
     names this behaviour (and is safe cache-key material).
     """
-    if isinstance(text, MechanismSpec):
-        # Re-normalize rather than trust the object: a caller-built
-        # MechanismSpec may be unsorted, carry default-valued params,
-        # duplicate a term, or hold unvalidated values — none of which
-        # may reach cache keys.  Round-tripping through the canonical
-        # string funnels the object path through the exact same
-        # grammar, coercion and validation as user input.
-        return parse_mechanism_spec(text.canonical())
     if not isinstance(text, str) or not text.strip():
         raise ValueError(f"mechanism spec must be a non-empty string, "
                          f"got {text!r}")
     terms = [_parse_term(raw, text) for raw in _split_terms(text)]
-    return _validated_spec(terms, repr(text))
-
-
-def _validated_spec(terms: List[MechanismTerm],
-                    origin: str) -> MechanismSpec:
-    """Composition-level checks + canonical ordering (shared by the
-    string and MechanismSpec entry paths)."""
     seen = set()
     for term in terms:
         if term.name in seen:
             raise ValueError(
-                f"mechanism {term.name!r} appears twice in spec {origin}")
+                f"mechanism {term.name!r} appears twice in spec {text!r}")
         seen.add(term.name)
-    if len(terms) > 1 and any(term.name == "none" for term in terms):
+    if len(terms) > 1 and "none" in seen:
         raise ValueError(
             f"'none' cannot be composed with other mechanisms "
-            f"(spec {origin})")
-    terms = sorted(terms, key=lambda t: (registered(t.name).order, t.name))
-    return MechanismSpec(terms=tuple(terms))
+            f"(spec {text!r})")
+    return MechanismSpec(terms=tuple(
+        sorted(terms, key=lambda term: _ORDER[term.name])))
 
 
 def written_params(text: str) -> Dict[str, Dict[str, object]]:
@@ -412,7 +363,7 @@ def written_params(text: str) -> Dict[str, Dict[str, object]]:
     parameters out, under their canonical names.
 
     Unlike the canonical form, which drops a parameter equal to its
-    registered default, this keeps it: a filter over stored runs
+    default, this keeps it: a filter over stored runs
     (``query --mechanism``) must tell ``chargecache(entries=128)``
     from a bare ``chargecache``.
     """
@@ -423,7 +374,7 @@ def written_params(text: str) -> Dict[str, Dict[str, object]]:
     return written
 
 
-def fill_params(text: Union[str, MechanismSpec], name: str,
+def fill_params(text: str, name: str,
                 params: Mapping[str, object]) -> str:
     """The canonical spec with ``params`` (canonical names; None values
     skipped) written into its ``name`` term, each one the term does not
@@ -473,7 +424,7 @@ def extract_run_params(mechanism: str,
     ``None``/``False`` so e.g. ``chargecache(entries=128)`` and plain
     ``chargecache`` share one cache key.  A shorthand argument that
     contradicts an inline parameter raises ``ValueError`` — except
-    when the inline value equals the registered default, which (being
+    when the inline value equals its default, which (being
     an identity, already dropped at parse time) yields to the
     shorthand.  A shorthand argument without a chargecache term to
     read it raises too: it would key a distinct run that simulates
@@ -485,7 +436,7 @@ def extract_run_params(mechanism: str,
     unit.  Cross-field constraints couple the parameters
     (``entries`` must divide by ``associativity``), so splitting e.g.
     ``chargecache(entries=129,associativity=3)`` across the boundary
-    would re-validate each half against the registered defaults and
+    would re-validate each half against the defaults and
     reject a perfectly valid spec.
 
     A chargecache ``time_scale`` raises (:func:`refuse_time_scale`).
@@ -535,7 +486,7 @@ def extract_run_params(mechanism: str,
 # Construction
 # ----------------------------------------------------------------------
 
-def build(spec: Union[str, MechanismSpec], ctx: MechanismContext):
+def build(spec: str, ctx: MechanismContext):
     """Instantiate a mechanism spec against a context.
 
     Single terms build the mechanism directly; compositions build an
@@ -544,7 +495,7 @@ def build(spec: Union[str, MechanismSpec], ctx: MechanismContext):
     bit-for-bit).
     """
     mspec = parse_mechanism_spec(spec)
-    parts = [registered(term.name).factory(ctx, term.overrides)
+    parts = [registered(term.name).build(ctx, term.overrides)
              for term in mspec.terms]
     if len(parts) == 1:
         return parts[0]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.registry import register_mechanism
 from repro.dram.timing import ReducedTimings, TimingParameters
 
 
@@ -94,7 +93,6 @@ class CombinedMechanism(LatencyMechanism):
             mechanism.reset_stats()
 
 
-@register_mechanism("none", order=0)
 def _build_none(ctx, overrides):
     del overrides
     return LatencyMechanism(ctx.timing)

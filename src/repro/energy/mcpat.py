@@ -117,7 +117,7 @@ def overhead_for_config(config) -> HCRACOverhead:
     """Overhead for a :class:`repro.config.SimulationConfig`.
 
     The HCRAC is the one its mechanism spec simulates
-    (:func:`repro.core.chargecache.chargecache_params`; the registered
+    (:func:`repro.core.chargecache.chargecache_params`; the params
     defaults when the spec has no chargecache term).  Honours the
     ``sharing`` mode: equation (1)'s per-core factor C applies to the
     paper's replicated per-(core, channel) tables;

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mechanisms", nargs="+", default=None,
                         metavar="SPEC",
                         help="mechanism specs to compare (fig7a/fig7b): "
-                             "any +-composition of registered mechanisms "
+                             "any +-composition of the mechanisms "
                              "with inline parameters, e.g. "
                              "'chargecache(entries=256)+nuat'; validated "
                              "eagerly and normalized so order-permuted "

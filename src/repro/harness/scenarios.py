@@ -1,13 +1,13 @@
-"""Declarative scale-out scenario registry (paper Section 7, ROADMAP
+"""The scale-out system platforms (paper Section 7, ROADMAP
 "Scale-out scenarios").
 
 A :class:`Scenario` names one complete *system platform*: core count,
 channel count, ranks per channel, DRAM timing grade and row policy.
-The registry is the harness's only platform definition.  The paper's
-own systems are its ``c1-r1`` (single-core) and ``c8-r1`` (eight-core)
-entries, which the run kinds that name no scenario resolve to
-(:data:`KIND_PLATFORMS`).  It enumerates the curated matrix the
-scaling/standards experiments sweep —
+The table of scenarios is the harness's only platform definition.
+The paper's own systems are its ``c1-r1`` (single-core) and ``c8-r1``
+(eight-core) entries, which the run kinds that name no scenario
+resolve to (:data:`KIND_PLATFORMS`).  It holds the curated matrix
+the scaling/standards experiments sweep —
 
 * **Scaling family** (``SCALING_SCENARIOS``): 1/2/4/8/16 cores, each
   with 1 and 2 ranks per channel, on the paper's DDR3-1600 baseline.
@@ -21,18 +21,20 @@ scaling/standards experiments sweep —
   ``c8-r1``, i.e. the paper's own platforms.
 
 Scenario **names are cache-key material**: a
-:class:`~repro.harness.spec.RunSpec` embeds the scenario name, so the
-name must be unique and must never be silently re-bound to a different
-platform (renaming is fine — the content-addressed run cache just sees
-a new key; re-binding would *reuse* old results for a new platform if
-the code fingerprint ever stopped covering this module).  The registry
-enforces uniqueness at import time; tests/harness/test_scenarios.py
-locks the published names and platforms.
+:class:`~repro.harness.spec.RunSpec` embeds the scenario name, so a
+name must never be silently re-bound to a different platform
+(renaming is fine — the content-addressed run cache just sees a new
+key; re-binding would *reuse* old results for a new platform if the
+code fingerprint ever stopped covering this module).
+tests/harness/test_scenarios.py locks the sixteen names and their
+platforms, so two rows sharing a name fail there.  A platform's
+fields are checked where its configuration is built
+(``runner.build_config`` validates the
+:class:`~repro.config.SimulationConfig`).
 
-Adding a scenario: append a :class:`Scenario` to ``_CURATED`` (or call
-:func:`register_scenario` from an experiment), then extend the
-conformance suite (tests/integration/test_scenario_matrix.py) so the
-new axis is exercised end-to-end — see DESIGN.md section 5.
+Adding a scenario: add a :class:`Scenario` to ``_SCENARIOS``, then
+extend the conformance suite (tests/integration/test_scenario_matrix.py)
+so the new axis is exercised end-to-end — see DESIGN.md section 5.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.config import ROW_POLICIES
 from repro.dram.standards import PRESETS, StandardProfile, preset, profile
 from repro.dram.timing import TimingParameters
 from repro.workloads.mixes import MIX_NAMES, mix_composition
@@ -64,34 +65,6 @@ class Scenario:
     standard: str = "DDR3-1600"
     row_policy: str = "open"
 
-    def validate(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
-            raise ValueError(
-                f"scenario name must be non-empty and whitespace-free, "
-                f"got {self.name!r}")
-        if self.num_cores < 1:
-            raise ValueError(
-                f"scenario {self.name!r}: num_cores must be >= 1, "
-                f"got {self.num_cores}")
-        for field in ("channels", "ranks_per_channel"):
-            value = getattr(self, field)
-            if value < 1:
-                raise ValueError(
-                    f"scenario {self.name!r}: {field} must be >= 1, "
-                    f"got {value}")
-            if value & (value - 1):
-                raise ValueError(
-                    f"scenario {self.name!r}: {field} must be a power "
-                    f"of two (address decoding), got {value}")
-        if self.standard not in PRESETS:
-            raise ValueError(
-                f"scenario {self.name!r}: unknown standard "
-                f"{self.standard!r}; known: {sorted(PRESETS)}")
-        if self.row_policy not in ROW_POLICIES:
-            raise ValueError(
-                f"scenario {self.name!r}: unknown row policy "
-                f"{self.row_policy!r}; known: {ROW_POLICIES}")
-
     @property
     def timing(self) -> TimingParameters:
         return preset(self.standard)
@@ -113,39 +86,6 @@ class Scenario:
         }
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Scenario] = {}
-
-
-def register_scenario(scenario: Scenario) -> Scenario:
-    """Add a scenario; name and platform must both be new."""
-    scenario.validate()
-    existing = _REGISTRY.get(scenario.name)
-    if existing is not None:
-        raise ValueError(
-            f"scenario name {scenario.name!r} already registered "
-            f"(names feed cache keys and must be unique)")
-    _REGISTRY[scenario.name] = scenario
-    return scenario
-
-
-def scenario(name: str) -> Scenario:
-    """Look a scenario up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; known: "
-            f"{sorted(_REGISTRY)}") from None
-
-
-def scenario_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
 def _scaling_platform(cores: int, ranks: int) -> Scenario:
     """The paper-conventional platform for a core count."""
     return Scenario(
@@ -162,25 +102,35 @@ def _standard_slug(standard: str) -> str:
     return standard.lower()
 
 
-_CURATED: List[Scenario] = [
-    _scaling_platform(cores, ranks)
-    for cores in SCALING_CORE_COUNTS for ranks in SCALING_RANKS
-]
-for _std in sorted(PRESETS):
-    if _std == "DDR3-1600":
-        continue  # the scaling family's c1-r1 / c8-r1 are the DDR3 rows
-    for _cores in (1, 8):
-        _CURATED.append(Scenario(
-            name=f"{_standard_slug(_std)}-c{_cores}",
-            num_cores=_cores,
-            channels=1 if _cores == 1 else 2,
-            ranks_per_channel=1,
-            standard=_std,
-            row_policy="open" if _cores == 1 else "closed",
-        ))
+#: Every platform by name: the scaling family, then each other
+#: standard's single- and eight-core systems (the scaling family's
+#: c1-r1 / c8-r1 are the DDR3 rows).
+_SCENARIOS: Dict[str, Scenario] = {scen.name: scen for scen in (
+    *(_scaling_platform(cores, ranks)
+      for cores in SCALING_CORE_COUNTS for ranks in SCALING_RANKS),
+    *(Scenario(name=f"{_standard_slug(std)}-c{cores}",
+               num_cores=cores,
+               channels=1 if cores == 1 else 2,
+               standard=std,
+               row_policy="open" if cores == 1 else "closed")
+      for std in sorted(PRESETS) if std != "DDR3-1600"
+      for cores in (1, 8)),
+)}
 
-for _scen in _CURATED:
-    register_scenario(_scen)
+
+def scenario(name: str) -> Scenario:
+    """Look a scenario up by name."""
+    try:
+        return _SCENARIOS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown scenario {name!r}; known: "
+            f"{sorted(_SCENARIOS)}") from None
+
+
+def scenario_names() -> List[str]:
+    return sorted(_SCENARIOS)
+
 
 #: The scaling experiment's sweep, in presentation order.
 SCALING_SCENARIOS: Tuple[str, ...] = tuple(
@@ -208,11 +158,11 @@ KIND_PLATFORMS = {"single": "c1-r1", "trace": "c1-r1",
 def platform(name: str) -> Scenario:
     """The platform a run kind of :data:`KIND_PLATFORMS` or a scenario
     name stands for."""
-    found = _REGISTRY.get(KIND_PLATFORMS.get(name, name))
+    found = _SCENARIOS.get(KIND_PLATFORMS.get(name, name))
     if found is None:
         raise ValueError(
             f"unknown platform {name!r}; expected a run kind "
-            f"{sorted(KIND_PLATFORMS)} or a scenario {sorted(_REGISTRY)}")
+            f"{sorted(KIND_PLATFORMS)} or a scenario {sorted(_SCENARIOS)}")
     return found
 
 

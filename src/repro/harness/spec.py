@@ -127,7 +127,7 @@ class RunSpec:
 
     ``mechanism`` is a registry spec
     (:func:`repro.core.registry.parse_mechanism_spec`): any
-    ``+``-composition of registered mechanisms with inline parameter
+    ``+``-composition of the built-in mechanisms with inline parameter
     overrides.
 
     A spec is canonical once built: :meth:`__post_init__` validates it
@@ -153,9 +153,9 @@ class RunSpec:
     seed: int = 1
     engine: str = "event"
     #: Platform name from :mod:`repro.harness.scenarios` (kind
-    #: "scenario" only).  Scenario names are stable registry keys, so
+    #: "scenario" only).  Scenario names are stable table keys, so
     #: they are legitimate cache-key material; the code fingerprint
-    #: covers the registry's definitions themselves.
+    #: covers the table itself.
     scenario: Optional[str] = None
     #: SHA-256 of the ingested trace file's bytes (kind "trace" only).
     #: This is what keys the run: two files with the same content are
@@ -344,8 +344,11 @@ def spec_from_payload(payload: Dict) -> RunSpec:
     for required in ("kind", "name"):
         if required not in data:
             raise ValueError(f"spec payload is missing {required!r}")
-    scale = data.get("scale")
-    if isinstance(scale, dict):
+    if "scale" in data:
+        scale = data["scale"]
+        if not isinstance(scale, dict):
+            raise ValueError(f"spec scale must be an object, "
+                             f"got {type(scale).__name__}")
         scale_known = {f.name for f in fields(Scale)}
         bad = sorted(set(scale) - scale_known)
         if bad:

@@ -5,7 +5,7 @@ round-trip and normalization behaviour here is golden: changing it
 silently re-keys the persistent run cache.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -86,32 +86,6 @@ class TestParseNormalize:
         assert again == spec
         assert again.canonical() == canonical
 
-    def test_caller_built_mechanismspec_is_renormalized(self):
-        """A MechanismSpec assembled from the public dataclasses (not
-        the grammar) must not bypass normalization: terms re-sort,
-        default-valued params drop, values re-coerce, and the
-        composition checks still apply — the object path may never
-        leak non-canonical strings into cache keys."""
-        spec = registry.MechanismSpec((
-            registry.MechanismTerm("nuat"),
-            registry.MechanismTerm("chargecache", (("entries", 128),))))
-        assert _canonical(spec) == "chargecache+nuat"
-        assert _canonical(registry.MechanismSpec((
-            registry.MechanismTerm("chargecache", (("entries", 256),)),
-        ))) == "chargecache(entries=256)"
-        with pytest.raises(ValueError, match="twice"):
-            _canonical(registry.MechanismSpec((
-                registry.MechanismTerm("nuat"),
-                registry.MechanismTerm("nuat"))))
-        with pytest.raises(ValueError, match="'none'"):
-            _canonical(registry.MechanismSpec((
-                registry.MechanismTerm("none"),
-                registry.MechanismTerm("nuat"))))
-        with pytest.raises(ValueError):
-            _canonical(registry.MechanismSpec((
-                registry.MechanismTerm("chargecache",
-                                       (("entries", 0),)),)))
-
     def test_permutations_one_canonical(self):
         import itertools
         names = ("chargecache(entries=64)", "nuat", "aldram")
@@ -131,6 +105,8 @@ class TestParseNormalize:
         "lldram(sharing=shared)",
         "aldram(temperature=-41)", "aldram(temperature=126)",
         "lldram(duration_ms=0)", "chargecache(duration_ms=-1)",
+        "chargecache(duration_ms=nan)", "chargecache(duration_ms=inf)",
+        "chargecache(time_scale=nan)", "lldram(duration_ms=nan)",
         "+chargecache", "chargecache+",
     ])
     def test_invalid_specs_fail_eagerly(self, bad):
@@ -184,56 +160,28 @@ class TestRegistryCompleteness:
         with pytest.raises(ValueError, match="registered"):
             registry.registered("warpdrive")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            @registry.register_mechanism("chargecache")
-            def _dup(ctx, overrides):  # pragma: no cover
-                raise AssertionError
+    def test_names_are_the_five_in_canonical_order(self):
+        assert registry.mechanism_names() == \
+            ["none", "chargecache", "nuat", "lldram", "aldram"]
 
-    def test_bad_registration_name_rejected(self):
-        with pytest.raises(ValueError, match="lowercase"):
-            registry.register_mechanism("Bad Name")
+    @pytest.mark.parametrize("name", registry.mechanism_names())
+    def test_params_class_validates_its_defaults(self, name):
+        """Every parsed term with inline values is checked by its
+        params class's ``validate()``, so each params class has one
+        and its defaults pass it."""
+        params_type = registry.registered(name).params_type
+        if params_type is None:
+            assert name == "none"
+            return
+        assert callable(getattr(params_type, "validate", None))
+        params_type().validate()
 
-    def test_alias_must_target_real_field(self):
-        with pytest.raises(ValueError, match="unknown field"):
-            registry.register_mechanism(
-                "alias-check", params=ChargeCacheConfig,
-                aliases={"nope": "missing_field"})
-
-    def test_params_without_validate_rejected(self):
-        @dataclass(frozen=True)
-        class Unchecked:
-            entries: int = 128
-
-        with pytest.raises(ValueError,
-                           match="'no-validate'.*no validate"):
-            registry.register_mechanism("no-validate", params=Unchecked)
-        assert "no-validate" not in registry.mechanism_names()
-
-    def test_non_callable_validate_rejected(self):
-        @dataclass(frozen=True)
-        class NotAMethod:
-            entries: int = 128
-            validate = None
-
-        with pytest.raises(ValueError,
-                           match="'inert-validate'.*no validate"):
-            registry.register_mechanism("inert-validate",
-                                        params=NotAMethod)
-        assert "inert-validate" not in registry.mechanism_names()
-
-    def test_invalid_defaults_rejected(self):
-        @dataclass(frozen=True)
-        class Checked:
-            entries: int = 0
-
-            def validate(self):
-                if self.entries < 1:
-                    raise ValueError("entries must be >= 1")
-
-        with pytest.raises(ValueError, match="'bad-defaults'.*entries"):
-            registry.register_mechanism("bad-defaults", params=Checked)
-        assert "bad-defaults" not in registry.mechanism_names()
+    @pytest.mark.parametrize("name", registry.mechanism_names())
+    def test_aliases_target_params_fields(self, name):
+        entry = registry.registered(name)
+        if entry.aliases:
+            assert set(entry.aliases.values()) <= {
+                f.name for f in fields(entry.params_type)}
 
 
 class TestBuild:

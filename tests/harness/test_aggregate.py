@@ -1,5 +1,7 @@
 """Tests for the unified aggregation layer (harness.aggregate)."""
 
+import json
+
 import pytest
 
 from repro.harness import aggregate, pool, runner
@@ -86,6 +88,21 @@ class TestStoreFrame:
     def test_standard_is_the_platform_standard(self, spec):
         assert aggregate.spec_standard(spec) == \
             runner._spec_config(spec).dram.standard
+
+    def test_envelope_with_non_object_scale_skipped(self, tmp_path):
+        """A spec whose ``scale`` is not an object is a corrupt
+        envelope: the frame drops its row and keeps the others."""
+        pool.execute_sweep(SWEEP[:2])
+        disk = runner.active_disk_cache()
+        path = disk.path_for(run_cache.cache_key(SWEEP[0]))
+        with open(path, encoding="ascii") as fh:
+            envelope = json.load(fh)
+        envelope["spec"]["scale"] = 7
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(envelope, fh)
+        frame = aggregate.store_frame(str(tmp_path / "cache"))
+        assert [row["key"] for row in frame] == \
+            [run_cache.cache_key(SWEEP[1])]
 
     def test_corrupt_envelopes_skipped(self, tmp_path):
         pool.execute_sweep(SWEEP[:1])

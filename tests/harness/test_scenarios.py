@@ -1,4 +1,4 @@
-"""Unit tests for the scale-out scenario registry.
+"""Unit tests for the scale-out scenario table.
 
 Scenario names feed run-cache keys, so this suite locks both the
 published name set and each name's platform binding: renaming is a
@@ -17,9 +17,7 @@ from repro.harness.scenarios import (
     KIND_PLATFORMS,
     SCALING_SCENARIOS,
     STANDARD_SCENARIOS,
-    Scenario,
     platform,
-    register_scenario,
     scenario,
     scenario_names,
     scenario_workload_names,
@@ -30,7 +28,7 @@ from repro.workloads.mixes import make_mix_traces
 TINY = Scale(single_core_instructions=2000, multi_core_instructions=900,
              warmup_cpu_cycles=1000, max_mem_cycles=300_000)
 
-#: Golden copy of the registry: name -> (cores, channels, ranks,
+#: Golden copy of the scenario table: name -> (cores, channels, ranks,
 #: standard, policy).  A failure here means a cache-key-visible change
 #: — fine if intentional (new names invalidate nothing), but a changed
 #: *binding* for an existing name must instead use a new name.
@@ -103,37 +101,6 @@ class TestRegistry:
         assert set(KIND_PLATFORMS) | {"scenario"} == set(RUN_KINDS)
         with pytest.raises(ValueError, match="unknown platform"):
             platform("dual")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(Scenario(name="c1-r1"))
-
-
-class TestValidation:
-    def test_zero_ranks_rejected(self):
-        with pytest.raises(ValueError,
-                           match="ranks_per_channel must be >= 1"):
-            Scenario(name="bad", ranks_per_channel=0).validate()
-
-    def test_non_power_of_two_ranks_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            Scenario(name="bad", ranks_per_channel=3).validate()
-
-    def test_zero_cores_rejected(self):
-        with pytest.raises(ValueError, match="num_cores must be >= 1"):
-            Scenario(name="bad", num_cores=0).validate()
-
-    def test_unknown_standard_rejected(self):
-        with pytest.raises(ValueError, match="unknown standard"):
-            Scenario(name="bad", standard="RLDRAM-3").validate()
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown row policy"):
-            Scenario(name="bad", row_policy="adaptive").validate()
-
-    def test_whitespace_name_rejected(self):
-        with pytest.raises(ValueError, match="whitespace-free"):
-            Scenario(name="c1 r1").validate()
 
 
 class TestConfigConstruction:

@@ -111,6 +111,16 @@ class TestValidation:
                                              f"of two, got {value}"):
             DRAMConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field", [
+        "channels", "ranks_per_channel", "rows_per_bank"])
+    def test_dram_geometry_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            DRAMConfig(**{field: 0}).validate()
+
+    def test_unknown_standard_rejected(self):
+        with pytest.raises(ValueError, match="unknown DRAM standard"):
+            DRAMConfig(standard="RLDRAM-3").validate()
+
     def test_bad_chargecache(self):
         with pytest.raises(ValueError):
             ChargeCacheConfig(entries=100, associativity=3).validate()
