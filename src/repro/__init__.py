@@ -51,7 +51,7 @@ _EXPORTS = {
     "mechanism_names": "repro.core.registry",
     "parse_mechanism_spec": "repro.core.registry",
     "System": "repro.cpu.system",
-    "RunResult": "repro.cpu.system",
+    "RunResult": "repro.cpu.result",
     "Organization": "repro.dram.organization",
     "DDR3_1600": "repro.dram.timing",
     "TimingParameters": "repro.dram.timing",

@@ -15,14 +15,16 @@ motivation for ChargeCache (Figure 3).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.config import NUATConfig
 from repro.circuit.latency_tables import nuat_bin_reductions
 from repro.core.registry import MechanismContext
 from repro.core.timing_policy import LatencyMechanism
-from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import ReducedTimings, TimingParameters
+
+if TYPE_CHECKING:
+    from repro.dram.refresh import RefreshScheduler
 
 
 class NUAT(LatencyMechanism):

@@ -25,79 +25,30 @@ Two clock engines share the per-cycle body (:meth:`System._step`):
   ``tests/integration/test_engine_parity.py``).  Each visit steps only
   the side that is due: the controllers alone, the cores and LLC
   alone, or the whole ``_step`` (:meth:`System._run_event`).
+
+A run returns a :class:`~repro.cpu.result.RunResult`, which lives in
+its own module so that code that only handles results (the run store,
+the pool, the figure reducers) never imports this one.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from dataclasses import replace
+from typing import Iterator, List, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.controller.controller import MemoryController
 from repro.core import registry
 from repro.cpu.cache import SharedCache
 from repro.cpu.core import BLOCK_REJECT, Core
+from repro.cpu.result import RunResult
 from repro.cpu.trace import TraceRecord, TraceTape
 from repro.dram.organization import Organization
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.standards import preset
 from repro.dram.timing import NEVER
 from repro.stats.metrics import ipc
-
-if TYPE_CHECKING:
-    from repro.stats.reuse import RowReuseProfiler
-    from repro.stats.rltl import RLTLProbe
-
-
-@dataclass
-class RunResult:
-    """Everything the harness needs from one simulation run."""
-
-    config: SimulationConfig
-    mem_cycles: int
-    cpu_cycles: int
-    instructions: List[int]
-    core_cycles: List[int]
-    ipcs: List[float]
-    llc_hit_rate: float
-    llc_load_misses: int
-    activations: int
-    act_reduced: int
-    reads: int
-    writes: int
-    refreshes: int
-    row_hit_rate: float
-    average_read_latency_cycles: float
-    mechanism_lookups: int
-    mechanism_hits: int
-    active_bank_cycles: int
-    rank_active_cycles: int = 0
-    #: Total post-warmup instructions retired by all cores, including
-    #: work done by cores that kept executing after reaching their
-    #: instruction limit (trace-loop methodology).  Use this for
-    #: iso-work comparisons such as energy per instruction.
-    work_instructions: int = 0
-    truncated: bool = False
-    rltl: Optional[RLTLProbe] = None
-    reuse: Optional[RowReuseProfiler] = None
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def mechanism_hit_rate(self) -> float:
-        if not self.mechanism_lookups:
-            return 0.0
-        return self.mechanism_hits / self.mechanism_lookups
-
-    @property
-    def total_ipc(self) -> float:
-        return sum(self.ipcs)
-
-    def rmpkc(self) -> float:
-        """Row misses (activations) per kilo CPU cycle."""
-        if self.cpu_cycles <= 0:
-            return 0.0
-        return self.activations * 1000.0 / self.cpu_cycles
 
 
 def mechanism_invariant_config(config: SimulationConfig) -> SimulationConfig:

@@ -188,7 +188,7 @@ def access_rate_for_run(result) -> float:
 
 def energy_for_run(result, mechanism_power_w: float = 0.0
                    ) -> EnergyBreakdown:
-    """Energy breakdown for a :class:`repro.cpu.system.RunResult`.
+    """Energy breakdown for a :class:`repro.cpu.result.RunResult`.
 
     Timing and IDD parameters come from the
     :class:`~repro.dram.standards.StandardProfile` of the standard the

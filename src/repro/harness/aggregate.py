@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 from repro.harness import cache as run_cache
 from repro.harness import scenarios
 from repro.harness.spec import RunSpec, spec_from_payload

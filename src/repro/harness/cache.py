@@ -2,7 +2,7 @@
 
 Simulation results are pure functions of (spec, code): a
 :class:`~repro.harness.spec.RunSpec` plus the exact simulator sources
-determines every counter in the :class:`~repro.cpu.system.RunResult`
+determines every counter in the :class:`~repro.cpu.result.RunResult`
 bit for bit (the engine-parity suite enforces this).  That makes runs
 safe to memoise *across processes*: this module stores each result as
 versioned JSON under a cache directory keyed by
@@ -59,7 +59,7 @@ from repro.config import (
     ProcessorConfig,
     SimulationConfig,
 )
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 from repro.harness.spec import RunSpec
 
 if TYPE_CHECKING:

@@ -29,9 +29,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 from repro.config import (BANKS_PER_RANK, DEFAULT_CPU_FREQ_GHZ,
                           ISSUE_WIDTH, LINE_BYTES, MSHRS_PER_CORE,
                           ROW_BUFFER_BYTES, WINDOW_SIZE)
-from repro.controller.scheduler import FRFCFSScheduler
-from repro.core.chargecache import chargecache_params
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 from repro.dram.timing import DDR3_1600
 from repro.dram.standards import (derated_reduction_cycles, preset,
                                   reduction_cycles_for)
@@ -945,6 +943,8 @@ def _calibrate(points: Points, workloads: Names, scale: Scale,
 def _table1() -> Dict:
     """The simulated system configuration (validation that our defaults
     match the paper's Table 1)."""
+    from repro.controller.scheduler import FRFCFSScheduler
+    from repro.core.chargecache import chargecache_params
     single = runner.build_config("single", "none")
     eight = runner.build_config("eight", "none")
     t = DDR3_1600

@@ -23,6 +23,10 @@ sweeps as flat :class:`~repro.harness.spec.RunSpec` lists through
 * **Graceful in-process fallback** - ``jobs=1`` (the default) never
   forks; environments without working ``multiprocessing`` run the
   units in-process with a warning rather than failing.
+* **One model import** - a sweep with points to fan out imports the
+  cycle-level model in the parent before it forks, so workers inherit
+  it rather than each compiling it; a sweep the parent recalls in
+  full never reaches the pool and loads no model at all.
 
 ``jobs`` resolution: explicit argument, else ``runner.execution.jobs``,
 else the ``REPRO_JOBS`` environment variable, else 1 (serial).  ``0``
@@ -38,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 from repro.harness import cache as run_cache
 from repro.harness import runner
 from repro.harness.spec import RunSpec, batch_signature, dedupe_specs
@@ -318,7 +322,12 @@ def _run_in_process(units: List[List[RunSpec]],
 def _run_parallel(units: List[List[RunSpec]], jobs: int,
                   record: Callable[[SweepPoint], None]) -> None:
     """Fan the units out over a process pool, recording each point as
-    its unit lands."""
+    its unit lands.
+
+    The cycle-level model is imported here first: this process
+    simulates nothing itself, and workers forked after the import
+    inherit it instead of each compiling it again."""
+    import repro.cpu.system  # noqa: F401
     try:
         from concurrent.futures import FIRST_COMPLETED, \
             ProcessPoolExecutor, wait

@@ -24,6 +24,13 @@ Centralises:
   :class:`Execution` value, :data:`execution`.  Entry points install a
   whole value with :func:`set_execution`; tests and embedders scope
   changes with :func:`executing`.
+* **Imports** - only the two functions that simulate,
+  :func:`_execute_spec` and :func:`run_spec_batch`, import the
+  cycle-level model (:mod:`repro.cpu.system` and the cores, LLC,
+  controller and DRAM channel it pulls in).  Building specs and
+  configs, keying, recalling and remembering results load none of it,
+  so a process served from the memo or the store never compiles it
+  (DESIGN.md section 3).
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from repro.config import (
     ProcessorConfig,
     SimulationConfig,
 )
-from repro.cpu.system import RunResult, System
+from repro.cpu.result import RunResult
 from repro.dram.organization import Organization
 from repro.harness import cache as run_cache
 from repro.harness import scenarios
@@ -457,6 +464,7 @@ def _load_trace_records(spec: RunSpec, org: Organization):
 
 def _execute_spec(spec: RunSpec) -> RunResult:
     """Actually simulate one spec (no caching)."""
+    from repro.cpu.system import System
     cfg = _spec_config(spec)
     system = System(cfg, _spec_traces(spec, cfg),
                     enable_rltl=spec.enable_rltl,
@@ -476,6 +484,7 @@ def run_spec_batch(specs: Iterable[RunSpec]) -> List[RunResult]:
     under each spec's own, unchanged cache key — a later run of any
     member is a plain cache hit.
     """
+    from repro.cpu.system import System
     from repro.harness.spec import batch_signature
     specs = list(specs)
     if not specs:

@@ -29,6 +29,8 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional
 
+from repro.config import ENGINES
+
 #: Time-scale for RLTL interval analysis (DESIGN.md section 1).
 DEFAULT_TIME_SCALE = 64.0
 
@@ -71,6 +73,12 @@ KEY_MATERIAL = ("kind", "name", "mechanism", "scale", "enable_rltl",
                 "scenario", "trace_sha256")
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool (which Python and JSON let pass as
+    one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scale:
     """Instruction budgets for scaled-down runs."""
@@ -81,6 +89,33 @@ class Scale:
     max_mem_cycles: int = 30_000_000
     time_scale: float = DEFAULT_TIME_SCALE
     cc_time_scale: float = DEFAULT_CC_TIME_SCALE
+
+    def __post_init__(self) -> None:
+        for name in ("single_core_instructions", "multi_core_instructions",
+                     "max_mem_cycles"):
+            value = getattr(self, name)
+            if not _is_int(value) or value <= 0:
+                raise ValueError(
+                    f"scale {name} must be a positive int, got {value!r}")
+        if not _is_int(self.warmup_cpu_cycles) \
+                or self.warmup_cpu_cycles < 0:
+            raise ValueError(
+                "scale warmup_cpu_cycles must be an int >= 0, got "
+                f"{self.warmup_cpu_cycles!r}")
+        # A time scale is stored as a float, so an int one (64) keys
+        # and compares like the float (64.0) it equals.
+        for name in ("time_scale", "cc_time_scale"):
+            value = getattr(self, name)
+            try:
+                number = float(value) if _is_int(value) \
+                    or isinstance(value, float) else math.nan
+            except OverflowError:
+                number = math.inf
+            if not 0 < number < math.inf:
+                raise ValueError(
+                    f"scale {name} must be a finite positive number, "
+                    f"got {value!r}")
+            object.__setattr__(self, name, number)
 
     def scaled(self, factor: float) -> "Scale":
         if not 0 < factor < math.inf:
@@ -173,6 +208,7 @@ class RunSpec:
     trace_path: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        self._check_types()
         if self.kind not in RUN_KINDS:
             raise ValueError(
                 f"unknown run kind {self.kind!r}; expected one of {RUN_KINDS}")
@@ -227,6 +263,24 @@ class RunSpec:
                             ("cc_duration_ms", cc_duration_ms),
                             ("cc_unbounded", cc_unbounded)):
             object.__setattr__(self, attr, value)
+
+    def _check_types(self) -> None:
+        """Reject ill-typed values (a payload read back from a store is
+        plain JSON), before any of them is parsed or hashed."""
+        if not isinstance(self.mechanism, str):
+            raise ValueError(
+                f"mechanism must be a string, got {self.mechanism!r}")
+        if not isinstance(self.scale, Scale):
+            raise ValueError(f"scale must be a Scale, got {self.scale!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        for name in ("enable_rltl", "cc_unbounded", "idle_finished"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
 
     def key_payload(self) -> Dict:
         """JSON-stable dict of every field that defines this run.
@@ -326,8 +380,9 @@ def spec_from_payload(payload: Dict) -> RunSpec:
     :func:`repro.harness.aggregate.store_frame`) can re-materialize
     the spec an envelope was computed for.  Missing fields take the
     dataclass defaults (``kind`` and ``name`` are required); unknown
-    fields are rejected eagerly so a malformed payload fails loudly,
-    not inside a pool worker.
+    fields, and values of the wrong type (which :class:`RunSpec` and
+    :class:`Scale` check), are rejected eagerly so a malformed payload
+    fails loudly, not inside a pool worker or as a ``query`` row.
     Round-trip is exact: ``spec_from_payload(s.key_payload())`` equals
     ``s`` (a trace spec's location-only ``trace_path``, which equality
     ignores, comes back ``None``) and hashes to the same cache key.

@@ -104,6 +104,27 @@ class TestStoreFrame:
         assert [row["key"] for row in frame] == \
             [run_cache.cache_key(SWEEP[1])]
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "abc"), ("engine", 3), ("enable_rltl", "yes"),
+        ("single_core_instructions", "x")])
+    def test_envelope_with_ill_typed_spec_skipped(self, tmp_path, field,
+                                                  value):
+        """A spec value no valid spec holds (a string seed, a numeric
+        engine, a string flag or budget) names no run: the frame
+        drops its row and keeps the others."""
+        pool.execute_sweep(SWEEP[:2])
+        disk = runner.active_disk_cache()
+        path = disk.path_for(run_cache.cache_key(SWEEP[0]))
+        with open(path, encoding="ascii") as fh:
+            envelope = json.load(fh)
+        spec = envelope["spec"]
+        (spec["scale"] if field in spec["scale"] else spec)[field] = value
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(envelope, fh)
+        frame = aggregate.store_frame(str(tmp_path / "cache"))
+        assert [row["key"] for row in frame] == \
+            [run_cache.cache_key(SWEEP[1])]
+
     def test_corrupt_envelopes_skipped(self, tmp_path):
         pool.execute_sweep(SWEEP[:1])
         disk = runner.active_disk_cache()

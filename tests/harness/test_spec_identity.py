@@ -10,9 +10,11 @@ the memory-cycle cap.  Two declared specs with one identity would be
 two cache keys, and two simulations, for one result.
 """
 
+import math
 from collections import defaultdict
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness import experiments, runner, scenarios
@@ -136,3 +138,75 @@ def test_spec_equality_is_key_equality(data):
         assert a.label() == b.label()
     assert replace(a) == a
     assert spec_from_payload(a.key_payload()) == a
+
+
+# ----------------------------------------------------------------------
+# Ill-typed values
+# ----------------------------------------------------------------------
+
+#: (field, value) pairs no run is named by; a stored payload is plain
+#: JSON, so each one can come back from a store.
+ILL_TYPED = [
+    ("seed", "abc"), ("seed", True), ("seed", 1.0), ("seed", None),
+    ("engine", 3), ("engine", None), ("engine", "fast"),
+    ("enable_rltl", "yes"), ("enable_rltl", 1), ("enable_rltl", None),
+    ("cc_unbounded", "true"), ("cc_unbounded", 0),
+    ("idle_finished", "no"), ("idle_finished", 1),
+    ("mechanism", None), ("mechanism", ["chargecache"]),
+    ("scale", 7), ("scale", None),
+]
+
+#: (Scale field, value) pairs no scale is named by.
+ILL_TYPED_SCALE = [
+    ("single_core_instructions", "x"), ("single_core_instructions", 0),
+    ("single_core_instructions", 1.5), ("single_core_instructions", True),
+    ("multi_core_instructions", -1), ("multi_core_instructions", None),
+    ("max_mem_cycles", 0), ("max_mem_cycles", "300000"),
+    ("warmup_cpu_cycles", -1), ("warmup_cpu_cycles", 0.5),
+    ("warmup_cpu_cycles", False),
+    ("time_scale", 0), ("time_scale", -8.0), ("time_scale", math.inf),
+    ("time_scale", math.nan), ("time_scale", "64"),
+    ("time_scale", 10 ** 400),
+    ("cc_time_scale", True), ("cc_time_scale", None),
+]
+
+
+@pytest.mark.parametrize("field, value", ILL_TYPED,
+                         ids=lambda x: repr(x))
+def test_an_ill_typed_field_is_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunSpec(kind="single", name="mcf", **{field: value})
+    payload = RunSpec(kind="single", name="mcf").key_payload()
+    payload[field] = value
+    with pytest.raises(ValueError, match=field):
+        spec_from_payload(payload)
+
+
+@pytest.mark.parametrize("field, value", ILL_TYPED_SCALE,
+                         ids=lambda x: repr(x))
+def test_an_ill_typed_scale_is_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        Scale(**{field: value})
+    payload = RunSpec(kind="single", name="mcf").key_payload()
+    payload["scale"][field] = value
+    with pytest.raises(ValueError, match=field):
+        spec_from_payload(payload)
+
+
+def test_well_typed_edge_values_are_accepted():
+    scale = Scale(warmup_cpu_cycles=0, time_scale=64, cc_time_scale=0.5)
+    spec = RunSpec(kind="single", name="mcf", scale=scale, seed=0,
+                   engine="dense", enable_rltl=True, idle_finished=True)
+    assert spec_from_payload(spec.key_payload()) == spec
+
+
+def test_an_int_time_scale_keys_like_the_float_it_equals():
+    """Scale(time_scale=64) equals Scale(), so it must also share its
+    cache key: the time scales are stored as floats."""
+    as_int = RunSpec(kind="single", name="mcf",
+                     scale=Scale(time_scale=64, cc_time_scale=1))
+    as_float = RunSpec(kind="single", name="mcf",
+                       scale=Scale(time_scale=64.0, cc_time_scale=1.0))
+    assert as_int == as_float
+    assert as_int.key_payload() == as_float.key_payload()
+    assert cache_key(as_int) == cache_key(as_float)

@@ -18,7 +18,8 @@ import pytest
 
 from repro.controller.controller import MemoryController
 from repro.core.hcrac import HCRAC
-from repro.cpu.system import RunResult, System
+from repro.cpu.result import RunResult
+from repro.cpu.system import System
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.workloads.synthetic import random_trace, stream_trace, zipf_trace
