@@ -55,9 +55,6 @@ _EXPORTS = {
     "Organization": "repro.dram.organization",
     "DDR3_1600": "repro.dram.timing",
     "TimingParameters": "repro.dram.timing",
-    "StandardProfile": "repro.dram.standards",
-    "profile": "repro.dram.standards",
-    "profile_for_config": "repro.dram.standards",
     "PowerParameters": "repro.energy.drampower",
     "energy_for_run": "repro.energy.drampower",
     "hcrac_overhead": "repro.energy.mcpat",

@@ -13,12 +13,12 @@ The defaults mirror Table 1 of the paper (HPCA 2016):
   tRCD/tRAS reduced by 4/8 bus cycles on a hit.
 
 Table 1 fixes one system; the paper's figures vary only the cores,
-channels, ranks, row policy, standard, mechanism and budgets.  What no
-figure varies is a module constant below (clock, issue width, window,
-MSHRs, line size, LLC hit latency, banks, row buffer, write-drain
-watermarks), not a configuration field; the address mapping is the
-one :class:`repro.dram.organization.Organization` implements, and the
-scheduler the FR-FCFS every controller builds
+channels, row policy, mechanism and budgets (and Section 7.2 the
+standard).  What no figure varies is a module constant below (clock,
+issue width, window, MSHRs, line size, LLC hit latency, ranks, banks,
+row buffer, write-drain watermarks), not a configuration field; the
+address mapping is the one :class:`repro.dram.organization.Organization`
+implements, and the scheduler the FR-FCFS every controller builds
 (:class:`repro.controller.scheduler.FRFCFSScheduler`).
 """
 
@@ -38,6 +38,8 @@ MSHRS_PER_CORE = 8
 LINE_BYTES = 64
 #: LLC hit latency in CPU cycles, a typical L3 lookup.
 LLC_HIT_LATENCY_CYCLES = 24
+#: Ranks per DRAM channel (Table 1).
+RANKS_PER_CHANNEL = 1
 #: Banks per DRAM rank (Table 1).
 BANKS_PER_RANK = 8
 #: DRAM row-buffer size in bytes (Table 1): 128 lines per row.
@@ -102,21 +104,20 @@ DEFAULT_STANDARD = "DDR3-1600"
 class DRAMConfig:
     """DRAM organization (Table 1, "DRAM" row).
 
-    ``standard`` names the device profile (:mod:`repro.dram.standards`)
+    ``standard`` names the timing preset (:mod:`repro.dram.standards`)
     the run simulates, and is the only source of the device's timing
-    constraints, its bus clock (hence the CPU/bus cycle ratio) and its
-    IDD currents: :class:`repro.cpu.system.System` and the energy model
-    both resolve it, so no run can be simulated on one device and
-    clocked or billed as another.
+    constraints and its bus clock (hence the CPU/bus cycle ratio):
+    :class:`repro.cpu.system.System` and the energy model both resolve
+    it, so no run can be simulated on one device and clocked as
+    another.  Every channel has :data:`RANKS_PER_CHANNEL` ranks.
     """
 
     channels: int = 1
-    ranks_per_channel: int = 1
     rows_per_bank: int = 64 * 1024
     standard: str = DEFAULT_STANDARD
 
     def validate(self) -> None:
-        for name in ("channels", "ranks_per_channel", "rows_per_bank"):
+        for name in ("channels", "rows_per_bank"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")

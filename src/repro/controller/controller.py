@@ -217,12 +217,6 @@ class MemoryController:
         cycle that just issued: the scheduler term comes from the
         readiness snapshot, which costs one rebuild per state change
         and which the next :meth:`tick` reuses.
-
-        Multi-rank channels: the refresh loop, the scheduler bound and
-        the pending-PRE scan below each iterate every rank, so the bid
-        stays exact for ranks_per_channel > 1 (audited; pinned by
-        tests/integration/test_scenario_matrix.py::TestMultiRankWakeBid
-        and the scenario parity grid).
         """
         events = self.read_events
         nxt = events[0][0] if events else NEVER

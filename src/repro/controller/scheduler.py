@@ -88,14 +88,12 @@ class FRFCFSScheduler:
         self._channel, self._next_cmd = channel, next_cmd
         self._blocked = blocked
         ranks = channel.ranks
-        last = channel.last_col_rank
         hits: List[Candidate] = []
         rows: List[Candidate] = []
         ready = NEVER
-        # Channel column gates of the hit direction, maxed with the
-        # bus: ``same`` for the last column rank, ``other`` for any
-        # other rank (-1 until the first hit sets them).
-        same = other = -1
+        # The channel column gate of the hit direction, maxed with the
+        # bus (-1 until the first hit sets it).
+        col = -1
         is_rd, cmd = True, _RD
         for (rank, bank), entries in queue.by_bank.items():
             if rank in blocked:
@@ -128,25 +126,15 @@ class FRFCFSScheduler:
                         break
             if hit is not None:
                 seq, req = hit
-                if same < 0:   # the queue is homogeneous: ask once
+                if col < 0:   # the queue is homogeneous: ask once
                     is_rd = req.type is _READ
                     cmd = _RD if is_rd else _WR
-                    nrd, nwr = channel.next_rd, channel.next_wr
-                    same = nrd if is_rd else nwr
-                    if next_cmd > same:
-                        same = next_cmd
-                    other = same
-                    if last is not None:
-                        # Channel._rank_switch_gate: tRTRS after the
-                        # earlier of the two column gates.
-                        switch = (nrd if nrd < nwr else nwr) \
-                            + channel.timing.tRTRS
-                        if switch > other:
-                            other = switch
+                    col = channel.next_rd if is_rd else channel.next_wr
+                    if next_cmd > col:
+                        col = next_cmd
                 t = bk.next_rd if is_rd else bk.next_wr
-                gate = same if rank == last else other
-                if gate > t:
-                    t = gate
+                if col > t:
+                    t = col
                 hits.append((t, seq, req, cmd))
                 if t < ready:
                     ready = t

@@ -1,11 +1,14 @@
-"""Per-channel DRAM state: command bus, data bus and cross-rank timing.
+"""Per-channel DRAM state: command bus and data bus timing.
 
 Channel-scope constraints:
 
 * One command per bus cycle (command-bus serialization).
 * tCCD between column commands sharing the data bus.
 * Read-to-write and write-to-read turnaround across the channel.
-* tRTRS when consecutive column commands target different ranks.
+
+A channel has Table 1's one rank (:data:`repro.config.RANKS_PER_CHANNEL`),
+so no rank-to-rank switch delay is modelled; the ``rank`` argument
+of every query and issue call indexes :attr:`Channel.ranks`.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ class Channel:
     """
 
     __slots__ = ("timing", "index", "ranks", "next_cmd",
-                 "next_rd", "next_wr", "last_col_rank", "_default_act",
-                 "_tccd", "_trtrs", "_rd_to_pre", "_wr_to_pre",
+                 "next_rd", "next_wr", "_default_act",
+                 "_tccd", "_rd_to_pre", "_wr_to_pre",
                  "_rd_to_wr", "_wr_to_rd", "_rd_done", "_wr_done",
                  "command_log", "log_commands")
 
@@ -41,16 +44,11 @@ class Channel:
         self.next_cmd = 0       # command bus free cycle
         self.next_rd = 0        # earliest RD anywhere on the channel
         self.next_wr = 0        # earliest WR anywhere on the channel
-        #: Rank of the last RD/WR (None before the first); read-only
-        #: outside the channel, which sets it in ``issue_read``/
-        #: ``issue_write``.  The rank-switch gate keys on it.
-        self.last_col_rank: Optional[int] = None
         # ``timing`` is frozen, so what each command derives from it is
         # built once: the timings of a normal ACT, and the column
         # spacings, turnarounds and completion delays of RD and WR.
         self._default_act = timing.default_timings()
         self._tccd = timing.tCCD
-        self._trtrs = timing.tRTRS
         self._rd_to_pre = timing.read_to_pre
         self._wr_to_pre = timing.write_to_pre
         self._rd_to_wr = timing.read_to_write
@@ -73,11 +71,9 @@ class Channel:
         elif command is Command.PRE:
             gate = bk.next_pre
         elif command is Command.RD:
-            gate = max(bk.next_rd, self.next_rd,
-                       self._rank_switch_gate(rank))
+            gate = max(bk.next_rd, self.next_rd)
         elif command is Command.WR:
-            gate = max(bk.next_wr, self.next_wr,
-                       self._rank_switch_gate(rank))
+            gate = max(bk.next_wr, self.next_wr)
         elif command is Command.REF:
             gate = rk.earliest_refresh()
         else:
@@ -106,16 +102,6 @@ class Channel:
             return self.earliest(Command.REF, rank, 0)
         # PRE is gated only by the bank's next_pre and the command bus.
         return max(gate, self.next_cmd)
-
-    def _rank_switch_gate(self, rank: int) -> int:
-        """Extra delay when the data bus switches ranks (tRTRS)."""
-        if self.last_col_rank is None or self.last_col_rank == rank:
-            return 0
-        # Approximation: a column command to another rank than the
-        # last one waits tRTRS after the *earlier* of the channel's two
-        # column gates, ``min(next_rd, next_wr)``; :meth:`earliest`
-        # then maxes that with the command's own gate.
-        return min(self.next_rd, self.next_wr) + self._trtrs
 
     # ------------------------------------------------------------------
     # Command issue
@@ -224,14 +210,9 @@ class Channel:
                 f"RD at {cycle} violates tRCD/tCCD (earliest {bk.next_rd})")
         next_rd = self.next_rd
         next_wr = self.next_wr
-        gate = next_rd
-        if self.last_col_rank != rank:
-            switch = self._rank_switch_gate(rank)
-            if switch > gate:
-                gate = switch
-        if cycle < gate:
+        if cycle < next_rd:
             raise RuntimeError(
-                f"RD at {cycle} violates tCCD/tWTR/tRTRS (earliest {gate})")
+                f"RD at {cycle} violates tCCD/tWTR (earliest {next_rd})")
         self.next_cmd = cycle + 1
         gate = cycle + self._rd_to_pre
         if gate > bk.next_pre:
@@ -242,7 +223,6 @@ class Channel:
         gate = cycle + self._rd_to_wr
         if gate > next_wr:
             self.next_wr = gate
-        self.last_col_rank = rank
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.RD, cycle, self.index, rank, bank))
@@ -261,14 +241,9 @@ class Channel:
                 f"WR at {cycle} violates tRCD/tCCD (earliest {bk.next_wr})")
         next_rd = self.next_rd
         next_wr = self.next_wr
-        gate = next_wr
-        if self.last_col_rank != rank:
-            switch = self._rank_switch_gate(rank)
-            if switch > gate:
-                gate = switch
-        if cycle < gate:
+        if cycle < next_wr:
             raise RuntimeError(
-                f"WR at {cycle} violates tCCD/tRTW/tRTRS (earliest {gate})")
+                f"WR at {cycle} violates tCCD/tRTW (earliest {next_wr})")
         self.next_cmd = cycle + 1
         gate = cycle + self._wr_to_pre
         if gate > bk.next_pre:
@@ -279,7 +254,6 @@ class Channel:
         gate = cycle + self._wr_to_rd
         if gate > next_rd:
             self.next_rd = gate
-        self.last_col_rank = rank
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.WR, cycle, self.index, rank, bank))

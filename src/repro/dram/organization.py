@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import BANKS_PER_RANK, LINE_BYTES, ROW_BUFFER_BYTES
+from repro.config import (BANKS_PER_RANK, LINE_BYTES, RANKS_PER_CHANNEL,
+                          ROW_BUFFER_BYTES)
 
 #: The address fields, LSB -> MSB.
 _FIELDS = ("channel", "column", "rank", "bank", "row")
@@ -48,7 +49,7 @@ class Organization:
     is exercised heavily, so the bit offsets are precomputed once.
     """
 
-    def __init__(self, channels: int = 1, ranks: int = 1,
+    def __init__(self, channels: int = 1, ranks: int = RANKS_PER_CHANNEL,
                  banks: int = BANKS_PER_RANK, rows: int = 64 * 1024,
                  columns: int = ROW_BUFFER_BYTES // LINE_BYTES):
         self.channels = channels
@@ -131,9 +132,7 @@ class Organization:
     @classmethod
     def from_config(cls, dram_cfg) -> "Organization":
         """Build an organization from a :class:`repro.config.DRAMConfig`."""
-        return cls(channels=dram_cfg.channels,
-                   ranks=dram_cfg.ranks_per_channel,
-                   rows=dram_cfg.rows_per_bank)
+        return cls(channels=dram_cfg.channels, rows=dram_cfg.rows_per_bank)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Organization({self.channels}ch x {self.ranks}ra x "

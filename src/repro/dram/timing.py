@@ -76,7 +76,6 @@ class TimingParameters:
     tFAW: int = 24   # four-activate window (30 ns)
     tRFC: int = 208  # refresh cycle time (260 ns for a 4 Gb device)
     tREFI: int = 6250  # refresh interval (7.8125 us = 64 ms / 8192)
-    tRTRS: int = 2   # rank-to-rank switch
     tCK_ns: float = 1.25
 
     #: Retention window assumed by the standard (64 ms); cells are

@@ -13,13 +13,12 @@ state-residency using the standard IDDx current-class decomposition
 
 The decomposition is standard-independent; only the parameters change.
 :class:`PowerParameters` holds one device's IDD classes and supply
-voltage, and :mod:`repro.dram.standards` registers a datasheet-
-representative preset per timing grade inside each
-:class:`~repro.dram.standards.StandardProfile`, so a run's energy is
-always computed with the IDD set *and* clock of the standard the run
-was simulated on.  :func:`energy_for_run` resolves both from
-``result.config``; :func:`energy_components` prices raw counts on any
-explicit timing/power pair.
+voltage; its defaults are the paper's DDR3-1600 device, the one
+standard with a current set.  :func:`energy_for_run` bills a run with
+the clock of its config's standard and those currents, and raises for
+a run on any other standard rather than bill it at DDR3's currents;
+:func:`energy_components` prices raw counts on any explicit
+timing/power pair.
 
 ChargeCache reduces DRAM energy through exactly two terms the model
 captures: a shorter run (less background energy for the same work) and
@@ -36,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.config import RANKS_PER_CHANNEL
 from repro.dram.timing import TimingParameters
 
 
@@ -44,9 +44,8 @@ class PowerParameters:
     """IDD current classes (mA) and supply voltage for one device.
 
     The defaults follow a Micron DDR3-1600 4 Gb x8 datasheet (the
-    device the paper's Table 1 cites [57]); the other standards'
-    presets live next to their timing presets in
-    :mod:`repro.dram.standards`.
+    device the paper's Table 1 cites [57]); eight x8 chips fill the
+    64-bit bus.
     """
 
     name: str = "DDR3-1600"
@@ -163,14 +162,19 @@ def energy_components(activations: int, reads: int, writes: int,
                            bg_pre, mechanism_pj)
 
 
-def _profile(result):
-    from repro.dram.standards import profile_for_config
-    return profile_for_config(result.config)
+#: The one device with an IDD current set: the paper's DDR3-1600.
+DDR3_1600_POWER = PowerParameters()
+
+
+def _timing(result) -> TimingParameters:
+    """The timing preset of the standard ``result``'s config names."""
+    from repro.dram.standards import preset
+    return preset(result.config.dram.standard)
 
 
 def run_seconds(result) -> float:
     """Wall-clock length of a run in its own standard's bus clock."""
-    return result.mem_cycles * _profile(result).timing.tCK_ns * 1e-9
+    return result.mem_cycles * _timing(result).tCK_ns * 1e-9
 
 
 def access_rate_for_run(result) -> float:
@@ -190,18 +194,21 @@ def energy_for_run(result, mechanism_power_w: float = 0.0
                    ) -> EnergyBreakdown:
     """Energy breakdown for a :class:`repro.cpu.result.RunResult`.
 
-    Timing and IDD parameters come from the
-    :class:`~repro.dram.standards.StandardProfile` of the standard the
-    run's config names, so a DDR4/LPDDR3/GDDR5 run is charged with its
-    own clock and currents.
+    The run is billed with its standard's clock and
+    :data:`DDR3_1600_POWER`'s currents; a run on a standard without a
+    current set raises ``ValueError``.
 
     ``mechanism_power_w`` is the average power of the latency
     mechanism's hardware (e.g. ChargeCache's HCRAC from
     :func:`repro.energy.mcpat.hcrac_overhead`), integrated over the run.
     """
-    prof = _profile(result)
     cfg = result.config
-    ranks = cfg.dram.channels * cfg.dram.ranks_per_channel
+    standard = cfg.dram.standard
+    if standard != DDR3_1600_POWER.name:
+        raise ValueError(
+            f"no IDD currents for a {standard} run: only "
+            f"{DDR3_1600_POWER.name} has a current set")
+    ranks = cfg.dram.channels * RANKS_PER_CHANNEL
     total_rank_cycles = ranks * result.mem_cycles
     mechanism_pj = mechanism_power_w * run_seconds(result) * 1e12
     return energy_components(
@@ -211,7 +218,7 @@ def energy_for_run(result, mechanism_power_w: float = 0.0
         refreshes=result.refreshes,
         rank_active_cycles=result.rank_active_cycles,
         total_rank_cycles=total_rank_cycles,
-        timing=prof.timing,
-        power=prof.power,
+        timing=_timing(result),
+        power=DDR3_1600_POWER,
         mechanism_pj=mechanism_pj,
     )

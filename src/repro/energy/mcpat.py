@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.config import BANKS_PER_RANK
+from repro.config import BANKS_PER_RANK, RANKS_PER_CHANNEL
 
 #: Calibrated 22 nm constants (see module docstring).
 AREA_UM2_PER_BIT_22NM = 0.022e6 / 43008        # ~0.5116 um^2/bit
@@ -133,7 +133,7 @@ def overhead_for_config(config) -> HCRACOverhead:
         channels=config.dram.channels,
         entries=params.entries,
         associativity=params.associativity,
-        ranks=config.dram.ranks_per_channel,
+        ranks=RANKS_PER_CHANNEL,
         banks=BANKS_PER_RANK,
         rows=config.dram.rows_per_bank,
     )

@@ -17,7 +17,6 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cpu.result import RunResult
 from repro.harness import cache as run_cache
-from repro.harness import scenarios
 from repro.harness.spec import RunSpec, spec_from_payload
 
 #: Scalar result metrics surfaced as frame columns.
@@ -70,20 +69,13 @@ def point_row(spec: RunSpec, result: RunResult) -> Dict:
     return row
 
 
-def spec_standard(spec: RunSpec) -> str:
-    """The DRAM standard of the platform ``spec`` runs on (a queryable
-    axis)."""
-    return scenarios.platform(spec.scenario or spec.kind).standard
-
-
 def store_frame(source, **filters) -> Frame:
     """Frame straight from stored results — no execution.
 
     ``source`` is a :class:`~repro.harness.cache.RunCache` or its
     directory path.  Every readable envelope becomes one row: the
-    spec's axes, its DRAM ``standard``, its ``key`` and the result
-    metrics; corrupt envelopes are skipped.  ``filters`` are
-    exact-match column filters.
+    spec's axes, its ``key`` and the result metrics; corrupt envelopes
+    are skipped.  ``filters`` are exact-match column filters.
     """
     if isinstance(source, str):
         source = run_cache.RunCache(source)
@@ -98,7 +90,6 @@ def store_frame(source, **filters) -> Frame:
         except (ValueError, KeyError, TypeError):
             continue  # corrupt entries are misses here too
         row = point_row(spec, result)
-        row["standard"] = spec_standard(spec)
         row["key"] = key
         frame_rows.append(row)
     frame = Frame(frame_rows)

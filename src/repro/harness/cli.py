@@ -7,9 +7,6 @@ Examples::
     chargecache-harness fig7b --workloads w1 w2 w3
     chargecache-harness all --json results.json --cache-dir /tmp/cc
     chargecache-harness fig9 --no-cache --jobs 0   # recompute, all CPUs
-    chargecache-harness scaling --jobs 4    # core-count x ranks matrix
-    chargecache-harness standards --jobs 4  # DDR4/LPDDR3/GDDR5 grades
-    chargecache-harness energy --jobs 4     # fig8 x standards family
 
     # Parameterized mechanism specs (repro.core.registry grammar):
     chargecache-harness fig7a --mechanisms "chargecache(entries=256)+nuat"
@@ -21,7 +18,7 @@ Examples::
     chargecache-harness cache gc --cache-dir /tmp/cc
 
     # Query stored results without running anything:
-    chargecache-harness query --mechanism chargecache --standard DDR3-1600
+    chargecache-harness query --mechanism chargecache --kind eight
     chargecache-harness query --cache-dir /tmp/cc --kind single --csv
 
     # Resumable sweeps: every finished point lands in the store, so
@@ -229,7 +226,7 @@ def _cache_main(argv: List[str]) -> int:
     return 0
 
 
-#: The names each non-scenario ``sweep --kind`` takes.
+#: The names each ``sweep --kind`` takes.
 _SWEEP_NAMES = {"single": WORKLOAD_NAMES, "alone": WORKLOAD_NAMES,
                 "eight": MIX_NAMES}
 
@@ -238,16 +235,13 @@ def _sweep_specs(args) -> List:
     """Build the spec cross-product a ``sweep`` invocation names (the
     engine comes from the installed execution).  Raises ValueError
     for a name the kind does not know, before anything is simulated."""
-    known = _SWEEP_NAMES.get(args.kind)
-    if known is not None:
-        unknown = [name for name in args.workloads if name not in known]
-        if unknown:
-            what = "mix" if args.kind == "eight" else "application"
-            raise ValueError(
-                f"--workloads: --kind {args.kind} takes {what} names; "
-                f"unknown: {', '.join(map(repr, unknown))}")
-    elif not args.scenario:
-        raise ValueError("--kind scenario requires --scenario")
+    known = _SWEEP_NAMES[args.kind]
+    unknown = [name for name in args.workloads if name not in known]
+    if unknown:
+        what = "mix" if args.kind == "eight" else "application"
+        raise ValueError(
+            f"--workloads: --kind {args.kind} takes {what} names; "
+            f"unknown: {', '.join(map(repr, unknown))}")
     mechanisms = [m for m in args.mechanisms if m != "none"]
     if args.kind == "alone" and mechanisms:
         raise ValueError(
@@ -263,12 +257,8 @@ def _sweep_specs(args) -> List:
             elif args.kind == "eight":
                 spec = runner.mix_spec(name, mechanism, scale,
                                        seed=args.seed)
-            elif args.kind == "alone":
-                spec = runner.alone_spec(name, scale, seed=args.seed)
             else:
-                spec = runner.scenario_spec(args.scenario, name,
-                                            mechanism, scale,
-                                            seed=args.seed)
+                spec = runner.alone_spec(name, scale, seed=args.seed)
             specs.append(spec)
     return specs
 
@@ -281,11 +271,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                     "lands and the store is checked before anything "
                     "runs, so rerunning a killed sweep against the "
                     "same store simulates only the missing points.")
-    parser.add_argument("--kind", choices=("single", "eight", "alone",
-                                           "scenario"),
+    parser.add_argument("--kind", choices=tuple(_SWEEP_NAMES),
                         default="single")
-    parser.add_argument("--scenario", default=None,
-                        help="scenario name (kind=scenario only)")
     parser.add_argument("--workloads", nargs="+", required=True,
                         metavar="NAME",
                         help="workload/mix names; crossed with "
@@ -334,10 +321,13 @@ def _sweep_main(argv: List[str]) -> int:
 
 #: Columns of the ``query`` table: the queryable spec axes, then the
 #: headline metrics.
-_QUERY_COLUMNS = ("kind", "name", "scenario", "mechanism", "cc_entries",
-                  "cc_duration_ms", "cc_unbounded", "standard", "engine",
-                  "seed", "total_ipc", "row_hit_rate",
-                  "mechanism_hit_rate", "mem_cycles", "activations")
+_QUERY_COLUMNS = ("kind", "name", "mechanism", "cc_entries",
+                  "cc_duration_ms", "cc_unbounded", "engine", "seed",
+                  "total_ipc", "row_hit_rate", "mechanism_hit_rate",
+                  "mem_cycles", "activations")
+
+#: The ``query`` filters: spec axes matched exactly.
+_QUERY_FILTERS = ("mechanism", "kind", "name", "engine")
 
 
 def build_query_parser() -> argparse.ArgumentParser:
@@ -350,8 +340,7 @@ def build_query_parser() -> argparse.ArgumentParser:
                         help="store directory to read (default: "
                              "$REPRO_CACHE_DIR or "
                              "~/.cache/chargecache-repro)")
-    for axis in ("scenario", "mechanism", "standard", "kind", "name",
-                 "engine"):
+    for axis in _QUERY_FILTERS:
         parser.add_argument(f"--{axis}", default=None)
     parser.add_argument("--limit", type=_count_arg, default=None)
     parser.add_argument("--json", action="store_true",
@@ -370,9 +359,7 @@ def _query_main(argv: List[str]) -> int:
         parser.error("--json and --csv are mutually exclusive")
     from repro.harness.aggregate import store_frame
     from repro.harness.cache import RunCache
-    filters = {axis: getattr(args, axis)
-               for axis in ("scenario", "mechanism", "standard", "kind",
-                            "name", "engine")
+    filters = {axis: getattr(args, axis) for axis in _QUERY_FILTERS
                if getattr(args, axis) is not None}
     if args.mechanism is not None:
         # Stored rows carry the canonical spelling with ChargeCache's
@@ -398,8 +385,7 @@ def _query_main(argv: List[str]) -> int:
                 filters[column] = value
     frame = store_frame(RunCache(args.cache_dir), **filters)
     rows = sorted(frame.rows, key=lambda row: (
-        row["scenario"] is None, row["scenario"] or "", row["kind"],
-        row["name"], row["mechanism"], row["cc_unbounded"],
+        row["kind"], row["name"], row["mechanism"], row["cc_unbounded"],
         row["cc_entries"] or 0, row["cc_duration_ms"] or 0.0,
         row["seed"]))[:args.limit]
     headers = list(_QUERY_COLUMNS)

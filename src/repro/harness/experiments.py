@@ -28,18 +28,16 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 from repro.config import (BANKS_PER_RANK, DEFAULT_CPU_FREQ_GHZ,
                           ISSUE_WIDTH, LINE_BYTES, MSHRS_PER_CORE,
-                          ROW_BUFFER_BYTES, WINDOW_SIZE)
+                          RANKS_PER_CHANNEL, ROW_BUFFER_BYTES, WINDOW_SIZE)
 from repro.cpu.result import RunResult
 from repro.dram.timing import DDR3_1600
-from repro.dram.standards import (derated_reduction_cycles, preset,
-                                  reduction_cycles_for)
-from repro.harness import pool, runner, scenarios
+from repro.dram.standards import derated_reduction_cycles
+from repro.harness import pool, runner
 from repro.harness.runner import (
     Scale,
     alone_specs_for_mix,
     current_scale,
     mix_spec,
-    scenario_spec,
     trace_spec,
     workload_spec,
 )
@@ -59,12 +57,6 @@ FIG11_DURATIONS = (1.0, 4.0, 8.0, 16.0)
 
 #: RLTL intervals of Figure 4 (ms).
 FIG4_INTERVALS = (0.125, 0.25, 0.5, 1.0, 32.0)
-
-#: Default workloads for the scenario-matrix experiments.  Two mixes
-#: keep the full matrix (10 scaling + 6 extra standards platforms,
-#: baseline + ChargeCache each) affordable at default scale; pass
-#: ``workloads`` to widen or narrow.
-SCENARIO_WORKLOADS = ("w1", "w2")
 
 #: Both paper platforms: applications (single) and mixes (eight).
 BOTH_MODES = ("single", "eight")
@@ -405,24 +397,20 @@ def _fig8_specs(modes: Sequence[str], workloads: Names,
                  idle_finished=True)
 
 
-def _energy_reduction(base, cc, e_base=None) -> Optional[float]:
+def _energy_reduction(base, cc) -> Optional[float]:
     """Fractional energy-per-instruction saving of ``cc`` over ``base``.
 
-    Both runs are billed with the clock and IDD set of the standard
-    their own config names (resolved inside :func:`energy_for_run`),
-    and the HCRAC power charged against ChargeCache comes from
-    :func:`overhead_for_config` of the *actual* run config — not the
-    paper's fixed 8-core/2-channel design point.  Returns ``None``
-    when the comparison is undefined (no energy or no retired work).
-    ``e_base`` lets a caller that already holds the baseline breakdown
-    skip recomputing it.
+    Both runs are billed by :func:`energy_for_run`, and the HCRAC power
+    charged against ChargeCache comes from :func:`overhead_for_config`
+    of the *actual* run config — not the paper's fixed
+    8-core/2-channel design point.  Returns ``None`` when the
+    comparison is undefined (no energy or no retired work).
     """
     from repro.energy.drampower import access_rate_for_run, energy_for_run
     from repro.energy.mcpat import overhead_for_config
     overhead = overhead_for_config(cc.config)
     rate = access_rate_for_run(cc)
-    if e_base is None:
-        e_base = energy_for_run(base)
+    e_base = energy_for_run(base)
     e_cc = energy_for_run(cc,
                           mechanism_power_w=overhead.average_power_w(rate))
     if e_base.total_pj <= 0 or base.work_instructions <= 0 \
@@ -444,11 +432,6 @@ def _fig8(points: Points, modes: Sequence[str],
     which finished cores sit idle.  The comparison is made on **energy
     per retired instruction** (``work_instructions``), so the two runs
     are compared at equal work.
-
-    Timing and IDD parameters resolve from each run's own config (its
-    ``dram.standard``), so non-DDR3 configs are charged with their own
-    clock and currents; the ``energy`` entry sweeps the whole
-    standards family this way.
     """
     rows = []
     for mode in modes:
@@ -635,166 +618,6 @@ def _sec63(points: Points, workloads: Names, scale: Scale, mix: str) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario matrix: scaling (cores x ranks) and standards (timing
-# grades) sensitivity figures, modeled on Figures 10/11-style plots
-# ----------------------------------------------------------------------
-
-def _scenario_names_for(workloads: Names) -> List[str]:
-    return list(workloads) if workloads is not None \
-        else list(SCENARIO_WORKLOADS)
-
-
-def _scenario_specs(scenario_names: Sequence[str], workloads: Names,
-                    scale: Scale, **kwargs) -> List[RunSpec]:
-    names = _scenario_names_for(workloads)
-    return [scenario_spec(scen, name, mech, scale, **kwargs)
-            for scen in scenario_names
-            for name in names
-            for mech in ("none", "chargecache")]
-
-
-def _scaling_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
-    return _scenario_specs(scenarios.SCALING_SCENARIOS, workloads, scale)
-
-
-def _standards_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
-    return _scenario_specs(scenarios.STANDARD_SCENARIOS, workloads, scale)
-
-
-def _scenario_row(points: Points, scen_name: str, names: Sequence[str],
-                  scale: Scale) -> Dict:
-    """Baseline-vs-ChargeCache aggregate for one platform."""
-    scen = scenarios.scenario(scen_name)
-    speedups, hits, rmpkcs, row_hits, lats = [], [], [], [], []
-    for name in names:
-        base = points[scenario_spec(scen_name, name, "none", scale)]
-        cc = points[scenario_spec(scen_name, name, "chargecache", scale)]
-        if base.total_ipc:
-            speedups.append(cc.total_ipc / base.total_ipc - 1.0)
-        hits.append(cc.mechanism_hit_rate)
-        rmpkcs.append(base.rmpkc())
-        row_hits.append(base.row_hit_rate)
-        lats.append(base.average_read_latency_cycles)
-    row = scen.axes()
-    row.update({
-        "rmpkc": _mean(rmpkcs),
-        "row_hit": _mean(row_hits),
-        "read_latency": _mean(lats),
-        "cc_hit_rate": _mean(hits),
-        "cc_speedup": _mean(speedups),
-    })
-    return row
-
-
-def _scaling(points: Points, workloads: Names, scale: Scale) -> Dict:
-    """ChargeCache sensitivity to core count and ranks per channel.
-
-    Sweeps the scaling family of :mod:`repro.harness.scenarios`
-    (1/2/4/8/16 cores x 1/2 ranks per channel on DDR3-1600) with the
-    baseline and ChargeCache on each platform.  Speedup here is the
-    total-IPC ratio on the same platform (not weighted speedup — the
-    alone-run denominators of Figure 7b are platform-specific and
-    would conflate the platform change with the mechanism's effect).
-    """
-    names = _scenario_names_for(workloads)
-    rows = [_scenario_row(points, scen, names, scale)
-            for scen in scenarios.SCALING_SCENARIOS]
-    return {"id": "scaling", "workloads": names,
-            "core_counts": list(scenarios.SCALING_CORE_COUNTS),
-            "ranks": list(scenarios.SCALING_RANKS),
-            "rows": rows}
-
-
-def _standard_names() -> List[str]:
-    return sorted({scenarios.scenario(n).standard
-                   for n in scenarios.STANDARD_SCENARIOS})
-
-
-def _standards(points: Points, workloads: Names, scale: Scale) -> Dict:
-    """ChargeCache across DDR-derived timing grades (paper Section 7.2).
-
-    Single-core and eight-core platforms on each preset of
-    :mod:`repro.dram.standards`.  Each row also records the preset's
-    baseline tRCD/tRAS and the ChargeCache reductions re-derived in
-    that standard's bus cycles (the physical ~5/10 ns charge headroom
-    is more cycles on a faster clock).
-    """
-    names = _scenario_names_for(workloads)
-    rows = []
-    for scen_name in scenarios.STANDARD_SCENARIOS:
-        scen = scenarios.scenario(scen_name)
-        timing = preset(scen.standard)
-        trcd_red, tras_red = reduction_cycles_for(timing)
-        row = _scenario_row(points, scen_name, names, scale)
-        row.update({
-            "trcd": timing.tRCD,
-            "tras": timing.tRAS,
-            "trcd_reduction": trcd_red,
-            "tras_reduction": tras_red,
-        })
-        rows.append(row)
-    return {"id": "standards", "workloads": names,
-            "standards": _standard_names(), "rows": rows}
-
-
-# ----------------------------------------------------------------------
-# Energy across the standards family (fig8 methodology x Section 7.2)
-# ----------------------------------------------------------------------
-
-def _energy_specs(workloads: Names, scale: Scale) -> List[RunSpec]:
-    return _scenario_specs(scenarios.STANDARD_SCENARIOS, workloads, scale,
-                           idle_finished=True)
-
-
-def _energy(points: Points, workloads: Names, scale: Scale) -> Dict:
-    """DRAM energy reduction of ChargeCache on every standards platform.
-
-    Figure 8's methodology (fixed-work runs, energy per retired
-    instruction, HCRAC power charged against the mechanism) applied to
-    the whole standards family of :mod:`repro.harness.scenarios`: the
-    single- and eight-core platforms on each
-    :class:`~repro.dram.standards.StandardProfile`.  Every platform is
-    billed with its own profile — its clock for run time and its IDD
-    set for energy — and the HCRAC power comes from
-    :func:`overhead_for_config` of the actual run config, so the DDR3
-    rows reproduce Figure 8's energy model exactly while the other
-    standards get theirs rather than DDR3's.
-    """
-    from repro.energy.drampower import energy_for_run
-    names = _scenario_names_for(workloads)
-    rows = []
-    for scen_name in scenarios.STANDARD_SCENARIOS:
-        scen = scenarios.scenario(scen_name)
-        prof = scen.profile
-        reductions, base_pj = [], []
-        for name in names:
-            base = points[scenario_spec(scen_name, name, "none", scale,
-                                        idle_finished=True)]
-            cc = points[scenario_spec(scen_name, name, "chargecache",
-                                      scale, idle_finished=True)]
-            e_base = energy_for_run(base)
-            reduction = _energy_reduction(base, cc, e_base)
-            if reduction is not None:
-                reductions.append(reduction)
-            base_pj.append(e_base.total_pj)
-        row = scen.axes()
-        row.update({
-            "vdd": prof.power.vdd,
-            "tck_ns": prof.timing.tCK_ns,
-            "baseline_uj": _mean(base_pj) * 1e-6,
-            "average_reduction": _mean(reductions),
-            "max_reduction": max(reductions) if reductions else 0.0,
-            "n": len(reductions),
-        })
-        rows.append(row)
-    return {"id": "energy", "workloads": names,
-            "standards": _standard_names(),
-            "paper": {"single": {"avg": 0.018, "max": 0.069},
-                      "eight": {"avg": 0.079, "max": 0.141}},
-            "rows": rows}
-
-
-# ----------------------------------------------------------------------
 # Calibration: synthetic-workload fingerprints vs the reference table,
 # plus the bundled golden traces replayed through the full simulator
 # ----------------------------------------------------------------------
@@ -976,7 +799,7 @@ def _table1() -> Dict:
             "type": t.name,
             "bus_mhz": t.freq_mhz,
             "channels": [single.dram.channels, eight.dram.channels],
-            "ranks": single.dram.ranks_per_channel,
+            "ranks": RANKS_PER_CHANNEL,
             "banks": BANKS_PER_RANK,
             "rows": single.dram.rows_per_bank,
             "row_buffer_bytes": ROW_BUFFER_BYTES,
@@ -1023,9 +846,6 @@ FIGURES: Dict[str, Figure] = {
     "table2": Figure(_table2),
     "calibrate": Figure(_calibrate, _calibrate_specs, {"traces": None},
                         ("single",)),
-    "scaling": Figure(_scaling, _scaling_specs, {}, BOTH_MODES),
-    "standards": Figure(_standards, _standards_specs, {}, BOTH_MODES),
-    "energy": Figure(_energy, _energy_specs, {}, BOTH_MODES),
 }
 
 

@@ -117,31 +117,6 @@ def _render_sec63(result: Dict) -> str:
                         title="sec6.3: ChargeCache hardware overhead")
 
 
-#: Scenario-matrix columns rendered as percentages.
-_SCENARIO_PERCENT_COLS = ("row_hit", "cc_hit_rate", "cc_speedup",
-                          "average_reduction", "max_reduction")
-
-
-def _render_scenario_matrix(result: Dict) -> str:
-    """Scaling/standards tables: axes first, ratios as percentages."""
-    rows = result.get("rows") or []
-    if not rows:
-        return str(result)
-    headers = list(rows[0])
-    table_rows = []
-    for row in rows:
-        cells = []
-        for h in headers:
-            value = row.get(h, "")
-            if h in _SCENARIO_PERCENT_COLS and isinstance(value, float):
-                value = format_percent(value, 1)
-            cells.append(value)
-        table_rows.append(cells)
-    title = (f"{result.get('id')}: workloads="
-             f"{','.join(result.get('workloads', []))}")
-    return format_table(headers, table_rows, title=title)
-
-
 #: Calibrate columns rendered as percentages (fractions in the dict).
 _CALIBRATE_PERCENT_COLS = ("rltl_1ms", "ref_rltl_1ms", "d_rltl",
                            "row_hit", "ref_row_hit", "d_row_hit",
@@ -180,7 +155,4 @@ _RENDERERS = {
     "fig6": _render_fig6,
     "sec6.3": _render_sec63,
     "calibrate": _render_calibrate,
-    "scaling": _render_scenario_matrix,
-    "standards": _render_scenario_matrix,
-    "energy": _render_scenario_matrix,
 }

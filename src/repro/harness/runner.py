@@ -9,9 +9,10 @@ Centralises:
   environment variable ``REPRO_SCALE`` (float multiplier on
   instruction budgets) adjusts every experiment uniformly.
 * **Config construction** - one builder, :func:`build_config`, for
-  every platform of :mod:`repro.harness.scenarios`; the paper's
-  single-core (1 channel, open-row) and eight-core (2 channels,
-  closed-row) systems are its ``c1-r1`` and ``c8-r1``.
+  every platform of :data:`PLATFORMS`: the paper's single-core
+  (1 channel, open-row) and eight-core (2 channels, closed-row)
+  systems, ``c1-r1`` and ``c8-r1``, and the single-core system on the
+  two other standards Section 7.2 names.
 * **Run caching** - every run is described by a
   :class:`~repro.harness.spec.RunSpec` and served through two
   read-through layers: an in-process memo dict, then the persistent
@@ -52,7 +53,6 @@ from repro.config import (
 from repro.cpu.result import RunResult
 from repro.dram.organization import Organization
 from repro.harness import cache as run_cache
-from repro.harness import scenarios
 from repro.harness.spec import (  # noqa: F401  (re-exported API)
     DEFAULT_CC_TIME_SCALE,
     DEFAULT_TIME_SCALE,
@@ -63,6 +63,7 @@ from repro.harness.spec import (  # noqa: F401  (re-exported API)
 from repro.workloads.mixes import make_mix_traces, mix_composition
 # The benchmark tracer wraps both trace builders by their names here.
 from repro.workloads.spec_like import make_trace  # noqa: F401
+
 
 @dataclass(frozen=True)
 class Execution:
@@ -148,23 +149,65 @@ def _resolve_engine(engine: Optional[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Config construction
+# Platforms and config construction
 # ----------------------------------------------------------------------
 
-def build_config(platform: str, mechanism: str,
+@dataclass(frozen=True)
+class Platform:
+    """One system platform: everything a run fixes but its workload
+    and mechanism.  Every platform has Table 1's one rank per channel
+    (:data:`repro.config.RANKS_PER_CHANNEL`)."""
+
+    name: str
+    num_cores: int
+    channels: int
+    standard: str
+    row_policy: str
+
+
+#: Every platform by name.  ``c1-r1`` and ``c8-r1`` are the paper's
+#: DDR3-1600 systems (Table 1); the other two are the single-core
+#: system on the DDR4 and LPDDR3 grades, on which Section 7.2 argues
+#: ChargeCache applies unchanged
+#: (``benchmarks/bench_section7_extensions.py`` runs them).
+PLATFORMS: Dict[str, Platform] = {plat.name: plat for plat in (
+    Platform("c1-r1", 1, 1, "DDR3-1600", "open"),
+    Platform("c8-r1", 8, 2, "DDR3-1600", "closed"),
+    Platform("ddr4-2400-c1", 1, 1, "DDR4-2400", "open"),
+    Platform("lpddr3-1600-c1", 1, 1, "LPDDR3-1600", "open"),
+)}
+
+#: The platform of each run kind.  The paper's single-core system
+#: runs an application ("single") or an ingested trace ("trace"); its
+#: eight-core system runs a mix ("eight") or one application alone on
+#: one of its cores ("alone", the weighted-speedup denominator).
+KIND_PLATFORMS = {"single": "c1-r1", "trace": "c1-r1",
+                  "eight": "c8-r1", "alone": "c8-r1"}
+
+
+def platform(name: str) -> Platform:
+    """The platform a run kind of :data:`KIND_PLATFORMS` or a platform
+    name stands for."""
+    found = PLATFORMS.get(KIND_PLATFORMS.get(name, name))
+    if found is None:
+        raise ValueError(
+            f"unknown platform {name!r}; expected a run kind "
+            f"{sorted(KIND_PLATFORMS)} or a platform {sorted(PLATFORMS)}")
+    return found
+
+
+def build_config(platform_name: str, mechanism: str,
                  scale: Optional[Scale] = None, *,
                  row_policy: Optional[str] = None,
                  engine: Optional[str] = None) -> SimulationConfig:
-    """A validated configuration for one run on ``platform``.
+    """A validated configuration for one run on ``platform_name``.
 
-    ``platform`` is a scenario name or a run kind of
-    :data:`~repro.harness.scenarios.KIND_PLATFORMS`: "single" is the
-    paper's single-core system (1 channel, open-row, scenario
-    ``c1-r1``), "eight" its eight-core system (2 channels,
-    closed-row, ``c8-r1``).  The DRAM block carries the platform's
-    geometry and timing standard (bus frequency included, so the
-    CPU/DRAM clock ratio is right on every grade).  ``row_policy``
-    overrides the platform's own policy.
+    ``platform_name`` is a :data:`PLATFORMS` name or a run kind of
+    :data:`KIND_PLATFORMS`: "single" is the paper's single-core system
+    (``c1-r1``), "eight" its eight-core system (``c8-r1``).  The DRAM
+    block carries the platform's geometry and timing standard (bus
+    frequency included, so the CPU/DRAM clock ratio is right on every
+    grade).  ``row_policy`` overrides the platform's own policy.
 
     ``mechanism`` is a registry spec: plain names, ``+``-compositions
     and inline parameter overrides (``"chargecache(entries=256)+nuat"``)
@@ -176,20 +219,18 @@ def build_config(platform: str, mechanism: str,
     """
     from repro.core import registry
     registry.refuse_time_scale(mechanism)
-    scen = scenarios.platform(platform)
+    plat = platform(platform_name)
     scale = scale or current_scale()
     mechanism = registry.fill_params(mechanism, "chargecache", {
         "time_scale": scale.cc_time_scale})
     cfg = SimulationConfig(
-        processor=ProcessorConfig(num_cores=scen.num_cores),
-        dram=DRAMConfig(channels=scen.channels,
-                        ranks_per_channel=scen.ranks_per_channel,
-                        standard=scen.standard),
+        processor=ProcessorConfig(num_cores=plat.num_cores),
+        dram=DRAMConfig(channels=plat.channels, standard=plat.standard),
         controller=ControllerConfig(
-            row_policy=row_policy or scen.row_policy),
+            row_policy=row_policy or plat.row_policy),
         mechanism=mechanism,
         instruction_limit=(scale.single_core_instructions
-                           if scen.num_cores == 1
+                           if plat.num_cores == 1
                            else scale.multi_core_instructions),
         warmup_cpu_cycles=scale.warmup_cpu_cycles,
         engine=_resolve_engine(engine),
@@ -232,15 +273,6 @@ def alone_spec(name: str, scale: Optional[Scale] = None, *,
                seed: int = 1, engine: Optional[str] = None) -> RunSpec:
     """Spec for one application alone on the eight-core platform."""
     return _build_spec("alone", name, "none", scale, engine, seed=seed)
-
-
-def scenario_spec(scenario: str, name: str, mechanism: str = "none",
-                  scale: Optional[Scale] = None, *,
-                  engine: Optional[str] = None, **kwargs) -> RunSpec:
-    """Spec for one workload/mix on a named platform (the paper's own
-    platforms come back as their "single"/"eight" spec)."""
-    return _build_spec("scenario", name, mechanism, scale, engine,
-                       scenario=scenario, **kwargs)
 
 
 def trace_spec(path: str, mechanism: str = "none",
@@ -407,7 +439,7 @@ def _spec_config(spec: RunSpec) -> SimulationConfig:
         "entries": spec.cc_entries,
         "caching_duration_ms": spec.cc_duration_ms,
         "unbounded": spec.cc_unbounded or None})
-    cfg = build_config(spec.scenario or spec.kind, mechanism, spec.scale,
+    cfg = build_config(spec.kind, mechanism, spec.scale,
                        row_policy=spec.row_policy, engine=spec.engine)
     if spec.kind == "alone":
         cfg = replace(cfg, processor=replace(cfg.processor, num_cores=1))
@@ -415,12 +447,8 @@ def _spec_config(spec: RunSpec) -> SimulationConfig:
 
 
 def _spec_apps(spec: RunSpec) -> List[str]:
-    """Per-core application names of a non-trace spec: a scenario's
-    :func:`~repro.harness.scenarios.scenario_workload_names`, a mix's
+    """Per-core application names of a non-trace spec: a mix's
     composition, else the one application the spec names."""
-    if spec.kind == "scenario":
-        return scenarios.scenario_workload_names(
-            scenarios.scenario(spec.scenario), spec.name)
     return mix_composition(spec.name) if spec.kind == "eight" \
         else [spec.name]
 
@@ -429,7 +457,7 @@ def _spec_traces(spec: RunSpec, cfg: SimulationConfig) -> list:
     """The per-core trace iterators one spec simulates.
 
     Traces depend only on the spec's non-mechanism fields (workload
-    name, seed, scenario, DRAM organization), so every member of a
+    name, seed, DRAM organization), so every member of a
     batch group — same :func:`~repro.harness.spec.batch_signature` —
     produces the identical trace set; the batch path builds it once
     from the group's first spec.

@@ -47,13 +47,12 @@ DEFAULT_TIME_SCALE = 64.0
 #: table (DESIGN.md section 1).
 DEFAULT_CC_TIME_SCALE = 8.0
 
-#: The run shapes the harness knows how to execute.  "scenario" runs
-#: name a platform from :mod:`repro.harness.scenarios` in the spec's
-#: ``scenario`` field; "trace" runs replay an ingested external trace
-#: file on the single-core platform (the file's content hash lives in
-#: ``trace_sha256``); the kinds without a scenario run on the paper's
-#: platforms (:data:`repro.harness.scenarios.KIND_PLATFORMS`).
-RUN_KINDS = ("single", "eight", "alone", "scenario", "trace")
+#: The run shapes the harness knows how to execute, each on one of the
+#: paper's platforms (:data:`repro.harness.runner.KIND_PLATFORMS`):
+#: "trace" runs replay an ingested external trace file on the
+#: single-core platform (the file's content hash lives in
+#: ``trace_sha256``).
+RUN_KINDS = ("single", "eight", "alone", "trace")
 
 #: RunSpec fields that are deliberately *excluded* from cache-key
 #: material.  Each entry is a conscious decision with a reason (see
@@ -70,7 +69,7 @@ LOCATION_ONLY = frozenset({"trace_path"})
 KEY_MATERIAL = ("kind", "name", "mechanism", "scale", "enable_rltl",
                 "row_policy", "cc_entries", "cc_duration_ms",
                 "cc_unbounded", "idle_finished", "seed", "engine",
-                "scenario", "trace_sha256")
+                "trace_sha256")
 
 
 def _is_int(value: object) -> bool:
@@ -150,12 +149,12 @@ def current_scale() -> Scale:
 class RunSpec:
     """One sweep point: everything that determines a RunResult.
 
-    ``kind`` selects the platform (:mod:`repro.harness.scenarios`):
-    "single" (1 core, 1 channel, open-row: ``c1-r1``), "eight"
-    (8 cores, 2 channels, closed-row: ``c8-r1``), "alone" (one
-    application on one core of ``c8-r1``, the baseline behind
-    weighted-speedup denominators), "scenario" (the platform named
-    in ``scenario``) or "trace" (an ingested file on ``c1-r1``).
+    ``kind`` selects the platform
+    (:data:`repro.harness.runner.KIND_PLATFORMS`): "single" (1 core,
+    1 channel, open-row: ``c1-r1``), "eight" (8 cores, 2 channels,
+    closed-row: ``c8-r1``), "alone" (one application on one core of
+    ``c8-r1``, the baseline behind weighted-speedup denominators) or
+    "trace" (an ingested file on ``c1-r1``).
     ``engine`` must be concrete ("event"/"dense", never None) so that
     a spec means the same run in every process regardless of ambient
     defaults.
@@ -170,9 +169,7 @@ class RunSpec:
     equal simulations and share one memo entry and one cache key.  It
     sorts the mechanism's terms and folds chargecache's
     ``entries``/``duration_ms``/``unbounded`` into the ``cc_*`` fields
-    below, turns a ``c1-r1`` point into the "single" spec of its one
-    application and a ``c8-r1`` point on a mix into the "eight" spec,
-    and drops a ``row_policy`` equal to the platform's own.
+    below and drops a ``row_policy`` equal to the platform's own.
     """
 
     kind: str
@@ -187,11 +184,6 @@ class RunSpec:
     idle_finished: bool = False
     seed: int = 1
     engine: str = "event"
-    #: Platform name from :mod:`repro.harness.scenarios` (kind
-    #: "scenario" only).  Scenario names are stable table keys, so
-    #: they are legitimate cache-key material; the code fingerprint
-    #: covers the table itself.
-    scenario: Optional[str] = None
     #: SHA-256 of the ingested trace file's bytes (kind "trace" only).
     #: This is what keys the run: two files with the same content are
     #: the same workload wherever they live, and an edited file is a
@@ -212,10 +204,6 @@ class RunSpec:
         if self.kind not in RUN_KINDS:
             raise ValueError(
                 f"unknown run kind {self.kind!r}; expected one of {RUN_KINDS}")
-        if (self.kind == "scenario") != (self.scenario is not None):
-            raise ValueError(
-                "scenario runs (and only scenario runs) must name a "
-                f"scenario: kind={self.kind!r}, scenario={self.scenario!r}")
         if self.kind == "trace":
             digest = self.trace_sha256
             if (not isinstance(digest, str) or len(digest) != 64
@@ -228,26 +216,16 @@ class RunSpec:
                 f"trace_sha256/trace_path are only meaningful for "
                 f"kind='trace', not kind={self.kind!r}")
         # Validated here, at declaration time, not inside a pool worker
-        # mid-sweep: a mechanism typo, an unknown scenario or workload.
+        # mid-sweep: a mechanism typo, say.
         from repro.core.registry import extract_run_params
-        from repro.harness import scenarios
-        from repro.workloads.mixes import MIX_NAMES
+        from repro.harness.runner import platform
         mechanism, cc_entries, cc_duration_ms, cc_unbounded = \
             extract_run_params(self.mechanism, self.cc_entries,
                                self.cc_duration_ms, self.cc_unbounded)
-        kind, name, scen = self.kind, self.name, self.scenario
-        if kind == "scenario":
-            apps = scenarios.scenario_workload_names(
-                scenarios.scenario(scen), name)
-            if scen == scenarios.KIND_PLATFORMS["single"]:
-                kind, name, scen = "single", apps[0], None
-            elif scen == scenarios.KIND_PLATFORMS["eight"] \
-                    and name in MIX_NAMES:
-                kind, scen = "eight", None
         row_policy = self.row_policy
-        if row_policy == scenarios.platform(scen or kind).row_policy:
+        if row_policy == platform(self.kind).row_policy:
             row_policy = None
-        if kind == "alone" and (
+        if self.kind == "alone" and (
                 (mechanism, cc_entries, cc_duration_ms, cc_unbounded)
                 != ("none", None, None, False)
                 or self.idle_finished or self.enable_rltl):
@@ -256,8 +234,7 @@ class RunSpec:
                 "denominator: mechanism must be 'none' and "
                 "idle_finished and enable_rltl False, got "
                 f"{self.label()!r}")
-        for attr, value in (("kind", kind), ("name", name),
-                            ("scenario", scen), ("row_policy", row_policy),
+        for attr, value in (("row_policy", row_policy),
                             ("mechanism", mechanism),
                             ("cc_entries", cc_entries),
                             ("cc_duration_ms", cc_duration_ms),
@@ -317,8 +294,6 @@ class RunSpec:
     def label(self) -> str:
         """Short human-readable tag for progress and annotations."""
         parts = [self.kind, self.name, self.mechanism]
-        if self.scenario is not None:
-            parts.insert(1, self.scenario)
         if self.trace_sha256 is not None:
             parts.insert(2, self.trace_sha256[:8])
         for attr, tag in (("cc_entries", "e"), ("cc_duration_ms", "d"),

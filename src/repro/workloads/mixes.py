@@ -7,10 +7,9 @@ seeded so w1..w20 are stable across runs and machines.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cpu.trace import TraceRecord
-from repro.workloads.rng import Generator
 from repro.workloads.spec_like import WORKLOAD_NAMES, make_trace
 
 #: Seed fixing the composition of the 20 mixes.
@@ -20,6 +19,7 @@ MIX_NAMES = tuple(f"w{i}" for i in range(1, 21))
 
 
 def _compositions(num_cores: int = 8) -> Dict[str, List[str]]:
+    from repro.workloads.rng import Generator
     rng = Generator(MIX_SEED)
     names = list(WORKLOAD_NAMES)
     mixes = {}
@@ -29,11 +29,16 @@ def _compositions(num_cores: int = 8) -> Dict[str, List[str]]:
     return mixes
 
 
-_COMPOSITIONS = _compositions()
+#: The drawn compositions; drawn by the first :func:`mix_composition`
+#: call, so a process that only names mixes never loads the RNG.
+_COMPOSITIONS: Optional[Dict[str, List[str]]] = None
 
 
 def mix_composition(mix: str) -> List[str]:
     """The 8 workload names assigned to the cores of ``mix``."""
+    global _COMPOSITIONS
+    if _COMPOSITIONS is None:
+        _COMPOSITIONS = _compositions()
     try:
         return list(_COMPOSITIONS[mix])
     except KeyError:

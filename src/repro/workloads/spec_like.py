@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
 from repro.cpu.trace import TraceRecord
-from repro.workloads import synthetic
 
 MB = 1024 * 1024
 
@@ -51,7 +50,11 @@ class WorkloadProfile:
     mix_weights: Tuple[float, float, float] = (1.0, 1.0, 0.0)
 
     def build(self, org, seed: int) -> Iterator[TraceRecord]:
-        """Instantiate the infinite trace for a DRAM organization."""
+        """Instantiate the infinite trace for a DRAM organization.
+
+        The generators load here, on the first trace a process draws:
+        declaring or keying a run never needs them."""
+        from repro.workloads import synthetic
         if self.pattern == "stream":
             return synthetic.stream_trace(
                 org, self.footprint_bytes, self.mean_bubbles, seed,

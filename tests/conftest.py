@@ -33,6 +33,24 @@ def _isolated_run_cache(tmp_path_factory):
         runner.clear_caches()
 
 
+@pytest.fixture(scope="session")
+def golden_all(tmp_path_factory):
+    """One cold ``all`` pass of ``tests/golden/pin_figures.py``'s
+    command, shared by the tests that read it: ``(csv_dir, results)``,
+    the CSV directory and the ``--json`` results by entry."""
+    import json
+
+    from repro.harness import runner
+    from tests.golden import pin_figures
+    out = tmp_path_factory.mktemp("golden-all")
+    csv_dir, json_path = out / "csv", out / "all.json"
+    runner.clear_memo()
+    with runner.executing():
+        pin_figures.regenerate(str(csv_dir), "--json", str(json_path))
+    runner.clear_memo()
+    return str(csv_dir), json.loads(json_path.read_text())
+
+
 @pytest.fixture
 def timing():
     return DDR3_1600
@@ -52,7 +70,7 @@ def paper_org():
 
 
 def tiny_config(mechanism: str = "none", num_cores: int = 1,
-                channels: int = 1, ranks: int = 1,
+                channels: int = 1,
                 standard: str = "DDR3-1600",
                 instruction_limit: int = 3000,
                 warmup: int = 1000, row_policy: str = "open",
@@ -60,9 +78,9 @@ def tiny_config(mechanism: str = "none", num_cores: int = 1,
     """A configuration small and fast enough for unit tests.
 
     Uses a 64 KB LLC so DRAM traffic appears quickly, and a reduced
-    DRAM geometry to keep footprints small.  ``ranks`` and
-    ``standard`` open the multi-rank and timing-grade axes; the
-    standard alone sets the timing and the CPU/bus clock ratio.
+    DRAM geometry to keep footprints small.  ``standard`` opens the
+    timing-grade axis; it alone sets the timing and the CPU/bus clock
+    ratio.
     A chargecache term runs at ``time_scale=512`` and gets
     ``cc_kwargs`` as inline parameters, each where the spec does not
     write its own.
@@ -72,8 +90,8 @@ def tiny_config(mechanism: str = "none", num_cores: int = 1,
     cfg = SimulationConfig(
         processor=ProcessorConfig(num_cores=num_cores),
         cache=CacheConfig(size_bytes=64 * 1024, associativity=4),
-        dram=DRAMConfig(channels=channels, ranks_per_channel=ranks,
-                        rows_per_bank=4096, standard=standard),
+        dram=DRAMConfig(channels=channels, rows_per_bank=4096,
+                        standard=standard),
         controller=ControllerConfig(row_policy=row_policy),
         mechanism=mechanism,
         instruction_limit=instruction_limit,

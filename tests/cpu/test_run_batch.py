@@ -3,8 +3,8 @@
 Covers the record-once :class:`~repro.cpu.trace.TraceTape`, the
 platform guard (:func:`~repro.cpu.system.mechanism_invariant_config`)
 and ``run_batch`` itself: every variant runs in full on its own System
-and equals its serial run, for every registered mechanism, composition
-and scenario platform.  Also pins the two inert names left in
+and equals its serial run, for every mechanism, composition and
+platform.  Also pins the two inert names left in
 :mod:`repro.core.replay` for the benchmark tracer.
 """
 
@@ -21,8 +21,7 @@ from repro.core import registry, replay
 from repro.cpu.system import System, mechanism_invariant_config
 from repro.cpu.trace import TraceRecord, TraceTape
 from repro.dram.organization import Organization
-from repro.harness.runner import build_config
-from repro.harness.scenarios import scenario_names
+from repro.harness.runner import PLATFORMS, build_config
 from repro.workloads.synthetic import zipf_trace
 
 from tests.conftest import tiny_config
@@ -182,12 +181,11 @@ SPECS = (*registry.mechanism_names(),
 
 
 def _platform(name):
-    """``tiny_config`` keyword arguments with the cores, channels,
-    ranks and standard of scenario ``name``."""
+    """``tiny_config`` keyword arguments with the cores, channels
+    and standard of platform ``name``."""
     cfg = build_config(name, "none")
     return {"num_cores": cfg.processor.num_cores,
             "channels": cfg.dram.channels,
-            "ranks": cfg.dram.ranks_per_channel,
             "standard": cfg.dram.standard}
 
 
@@ -271,7 +269,7 @@ class TestRunBatch:
             _result_payload(_serial(configs[1]))
         assert _result_payload(batch[1]) != _result_payload(batch[0])
 
-    @pytest.mark.parametrize("platform", scenario_names())
+    @pytest.mark.parametrize("platform", sorted(PLATFORMS))
     def test_bit_identical_to_serial_on_every_platform(self, platform):
         # A 1 MB footprint has more hot rows than the largest platform
         # has banks, so rows conflict and ChargeCache gets hits.
@@ -332,7 +330,7 @@ class TestMechanismInvariantConfig:
         assert a != b
 
     @pytest.mark.parametrize("change", [
-        {"num_cores": 2}, {"channels": 2}, {"ranks": 2},
+        {"num_cores": 2}, {"channels": 2},
         {"standard": "DDR4-2400"}, {"row_policy": "closed"},
         {"instruction_limit": 7}, {"warmup": 99}, {"cache_kb": 32}],
         ids=lambda change: next(iter(change)))

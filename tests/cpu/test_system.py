@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import RANKS_PER_CHANNEL
 from repro.cpu.system import System
 from repro.dram.organization import Organization
 from repro.workloads.synthetic import random_trace, stream_trace
@@ -91,8 +92,7 @@ class TestMechanisms:
 class TestAccountingInvariants:
     def test_rank_active_bounded_by_runtime(self):
         result = small_system(pattern="random").run(max_mem_cycles=400_000)
-        ranks = result.config.dram.channels \
-            * result.config.dram.ranks_per_channel
+        ranks = result.config.dram.channels * RANKS_PER_CHANNEL
         assert 0 <= result.rank_active_cycles <= ranks * result.mem_cycles
 
     def test_reads_and_writes_non_negative(self):

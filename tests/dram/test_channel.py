@@ -116,50 +116,11 @@ class TestStatistics:
         assert cycles == sorted(cycles)
 
 
-class TestRankSwitch:
-    """tRTRS: a column command to another rank than the last one waits
-    tRTRS after the *earlier* of the channel's two column gates
-    (``min(next_rd, next_wr)``), maxed with the command's own gate."""
-
-    @pytest.fixture
-    def two_ranks(self):
-        channel = Channel(DDR3_1600, num_ranks=2, num_banks=8)
-        channel.issue_activate(0, 0, 0, 0)
-        channel.issue_activate(1, 0, 0, DDR3_1600.tRRD)
-        return channel, DDR3_1600.tRRD + DDR3_1600.tRCD
-
-    def test_after_read_to_other_rank(self, two_ranks):
-        channel, t = two_ranks
-        channel.issue_read(0, 0, t)
-        assert channel.last_col_rank == 0
-        # Same rank: tCCD; WR: the read-to-write turnaround.
-        assert channel.earliest(Command.RD, 0, 0) == t + DDR3_1600.tCCD
-        assert channel.earliest(Command.WR, 0, 0) == \
-            t + DDR3_1600.read_to_write
-        # Other rank: tRTRS rides on next_rd (the earlier gate) for a
-        # RD; a WR's own turnaround gate is later still.
-        assert DDR3_1600.read_to_write > DDR3_1600.tCCD + DDR3_1600.tRTRS
-        assert channel.earliest(Command.RD, 1, 0) == \
-            t + DDR3_1600.tCCD + DDR3_1600.tRTRS
-        assert channel.earliest(Command.WR, 1, 0) == \
-            t + DDR3_1600.read_to_write
-
-    def test_after_write_to_other_rank(self, two_ranks):
-        channel, t = two_ranks
-        channel.issue_write(1, 0, t)
-        assert channel.last_col_rank == 1
-        assert channel.earliest(Command.WR, 1, 0) == t + DDR3_1600.tCCD
-        assert channel.earliest(Command.WR, 0, 0) == \
-            t + DDR3_1600.tCCD + DDR3_1600.tRTRS
-        assert DDR3_1600.write_to_read > DDR3_1600.tCCD + DDR3_1600.tRTRS
-        assert channel.earliest(Command.RD, 0, 0) == \
-            t + DDR3_1600.write_to_read
-
-
 class TestColumnGateChecks:
     """``issue_read``/``issue_write`` check the channel's column gates
-    as ``earliest`` models them (tCCD, the read/write turnarounds and
-    tRTRS), not only the bank's: an early column command raises."""
+    as ``earliest`` models them (tCCD and the read/write turnarounds,
+    shared by every rank of the channel), not only the bank's: an early
+    column command raises."""
 
     @pytest.mark.parametrize("first", (Command.RD, Command.WR),
                              ids=lambda c: c.name)

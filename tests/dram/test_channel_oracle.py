@@ -8,7 +8,7 @@ oracle: the channel claims the bus in ``_claim_cmd_bus`` and delegates
 to ``Bank.do_activate``/``do_read``/``do_write``/``do_precharge``,
 ``Rank.record_act`` and ``Rank.note_bank_opened``/``note_bank_closed``.
 Its one addition is the channel column-gate check of ``issue_read``/
-``issue_write`` (tCCD, the read/write turnarounds and tRTRS, as
+``issue_write`` (tCCD and the read/write turnarounds, as
 ``Channel.earliest`` models them), which the helper chain lacked.
 
 Hypothesis drives both channels with identical random command streams
@@ -200,10 +200,9 @@ class ReferenceChannel(Channel):
         self.ranks = [ReferenceRank(timing, num_banks)
                       for _ in range(num_ranks)]
 
-    def _column_gate(self, command: Command, rank: int, cycle: int) -> None:
+    def _column_gate(self, command: Command, cycle: int) -> None:
         """The channel column gate the one-frame path adds."""
-        own = self.next_rd if command is Command.RD else self.next_wr
-        gate = max(own, self._rank_switch_gate(rank))
+        gate = self.next_rd if command is Command.RD else self.next_wr
         if cycle < gate:
             raise RuntimeError(f"{command.name} before the column gate")
 
@@ -235,7 +234,7 @@ class ReferenceChannel(Channel):
 
     def issue_read(self, rank, bank, cycle):
         self._claim_cmd_bus(cycle)
-        self._column_gate(Command.RD, rank, cycle)
+        self._column_gate(Command.RD, cycle)
         t = self.timing
         self.ranks[rank].banks[bank].do_read(cycle)
         gate = cycle + t.tCCD
@@ -244,7 +243,6 @@ class ReferenceChannel(Channel):
         gate = cycle + self._rd_to_wr
         if gate > self.next_wr:
             self.next_wr = gate
-        self.last_col_rank = rank
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.RD, cycle, self.index, rank, bank))
@@ -252,7 +250,7 @@ class ReferenceChannel(Channel):
 
     def issue_write(self, rank, bank, cycle):
         self._claim_cmd_bus(cycle)
-        self._column_gate(Command.WR, rank, cycle)
+        self._column_gate(Command.WR, cycle)
         t = self.timing
         self.ranks[rank].banks[bank].do_write(cycle)
         gate = cycle + t.tCCD
@@ -261,7 +259,6 @@ class ReferenceChannel(Channel):
         gate = cycle + self._wr_to_rd
         if gate > self.next_rd:
             self.next_rd = gate
-        self.last_col_rank = rank
         if self.log_commands:
             self.command_log.append(IssuedCommand(
                 Command.WR, cycle, self.index, rank, bank))
@@ -285,7 +282,7 @@ BANK_FIELDS = ("open_row", "next_act", "next_pre", "next_rd", "next_wr",
                "act_reduced", "last_open_at", "open_cycles")
 RANK_FIELDS = ("next_act", "refresh_busy_until", "act_gate", "open_banks",
                "any_open_since", "any_open_cycles")
-CHANNEL_FIELDS = ("next_cmd", "next_rd", "next_wr", "last_col_rank")
+CHANNEL_FIELDS = ("next_cmd", "next_rd", "next_wr")
 
 
 def state(channel, cycle: int) -> dict:

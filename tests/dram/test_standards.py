@@ -7,7 +7,6 @@ from repro.cpu.system import System
 from repro.dram.organization import Organization
 from repro.dram.standards import (
     DDR4_2400,
-    GDDR5_4000,
     LPDDR3_1600,
     PRESETS,
     derated_reduction_cycles,
@@ -32,7 +31,6 @@ class TestPresets:
     def test_clock_periods(self):
         assert DDR4_2400.tCK_ns == pytest.approx(1 / 1.2)
         assert LPDDR3_1600.tCK_ns == pytest.approx(1.25)
-        assert GDDR5_4000.tCK_ns == pytest.approx(0.5)
 
     def test_trcd_in_nanoseconds_comparable(self):
         """Core timings are similar in ns across standards (same cell
@@ -55,11 +53,9 @@ class TestReductions:
 
     def test_same_physics_different_cycles(self):
         """~5 ns of tRCD headroom is more cycles on a faster bus."""
-        ddr3 = preset("DDR3-1600")
-        gddr5 = preset("GDDR5-4000")
-        red3, _ = reduction_cycles_for(ddr3)
-        red5, _ = reduction_cycles_for(gddr5)
-        assert red5 > red3
+        red3, _ = reduction_cycles_for(preset("DDR3-1600"))
+        red4, _ = reduction_cycles_for(preset("DDR4-2400"))
+        assert red4 > red3
 
     @pytest.mark.parametrize("duration_ms", sorted(DURATION_REDUCTIONS_CYCLES))
     def test_derating_round_trips_on_ddr3(self, duration_ms):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.energy.drampower import (
+    DDR3_1600_POWER,
     PowerParameters,
     access_rate_for_run,
     energy_components,
     energy_for_run,
     run_seconds,
 )
-from repro.dram.standards import PROFILES, profile
+from repro.dram.standards import PRESETS, preset
 from repro.dram.timing import DDR3_1600
 
 P = PowerParameters()
@@ -66,55 +67,38 @@ class TestComponents:
         assert e.total_pj >= 123.0
 
 
-#: Hand-computed single-command energies per standard, in pJ:
+#: Hand-computed single-command energies, in pJ:
 #: act  = (IDD0*tRC - IDD3N*tRAS - IDD2N*tRP) * VDD * tCK * chips
 #: read = (IDD4R - IDD3N) * VDD * tBL * tCK * chips
 #: ref  = (IDD5B - IDD2N) * VDD * tRFC * tCK * chips
 _GOLDEN_PJ = {
     "DDR3-1600": {"act": 10935.0, "read": 7140.0, "refresh": 555360.0},
-    "DDR4-2400": {"act": 7440.0, "read": 3392.0, "refresh": 675360.0},
-    "LPDDR3-1600": {"act": 2667.0, "read": 1968.0, "refresh": 66024.0},
-    "GDDR5-4000": {"act": 3360.0, "read": 630.0, "refresh": 167700.0},
 }
 
 
 class TestStandardPresets:
-    """Golden-value checks for every standard's power preset."""
+    """Golden-value checks for the one power preset, DDR3-1600's."""
 
-    @pytest.mark.parametrize("standard", sorted(PROFILES))
+    @pytest.mark.parametrize("standard", sorted(_GOLDEN_PJ))
     def test_golden_single_command_energies(self, standard):
-        prof = profile(standard)
         golden = _GOLDEN_PJ[standard]
         e = energy_components(
             activations=1, reads=1, writes=0, refreshes=1,
             rank_active_cycles=0, total_rank_cycles=10_000,
-            timing=prof.timing, power=prof.power)
+            timing=preset(standard), power=DDR3_1600_POWER)
         assert e.act_pre_pj == pytest.approx(golden["act"])
         assert e.read_pj == pytest.approx(golden["read"])
         assert e.refresh_pj == pytest.approx(golden["refresh"])
 
-    @pytest.mark.parametrize("standard", sorted(PROFILES))
+    @pytest.mark.parametrize("standard", sorted(_GOLDEN_PJ))
     def test_presets_validate_and_match_their_timing(self, standard):
-        prof = profile(standard)
-        prof.validate()
-        assert prof.power.name == prof.timing.name == standard
+        DDR3_1600_POWER.validate()
+        assert DDR3_1600_POWER.name == preset(standard).name == standard
 
     def test_ddr3_preset_is_the_legacy_default(self):
         """The pre-profile model hardcoded these values; the DDR3
-        profile must keep producing bit-identical energies."""
-        assert profile("DDR3-1600").power == PowerParameters()
-
-
-def _billed_as(run, prof):
-    """``run``'s counts priced on an explicit standard profile."""
-    cfg = run.config
-    ranks = cfg.dram.channels * cfg.dram.ranks_per_channel
-    return energy_components(
-        activations=run.activations, reads=run.reads,
-        writes=run.writes, refreshes=run.refreshes,
-        rank_active_cycles=run.rank_active_cycles,
-        total_rank_cycles=ranks * run.mem_cycles,
-        timing=prof.timing, power=prof.power)
+        preset must keep producing bit-identical energies."""
+        assert DDR3_1600_POWER == PowerParameters()
 
 
 def _fake_run(config, mem_cycles=100_000, activations=500, reads=2000,
@@ -129,22 +113,20 @@ def _fake_run(config, mem_cycles=100_000, activations=500, reads=2000,
 class TestRunResolution:
     """energy_for_run must use the run config's own standard."""
 
-    def _scenario_run(self, name):
+    @pytest.mark.parametrize("platform,standard", [
+        ("ddr4-2400-c1", "DDR4-2400"), ("lpddr3-1600-c1", "LPDDR3-1600")])
+    def test_a_run_without_currents_raises(self, platform, standard):
+        """Only DDR3-1600 has an IDD set: a run on another standard is
+        refused, naming its standard and the one that has currents,
+        rather than billed at DDR3's currents."""
         from repro.harness.runner import build_config
-        return _fake_run(build_config(name, "none"))
-
-    def test_ddr4_run_uses_ddr4_clock_and_currents(self):
-        run = self._scenario_run("ddr4-2400-c1")
-        prof = profile("DDR4-2400")
-        e = energy_for_run(run)
-        expected = _billed_as(run, prof)
-        assert asdict(e) == pytest.approx(asdict(expected))
-        # The same counts billed at DDR3's clock/IDD set differ: the
-        # pre-change hardcoded-DDR3 path was wrong for this run.
-        wrong = _billed_as(run, profile("DDR3-1600"))
-        assert e.total_pj != pytest.approx(wrong.total_pj)
+        run = _fake_run(build_config(platform, "none"))
+        with pytest.raises(ValueError, match=standard) as exc:
+            energy_for_run(run)
+        assert "DDR3-1600" in str(exc.value)
+        # Its clock still resolves: run time is in its own bus cycles.
         assert run_seconds(run) == pytest.approx(
-            run.mem_cycles * prof.timing.tCK_ns * 1e-9)
+            run.mem_cycles * preset(standard).tCK_ns * 1e-9)
 
     def test_ddr3_resolution_matches_legacy_explicit_call(self):
         """Pre-change callers passed DDR3_1600 + PowerParameters()
@@ -166,11 +148,10 @@ class TestRunResolution:
         counts = dict(mem_cycles=80_000, activations=100, reads=400,
                       writes=100)
         ddr3 = _fake_run(build_config("c1-r1", "none"), **counts)
-        gddr5 = _fake_run(build_config("gddr5-4000-c1", "none"),
-                          **counts)
-        # Same counts, 2.5x faster clock => 2.5x the access rate.
-        assert access_rate_for_run(gddr5) == pytest.approx(
-            access_rate_for_run(ddr3) * 2.5)
+        ddr4 = _fake_run(build_config("ddr4-2400-c1", "none"), **counts)
+        # Same counts, 1.5x faster clock => 1.5x the access rate.
+        assert access_rate_for_run(ddr4) == pytest.approx(
+            access_rate_for_run(ddr3) * 1.5)
 
 
 class TestValidation:
@@ -227,7 +208,7 @@ class TestBreakdown:
 
 
 class TestProperties:
-    @given(st.sampled_from(sorted(PROFILES)),
+    @given(st.sampled_from(sorted(PRESETS)),
            st.integers(0, 1000), st.integers(0, 1000),
            st.integers(0, 1000), st.integers(0, 50),
            st.integers(0, 10_000))
@@ -235,14 +216,14 @@ class TestProperties:
     def test_energy_never_negative_on_any_standard(self, standard, acts,
                                                    reads, writes, refs,
                                                    active):
-        """Every breakdown component is non-negative for every power
-        preset of the scenario matrix's standards family."""
-        prof = profile(standard)
+        """Every breakdown component is non-negative for the DDR3
+        currents priced on every standard's timing."""
         e = energy_components(activations=acts, reads=reads,
                               writes=writes, refreshes=refs,
                               rank_active_cycles=active,
                               total_rank_cycles=10_000,
-                              timing=prof.timing, power=prof.power)
+                              timing=preset(standard),
+                              power=DDR3_1600_POWER)
         for value in asdict(e).values():
             assert value >= 0
 

@@ -66,28 +66,17 @@ class TestStoreFrame:
                         mechanism="chargecache", scale=TINY,
                         engine="event"))
 
-    def test_filters_and_standard_column(self, tmp_path):
+    def test_filters(self, tmp_path):
         pool.execute_sweep(SWEEP)
         frame = aggregate.store_frame(
             run_cache.RunCache(str(tmp_path / "cache")),
-            mechanism="chargecache", standard="DDR3-1600")
+            mechanism="chargecache", kind="single")
         assert len(frame) == 2
         assert {row["mechanism"] for row in frame} == {"chargecache"}
         # Spec axes come from each envelope's spec payload.
         assert {row["kind"] for row in frame} == {"single"}
         assert len(aggregate.store_frame(str(tmp_path / "cache"),
-                                         standard="DDR4-2400")) == 0
-
-    @pytest.mark.parametrize("spec", [
-        RunSpec(kind="single", name="mcf"),
-        RunSpec(kind="alone", name="mcf"),
-        RunSpec(kind="eight", name="w1"),
-        RunSpec(kind="scenario", name="mcf", scenario="ddr4-2400-c1"),
-        RunSpec(kind="scenario", name="w1", scenario="gddr5-4000-c8")],
-        ids=lambda spec: spec.label())
-    def test_standard_is_the_platform_standard(self, spec):
-        assert aggregate.spec_standard(spec) == \
-            runner._spec_config(spec).dram.standard
+                                         kind="eight")) == 0
 
     def test_envelope_with_non_object_scale_skipped(self, tmp_path):
         """A spec whose ``scale`` is not an object is a corrupt

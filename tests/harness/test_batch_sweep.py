@@ -60,23 +60,22 @@ MECHANISM_AXIS = [
     ("chargecache+nuat", {}),
 ]
 
-#: Platform axes: (kind, name, scenario, extra spec fields).
+#: Platform axes: (kind, name, extra spec fields).
 PLATFORM_AXIS = [
-    ("single", "hmmer", None, {}),
-    ("single", "libquantum", None, {"seed": 2}),
-    ("single", "mcf", None, {"row_policy": "closed"}),
-    ("eight", "w1", None, {}),
+    ("single", "hmmer", {}),
+    ("single", "libquantum", {"seed": 2}),
+    ("single", "mcf", {"row_policy": "closed"}),
+    ("eight", "w1", {}),
 ]
 
 
 def _sampled_sweep(rng: random.Random, points: int):
     specs = []
     for _ in range(points):
-        kind, name, scenario, extra = rng.choice(PLATFORM_AXIS)
+        kind, name, extra = rng.choice(PLATFORM_AXIS)
         mechanism, cc = rng.choice(MECHANISM_AXIS)
         specs.append(RunSpec(kind=kind, name=name, mechanism=mechanism,
-                             scale=TINY, engine="event",
-                             scenario=scenario, **extra, **cc))
+                             scale=TINY, engine="event", **extra, **cc))
     return specs
 
 

@@ -150,49 +150,22 @@ class TestWorkloadFilter:
 
 
 class TestEnergy:
-    """Per-standard energy experiment (fig8 x Section 7.2)."""
-
-    SMALL = ("c1-r1", "ddr4-2400-c1")
-
-    @pytest.fixture(autouse=True)
-    def _small_family(self, monkeypatch):
-        from repro.harness import scenarios
-        monkeypatch.setattr(scenarios, "STANDARD_SCENARIOS", self.SMALL)
-
-    def test_per_standard_rows(self):
-        result = experiments.run("energy", WORKLOADS, TINY)
-        assert result["id"] == "energy"
-        by_scen = {r["scenario"]: r for r in result["rows"]}
-        assert set(by_scen) == set(self.SMALL)
-        ddr3 = by_scen["c1-r1"]
-        ddr4 = by_scen["ddr4-2400-c1"]
-        assert ddr3["standard"] == "DDR3-1600"
-        assert ddr4["standard"] == "DDR4-2400"
-        # Each row carries its own standard's electrical identity.
-        assert ddr3["vdd"] == 1.5 and ddr4["vdd"] == 1.2
-        assert ddr4["tck_ns"] == pytest.approx(1000.0 / 1200.0)
-        for row in result["rows"]:
-            assert row["n"] == len(WORKLOADS)
-            assert row["baseline_uj"] > 0
-            assert row["max_reduction"] >= row["average_reduction"]
-            assert -0.2 <= row["average_reduction"] <= 1.0
+    """The energy model on the paper platforms' fig8 runs."""
 
     def test_breakdown_components_non_negative_across_matrix(self):
-        """Property check on real runs: no standard's preset yields a
-        negative energy component anywhere in the sampled matrix."""
+        """Property check on real runs: no energy component of a fig8
+        run on either paper platform is negative."""
         from dataclasses import asdict
 
         from repro.energy.drampower import energy_for_run
-        from repro.harness.runner import run_spec, scenario_spec
-        experiments.run("energy", WORKLOADS, TINY)  # populate the memo
-        for scen in self.SMALL:
-            for mech in ("none", "chargecache"):
-                for name in WORKLOADS:
-                    run = run_spec(scenario_spec(
-                        scen, name, mech, TINY, idle_finished=True))
-                    breakdown = energy_for_run(run)
-                    for key, value in asdict(breakdown).items():
-                        assert value >= 0, (scen, mech, name, key)
+        from repro.harness.runner import run_spec
+        mix = ["w1"]
+        experiments.run("fig8", WORKLOADS + mix, TINY)  # fill the memo
+        for spec in experiments.declared_specs(["fig8"], WORKLOADS + mix,
+                                               TINY):
+            breakdown = energy_for_run(run_spec(spec))
+            for key, value in asdict(breakdown).items():
+                assert value >= 0, (spec.label(), key)
 
 
 class TestOverheadAndConfig:

@@ -17,9 +17,9 @@ from repro.harness.runner import (
     Scale,
     build_config,
     clear_memo,
+    mix_spec,
     run_spec,
     run_spec_ex,
-    scenario_spec,
     workload_spec,
 )
 from repro.harness.spec import RunSpec
@@ -127,10 +127,10 @@ class TestEndToEnd:
             "chargecache(associativity=3,entries=3," \
             f"time_scale={TINY.cc_time_scale!r})"
 
-    def test_scenario_build_config_accepts_inline_params(self):
-        via_spec = build_config("c8-r2", "chargecache(entries=64)", TINY)
-        via_kwargs = runner._spec_config(scenario_spec(
-            "c8-r2", "w1", "chargecache", TINY, cc_entries=64))
+    def test_platform_build_config_accepts_inline_params(self):
+        via_spec = build_config("c8-r1", "chargecache(entries=64)", TINY)
+        via_kwargs = runner._spec_config(mix_spec(
+            "w1", "chargecache", TINY, cc_entries=64))
         assert via_spec == via_kwargs
         assert chargecache_params(via_spec.mechanism).entries == 64
 

@@ -184,7 +184,6 @@ class TestCLI:
         ("single", ["hmmer", "w1"], "w1"),
         ("alone", ["hmmer", "nosuchapp"], "nosuchapp"),
         ("eight", ["w1", "hmmer"], "hmmer"),
-        ("scenario", ["hmmer", "nosuchapp"], "nosuchapp"),
     ])
     def test_sweep_rejects_unknown_names_before_simulating(
             self, kind, names, bad, tmp_path, sim_log, capsys):
@@ -192,8 +191,6 @@ class TestCLI:
         store = str(tmp_path / "cli-store")
         argv = ["sweep", "--kind", kind, "--workloads"] + names + [
             "--scale", "0.03", "--store", store]
-        if kind == "scenario":
-            argv += ["--scenario", "c2-r1"]
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
@@ -217,13 +214,15 @@ class TestCLI:
         assert sim_log == []
         assert not os.path.exists(store)
 
-    def test_sweep_scenario_requires_a_scenario(self, sim_log, capsys):
+    def test_sweep_has_no_scenario_kind(self, sim_log, capsys):
+        """Every run kind is a paper platform: ``--kind scenario`` and
+        ``--scenario`` are usage errors."""
         from repro.harness import cli
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["sweep", "--kind", "scenario", "--workloads",
-                      "hmmer"])
-        assert excinfo.value.code == 2
-        assert "--scenario" in capsys.readouterr().err
+        for argv in (["--kind", "scenario"], ["--scenario", "c2-r1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["sweep", *argv, "--workloads", "hmmer"])
+            assert excinfo.value.code == 2
+            assert argv[0] in capsys.readouterr().err
         assert sim_log == []
 
     def test_sweep_rerun_computes_nothing(self, tmp_path, capsys):
@@ -262,20 +261,18 @@ class TestCLI:
         assert table["count"] == 2
         assert [row["name"] for row in table["rows"]] \
             == ["hmmer", "libquantum"]
-        assert {row["standard"] for row in table["rows"]} \
-            == {"DDR3-1600"}
         assert all(row["total_ipc"] > 0 for row in table["rows"])
 
         assert cli.main(["query", "--cache-dir", store, "--limit", "1",
                          "--csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("kind,name,scenario,mechanism,"
+        assert lines[0].startswith("kind,name,mechanism,"
                                    "cc_entries,cc_duration_ms,"
-                                   "cc_unbounded,standard")
+                                   "cc_unbounded,engine")
         assert len(lines) == 2
 
-        assert cli.main(["query", "--cache-dir", store, "--standard",
-                         "GDDR5-4000"]) == 0
+        assert cli.main(["query", "--cache-dir", store, "--kind",
+                         "eight"]) == 0
         assert capsys.readouterr().out.endswith("0 row(s)\n")
 
     def test_query_mechanism_matches_every_spelling(self, tmp_path,
@@ -354,7 +351,7 @@ class TestCLI:
     def test_query_csv_writes_a_missing_axis_as_an_empty_cell(
             self, tmp_path, capsys):
         """``--csv`` agrees with the table's empty cell and the JSON
-        null: a default run's missing scenario, capacity and duration
+        null: a default run's missing capacity and duration
         used to come out as the text ``None``."""
         from repro.harness import cli
         store = str(tmp_path / "cli-store")

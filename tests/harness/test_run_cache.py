@@ -89,8 +89,7 @@ class TestCacheKey:
         }
         # trace_sha256/trace_path have dedicated cases below: the hash
         # is key material, the path deliberately is not.
-        assert set(variants) | {"scenario", "trace_sha256",
-                                "trace_path"} == \
+        assert set(variants) | {"trace_sha256", "trace_path"} == \
             {f.name for f in dataclasses.fields(RunSpec)}, \
             "new RunSpec field needs a key-sensitivity case here"
         keys = {base}
@@ -115,18 +114,6 @@ class TestCacheKey:
         assert cache_key(other_bytes) != cache_key(trace)
         assert cache_key(moved) == cache_key(trace)
 
-    def test_scenario_field_changes_key(self):
-        """The scenario name is platform identity, except that the
-        paper's own platform is its run kind: the ``c1-r1`` spelling
-        of a single-core run is that run, one spec and one key."""
-        on_scenario = dataclasses.replace(SPEC, kind="scenario",
-                                          scenario="c1-r1")
-        other_scenario = dataclasses.replace(SPEC, kind="scenario",
-                                             scenario="c1-r2")
-        assert on_scenario == SPEC
-        assert cache_key(on_scenario) == cache_key(SPEC)
-        assert cache_key(other_scenario) != cache_key(SPEC)
-
     def test_scale_subfield_changes_key(self):
         changed = dataclasses.replace(
             SPEC, scale=dataclasses.replace(TINY, max_mem_cycles=400_000))
@@ -148,7 +135,6 @@ KIND_SPECS = {
     "single": RunSpec(kind="single", name="bzip2"),
     "eight": RunSpec(kind="eight", name="w1", mechanism="chargecache"),
     "alone": RunSpec(kind="alone", name="mcf"),
-    "scenario": RunSpec(kind="scenario", name="hmmer", scenario="c1-r2"),
     "trace": RunSpec(kind="trace", name="ext", trace_sha256="a" * 64,
                      trace_path="/data/a.trace"),
 }
@@ -270,6 +256,9 @@ class TestResultCodec:
         ("controller", "write_low_watermark", 0.2),
         # The scheduler knob schema 3 wrote; FR-FCFS is the only policy.
         ("controller", "scheduler", "frfcfs"),
+        # The rank count schema 4 wrote; Table 1's one rank is a
+        # constant.
+        ("dram", "ranks_per_channel", 1),
     ])
     def test_config_rejects_a_field_it_does_not_write(self, block, field,
                                                       value):
@@ -297,15 +286,16 @@ class TestRunCacheStore:
         assert key in again.keys()
         assert len(again) == 1
 
-    @pytest.mark.parametrize("schema", [1, 2, 3])
+    @pytest.mark.parametrize("schema", [1, 2, 3, 4])
     def test_schema_one_envelope_is_a_miss_everywhere(self, tmp_path,
                                                       capsys, schema):
         """An envelope written by older code is a miss for ``get``,
         absent from ``store_frame`` and ``query``, and stale for
         ``cache gc``: schema 1, with the ``execution`` block and
         ``dram.bus_freq_mhz`` that code wrote, schema 2, which wrote
-        Table 1's constants as config fields, and schema 3, which
-        still wrote the ``controller.scheduler`` knob."""
+        Table 1's constants as config fields, schema 3, which still
+        wrote the ``controller.scheduler`` knob, and schema 4, which
+        wrote ``dram.ranks_per_channel`` and the spec's ``scenario``."""
         from repro.harness import cli
         from repro.harness.aggregate import store_frame
         store = RunCache(str(tmp_path))
@@ -316,7 +306,10 @@ class TestRunCacheStore:
         old_key = str(schema) * 64
         envelope.update(schema=schema, key=old_key)
         config = envelope["result"]["config"]
-        config["controller"]["scheduler"] = "frfcfs"
+        config["dram"]["ranks_per_channel"] = 1
+        envelope["spec"]["scenario"] = None
+        if schema <= 3:
+            config["controller"]["scheduler"] = "frfcfs"
         if schema <= 2:
             config["processor"].update(freq_ghz=4.0, issue_width=3,
                                        window_size=128, mshrs_per_core=8)

@@ -6,7 +6,8 @@ is computed at most once per cold run, every entry's own sweep is
 then served entirely from the memo (zero computed points), and the
 exported artifacts are byte-identical to running the entries
 individually.  The tests run `all` over a monkeypatched subset of
-`experiments.FIGURES`.
+`experiments.FIGURES`, or share the whole-table pass of the golden
+figure test (the ``golden_all`` fixture).
 """
 
 from __future__ import annotations
@@ -18,19 +19,15 @@ import os
 
 import pytest
 
-from repro.harness import cli, experiments, runner, scenarios
+from repro.harness import cli, experiments, runner
 from repro.harness.spec import Scale
 
 #: Experiments exercised by the shared-pool tests.  All of them accept
 #: a single-application workload list ("libquantum"), so one
-#: ``--workloads`` value is valid across the whole subset.
-SUBSET = ("fig3a", "fig7a", "scaling", "standards")
-
-#: Shrunken scenario families (full matrix wall-clock belongs in the
-#: CLI/benchmarks, not unit tests).  Like the real families, they
-#: share a DDR3 platform so cross-experiment dedupe is exercised.
-SMALL_SCALING = ("c1-r1", "c2-r1")
-SMALL_STANDARDS = ("c1-r1", "ddr4-2400-c1")
+#: ``--workloads`` value is valid across the whole subset.  fig9 and
+#: fig10 share six of an application's seven points, so
+#: cross-experiment dedupe is exercised.
+SUBSET = ("fig3a", "fig7a", "fig9", "fig10")
 
 TINY = Scale(single_core_instructions=2000, multi_core_instructions=900,
              warmup_cpu_cycles=1000, max_mem_cycles=300_000)
@@ -38,9 +35,7 @@ TINY = Scale(single_core_instructions=2000, multi_core_instructions=900,
 
 @pytest.fixture(autouse=True)
 def _harness_state(monkeypatch):
-    """Shrink the matrix, and restore the execution the CLI installs."""
-    monkeypatch.setattr(scenarios, "SCALING_SCENARIOS", SMALL_SCALING)
-    monkeypatch.setattr(scenarios, "STANDARD_SCENARIOS", SMALL_STANDARDS)
+    """Restore the execution the CLI installs."""
     with runner.executing():
         yield
     runner.clear_memo()
@@ -128,7 +123,7 @@ class TestSharedPoolAll:
         assert solo_keys == keys
 
     def test_warm_all_is_all_hits(self, tmp_path, monkeypatch, capsys):
-        _only(monkeypatch, ("fig3a", "scaling"))
+        _only(monkeypatch, ("fig3a", "fig9"))
         cache_dir = tmp_path / "cache"
         common = ["--workloads", "libquantum", "--scale", "0.03",
                   "--jobs", "2", "--cache-dir", str(cache_dir)]
@@ -148,33 +143,23 @@ class TestSharedPoolAll:
 class TestWorkloadsAcrossEntries:
     """`all --workloads` gives each entry the names its modes know."""
 
-    SUBSET = ("fig3a", "fig3b", "fig9", "scaling", "calibrate", "sec63")
-
-    def test_all_runs_each_entry_on_the_names_it_knows(
-            self, tmp_path, monkeypatch, capsys):
-        _only(monkeypatch, self.SUBSET)
-        trace = experiments.bundled_fixture_traces()[0]
-        out = tmp_path / "all.json"
-        csv_dir = tmp_path / "csv"
-        assert cli.main(["all", "--workloads", "hmmer", "w1",
-                         "--scale", "0.03", "--no-cache",
-                         "--traces", trace, "--json", str(out),
-                         "--csv", str(csv_dir)]) == 0
-        capsys.readouterr()
-        results = json.loads(out.read_text())
-        assert sorted(results) == sorted(self.SUBSET)
+    def test_all_runs_each_entry_on_the_names_it_knows(self, golden_all):
+        """The whole table's ``all --workloads hmmer w1`` pass."""
+        csv_dir, results = golden_all
+        assert sorted(results) == sorted(experiments.FIGURES)
         assert [r["workload"] for r in results["fig3a"]["rows"]] == \
             ["hmmer", "AVG"]
         assert [r["workload"] for r in results["fig3b"]["rows"]] == \
             ["w1", "AVG"]
         assert {r["mode"] for r in results["fig9"]["rows"]} == \
             {"single", "eight"}
-        assert results["scaling"]["workloads"] == ["hmmer", "w1"]
+        assert {r["mode"] for r in results["fig10"]["rows"]} == \
+            {"single", "eight"}
         synthetic = [r["workload"] for r in results["calibrate"]["rows"]
                      if r["kind"] == "synthetic"]
         assert synthetic == ["hmmer"]
         written = {f for f in os.listdir(csv_dir) if f != "cache_manifest.csv"}
-        assert written == {f"{name}.csv" for name in self.SUBSET}
+        assert written == {f"{name}.csv" for name in experiments.FIGURES}
 
     def test_entry_that_knows_no_name_is_skipped(self, monkeypatch,
                                                  capsys):
@@ -239,15 +224,13 @@ class TestDeclarations:
             f"{name} computed {info['computed']} undeclared points")
 
     def test_declared_specs_dedupe_across_experiments(self):
-        """scaling and standards share the DDR3 platforms; the union
-        must contain each spec once."""
+        """fig9 and fig10 share an application's baseline-capacity
+        points; the union must contain each spec once."""
         specs = experiments.declared_specs(
-            ["scaling", "standards"], ["libquantum"], TINY)
+            ["fig9", "fig10"], ["libquantum"], TINY)
         assert len(specs) == len(set(specs))
-        scaling = experiments.declared_specs(["scaling"], ["libquantum"],
-                                             TINY)
-        standards = experiments.declared_specs(["standards"],
-                                               ["libquantum"], TINY)
-        shared = set(scaling) & set(standards)
-        assert shared, "expected the DDR3 rows to be shared"
-        assert len(specs) == len(set(scaling) | set(standards))
+        fig9 = experiments.declared_specs(["fig9"], ["libquantum"], TINY)
+        fig10 = experiments.declared_specs(["fig10"], ["libquantum"], TINY)
+        shared = set(fig9) & set(fig10)
+        assert len(shared) == 6, "expected the six capacities shared"
+        assert len(specs) == len(set(fig9) | set(fig10))

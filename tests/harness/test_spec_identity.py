@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness import experiments, runner, scenarios
+from repro.harness import experiments, runner
 from repro.harness.cache import cache_key
 from repro.harness.spec import RunSpec, Scale, spec_from_payload
 from repro.workloads import mixes
@@ -88,8 +88,7 @@ def runs(draw):
 def spellings(draw, run):
     """A RunSpec naming ``run``: any term order, each chargecache
     parameter inline or in its ``cc_*`` field (a default one also
-    left out), the paper kind or its scenario, and the platform's row
-    policy left out or written."""
+    left out), and the platform's row policy left out or written."""
     mode, name, terms, cc, own_policy, seed = run
     cc = dict(cc)
     fields = {"name": name, "seed": seed}
@@ -109,14 +108,12 @@ def spellings(draw, run):
             term += f"({','.join(draw(st.permutations(inline)))})"
         written.append(term)
     fields["mechanism"] = "+".join(written) or "none"
-    platform = scenarios.platform(mode)
+    platform = runner.platform(mode)
     if own_policy:
         fields["row_policy"] = "closed" if platform.row_policy == "open" \
             else "open"
     elif draw(st.booleans()):
         fields["row_policy"] = platform.row_policy
-    if draw(st.booleans()):
-        return RunSpec(kind="scenario", scenario=platform.name, **fields)
     return RunSpec(kind=mode, **fields)
 
 

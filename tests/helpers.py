@@ -91,15 +91,12 @@ def check_command_log(log: Iterable[IssuedCommand],
 
     Reduced-timing ACTs (``cmd.reduced``) are checked against the
     reduced tRCD/tRAS (defaults: the paper's 7/20 cycles; pass the
-    scenario's own reduction when checking non-DDR3 standards).
+    platform's own reduction when checking non-DDR3 standards).
 
     Rank-scope constraints (tRRD, tFAW, tRFC, REF-with-open-bank) are
-    tracked **per rank**, so interleaved command streams from
-    multi-rank channels are verified independently per rank; column
-    commands that hop ranks on the shared data bus must additionally
-    be spaced by tCCD + tRTRS (the simulator's rank-switch contract,
-    which is at least as strict as JEDEC's tBL + tRTRS burst gap for
-    every supported standard).
+    tracked **per rank**, as the channel keeps them.  No rank-switch
+    gap is checked: every platform has one rank per channel
+    (:data:`repro.config.RANKS_PER_CHANNEL`).
 
     Returns the number of commands checked; raises
     :class:`CommandLogViolation` on the first violation.
@@ -116,7 +113,7 @@ def check_command_log(log: Iterable[IssuedCommand],
     last_col = {}            # (rank, bank) -> (cycle, cmd)
     rank_acts = defaultdict(deque)   # rank -> recent ACT cycles
     rank_ref_until = defaultdict(int)
-    chan_col = deque()       # (cycle, cmd, rank) channel-level column cmds
+    chan_col = deque()       # (cycle, cmd) channel-level column cmds
 
     def fail(cmd, why):
         raise CommandLogViolation(f"{why}: {cmd}")
@@ -176,7 +173,7 @@ def check_command_log(log: Iterable[IssuedCommand],
             if cmd.cycle - issued < trcd:
                 fail(cmd, "tRCD violation")
             if chan_col:
-                prev_cycle, prev_cmd, prev_rank = chan_col[-1]
+                prev_cycle, prev_cmd = chan_col[-1]
                 if cmd.cycle - prev_cycle < timing.tCCD:
                     fail(cmd, "tCCD violation")
                 if prev_cmd is Command.RD and cmd.command is Command.WR \
@@ -185,10 +182,7 @@ def check_command_log(log: Iterable[IssuedCommand],
                 if prev_cmd is Command.WR and cmd.command is Command.RD \
                         and cmd.cycle - prev_cycle < timing.write_to_read:
                     fail(cmd, "write->read turnaround violation")
-                if prev_rank != cmd.rank and cmd.cycle - prev_cycle \
-                        < timing.tCCD + timing.tRTRS:
-                    fail(cmd, "tRTRS violation (rank-switch gap)")
-            chan_col.append((cmd.cycle, cmd.command, cmd.rank))
+            chan_col.append((cmd.cycle, cmd.command))
             if len(chan_col) > 8:
                 chan_col.popleft()
             last_col[key] = (cmd.cycle, cmd.command)

@@ -85,6 +85,19 @@ def test_eight_core_parity(mechanism):
     assert_parity(cfg, "zipf")
 
 
+@pytest.mark.parametrize("standard", ("DDR4-2400", "LPDDR3-1600"))
+@pytest.mark.parametrize("pattern", ("stream", "random", "zipf"))
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_single_core_parity_on_every_standard(mechanism, pattern, standard):
+    """The wake-up bounds read every timing from the channel's grade:
+    DDR4-2400's longer CL and LPDDR3-1600's 2x refresh cadence must
+    leave the event engine exact under each access pattern."""
+    cfg = tiny_config(mechanism=mechanism, standard=standard,
+                      instruction_limit=3000)
+    dense, _ = assert_parity(cfg, pattern)
+    assert dense.activations > 0
+
+
 def test_streaming_parity_with_writes_and_drains():
     cfg = tiny_config(mechanism="chargecache", instruction_limit=4000)
     assert_parity(cfg, "stream")
@@ -189,47 +202,45 @@ def test_event_engine_is_default():
 
 
 # ----------------------------------------------------------------------
-# Scenario-matrix parity: the wake-up bounds must stay exact on every
-# scale-out axis (multi-core, multi-rank, each non-DDR3 timing grade),
-# not just the paper's base platforms.
+# Platform parity: the wake-up bounds must stay exact on every platform
+# of the table (the eight-core system and each non-DDR3 timing grade).
 # ----------------------------------------------------------------------
 
-#: Sampled grid: >=2 cores, 2 ranks/channel, and every non-DDR3 preset.
-SCENARIO_PARITY_GRID = (
-    ("c2-r2", "chargecache"),       # 2 cores, 2 ranks on one channel
-    ("c4-r1", "none"),              # 4 cores, 2 channels
-    ("c1-r2", "nuat"),              # multi-rank refresh-age interplay
-    ("ddr4-2400-c1", "chargecache"),
-    ("lpddr3-1600-c1", "chargecache"),   # 2x refresh cadence
-    ("gddr5-4000-c1", "chargecache"),    # fastest clock, deep timings
-    ("ddr4-2400-c8", "none"),            # 8 cores on a non-DDR3 grade
-)
+#: Every platform under every mechanism: the eight-core system's two
+#: channels and closed rows, NUAT's refresh-age interplay, and
+#: LPDDR3-1600's 2x refresh cadence each meet every other axis.
+PLATFORM_PARITY_GRID = tuple(itertools.product(
+    ("c1-r1", "c8-r1", "ddr4-2400-c1", "lpddr3-1600-c1"), MECHANISMS))
 
-def _scenario_parity_run(scenario_name, mechanism, engine):
-    from repro.harness import scenarios
+
+def test_parity_grid_covers_every_platform():
+    from repro.harness.runner import PLATFORMS
+    assert {name for name, _ in PLATFORM_PARITY_GRID} == set(PLATFORMS)
+
+
+def _platform_parity_run(platform_name, mechanism, engine):
     from repro.harness.runner import build_config
     from repro.harness.spec import Scale
     from repro.dram.organization import Organization
-    from repro.workloads.mixes import make_mix_traces
+    from repro.workloads.mixes import make_mix_traces, mix_composition
 
     scale = Scale(single_core_instructions=2500,
                   multi_core_instructions=900,
                   warmup_cpu_cycles=1000, max_mem_cycles=500_000)
-    cfg = build_config(scenario_name, mechanism, scale, engine=engine)
+    cfg = build_config(platform_name, mechanism, scale, engine=engine)
     org = Organization.from_config(cfg.dram)
-    scen = scenarios.scenario(scenario_name)
-    traces = make_mix_traces(scenarios.scenario_workload_names(scen, "w1"),
-                             org)
+    apps = mix_composition("w1")[:cfg.processor.num_cores]
+    traces = make_mix_traces(apps, org)
     return System(cfg, traces).run(max_mem_cycles=scale.max_mem_cycles)
 
 
-@pytest.mark.parametrize("scenario_name,mechanism", SCENARIO_PARITY_GRID)
-def test_scenario_matrix_parity(scenario_name, mechanism):
-    dense = _scenario_parity_run(scenario_name, mechanism, "dense")
-    event = _scenario_parity_run(scenario_name, mechanism, "event")
+@pytest.mark.parametrize("platform_name,mechanism", PLATFORM_PARITY_GRID)
+def test_platform_parity(platform_name, mechanism):
+    dense = _platform_parity_run(platform_name, mechanism, "dense")
+    event = _platform_parity_run(platform_name, mechanism, "event")
     for field in PARITY_FIELDS:
         assert getattr(event, field) == getattr(dense, field), (
-            f"engine divergence on {scenario_name}/{mechanism} "
+            f"engine divergence on {platform_name}/{mechanism} "
             f"field {field!r}: event={getattr(event, field)!r} "
             f"dense={getattr(dense, field)!r}")
     # The run exercised DRAM (a vacuous parity proves nothing).

@@ -99,9 +99,15 @@ class TestValidation:
         with pytest.raises(TypeError, match="scheduler"):
             ControllerConfig(scheduler="fcfs")
 
+    def test_ranks_per_channel_is_not_a_field(self):
+        # Table 1 fixes one rank per channel: a constant, not a knob.
+        from repro.config import RANKS_PER_CHANNEL
+        assert RANKS_PER_CHANNEL == 1
+        with pytest.raises(TypeError, match="ranks_per_channel"):
+            DRAMConfig(ranks_per_channel=2)
+
     @pytest.mark.parametrize("field, value", [
         ("channels", 3),
-        ("ranks_per_channel", 3),
         ("rows_per_bank", 3000),
     ])
     def test_dram_geometry_must_be_a_power_of_two(self, field, value):
@@ -111,8 +117,7 @@ class TestValidation:
                                              f"of two, got {value}"):
             DRAMConfig(**{field: value}).validate()
 
-    @pytest.mark.parametrize("field", [
-        "channels", "ranks_per_channel", "rows_per_bank"])
+    @pytest.mark.parametrize("field", ["channels", "rows_per_bank"])
     def test_dram_geometry_below_one_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             DRAMConfig(**{field: 0}).validate()

@@ -46,6 +46,13 @@ CYCLE_MODEL = (
     "repro.dram.commands",
 )
 
+#: The synthetic trace generators and the RNG they draw from: only a
+#: process that draws a trace (or a mix's composition) loads these.
+TRACE_GENERATORS = (
+    "repro.workloads.rng",
+    "repro.workloads.synthetic",
+)
+
 #: Runs tiny fig9 and fig7b sweeps through ``experiments.run`` (not the
 #: CLI, which renders its tables with ``report``) and prints the
 #: ``repro`` modules the process loaded.
@@ -105,6 +112,34 @@ def test_declaring_and_keying_sweeps_loads_no_cycle_model(tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert not loaded & set(CYCLE_MODEL), sorted(loaded & set(CYCLE_MODEL))
+    # No standard carries an energy model: declaring loads none.
+    assert "repro.energy.drampower" not in loaded
+
+
+#: Declares the fig7a (all applications) and fig9 sweeps, binds a
+#: store, keys every point and prints the ``repro`` modules loaded.
+_DECLARE_APPLICATIONS = """
+import sys
+from repro.harness import cache, experiments, runner
+from repro.harness.spec import Scale
+scale = Scale().scaled(0.05)
+specs = (experiments.declared_specs(["fig7a"], None, scale)
+         + experiments.declared_specs(["fig9"], None, scale))
+runner.configure_disk_cache(sys.argv[1])
+assert len({cache.cache_key(spec) for spec in specs}) == len(set(specs))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("repro"))))
+"""
+
+
+def test_declaring_and_keying_sweeps_loads_no_trace_generator(tmp_path):
+    """A spec names its workload; the generators and the RNG load
+    with the first trace a process draws."""
+    done = _run(_DECLARE_APPLICATIONS, str(tmp_path / "store"))
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "repro.workloads.spec_like" in loaded, done.stdout
+    assert not loaded & set(TRACE_GENERATORS), \
+        sorted(loaded & set(TRACE_GENERATORS))
 
 
 #: Runs the ``repro`` CLI with the modules named before ``--`` made
@@ -129,14 +164,15 @@ def _sources(manifest):
 
 def test_a_warm_figure_loads_no_cycle_model(tmp_path):
     """A tiny fig7a runs cold into a store; rerun with every
-    ``CYCLE_MODEL`` module unimportable, it is served whole from the
-    store and writes the same table."""
+    ``CYCLE_MODEL`` and ``TRACE_GENERATORS`` module unimportable, it is
+    served whole from the store and writes the same table."""
     store = str(tmp_path / "store")
     argv = ["fig7a", "--workloads", "hmmer", "mcf", "--scale", "tiny",
             "--jobs", "1", "--cache-dir", store, "--csv"]
     cold = _run(_CLI, "--", *argv, str(tmp_path / "cold"))
     assert cold.returncode == 0, cold.stderr
-    warm = _run(_CLI, *CYCLE_MODEL, "--", *argv, str(tmp_path / "warm"))
+    warm = _run(_CLI, *CYCLE_MODEL, *TRACE_GENERATORS, "--", *argv,
+                str(tmp_path / "warm"))
     assert warm.returncode == 0, warm.stderr
     assert _sources(tmp_path / "cold" / "cache_manifest.csv") \
         == {"computed"}

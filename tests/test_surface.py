@@ -84,7 +84,7 @@ ALLOWED = {
     "_issue_count": "MemoryController's issued-command count: the "
                     "exact command budgets of tests/integration/"
                     "test_wake_bids.py and the action audit of "
-                    "test_scenario_matrix.py",
+                    "test_platform_conformance.py",
     "snapshots": "FRFCFSScheduler's readiness-snapshot count: an exact "
                  "budget in tests/integration/test_wake_bids.py",
     "forwards": "ControllerStats' write-queue forwards: the read "
@@ -106,7 +106,7 @@ TEST_ONLY_KNOBS = {
     "write_queue_size": "short write queues reach write drain and the "
                         "full-write-queue retries (tests/controller/"
                         "test_served_queue.py, tests/integration/"
-                        "test_scenario_matrix.py, test_engine_parity.py)",
+                        "test_platform_conformance.py, test_engine_parity.py)",
 }
 
 #: Decorators that do not register the decorated callable anywhere.

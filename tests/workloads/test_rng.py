@@ -26,7 +26,8 @@ import pytest
 
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
-from repro.workloads import mixes, spec_like
+import repro.workloads
+from repro.workloads import mixes, spec_like, synthetic
 from repro.workloads.mixes import MIX_NAMES, MIX_SEED, mix_composition
 from repro.workloads.rng import _KE, Generator
 from repro.workloads.spec_like import PROFILES, WORKLOAD_NAMES
@@ -259,17 +260,17 @@ def _compositions(num_cores: int = 8) -> Dict[str, List[str]]:
 
 
 def _reference_profile_trace(name: str, org, seed: int):
-    """``make_trace`` built from the numpy-based bodies above."""
+    """``make_trace`` built from the numpy-based bodies above (a
+    profile imports ``synthetic`` from its package when it builds)."""
     reference = SimpleNamespace(
         stream_trace=stream_trace, random_trace=random_trace,
         chase_trace=chase_trace, zipf_trace=zipf_trace,
         mixed_trace=mixed_trace)
-    original = spec_like.synthetic
-    spec_like.synthetic = reference
+    repro.workloads.synthetic = reference
     try:
         return spec_like.make_trace(name, org, seed)
     finally:
-        spec_like.synthetic = original
+        repro.workloads.synthetic = synthetic
 
 
 def _records(trace, count: int = RECORDS):
