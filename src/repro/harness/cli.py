@@ -23,10 +23,9 @@ Examples::
 
     # Resumable sweeps: every finished point lands in the store, so
     # rerunning a killed sweep against the same store simulates only
-    # what is missing; the journal logs each point's key and source.
+    # what is missing; --json lists each point's key, label and source.
     chargecache-harness sweep --kind single --workloads hmmer mcf \\
-        --mechanisms none chargecache --store /tmp/cc \\
-        --journal /tmp/cc-sweep.journal
+        --mechanisms none chargecache --store /tmp/cc --json
 
 Experiments are the entries of :data:`repro.harness.experiments.FIGURES`.
 The ``all`` command first collects every entry's declared sweep,
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -282,13 +282,11 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         help="mechanism specs (registry grammar)")
     parser.add_argument("--seed", type=int, default=1)
     _add_execution_flags(parser)
-    parser.add_argument("--journal", metavar="PATH", default=None,
-                        help="append-only log of completed points "
-                             "(key, label, source: memory, disk or "
-                             "computed), one line per key across "
-                             "reruns; resuming needs only the store")
     parser.add_argument("--json", action="store_true",
-                        help="print the sweep summary as JSON")
+                        help="print the sweep summary as JSON: the "
+                             "store, the counts and every point's key, "
+                             "label and source (memory, disk or "
+                             "computed)")
     return parser
 
 
@@ -302,7 +300,7 @@ def _sweep_main(argv: List[str]) -> int:
         # A KeyError's str() is its repr; report the message itself.
         parser.error(exc.args[0] if exc.args else str(exc))
     try:
-        sweep = pool.execute_sweep(specs, journal=args.journal)
+        sweep = pool.execute_sweep(specs)
     except pool.SweepError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
@@ -310,8 +308,9 @@ def _sweep_main(argv: List[str]) -> int:
     counts = sweep.counts()
     if args.json:
         print(json.dumps({"store": store.root if store else None,
-                          "journal": args.journal,
-                          "counts": counts}, indent=2))
+                          "counts": counts,
+                          "points": sweep.annotation()["points_detail"]},
+                         indent=2))
     print(f"sweep: {counts['points']} point(s) — "
           f"{counts['computed']} computed, "
           f"{counts['memory'] + counts['disk']} already stored",
@@ -444,10 +443,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             except ValueError as exc:
                 parser.error(f"--mechanisms: {exc}")  # usage + exit 2
     if args.traces is not None:
-        import os
         for path in args.traces:
             if not os.path.isfile(path):
                 parser.error(f"--traces: no such file: {path}")
+    # The export targets are checked before anything runs, not after.
+    if args.json is not None:
+        folder = os.path.dirname(args.json) or "."
+        if os.path.isdir(args.json) or not os.path.isdir(folder):
+            parser.error(f"--json: cannot write a file at {args.json}")
+    if args.csv is not None:
+        existing = args.csv
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            parser.error(f"--csv: not a directory: {existing}")
     # --mechanisms and --traces override the entries' own params of
     # the same name.
     overrides = {"mechanisms": args.mechanisms, "traces": args.traces}
@@ -510,7 +519,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"raw results written to {args.json}", file=sys.stderr)
 
     if args.csv:
-        import os
         from repro.harness.export import export_cache_manifest, write_csv
         os.makedirs(args.csv, exist_ok=True)
         for name, result in results.items():

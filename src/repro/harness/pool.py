@@ -243,8 +243,7 @@ ProgressFn = Callable[[int, int, SweepPoint], None]
 
 def execute_sweep(specs: Sequence[RunSpec],
                   jobs: Optional[int] = None,
-                  progress: Optional[ProgressFn] = None,
-                  journal=None) -> Sweep:
+                  progress: Optional[ProgressFn] = None) -> Sweep:
     """Execute every spec, fanning out over processes when jobs > 1.
 
     Duplicate specs are computed once; the returned sweep always has
@@ -262,15 +261,10 @@ def execute_sweep(specs: Sequence[RunSpec],
     **Resumable**: every computed point is persisted to the store as
     it lands, and the store is probed before anything runs, so a
     killed sweep restarted against the same store re-simulates none of
-    the points it already finished.  ``journal`` (a
-    :class:`~repro.harness.journal.SweepJournal` or a path) records
-    each completed key and where it came from; a journal opened here
-    from a path is closed before returning.
+    the points it already finished.  The store's envelopes are the
+    record of what a killed sweep finished; :meth:`Sweep.annotation`
+    says where each point of a finished one came from.
     """
-    if isinstance(journal, str):
-        from repro.harness.journal import SweepJournal
-        with SweepJournal(journal) as opened:
-            return execute_sweep(specs, jobs, progress, opened)
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     if progress is None:
@@ -283,10 +277,6 @@ def execute_sweep(specs: Sequence[RunSpec],
     def record(point: SweepPoint) -> None:
         nonlocal done
         by_spec[point.spec] = point
-        if journal is not None:
-            journal.record(run_cache.cache_key(point.spec),
-                           label=point.spec.label(),
-                           source=point.source)
         done += 1
         if progress is not None:
             progress(done, total, point)

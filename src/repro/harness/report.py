@@ -71,10 +71,12 @@ def _render_generic(result: Dict) -> str:
 
 
 def _render_fig6(result: Dict) -> str:
+    paper = result["paper"]
     lines = [f"fig6: bitline transients "
              f"(model tRCD headroom {result['trcd_reduction_ns']:.2f} ns, "
              f"tRAS headroom {result['tras_reduction_ns']:.2f} ns; "
-             f"paper: 4.5 / 9.6 ns)"]
+             f"paper: {paper['trcd_reduction_ns']} / "
+             f"{paper['tras_reduction_ns']} ns)"]
     for label in ("full", "partial"):
         curve = result[label]
         lines.append(f"  {label}: ready {curve['ready_ns']:.2f} ns, "

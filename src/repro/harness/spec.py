@@ -251,6 +251,8 @@ class RunSpec:
             raise ValueError(f"scale must be a Scale, got {self.scale!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}")

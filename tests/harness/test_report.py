@@ -38,9 +38,17 @@ class TestRenderers:
         assert "fig9" in text and "128" in text
 
     def test_fig6_renderer(self):
-        text = render_experiment(experiments.run("fig6"))
-        assert "tRCD headroom" in text
-        assert "paper: 4.5 / 9.6" in text
+        result = experiments.run("fig6")
+        assert render_experiment(result).splitlines()[0] == (
+            "fig6: bitline transients (model tRCD headroom 4.42 ns, "
+            "tRAS headroom 9.46 ns; paper: 4.5 / 9.6 ns)")
+
+    def test_fig6_renders_the_paper_values_of_its_result(self):
+        """The renderer holds no copy of Fig 6's paper values."""
+        result = dict(experiments.run("fig6"))
+        result["paper"] = dict(result["paper"], trcd_reduction_ns=1.25,
+                               tras_reduction_ns=2.5)
+        assert "paper: 1.25 / 2.5 ns" in render_experiment(result)
 
     def test_sec63_renderer(self):
         result = {
@@ -174,3 +182,27 @@ class TestCLI:
         out = tmp_path / "csvs"
         assert main(["table2", "--csv", str(out)]) == 0
         assert (out / "table2.csv").read_text().startswith("duration_ms")
+
+    def test_main_rejects_a_json_path_in_a_missing_folder(
+            self, tmp_path, monkeypatch, capsys):
+        """Checked before any entry runs, not after all of them."""
+        monkeypatch.setattr(experiments, "run", _must_not_run)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--json", str(tmp_path / "missing" / "x.json")])
+        assert excinfo.value.code == 2
+        assert "--json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_main_rejects_a_csv_path_that_is_a_file(
+            self, below, tmp_path, monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(experiments, "run", _must_not_run)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--csv", str(taken / below)])
+        assert excinfo.value.code == 2
+        assert "--csv" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an experiment ran before the export check")

@@ -1,30 +1,25 @@
-"""Resumable sweep tests (store pre-scan, journal, ``sweep`` CLI).
+"""Resumable sweep tests (store pre-scan, ``sweep`` CLI).
 
 The guarantees under test:
 
-* a killed-and-resumed sweep re-simulates **zero** checkpointed specs
-  and its journal converges to one line per key;
-* a journal the sweep opens from a path is closed again;
+* a killed-and-resumed sweep re-simulates **zero** finished specs:
+  the store's envelopes are the record of what the dead run finished;
+* ``sweep --json`` lists every point's key, label and source;
 * ``sweep`` rejects names its ``--kind`` does not know before it
   simulates anything.
 """
 
 import csv
-import gc
 import io
 import json
 import os
-import warnings
 
 import pytest
 
 from repro.harness import cache as run_cache
 from repro.harness import runner
-from repro.harness.journal import SweepJournal
 from repro.harness.pool import execute_sweep
 from repro.harness.spec import RunSpec, Scale
-
-from tests.helpers import journal_sources
 
 TINY = Scale(single_core_instructions=1500, multi_core_instructions=1000,
              warmup_cpu_cycles=1000, max_mem_cycles=300_000)
@@ -68,15 +63,16 @@ def sim_log(monkeypatch):
     return calls
 
 
-def _journal_lines(path):
-    with open(path, encoding="ascii") as fh:
-        return fh.readlines()
+def _stored_keys(store):
+    """Keys of the envelopes in a store directory."""
+    return sorted(name[:-len(".json")] for name in os.listdir(store)
+                  if name.endswith(".json"))
 
 
 class TestResumption:
     def test_killed_sweep_resumes_without_resimulating(
             self, tmp_path, sim_log):
-        journal_path = str(tmp_path / "w.journal")
+        store = str(tmp_path / "store")
         kill_after = 2
 
         def dying_progress(done, total, point):
@@ -84,77 +80,41 @@ class TestResumption:
                 raise KeyboardInterrupt("simulated worker death")
 
         with pytest.raises(KeyboardInterrupt):
-            execute_sweep(SWEEP, journal=journal_path,
-                          progress=dying_progress)
+            execute_sweep(SWEEP, progress=dying_progress)
         first_run = list(sim_log)
-        checkpointed = set(journal_sources(SweepJournal(journal_path)))
-        assert len(checkpointed) == kill_after
+        finished = _stored_keys(store)
+        assert sorted(first_run) == finished
+        assert len(finished) == kill_after
 
-        # Restart: same journal, same store, a fresh process (memo
-        # cleared).  The store pre-scan serves what the dead run
-        # finished.
+        # Restart: same store, a fresh process (memo cleared).  The
+        # store pre-scan serves what the dead run finished.
         runner.clear_memo()
         sim_log.clear()
-        sweep = execute_sweep(SWEEP, journal=journal_path)
+        sweep = execute_sweep(SWEEP)
         assert [p.spec for p in sweep.points] == SWEEP
         assert sweep.counts()["disk"] == kill_after
+        assert sweep.counts()["computed"] == len(KEYS) - kill_after
+        sources = {p["key"]: p["source"]
+                   for p in sweep.annotation()["points_detail"]}
+        assert sources == {key: "disk" if key in finished else "computed"
+                           for key in KEYS}
 
-        # Zero checkpointed specs re-simulated, and per-key simulation
+        # Zero finished specs re-simulated, and per-key simulation
         # count across both runs is exactly one.
-        assert not (set(sim_log) & checkpointed)
+        assert not (set(sim_log) & set(finished))
         assert sorted(first_run + sim_log) == sorted(KEYS)
-
-        # The journal converged: one line per key, every key present.
-        assert set(journal_sources(SweepJournal(journal_path))) == \
-            set(KEYS)
-        assert len(_journal_lines(journal_path)) == len(KEYS)
+        assert _stored_keys(store) == sorted(KEYS)
 
     def test_rerun_of_finished_sweep_is_all_store_hits(
             self, tmp_path, sim_log):
-        journal_path = str(tmp_path / "w.journal")
-        execute_sweep(SWEEP, journal=journal_path)
+        execute_sweep(SWEEP)
+        assert sorted(sim_log) == sorted(KEYS)
         runner.clear_memo()
         sim_log.clear()
-        sweep = execute_sweep(SWEEP, journal=journal_path)
+        sweep = execute_sweep(SWEEP)
         assert sim_log == []
         assert sweep.counts()["disk"] == len(SWEEP)
-        assert len(_journal_lines(journal_path)) == len(KEYS)
-
-
-class TestJournalHandle:
-    """A journal ``execute_sweep`` opens from a path is its to close."""
-
-    @staticmethod
-    def _unclosed_after(sweep):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResourceWarning)
-            sweep()
-            gc.collect()
-        return [str(w.message) for w in caught
-                if issubclass(w.category, ResourceWarning)]
-
-    def test_closed_after_a_sweep(self, tmp_path):
-        path = str(tmp_path / "j.journal")
-        assert self._unclosed_after(
-            lambda: execute_sweep(SWEEP[:1], journal=path)) == []
-        assert len(_journal_lines(path)) == 1
-
-    def test_closed_when_the_sweep_dies(self, tmp_path):
-        def dying_progress(done, total, point):
-            raise KeyboardInterrupt("simulated worker death")
-
-        def sweep():
-            with pytest.raises(KeyboardInterrupt):
-                execute_sweep(SWEEP[:1], journal=str(tmp_path / "j"),
-                              progress=dying_progress)
-
-        assert self._unclosed_after(sweep) == []
-
-    def test_a_caller_journal_stays_open(self, tmp_path):
-        with SweepJournal(str(tmp_path / "j")) as journal:
-            execute_sweep(SWEEP[:2], journal=journal)
-            execute_sweep(SWEEP[2:4], journal=journal)
-            assert len(journal) == 4
+        assert _stored_keys(str(tmp_path / "store")) == sorted(KEYS)
 
 
 class TestCLI:
@@ -198,6 +158,19 @@ class TestCLI:
         assert sim_log == []
         assert not os.path.exists(store)
 
+    def test_sweep_rejects_a_negative_seed(self, tmp_path, sim_log,
+                                           capsys):
+        """``--seed -5`` used to run silently on a shifted stream."""
+        from repro.harness import cli
+        store = str(tmp_path / "cli-store")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--workloads", "hmmer", "--seed", "-5",
+                      "--scale", "0.03", "--store", store])
+        assert excinfo.value.code == 2
+        assert "seed" in capsys.readouterr().err
+        assert sim_log == []
+        assert not os.path.exists(store)
+
     def test_sweep_alone_rejects_mechanisms(self, tmp_path, sim_log,
                                             capsys):
         """Alone runs are the baseline denominator: asking for a
@@ -228,20 +201,23 @@ class TestCLI:
     def test_sweep_rerun_computes_nothing(self, tmp_path, capsys):
         from repro.harness import cli
         store = str(tmp_path / "cli-store")
-        journal = str(tmp_path / "cli.journal")
         argv = ["sweep", "--workloads", "hmmer", "--mechanisms", "none",
                 "chargecache", "--scale", "0.03", "--store", store,
-                "--journal", journal, "--json"]
-        counts = []
+                "--json"]
+        runs = []
         for _ in range(2):
             runner.clear_memo()
             assert cli.main(argv) == 0
-            counts.append(json.loads(capsys.readouterr().out)["counts"])
-        assert [c["computed"] for c in counts] == [2, 0]
-        assert counts[1]["disk"] == 2
-        assert len(_journal_lines(journal)) == 2
-        assert sorted(os.listdir(store)) == sorted(
-            f"{key}.json" for key in journal_sources(SweepJournal(journal)))
+            runs.append(json.loads(capsys.readouterr().out))
+        assert [run["counts"]["computed"] for run in runs] == [2, 0]
+        assert runs[1]["counts"]["disk"] == 2
+        points = runs[1]["points"]
+        assert [p["label"] for p in points] == \
+            [p["label"] for p in runs[0]["points"]]
+        assert [p["source"] for p in points] == ["disk", "disk"]
+        keys = [p["key"] for p in points]
+        assert len(set(keys)) == len(keys)
+        assert sorted(keys) == _stored_keys(store)
 
     def test_sweep_then_query_the_store_directory(self, tmp_path,
                                                   capsys):

@@ -145,6 +145,7 @@ def test_spec_equality_is_key_equality(data):
 #: JSON, so each one can come back from a store.
 ILL_TYPED = [
     ("seed", "abc"), ("seed", True), ("seed", 1.0), ("seed", None),
+    ("seed", -1), ("seed", -10**9),
     ("engine", 3), ("engine", None), ("engine", "fast"),
     ("enable_rltl", "yes"), ("enable_rltl", 1), ("enable_rltl", None),
     ("cc_unbounded", "true"), ("cc_unbounded", 0),

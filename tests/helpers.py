@@ -10,7 +10,6 @@ enforcement cannot hide itself.
 small deterministic trace, write it, ingest it" dance out of the
 ingestion, fingerprint and harness tests; :func:`tiny_internal` is the
 same idea for the simulator's internal record type.
-:func:`journal_sources` reads a sweep journal's checkpoints back.
 :func:`default_context` is a mechanism context sufficient to build any
 registered mechanism with its defaults.
 """
@@ -18,7 +17,7 @@ registered mechanism with its defaults.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.core.registry import MechanismContext
 from repro.cpu.trace import TraceRecord
@@ -217,10 +216,3 @@ def collect_command_logs(system) -> List[IssuedCommand]:
     for controller in system.controllers:
         logs.append(controller.channel.command_log)
     return logs
-
-
-def journal_sources(journal) -> Dict[str, str]:
-    """Checkpointed key -> source ("computed", "disk", ...) of a
-    :class:`~repro.harness.journal.SweepJournal`."""
-    return {entry["key"]: entry.get("source")
-            for entry in journal.entries()}
