@@ -4,15 +4,19 @@ The guarantees under test:
 
 * a killed-and-resumed sweep re-simulates **zero** finished specs:
   the store's envelopes are the record of what the dead run finished;
+* :meth:`Sweep.annotation` is the record of what a sweep ran: one
+  point per distinct spec, in first-seen order, with no wall times;
 * ``sweep --json`` lists every point's key, label and source;
 * ``sweep`` rejects names its ``--kind`` does not know before it
   simulates anything.
 """
 
 import csv
+import gc
 import io
 import json
 import os
+import warnings
 
 import pytest
 
@@ -117,6 +121,127 @@ class TestResumption:
         assert _stored_keys(str(tmp_path / "store")) == sorted(KEYS)
 
 
+    @pytest.mark.parametrize("kill_after", [1, 3, 5])
+    def test_killed_at_any_point_simulates_each_key_once(
+            self, kill_after, tmp_path, sim_log):
+        """A kill inside a batch group keeps whatever the group already
+        stored: the envelopes, not the progress calls, say what ran."""
+        store = str(tmp_path / "store")
+        reported = []
+
+        def dying_progress(done, total, point):
+            reported.append(run_cache.cache_key(point.spec))
+            if done >= kill_after:
+                raise KeyboardInterrupt("simulated worker death")
+
+        with pytest.raises(KeyboardInterrupt):
+            execute_sweep(SWEEP, progress=dying_progress)
+        finished = _stored_keys(store)
+        assert set(reported) <= set(finished)
+        assert sorted(sim_log) == finished
+
+        runner.clear_memo()
+        first_run = list(sim_log)
+        sim_log.clear()
+        sweep = execute_sweep(SWEEP)
+        assert sweep.counts()["disk"] == len(finished)
+        assert sorted(first_run + sim_log) == sorted(KEYS)
+        assert _stored_keys(store) == sorted(KEYS)
+
+    def test_a_torn_envelope_is_simulated_again(self, tmp_path, sim_log):
+        """An envelope cut off mid-write is not a finished point: the
+        resumed sweep simulates that key once more and stores it
+        whole."""
+        store = tmp_path / "store"
+        execute_sweep(SWEEP)
+        torn = store / f"{KEYS[0]}.json"
+        text = torn.read_text()
+        torn.write_text(text[:len(text) // 2])
+        runner.clear_memo()
+        sim_log.clear()
+        sweep = execute_sweep(SWEEP)
+        assert sim_log == [KEYS[0]]
+        sources = {p["key"]: p["source"]
+                   for p in sweep.annotation()["points_detail"]}
+        assert sources.pop(KEYS[0]) == "computed"
+        assert set(sources.values()) == {"disk"}
+        assert json.loads(torn.read_text())["key"] == KEYS[0]
+
+    def test_a_missing_store_is_created_with_its_parents(
+            self, tmp_path, sim_log):
+        store = tmp_path / "a" / "b" / "store"
+        with runner.executing(cache_dir=str(store)):
+            sweep = execute_sweep(SWEEP[:2])
+        assert sweep.counts()["computed"] == 2
+        assert _stored_keys(str(store)) == sorted(KEYS[:2])
+
+
+class TestSweepRecord:
+    """What :meth:`Sweep.annotation` says about a sweep: the record
+    ``sweep --json`` prints and ``--csv`` writes as
+    ``cache_manifest.csv``."""
+
+    def test_points_follow_first_seen_spec_order(self):
+        order = [SWEEP[3], SWEEP[0], SWEEP[5], SWEEP[1]]
+        points = execute_sweep(order).annotation()["points_detail"]
+        assert [p["key"] for p in points] == \
+            [run_cache.cache_key(spec) for spec in order]
+        assert [p["label"] for p in points] == \
+            [spec.label() for spec in order]
+
+    def test_a_repeated_spec_is_one_point_and_one_envelope(
+            self, tmp_path, sim_log):
+        sweep = execute_sweep(SWEEP + SWEEP[:2] + SWEEP[4:5])
+        assert len(sweep.points) == len(SWEEP) + 3
+        points = sweep.annotation()["points_detail"]
+        assert [p["key"] for p in points] == KEYS
+        assert sorted(sim_log) == sorted(KEYS)
+        assert _stored_keys(str(tmp_path / "store")) == sorted(KEYS)
+
+    def test_the_record_holds_no_wall_time(self, tmp_path):
+        """Two cold sweeps of the same specs into different stores
+        record the same points: nothing in a point depends on when or
+        how fast it ran."""
+        records = []
+        for name in ("one", "two"):
+            runner.clear_memo()
+            with runner.executing(cache_dir=str(tmp_path / name)):
+                records.append(
+                    execute_sweep(SWEEP).annotation()["points_detail"])
+        assert records[0] == records[1]
+        assert set(records[0][0]) == {"label", "source", "key", "engine",
+                                      "batch_group"}
+        assert {p["source"] for p in records[0]} == {"computed"}
+
+
+class TestOpenFiles:
+    """A sweep writes its store through closed handles, whether it
+    finishes or dies."""
+
+    @staticmethod
+    def _unclosed_after(sweep):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            sweep()
+            gc.collect()
+        return [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)]
+
+    def test_none_left_open_after_a_sweep(self, tmp_path):
+        assert self._unclosed_after(lambda: execute_sweep(SWEEP[:2])) == []
+        assert _stored_keys(str(tmp_path / "store")) == sorted(KEYS[:2])
+
+    def test_none_left_open_when_the_sweep_dies(self):
+        def dying_progress(done, total, point):
+            raise KeyboardInterrupt("simulated worker death")
+
+        def sweep():
+            with pytest.raises(KeyboardInterrupt):
+                execute_sweep(SWEEP[:1], progress=dying_progress)
+
+        assert self._unclosed_after(sweep) == []
+
+
 class TestCLI:
     def test_sweep_shares_the_main_execution_flags(self):
         from repro.harness import cli
@@ -218,6 +343,49 @@ class TestCLI:
         keys = [p["key"] for p in points]
         assert len(set(keys)) == len(keys)
         assert sorted(keys) == _stored_keys(store)
+
+    def test_sweep_json_says_which_points_the_store_had(
+            self, tmp_path, capsys):
+        """A store that holds part of a sweep: ``--json`` names the
+        points it served as ``disk`` and the rest as ``computed``."""
+        from repro.harness import cli
+        store = str(tmp_path / "cli-store")
+        argv = ["sweep", "--workloads", "hmmer", "libquantum",
+                "--mechanisms", "none", "--scale", "0.03", "--store",
+                store, "--json"]
+        assert cli.main(argv) == 0
+        first = json.loads(capsys.readouterr().out)["points"]
+        lost = first[1]["key"]
+        os.unlink(os.path.join(store, f"{lost}.json"))
+        runner.clear_memo()
+        assert cli.main(argv) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [(p["label"], p["key"]) for p in points] == \
+            [(p["label"], p["key"]) for p in first]
+        assert [p["source"] for p in points] == ["disk", "computed"]
+        assert _stored_keys(store) == sorted(p["key"] for p in points)
+
+    def test_query_lists_what_a_killed_sweep_finished(
+            self, tmp_path, sim_log, capsys):
+        """After a kill, ``query --cache-dir`` reads the record of what
+        finished straight from the store."""
+        from repro.harness import cli
+        store = str(tmp_path / "store")
+
+        def dying_progress(done, total, point):
+            if done >= 2:
+                raise KeyboardInterrupt("simulated worker death")
+
+        with pytest.raises(KeyboardInterrupt):
+            execute_sweep(SWEEP, progress=dying_progress)
+        finished = set(_stored_keys(store))
+        assert cli.main(["query", "--cache-dir", store, "--json"]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert table["count"] == len(finished)
+        assert sorted((row["name"], row["mechanism"])
+                      for row in table["rows"]) == sorted(
+            (spec.name, spec.mechanism) for spec, key in zip(SWEEP, KEYS)
+            if key in finished)
 
     def test_sweep_then_query_the_store_directory(self, tmp_path,
                                                   capsys):
